@@ -4,7 +4,7 @@
 
 use kron_bench::{design, figure_header, machine_pipeline, paper};
 use kron_core::SelfLoop;
-use kron_gen::measure::BalanceReport;
+use kron_gen::BalanceReport;
 use kron_sparse::select::{empty_vertices, has_duplicates, self_loop_count};
 
 fn main() {

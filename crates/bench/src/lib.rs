@@ -126,18 +126,6 @@ pub mod provenance {
     }
 }
 
-/// Measure the wall-clock edge generation rate (edges/second) of the
-/// machine-scale design at a given worker count, using streaming generation
-/// so the measurement is not dominated by allocation.
-pub fn measure_generation_rate(workers: usize, points: &[u64], split: usize) -> (u64, f64) {
-    let design = design(points, SelfLoop::None);
-    let started = std::time::Instant::now();
-    let edges = kron_gen::count_edges_streaming(&design, split, workers, 60_000_000)
-        .expect("machine-scale design fits in memory");
-    let seconds = started.elapsed().as_secs_f64();
-    (edges, edges as f64 / seconds.max(1e-9))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,13 +177,5 @@ mod tests {
         let object = format!("{{{fields}}}");
         assert!(!object.contains(",}"));
         assert!(!provenance::git_rev().is_empty());
-    }
-
-    #[test]
-    fn machine_scale_rate_measurement_runs() {
-        let (edges, rate) =
-            measure_generation_rate(2, paper::MACHINE_SCALE, paper::MACHINE_SCALE_SPLIT);
-        assert_eq!(edges, 276_480);
-        assert!(rate > 0.0);
     }
 }

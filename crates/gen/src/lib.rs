@@ -11,12 +11,13 @@
 //! 2. Extract the non-zero triples of `B` in column-major (CSC) order and
 //!    hand each of the `N_p` workers a contiguous, equal-size slice
 //!    ([`partition::Partition`]).
-//! 3. Each worker independently forms its block `A_p = B_p ⊗ C`
-//!    ([`block::GraphBlock`]) — no inter-worker communication is needed, and
-//!    every worker produces the same number of edges.
+//! 3. Each worker independently streams its block `A_p = B_p ⊗ C`
+//!    ([`stream::try_stream_block_edges_into`]) — no inter-worker
+//!    communication is needed, and every worker produces the same number of
+//!    edges.
 //! 4. The blocks together are exactly the designed graph; the single
-//!    self-loop of the triangle-control construction is removed from
-//!    whichever block contains it ([`generator::ParallelGenerator`]).
+//!    self-loop of the triangle-control construction is filtered in-stream
+//!    by whichever worker owns it ([`source::KroneckerSource`]).
 //! 5. Properties (degree distribution, edge counts, balance, max degree,
 //!    power-law fit, custom metrics) are measured in-stream by the
 //!    pluggable [`metrics`] engine without ever assembling the full graph,
@@ -41,10 +42,9 @@
 //!    O(1) memory (Graph500's shuffle without the `O(V)` table).  Every run
 //!    yields a [`manifest::RunManifest`] reproducibility record — source
 //!    kind and seeds included — written as `manifest.json` next to file
-//!    output.  The earlier entry points — the materialising
-//!    [`generator::ParallelGenerator`] and the out-of-core
-//!    [`driver::ShardDriver`] — survive as deprecated thin wrappers over
-//!    the pipeline.
+//!    output.  The pre-pipeline entry points (the materialising generator,
+//!    the shard driver, the block writers) were removed in PR 12; use
+//!    [`pipeline::Pipeline`].
 //!
 //! On a shared-memory machine the "processors" are rayon tasks; the
 //! per-worker work and the communication structure (none) are identical to
@@ -54,14 +54,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod chunk;
 pub mod codec;
-pub mod driver;
 pub mod fault;
-pub mod generator;
 pub mod manifest;
-pub mod measure;
 pub mod metrics;
 pub mod partition;
 pub mod permute;
@@ -73,21 +69,18 @@ pub mod source;
 pub mod split;
 pub mod stats;
 pub mod stream;
+pub mod testing;
 pub mod writer;
 
-pub use block::GraphBlock;
 pub use chunk::EdgeChunk;
-pub use driver::{DriverConfig, ShardDriver, ShardRun};
 pub use fault::{FaultKind, FaultSchedule, FaultySink, FaultySource, PlannedFault};
-pub use generator::{DistributedGraph, GeneratorConfig, ParallelGenerator};
 pub use manifest::{
     JournalHeader, ProgressJournal, RunManifest, ShardRecord, MANIFEST_FILE_NAME,
     PROGRESS_FILE_NAME,
 };
-pub use measure::{measured_degree_distribution, measured_properties, BalanceReport};
 pub use metrics::{
-    MetricContext, MetricObserver, MetricRecord, MetricSuite, MetricsReport, PredicateCountMetric,
-    StreamingMetric,
+    BalanceReport, MetricContext, MetricObserver, MetricRecord, MetricSuite, MetricsReport,
+    PredicateCountMetric, StreamingMetric,
 };
 pub use partition::Partition;
 pub use permute::FeistelPermutation;
@@ -103,13 +96,5 @@ pub use sink::{
 pub use source::{EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
 pub use split::{choose_split, choose_split_with_fallback, SplitPlan};
 pub use stats::GenerationStats;
-pub use stream::{
-    count_block_edges, count_edges_streaming, stream_block_edges, stream_block_edges_chunked,
-    stream_block_edges_into, try_stream_block_edges_into,
-};
-#[allow(deprecated)] // the legacy path must keep compiling at its old address
-pub use writer::stream_blocks_tsv;
-pub use writer::{
-    read_block_bin, shard_checksum, stream_block_tsv, write_block_bin, write_blocks_bin,
-    write_blocks_tsv, BlockFileSet, BlockFormat, Fnv1a,
-};
+pub use stream::{stream_block_edges_into, try_stream_block_edges_into};
+pub use writer::{read_block_bin, shard_checksum, BlockFileSet, BlockFormat, Fnv1a};

@@ -6,9 +6,9 @@
 //! buried in the generation loop.  This module owns everything a
 //! [`Pipeline`](crate::pipeline::Pipeline) run measures while edges stream:
 //!
-//! * the **degree histogram** in both adaptive modes from the shard driver
-//!   era — per-worker local [`DegreeAccumulator`] vectors folded as workers
-//!   finish while the peak fits the byte budget, one run-wide
+//! * the **degree histogram** in both adaptive modes — per-worker local
+//!   [`DegreeAccumulator`] vectors folded as workers finish while the peak
+//!   fits the byte budget, one run-wide
 //!   [`SharedDegreeAccumulator`] (relaxed atomics, `O(vertices)` total)
 //!   beyond it;
 //! * **vertex / edge / self-loop counts** and the **max degree**;
@@ -41,8 +41,6 @@ use kron_core::validate::measure_from_histogram;
 use kron_core::GraphProperties;
 use kron_sparse::reduce::SharedDegreeAccumulator;
 use kron_sparse::DegreeAccumulator;
-
-use crate::measure::BalanceReport;
 
 /// A pluggable streaming metric: a factory of per-worker observers.
 ///
@@ -222,6 +220,57 @@ impl MetricRecord {
             name: name.into(),
             value: value.to_string(),
         }
+    }
+}
+
+/// Per-worker load-balance summary (the paper's "same number of edges on
+/// each processor" claim, quantified).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BalanceReport {
+    /// Edge count of each worker.
+    pub edges_per_worker: Vec<u64>,
+    /// Largest per-worker edge count.
+    pub max_edges: u64,
+    /// Smallest per-worker edge count.
+    pub min_edges: u64,
+    /// Max / mean ratio (1.0 = perfectly balanced).
+    pub max_over_mean: f64,
+}
+
+impl BalanceReport {
+    /// Build the balance report of any run from its generation statistics
+    /// (`BalanceReport::from_stats(&report.stats)`).
+    pub fn from_stats(stats: &crate::stats::GenerationStats) -> Self {
+        BalanceReport::from_worker_counts(stats.edges_per_worker.clone())
+    }
+
+    /// Build the balance report from raw per-worker edge counts (worker
+    /// order) — the constructor the streaming-metrics engine uses.
+    pub fn from_worker_counts(edges_per_worker: Vec<u64>) -> Self {
+        let max_edges = edges_per_worker.iter().copied().max().unwrap_or(0);
+        let min_edges = edges_per_worker.iter().copied().min().unwrap_or(0);
+        let total: u64 = edges_per_worker.iter().sum();
+        let mean = if edges_per_worker.is_empty() {
+            0.0
+        } else {
+            total as f64 / edges_per_worker.len() as f64
+        };
+        let max_over_mean = if mean > 0.0 {
+            max_edges as f64 / mean
+        } else {
+            1.0
+        };
+        BalanceReport {
+            edges_per_worker,
+            max_edges,
+            min_edges,
+            max_over_mean,
+        }
+    }
+
+    /// Whether per-worker edge counts differ by at most `tolerance` edges.
+    pub fn is_balanced_within(&self, tolerance: u64) -> bool {
+        self.max_edges - self.min_edges <= tolerance
     }
 }
 
@@ -443,7 +492,7 @@ fn vec_of_none(len: usize) -> Vec<Option<Box<dyn MetricObserver>>> {
 /// One worker's view of the run's degree histogram: a private local vector
 /// (fast, `O(vertices)` per concurrent worker) or the run-wide shared
 /// atomic vector (`O(vertices)` total) — see
-/// [`DriverConfig::max_histogram_bytes`](crate::driver::DriverConfig::max_histogram_bytes).
+/// [`Pipeline::max_histogram_bytes`](crate::pipeline::Pipeline::max_histogram_bytes).
 enum WorkerDegrees<'a> {
     Local(DegreeAccumulator),
     Shared(&'a SharedDegreeAccumulator),
@@ -545,6 +594,22 @@ mod tests {
         assert_eq!(report.balance.min_edges, 2);
         assert_eq!(measured.edges.to_string(), "5");
         assert_eq!(measured.self_loops.to_string(), "2");
+    }
+
+    #[test]
+    fn balance_report_quantifies_even_and_degenerate_partitions() {
+        let even = BalanceReport::from_worker_counts(vec![30, 30, 30, 30]);
+        assert!(even.is_balanced_within(0));
+        assert!((even.max_over_mean - 1.0).abs() < 1e-9);
+        let uneven = BalanceReport::from_worker_counts(vec![40, 30, 30]);
+        assert_eq!((uneven.max_edges, uneven.min_edges), (40, 30));
+        assert!(uneven.is_balanced_within(10) && !uneven.is_balanced_within(9));
+        assert!((uneven.max_over_mean - 1.2).abs() < 1e-9);
+        for degenerate in [vec![], vec![0, 0]] {
+            let report = BalanceReport::from_worker_counts(degenerate);
+            assert!(report.is_balanced_within(0));
+            assert_eq!(report.max_over_mean, 1.0);
+        }
     }
 
     #[test]

@@ -38,10 +38,8 @@
 //! backend, in-memory or on-disk, gets bounded-memory generation *and*
 //! validation.  [`Pipeline::permute_vertices`] inserts an in-stream
 //! [`FeistelPermutation`] relabelling stage: O(1) memory, no permutation
-//! table, seed captured in the manifest.  The legacy
-//! [`ParallelGenerator`](crate::generator::ParallelGenerator) and
-//! [`ShardDriver::run_*`](crate::driver::ShardDriver) entry points are thin
-//! wrappers over this module.
+//! table, seed captured in the manifest.  The pre-pipeline entry points
+//! were removed in PR 12; this builder is the only way to generate.
 
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -54,7 +52,6 @@ use kron_core::{CoreError, GraphProperties, KroneckerDesign};
 use kron_sparse::{CooMatrix, SparseError};
 
 use crate::chunk::EdgeChunk;
-use crate::driver::DriverConfig;
 use crate::manifest::{
     JournalHeader, ProgressJournal, RunManifest, ShardRecord, MANIFEST_FILE_NAME,
 };
@@ -167,9 +164,39 @@ pub struct Pipeline<S> {
     retry: RetryPolicy,
     quarantine: bool,
     /// Set when the worker count is still the clamped default
-    /// ([`DriverConfig::clamped_default_workers`]): the warning the run
-    /// reports, cleared by an explicit [`Pipeline::workers`].
+    /// ([`clamped_default_workers`]): the warning the run reports, cleared
+    /// by an explicit [`Pipeline::workers`].
     default_worker_note: Option<String>,
+}
+
+/// Default worker count.
+const DEFAULT_WORKERS: usize = 4;
+/// Default streaming-histogram budget, in bytes (1 GiB).
+const DEFAULT_MAX_HISTOGRAM_BYTES: u64 = 1 << 30;
+
+/// [`DEFAULT_WORKERS`] clamped to the host's available parallelism, with a
+/// warning when the clamp engaged.
+///
+/// Oversubscribing a small host costs real throughput (the Figure-3 sweep
+/// measured 8 workers *slower* than 4 on a 4-thread machine), so a pipeline
+/// whose worker count was never chosen by the caller runs at most
+/// `available` workers.  Only the *default* is clamped: an explicit worker
+/// count — [`Pipeline::workers`], or a resume matching its journal — is
+/// always honoured, because the worker count is part of a run's
+/// deterministic configuration (shard layout and journal compatibility
+/// depend on it).
+fn clamped_default_workers(available: usize) -> (usize, Option<String>) {
+    if available == 0 || available >= DEFAULT_WORKERS {
+        (DEFAULT_WORKERS, None)
+    } else {
+        (
+            available,
+            Some(format!(
+                "default worker count {DEFAULT_WORKERS} exceeds the host's available \
+                 parallelism; running {available} worker(s) — set workers explicitly to override"
+            )),
+        )
+    }
 }
 
 /// The host's available parallelism, for clamping the *default* worker
@@ -179,7 +206,7 @@ pub struct Pipeline<S> {
 fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(DriverConfig::DEFAULT_WORKERS)
+        .unwrap_or(DEFAULT_WORKERS)
 }
 
 impl<'d> Pipeline<KroneckerSource<'d>> {
@@ -187,26 +214,7 @@ impl<'d> Pipeline<KroneckerSource<'d>> {
     /// default worker count is clamped to the host's available parallelism
     /// (with a run warning); set [`Pipeline::workers`] to override.
     pub fn for_design(design: &'d KroneckerDesign) -> Self {
-        let mut pipeline = Pipeline::from_config(design, &DriverConfig::default());
-        let (workers, note) = DriverConfig::clamped_default_workers(host_parallelism());
-        pipeline.workers = workers;
-        pipeline.default_worker_note = note;
-        pipeline
-    }
-
-    /// Start a pipeline with every knob taken from a [`DriverConfig`].
-    pub fn from_config(design: &'d KroneckerDesign, config: &DriverConfig) -> Self {
-        Pipeline {
-            source: KroneckerSource::from_config(design, config),
-            workers: config.workers,
-            chunk_capacity: config.chunk_capacity,
-            max_histogram_bytes: config.max_histogram_bytes,
-            permutation_seed: None,
-            metrics: MetricSuite::new(),
-            retry: RetryPolicy::none(),
-            quarantine: false,
-            default_worker_note: None,
-        }
+        Pipeline::for_source(KroneckerSource::new(design))
     }
 
     /// Pin the `B ⊗ C` split index (`B` = first `split_index` constituents)
@@ -253,13 +261,12 @@ impl<S: EdgeSource> Pipeline<S> {
     ///     .count()?;
     /// ```
     pub fn for_source(source: S) -> Self {
-        let defaults = DriverConfig::default();
-        let (workers, note) = DriverConfig::clamped_default_workers(host_parallelism());
+        let (workers, note) = clamped_default_workers(host_parallelism());
         Pipeline {
             source,
             workers,
-            chunk_capacity: defaults.chunk_capacity,
-            max_histogram_bytes: defaults.max_histogram_bytes,
+            chunk_capacity: EdgeChunk::DEFAULT_CAPACITY,
+            max_histogram_bytes: DEFAULT_MAX_HISTOGRAM_BYTES,
             permutation_seed: None,
             metrics: MetricSuite::new(),
             retry: RetryPolicy::none(),
@@ -283,8 +290,13 @@ impl<S: EdgeSource> Pipeline<S> {
         self
     }
 
-    /// Set the memory budget for the streaming degree histogram, in bytes
-    /// (see [`DriverConfig::max_histogram_bytes`]).
+    /// Set the memory budget for the streaming degree histogram, in bytes.
+    /// While the peak of per-worker local count vectors — `(concurrent
+    /// workers + 1) × vertices × 8` bytes, since a vector is folded and
+    /// dropped the moment its worker finishes — fits the budget, each worker
+    /// counts privately at full speed; beyond it the run switches to a
+    /// single shared atomic vector — `O(vertices)` total no matter the
+    /// worker count, at the price of one relaxed `fetch_add` per edge.
     pub fn max_histogram_bytes(mut self, max_histogram_bytes: u64) -> Self {
         self.max_histogram_bytes = max_histogram_bytes;
         self
@@ -1090,6 +1102,8 @@ mod tests {
     use super::*;
     use crate::manifest::MANIFEST_FILE_NAME;
     use crate::sink::{DegreeOnlySink, FilterMapSink, TeeSink};
+    use crate::testing::TestDir;
+    use crate::writer::BLOCK_HEADER_CHECKSUM_LEN;
     use kron_bignum::BigUint;
     use kron_core::validate::measure_from_histogram;
     use kron_core::SelfLoop;
@@ -1102,19 +1116,29 @@ mod tests {
             .chunk_capacity(512)
     }
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("kron_gen_pipeline_tests")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    #[test]
+    fn default_workers_clamp_only_below_the_default() {
+        // At or above the default (or an unknown parallelism, reported as
+        // 0): the default stands, no warning.
+        for available in [0usize, DEFAULT_WORKERS, 64] {
+            let (workers, note) = clamped_default_workers(available);
+            assert_eq!(workers, DEFAULT_WORKERS);
+            assert!(note.is_none(), "no clamp expected at available={available}");
+        }
+        // Below it: clamp to the host and say so.
+        for available in 1..DEFAULT_WORKERS {
+            let (workers, note) = clamped_default_workers(available);
+            assert_eq!(workers, available);
+            let note = note.expect("clamping must warn");
+            assert!(note.contains("available parallelism"), "{note}");
+        }
     }
 
     #[test]
     fn default_worker_count_is_clamped_to_the_host() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::None).unwrap();
         let available = host_parallelism();
-        let expected = DriverConfig::DEFAULT_WORKERS.min(available.max(1));
+        let expected = DEFAULT_WORKERS.min(available.max(1));
 
         let report = Pipeline::for_design(&design).count().unwrap();
         assert_eq!(report.stats.workers, expected);
@@ -1125,14 +1149,14 @@ mod tests {
             .any(|w| w.contains("available parallelism"));
         assert_eq!(
             clamp_warned,
-            expected < DriverConfig::DEFAULT_WORKERS,
+            expected < DEFAULT_WORKERS,
             "the clamp warning must appear exactly when the clamp engaged: {:?}",
             report.stats.warnings
         );
 
         // An explicit worker count is never clamped, however oversubscribed,
         // and never warns.
-        let oversubscribed = DriverConfig::DEFAULT_WORKERS + 3;
+        let oversubscribed = DEFAULT_WORKERS + 3;
         let report = Pipeline::for_design(&design)
             .workers(oversubscribed)
             .count()
@@ -1182,7 +1206,7 @@ mod tests {
     #[test]
     fn write_binary_emits_a_manifest_that_matches_the_run() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-        let dir = temp_dir("manifest_binary");
+        let dir = TestDir::new("manifest_binary");
         let report = pipeline(&design, 3)
             .split_index(1)
             .write_binary(&dir)
@@ -1197,6 +1221,11 @@ mod tests {
         from_disk.sort();
         expected.sort();
         assert_eq!(from_disk, expected);
+        // Checksummed header + 16 bytes per edge, exactly.
+        for (file, edges) in files.files.iter().zip(&report.stats.edges_per_worker) {
+            let len = std::fs::metadata(file).unwrap().len();
+            assert_eq!(len, BLOCK_HEADER_CHECKSUM_LEN + 16 * edges);
+        }
 
         let on_disk = RunManifest::read_from(&dir.join(MANIFEST_FILE_NAME)).unwrap();
         assert_eq!(on_disk, report.manifest);
@@ -1212,13 +1241,12 @@ mod tests {
         );
         assert_eq!(on_disk.outputs.len(), 3);
         assert!(on_disk.exact_match);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn write_tsv_round_trips_and_emits_a_manifest() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Leaf).unwrap();
-        let dir = temp_dir("manifest_tsv");
+        let dir = TestDir::new("manifest_tsv");
         let report = pipeline(&design, 2).split_index(2).write_tsv(&dir).unwrap();
         assert!(report.is_valid());
         let files = report.files.as_ref().expect("tsv run produces files");
@@ -1228,7 +1256,6 @@ mod tests {
         expected.sort();
         assert_eq!(from_disk, expected);
         assert!(dir.join(MANIFEST_FILE_NAME).exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1454,6 +1481,15 @@ mod tests {
     }
 
     #[test]
+    fn more_workers_than_triples_still_validates() {
+        let design = KroneckerDesign::from_star_points(&[2, 2], SelfLoop::Centre).unwrap();
+        let report = pipeline(&design, 32).split_index(1).count().unwrap();
+        assert_eq!(BigUint::from(report.edge_count()), design.edges());
+        assert!(report.is_valid());
+        assert_eq!(report.outputs.len(), 32);
+    }
+
+    #[test]
     fn chunk_capacity_does_not_change_the_graph() {
         let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::Centre).unwrap();
         for chunk_capacity in [1usize, 7, 4096] {
@@ -1530,7 +1566,7 @@ mod tests {
     #[test]
     fn permutation_seed_round_trips_through_the_manifest() {
         let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
-        let dir = temp_dir("permuted_manifest");
+        let dir = TestDir::new("permuted_manifest");
         let report = pipeline(&design, 2)
             .split_index(1)
             .permute_vertices(99)
@@ -1540,6 +1576,5 @@ mod tests {
         assert_eq!(on_disk, report.manifest);
         assert_eq!(on_disk.permutation_seed, Some(99));
         assert_eq!(on_disk.source, "kronecker");
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

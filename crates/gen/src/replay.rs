@@ -625,17 +625,8 @@ where
 mod tests {
     use super::*;
     use crate::pipeline::Pipeline;
-    use crate::writer::write_block_bin;
+    use crate::testing::{legacy_block_bytes, TestDir};
     use kron_core::{KroneckerDesign, SelfLoop};
-    use kron_sparse::CooMatrix;
-
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("kron_gen_replay_tests")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn written_run(dir: &Path, format: BlockFormat) -> Vec<(u64, u64)> {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
@@ -678,7 +669,7 @@ mod tests {
             BlockFormat::Binary,
             BlockFormat::Compressed,
         ] {
-            let dir = temp_dir(&format!("stream_{format:?}"));
+            let dir = TestDir::new(&format!("stream_{format:?}"));
             let expected = written_run(&dir, format);
             let source = ReplaySource::from_directory(&dir).unwrap();
             assert_eq!(source.format(), format);
@@ -697,13 +688,12 @@ mod tests {
             }
             replayed.sort_unstable();
             assert_eq!(replayed, expected, "{format:?} replay changed the edges");
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
     #[test]
     fn idle_workers_warn_and_deliver_nothing() {
-        let dir = temp_dir("idle_workers");
+        let dir = TestDir::new("idle_workers");
         let expected = written_run(&dir, BlockFormat::Binary);
         let source = ReplaySource::from_directory(&dir).unwrap();
         let (run, warnings) = source.prepare(5).unwrap();
@@ -720,21 +710,22 @@ mod tests {
         }
         replayed.sort_unstable();
         assert_eq!(replayed, expected);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn legacy_split_array_blocks_replay_without_a_manifest() {
-        // write_block_bin emits the v1 split-array layout; replay it through
-        // the two-cursor streamer.
-        let dir = temp_dir("v1_blocks");
-        std::fs::create_dir_all(&dir).unwrap();
+        // Version 1 is the split-array layout; replay it through the
+        // two-cursor streamer.
+        let dir = TestDir::new("v1_blocks");
         let edges = vec![(0u64, 1u64), (1, 2), (2, 0), (3, 3), (1, 0)];
-        let block = CooMatrix::from_edges(4, 4, edges.clone()).unwrap();
         let path = dir.join("block_00000.kbk");
-        write_block_bin(&block, &path).unwrap();
+        std::fs::write(
+            &path,
+            legacy_block_bytes(crate::writer::BLOCK_VERSION, 4, 4, &edges),
+        )
+        .unwrap();
         let set = BlockFileSet {
-            directory: dir.clone(),
+            directory: dir.to_path_buf(),
             files: vec![path],
             vertices: 4,
             format: BlockFormat::Binary,
@@ -751,12 +742,11 @@ mod tests {
             .unwrap();
         assert_eq!(delivered, 5);
         assert_eq!(replayed, edges);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn errors_name_the_failing_shard() {
-        let dir = temp_dir("corrupt");
+        let dir = TestDir::new("corrupt");
         let _ = written_run(&dir, BlockFormat::Binary);
         // Corrupt the middle shard's magic.
         let victim = dir.join("block_00001.kbk");
@@ -781,17 +771,15 @@ mod tests {
             .stream_worker::<SparseError, _>(1, &mut chunk, |_| Ok(()))
             .unwrap_err();
         assert!(error.to_string().contains("block_00001"), "{error}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn tsv_parse_errors_carry_line_numbers_and_bounds_are_checked() {
-        let dir = temp_dir("bad_tsv");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("bad_tsv");
         let path = dir.join("block_00000.tsv");
         std::fs::write(&path, "0\t1\t1\n# comment\n\nnot-a-number\t2\t1\n").unwrap();
         let set = BlockFileSet {
-            directory: dir.clone(),
+            directory: dir.to_path_buf(),
             files: vec![path.clone()],
             vertices: 4,
             format: BlockFormat::Tsv,
@@ -815,14 +803,12 @@ mod tests {
         assert!(error.to_string().contains("out of bounds"), "{error}");
         assert!(error.to_string().contains("block_00000.tsv"), "{error}");
         assert!(error.to_string().contains("line 2"), "{error}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn directories_without_a_replayable_run_are_rejected() {
         // No manifest at all.
-        let dir = temp_dir("no_manifest");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("no_manifest");
         assert!(ReplaySource::from_directory(&dir).is_err());
 
         // A counting run's manifest has no shards to replay.
@@ -836,24 +822,22 @@ mod tests {
             ReplaySource::from_directory(&dir),
             Err(CoreError::InvalidConfig { .. })
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn zero_workers_rejected() {
-        let dir = temp_dir("zero_workers");
+        let dir = TestDir::new("zero_workers");
         let _ = written_run(&dir, BlockFormat::Tsv);
         let source = ReplaySource::from_directory(&dir).unwrap();
         assert!(matches!(
             source.prepare(0),
             Err(CoreError::InvalidConfig { .. })
         ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn descriptor_reflects_the_replayed_manifest() {
-        let dir = temp_dir("descriptor");
+        let dir = TestDir::new("descriptor");
         let _ = written_run(&dir, BlockFormat::Binary);
         let source = ReplaySource::from_directory(&dir).unwrap();
         let (run, _) = source.prepare(2).unwrap();
@@ -865,6 +849,5 @@ mod tests {
         assert_eq!(descriptor.vertices, "120");
         assert!(run.predicted_properties().is_none());
         assert!(run.split_plan().is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -408,7 +408,8 @@ impl Drop for BinaryShardSink {
 /// `finish` seals the final partial frame and patches the true entry
 /// count, payload length, and payload FNV-1a checksum into the header.
 /// Several times smaller than [`BinaryShardSink`] on generated streams
-/// (see `compression_ratio` in `BENCH_shard_driver.json`).
+/// (see `sink.bytes_per_edge` of the `kron_shard_v4` workload in the
+/// benchmark's `--trace` output, against raw binary's 16).
 ///
 /// Edges accumulate in an internal buffer and are encoded in frames of
 /// exactly [`codec::FRAME_EDGES`](crate::codec::FRAME_EDGES) (plus one
@@ -904,6 +905,7 @@ impl<S: EdgeSink> EdgeSink for PermuteSink<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TestDir;
 
     const EDGES: &[(u64, u64)] = &[(0, 1), (1, 1), (2, 0), (3, 3)];
 
@@ -959,16 +961,9 @@ mod tests {
         );
     }
 
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("kron_gen_sink_tests").join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn shard_sinks_stage_in_tmp_and_rename_on_finish() {
-        let dir = temp_dir("atomic");
+        let dir = TestDir::new("atomic");
         let tsv = dir.join("shard.tsv");
         let mut sink = TsvShardSink::create(&tsv).unwrap();
         sink.consume(EDGES).unwrap();
@@ -986,37 +981,34 @@ mod tests {
         sink.finish().unwrap();
         assert!(kbk.exists());
         assert!(!tmp_shard_path(&kbk).exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn dropped_sinks_never_produce_a_complete_looking_shard() {
-        let dir = temp_dir("dropped");
+        let dir = TestDir::new("dropped");
         let tsv = dir.join("shard.tsv");
         let mut sink = TsvShardSink::create(&tsv).unwrap();
         sink.consume(EDGES).unwrap();
         drop(sink); // simulates a worker dying mid-stream (warns on stderr)
         assert!(!tsv.exists(), "no shard may appear without finish()");
         assert!(tmp_shard_path(&tsv).exists(), "the partial stays visible");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn abandon_removes_the_partial_and_stays_silent() {
-        let dir = temp_dir("abandon");
+        let dir = TestDir::new("abandon");
         let kbk = dir.join("shard.kbk");
         let mut sink = BinaryShardSink::create(&kbk, 4, 4).unwrap();
         sink.consume(EDGES).unwrap();
         sink.abandon();
         assert!(!kbk.exists());
         assert!(!tmp_shard_path(&kbk).exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn payload_checksums_match_the_bytes_on_disk() {
         use crate::writer::{shard_checksum, BlockFormat};
-        let dir = temp_dir("checksums");
+        let dir = TestDir::new("checksums");
         let tsv = dir.join("shard.tsv");
         let mut sink = TsvShardSink::create(&tsv).unwrap();
         sink.consume(EDGES).unwrap();
@@ -1035,13 +1027,12 @@ mod tests {
         let bytes = std::fs::read(&kbk).unwrap();
         let stored = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
         assert_eq!(stored, reported);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn compressed_sink_stages_atomically_and_checksums_its_payload() {
         use crate::writer::{read_block_bin, shard_checksum, BlockFormat};
-        let dir = temp_dir("compressed_atomic");
+        let dir = TestDir::new("compressed_atomic");
         let kbkz = dir.join("shard.kbkz");
         let mut sink = CompressedShardSink::create(&kbkz, 4, 4).unwrap();
         sink.consume(EDGES).unwrap();
@@ -1068,12 +1059,11 @@ mod tests {
         let block = read_block_bin(&kbkz).unwrap();
         let decoded: Vec<(u64, u64)> = block.iter().map(|(r, c, _)| (r, c)).collect();
         assert_eq!(decoded, EDGES);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn compressed_shard_bytes_are_independent_of_consume_granularity() {
-        let dir = temp_dir("compressed_granularity");
+        let dir = TestDir::new("compressed_granularity");
         let edges: Vec<(u64, u64)> = (0..1000u64).map(|i| (i % 64, (i * 7) % 64)).collect();
 
         let whole = dir.join("whole.kbkz");
@@ -1093,12 +1083,11 @@ mod tests {
             std::fs::read(&pieces).unwrap(),
             "shard bytes must depend only on the edge stream, never its chunking"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn compressed_sink_abandon_and_drop_leave_no_complete_shard() {
-        let dir = temp_dir("compressed_abandon");
+        let dir = TestDir::new("compressed_abandon");
         let kbkz = dir.join("shard.kbkz");
         let mut sink = CompressedShardSink::create(&kbkz, 4, 4).unwrap();
         sink.consume(EDGES).unwrap();
@@ -1111,7 +1100,6 @@ mod tests {
         drop(sink); // a dying worker: partial stays, final name never appears
         assert!(!kbkz.exists());
         assert!(tmp_shard_path(&kbkz).exists());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A sink that fails on the `n`-th consume, for exercising the
@@ -1141,7 +1129,7 @@ mod tests {
 
     #[test]
     fn double_buffered_sink_delegates_and_matches_the_plain_sink() {
-        let dir = temp_dir("double_buffered");
+        let dir = TestDir::new("double_buffered");
         let plain = dir.join("plain.kbkz");
         let mut sink = CompressedShardSink::create(&plain, 64, 64).unwrap();
         let edges: Vec<(u64, u64)> = (0..500u64).map(|i| (i % 64, (i * 3) % 64)).collect();
@@ -1164,7 +1152,6 @@ mod tests {
             std::fs::read(&buffered).unwrap(),
             "the writer thread must not change the bytes"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1188,7 +1175,7 @@ mod tests {
 
     #[test]
     fn double_buffered_sink_abandon_and_drop_remove_the_partial() {
-        let dir = temp_dir("double_buffered_abandon");
+        let dir = TestDir::new("double_buffered_abandon");
         let kbkz = dir.join("abandoned.kbkz");
         let mut sink = DoubleBufferedSink::new(CompressedShardSink::create(&kbkz, 4, 4).unwrap());
         sink.consume(EDGES).unwrap();
@@ -1206,7 +1193,6 @@ mod tests {
             !dropped.exists(),
             "drop must never produce a complete shard"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

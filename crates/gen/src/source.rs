@@ -33,8 +33,6 @@ use kron_core::{CoreError, GraphProperties, KroneckerDesign, SelfLoop};
 use kron_sparse::{CooMatrix, SparseError};
 
 use crate::chunk::EdgeChunk;
-use crate::driver::DriverConfig;
-use crate::generator::self_loop_vertex_index;
 use crate::partition::{csc_ordered_triples, Partition};
 use crate::split::{choose_split_with_fallback, SplitPlan};
 
@@ -180,20 +178,20 @@ pub struct KroneckerSource<'d> {
     self_loop_policy: SelfLoopPolicy,
 }
 
-impl<'d> KroneckerSource<'d> {
-    /// A source over `design` with the default budgets of
-    /// [`DriverConfig::default`] and an automatically chosen split.
-    pub fn new(design: &'d KroneckerDesign) -> Self {
-        KroneckerSource::from_config(design, &DriverConfig::default())
-    }
+/// Default memory budget for the replicated `C` factor, in entries.
+const DEFAULT_MAX_C_EDGES: u64 = 1 << 20;
+/// Default memory budget for the partitioned `B` factor, in entries.
+const DEFAULT_MAX_B_EDGES: u64 = 1 << 24;
 
-    /// A source with the factor budgets taken from a [`DriverConfig`].
-    pub fn from_config(design: &'d KroneckerDesign, config: &DriverConfig) -> Self {
+impl<'d> KroneckerSource<'d> {
+    /// A source over `design` with the default factor budgets (2^20 entries
+    /// for `C`, 2^24 for `B`) and an automatically chosen split.
+    pub fn new(design: &'d KroneckerDesign) -> Self {
         KroneckerSource {
             design,
             split: None,
-            max_c_edges: config.max_c_edges,
-            max_b_edges: config.max_b_edges,
+            max_c_edges: DEFAULT_MAX_C_EDGES,
+            max_b_edges: DEFAULT_MAX_B_EDGES,
             self_loop_policy: SelfLoopPolicy::default(),
         }
     }
@@ -395,6 +393,23 @@ impl SourceRun for KroneckerRun<'_> {
     }
 }
 
+/// Global index of the product vertex that carries the single self-loop of a
+/// triangle-control design: the mixed-radix combination of each
+/// constituent's self-loop vertex index.
+fn self_loop_vertex_index(design: &KroneckerDesign) -> u64 {
+    let mut index = 0u64;
+    for constituent in design.constituents() {
+        let local = constituent
+            .adjacency()
+            .iter()
+            .find(|&(r, c, _)| r == c)
+            .map(|(r, _, _)| r)
+            .unwrap_or(0);
+        index = index * constituent.vertices() + local;
+    }
+    index
+}
+
 /// The self-loop placement of a pure star design (the manifest's design
 /// spec).  Mixed or non-star designs report the first constituent's
 /// placement — the manifest's `star_points` being empty flags those.
@@ -468,6 +483,16 @@ mod tests {
         assert_eq!(descriptor.split_index, 1);
         assert!(run.predicted_properties().is_some());
         assert!(run.split_plan().is_some());
+    }
+
+    #[test]
+    fn self_loop_vertex_index_cases() {
+        let centre = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::Centre).unwrap();
+        assert_eq!(self_loop_vertex_index(&centre), 0);
+        let leaf = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::Leaf).unwrap();
+        // Leaf vertex of each star is its last vertex, so the product loop is
+        // at the last product vertex.
+        assert_eq!(self_loop_vertex_index(&leaf), 4 * 5 - 1);
     }
 
     #[test]

@@ -1,22 +1,13 @@
 //! Streaming generation.
 //!
-//! Materialising every block is convenient for validation but unnecessary
-//! when edges are being piped straight into a consumer (a file, a network
-//! socket, a streaming analytic).  The fast path here is *chunked*: a worker
-//! expands its `B`-triple slice against `C` into a reusable [`EdgeChunk`] and
-//! hands the sink whole slices of edges, so the per-edge cost is two adds and
-//! a buffered store — no bounds check, no closure dispatch, no allocation
-//! after the first chunk.  The original per-edge API is kept as a thin
-//! adapter over the chunked one, and a closure-free counting path measures
-//! raw generation throughput (the paper's Figure 3 metric).
+//! A worker expands its `B`-triple slice against `C` into a reusable
+//! [`EdgeChunk`] and hands the sink whole slices of edges, so the per-edge
+//! cost is two adds and a buffered store — no bounds check, no closure
+//! dispatch, no allocation after the first chunk.
 
-use rayon::prelude::*;
-
-use kron_core::{CoreError, KroneckerDesign};
 use kron_sparse::CooMatrix;
 
 use crate::chunk::EdgeChunk;
-use crate::partition::{csc_ordered_triples, Partition};
 
 /// Stream the edges of worker `p`'s block — the Kronecker product of its
 /// `B`-triple slice with `C` — filling the caller's reusable `chunk` and
@@ -82,128 +73,27 @@ pub fn stream_block_edges_into<F: FnMut(&[(u64, u64)])>(
     }
 }
 
-/// Stream a block's edges in chunks, allocating the one buffer internally —
-/// sized to the expansion, capped at [`EdgeChunk::DEFAULT_CAPACITY`], so
-/// small blocks do not pay for a full-size buffer.  See
-/// [`stream_block_edges_into`] for the buffer-reusing variant.
-pub fn stream_block_edges_chunked<F: FnMut(&[(u64, u64)])>(
-    b_triples: &[(u64, u64, u64)],
-    c: &CooMatrix<u64>,
-    sink: F,
-) -> u64 {
-    let capacity = b_triples
-        .len()
-        .saturating_mul(c.nnz())
-        .clamp(1, EdgeChunk::DEFAULT_CAPACITY);
-    let mut chunk = EdgeChunk::new(capacity);
-    stream_block_edges_into(b_triples, c, &mut chunk, sink)
-}
-
-/// Stream a block's edges one at a time, calling `sink` once per edge with
-/// global `(row, col)` indices.  Returns the number of edges produced.
-///
-/// This is a thin adapter over the chunked path; use
-/// [`stream_block_edges_into`] directly when the consumer can take whole
-/// slices.
-pub fn stream_block_edges<F: FnMut(u64, u64)>(
-    b_triples: &[(u64, u64, u64)],
-    c: &CooMatrix<u64>,
-    mut sink: F,
-) -> u64 {
-    stream_block_edges_chunked(b_triples, c, |edges| {
-        for &(row, col) in edges {
-            sink(row, col);
-        }
-    })
-}
-
-/// Closure-free counting fast path: run the exact expansion arithmetic of
-/// [`stream_block_edges_into`] — every edge's global indices are computed —
-/// but fold them into two independent accumulators instead of buffering
-/// them, so the measured rate is the cost of index generation alone.  The
-/// accumulators carry no loop-to-loop dependency chain (a sum and an xor),
-/// letting the reduction vectorize; their digest passes through
-/// [`std::hint::black_box`] to keep the optimizer honest.
-pub fn count_block_edges(b_triples: &[(u64, u64, u64)], c: &CooMatrix<u64>) -> u64 {
-    let (c_rows, c_cols) = (c.row_indices(), c.col_indices());
-    let (c_nrows, c_ncols) = (c.nrows(), c.ncols());
-    let mut row_sum = 0u64;
-    let mut col_xor = 0u64;
-    for &(rb, cb, _) in b_triples {
-        let row_base = rb * c_nrows;
-        let col_base = cb * c_ncols;
-        for i in 0..c_rows.len() {
-            row_sum = row_sum.wrapping_add(row_base + c_rows[i]);
-            col_xor ^= col_base + c_cols[i];
-        }
-    }
-    std::hint::black_box(row_sum ^ col_xor);
-    (b_triples.len() * c_rows.len()) as u64
-}
-
-/// Generate the whole design in streaming mode across `workers` rayon tasks,
-/// counting edges instead of storing them (via the closure-free
-/// [`count_block_edges`] fast path).  Returns the total edge count of the
-/// *raw* product (before self-loop removal), which is the quantity the
-/// throughput figure reports.
-pub fn count_edges_streaming(
-    design: &KroneckerDesign,
-    split_index: usize,
-    workers: usize,
-    max_factor_edges: u64,
-) -> Result<u64, CoreError> {
-    if workers == 0 {
-        return Err(CoreError::InvalidConfig {
-            message: "streaming generation needs at least one worker".into(),
-        });
-    }
-    let (b_design, c_design) = design.split(split_index)?;
-    let b = b_design.realize_raw(max_factor_edges)?;
-    let c = c_design.realize_raw(max_factor_edges)?;
-    let triples = csc_ordered_triples(&b);
-    let partition = Partition::even(triples.len(), workers);
-    let total: u64 = (0..workers)
-        .into_par_iter()
-        .map(|worker| count_block_edges(&triples[partition.range(worker)], &c))
-        .sum();
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kron_core::SelfLoop;
+    use crate::partition::csc_ordered_triples;
+    use kron_core::{KroneckerDesign, SelfLoop};
 
     #[test]
-    fn streamed_edges_match_materialised_block() {
-        let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::None).unwrap();
-        let (b_design, c_design) = design.split(2).unwrap();
-        let b = b_design.realize_raw(10_000).unwrap();
-        let c = c_design.realize_raw(10_000).unwrap();
-        let triples = csc_ordered_triples(&b);
-
-        let mut streamed: Vec<(u64, u64)> = Vec::new();
-        let produced = stream_block_edges(&triples, &c, |r, col| streamed.push((r, col)));
-        assert_eq!(produced as usize, streamed.len());
-
-        let block = crate::block::GraphBlock::generate(0, &triples, &c, 120, 120);
-        let mut materialised: Vec<(u64, u64)> =
-            block.edges.iter().map(|(r, col, _)| (r, col)).collect();
-        streamed.sort_unstable();
-        materialised.sort_unstable();
-        assert_eq!(streamed, materialised);
-    }
-
-    #[test]
-    fn chunked_stream_matches_per_edge_across_chunk_sizes() {
+    fn chunked_stream_is_the_translated_product_in_order_at_every_chunk_size() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
         let (b_design, c_design) = design.split(1).unwrap();
         let b = b_design.realize_raw(10_000).unwrap();
         let c = c_design.realize_raw(10_000).unwrap();
         let triples = csc_ordered_triples(&b);
 
-        let mut per_edge: Vec<(u64, u64)> = Vec::new();
-        stream_block_edges(&triples, &c, |r, col| per_edge.push((r, col)));
+        // The definition of B_p ⊗ C, one edge at a time.
+        let mut expected: Vec<(u64, u64)> = Vec::new();
+        for &(rb, cb, _) in &triples {
+            for (rc, cc, _) in c.iter() {
+                expected.push((rb * c.nrows() + rc, cb * c.ncols() + cc));
+            }
+        }
 
         for chunk_capacity in [1usize, 3, 4096] {
             let mut chunked: Vec<(u64, u64)> = Vec::new();
@@ -213,12 +103,10 @@ mod tests {
             });
             assert!(chunk.is_empty(), "chunk must be drained on return");
             assert_eq!(produced as usize, chunked.len());
-            // Chunked emission preserves the exact per-edge order.
             assert_eq!(
-                chunked, per_edge,
+                chunked, expected,
                 "order differs at chunk capacity {chunk_capacity}"
             );
-            assert_eq!(count_block_edges(&triples, &c), produced);
         }
     }
 
@@ -228,31 +116,9 @@ mod tests {
         let (_, c_design) = design.split(1).unwrap();
         let c = c_design.realize_raw(1_000).unwrap();
         let mut calls = 0usize;
-        let produced = stream_block_edges_chunked(&[], &c, |_| calls += 1);
+        let mut chunk = EdgeChunk::new(8);
+        let produced = stream_block_edges_into(&[], &c, &mut chunk, |_| calls += 1);
         assert_eq!(produced, 0);
         assert_eq!(calls, 0, "no edges must mean no sink calls");
-        assert_eq!(count_block_edges(&[], &c), 0);
-    }
-
-    #[test]
-    fn streaming_count_equals_raw_product_nnz() {
-        let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre).unwrap();
-        for workers in [1usize, 2, 4, 7] {
-            let counted = count_edges_streaming(&design, 2, workers, 1_000_000).unwrap();
-            assert_eq!(
-                counted,
-                design.nnz_with_loops().to_u64().unwrap(),
-                "streaming edge count wrong with {workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_rejects_zero_workers() {
-        let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
-        assert!(matches!(
-            count_edges_streaming(&design, 1, 0, 1_000),
-            Err(CoreError::InvalidConfig { .. })
-        ));
     }
 }

@@ -1,0 +1,71 @@
+//! Test support shared by this crate's unit tests and the workspace's
+//! integration tests: a scratch directory that cannot collide with another
+//! test's, and a byte-level builder for the binary block layouts no writer
+//! in this crate produces any more.
+
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::writer::{BLOCK_MAGIC, BLOCK_VERSION};
+
+/// A fresh, empty scratch directory that is unique per call — process id
+/// plus a process-wide counter, so neither parallel test threads nor
+/// concurrent test processes ever share one — and removed again on drop.
+#[derive(Debug)]
+pub struct TestDir(PathBuf);
+
+impl TestDir {
+    /// Create a scratch directory whose name starts with `label`, clearing
+    /// anything a crashed earlier process left at the same path.  Should
+    /// the creation fail, the first use of the path reports it.
+    pub fn new(label: &str) -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        // ordering: a unique-id counter; it publishes no other data
+        let id = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("kron_test_{label}_{}_{id}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        let _ = std::fs::create_dir_all(&path);
+        TestDir(path)
+    }
+}
+
+impl Deref for TestDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for TestDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// The bytes of a pre-checksum binary block file, for feeding the readers
+/// that must keep accepting them: [`BLOCK_VERSION`] (1) stores all row
+/// indices and then all column indices,
+/// [`BLOCK_VERSION_PAIRS`](crate::writer::BLOCK_VERSION_PAIRS) (2) stores
+/// interleaved `(row, col)` pairs; both open with the shared 32-byte header.
+pub fn legacy_block_bytes(version: u32, nrows: u64, ncols: u64, edges: &[(u64, u64)]) -> Vec<u8> {
+    let mut words = vec![nrows, ncols, edges.len() as u64];
+    if version == BLOCK_VERSION {
+        words.extend(edges.iter().map(|&(row, _)| row));
+        words.extend(edges.iter().map(|&(_, col)| col));
+    } else {
+        words.extend(edges.iter().flat_map(|&(row, col)| [row, col]));
+    }
+    let mut bytes = BLOCK_MAGIC.to_vec();
+    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.extend(words.iter().flat_map(|word| word.to_le_bytes()));
+    bytes
+}

@@ -1,45 +1,39 @@
-//! Writing distributed graphs to disk.
+//! The on-disk shard formats: layout constants, checksums, and readers.
 //!
 //! The natural on-disk form of a distributed Kronecker graph is one file per
 //! worker — exactly what a distributed file system would hold after the
-//! paper's generation run.  Blocks are written in parallel (each worker owns
-//! its file, so there is still no coordination), and two formats are
-//! supported:
+//! paper's generation run.  The shard sinks ([`crate::sink`]) write the
+//! files; this module owns what a file looks like and how it is read back:
 //!
 //! * **TSV triples** (`block_<p>.tsv`) — the interchange format
-//!   Graph500-style tooling ingests; emission is fed by [`EdgeChunk`]s
-//!   through a per-worker [`BufWriter`], so a block streams to disk without
-//!   ever being materialised in memory.
-//! * **Compact binary** (`block_<p>.kbk`) — a fixed little-endian header
-//!   (magic, version, dimensions, edge count) followed by the raw row and
-//!   column index arrays.  16 bytes per edge, no parsing on the way back in;
-//!   [`read_block_bin`] round-trips it through the checked bulk COO APIs.
+//!   Graph500-style tooling ingests, one `row<TAB>col<TAB>1` line per edge.
+//! * **Compact binary** (`block_<p>.kbk`, `block_<p>.kbkz`) — a fixed
+//!   little-endian header (magic, version, dimensions, edge count, and from
+//!   v3 on a payload checksum) followed by the edges: split row/column
+//!   arrays (v1), interleaved pairs (v2/v3, 16 bytes per edge), or
+//!   delta/varint frames (v4).  [`read_block_bin`] reads every version
+//!   through the checked bulk COO APIs.
 
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use kron_core::CoreError;
-use kron_sparse::io::{read_tsv_file, write_tsv_file};
+use kron_sparse::io::read_tsv_file;
 use kron_sparse::{CooMatrix, SparseError};
-
-use crate::chunk::EdgeChunk;
-use crate::generator::DistributedGraph;
-use crate::partition::{csc_ordered_triples, Partition};
-use crate::stream::try_stream_block_edges_into;
 
 /// Magic bytes opening a binary block file.
 pub const BLOCK_MAGIC: [u8; 4] = *b"KBLK";
-/// Version of the binary block layout with split row/column arrays
-/// (see [`write_block_bin`]).
+/// Version of the binary block layout with split row/column arrays: all
+/// `nnz` row indices, then all `nnz` column indices.  Read-only — no writer
+/// in this crate produces it any more.
 pub const BLOCK_VERSION: u32 = 1;
 /// Version of the binary block layout with interleaved `(row, col)` pairs —
 /// the streaming shard layout: edges append sequentially as they are
 /// generated, and only the header's count is patched at the end, so a shard
-/// never has to be buffered in memory (see
-/// [`crate::driver::BinaryShardSink`]).
+/// never has to be buffered in memory.  Read-only since the checksummed v3
+/// replaced it.
 pub const BLOCK_VERSION_PAIRS: u32 = 2;
 /// Version of the binary block layout with interleaved pairs **and** an
 /// FNV-1a checksum of the payload appended to the header.  The shard sinks
@@ -124,14 +118,16 @@ impl Default for Fnv1a {
 pub enum BlockFormat {
     /// `row<TAB>col<TAB>value` text triples.
     Tsv,
-    /// The compact binary layout (see [`write_block_bin`]).
+    /// The compact binary layout ([`BLOCK_VERSION_CHECKSUM`]: values are
+    /// not stored — a generated block is an unweighted pattern — which is
+    /// what makes the format 16 bytes per edge).
     Binary,
     /// The delta/varint-compressed binary layout
     /// ([`BLOCK_VERSION_COMPRESSED`]).
     Compressed,
 }
 
-/// The files produced by one of the block writers.
+/// The files produced by one of the pipeline's file terminals.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlockFileSet {
     /// Directory containing the block files.
@@ -179,28 +175,6 @@ pub(crate) fn prepare_directory(
         .collect())
 }
 
-/// Write each block of a materialised distributed graph to
-/// `<directory>/block_<p>.tsv` (0-based triples, one file per worker,
-/// written in parallel).
-pub fn write_blocks_tsv(
-    graph: &DistributedGraph,
-    directory: &Path,
-) -> Result<BlockFileSet, CoreError> {
-    let files = prepare_directory(directory, graph.blocks.len(), "tsv")?;
-    graph
-        .blocks
-        .par_iter()
-        .zip(files.par_iter())
-        .try_for_each(|(block, path)| write_tsv_file(&block.edges, path))
-        .map_err(CoreError::Sparse)?;
-    Ok(BlockFileSet {
-        directory: directory.to_path_buf(),
-        files,
-        vertices: graph.vertices,
-        format: BlockFormat::Tsv,
-    })
-}
-
 /// Write one chunk of pattern edges in the TSV triple format
 /// (`row<TAB>col<TAB>1`) — the single definition of the line layout shared
 /// by every TSV emitter (and matched by the reader behind
@@ -212,132 +186,6 @@ pub(crate) fn write_tsv_edges(
     for &(row, col) in edges {
         writeln!(writer, "{row}\t{col}\t1")?;
     }
-    Ok(())
-}
-
-/// Stream one worker's block straight to a TSV file without materialising
-/// it: the Kronecker expansion fills the caller's reusable chunk, and each
-/// flush formats into a buffered writer.  Returns the number of edges
-/// written (every edge of the raw product has value 1).
-pub fn stream_block_tsv(
-    b_triples: &[(u64, u64, u64)],
-    c: &CooMatrix<u64>,
-    chunk: &mut EdgeChunk,
-    path: &Path,
-) -> Result<u64, SparseError> {
-    // lint:allow(raw-fs-shard) -- legacy materialising writer, documented non-atomic; new code writes through the sinks
-    let file = std::fs::File::create(path)?;
-    let mut writer = BufWriter::with_capacity(1 << 18, file);
-    // The first write error aborts the whole expansion (a full disk must
-    // not cost the remaining hours of edge generation).
-    let result = try_stream_block_edges_into(b_triples, c, chunk, |edges| {
-        write_tsv_edges(&mut writer, edges)
-    });
-    let written = match result {
-        Ok(written) => written,
-        Err(e) => {
-            // The undelivered edges have nowhere to go; drop them so the
-            // buffer is clean if the caller reuses it.
-            chunk.clear();
-            return Err(e.into());
-        }
-    };
-    writer.flush()?;
-    Ok(written)
-}
-
-/// Generate a design's raw product directly to per-worker TSV files, never
-/// holding more than one [`EdgeChunk`] per worker in memory.
-///
-/// This writes the *raw* `B ⊗ C` product — the streaming pipeline's view of
-/// the graph, before any self-loop removal — with **no** per-vertex state at
-/// all: unlike `Pipeline::raw_product().write_tsv(dir)`, which also streams
-/// an `O(vertices)` degree histogram for validation and drops a
-/// `manifest.json`, this raw dump keeps only the factors and one chunk per
-/// worker in memory.  Prefer the pipeline unless the vertex count itself is
-/// too large for a histogram.
-#[deprecated(
-    since = "0.1.0",
-    note = "use kron_gen::Pipeline::for_design(..).raw_product().write_tsv(dir) \
-            (adds streamed validation and a run manifest at O(vertices) memory)"
-)]
-pub fn stream_blocks_tsv(
-    design: &kron_core::KroneckerDesign,
-    split_index: usize,
-    workers: usize,
-    max_factor_edges: u64,
-    directory: &Path,
-) -> Result<BlockFileSet, CoreError> {
-    if workers == 0 {
-        return Err(CoreError::InvalidConfig {
-            message: "streaming generation needs at least one worker".into(),
-        });
-    }
-    let (b_design, c_design) = design.split(split_index)?;
-    let b = b_design.realize_raw(max_factor_edges)?;
-    let c = c_design.realize_raw(max_factor_edges)?;
-    let vertices = design
-        .vertices()
-        .to_u64()
-        .ok_or_else(|| CoreError::TooLargeToRealise {
-            vertices: design.vertices().to_string(),
-            edges: design.nnz_with_loops().to_string(),
-        })?;
-    let triples = csc_ordered_triples(&b);
-    let partition = Partition::even(triples.len(), workers);
-    let files = prepare_directory(directory, workers, "tsv")?;
-
-    (0..workers)
-        .into_par_iter()
-        .map(|worker| {
-            let mut chunk = EdgeChunk::with_default_capacity();
-            stream_block_tsv(
-                &triples[partition.range(worker)],
-                &c,
-                &mut chunk,
-                &files[worker],
-            )
-            .map(|_| ())
-        })
-        .collect::<Vec<Result<(), SparseError>>>()
-        .into_iter()
-        .collect::<Result<(), SparseError>>()
-        .map_err(CoreError::Sparse)?;
-
-    Ok(BlockFileSet {
-        directory: directory.to_path_buf(),
-        files,
-        vertices,
-        format: BlockFormat::Tsv,
-    })
-}
-
-/// Write one block in the compact binary layout:
-///
-/// ```text
-/// "KBLK"  u32 version  u64 nrows  u64 ncols  u64 nnz
-/// nnz x u64 row indices, then nnz x u64 column indices (little-endian)
-/// ```
-///
-/// Values are not stored — a generated raw-product block is an unweighted
-/// pattern (every stored entry is 1), which is what makes the format 16
-/// bytes per edge.
-pub fn write_block_bin(edges: &CooMatrix<u64>, path: &Path) -> Result<(), SparseError> {
-    // lint:allow(raw-fs-shard) -- legacy materialising writer, documented non-atomic; new code writes through the sinks
-    let file = std::fs::File::create(path)?;
-    let mut w = BufWriter::with_capacity(1 << 18, file);
-    w.write_all(&BLOCK_MAGIC)?;
-    w.write_all(&BLOCK_VERSION.to_le_bytes())?;
-    w.write_all(&edges.nrows().to_le_bytes())?;
-    w.write_all(&edges.ncols().to_le_bytes())?;
-    w.write_all(&(edges.nnz() as u64).to_le_bytes())?;
-    for &row in edges.row_indices() {
-        w.write_all(&row.to_le_bytes())?;
-    }
-    for &col in edges.col_indices() {
-        w.write_all(&col.to_le_bytes())?;
-    }
-    w.flush()?;
     Ok(())
 }
 
@@ -658,98 +506,14 @@ pub fn shard_checksum(path: &Path, format: BlockFormat) -> Result<u64, SparseErr
     attempt().map_err(|e| SparseError::with_path(path, e))
 }
 
-/// Write each block of a materialised distributed graph in the compact
-/// binary format, one `block_<p>.kbk` file per worker, in parallel.
-pub fn write_blocks_bin(
-    graph: &DistributedGraph,
-    directory: &Path,
-) -> Result<BlockFileSet, CoreError> {
-    let files = prepare_directory(directory, graph.blocks.len(), "kbk")?;
-    graph
-        .blocks
-        .par_iter()
-        .zip(files.par_iter())
-        .try_for_each(|(block, path)| write_block_bin(&block.edges, path))
-        .map_err(CoreError::Sparse)?;
-    Ok(BlockFileSet {
-        directory: directory.to_path_buf(),
-        files,
-        vertices: graph.vertices,
-        format: BlockFormat::Binary,
-    })
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // exercises the legacy wrappers on purpose
 mod tests {
     use super::*;
-    use crate::generator::{GeneratorConfig, ParallelGenerator};
-    use kron_core::{KroneckerDesign, SelfLoop};
-
-    fn temp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join("kron_gen_writer_tests")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn generated(workers: usize) -> (KroneckerDesign, DistributedGraph) {
-        let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-        let graph = ParallelGenerator::new(GeneratorConfig {
-            workers,
-            max_c_edges: 1_000,
-            max_total_edges: 100_000,
-        })
-        .generate(&design)
-        .unwrap();
-        (design, graph)
-    }
-
-    #[test]
-    fn blocks_round_trip_through_disk() {
-        let (_, graph) = generated(3);
-        let dir = temp_dir("round_trip");
-        let files = write_blocks_tsv(&graph, &dir).unwrap();
-        assert_eq!(files.files.len(), 3);
-        assert_eq!(files.format, BlockFormat::Tsv);
-        for f in &files.files {
-            assert!(f.exists(), "missing block file {f:?}");
-        }
-
-        let mut from_disk = files.read_assembled().unwrap();
-        let mut in_memory = graph.assemble();
-        from_disk.sort();
-        in_memory.sort();
-        assert_eq!(from_disk, in_memory);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn binary_blocks_round_trip_and_are_compact() {
-        let (_, graph) = generated(4);
-        let dir = temp_dir("binary_round_trip");
-        let files = write_blocks_bin(&graph, &dir).unwrap();
-        assert_eq!(files.format, BlockFormat::Binary);
-
-        let mut from_disk = files.read_assembled().unwrap();
-        let mut in_memory = graph.assemble();
-        from_disk.sort();
-        in_memory.sort();
-        assert_eq!(from_disk, in_memory);
-
-        // Header (32 bytes) + 16 bytes per edge, exactly.
-        for (file, block) in files.files.iter().zip(graph.blocks.iter()) {
-            let len = std::fs::metadata(file).unwrap().len();
-            assert_eq!(len, 32 + 16 * block.edge_count() as u64);
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    use crate::testing::{legacy_block_bytes, TestDir};
 
     #[test]
     fn binary_reader_rejects_corrupt_headers() {
-        let dir = temp_dir("binary_corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("binary_corrupt");
         let path = dir.join("bad.kbk");
         std::fs::write(&path, b"NOPE").unwrap();
         assert!(read_block_bin(&path).is_err());
@@ -758,64 +522,43 @@ mod tests {
         with_version.extend_from_slice(&[0u8; 24]);
         std::fs::write(&path, &with_version).unwrap();
         assert!(read_block_bin(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn streamed_tsv_matches_raw_product() {
-        let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-        let dir = temp_dir("streamed_tsv");
-        let files = stream_blocks_tsv(&design, 1, 3, 100_000, &dir).unwrap();
-        assert_eq!(files.files.len(), 3);
-
-        // The streamed files hold the raw product: every constituent keeps
-        // its self-loops, so compare against the design's raw nnz.
-        let assembled = files.read_assembled().unwrap();
-        assert_eq!(
-            assembled.nnz() as u64,
-            design.nnz_with_loops().to_u64().unwrap()
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn streamed_tsv_equals_materialised_blocks_before_loop_removal() {
-        let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::None).unwrap();
-        let dir = temp_dir("streamed_equals_materialised");
-        let files = stream_blocks_tsv(&design, 2, 4, 100_000, &dir).unwrap();
-
-        // SelfLoop::None has no removable loop, so the generated graph *is*
-        // the raw product and the two pipelines must agree bit for bit.
-        let graph = ParallelGenerator::new(GeneratorConfig {
-            workers: 4,
-            max_c_edges: 100_000,
-            max_total_edges: 100_000,
-        })
-        .generate_with_split(&design, 2)
-        .unwrap();
-
-        let mut streamed = files.read_assembled().unwrap();
-        let mut materialised = graph.assemble();
-        streamed.sort();
-        materialised.sort();
-        assert_eq!(streamed, materialised);
-        std::fs::remove_dir_all(&dir).ok();
+    fn legacy_v1_and_v2_blocks_still_read() {
+        let dir = TestDir::new("legacy_versions");
+        let edges = [(0u64, 3u64), (2, 1), (2, 2), (3, 0)];
+        for version in [BLOCK_VERSION, BLOCK_VERSION_PAIRS] {
+            let path = dir.join(format!("v{version}.kbk"));
+            let bytes = legacy_block_bytes(version, 4, 4, &edges);
+            assert_eq!(
+                bytes.len() as u64,
+                BLOCK_HEADER_LEN + 16 * edges.len() as u64
+            );
+            std::fs::write(&path, bytes).unwrap();
+            let block = read_block_bin(&path).unwrap();
+            assert_eq!((block.nrows(), block.ncols()), (4, 4));
+            let read: Vec<(u64, u64)> = block.iter().map(|(r, c, _)| (r, c)).collect();
+            assert_eq!(
+                read, edges,
+                "v{version} block must read back in stored order"
+            );
+        }
     }
 
     /// Write a valid v4 compressed shard and return its path, for the
     /// corruption tests to mutilate.  Offsets in the v4 layout: nnz at 24,
     /// payload_len at 32, checksum at 40, payload (frames) at 48; a frame
     /// is [count u32][byte_len u32][varint body].
-    fn compressed_fixture(name: &str) -> (PathBuf, Vec<(u64, u64)>) {
+    fn compressed_fixture(name: &str) -> (TestDir, PathBuf, Vec<(u64, u64)>) {
         use crate::sink::{CompressedShardSink, EdgeSink};
-        let dir = temp_dir(name);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new(name);
         let path = dir.join("block_00000.kbkz");
         let edges: Vec<(u64, u64)> = (0..100u64).map(|i| (i % 64, (i * 7) % 64)).collect();
         let mut sink = CompressedShardSink::create(&path, 64, 64).unwrap();
         sink.consume(&edges).unwrap();
         sink.finish().unwrap();
-        (path, edges)
+        (dir, path, edges)
     }
 
     fn patched(path: &Path, mutate: impl FnOnce(&mut Vec<u8>)) {
@@ -833,7 +576,7 @@ mod tests {
 
     #[test]
     fn compressed_round_trip_and_header_fields() {
-        let (path, edges) = compressed_fixture("v4_round_trip");
+        let (_dir, path, edges) = compressed_fixture("v4_round_trip");
         let block = read_block_bin(&path).unwrap();
         let decoded: Vec<(u64, u64)> = block.iter().map(|(r, c, _)| (r, c)).collect();
         assert_eq!(decoded, edges);
@@ -848,12 +591,11 @@ mod tests {
             payload_len < 16 * edges.len() as u64,
             "the fixture must actually compress"
         );
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn compressed_flipped_payload_byte_fails_as_checksum_mismatch() {
-        let (path, _) = compressed_fixture("v4_flip");
+        let (_dir, path, _) = compressed_fixture("v4_flip");
         patched(&path, |bytes| bytes[60] ^= 1);
         match read_block_bin(&path) {
             Err(SparseError::ChecksumMismatch { expected, actual }) => {
@@ -861,12 +603,11 @@ mod tests {
             }
             other => panic!("expected a checksum mismatch, got {other:?}"),
         }
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn compressed_truncated_file_fails_the_length_check() {
-        let (path, _) = compressed_fixture("v4_truncate");
+        let (_dir, path, _) = compressed_fixture("v4_truncate");
         patched(&path, |bytes| {
             bytes.pop();
         });
@@ -875,24 +616,22 @@ mod tests {
             err.to_string().contains("but the file is"),
             "truncation must fail on declared vs actual length: {err}"
         );
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn compressed_inflated_payload_len_fails_the_length_check() {
-        let (path, _) = compressed_fixture("v4_payload_len");
+        let (_dir, path, _) = compressed_fixture("v4_payload_len");
         patched(&path, |bytes| {
             let declared = u64::from_le_bytes(bytes[32..40].try_into().unwrap());
             bytes[32..40].copy_from_slice(&(declared + 1).to_le_bytes());
         });
         let err = read_block_bin(&path).unwrap_err();
         assert!(err.to_string().contains("but the file is"), "{err}");
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn compressed_frame_overrunning_the_payload_is_rejected() {
-        let (path, _) = compressed_fixture("v4_frame_overrun");
+        let (_dir, path, _) = compressed_fixture("v4_frame_overrun");
         patched(&path, |bytes| {
             // Inflate the first frame's byte_len (offset 52) past the
             // payload's end, then re-seal so the checksum gate passes.
@@ -902,26 +641,24 @@ mod tests {
         });
         let err = read_block_bin(&path).unwrap_err();
         assert!(err.to_string().contains("payload ends"), "{err}");
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn compressed_frame_count_disagreeing_with_nnz_is_rejected() {
         // nnz inflated, payload untouched: the checksum still matches, the
         // frames decode cleanly, and only the decoded-entry count can tell.
-        let (path, _) = compressed_fixture("v4_nnz");
+        let (_dir, path, _) = compressed_fixture("v4_nnz");
         patched(&path, |bytes| {
             let nnz = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
             bytes[24..32].copy_from_slice(&(nnz + 1).to_le_bytes());
         });
         let err = read_block_bin(&path).unwrap_err();
         assert!(err.to_string().contains("frames decode"), "{err}");
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
     fn compressed_truncated_frame_header_is_rejected() {
-        let (path, _) = compressed_fixture("v4_frame_header");
+        let (_dir, path, _) = compressed_fixture("v4_frame_header");
         patched(&path, |bytes| {
             // Append 4 junk bytes (half a frame header), grow the declared
             // payload to match, and re-seal: every outer gate passes and the
@@ -933,7 +670,6 @@ mod tests {
         });
         let err = read_block_bin(&path).unwrap_err();
         assert!(err.to_string().contains("frame header truncated"), "{err}");
-        std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 
     #[test]
@@ -950,11 +686,10 @@ mod tests {
 
     #[test]
     fn file_names_are_worker_ordered() {
-        let (_, graph) = generated(2);
-        let dir = temp_dir("names");
-        let files = write_blocks_tsv(&graph, &dir).unwrap();
-        assert!(files.files[0].to_string_lossy().contains("block_00000"));
-        assert!(files.files[1].to_string_lossy().contains("block_00001"));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = TestDir::new("names");
+        let files = prepare_directory(&dir, 2, "tsv").unwrap();
+        assert_eq!(files[0], dir.join("block_00000.tsv"));
+        assert_eq!(files[1], dir.join("block_00001.tsv"));
+        assert!(dir.is_dir(), "the shard directory is created up front");
     }
 }

@@ -24,24 +24,23 @@
 //! * [`design_loop`] — the trial-and-error design loop: repeatedly generate
 //!   and measure until the edge-count / max-degree targets are met, counting
 //!   how much work that takes compared with the exact designer.
-//! * [`permute`] — legacy table-based vertex relabelling, deprecated in
-//!   favour of the O(1)-memory [`kron_gen::FeistelPermutation`] (see
-//!   `Pipeline::permute_vertices`).
+//!
+//! The table-based vertex relabelling and the whole-list sampling wrappers
+//! were removed in PR 12; relabel with `Pipeline::permute_vertices` (the
+//! O(1)-memory [`kron_gen::FeistelPermutation`]) and sample through
+//! [`RmatSource`] or [`RmatGenerator::edge_at`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod design_loop;
 pub mod measure;
-pub mod permute;
 pub mod rmat;
 pub mod source;
 pub mod stochastic;
 
 pub use design_loop::{DesignLoopReport, TrialAndErrorDesigner, TrialTargets};
 pub use measure::{measure_edge_list, EdgeListStats};
-#[allow(deprecated)] // the legacy table API must keep compiling at its old address
-pub use permute::{random_permutation, relabel_edges};
 pub use rmat::{RmatBatchSampler, RmatGenerator, RmatParams, SAMPLE_BATCH};
 pub use source::{RmatRun, RmatSource};
 pub use stochastic::{Initiator, StochasticKronecker};

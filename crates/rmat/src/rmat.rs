@@ -14,9 +14,8 @@
 //! samples can be produced independently — per worker, per chunk — and the
 //! full edge list is identical no matter how the range is carved up.  That
 //! is what lets `RmatSource` stream R-MAT through the generic pipeline with
-//! bounded memory; the materialising [`RmatGenerator::generate_edges`] /
-//! [`RmatGenerator::generate_edges_parallel`] survive as deprecated thin
-//! wrappers over the same indexed sampler.
+//! bounded memory (the materialising whole-list wrappers were removed in
+//! PR 12).
 //!
 //! **Compatibility note:** the per-sample RNG is a SplitMix64 stream over
 //! the derived `(seed, index)` state; it replaced an earlier
@@ -26,7 +25,6 @@
 //! (equally valid, identically distributed) sample stream under this
 //! version.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use kron_core::CoreError;
@@ -272,10 +270,9 @@ impl RmatGenerator {
 
     /// Worker `worker`'s contiguous range of global sample indices when the
     /// requested samples are split evenly across `workers` workers — the
-    /// single owner of the balanced-range arithmetic shared by the streaming
-    /// source and the deprecated materialising wrapper, so the two can never
-    /// desynchronise.  Ranges are contiguous and ascending in worker order
-    /// and cover `[0, requested_edges())` exactly.
+    /// single owner of the balanced-range arithmetic.  Ranges are contiguous
+    /// and ascending in worker order and cover `[0, requested_edges())`
+    /// exactly.
     ///
     /// # Panics
     /// Panics if `workers` is zero.
@@ -316,37 +313,6 @@ impl RmatGenerator {
             generator: self,
             levels,
         }
-    }
-
-    /// Sample the full edge list (deterministic for a given seed).
-    #[deprecated(
-        since = "0.1.0",
-        note = "run the generator through the pipeline (RmatSource) or sample \
-                indexed ranges with edge_at; this wrapper materialises every edge"
-    )]
-    pub fn generate_edges(&self) -> Vec<(u64, u64)> {
-        (0..self.params.requested_edges())
-            .map(|index| self.edge_at(index))
-            .collect()
-    }
-
-    /// Sample the edge list in parallel chunks.  The indexed sampler makes
-    /// the output identical to [`RmatGenerator::generate_edges`] for every
-    /// chunk count — the chunking is now purely a work split.
-    #[deprecated(
-        since = "0.1.0",
-        note = "run the generator through the pipeline (RmatSource), which \
-                streams the same samples without materialising them"
-    )]
-    pub fn generate_edges_parallel(&self, chunks: usize) -> Vec<(u64, u64)> {
-        let chunks = chunks.max(1);
-        (0..chunks)
-            .into_par_iter()
-            .flat_map_iter(|chunk| {
-                self.sample_range(chunk, chunks)
-                    .map(|index| self.edge_at(index))
-            })
-            .collect()
     }
 }
 
@@ -426,9 +392,13 @@ impl RmatBatchSampler<'_> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the wrappers are pinned against the indexed sampler
-
     use super::*;
+
+    fn all_edges(gen: &RmatGenerator) -> Vec<(u64, u64)> {
+        (0..gen.params().requested_edges())
+            .map(|index| gen.edge_at(index))
+            .collect()
+    }
 
     #[test]
     fn graph500_defaults_are_valid() {
@@ -458,7 +428,7 @@ mod tests {
     #[test]
     fn edge_indices_stay_in_range() {
         let gen = RmatGenerator::new(RmatParams::graph500(8), 42).unwrap();
-        let edges = gen.generate_edges();
+        let edges = all_edges(&gen);
         assert_eq!(edges.len(), 16 * 256);
         let n = gen.params().vertices();
         assert!(edges.iter().all(|&(u, v)| u < n && v < n));
@@ -467,32 +437,24 @@ mod tests {
     #[test]
     fn generation_is_deterministic_per_seed() {
         let gen = RmatGenerator::new(RmatParams::graph500(7), 7).unwrap();
-        assert_eq!(gen.generate_edges(), gen.generate_edges());
+        assert_eq!(all_edges(&gen), all_edges(&gen));
         let other = RmatGenerator::new(RmatParams::graph500(7), 8).unwrap();
-        assert_ne!(gen.generate_edges(), other.generate_edges());
+        assert_ne!(all_edges(&gen), all_edges(&other));
     }
 
     #[test]
-    fn indexed_sampling_is_the_single_engine() {
-        let gen = RmatGenerator::new(RmatParams::graph500(7), 19).unwrap();
-        let sequential = gen.generate_edges();
-        let indexed: Vec<(u64, u64)> = (0..gen.params().requested_edges())
-            .map(|i| gen.edge_at(i))
-            .collect();
-        assert_eq!(sequential, indexed);
-    }
-
-    #[test]
-    fn parallel_generation_equals_sequential_for_every_chunking() {
+    fn sample_ranges_tile_the_sample_space_for_every_split() {
         let gen = RmatGenerator::new(RmatParams::graph500(8), 3).unwrap();
-        let sequential = gen.generate_edges();
-        assert_eq!(sequential.len() as u64, gen.params().requested_edges());
-        for chunks in [1usize, 2, 3, 7, 64] {
-            assert_eq!(
-                gen.generate_edges_parallel(chunks),
-                sequential,
-                "chunk count {chunks} changed the stream"
-            );
+        let total = gen.params().requested_edges();
+        for workers in [1usize, 2, 3, 7, 64] {
+            let mut next = 0;
+            for worker in 0..workers {
+                let range = gen.sample_range(worker, workers);
+                assert_eq!(range.start, next, "{workers} workers: gap before {worker}");
+                assert!(range.end - range.start <= total / workers as u64 + 1);
+                next = range.end;
+            }
+            assert_eq!(next, total, "{workers} workers must cover every sample");
         }
     }
 
@@ -580,7 +542,7 @@ mod tests {
         // With a = 0.57 the low-numbered vertices receive far more edges than
         // the high-numbered ones — the hallmark of the R-MAT skew.
         let gen = RmatGenerator::new(RmatParams::graph500(10), 11).unwrap();
-        let edges = gen.generate_edges();
+        let edges = all_edges(&gen);
         let n = gen.params().vertices();
         let low = edges.iter().filter(|&&(u, _)| u < n / 4).count();
         let high = edges.iter().filter(|&&(u, _)| u >= 3 * n / 4).count();
@@ -596,6 +558,6 @@ mod tests {
         p.noise = 0.1;
         let gen = RmatGenerator::new(p, 5).unwrap();
         let n = p.vertices();
-        assert!(gen.generate_edges().iter().all(|&(u, v)| u < n && v < n));
+        assert!(all_edges(&gen).iter().all(|&(u, v)| u < n && v < n));
     }
 }

@@ -17,7 +17,7 @@
 
 use extreme_graphs::bignum::grouped;
 use extreme_graphs::core::validate::{compare_properties, measure_properties};
-use extreme_graphs::gen::measure::BalanceReport;
+use extreme_graphs::gen::BalanceReport;
 use extreme_graphs::{KroneckerDesign, Pipeline, SelfLoop};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -136,26 +136,14 @@
 //! stays reproducible.  [`gen::PermuteSink`] is the same stage as a
 //! standalone sink combinator.
 //!
-//! ## Migrating from the pre-pipeline entry points
+//! ## Pre-pipeline entry points
 //!
-//! The earlier entry points remain as deprecated thin wrappers:
-//!
-//! | deprecated | pipeline replacement |
-//! |---|---|
-//! | `ParallelGenerator::new(cfg).generate(&d)` | `Pipeline::for_design(&d).workers(n).collect_coo()` |
-//! | `ParallelGenerator::generate_with_split(&d, s)` | `Pipeline::for_design(&d).split_index(s).collect_coo()` |
-//! | `ShardDriver::new(cfg).run_counting(&d, s)` | `Pipeline::for_design(&d).split_index(s).count()` |
-//! | `ShardDriver::run_coo(&d, s)` | `Pipeline::for_design(&d).split_index(s).collect_coo()` |
-//! | `ShardDriver::run_tsv(&d, s, dir)` | `Pipeline::for_design(&d).split_index(s).write_tsv(dir)` |
-//! | `ShardDriver::run_binary(&d, s, dir)` | `Pipeline::for_design(&d).split_index(s).write_binary(dir)` |
-//! | `ShardDriver::run(&d, s, factory)` | `Pipeline::for_design(&d).split_index(s).into_sinks(factory)` |
-//! | `gen::writer::stream_blocks_tsv(&d, s, w, max, dir)` | `Pipeline::for_design(&d).raw_product().write_tsv(dir)` |
-//! | `GeneratorConfig::max_total_edges` | gone — the pipeline streams and has no total-edge ceiling |
-//! | `RmatGenerator::generate_edges()` | `Pipeline::for_source(RmatSource::from_generator(g)).collect_coo()` (or indexed ranges via `RmatGenerator::edge_at`) |
-//! | `RmatGenerator::generate_edges_parallel(n)` | `Pipeline::for_source(RmatSource::from_generator(g)).workers(n).…` — streams, never materialises |
-//! | `rmat::permute::random_permutation(n, seed)` | `gen::FeistelPermutation::new(n, seed)` — O(1) memory, no table |
-//! | `rmat::permute::relabel_edges(&edges, &perm)` | `Pipeline::permute_vertices(seed)` in-stream, or `gen::PermuteSink` |
-//! | reading measured values out of `RunReport.validation.checks` | typed fields on `RunReport.metrics` ([`MetricsReport`]); `validation` keeps the predicted/measured comparison |
+//! The materialising generator, the shard driver, their config structs, the
+//! block writers, and `kron-rmat`'s whole-list sampler and permutation table
+//! were removed in PR 12; use [`Pipeline`] (every terminal above takes any
+//! [`EdgeSource`]).  Measured values live in typed fields on
+//! `RunReport.metrics` ([`MetricsReport`]); `validation` keeps the
+//! predicted/measured comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -172,11 +160,10 @@ pub use kron_core::{
     SelfLoop, StarGraph, ValidationReport,
 };
 pub use kron_gen::{
-    DesignPipeline, DistributedGraph, DriverConfig, EdgeSource, FaultSchedule, FaultySink,
-    FaultySource, FeistelPermutation, GenerationStats, GeneratorConfig, KroneckerSource,
-    MetricRecord, MetricSuite, MetricsReport, ParallelGenerator, PermuteSink, Pipeline,
-    PredicateCountMetric, ProgressJournal, ReplaySource, RetryPolicy, RunManifest, RunReport,
-    SelfLoopPolicy, ShardDriver, ShardFailure, ShardRecord, ShardRun, SourceDescriptor, SourceRun,
+    DesignPipeline, EdgeSource, FaultSchedule, FaultySink, FaultySource, FeistelPermutation,
+    GenerationStats, KroneckerSource, MetricRecord, MetricSuite, MetricsReport, PermuteSink,
+    Pipeline, PredicateCountMetric, ProgressJournal, ReplaySource, RetryPolicy, RunManifest,
+    RunReport, SelfLoopPolicy, ShardFailure, ShardRecord, SourceDescriptor, SourceRun,
     StreamingMetric,
 };
 pub use kron_rmat::{RmatGenerator, RmatParams, RmatSource};

@@ -9,22 +9,15 @@
 //! disk must be caught by checksum, naming the shard, on both the resume
 //! and the replay path.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use extreme_graphs::core::CoreError;
+use extreme_graphs::gen::testing::TestDir;
 use extreme_graphs::gen::ReplaySource;
 use extreme_graphs::{
     FaultSchedule, FaultySource, KroneckerDesign, KroneckerSource, Pipeline, RetryPolicy, SelfLoop,
 };
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("extreme_graphs_crash_resume")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn design() -> KroneckerDesign {
     KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre).unwrap()
@@ -76,12 +69,12 @@ fn permanent_fault_quarantines_and_resume_is_bit_identical() {
     let workers = 4;
 
     // The reference: the same run, never interrupted.
-    let clean_dir = temp_dir("permanent_clean");
+    let clean_dir = TestDir::new("permanent_clean");
     let clean = pipeline(&design, workers).write_binary(&clean_dir).unwrap();
     assert!(clean.is_valid());
 
     // Kill worker 2 mid-shard, permanently; quarantine instead of failing.
-    let crash_dir = temp_dir("permanent_crash");
+    let crash_dir = TestDir::new("permanent_crash");
     let schedule = FaultSchedule::none().with_permanent(2, 100);
     let crashed = faulty_pipeline(&design, workers, schedule)
         .quarantine_failures(true)
@@ -132,9 +125,6 @@ fn permanent_fault_quarantines_and_resume_is_bit_identical() {
         .warnings
         .iter()
         .any(|w| w.contains("3 shard(s) verified complete")));
-
-    std::fs::remove_dir_all(&clean_dir).ok();
-    std::fs::remove_dir_all(&crash_dir).ok();
 }
 
 #[test]
@@ -142,11 +132,11 @@ fn transient_fault_retries_in_place_bit_identically() {
     let design = design();
     let workers = 3;
 
-    let clean_dir = temp_dir("transient_clean");
+    let clean_dir = TestDir::new("transient_clean");
     let clean = pipeline(&design, workers).write_tsv(&clean_dir).unwrap();
 
     // Worker 1 fails twice at edge 50, then succeeds; three retries cover it.
-    let crash_dir = temp_dir("transient_crash");
+    let crash_dir = TestDir::new("transient_crash");
     let schedule = FaultSchedule::none().with_transient(1, 50, 2);
     let report = faulty_pipeline(&design, workers, schedule.clone())
         .retry_policy(RetryPolicy {
@@ -166,7 +156,7 @@ fn transient_fault_retries_in_place_bit_identically() {
     assert_eq!(report.metrics, clean.metrics);
 
     // Without retries the same fault fails the run outright.
-    let fail_dir = temp_dir("transient_no_retry");
+    let fail_dir = TestDir::new("transient_no_retry");
     let err = faulty_pipeline(
         &design,
         workers,
@@ -175,10 +165,6 @@ fn transient_fault_retries_in_place_bit_identically() {
     .write_tsv(&fail_dir)
     .unwrap_err();
     assert!(err.to_string().contains("injected transient fault"));
-
-    std::fs::remove_dir_all(&clean_dir).ok();
-    std::fs::remove_dir_all(&crash_dir).ok();
-    std::fs::remove_dir_all(&fail_dir).ok();
 }
 
 #[test]
@@ -186,10 +172,10 @@ fn corrupt_shard_is_detected_on_resume_and_regenerated() {
     let design = design();
     let workers = 3;
 
-    let clean_dir = temp_dir("corrupt_resume_clean");
+    let clean_dir = TestDir::new("corrupt_resume_clean");
     let _ = pipeline(&design, workers).write_binary(&clean_dir).unwrap();
 
-    let dir = temp_dir("corrupt_resume");
+    let dir = TestDir::new("corrupt_resume");
     let _ = pipeline(&design, workers).write_binary(&dir).unwrap();
     // Flip the low bit of the first payload byte (offset 40, past the v3
     // header): the edge stays in bounds, so only the checksum can tell.
@@ -210,9 +196,6 @@ fn corrupt_shard_is_detected_on_resume_and_regenerated() {
         resumed.stats.warnings
     );
     assert_eq!(shard_bytes(&dir, "kbk"), shard_bytes(&clean_dir, "kbk"));
-
-    std::fs::remove_dir_all(&clean_dir).ok();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -221,7 +204,7 @@ fn corrupt_shard_fails_replay_with_checksum_error_naming_the_shard() {
 
     // TSV: turn a value field "1" into "2" — still a perfectly parseable
     // line, so only the recorded checksum can catch it.
-    let tsv_dir = temp_dir("corrupt_replay_tsv");
+    let tsv_dir = TestDir::new("corrupt_replay_tsv");
     let _ = pipeline(&design, 2).write_tsv(&tsv_dir).unwrap();
     let shard = tsv_dir.join("block_00000.tsv");
     let text = std::fs::read_to_string(&shard).unwrap();
@@ -237,7 +220,7 @@ fn corrupt_shard_fails_replay_with_checksum_error_naming_the_shard() {
     assert!(message.contains("block_00000.tsv"), "{message}");
 
     // Binary: flip a payload bit; the v3 header checksum catches it.
-    let bin_dir = temp_dir("corrupt_replay_bin");
+    let bin_dir = TestDir::new("corrupt_replay_bin");
     let _ = pipeline(&design, 2).write_binary(&bin_dir).unwrap();
     let shard = bin_dir.join("block_00001.kbk");
     let mut bytes = std::fs::read(&shard).unwrap();
@@ -253,7 +236,7 @@ fn corrupt_shard_fails_replay_with_checksum_error_naming_the_shard() {
 
     // Compressed (v4): flip a byte past the 48-byte header — inside the
     // delta/varint payload — and the streamed replay must fail the same way.
-    let kbkz_dir = temp_dir("corrupt_replay_kbkz");
+    let kbkz_dir = TestDir::new("corrupt_replay_kbkz");
     let _ = pipeline(&design, 2).write_compressed(&kbkz_dir).unwrap();
     let shard = kbkz_dir.join("block_00000.kbkz");
     let mut bytes = std::fs::read(&shard).unwrap();
@@ -266,10 +249,6 @@ fn corrupt_shard_fails_replay_with_checksum_error_naming_the_shard() {
     let message = err.to_string();
     assert!(message.contains("checksum mismatch"), "{message}");
     assert!(message.contains("block_00000.kbkz"), "{message}");
-
-    std::fs::remove_dir_all(&tsv_dir).ok();
-    std::fs::remove_dir_all(&bin_dir).ok();
-    std::fs::remove_dir_all(&kbkz_dir).ok();
 }
 
 #[test]
@@ -277,12 +256,12 @@ fn corrupt_compressed_shard_is_detected_on_resume_and_regenerated() {
     let design = design();
     let workers = 3;
 
-    let clean_dir = temp_dir("corrupt_resume_kbkz_clean");
+    let clean_dir = TestDir::new("corrupt_resume_kbkz_clean");
     let _ = pipeline(&design, workers)
         .write_compressed(&clean_dir)
         .unwrap();
 
-    let dir = temp_dir("corrupt_resume_kbkz");
+    let dir = TestDir::new("corrupt_resume_kbkz");
     let _ = pipeline(&design, workers).write_compressed(&dir).unwrap();
     // Flip a payload byte past the 48-byte v4 header: the frames still
     // decode, so only the checksum can tell.
@@ -303,15 +282,12 @@ fn corrupt_compressed_shard_is_detected_on_resume_and_regenerated() {
         resumed.stats.warnings
     );
     assert_eq!(shard_bytes(&dir, "kbkz"), shard_bytes(&clean_dir, "kbkz"));
-
-    std::fs::remove_dir_all(&clean_dir).ok();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn resume_rejects_mismatched_configuration() {
     let design = design();
-    let dir = temp_dir("resume_mismatch");
+    let dir = TestDir::new("resume_mismatch");
     let schedule = FaultSchedule::none().with_permanent(0, 10);
     let _ = faulty_pipeline(&design, 2, schedule)
         .quarantine_failures(true)
@@ -337,12 +313,8 @@ fn resume_rejects_mismatched_configuration() {
     assert!(matches!(err, CoreError::ResumeMismatch { .. }), "{err}");
 
     // No journal at all.
-    let empty = temp_dir("resume_no_journal");
-    std::fs::create_dir_all(&empty).unwrap();
+    let empty = TestDir::new("resume_no_journal");
     assert!(pipeline(&design, 2).resume(&empty).is_err());
-
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&empty).ok();
 }
 
 mod seeded_faults {
@@ -370,7 +342,7 @@ mod seeded_faults {
                 "prop_{workers}_{format}_{permute}_{fault_worker}_{after_edges}"
             );
 
-            let clean_dir = temp_dir(&format!("{name}_clean"));
+            let clean_dir = TestDir::new(&format!("{name}_clean"));
             let mut clean_pipe = pipeline(&design, workers);
             if permute {
                 clean_pipe = clean_pipe.permute_vertices(seed);
@@ -381,7 +353,7 @@ mod seeded_faults {
                 _ => clean_pipe.write_compressed(&clean_dir).unwrap(),
             };
 
-            let crash_dir = temp_dir(&format!("{name}_crash"));
+            let crash_dir = TestDir::new(&format!("{name}_crash"));
             let schedule = FaultSchedule::none().with_permanent(fault_worker, after_edges);
             let mut crash_pipe =
                 faulty_pipeline(&design, workers, schedule).quarantine_failures(true);
@@ -410,8 +382,6 @@ mod seeded_faults {
             prop_assert_eq!(&resumed.metrics, &clean.metrics);
             prop_assert_eq!(&resumed.manifest.shards, &clean.manifest.shards);
 
-            std::fs::remove_dir_all(&clean_dir).ok();
-            std::fs::remove_dir_all(&crash_dir).ok();
         }
     }
 }

@@ -1,32 +1,29 @@
 //! End-to-end integration tests spanning the whole workspace:
 //! design (kron-core) → parallel generation (kron-gen) → measurement and
-//! validation, plus cross-checks against brute-force computation on the
-//! sparse substrate (kron-sparse).
-
-// The deprecated generator entry points are exercised deliberately: these
-// tests pin the legacy wrappers to the behaviour of the pipeline they now
-// delegate to (see tests/pipeline_equivalence.rs for the direct comparison).
-#![allow(deprecated)]
+//! validation, cross-checked against computation that never runs the
+//! generation engine: `KroneckerDesign::realize` (the sparse substrate's
+//! `kron_chain`), the closed-form predictions, and brute-force measurement
+//! on the sparse substrate (kron-sparse).
 
 use extreme_graphs::bignum::BigUint;
 use extreme_graphs::core::validate::{measure_properties, validate_design};
-use extreme_graphs::gen::measure::{
-    measured_degree_distribution, measured_properties, BalanceReport,
-};
+use extreme_graphs::core::CoreError;
+use extreme_graphs::gen::BalanceReport;
 use extreme_graphs::sparse::reduce::degree_distribution as sparse_histogram;
 use extreme_graphs::sparse::select::{empty_vertices, has_duplicates, self_loop_count};
 use extreme_graphs::sparse::triangles::{count_triangles_coo, count_triangles_merge};
-use extreme_graphs::sparse::{CsrMatrix, PlusTimes};
-use extreme_graphs::{
-    DegreeDistribution, GeneratorConfig, KroneckerDesign, ParallelGenerator, SelfLoop,
-};
+use extreme_graphs::sparse::{CooMatrix, CsrMatrix, PlusTimes};
+use extreme_graphs::{DegreeDistribution, DesignPipeline, KroneckerDesign, Pipeline, SelfLoop};
 
-fn generator(workers: usize) -> ParallelGenerator {
-    ParallelGenerator::new(GeneratorConfig {
-        workers,
-        max_c_edges: 100_000,
-        max_total_edges: 20_000_000,
-    })
+fn pipeline(design: &KroneckerDesign, workers: usize) -> DesignPipeline<'_> {
+    Pipeline::for_design(design)
+        .workers(workers)
+        .max_c_edges(100_000)
+}
+
+fn sorted(mut graph: CooMatrix<u64>) -> CooMatrix<u64> {
+    graph.sort();
+    graph
 }
 
 #[test]
@@ -35,16 +32,22 @@ fn full_pipeline_matches_for_every_self_loop_mode() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], self_loop).unwrap();
         let predicted = design.properties();
 
-        // Distributed generation.
-        let graph = generator(4).generate(&design).unwrap();
-        let distributed = measured_properties(&graph, 20_000_000).unwrap();
+        // Distributed generation, measured in-stream.
+        let report = pipeline(&design, 4).collect_coo().unwrap();
         assert!(
-            predicted.exactly_matches(&distributed),
-            "distributed measurement disagrees with design for {self_loop:?}"
+            report.is_valid(),
+            "streamed measurement disagrees with design for {self_loop:?}: {:?}",
+            report.validation.failures()
         );
 
-        // Assembled matrix, measured through the sparse substrate directly.
-        let assembled = graph.assemble();
+        // Assembled matrix: the designed graph, edge for edge…
+        let assembled = report.assemble();
+        assert_eq!(
+            sorted(assembled.clone()),
+            sorted(design.realize(20_000_000).unwrap()),
+            "generated graph is not the realised design for {self_loop:?}"
+        );
+        // …and measured through the sparse substrate directly.
         assert_eq!(
             self_loop_count(&assembled),
             0,
@@ -65,7 +68,12 @@ fn full_pipeline_matches_for_every_self_loop_mode() {
             "assembled measurement disagrees"
         );
 
-        // Triangle count cross-checked with an independent algorithm.
+        // Triangle count cross-checked with two independent algorithms.
+        assert_eq!(
+            BigUint::from(count_triangles_coo(&assembled).unwrap()),
+            design.triangles().unwrap(),
+            "triangle count disagrees for {self_loop:?}"
+        );
         let csr = CsrMatrix::from_coo::<PlusTimes>(&assembled).unwrap();
         assert_eq!(
             BigUint::from(count_triangles_merge(&csr).unwrap()),
@@ -87,13 +95,12 @@ fn worker_count_is_an_implementation_detail() {
     // The paper's guarantee: the generated graph is a deterministic function
     // of the design, regardless of how many processors generate it.
     let design = KroneckerDesign::from_star_points(&[3, 5, 9, 16], SelfLoop::Leaf).unwrap();
-    let mut reference = generator(1).generate(&design).unwrap().assemble();
-    reference.sort();
-    for workers in [2usize, 3, 7, 16] {
-        let mut graph = generator(workers).generate(&design).unwrap().assemble();
-        graph.sort();
+    let reference = sorted(design.realize(20_000_000).unwrap());
+    for workers in [1usize, 2, 3, 7, 16] {
+        let graph = pipeline(&design, workers).collect_coo().unwrap().assemble();
         assert_eq!(
-            graph, reference,
+            sorted(graph),
+            reference,
             "graph content changed with {workers} workers"
         );
     }
@@ -102,21 +109,21 @@ fn worker_count_is_an_implementation_detail() {
 #[test]
 fn distributed_measurement_equals_assembled_measurement() {
     let design = KroneckerDesign::from_star_points(&[4, 5, 9, 16], SelfLoop::Centre).unwrap();
-    let graph = generator(6).generate(&design).unwrap();
-    let from_blocks = measured_degree_distribution(&graph);
-    let assembled = graph.assemble();
-    let from_assembled = DegreeDistribution::from_histogram(&sparse_histogram(&assembled));
-    assert_eq!(from_blocks, from_assembled);
-    assert_eq!(from_blocks, design.degree_distribution());
+    let report = pipeline(&design, 6).collect_coo().unwrap();
+    let from_stream = &report.measured.degree_distribution;
+    let from_assembled = DegreeDistribution::from_histogram(&sparse_histogram(&report.assemble()));
+    assert_eq!(*from_stream, from_assembled);
+    assert_eq!(*from_stream, design.degree_distribution());
 }
 
 #[test]
 fn per_worker_balance_is_within_one_b_triple() {
     let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9, 16], SelfLoop::None).unwrap();
     for workers in [2usize, 4, 8, 12] {
-        let graph = generator(workers).generate(&design).unwrap();
-        let balance = BalanceReport::of(&graph);
-        let c_nnz = graph.split.c_nnz.to_u64().unwrap();
+        let report = pipeline(&design, workers).count().unwrap();
+        let balance = BalanceReport::from_stats(&report.stats);
+        assert_eq!(balance, report.metrics.balance);
+        let c_nnz = report.split.as_ref().unwrap().c_nnz.to_u64().unwrap();
         assert!(
             balance.is_balanced_within(c_nnz),
             "imbalance {} exceeds one B triple ({c_nnz} edges) with {workers} workers",
@@ -135,8 +142,15 @@ fn paper_scale_properties_do_not_require_generation() {
     assert_eq!(design.vertices().to_string(), "11177649600");
     assert_eq!(design.edges().to_string(), "1853002140758");
     assert_eq!(design.triangles().unwrap().to_string(), "6777007252427");
-    // And generation refuses politely instead of exhausting memory.
-    assert!(generator(4).generate(&design).is_err());
+    // And generation refuses politely when the graph cannot even be indexed:
+    // the Figure 7 decetta design has more vertices than a u64 can label.
+    let decetta =
+        KroneckerDesign::from_star_points(kron_bench::paper::FIG7, SelfLoop::Leaf).unwrap();
+    assert!(decetta.vertices().to_u64().is_none());
+    assert!(matches!(
+        Pipeline::for_design(&decetta).count(),
+        Err(CoreError::TooLargeToRealise { .. })
+    ));
 }
 
 #[test]

@@ -1,32 +1,29 @@
-//! The pipeline is the single engine: every legacy entry point must be a
-//! pure re-plumbing of it.
+//! The pipeline against an oracle that never ran it.
 //!
-//! These tests pin `Pipeline` output bit-identical to the deprecated
-//! `ShardDriver::run_*` and `ParallelGenerator::generate().assemble()`
-//! wrappers across worker counts, chunk capacities, and every `SelfLoop`
-//! variant (deterministically and under proptest), verify that the shard
-//! files the two paths write are byte-for-byte identical, and round-trip
-//! the `RunManifest` JSON that every shard-producing run now emits.
+//! Every test here compares what `Pipeline` delivers — through any terminal,
+//! worker count, chunk capacity, shard format, and with or without the
+//! in-stream vertex permutation — with the designed graph computed
+//! independently: `KroneckerDesign::realize` / `kron_sparse::kron_coo` (the
+//! sparse substrate's product) for the edges, the closed-form
+//! `degree_distribution()` / `triangles()` for the properties.  On top of
+//! that, a determinism matrix pins shard bytes across chunk capacities and
+//! the `MetricsReport` across every configuration, and the `RunManifest`
+//! JSON every shard-producing run emits is round-tripped.
 
-// The deprecated wrappers are half of every comparison here.
-#![allow(deprecated)]
+use std::path::{Path, PathBuf};
 
-use std::path::PathBuf;
-
+use extreme_graphs::bignum::BigUint;
 use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
-use extreme_graphs::gen::{DesignPipeline, DriverConfig, Pipeline, RunManifest};
-use extreme_graphs::sparse::CooMatrix;
-use extreme_graphs::{GeneratorConfig, KroneckerDesign, ParallelGenerator, SelfLoop, ShardDriver};
+use extreme_graphs::gen::testing::TestDir;
+use extreme_graphs::gen::{BalanceReport, FeistelPermutation, MetricsReport, RunManifest};
+use extreme_graphs::sparse::triangles::count_triangles_coo;
+use extreme_graphs::sparse::{kron_coo, CooMatrix, PlusTimes};
+use extreme_graphs::{
+    DesignPipeline, EdgeSource, GraphProperties, KroneckerDesign, KroneckerSource, Pipeline,
+    RunReport, SelfLoop,
+};
 
 const SELF_LOOPS: [SelfLoop; 3] = [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf];
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("extreme_graphs_pipeline_equivalence")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn pipeline(design: &KroneckerDesign, workers: usize, chunk: usize) -> DesignPipeline<'_> {
     Pipeline::for_design(design)
@@ -35,50 +32,89 @@ fn pipeline(design: &KroneckerDesign, workers: usize, chunk: usize) -> DesignPip
         .chunk_capacity(chunk)
 }
 
-fn driver(workers: usize, chunk: usize) -> ShardDriver {
-    ShardDriver::new(DriverConfig {
-        workers,
-        max_c_edges: 200_000,
-        chunk_capacity: chunk,
-        ..DriverConfig::default()
-    })
+fn sorted_pairs(graph: &CooMatrix<u64>) -> Vec<(u64, u64)> {
+    let mut pairs: Vec<(u64, u64)> = graph.iter().map(|(r, c, _)| (r, c)).collect();
+    pairs.sort_unstable();
+    pairs
+}
+
+/// The oracle every run is held to: `graph` is edge for edge the realised
+/// design (relabelled through the Feistel bijection of `permutation_seed`
+/// when the run permuted), and both the streamed measurement and a triangle
+/// count of `graph` equal the closed-form predictions.
+fn assert_is_the_designed_graph(
+    design: &KroneckerDesign,
+    permutation_seed: Option<u64>,
+    graph: &CooMatrix<u64>,
+    measured: &GraphProperties,
+    label: &str,
+) {
+    let realised = design.realize(10_000_000).unwrap();
+    let permutation = permutation_seed.map(|seed| FeistelPermutation::new(realised.nrows(), seed));
+    let mut expected: Vec<(u64, u64)> = realised
+        .iter()
+        .map(|(r, c, _)| match &permutation {
+            Some(permutation) => permutation.apply_edge((r, c)),
+            None => (r, c),
+        })
+        .collect();
+    expected.sort_unstable();
+    assert_eq!(sorted_pairs(graph), expected, "{label}: edges");
+    assert_eq!(
+        measured.degree_distribution,
+        design.degree_distribution(),
+        "{label}: streamed degree distribution"
+    );
+    assert_eq!(
+        BigUint::from(count_triangles_coo(graph).unwrap()),
+        design.triangles().unwrap(),
+        "{label}: triangles"
+    );
 }
 
 #[test]
-fn pipeline_blocks_equal_generator_blocks_bit_for_bit() {
+fn pipeline_blocks_equal_the_realised_design() {
     for self_loop in SELF_LOOPS {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], self_loop).unwrap();
+        let (b_design, c_design) = design.split(2).unwrap();
+        let raw_product = kron_coo::<u64, PlusTimes>(
+            &b_design.realize_raw(200_000).unwrap(),
+            &c_design.realize_raw(200_000).unwrap(),
+        )
+        .unwrap();
         for workers in [1usize, 3, 8] {
             for chunk in [1usize, 64, 4096] {
+                let label = format!("{self_loop:?} w{workers} c{chunk}");
                 let report = pipeline(&design, workers, chunk)
                     .split_index(2)
                     .collect_coo()
                     .unwrap();
-                assert!(report.is_valid());
-
-                let legacy = ParallelGenerator::new(GeneratorConfig {
-                    workers,
-                    max_c_edges: 200_000,
-                    max_total_edges: 10_000_000,
-                })
-                .generate_with_split(&design, 2)
-                .unwrap();
-
-                // Same number of blocks, same per-worker edge counts…
-                assert_eq!(report.outputs.len(), legacy.blocks.len());
+                assert!(report.is_valid(), "{label}");
+                assert_eq!(report.outputs.len(), workers, "{label}");
                 assert_eq!(
-                    report.stats.edges_per_worker,
-                    legacy.edges_per_worker(),
-                    "per-worker counts differ for {self_loop:?} w{workers} c{chunk}"
+                    BigUint::from(report.stats.edges_per_worker.iter().sum::<u64>()),
+                    design.edges(),
+                    "{label}"
                 );
-                // …and identical assembled graphs, triple for triple.
-                let mut streamed = report.assemble();
-                let mut materialised = legacy.assemble();
-                streamed.sort();
-                materialised.sort();
+                assert_is_the_designed_graph(
+                    &design,
+                    None,
+                    &report.assemble(),
+                    &report.measured,
+                    &label,
+                );
+
+                // The raw product is `B ⊗ C` itself, self-loops included.
+                let raw = pipeline(&design, workers, chunk)
+                    .split_index(2)
+                    .raw_product()
+                    .collect_coo()
+                    .unwrap();
+                assert!(raw.is_valid(), "{label} raw");
                 assert_eq!(
-                    streamed, materialised,
-                    "pipeline differs from generator for {self_loop:?} w{workers} c{chunk}"
+                    sorted_pairs(&raw.assemble()),
+                    sorted_pairs(&raw_product),
+                    "{label} raw"
                 );
             }
         }
@@ -86,7 +122,7 @@ fn pipeline_blocks_equal_generator_blocks_bit_for_bit() {
 }
 
 #[test]
-fn pipeline_counts_equal_driver_counts() {
+fn pipeline_counts_equal_the_design_prediction() {
     for self_loop in SELF_LOOPS {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], self_loop).unwrap();
         for workers in [1usize, 2, 5] {
@@ -94,74 +130,172 @@ fn pipeline_counts_equal_driver_counts() {
                 .split_index(2)
                 .count()
                 .unwrap();
-            let legacy = driver(workers, 512).run_counting(&design, 2).unwrap();
-            assert_eq!(report.outputs, legacy.outputs);
-            assert_eq!(report.measured, legacy.measured);
-            assert_eq!(report.edge_count(), legacy.edge_count());
+            assert!(report.is_valid());
+            assert_eq!(report.outputs, report.stats.edges_per_worker);
+            assert_eq!(BigUint::from(report.edge_count()), design.edges());
+            assert_eq!(report.predicted, Some(design.properties()));
+            assert_eq!(report.measured.vertices, design.vertices());
+            assert_eq!(report.measured.edges, design.edges());
+            assert_eq!(report.measured.self_loops, BigUint::zero());
             assert_eq!(
-                report.validation.is_exact_match(),
-                legacy.validate().is_exact_match()
+                report.measured.degree_distribution,
+                design.degree_distribution()
             );
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Format {
+    Tsv,
+    Binary,
+    Compressed,
+}
+
+const FORMATS: [Format; 3] = [Format::Tsv, Format::Binary, Format::Compressed];
+
+/// What one file-writing run left behind.
+struct WrittenRun {
+    graph: CooMatrix<u64>,
+    measured: GraphProperties,
+    metrics: MetricsReport,
+    manifest: RunManifest,
+    shard_bytes: Vec<Vec<u8>>,
+}
+
+fn permuted(pipeline: DesignPipeline<'_>, seed: Option<u64>) -> DesignPipeline<'_> {
+    match seed {
+        Some(seed) => pipeline.permute_vertices(seed),
+        None => pipeline,
+    }
+}
+
+fn write<S: EdgeSource>(pipeline: Pipeline<S>, format: Format, dir: &Path) -> RunReport<PathBuf> {
+    let report = match format {
+        Format::Tsv => pipeline.write_tsv(dir),
+        Format::Binary => pipeline.write_binary(dir),
+        Format::Compressed => pipeline.write_compressed(dir),
+    }
+    .unwrap();
+    assert!(report.is_valid(), "{:?}", report.validation.failures());
+    report
+}
+
+fn write_shards(
+    pipeline: DesignPipeline<'_>,
+    permutation_seed: Option<u64>,
+    format: Format,
+) -> WrittenRun {
+    let dir = TestDir::new("equivalence_shards");
+    let report = write(permuted(pipeline, permutation_seed), format, &dir);
+    let files = report.files.as_ref().expect("file terminal");
+    WrittenRun {
+        graph: files.read_assembled().unwrap(),
+        shard_bytes: files
+            .files
+            .iter()
+            .map(|file| std::fs::read(file).unwrap())
+            .collect(),
+        measured: report.measured,
+        metrics: report.metrics,
+        manifest: report.manifest,
+    }
+}
+
+/// The report with the one field that legitimately depends on the worker
+/// count blanked out.
+fn without_balance(mut metrics: MetricsReport) -> MetricsReport {
+    metrics.balance = BalanceReport::from_worker_counts(Vec::new());
+    metrics
+}
+
+#[test]
+fn determinism_matrix_pins_bytes_metrics_and_the_graph() {
+    // star(3) with a centre loop has 7 triples: 8 workers leaves one idle.
+    let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
+    let mut reference_metrics: Option<MetricsReport> = None;
+    for permutation_seed in [None, Some(0xFEED)] {
+        for format in FORMATS {
+            for workers in [1usize, 3, 8] {
+                let mut reference_bytes: Option<Vec<Vec<u8>>> = None;
+                for chunk in [1usize, 64, 4096] {
+                    let label = format!("{permutation_seed:?} {format:?} w{workers} c{chunk}");
+                    let run = write_shards(
+                        pipeline(&design, workers, chunk).split_index(1),
+                        permutation_seed,
+                        format,
+                    );
+                    assert_is_the_designed_graph(
+                        &design,
+                        permutation_seed,
+                        &run.graph,
+                        &run.measured,
+                        &label,
+                    );
+                    // The chunk capacity never reaches the disk…
+                    let bytes = reference_bytes.get_or_insert(run.shard_bytes.clone());
+                    assert_eq!(&run.shard_bytes, bytes, "{label}: shard bytes");
+                    // …and nothing but the balance sheet depends on anything.
+                    let metrics = without_balance(run.metrics);
+                    let reference = reference_metrics.get_or_insert(metrics.clone());
+                    assert_eq!(&metrics, reference, "{label}: metrics");
+                }
+            }
         }
     }
 }
 
 #[test]
 fn shard_files_are_byte_identical_across_entry_points() {
+    // `Pipeline::for_design` forwards the source knobs; configuring the
+    // source directly and handing it to `Pipeline::for_source` must be the
+    // same run, down to the bytes and the manifest.
     let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-    for (format, ext) in [("binary", "kbk"), ("tsv", "tsv")] {
-        let via_pipeline = temp_dir(&format!("pipeline_{format}"));
-        let via_driver = temp_dir(&format!("driver_{format}"));
-
-        let (report, legacy_files) = if format == "binary" {
-            let report = pipeline(&design, 3, 512)
+    for format in FORMATS {
+        let via_design = TestDir::new("via_design");
+        let via_source = TestDir::new("via_source");
+        let for_design = pipeline(&design, 3, 512).split_index(1);
+        let for_source = Pipeline::for_source(
+            KroneckerSource::new(&design)
                 .split_index(1)
-                .write_binary(&via_pipeline)
-                .unwrap();
-            let (_, files) = driver(3, 512).run_binary(&design, 1, &via_driver).unwrap();
-            (report, files)
-        } else {
-            let report = pipeline(&design, 3, 512)
-                .split_index(1)
-                .write_tsv(&via_pipeline)
-                .unwrap();
-            let (_, files) = driver(3, 512).run_tsv(&design, 1, &via_driver).unwrap();
-            (report, files)
-        };
+                .max_c_edges(200_000),
+        )
+        .workers(3)
+        .chunk_capacity(512);
+        let left = write(for_design, format, &via_design);
+        let right = write(for_source, format, &via_source);
 
-        let pipeline_files = report.files.as_ref().expect("file terminal");
-        assert_eq!(pipeline_files.files.len(), legacy_files.files.len());
-        for (a, b) in pipeline_files.files.iter().zip(legacy_files.files.iter()) {
+        let left_files = &left.files.as_ref().expect("file terminal").files;
+        let right_files = &right.files.as_ref().expect("file terminal").files;
+        assert_eq!(left_files.len(), 3);
+        assert_eq!(right_files.len(), 3);
+        for (a, b) in left_files.iter().zip(right_files) {
             assert_eq!(a.file_name(), b.file_name(), "shard naming must not change");
-            assert_eq!(a.extension().and_then(|e| e.to_str()), Some(ext));
-            let left = std::fs::read(a).unwrap();
-            let right = std::fs::read(b).unwrap();
-            assert_eq!(left, right, "{format} shard {a:?} differs from {b:?}");
+            assert_eq!(
+                std::fs::read(a).unwrap(),
+                std::fs::read(b).unwrap(),
+                "{format:?} shard {a:?} differs from {b:?}"
+            );
         }
 
         // Both entry points emit the same manifest (modulo the paths and
         // wall-clock timing, which necessarily differ).
-        let mut from_pipeline =
-            RunManifest::read_from(&via_pipeline.join(MANIFEST_FILE_NAME)).unwrap();
-        let mut from_driver = RunManifest::read_from(&via_driver.join(MANIFEST_FILE_NAME)).unwrap();
-        assert_eq!(from_pipeline, report.manifest);
-        from_pipeline.seconds = 0.0;
-        from_driver.seconds = 0.0;
-        from_pipeline.directory = None;
-        from_driver.directory = None;
-        from_pipeline.outputs.clear();
-        from_driver.outputs.clear();
-        assert_eq!(from_pipeline, from_driver);
-
-        std::fs::remove_dir_all(&via_pipeline).ok();
-        std::fs::remove_dir_all(&via_driver).ok();
+        let mut from_design = RunManifest::read_from(&via_design.join(MANIFEST_FILE_NAME)).unwrap();
+        let mut from_source = RunManifest::read_from(&via_source.join(MANIFEST_FILE_NAME)).unwrap();
+        assert_eq!(from_design, left.manifest);
+        for manifest in [&mut from_design, &mut from_source] {
+            manifest.seconds = 0.0;
+            manifest.directory = None;
+            manifest.outputs.clear();
+        }
+        assert_eq!(from_design, from_source);
     }
 }
 
 #[test]
 fn every_shard_producing_run_emits_a_round_tripping_manifest() {
     let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Leaf).unwrap();
-    let dir = temp_dir("manifest_round_trip");
+    let dir = TestDir::new("manifest_round_trip");
     let report = pipeline(&design, 4, 2048)
         .split_index(2)
         .write_binary(&dir)
@@ -190,13 +324,12 @@ fn every_shard_producing_run_emits_a_round_tripping_manifest() {
     assert!(manifest.exact_match);
     assert_eq!(manifest.vertices, design.vertices().to_string());
     assert_eq!(manifest.predicted_edges, design.edges().to_string());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn corrupt_shard_errors_name_the_failing_file() {
     let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
-    let dir = temp_dir("corrupt_named");
+    let dir = TestDir::new("corrupt_named");
     let report = pipeline(&design, 2, 512)
         .split_index(1)
         .write_binary(&dir)
@@ -214,7 +347,6 @@ fn corrupt_shard_errors_name_the_failing_file() {
         message.contains("block_00001"),
         "error must name the failing shard, got: {message}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 mod random_designs {
@@ -224,54 +356,40 @@ mod random_designs {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
         #[test]
-        fn pipeline_is_bit_identical_to_both_legacy_paths(
+        fn pipeline_matches_the_oracle_on_random_designs(
             left_points in 2u64..6,
             right_points in 2u64..6,
             workers in 1usize..8,
             chunk_choice in 0usize..3,
-            loop_choice in 0u8..3,
+            loop_choice in 0usize..3,
+            format_choice in 0usize..4,
+            permutation_seed in 0u64..3,
         ) {
-            let self_loop = SELF_LOOPS[loop_choice as usize];
             let chunk = [1usize, 7, 4096][chunk_choice];
-            let design =
-                KroneckerDesign::from_star_points(&[left_points, right_points], self_loop)
-                    .unwrap();
-
-            let report = pipeline(&design, workers, chunk)
-                .split_index(1)
-                .collect_coo()
-                .unwrap();
-            prop_assert!(report.is_valid());
-
-            // Legacy path 1: the materialising generator.
-            let generated = ParallelGenerator::new(GeneratorConfig {
-                workers,
-                max_c_edges: 200_000,
-                max_total_edges: 1_000_000,
-            })
-            .generate_with_split(&design, 1)
+            let design = KroneckerDesign::from_star_points(
+                &[left_points, right_points],
+                SELF_LOOPS[loop_choice],
+            )
             .unwrap();
+            // Seed 0 stands for "no permutation stage".
+            let permutation_seed = (permutation_seed > 0).then_some(permutation_seed);
+            let pipeline = pipeline(&design, workers, chunk).split_index(1);
 
-            // Legacy path 2: the shard driver's COO sinks.
-            let run = driver(workers, chunk).run_coo(&design, 1).unwrap();
-            let mut via_driver = CooMatrix::new(run.vertices, run.vertices);
-            for block in &run.outputs {
-                via_driver.append(block).unwrap();
-            }
-
-            let mut via_pipeline = report.assemble();
-            let mut via_generator = generated.assemble();
-            via_pipeline.sort();
-            via_generator.sort();
-            via_driver.sort();
-            prop_assert_eq!(&via_pipeline, &via_generator);
-            prop_assert_eq!(&via_pipeline, &via_driver);
+            let (graph, measured, manifest) = match FORMATS.get(format_choice) {
+                Some(&format) => {
+                    let run = write_shards(pipeline, permutation_seed, format);
+                    (run.graph, run.measured, run.manifest)
+                }
+                None => {
+                    let report = permuted(pipeline, permutation_seed).collect_coo().unwrap();
+                    prop_assert!(report.is_valid());
+                    (report.assemble(), report.measured, report.manifest)
+                }
+            };
+            assert_is_the_designed_graph(&design, permutation_seed, &graph, &measured, "random");
 
             // And the manifest of any run round-trips through JSON.
-            prop_assert_eq!(
-                RunManifest::from_json(&report.manifest.to_json()).unwrap(),
-                report.manifest
-            );
+            prop_assert_eq!(RunManifest::from_json(&manifest.to_json()).unwrap(), manifest);
         }
     }
 }

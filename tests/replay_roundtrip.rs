@@ -13,16 +13,9 @@ use std::path::{Path, PathBuf};
 
 use extreme_graphs::core::CoreError;
 use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
+use extreme_graphs::gen::testing::TestDir;
 use extreme_graphs::gen::{Pipeline, ReplaySource, RunManifest, RunReport};
 use extreme_graphs::{KroneckerDesign, SelfLoop};
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("extreme_graphs_replay_roundtrip")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn generate(dir: &Path, binary: bool, workers: usize) -> RunReport<PathBuf> {
     let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre).unwrap();
@@ -57,7 +50,7 @@ fn replay(dir: &Path, workers: usize) -> RunReport<u64> {
 #[test]
 fn replayed_metrics_are_bit_identical_across_formats() {
     for (binary, label) in [(false, "tsv"), (true, "binary")] {
-        let dir = temp_dir(&format!("identical_{label}"));
+        let dir = TestDir::new(&format!("identical_{label}"));
         let generated = generate(&dir, binary, 4);
         let replayed = replay(&dir, 4);
 
@@ -81,13 +74,12 @@ fn replayed_metrics_are_bit_identical_across_formats() {
         assert_eq!(replayed.manifest.source, "replay");
         assert_eq!(replayed.manifest.total_edges, generated.edge_count());
         assert_eq!(replayed.manifest.vertices, generated.manifest.vertices);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
 fn permuted_shards_replay_to_the_same_invariant_metrics() {
-    let dir = temp_dir("permuted");
+    let dir = TestDir::new("permuted");
     let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Leaf).unwrap();
     let generated = Pipeline::for_design(&design)
         .workers(3)
@@ -100,12 +92,11 @@ fn permuted_shards_replay_to_the_same_invariant_metrics() {
     // The shards hold relabelled edges; the degree structure is invariant,
     // so the replay measures exactly what generation measured.
     assert_eq!(replayed.metrics, generated.metrics);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn worker_count_changes_balance_but_nothing_else() {
-    let dir = temp_dir("other_workers");
+    let dir = TestDir::new("other_workers");
     let generated = generate(&dir, true, 4);
     // Replaying 4 shards on 2 workers: the graph-level metrics still match;
     // only the per-worker balance sheet reflects the new layout.
@@ -123,12 +114,11 @@ fn worker_count_changes_balance_but_nothing_else() {
         replayed.balance.edges_per_worker.iter().sum::<u64>(),
         generated.edge_count()
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn shared_histogram_mode_replays_identically_too() {
-    let dir = temp_dir("shared_mode");
+    let dir = TestDir::new("shared_mode");
     let generated = generate(&dir, true, 3);
     let source = ReplaySource::from_directory(&dir).unwrap();
     let report = Pipeline::for_source(source)
@@ -137,13 +127,12 @@ fn shared_histogram_mode_replays_identically_too() {
         .count()
         .unwrap();
     assert_eq!(report.metrics, generated.metrics);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn corrupt_shards_fail_the_replay_naming_the_file() {
     for (binary, label) in [(false, "tsv"), (true, "binary")] {
-        let dir = temp_dir(&format!("corrupt_{label}"));
+        let dir = TestDir::new(&format!("corrupt_{label}"));
         let _ = generate(&dir, binary, 3);
         let victim = dir.join(if binary {
             "block_00001.kbk"
@@ -164,13 +153,12 @@ fn corrupt_shards_fail_the_replay_naming_the_file() {
             message.contains("block_00001"),
             "{label} error must name the shard: {message}"
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
 fn missing_shards_fail_the_replay_naming_the_file() {
-    let dir = temp_dir("missing");
+    let dir = TestDir::new("missing");
     let _ = generate(&dir, true, 3);
     std::fs::remove_file(dir.join("block_00002.kbk")).unwrap();
     let source = ReplaySource::from_directory(&dir).unwrap();
@@ -180,13 +168,12 @@ fn missing_shards_fail_the_replay_naming_the_file() {
         error.to_string().contains("block_00002"),
         "error must name the missing shard: {error}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn replay_manifest_round_trips_with_metric_records() {
-    let dir = temp_dir("replay_manifest");
-    let out = temp_dir("replay_manifest_out");
+    let dir = TestDir::new("replay_manifest");
+    let out = TestDir::new("replay_manifest_out");
     let generated = generate(&dir, true, 2);
     // Replay → re-shard to TSV: format conversion without regeneration,
     // emitting a fresh manifest (metrics included) next to the new shards.
@@ -210,6 +197,4 @@ fn replay_manifest_round_trips_with_metric_records() {
         .count()
         .unwrap();
     assert_eq!(again.metrics, generated.metrics);
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&out).ok();
 }

@@ -3,38 +3,33 @@
 //! These tests pin the two new `EdgeSource`-era behaviours end to end:
 //!
 //! * The streamed `RmatSource` delivers the exact edge multiset (in fact the
-//!   exact sequence) of the legacy materialising
-//!   `RmatGenerator::generate_edges`, across worker counts and chunk sizes,
-//!   and its runs produce round-tripping manifests recording source kind and
-//!   seeds.
+//!   exact sequence) of the scalar indexed sampler `RmatGenerator::edge_at`,
+//!   across worker counts and chunk sizes, and its runs produce
+//!   round-tripping manifests recording source kind and seeds.
 //! * Permuted Kronecker runs still pass `validate_streamed` (the Feistel
 //!   relabelling is degree-preserving) and the permuted output is exactly
 //!   the unpermuted graph mapped through the recorded bijection.
 
-// The legacy materialising sampler is half of every comparison here.
-#![allow(deprecated)]
-
-use std::path::PathBuf;
-
 use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
+use extreme_graphs::gen::testing::TestDir;
 use extreme_graphs::gen::{FeistelPermutation, Pipeline, RunManifest};
 use extreme_graphs::rmat::{RmatGenerator, RmatParams, RmatSource};
 use extreme_graphs::{KroneckerDesign, SelfLoop};
 
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("extreme_graphs_rmat_pipeline")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The reference sample stream: the scalar quadrant walk, one index at a
+/// time.
+fn indexed_samples(params: RmatParams, seed: u64) -> Vec<(u64, u64)> {
+    let generator = RmatGenerator::new(params, seed).unwrap();
+    (0..params.requested_edges())
+        .map(|index| generator.edge_at(index))
+        .collect()
 }
 
 #[test]
-fn rmat_through_pipeline_matches_legacy_generate_edges() {
+fn rmat_through_pipeline_matches_the_indexed_sampler() {
     let params = RmatParams::graph500(8);
     let seed = 20180304;
-    let legacy = RmatGenerator::new(params, seed).unwrap().generate_edges();
-    assert_eq!(legacy.len() as u64, params.requested_edges());
+    let reference = indexed_samples(params, seed);
 
     for workers in [1usize, 2, 3, 8] {
         for chunk in [1usize, 64, 4096] {
@@ -45,7 +40,7 @@ fn rmat_through_pipeline_matches_legacy_generate_edges() {
                 .unwrap();
 
             // Workers own contiguous ascending index ranges, so the
-            // concatenated blocks reproduce the legacy sequence exactly —
+            // concatenated blocks reproduce the reference sequence exactly —
             // not just as a multiset.
             let streamed: Vec<(u64, u64)> = report
                 .outputs
@@ -53,8 +48,8 @@ fn rmat_through_pipeline_matches_legacy_generate_edges() {
                 .flat_map(|block| block.iter().map(|(r, c, _)| (r, c)))
                 .collect();
             assert_eq!(
-                streamed, legacy,
-                "stream differs from legacy for w{workers} c{chunk}"
+                streamed, reference,
+                "stream differs from edge_at for w{workers} c{chunk}"
             );
             assert_eq!(report.edge_count(), params.requested_edges());
 
@@ -72,7 +67,7 @@ fn rmat_through_pipeline_matches_legacy_generate_edges() {
 #[test]
 fn rmat_run_emits_a_round_tripping_manifest_with_source_and_seed() {
     let params = RmatParams::graph500(7);
-    let dir = temp_dir("rmat_manifest");
+    let dir = TestDir::new("rmat_manifest");
     let report = Pipeline::for_source(RmatSource::new(params, 41).unwrap())
         .workers(3)
         .permute_vertices(17)
@@ -100,14 +95,14 @@ fn rmat_run_emits_a_round_tripping_manifest_with_source_and_seed() {
     let files = report.files.as_ref().unwrap();
     let from_disk = files.read_assembled().unwrap();
     let perm = FeistelPermutation::new(params.vertices(), 17);
-    let legacy = RmatGenerator::new(params, 41).unwrap().generate_edges();
-    let expected: Vec<(u64, u64)> = legacy.iter().map(|&e| perm.apply_edge(e)).collect();
-    let mut expected_sorted = expected;
+    let mut expected_sorted: Vec<(u64, u64)> = indexed_samples(params, 41)
+        .into_iter()
+        .map(|edge| perm.apply_edge(edge))
+        .collect();
     expected_sorted.sort_unstable();
     let mut disk_sorted: Vec<(u64, u64)> = from_disk.iter().map(|(r, c, _)| (r, c)).collect();
     disk_sorted.sort_unstable();
     assert_eq!(disk_sorted, expected_sorted);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

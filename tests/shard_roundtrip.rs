@@ -1,108 +1,79 @@
-//! Out-of-core shard driver: equivalence, validation, and corruption tests.
+//! Shards on disk: equivalence with the designed graph, streamed validation,
+//! and corruption tests.
 //!
-//! The shard driver must be a pure re-plumbing of the materialising
-//! generator: for any design, worker count, and sink, the union of the
-//! shards is bit-for-bit the graph `ParallelGenerator::generate().assemble()`
-//! produces, and the streamed degree histogram validates exactly against the
-//! analytic prediction — including for designs whose edge count exceeds the
-//! materialising generator's `max_total_edges` ceiling.  Shard files written
-//! to disk must also survive hostile inputs: every corrupt-header and
-//! corrupt-body variant of the binary layout has to fail cleanly.
-
-// The deprecated ShardDriver::run_* wrappers are exercised deliberately:
-// these tests pin them to the pipeline engine they now delegate to.
-#![allow(deprecated)]
+//! For any design, worker count, and format, the union of the shards a
+//! file terminal writes is edge for edge the graph `KroneckerDesign::realize`
+//! computes through the sparse substrate, and the streamed degree histogram
+//! validates exactly against the analytic prediction — including for designs
+//! too large to realise in memory at all.  Shard files must also survive
+//! hostile inputs: every corrupt-header and corrupt-body variant of the
+//! binary layout has to fail cleanly.
 
 use std::path::PathBuf;
 
-use extreme_graphs::gen::writer::{
-    read_block_bin, BLOCK_HEADER_LEN, BLOCK_MAGIC, BLOCK_VERSION_PAIRS,
-};
-use extreme_graphs::gen::DriverConfig;
+use extreme_graphs::gen::testing::{legacy_block_bytes, TestDir};
+use extreme_graphs::gen::writer::{read_block_bin, BLOCK_HEADER_LEN, BLOCK_VERSION_PAIRS};
 use extreme_graphs::sparse::SparseError;
-use extreme_graphs::{GeneratorConfig, KroneckerDesign, ParallelGenerator, SelfLoop, ShardDriver};
+use extreme_graphs::{DesignPipeline, KroneckerDesign, Pipeline, SelfLoop};
 
-fn driver(workers: usize) -> ShardDriver {
-    ShardDriver::new(DriverConfig {
-        workers,
-        max_c_edges: 200_000,
-        max_b_edges: 1 << 22,
-        chunk_capacity: 1 << 12,
-        ..DriverConfig::default()
-    })
-}
-
-fn temp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("extreme_graphs_shard_roundtrip")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn pipeline(design: &KroneckerDesign, workers: usize) -> DesignPipeline<'_> {
+    Pipeline::for_design(design)
+        .workers(workers)
+        .max_c_edges(200_000)
+        .max_b_edges(1 << 22)
+        .chunk_capacity(1 << 12)
 }
 
 #[test]
-fn shards_are_bit_identical_to_the_materialising_generator() {
+fn shards_assemble_to_the_realised_design() {
     for self_loop in [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf] {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], self_loop).unwrap();
+        let mut realised = design.realize(10_000_000).unwrap();
+        realised.sort();
         for workers in [1usize, 3, 8] {
-            let reference = ParallelGenerator::new(GeneratorConfig {
-                workers,
-                max_c_edges: 200_000,
-                max_total_edges: 10_000_000,
-            })
-            .generate_with_split(&design, 2)
-            .unwrap();
-            let mut materialised = reference.assemble();
-            materialised.sort();
-
-            let dir = temp_dir(&format!("equiv_{self_loop:?}_{workers}"));
-            let (run, files) = driver(workers).run_binary(&design, 2, &dir).unwrap();
-            let mut streamed = files.read_assembled().unwrap();
+            let dir = TestDir::new("equiv");
+            let report = pipeline(&design, workers)
+                .split_index(2)
+                .write_binary(&dir)
+                .unwrap();
+            let mut streamed = report.files.as_ref().unwrap().read_assembled().unwrap();
             streamed.sort();
             assert_eq!(
-                streamed, materialised,
-                "driver shards differ from the generator for {self_loop:?} × {workers} workers"
+                streamed, realised,
+                "shards differ from the realised design for {self_loop:?} × {workers} workers"
             );
-            assert_eq!(run.edge_count(), reference.edge_count());
+            assert_eq!(report.edge_count(), realised.nnz() as u64);
             assert!(
-                run.validate().is_exact_match(),
+                report.is_valid(),
                 "streamed validation failed for {self_loop:?} × {workers} workers: {:?}",
-                run.validate().failures()
+                report.validation.failures()
             );
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
 
 #[test]
 fn driver_validates_beyond_the_materialising_ceiling_in_bounded_memory() {
-    // 22,160,060 edges: more than four times this generator config's ceiling.
+    // 22,160,060 edges: more than four times what this test lets `realize`
+    // materialise.
     let design =
         KroneckerDesign::from_star_points(&[3, 4, 5, 9, 16, 25], SelfLoop::Centre).unwrap();
-    let config = GeneratorConfig {
-        workers: 8,
-        max_c_edges: 200_000,
-        max_total_edges: 5_000_000,
-    };
     assert!(
-        ParallelGenerator::new(config)
-            .generate_with_split(&design, 4)
-            .is_err(),
+        design.realize(5_000_000).is_err(),
         "the design must exceed the materialising ceiling for this test to mean anything"
     );
 
-    let run = driver(8).run_counting(&design, 4).unwrap();
-    assert_eq!(run.edge_count().to_string(), design.edges().to_string());
-    let report = run.validate();
+    let report = pipeline(&design, 8).split_index(4).count().unwrap();
+    assert_eq!(report.edge_count().to_string(), design.edges().to_string());
     assert!(
-        report.is_exact_match(),
+        report.is_valid(),
         "measured != predicted beyond the ceiling: {:?}",
-        report.failures()
+        report.validation.failures()
     );
     // The measured histogram is the paper's Figure-4 series: identical to
     // the analytic degree distribution, point by point.
     assert_eq!(
-        run.measured.degree_distribution,
+        report.measured.degree_distribution,
         design.degree_distribution()
     );
 }
@@ -110,15 +81,18 @@ fn driver_validates_beyond_the_materialising_ceiling_in_bounded_memory() {
 mod corrupt_binary_shards {
     use super::*;
 
-    fn valid_shard_bytes() -> (Vec<u8>, PathBuf) {
+    /// The bytes of one valid shard, and a path in a directory of this
+    /// test's own to write their mutilated copy to.
+    fn valid_shard_bytes() -> (Vec<u8>, TestDir, PathBuf) {
         let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
-        let dir = temp_dir("corrupt_base");
-        let (_, files) = driver(1).run_binary(&design, 1, &dir).unwrap();
-        let bytes = std::fs::read(&files.files[0]).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        let scratch = temp_dir("corrupt_scratch");
-        std::fs::create_dir_all(&scratch).unwrap();
-        (bytes, scratch.join("shard.kbk"))
+        let dir = TestDir::new("corrupt");
+        let report = pipeline(&design, 1)
+            .split_index(1)
+            .write_binary(&dir)
+            .unwrap();
+        let bytes = std::fs::read(&report.files.unwrap().files[0]).unwrap();
+        let path = dir.join("shard.kbk");
+        (bytes, dir, path)
     }
 
     fn expect_parse_error(bytes: &[u8], path: &PathBuf, what: &str) {
@@ -131,21 +105,21 @@ mod corrupt_binary_shards {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let (mut bytes, path) = valid_shard_bytes();
+        let (mut bytes, _dir, path) = valid_shard_bytes();
         bytes[..4].copy_from_slice(b"NOPE");
         expect_parse_error(&bytes, &path, "bad magic");
     }
 
     #[test]
     fn bad_version_is_rejected() {
-        let (mut bytes, path) = valid_shard_bytes();
+        let (mut bytes, _dir, path) = valid_shard_bytes();
         bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
         expect_parse_error(&bytes, &path, "bad version");
     }
 
     #[test]
     fn declared_count_must_match_file_length() {
-        let (mut bytes, path) = valid_shard_bytes();
+        let (mut bytes, _dir, path) = valid_shard_bytes();
         // Inflate the declared entry count without adding bytes.
         let nnz_offset = BLOCK_HEADER_LEN as usize - 8;
         let declared = u64::from_le_bytes(bytes[nnz_offset..nnz_offset + 8].try_into().unwrap());
@@ -155,31 +129,28 @@ mod corrupt_binary_shards {
 
     #[test]
     fn truncated_body_is_rejected() {
-        let (bytes, path) = valid_shard_bytes();
+        let (bytes, _dir, path) = valid_shard_bytes();
         expect_parse_error(&bytes[..bytes.len() - 8], &path, "truncated body");
     }
 
     #[test]
     fn truncated_header_is_rejected() {
-        let (bytes, path) = valid_shard_bytes();
+        let (bytes, _dir, path) = valid_shard_bytes();
         std::fs::write(&path, &bytes[..10]).unwrap();
         assert!(read_block_bin(&path).is_err(), "truncated header must fail");
     }
 
     #[test]
     fn out_of_bounds_indices_are_rejected() {
-        // Hand-craft a one-edge interleaved shard whose column index exceeds
-        // the declared dimensions.
-        let (_, path) = valid_shard_bytes();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&BLOCK_MAGIC);
-        bytes.extend_from_slice(&BLOCK_VERSION_PAIRS.to_le_bytes());
-        bytes.extend_from_slice(&4u64.to_le_bytes()); // nrows
-        bytes.extend_from_slice(&4u64.to_le_bytes()); // ncols
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // nnz
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // row 1: in bounds
-        bytes.extend_from_slice(&9u64.to_le_bytes()); // col 9: out of bounds
-        std::fs::write(&path, &bytes).unwrap();
+        // A one-edge interleaved (v2) shard whose column index exceeds the
+        // declared dimensions.
+        let dir = TestDir::new("out_of_bounds");
+        let path = dir.join("shard.kbk");
+        std::fs::write(
+            &path,
+            legacy_block_bytes(BLOCK_VERSION_PAIRS, 4, 4, &[(1, 9)]),
+        )
+        .unwrap();
         match read_block_bin(&path) {
             Err(SparseError::IndexOutOfBounds { col: 9, .. }) => {}
             other => panic!("expected IndexOutOfBounds, got {other:?}"),
@@ -188,7 +159,7 @@ mod corrupt_binary_shards {
 
     #[test]
     fn absurd_declared_count_fails_before_allocating() {
-        let (mut bytes, path) = valid_shard_bytes();
+        let (mut bytes, _dir, path) = valid_shard_bytes();
         let nnz_offset = BLOCK_HEADER_LEN as usize - 8;
         bytes[nnz_offset..nnz_offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
@@ -220,18 +191,18 @@ mod random_designs {
             let design =
                 KroneckerDesign::from_star_points(&[left_points, right_points], self_loop)
                     .unwrap();
-            let dir = temp_dir(&format!(
-                "prop_{left_points}_{right_points}_{workers}_{loop_choice}"
-            ));
-            let (run, files) = driver(workers).run_binary(&design, 1, &dir).unwrap();
-            prop_assert!(run.validate().is_exact_match());
+            let dir = TestDir::new("prop");
+            let report = pipeline(&design, workers)
+                .split_index(1)
+                .write_binary(&dir)
+                .unwrap();
+            prop_assert!(report.is_valid());
 
-            let mut streamed = files.read_assembled().unwrap();
+            let mut streamed = report.files.unwrap().read_assembled().unwrap();
             let mut designed = design.realize(1_000_000).unwrap();
             streamed.sort();
             designed.sort();
             prop_assert_eq!(streamed, designed);
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
