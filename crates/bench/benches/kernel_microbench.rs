@@ -8,6 +8,9 @@
 //! * `feistel_apply` — [`kron_gen::FeistelPermutation::apply_edges_into`]
 //!   relabelling 64 K-edge chunks, the in-stream permutation stage's exact
 //!   call pattern.
+//! * `feistel_range` — [`kron_gen::FeistelPermutation::apply_range_into`]
+//!   imaging `|V_C|`-label ranges of a domain past the table cutoff, the
+//!   Kronecker block path's call pattern.
 //! * `codec_encode` / `codec_decode` — the v4 delta/varint frame codec
 //!   over generated-looking edge chunks.
 //!
@@ -111,6 +114,30 @@ fn main() {
     );
     println!(
         "  feistel_nowalk   median {median:>12?}  {:>9.1} Medges/s",
+        rate / 1e6
+    );
+
+    // The block path's kernel at the benchmark's `kron_permute` shape: a
+    // 2 558 400-vertex domain (past the table cutoff, so every label walks
+    // the network) imaged in the 21 320-label ranges of its `C` factor.  The
+    // unit is labels; `apply_edges_into` walks two per edge.
+    let (big, range) = (2_558_400u64, 21_320usize);
+    let table_free = FeistelPermutation::new(big, 0x5EED);
+    let mut images = Vec::new();
+    let ranges = big / range as u64;
+    let (median, rate) = median_of(
+        || {
+            let mut acc = 0u64;
+            for block in 0..ranges {
+                table_free.apply_range_into(block * range as u64, range, &mut images, &mut walking);
+                acc ^= images[range / 2];
+            }
+            acc
+        },
+        ranges * range as u64,
+    );
+    println!(
+        "  feistel_range    median {median:>12?}  {:>9.1} Mlabels/s",
         rate / 1e6
     );
 

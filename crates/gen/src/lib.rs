@@ -38,8 +38,8 @@
 //!    validator) while accumulating the degree histogram in `O(vertices)`
 //!    memory, so generation *and* validation both run as bounded-memory
 //!    streams at scales whose edges never fit in memory.  An optional
-//!    in-stream [`permute::FeistelPermutation`] stage relabels vertices in
-//!    O(1) memory (Graph500's shuffle without the `O(V)` table).  Every run
+//!    in-stream [`permute::FeistelPermutation`] stage relabels vertices
+//!    (Graph500's shuffle without the `O(V)` table).  Every run
 //!    yields a [`manifest::RunManifest`] reproducibility record — source
 //!    kind and seeds included — written as `manifest.json` next to file
 //!    output.  The pre-pipeline entry points (the materialising generator,

@@ -897,6 +897,7 @@ impl Cursor<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TestDir;
 
     fn sample() -> RunManifest {
         RunManifest {
@@ -1059,9 +1060,7 @@ mod tests {
 
     #[test]
     fn progress_journal_round_trips_with_last_record_winning() {
-        let dir = std::env::temp_dir().join("kron_gen_journal_tests/round_trip");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("journal_round_trip");
         let header = JournalHeader {
             source: "kronecker".into(),
             source_seed: None,
@@ -1100,14 +1099,11 @@ mod tests {
         let (read_header, records) = ProgressJournal::read(&dir).unwrap();
         assert_eq!(read_header, header);
         assert_eq!(records, vec![other, replacement]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn progress_journal_tolerates_a_torn_final_append() {
-        let dir = std::env::temp_dir().join("kron_gen_journal_tests/torn");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("journal_torn");
         let header = JournalHeader {
             source: "rmat".into(),
             source_seed: Some(7),
@@ -1138,14 +1134,11 @@ mod tests {
         assert_eq!(read_header, header);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].worker, 0);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn progress_journal_requires_a_header_and_a_file() {
-        let dir = std::env::temp_dir().join("kron_gen_journal_tests/missing");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("journal_missing");
         // No journal at all.
         let error = ProgressJournal::read(&dir).unwrap_err();
         assert!(error.to_string().contains(PROGRESS_FILE_NAME), "{error}");
@@ -1157,7 +1150,6 @@ mod tests {
         .unwrap();
         let error = ProgressJournal::read(&dir).unwrap_err();
         assert!(error.to_string().contains("no run header"), "{error}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1188,12 +1180,10 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("kron_gen_manifest_tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = TestDir::new("manifest_file_round_trip");
         let path = dir.join(MANIFEST_FILE_NAME);
         let manifest = sample();
         manifest.write_to(&path).unwrap();
         assert_eq!(RunManifest::read_from(&path).unwrap(), manifest);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,35 +1,54 @@
-//! O(1)-memory vertex relabelling: a seeded Feistel bijection on `[0, V)`.
+//! Table-free vertex relabelling: a seeded Feistel bijection on `[0, V)`.
 //!
 //! Graph500 — and the paper's released datasets — randomly permute vertex
 //! labels before publication so that the heavy vertices are not trivially
 //! identifiable by their index.  A permutation *table* needs `O(V)` memory,
 //! which is unusable at the paper's 10¹⁰-vertex designs; the
-//! [`FeistelPermutation`] here is a keyed bijection evaluated per vertex in
-//! constant memory instead: a balanced Feistel network over the smallest
-//! even number of bits covering `V`, with cycle-walking to restrict the
-//! domain to exactly `[0, V)` when `V` is not a power of four.
+//! [`FeistelPermutation`] here is a keyed bijection evaluated per vertex
+//! from a few machine words instead: a balanced Feistel network over the
+//! smallest even number of bits covering `V`, with cycle-walking to restrict
+//! the domain to exactly `[0, V)` when `V` is not a power of four.
 //!
 //! Because the network is a permutation of its power-of-two domain for *any*
 //! round function, and cycle-walking restricted to a subset of a
 //! permutation's domain is again a permutation of that subset, the map is an
 //! exact bijection on `[0, V)` — every degree-, loop-, and multiplicity-
 //! preserving guarantee of table-based relabelling carries over, with no
-//! table.  The same seed always produces the same permutation, so a run is
-//! reproducible from the seed recorded in its
+//! `O(V)` table.  The same seed always produces the same permutation, so a
+//! run is reproducible from the seed recorded in its
 //! [`RunManifest`](crate::manifest::RunManifest).
 //!
-//! The permutation sits on the generation hot path (every endpoint of every
-//! edge passes through it), so the network is engineered for throughput:
-//! three rounds — the Luby–Rackoff minimum for a pseudorandom permutation —
-//! of a single multiply-and-take-high-bits round function, and the
-//! [`FeistelPermutation::apply_edges_into`] entry point relabels whole
-//! chunks at a time with the cycle-walk reorganised into branch-free
-//! compaction passes (an unpredictable 50/50 walk branch per endpoint would
-//! otherwise cost more than the arithmetic).  Domains small enough that a
-//! table *is* affordable (up to 2²¹ vertices, ≤ 16 MiB) additionally cache
-//! the permutation's dense image at construction — entry `x` is exactly the
-//! network-and-walk image of `x`, so the cached and computed paths are the
-//! same function and the hot path collapses to one load per endpoint.
+//! The permutation sits on the generation hot path, so the network is
+//! engineered for throughput: three rounds — the Luby–Rackoff minimum for a
+//! pseudorandom permutation — of a single multiply-and-take-high-bits round
+//! function, evaluated in fixed-width lane blocks with the cycle-walk
+//! reorganised into branch-free compaction passes (an unpredictable 50/50
+//! walk branch per label would otherwise cost more than the arithmetic).
+//! There are two batched entry points, and the *source* decides which one a
+//! run uses ([`SourceRun::stream_worker_relabelled`]):
+//!
+//! * [`FeistelPermutation::apply_edges_into`] relabels a chunk edge by edge —
+//!   two networks per edge, scratch proportional to the chunk.  Any source
+//!   can be relabelled this way; R-MAT, replay and every third-party source
+//!   are.
+//! * [`FeistelPermutation::apply_range_into`] images a contiguous run of
+//!   labels.  A Kronecker run relabels per block with it: the edges of one
+//!   `B`-triple draw their rows from one range of `|V_C|` labels and their
+//!   columns from another, so the worker images the two ranges and gathers
+//!   per edge — `2·|V_C|` networks per triple instead of `2·nnz(C)`, an order
+//!   of magnitude fewer on the paper's star products.  The price is two image
+//!   tables of `8·|V_C|` bytes per worker (341 KB for the 21 320-vertex `C`
+//!   of a 2.56 M-vertex design), bounded by the `max_c_edges` budget that
+//!   already caps the replicated `C`: at most 16 MiB at the default 2²⁰.
+//!
+//! Domains small enough that a table of the *whole* permutation is affordable
+//! (up to 2²¹ vertices, ≤ 16 MiB) additionally cache its dense image at
+//! construction — entry `x` is exactly the network-and-walk image of `x`, so
+//! the cached and computed paths are the same function and both entry points
+//! collapse to loads.
+//!
+//! [`SourceRun::stream_worker_relabelled`]: crate::source::SourceRun::stream_worker_relabelled
+//!
 //! **Compatibility note:** this
 //! faster network replaces the earlier four-round SplitMix64 one, so seeds
 //! recorded by manifests written before the streaming-metrics engine
@@ -63,27 +82,46 @@ const WALK_LANES: usize = 8;
 /// a relabelled stream, only its speed.
 const TABLE_MAX_DOMAIN: u64 = 1 << 21;
 
-/// The endpoint a pending slot addresses: slot `2i` is edge `i`'s row,
-/// slot `2i + 1` its column.
-#[inline(always)]
-fn slot_value(out: &[(u64, u64)], slot: u32) -> u64 {
-    let (row, col) = out[(slot >> 1) as usize];
-    if slot & 1 == 0 {
-        row
-    } else {
-        col
+/// The values a cycle-walk retry pass addresses through 32-bit slots.
+trait WalkSlots {
+    fn slot(&self, slot: u32) -> u64;
+    fn set_slot(&mut self, slot: u32, value: u64);
+}
+
+/// A chunk of edges: slot `2i` is edge `i`'s row, slot `2i + 1` its column.
+impl WalkSlots for [(u64, u64)] {
+    #[inline(always)]
+    fn slot(&self, slot: u32) -> u64 {
+        let (row, col) = self[(slot >> 1) as usize];
+        if slot & 1 == 0 {
+            row
+        } else {
+            col
+        }
+    }
+
+    #[inline(always)]
+    fn set_slot(&mut self, slot: u32, value: u64) {
+        let pair = &mut self[(slot >> 1) as usize];
+        *if slot & 1 == 0 {
+            &mut pair.0
+        } else {
+            &mut pair.1
+        } = value;
     }
 }
 
-/// Store a walked endpoint back into its slot.
-#[inline(always)]
-fn set_slot_value(out: &mut [(u64, u64)], slot: u32, value: u64) {
-    let pair = &mut out[(slot >> 1) as usize];
-    *if slot & 1 == 0 {
-        &mut pair.0
-    } else {
-        &mut pair.1
-    } = value;
+/// A run of labels: slot `i` is label `i`.
+impl WalkSlots for [u64] {
+    #[inline(always)]
+    fn slot(&self, slot: u32) -> u64 {
+        self[slot as usize]
+    }
+
+    #[inline(always)]
+    fn set_slot(&mut self, slot: u32, value: u64) {
+        self[slot as usize] = value;
+    }
 }
 
 /// The SplitMix64 finalizer: a cheap invertible mixer with full avalanche,
@@ -95,7 +133,7 @@ fn diffuse(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A seeded bijection on `[0, n)` evaluated in O(1) memory.
+/// A seeded bijection on `[0, n)` evaluated without an `O(n)` table.
 ///
 /// ```
 /// use kron_gen::permute::FeistelPermutation;
@@ -148,6 +186,16 @@ impl FeistelPermutation {
             perm.table = Some((0..n).map(|x| perm.walk(x)).collect());
         }
         perm
+    }
+
+    /// [`Self::new`] without the image table, whatever the domain size: the
+    /// network-evaluating paths on domains small enough to test exhaustively.
+    #[cfg(test)]
+    pub(crate) fn without_table(n: u64, seed: u64) -> Self {
+        FeistelPermutation {
+            table: None,
+            ..FeistelPermutation::new(n, seed)
+        }
     }
 
     /// Size of the permuted domain.
@@ -341,25 +389,83 @@ impl FeistelPermutation {
             walking += (new_col >= self.n) as usize;
         }
         pending.truncate(walking);
-        // Retry passes, re-batched: gather WALK_LANES pending endpoints,
-        // advance all their networks side by side through the lane kernel,
-        // scatter back, and compact the survivors — the walked value is
-        // always stored, so a still-out-of-range endpoint is simply
-        // overwritten next pass.  This computes exactly apply()'s walk for
-        // every endpoint; only the evaluation order across endpoints
-        // changes.
+        self.finish_walks(out.as_mut_slice(), pending);
+    }
+
+    /// The images of the contiguous labels `start .. start + len` into
+    /// `out` — exactly `(start..start + len).map(|x| perm.apply(x))`, one
+    /// lane-batched pass over the range instead of a walk per label.
+    ///
+    /// This is the kernel behind block-structured relabelling: a source whose
+    /// chunks draw their labels from a few contiguous ranges (every `B`-triple
+    /// of a Kronecker expansion touches one row range and one column range of
+    /// `|V_C|` labels) images each range once and gathers per edge.  Both
+    /// buffers are caller-owned and reused across calls, as in
+    /// [`Self::apply_edges_into`].
+    ///
+    /// # Panics
+    /// Panics if the range is not inside `[0, len())`, or holds more than
+    /// `u32::MAX` labels (the pending slots are 32-bit) — in release builds
+    /// too, the way [`Self::apply`] rejects a vertex outside the domain.
+    pub fn apply_range_into(
+        &self,
+        start: u64,
+        len: usize,
+        out: &mut Vec<u64>,
+        pending: &mut Vec<u32>,
+    ) {
+        assert!(
+            len <= u32::MAX as usize
+                && start
+                    .checked_add(len as u64)
+                    .is_some_and(|end| end <= self.n),
+            "range of {len} labels from {start} outside permutation domain {}",
+            self.n
+        );
+        out.clear();
+        pending.clear();
+        if let Some(table) = &self.table {
+            out.extend_from_slice(&table[start as usize..start as usize + len]);
+            return;
+        }
+        out.reserve(len);
+        let mut x = start;
+        for _ in 0..len / WALK_LANES {
+            let lanes = self.network_lanes(std::array::from_fn(|lane| x + lane as u64));
+            out.extend_from_slice(&lanes);
+            x += WALK_LANES as u64;
+        }
+        out.extend((x..start + len as u64).map(|x| self.network(x)));
+        pending.resize(len, 0);
+        let mut walking = 0usize;
+        for (i, &image) in out.iter().enumerate() {
+            pending[walking] = i as u32;
+            walking += (image >= self.n) as usize;
+        }
+        pending.truncate(walking);
+        self.finish_walks(out.as_mut_slice(), pending);
+    }
+
+    /// Continue the cycle-walk of every pending slot until its value lands
+    /// inside `[0, n)`, re-batched: gather [`WALK_LANES`] pending values,
+    /// advance all their networks side by side through the lane kernel,
+    /// scatter back, and compact the survivors — the walked value is always
+    /// stored, so a still-out-of-range one is simply overwritten next pass.
+    /// This computes exactly [`Self::apply`]'s walk for every slot; only the
+    /// evaluation order across slots changes.
+    fn finish_walks<S: WalkSlots + ?Sized>(&self, slots: &mut S, pending: &mut Vec<u32>) {
         while !pending.is_empty() {
             let mut kept = 0usize;
             let mut j = 0usize;
             while j + WALK_LANES <= pending.len() {
                 let mut values = [0u64; WALK_LANES];
                 for lane in 0..WALK_LANES {
-                    values[lane] = slot_value(out, pending[j + lane]);
+                    values[lane] = slots.slot(pending[j + lane]);
                 }
                 let values = self.network_lanes(values);
                 for lane in 0..WALK_LANES {
                     let slot = pending[j + lane];
-                    set_slot_value(out, slot, values[lane]);
+                    slots.set_slot(slot, values[lane]);
                     pending[kept] = slot;
                     kept += (values[lane] >= self.n) as usize;
                 }
@@ -367,8 +473,8 @@ impl FeistelPermutation {
             }
             while j < pending.len() {
                 let slot = pending[j];
-                let value = self.network(slot_value(out, slot));
-                set_slot_value(out, slot, value);
+                let value = self.network(slots.slot(slot));
+                slots.set_slot(slot, value);
                 pending[kept] = slot;
                 kept += (value >= self.n) as usize;
                 j += 1;
@@ -542,12 +648,13 @@ mod tests {
         ];
         for &(n, seed, pairs) in cases {
             let perm = FeistelPermutation::new(n, seed);
-            // Pin the scalar walk and the batched chunk path to the same
-            // golden outputs — both are public entry points.
+            // Pin the scalar walk, the batched chunk path and the range path
+            // to the same golden outputs — all three are public entry points.
             let edges: Vec<(u64, u64)> = pairs.iter().map(|&(x, _)| (x, x)).collect();
             let mut out = Vec::new();
             let mut pending = Vec::new();
             perm.apply_edges_into(&edges, &mut out, &mut pending);
+            let mut range = Vec::new();
             for (k, &(x, expected)) in pairs.iter().enumerate() {
                 assert_eq!(perm.apply(x), expected, "apply n={n} seed={seed} x={x}");
                 assert_eq!(
@@ -555,6 +662,19 @@ mod tests {
                     (expected, expected),
                     "batched n={n} seed={seed} x={x}"
                 );
+                // The golden label first, last and mid-range, in ranges both
+                // shorter and longer than a lane block.
+                for (before, after) in [(0u64, 0u64), (5, 11), (11, 0), (0, 11)] {
+                    let start = x.saturating_sub(before);
+                    let len = (x - start + 1 + after.min(n - 1 - x)) as usize;
+                    perm.apply_range_into(start, len, &mut range, &mut pending);
+                    assert_eq!(range.len(), len);
+                    assert_eq!(
+                        range[(x - start) as usize],
+                        expected,
+                        "range n={n} seed={seed} x={x} start={start} len={len}"
+                    );
+                }
             }
         }
     }
@@ -591,6 +711,27 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "outside permutation domain")]
+    fn out_of_domain_range_panics() {
+        // Checked with `assert!`, so this holds under `cargo test --release`
+        // too — the block path indexes tables built from these ranges.
+        let (mut out, mut pending) = (Vec::new(), Vec::new());
+        FeistelPermutation::new(10, 1).apply_range_into(3, 8, &mut out, &mut pending);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside permutation domain")]
+    fn range_whose_end_overflows_panics() {
+        let (mut out, mut pending) = (Vec::new(), Vec::new());
+        FeistelPermutation::new(u64::MAX, 1).apply_range_into(
+            u64::MAX - 1,
+            2,
+            &mut out,
+            &mut pending,
+        );
+    }
+
+    #[test]
     fn huge_domains_stay_in_range() {
         // Near the top of u64: the network must not overflow and the walk
         // must terminate.
@@ -598,6 +739,52 @@ mod tests {
         let perm = FeistelPermutation::new(n, 5);
         for x in [0u64, 1, 12345, n - 1] {
             assert!(perm.apply(x) < n);
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn range_kernel_is_apply(
+            // Tiny, either side of the table cutoff, mid-size table-free,
+            // and the top of u64.
+            n in prop_oneof![
+                1u64..3_000,
+                TABLE_MAX_DOMAIN - 2..TABLE_MAX_DOMAIN + 3,
+                1u64 << 40..1u64 << 41,
+                u64::MAX - 3_000..u64::MAX,
+            ],
+            seed in any::<u64>(),
+            // The strategy favours 0 and 1; most draws are ragged multiples
+            // of the lane width.
+            len in 0usize..300,
+            offset in any::<u64>(),
+            // 0: the range starts the domain; 1: it ends it; else anywhere.
+            anchor in 0u8..4,
+        ) {
+            let n: u64 = n;
+            let len = len.min(n as usize);
+            let slack = n - len as u64;
+            let start = match anchor {
+                0 => 0,
+                1 => slack,
+                _ => offset % (slack + 1),
+            };
+            let perm = FeistelPermutation::new(n, seed);
+            let (mut out, mut pending) = (vec![7u64; 3], vec![7u32; 3]);
+            perm.apply_range_into(start, len, &mut out, &mut pending);
+            let expected: Vec<u64> = (start..start + len as u64).map(|x| perm.apply(x)).collect();
+            prop_assert_eq!(&out, &expected, "n={} seed={} start={} len={}", n, seed, start, len);
+            // The table is a cache of the same function, never a different one.
+            FeistelPermutation::without_table(n, seed)
+                .apply_range_into(start, len, &mut out, &mut pending);
+            prop_assert_eq!(&out, &expected, "table-free n={} seed={} start={}", n, seed, start);
         }
     }
 }

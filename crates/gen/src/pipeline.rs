@@ -15,7 +15,7 @@
 //! let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre)?;
 //! let report = Pipeline::for_design(&design)
 //!     .workers(8)
-//!     .permute_vertices(0xFEED)  // O(1)-memory Feistel relabelling
+//!     .permute_vertices(0xFEED)  // Feistel relabelling, no O(V) table
 //!     .write_binary(std::path::Path::new("/data/run1"))?;
 //! assert!(report.validation.is_exact_match());
 //! println!("{}", report.manifest.to_json());
@@ -37,8 +37,8 @@
 //! its sink while feeding an adaptive streaming degree histogram — so every
 //! backend, in-memory or on-disk, gets bounded-memory generation *and*
 //! validation.  [`Pipeline::permute_vertices`] inserts an in-stream
-//! [`FeistelPermutation`] relabelling stage: O(1) memory, no permutation
-//! table, seed captured in the manifest.  The pre-pipeline entry points
+//! [`FeistelPermutation`] relabelling stage: no `O(V)` permutation table,
+//! seed captured in the manifest.  The pre-pipeline entry points
 //! were removed in PR 12; this builder is the only way to generate.
 
 use std::path::{Path, PathBuf};
@@ -303,12 +303,20 @@ impl<S: EdgeSource> Pipeline<S> {
     }
 
     /// Relabel every vertex through a seeded [`FeistelPermutation`] as the
-    /// edges stream — O(1) memory, no permutation table — so the heavy
+    /// edges stream — no `O(vertices)` permutation table — so the heavy
     /// vertices of the released graph are not identifiable by index
     /// (Graph500's post-generation shuffle, fused into generation).  The
     /// permutation is an exact bijection on `[0, vertices)`: every degree-
     /// and loop-preserving guarantee holds, validation still passes, and the
     /// seed is recorded in the manifest so the run stays reproducible.
+    ///
+    /// The source decides how its chunks are relabelled
+    /// ([`SourceRun::stream_worker_relabelled`]): a Kronecker run images the
+    /// row and column label ranges of each `B`-triple and gathers per edge,
+    /// which keeps two image tables of `8·|V_C|` bytes per worker (at most
+    /// 16 MiB together at the default `max_c_edges`); every other source
+    /// relabels edge by edge with scratch the size of one chunk.  Both
+    /// deliver the same stream.
     pub fn permute_vertices(mut self, seed: u64) -> Self {
         self.permutation_seed = Some(seed);
         self
@@ -711,36 +719,30 @@ impl<S: EdgeSource> Pipeline<S> {
                         let mut sink = make_sink(worker).map_err(CoreError::Sparse)?;
                         let mut metrics = engine.worker();
                         let mut chunk = EdgeChunk::new(self.chunk_capacity);
-                        // The permutation stage's scratch buffers, reused
-                        // across chunks: the only per-worker state the stage
-                        // needs.
-                        let mut relabelled: Vec<(u64, u64)> = Vec::new();
-                        let mut walking: Vec<u32> = Vec::new();
-                        let streamed = source_run.stream_worker::<SparseError, _>(
-                            worker,
-                            &mut chunk,
-                            |edges| {
-                                // The built-in degree metrics are invariant
-                                // under the vertex bijection, so a fresh run
-                                // feeds them the source's labels (cheap,
-                                // local); custom metrics and the sink see
-                                // exactly the delivered (relabelled) stream.
-                                let out: &[(u64, u64)] = match permutation.as_ref() {
-                                    Some(perm) => {
-                                        perm.apply_edges_into(edges, &mut relabelled, &mut walking);
-                                        &relabelled
-                                    }
-                                    None => edges,
-                                };
-                                metrics.observe_source(if builtins_on_delivered {
-                                    out
-                                } else {
-                                    edges
-                                });
-                                metrics.observe_delivered(out);
-                                sink.consume(out)
-                            },
-                        );
+                        // The built-in degree metrics are invariant under
+                        // the vertex bijection, so a fresh run feeds them the
+                        // source's labels (cheap, local); custom metrics and
+                        // the sink see exactly the delivered (relabelled)
+                        // stream.
+                        let mut deliver = |edges: &[(u64, u64)], out: &[(u64, u64)]| {
+                            metrics.observe_source(if builtins_on_delivered { out } else { edges });
+                            metrics.observe_delivered(out);
+                            sink.consume(out)
+                        };
+                        let streamed = match permutation.as_ref() {
+                            Some(permutation) => source_run
+                                .stream_worker_relabelled::<SparseError, _>(
+                                    worker,
+                                    permutation,
+                                    &mut chunk,
+                                    deliver,
+                                ),
+                            None => source_run.stream_worker::<SparseError, _>(
+                                worker,
+                                &mut chunk,
+                                |edges| deliver(edges, edges),
+                            ),
+                        };
                         let delivered = match streamed {
                             Ok(delivered) => delivered,
                             Err(e) => {

@@ -34,6 +34,7 @@ use kron_sparse::{CooMatrix, SparseError};
 
 use crate::chunk::EdgeChunk;
 use crate::partition::{csc_ordered_triples, Partition};
+use crate::permute::FeistelPermutation;
 use crate::split::{choose_split_with_fallback, SplitPlan};
 
 /// What a run does with the single removable self-loop of a triangle-control
@@ -131,6 +132,36 @@ pub trait SourceRun {
     where
         E: From<SparseError>,
         F: FnMut(&[(u64, u64)]) -> Result<(), E>;
+
+    /// [`Self::stream_worker`] with the vertex relabelling applied: the sink
+    /// receives each chunk twice, as `(source labels, delivered labels)`,
+    /// where the second slice is the first mapped edge by edge through
+    /// `permutation`.
+    ///
+    /// The provided body is exactly that — `stream_worker` plus
+    /// [`FeistelPermutation::apply_edges_into`] per chunk, two networks per
+    /// edge — and is right for any source.  A source whose chunks draw their
+    /// labels from few contiguous ranges may override it to image the ranges
+    /// instead ([`KroneckerRun`] does); an override must hand the sink the
+    /// same sequence of slice pairs as this body would.
+    fn stream_worker_relabelled<E, F>(
+        &self,
+        worker: usize,
+        permutation: &FeistelPermutation,
+        chunk: &mut EdgeChunk,
+        mut sink: F,
+    ) -> Result<u64, E>
+    where
+        E: From<SparseError>,
+        F: FnMut(&[(u64, u64)], &[(u64, u64)]) -> Result<(), E>,
+    {
+        let mut relabelled = Vec::new();
+        let mut walking = Vec::new();
+        self.stream_worker(worker, chunk, |edges| {
+            permutation.apply_edges_into(edges, &mut relabelled, &mut walking);
+            sink(edges, &relabelled)
+        })
+    }
 
     /// The exact predicted property sheet, for sources that know their
     /// output ahead of generation; `None` for sampling sources whose
@@ -314,6 +345,45 @@ pub struct KroneckerRun<'d> {
     max_b_edges: u64,
 }
 
+/// One worker's view of the in-stream self-loop filter: finds the single
+/// product loop `(vertex, vertex)` the worker must drop, once.
+struct LoopCut {
+    vertex: Option<u64>,
+    removed: bool,
+}
+
+impl LoopCut {
+    /// The position in `edges` to cut out, the first time the loop shows up.
+    fn find(&mut self, edges: &[(u64, u64)]) -> Option<usize> {
+        let vertex = self.vertex.filter(|_| !self.removed)?;
+        let at = edges
+            .iter()
+            .position(|&(r, c)| r == vertex && c == vertex)?;
+        self.removed = true;
+        Some(at)
+    }
+
+    /// The delivered count of a stream that produced `produced` edges.
+    fn delivered(&self, produced: u64) -> u64 {
+        debug_assert!(
+            self.vertex.is_none() || self.removed,
+            "the owning worker must see the product loop"
+        );
+        produced - u64::from(self.removed)
+    }
+}
+
+impl KroneckerRun<'_> {
+    fn loop_cut(&self, worker: usize) -> LoopCut {
+        LoopCut {
+            vertex: self
+                .loop_filter
+                .and_then(|(owner, vertex)| (owner == worker).then_some(vertex)),
+            removed: false,
+        }
+    }
+}
+
 impl SourceRun for KroneckerRun<'_> {
     fn stream_worker<E, F>(
         &self,
@@ -326,29 +396,109 @@ impl SourceRun for KroneckerRun<'_> {
         F: FnMut(&[(u64, u64)]) -> Result<(), E>,
     {
         let slice = &self.triples[self.partition.range(worker)];
-        let filter = self
-            .loop_filter
-            .and_then(|(owner, vertex)| (owner == worker).then_some(vertex));
-        let mut removed = false;
+        let mut cut = self.loop_cut(worker);
         let produced =
             crate::stream::try_stream_block_edges_into(slice, &self.c, chunk, |edges| {
-                if let Some(vertex) = filter {
-                    if !removed {
-                        if let Some(at) =
-                            edges.iter().position(|&(r, c)| r == vertex && c == vertex)
-                        {
-                            removed = true;
-                            sink(&edges[..at])?;
-                            return sink(&edges[at + 1..]);
-                        }
+                match cut.find(edges) {
+                    Some(at) => {
+                        sink(&edges[..at])?;
+                        sink(&edges[at + 1..])
                     }
+                    None => sink(edges),
                 }
-                sink(edges)
             })?;
-        if filter.is_some() {
-            debug_assert!(removed, "the owning worker must see the product loop");
+        Ok(cut.delivered(produced))
+    }
+
+    /// The block path: every edge of the `B`-triple `(rb, cb)` is
+    /// `(rb·|V_C| + rc, cb·|V_C| + cc)`, so its row labels all lie in one
+    /// range of `|V_C|` labels and its column labels in another.  Each range
+    /// is imaged once ([`FeistelPermutation::apply_range_into`], redone only
+    /// when `rb` / `cb` changes — the CSC order keeps `cb` for a whole run of
+    /// triples) and the relabelled chunk is a gather
+    /// `(row_images[rc], col_images[cc])`: `2·|V_C|` networks per triple in
+    /// place of `2·nnz(C)`.  Chunk boundaries and the self-loop cut are the
+    /// generic path's, so the sink sees the same slices.
+    fn stream_worker_relabelled<E, F>(
+        &self,
+        worker: usize,
+        permutation: &FeistelPermutation,
+        chunk: &mut EdgeChunk,
+        mut sink: F,
+    ) -> Result<u64, E>
+    where
+        E: From<SparseError>,
+        F: FnMut(&[(u64, u64)], &[(u64, u64)]) -> Result<(), E>,
+    {
+        let slice = &self.triples[self.partition.range(worker)];
+        let mut cut = self.loop_cut(worker);
+        let mut relabelled: Vec<(u64, u64)> = Vec::with_capacity(chunk.capacity());
+        let mut walking = Vec::new();
+        // Hand the sink the chunk and its images, cut at the product loop;
+        // as in `EdgeChunk::try_flush`, the edges stay buffered on error.
+        let mut flush =
+            |chunk: &mut EdgeChunk, relabelled: &mut Vec<(u64, u64)>| -> Result<(), E> {
+                let edges = chunk.as_slice();
+                if edges.is_empty() {
+                    return Ok(());
+                }
+                match cut.find(edges) {
+                    Some(at) => {
+                        sink(&edges[..at], &relabelled[..at])?;
+                        sink(&edges[at + 1..], &relabelled[at + 1..])?;
+                    }
+                    None => sink(edges, relabelled)?,
+                }
+                chunk.clear();
+                relabelled.clear();
+                Ok(())
+            };
+        // Edges a previous call left behind belong to no triple of this one.
+        permutation.apply_edges_into(chunk.as_slice(), &mut relabelled, &mut walking);
+        flush(chunk, &mut relabelled)?;
+        let (c_rows, c_cols) = (self.c.row_indices(), self.c.col_indices());
+        let (c_nrows, c_ncols) = (self.c.nrows(), self.c.ncols());
+        let mut row_images: Vec<u64> = Vec::new();
+        let mut col_images: Vec<u64> = Vec::new();
+        let (mut imaged_rb, mut imaged_cb) = (None, None);
+        for &(rb, cb, _) in slice {
+            let (row_base, col_base) = (rb * c_nrows, cb * c_ncols);
+            if imaged_rb != Some(rb) {
+                permutation.apply_range_into(
+                    row_base,
+                    c_nrows as usize,
+                    &mut row_images,
+                    &mut walking,
+                );
+                imaged_rb = Some(rb);
+            }
+            if imaged_cb != Some(cb) {
+                permutation.apply_range_into(
+                    col_base,
+                    c_ncols as usize,
+                    &mut col_images,
+                    &mut walking,
+                );
+                imaged_cb = Some(cb);
+            }
+            let mut done = 0;
+            while done < c_rows.len() {
+                let take = (c_rows.len() - done).min(chunk.remaining());
+                let (rows, cols) = (&c_rows[done..done + take], &c_cols[done..done + take]);
+                chunk.extend_translated(row_base, col_base, rows, cols);
+                relabelled.extend(
+                    rows.iter()
+                        .zip(cols)
+                        .map(|(&rc, &cc)| (row_images[rc as usize], col_images[cc as usize])),
+                );
+                done += take;
+                if chunk.is_full() {
+                    flush(chunk, &mut relabelled)?;
+                }
+            }
         }
-        Ok(produced - u64::from(removed))
+        flush(chunk, &mut relabelled)?;
+        Ok(cut.delivered((slice.len() * c_rows.len()) as u64))
     }
 
     fn predicted_properties(&self) -> Option<GraphProperties> {
@@ -483,6 +633,93 @@ mod tests {
         assert_eq!(descriptor.split_index, 1);
         assert!(run.predicted_properties().is_some());
         assert!(run.split_plan().is_some());
+    }
+
+    /// Every `(source, delivered)` slice pair one worker's relabelled stream
+    /// hands its sink, and the count it returns.
+    type SlicePairs = Vec<(Vec<(u64, u64)>, Vec<(u64, u64)>)>;
+
+    fn relabelled_slices<R: SourceRun>(
+        run: &R,
+        worker: usize,
+        permutation: &FeistelPermutation,
+        capacity: usize,
+    ) -> (u64, SlicePairs) {
+        let mut pairs = Vec::new();
+        let mut chunk = EdgeChunk::new(capacity);
+        // An edge an aborted earlier stream left behind goes out first.
+        chunk.push(1, 2);
+        let delivered = run
+            .stream_worker_relabelled::<SparseError, _>(
+                worker,
+                permutation,
+                &mut chunk,
+                |edges, out| {
+                    pairs.push((edges.to_vec(), out.to_vec()));
+                    Ok(())
+                },
+            )
+            .unwrap();
+        assert!(chunk.is_empty(), "chunk must be drained on return");
+        (delivered, pairs)
+    }
+
+    #[test]
+    fn block_path_hands_the_sink_the_generic_paths_slices() {
+        use crate::fault::{FaultSchedule, FaultySource};
+
+        // Where in its chunk the removed product loop sat, over the matrix.
+        let (mut first, mut mid, mut last) = (false, false, false);
+        for self_loop in [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf] {
+            let design = KroneckerDesign::from_star_points(&[3, 4, 5], self_loop).unwrap();
+            let source = KroneckerSource::new(&design).split_index(1);
+            let vertices = source.vertices().unwrap();
+            // `new` tables a domain this small; the block path must agree
+            // with the generic one when both evaluate the network, too.
+            for permutation in [
+                FeistelPermutation::new(vertices, 0xFEED),
+                FeistelPermutation::without_table(vertices, 0xFEED),
+            ] {
+                for workers in [1usize, 3, 8] {
+                    let (block, _) = source.prepare(workers).unwrap();
+                    // A run that forwards `stream_worker` alone, so its
+                    // relabelled stream is the trait's provided body.
+                    let (generic, _) = FaultySource::new(source.clone(), FaultSchedule::none())
+                        .prepare(workers)
+                        .unwrap();
+                    for capacity in [1usize, 3, 4096] {
+                        for worker in 0..workers {
+                            let label = format!("{self_loop:?} w{worker}/{workers} c{capacity}");
+                            let got = relabelled_slices(&block, worker, &permutation, capacity);
+                            let want = relabelled_slices(&generic, worker, &permutation, capacity);
+                            assert_eq!(got, want, "{label}");
+                            for (edges, out) in &got.1 {
+                                let mapped: Vec<_> =
+                                    edges.iter().map(|&e| permutation.apply_edge(e)).collect();
+                                assert_eq!(out, &mapped, "{label}");
+                            }
+                            // Past the leftover edge, chunks ahead of the
+                            // cut are full, so the first two slices that
+                            // together fall short of one chunk are the cut's
+                            // two sides.
+                            let sides = got.1[1..]
+                                .windows(2)
+                                .map(|pair| (&pair[0].0, &pair[1].0))
+                                .find(|(before, after)| before.len() + after.len() < capacity);
+                            if let Some((before, after)) = sides {
+                                first |= before.is_empty();
+                                last |= after.is_empty();
+                                mid |= !before.is_empty() && !after.is_empty();
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            first && mid && last,
+            "cut first={first} mid={mid} last={last}"
+        );
     }
 
     #[test]

@@ -13,8 +13,9 @@ use std::path::Path;
 use std::time::Duration;
 
 use extreme_graphs::core::CoreError;
+use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
 use extreme_graphs::gen::testing::TestDir;
-use extreme_graphs::gen::ReplaySource;
+use extreme_graphs::gen::{ReplaySource, RunManifest};
 use extreme_graphs::{
     FaultSchedule, FaultySource, KroneckerDesign, KroneckerSource, Pipeline, RetryPolicy, SelfLoop,
 };
@@ -125,6 +126,69 @@ fn permanent_fault_quarantines_and_resume_is_bit_identical() {
         .warnings
         .iter()
         .any(|w| w.contains("3 shard(s) verified complete")));
+}
+
+#[test]
+fn permuted_resume_crosses_the_generic_and_block_relabelling_paths() {
+    // `FaultySource` forwards `stream_worker` only, so its permuted run
+    // relabels through the trait's provided per-edge body; a plain
+    // `KroneckerSource` relabels per Kronecker block.  Crash the first,
+    // resume with the second, compare with an uninterrupted run of the
+    // second: the two paths must agree down to the shard bytes.
+    let design = design();
+    let workers = 4;
+    let seed = 0xFEED;
+
+    let clean_dir = TestDir::new("cross_path_clean");
+    let clean = pipeline(&design, workers)
+        .permute_vertices(seed)
+        .write_compressed(&clean_dir)
+        .unwrap();
+    assert!(clean.is_valid());
+
+    let crash_dir = TestDir::new("cross_path_crash");
+    let schedule = FaultSchedule::none().with_permanent(1, 700);
+    let crashed = faulty_pipeline(&design, workers, schedule)
+        .permute_vertices(seed)
+        .quarantine_failures(true)
+        .write_compressed(&crash_dir)
+        .unwrap();
+    assert_eq!(crashed.failures.len(), 1);
+    // Three shards written through the generic path already match…
+    let survivors = shard_bytes(&crash_dir, "kbkz");
+    assert_eq!(survivors.len(), 3);
+    for shard in &survivors {
+        assert!(
+            shard_bytes(&clean_dir, "kbkz").contains(shard),
+            "{}",
+            shard.0
+        );
+    }
+
+    // …and the block path regenerates the fourth into an identical set.
+    let resumed = pipeline(&design, workers)
+        .permute_vertices(seed)
+        .resume(&crash_dir)
+        .unwrap();
+    assert!(resumed.is_complete());
+    assert!(resumed.is_valid());
+    assert_eq!(
+        shard_bytes(&crash_dir, "kbkz"),
+        shard_bytes(&clean_dir, "kbkz")
+    );
+    assert_eq!(resumed.metrics, clean.metrics);
+
+    // The manifests on disk agree on everything but where and how long the
+    // runs took, and the resume's note about the shards it kept.
+    let mut manifests = [&clean_dir, &crash_dir]
+        .map(|dir| RunManifest::read_from(&dir.join(MANIFEST_FILE_NAME)).unwrap());
+    for manifest in &mut manifests {
+        manifest.seconds = 0.0;
+        manifest.directory = None;
+        manifest.outputs.clear();
+        manifest.warnings.clear();
+    }
+    assert_eq!(manifests[0], manifests[1]);
 }
 
 #[test]

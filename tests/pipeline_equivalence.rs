@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 
 use extreme_graphs::bignum::BigUint;
 use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
+use extreme_graphs::gen::metrics::PredicateCountMetric;
 use extreme_graphs::gen::testing::TestDir;
 use extreme_graphs::gen::{BalanceReport, FeistelPermutation, MetricsReport, RunManifest};
 use extreme_graphs::sparse::triangles::count_triangles_coo;
@@ -242,6 +243,58 @@ fn determinism_matrix_pins_bytes_metrics_and_the_graph() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn determinism_matrix_above_the_permutation_table_cutoff() {
+    // Every other permuted case in this file has few enough vertices that
+    // `FeistelPermutation` answers from its image table.  2048 × 1025
+    // vertices is past that cutoff (2^21), so these runs evaluate the
+    // network — the regime the paper's designs live in.  The graph is too
+    // big to assemble here, so the oracle is a sampled edge count: how many
+    // relabelled edges of `B ⊗ C`, enumerated straight from the factors,
+    // fall in a fixed pseudo-random 1/64 of label pairs.
+    let design = KroneckerDesign::from_star_points(&[2047, 1024], SelfLoop::Centre).unwrap();
+    let seed = 0xFEED;
+    let sampled = |row: u64, col: u64| {
+        (row ^ col.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58 == 0
+    };
+
+    let (b_design, c_design) = design.split(1).unwrap();
+    let b = b_design.realize_raw(200_000).unwrap();
+    let c = c_design.realize_raw(200_000).unwrap();
+    let permutation = FeistelPermutation::new(b.nrows() * c.nrows(), seed);
+    let mut expected = 0u64;
+    for (rb, cb, _) in b.iter() {
+        for (rc, cc, _) in c.iter() {
+            let edge = (rb * c.nrows() + rc, cb * c.ncols() + cc);
+            // Centre loops sit on vertex 0 of every star, and the design
+            // removes the one product loop they leave.
+            if edge != (0, 0) {
+                let (row, col) = permutation.apply_edge(edge);
+                expected += u64::from(sampled(row, col));
+            }
+        }
+    }
+
+    let mut reference_metrics: Option<MetricsReport> = None;
+    for workers in [1usize, 3, 8] {
+        let report = pipeline(&design, workers, 4096)
+            .split_index(1)
+            .permute_vertices(seed)
+            .with_metric(PredicateCountMetric::new("sampled", sampled))
+            .count()
+            .unwrap();
+        assert!(report.is_valid(), "{:?}", report.validation.failures());
+        assert_eq!(
+            report.metrics.custom_value("sampled"),
+            Some(expected.to_string().as_str()),
+            "w{workers}: sampled relabelled edges"
+        );
+        let metrics = without_balance(report.metrics);
+        let reference = reference_metrics.get_or_insert(metrics.clone());
+        assert_eq!(&metrics, reference, "w{workers}: metrics");
     }
 }
 
