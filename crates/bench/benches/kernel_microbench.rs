@@ -1,6 +1,5 @@
-//! Isolated hot-kernel throughput: the three loops the pipeline's
-//! end-to-end rates are made of, measured without the pipeline around
-//! them.
+//! Isolated hot-kernel throughput: the loops the pipeline's end-to-end
+//! rates are made of, measured without the pipeline around them.
 //!
 //! * `rmat_fill` — the batched R-MAT quadrant walk
 //!   ([`kron_rmat::RmatBatchSampler::fill`]) drawing contiguous sample
@@ -11,19 +10,32 @@
 //! * `feistel_range` — [`kron_gen::FeistelPermutation::apply_range_into`]
 //!   imaging `|V_C|`-label ranges of a domain past the table cutoff, the
 //!   Kronecker block path's call pattern.
-//! * `codec_encode` / `codec_decode` — the v4 delta/varint frame codec
-//!   over generated-looking edge chunks.
+//! * `fnv1a`, `codec_encode` / `codec_decode`, `codec_encode_checksum` /
+//!   `codec_decode_verify` — the shard checksum alone, the v4 delta/varint
+//!   frame codec alone, and the fused kernels the compressed sink and
+//!   replay run (the hash inside the codec loop), all over the same
+//!   K70-shaped frames, so "fused ≈ max(codec, hash), not their sum" is
+//!   three printed rows to compare.
+//! * `tsv_format` — [`kron_gen::writer::write_tsv_edges`], the TSV sink's
+//!   decimal formatter with the hash riding along.
 //!
-//! End-to-end numbers live in `source_throughput` / `shard_driver`; this
-//! bench exists so a kernel regression is attributable to the kernel, not
+//! End-to-end numbers live in the benchmark (`BENCHMARK.json`,
+//! `crates/bench/src/bin/benchmark/`) and `source_throughput`; this bench
+//! exists so a kernel regression is attributable to the kernel, not
 //! inferred from pipeline deltas.
 
 use std::time::{Duration, Instant};
 
-use kron_gen::codec::{decode_frame, encode_frame, frame_header, FRAME_HEADER_LEN};
+use kron_core::{KroneckerDesign, SelfLoop};
+use kron_gen::codec::{
+    decode_frame, decode_frame_checksummed, encode_frame, encode_frame_checksummed, frame_header,
+    FRAME_HEADER_LEN,
+};
 use kron_gen::permute::FeistelPermutation;
-use kron_gen::Fnv1a;
+use kron_gen::writer::write_tsv_edges;
+use kron_gen::{EdgeChunk, EdgeSource, Fnv1a, KroneckerSource, SourceRun};
 use kron_rmat::{RmatGenerator, RmatParams};
+use kron_sparse::SparseError;
 
 const RMAT_SCALE: u32 = 18;
 const RMAT_SEED: u64 = 20180304;
@@ -141,67 +153,167 @@ fn main() {
         rate / 1e6
     );
 
-    // FNV-1a paces every checksummed write and replay: bytes/edge is 16 for
-    // the raw binary layout, so Medges/s here is MB/s ÷ 16.
-    let payload: Vec<u8> = (0..16 * CHUNK)
-        .map(|i| (i as u8).wrapping_mul(31))
+    // The shard kernels, over what the `kron_shard_v4` / `replay_v4`
+    // workloads really push through them: the first chunks of worker 0's
+    // K70 stream, one frame per chunk.
+    let chunks = k70_chunks(16);
+    let edge_total: u64 = chunks.iter().map(|chunk| chunk.len() as u64).sum();
+    let passes = 8u64;
+    let frames: Vec<Vec<u8>> = chunks
+        .iter()
+        .map(|chunk| {
+            let mut frame = Vec::new();
+            encode_frame(chunk, &mut frame);
+            frame
+        })
         .collect();
-    let (median, rate) = median_of(
-        || {
-            let mut acc = 0u64;
-            for _ in 0..passes {
-                acc ^= Fnv1a::hash(&payload);
-            }
-            acc
-        },
-        passes * CHUNK as u64,
-    );
+    let byte_total: usize = frames.iter().map(Vec::len).sum();
     println!(
-        "  fnv_hash         median {median:>12?}  {:>9.1} Medges/s",
-        rate / 1e6
+        "  codec ratio      {:.2}x ({:.2} bytes per edge over {} K70 frames)",
+        16.0 * edge_total as f64 / byte_total as f64,
+        byte_total as f64 / edge_total as f64,
+        frames.len()
+    );
+    let row = |name: &str, (median, rate): (Duration, f64)| {
+        println!(
+            "  {name:<22} median {median:>12?}  {:>9.1} Medges/s",
+            rate / 1e6
+        );
+    };
+
+    // The serial xor→multiply chain on its own: what a second pass over
+    // the frames costs.
+    row(
+        "fnv1a",
+        median_of(
+            || {
+                let mut acc = 0u64;
+                for _ in 0..passes {
+                    for frame in &frames {
+                        acc ^= Fnv1a::hash(frame);
+                    }
+                }
+                acc
+            },
+            passes * edge_total,
+        ),
     );
 
     let mut encoded = Vec::new();
-    let (median, rate) = median_of(
-        || {
-            let mut acc = 0u64;
-            for _ in 0..passes {
-                encoded.clear();
-                encode_frame(&edges, &mut encoded);
-                acc ^= encoded.len() as u64;
-            }
-            acc
-        },
-        passes * CHUNK as u64,
+    row(
+        "codec_encode",
+        median_of(
+            || {
+                let mut acc = 0u64;
+                for _ in 0..passes {
+                    for chunk in &chunks {
+                        encoded.clear();
+                        encode_frame(chunk, &mut encoded);
+                        acc ^= encoded.len() as u64;
+                    }
+                }
+                acc
+            },
+            passes * edge_total,
+        ),
     );
-    println!(
-        "  codec_encode     median {median:>12?}  {:>9.1} Medges/s",
-        rate / 1e6
-    );
-    println!(
-        "  codec ratio      {:.2}x ({} -> {} bytes per {CHUNK}-edge frame)",
-        (16 * CHUNK) as f64 / encoded.len() as f64,
-        16 * CHUNK,
-        encoded.len()
+    // The sink's kernel: the hash rides inside the encode loop.  The claim
+    // is "≈ max(encode, fnv1a), not their sum".
+    row(
+        "codec_encode_checksum",
+        median_of(
+            || {
+                let mut hasher = Fnv1a::new();
+                for _ in 0..passes {
+                    for chunk in &chunks {
+                        encoded.clear();
+                        encode_frame_checksummed(chunk, &mut encoded, &mut hasher);
+                    }
+                }
+                hasher.finish()
+            },
+            passes * edge_total,
+        ),
     );
 
-    let header: [u8; FRAME_HEADER_LEN] = encoded[..FRAME_HEADER_LEN].try_into().expect("header");
-    let (count, _) = frame_header(&header);
+    let count_of = |frame: &[u8]| -> u32 {
+        let header: [u8; FRAME_HEADER_LEN] = frame[..FRAME_HEADER_LEN].try_into().expect("header");
+        frame_header(&header).0
+    };
     let mut decoded = Vec::new();
-    let (median, rate) = median_of(
-        || {
-            let mut acc = 0u64;
-            for _ in 0..passes {
-                decode_frame(count, &encoded[FRAME_HEADER_LEN..], &mut decoded)
-                    .expect("round trip");
-                acc ^= decoded[CHUNK / 2].0;
-            }
-            acc
-        },
-        passes * CHUNK as u64,
+    row(
+        "codec_decode",
+        median_of(
+            || {
+                let mut acc = 0u64;
+                for _ in 0..passes {
+                    for frame in &frames {
+                        let (head, body) = frame.split_at(FRAME_HEADER_LEN);
+                        decode_frame(count_of(head), body, &mut decoded).expect("round trip");
+                        acc ^= decoded[decoded.len() / 2].0;
+                    }
+                }
+                acc
+            },
+            passes * edge_total,
+        ),
     );
-    println!(
-        "  codec_decode     median {median:>12?}  {:>9.1} Medges/s",
-        rate / 1e6
+    // Replay's kernel: decode and verify in one pass.
+    row(
+        "codec_decode_verify",
+        median_of(
+            || {
+                let mut hasher = Fnv1a::new();
+                for _ in 0..passes {
+                    for frame in &frames {
+                        let (head, body) = frame.split_at(FRAME_HEADER_LEN);
+                        hasher.update(head);
+                        decode_frame_checksummed(count_of(head), body, &mut decoded, &mut hasher)
+                            .expect("round trip");
+                    }
+                }
+                hasher.finish() ^ decoded[decoded.len() / 2].0
+            },
+            passes * edge_total,
+        ),
     );
+
+    // The TSV sink's kernel: decimal formatting with the hash riding along.
+    let mut text = Vec::new();
+    row(
+        "tsv_format",
+        median_of(
+            || {
+                let mut hasher = Fnv1a::new();
+                for chunk in &chunks {
+                    text.clear();
+                    write_tsv_edges(&mut text, chunk, &mut hasher).expect("Vec write");
+                }
+                hasher.finish() ^ text.len() as u64
+            },
+            edge_total,
+        ),
+    );
+}
+
+/// The first `count` chunks of worker 0's stream of the benchmark's K70
+/// design (69 984 000 edges over 2 558 400 vertices).
+fn k70_chunks(count: usize) -> Vec<Vec<(u64, u64)>> {
+    let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9, 25, 81], SelfLoop::None)
+        .expect("valid design");
+    let (run, _warnings) = KroneckerSource::new(&design)
+        .prepare(1)
+        .expect("K70 splits on one worker");
+    let mut chunks = Vec::with_capacity(count);
+    let mut chunk = EdgeChunk::with_default_capacity();
+    // The error is the early exit: `count` chunks are all this bench wants.
+    let _ = run.stream_worker::<SparseError, _>(0, &mut chunk, |edges| {
+        chunks.push(edges.to_vec());
+        if chunks.len() == count {
+            return Err(SparseError::Io("enough chunks".into()));
+        }
+        Ok(())
+    });
+    assert_eq!(chunks.len(), count, "K70 has more than {count} chunks");
+    chunks
 }

@@ -23,8 +23,27 @@
 //! input — truncated varints, overlong encodings, trailing bytes, and
 //! frame counts that disagree with the payload all fail loudly instead of
 //! decoding garbage.
+//!
+//! # Where the checksum is computed
+//!
+//! A shard's FNV-1a checksum covers every frame byte, and FNV-1a is one
+//! serial xor→multiply chain: about four cycles a byte that occupy a
+//! single multiplier and leave the rest of the core idle.  Varint coding is
+//! the opposite — branchy, many cheap independent operations.  Run one
+//! after the other over a frame, neither can hide behind the other; run in
+//! one loop, the out-of-order core overlaps them and the checksum is
+//! nearly free.  So there is one decode loop and one encode loop, each
+//! generic over a private byte observer that is shown every byte as the
+//! loop loads or stores it: `()` for the plain [`decode_frame`] /
+//! [`encode_frame`], [`Fnv1a`] for [`decode_frame_checksummed`] /
+//! [`encode_frame_checksummed`], which replay ([`crate::replay`]) and the
+//! compressed sink ([`crate::sink::CompressedShardSink`]) call.  The
+//! observer of a decode is shown exactly the payload on every outcome,
+//! success or failure — see [`decode_frame_checksummed`].
 
 use kron_sparse::SparseError;
+
+use crate::writer::Fnv1a;
 
 /// Edges per full frame the compressed sink emits (the last frame of a
 /// shard holds the remainder).  Frames are sized so a decoder's
@@ -35,6 +54,35 @@ pub const FRAME_EDGES: usize = 1 << 16;
 
 /// Bytes of the `[edge_count: u32][byte_len: u32]` frame header.
 pub const FRAME_HEADER_LEN: usize = 8;
+
+/// What rides along the codec loops: it is shown every byte the loop
+/// consumes or produces, once, in stream order.  `()` watches nothing and
+/// compiles away (the plain [`decode_frame`] / [`encode_frame`]);
+/// [`Fnv1a`] is the shard checksum (the `*_checksummed` entry points).
+/// `Copy` so a loop can keep its observer in a register and store it back
+/// once.
+trait ByteObserver: Copy {
+    fn byte(&mut self, byte: u8);
+    fn bytes(&mut self, bytes: &[u8]);
+}
+
+impl ByteObserver for () {
+    #[inline(always)]
+    fn byte(&mut self, _byte: u8) {}
+    #[inline(always)]
+    fn bytes(&mut self, _bytes: &[u8]) {}
+}
+
+impl ByteObserver for Fnv1a {
+    #[inline(always)]
+    fn byte(&mut self, byte: u8) {
+        self.absorb(byte);
+    }
+    #[inline(always)]
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
 
 /// Map a signed delta into the unsigned varint space so small deltas of
 /// either sign stay small: `0, -1, 1, -2, 2, …` → `0, 1, 2, 3, 4, …`.
@@ -49,15 +97,44 @@ pub fn zigzag_decode(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 
+/// Bytes [`write_varint`] spends on `value`: one per started group of 7
+/// significant bits.
+#[inline]
+fn varint_len(value: u64) -> usize {
+    (70 - (value | 1).leading_zeros() as usize) / 7
+}
+
+/// Longest varint: ten 7-bit groups hold a `u64`.
+const VARINT_MAX: usize = 10;
+
 /// Append `value` as an LEB128 varint (7 bits per byte, high bit =
 /// continuation): 1 byte for values below 128, at most 10 for `u64::MAX`.
 #[inline]
-pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
+pub fn write_varint(out: &mut Vec<u8>, value: u64) {
+    let mut bytes = [0u8; VARINT_MAX];
+    let len = put_varint(&mut bytes, 0, value, &mut ());
+    out.extend_from_slice(&bytes[..len]);
+}
+
+/// The one varint writer: `value` goes to `buffer[at..]`, every byte written
+/// is shown to `observer`, and the end offset comes back.
+#[inline(always)]
+fn put_varint<O: ByteObserver>(
+    buffer: &mut [u8],
+    mut at: usize,
+    mut value: u64,
+    observer: &mut O,
+) -> usize {
     while value >= 0x80 {
-        out.push((value as u8) | 0x80);
+        let byte = (value as u8) | 0x80;
+        observer.byte(byte);
+        buffer[at] = byte;
+        at += 1;
         value >>= 7;
     }
-    out.push(value as u8);
+    observer.byte(value as u8);
+    buffer[at] = value as u8;
+    at + 1
 }
 
 /// Decode one LEB128 varint from `bytes` starting at `*pos`, advancing
@@ -65,6 +142,17 @@ pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
 /// non-canonical encodings that would overflow 64 bits.
 #[inline]
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, SparseError> {
+    take_varint(bytes, pos, &mut ())
+}
+
+/// The one varint reader: `observer` is shown exactly the bytes `*pos`
+/// advances over, also when the varint turns out malformed.
+#[inline(always)]
+fn take_varint<O: ByteObserver>(
+    bytes: &[u8],
+    pos: &mut usize,
+    observer: &mut O,
+) -> Result<u64, SparseError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
@@ -72,6 +160,7 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, SparseError> {
             line: 0,
             message: format!("varint truncated at byte offset {}", *pos),
         })?;
+        observer.byte(byte);
         *pos += 1;
         let payload = u64::from(byte & 0x7f);
         if shift == 63 && payload > 1 {
@@ -105,15 +194,66 @@ pub fn encode_frame(edges: &[(u64, u64)], out: &mut Vec<u8>) {
     out.extend_from_slice(&(edges.len() as u32).to_le_bytes());
     out.extend_from_slice(&0u32.to_le_bytes()); // byte_len, patched below
     let body = out.len();
-    let (mut prev_row, mut prev_col) = (0u64, 0u64);
-    for &(row, col) in edges {
-        write_varint(out, zigzag_encode(row.wrapping_sub(prev_row) as i64));
-        write_varint(out, zigzag_encode(col.wrapping_sub(prev_col) as i64));
-        prev_row = row;
-        prev_col = col;
-    }
+    encode_body(edges, out, &mut ());
     let byte_len = (out.len() - body) as u32;
     out[header + 4..header + 8].copy_from_slice(&byte_len.to_le_bytes());
+}
+
+/// [`encode_frame`] with the shard checksum riding along (see the module
+/// docs for why): `hasher` absorbs exactly the bytes appended to `out`, in
+/// order, inside the encode loop.
+///
+/// The header precedes the body in hash order and holds the body's length,
+/// so the body is sized first (a branch-free sum of varint lengths); that
+/// also lets `out` grow once, by exactly the frame.
+pub fn encode_frame_checksummed(edges: &[(u64, u64)], out: &mut Vec<u8>, hasher: &mut Fnv1a) {
+    debug_assert!(edges.len() <= u32::MAX as usize, "frame too large");
+    // No state carried from edge to edge but the sum, so this vectorises.
+    let delta_len = |from: (u64, u64), to: (u64, u64)| {
+        varint_len(zigzag_encode(to.0.wrapping_sub(from.0) as i64))
+            + varint_len(zigzag_encode(to.1.wrapping_sub(from.1) as i64))
+    };
+    let byte_len = edges.first().map_or(0, |&first| delta_len((0, 0), first))
+        + edges
+            .windows(2)
+            .map(|pair| delta_len(pair[0], pair[1]))
+            .sum::<usize>();
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[..4].copy_from_slice(&(edges.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&(byte_len as u32).to_le_bytes());
+    hasher.update(&header);
+    out.reserve(FRAME_HEADER_LEN + byte_len);
+    out.extend_from_slice(&header);
+    let body = out.len();
+    encode_body(edges, out, hasher);
+    debug_assert_eq!(out.len() - body, byte_len, "sized and encoded lengths");
+}
+
+/// The one encode body: append the delta/zigzag/varint coding of `edges`
+/// (no header), showing `observer` every byte appended.  Bytes are staged
+/// in a small stack tile, so the per-byte store is an array write rather
+/// than a `Vec::push` with its capacity check and length update.
+#[inline(always)]
+fn encode_body<O: ByteObserver>(edges: &[(u64, u64)], out: &mut Vec<u8>, observer: &mut O) {
+    const TILE: usize = 4096;
+    let mut tile = [0u8; TILE + 2 * VARINT_MAX];
+    let mut filled = 0usize;
+    let mut seen = *observer;
+    let (mut prev_row, mut prev_col) = (0u64, 0u64);
+    for &(row, col) in edges {
+        let row_delta = zigzag_encode(row.wrapping_sub(prev_row) as i64);
+        let col_delta = zigzag_encode(col.wrapping_sub(prev_col) as i64);
+        filled = put_varint(&mut tile, filled, row_delta, &mut seen);
+        filled = put_varint(&mut tile, filled, col_delta, &mut seen);
+        prev_row = row;
+        prev_col = col;
+        if filled >= TILE {
+            out.extend_from_slice(&tile[..filled]);
+            filled = 0;
+        }
+    }
+    out.extend_from_slice(&tile[..filled]);
+    *observer = seen;
 }
 
 /// Decode one frame body of exactly `count` edges from `payload` into
@@ -125,6 +265,36 @@ pub fn decode_frame(
     payload: &[u8],
     out: &mut Vec<(u64, u64)>,
 ) -> Result<(), SparseError> {
+    decode_body(count, payload, out, &mut ())
+}
+
+/// [`decode_frame`] with the shard checksum riding along (see the module
+/// docs for why): the hash of each byte is taken as the decoder loads it,
+/// so verification costs no second pass.
+///
+/// **Contract:** `hasher` absorbs exactly `payload` — all of it, once, in
+/// order — on *every* outcome.  When decoding fails at some byte, the
+/// undecoded remainder is absorbed before the error returns; a caller
+/// deciding between the decode error and a checksum mismatch (replay
+/// prefers the mismatch) reads the same finished hash either way.
+pub fn decode_frame_checksummed(
+    count: u32,
+    payload: &[u8],
+    out: &mut Vec<(u64, u64)>,
+    hasher: &mut Fnv1a,
+) -> Result<(), SparseError> {
+    decode_body(count, payload, out, hasher)
+}
+
+/// The one decode body.  `observer` is shown exactly `payload` on every
+/// outcome (see [`decode_frame_checksummed`]).
+#[inline(always)]
+fn decode_body<O: ByteObserver>(
+    count: u32,
+    payload: &[u8],
+    out: &mut Vec<(u64, u64)>,
+    observer: &mut O,
+) -> Result<(), SparseError> {
     out.clear();
     // Every edge costs at least two bytes (two one-byte varints), so a
     // count the payload cannot possibly hold is rejected before any
@@ -133,6 +303,7 @@ pub fn decode_frame(
         .checked_mul(2)
         .is_none_or(|min| min > payload.len())
     {
+        observer.bytes(payload);
         return Err(SparseError::Parse {
             line: 0,
             message: format!(
@@ -141,18 +312,25 @@ pub fn decode_frame(
             ),
         });
     }
-    out.reserve(count as usize);
+    out.reserve_exact(count as usize);
+    let mut seen = *observer;
     let mut pos = 0usize;
-    let (mut prev_row, mut prev_col) = (0u64, 0u64);
-    for _ in 0..count {
-        let row = prev_row.wrapping_add(zigzag_decode(read_varint(payload, &mut pos)?) as u64);
-        let col = prev_col.wrapping_add(zigzag_decode(read_varint(payload, &mut pos)?) as u64);
-        out.push((row, col));
-        prev_row = row;
-        prev_col = col;
-    }
-    if pos != payload.len() {
-        return Err(SparseError::Parse {
+    let mut edges = || -> Result<(), SparseError> {
+        let (mut prev_row, mut prev_col) = (0u64, 0u64);
+        for _ in 0..count {
+            let row = take_varint(payload, &mut pos, &mut seen)?;
+            let row = prev_row.wrapping_add(zigzag_decode(row) as u64);
+            let col = take_varint(payload, &mut pos, &mut seen)?;
+            let col = prev_col.wrapping_add(zigzag_decode(col) as u64);
+            out.push((row, col));
+            prev_row = row;
+            prev_col = col;
+        }
+        Ok(())
+    };
+    let mut result = edges();
+    if result.is_ok() && pos != payload.len() {
+        result = Err(SparseError::Parse {
             line: 0,
             message: format!(
                 "compressed frame has {} trailing byte(s) after {count} edges",
@@ -160,7 +338,10 @@ pub fn decode_frame(
             ),
         });
     }
-    Ok(())
+    // `pos` never passes the end, and everything before it has been seen.
+    seen.bytes(&payload[pos..]);
+    *observer = seen;
+    result
 }
 
 /// Decode the `[edge_count][byte_len]` frame header from an exactly-8-byte
@@ -186,7 +367,65 @@ mod tests {
         z ^ (z >> 31)
     }
 
+    /// A hasher that has already absorbed something, so "the hash rode
+    /// along" is told apart from "the hash was restarted".
+    fn primed() -> Fnv1a {
+        let mut hasher = Fnv1a::new();
+        hasher.update(b"bytes hashed before the frame");
+        hasher
+    }
+
+    /// The fused encoder appends the plain encoder's bytes and leaves the
+    /// hasher where a second pass over those bytes would.
+    fn assert_fused_encode_is_encode_then_hash(edges: &[(u64, u64)]) {
+        let mut plain = b"prefix".to_vec();
+        encode_frame(edges, &mut plain);
+        let mut fused = b"prefix".to_vec();
+        let mut riding = primed();
+        encode_frame_checksummed(edges, &mut fused, &mut riding);
+        assert_eq!(fused, plain);
+        let mut second_pass = primed();
+        second_pass.update(&plain[b"prefix".len()..]);
+        assert_eq!(riding, second_pass);
+    }
+
+    /// Every property a decode must have, on any `(count, payload)`: a typed
+    /// error or exactly `count` edges (never a panic), no allocation sized
+    /// beyond what the payload could hold, the hasher left having absorbed
+    /// exactly `payload`, and the fused decoder agreeing with the plain one
+    /// followed by a second hashing pass.
+    fn assert_decode_contract(count: u32, payload: &[u8]) {
+        let mut plain_out = Vec::new();
+        let plain = decode_frame(count, payload, &mut plain_out);
+        let mut fused_out = Vec::new();
+        let mut riding = primed();
+        let fused = decode_frame_checksummed(count, payload, &mut fused_out, &mut riding);
+        let mut second_pass = primed();
+        second_pass.update(payload);
+        assert_eq!(
+            riding, second_pass,
+            "the hasher must absorb exactly the payload"
+        );
+        match (&plain, &fused) {
+            (Ok(()), Ok(())) => {
+                assert_eq!(fused_out, plain_out);
+                assert_eq!(fused_out.len(), count as usize);
+            }
+            (Err(plain), Err(fused)) => assert_eq!(plain.to_string(), fused.to_string()),
+            _ => panic!("plain {plain:?} but fused {fused:?}"),
+        }
+        for out in [&plain_out, &fused_out] {
+            assert!(
+                out.capacity() <= payload.len() / 2,
+                "capacity {} sized beyond a {}-byte payload",
+                out.capacity(),
+                payload.len()
+            );
+        }
+    }
+
     fn round_trip(edges: &[(u64, u64)]) {
+        assert_fused_encode_is_encode_then_hash(edges);
         let mut bytes = Vec::new();
         encode_frame(edges, &mut bytes);
         let header: [u8; FRAME_HEADER_LEN] = bytes[..FRAME_HEADER_LEN].try_into().unwrap();
@@ -196,6 +435,24 @@ mod tests {
         let mut decoded = Vec::new();
         decode_frame(count, &bytes[FRAME_HEADER_LEN..], &mut decoded).unwrap();
         assert_eq!(decoded, edges);
+        assert_decode_contract(count, &bytes[FRAME_HEADER_LEN..]);
+    }
+
+    /// `len` edges drawn from one of the four magnitude regimes per edge,
+    /// so consecutive deltas exercise every varint width and wrap.
+    fn regime_edges(case: u64, len: usize) -> Vec<(u64, u64)> {
+        (0..len)
+            .map(|i| {
+                let r = splitmix(case ^ (i as u64).wrapping_mul(0x9E37));
+                let mask = match r % 4 {
+                    0 => 0xFF,
+                    1 => 0xFFFF,
+                    2 => 0xFFFF_FFFF,
+                    _ => u64::MAX,
+                };
+                (splitmix(r) & mask, splitmix(r ^ 1) & mask)
+            })
+            .collect()
     }
 
     #[test]
@@ -275,21 +532,12 @@ mod tests {
         // different magnitude regimes, including cross-regime jumps that
         // exercise every delta width.
         for case in 0..64u64 {
-            let len = (splitmix(case) % 200) as usize;
-            let edges: Vec<(u64, u64)> = (0..len)
-                .map(|i| {
-                    let r = splitmix(case ^ (i as u64).wrapping_mul(0x9E37));
-                    let mask = match r % 4 {
-                        0 => 0xFF,
-                        1 => 0xFFFF,
-                        2 => 0xFFFF_FFFF,
-                        _ => u64::MAX,
-                    };
-                    (splitmix(r) & mask, splitmix(r ^ 1) & mask)
-                })
-                .collect();
-            round_trip(&edges);
+            round_trip(&regime_edges(case, (splitmix(case) % 200) as usize));
         }
+        // Long enough that the encoder's staging tile fills and flushes
+        // several times, at one byte and at ten bytes a varint.
+        round_trip(&regime_edges(64, 3_000));
+        round_trip(&(0..9_000u64).map(|i| (i / 7, i % 5)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -307,6 +555,30 @@ mod tests {
         // any allocation is sized from it.
         let error = decode_frame(u32::MAX, payload, &mut out).unwrap_err();
         assert!(error.to_string().contains("declares"), "{error}");
+        for count in [0, 1, 2, 3, u32::MAX] {
+            assert_decode_contract(count, payload);
+        }
+    }
+
+    #[test]
+    fn a_failed_decode_still_hashes_the_whole_payload() {
+        // One failure of each kind, each with bytes left after the point of
+        // failure: those must reach the hasher too.
+        let overlong = [[0x80u8; 10].as_slice(), &[0x01, 7, 7, 7]].concat();
+        let overweight = [[0xFFu8; 9].as_slice(), &[0x02, 7, 7, 7]].concat();
+        let truncated = [0x05u8, 0x80];
+        let trailing = [0x05u8, 0x05, 7, 7, 7];
+        for (count, payload) in [
+            (1, overlong.as_slice()),
+            (1, &overweight),
+            (1, &truncated),
+            (1, &trailing),
+            (9, &trailing),
+        ] {
+            let mut out = Vec::new();
+            assert!(decode_frame(count, payload, &mut out).is_err());
+            assert_decode_contract(count, payload);
+        }
     }
 
     #[test]
@@ -324,5 +596,69 @@ mod tests {
             "compressed {} bytes vs fixed {fixed}",
             bytes.len()
         );
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Any count: mostly plausible ones, sometimes the whole `u32`.
+        fn counts() -> impl Strategy<Value = u32> {
+            prop_oneof![0u32..300, any::<u32>()]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn arbitrary_bytes_never_panic_and_always_hash_whole(
+                payload in proptest::collection::vec(any::<u8>(), 0..300),
+                // Mostly small bytes, so varints terminate and whole frames
+                // decode; `payload` alone almost never does.
+                small in proptest::collection::vec(0u8..0x90, 0..300),
+                count in counts(),
+            ) {
+                assert_decode_contract(count, &payload);
+                assert_decode_contract(count, &small);
+                assert_decode_contract((small.len() / 2) as u32, &small);
+            }
+
+            #[test]
+            fn damaged_valid_frames_never_panic_and_always_hash_whole(
+                case in any::<u64>(),
+                len in 0usize..200,
+                at in any::<usize>(),
+                // The byte xor-ed in is `mask + 1`: never a no-op.
+                mask in 0u8..255,
+                extra in proptest::collection::vec(any::<u8>(), 1..12),
+                wrong_count in counts(),
+            ) {
+                let edges = regime_edges(case, len);
+                let mut frame = Vec::new();
+                encode_frame(&edges, &mut frame);
+                let body = &frame[FRAME_HEADER_LEN..];
+                let count = edges.len() as u32;
+                assert_decode_contract(count, body);
+                assert_decode_contract(wrong_count, body);
+                if !body.is_empty() {
+                    let at = at % body.len();
+                    let mut flipped = body.to_vec();
+                    flipped[at] ^= mask + 1;
+                    assert_decode_contract(count, &flipped);
+                    assert_decode_contract(wrong_count, &flipped);
+                    assert_decode_contract(count, &body[..at]);
+                }
+                let extended = [body, extra.as_slice()].concat();
+                assert_decode_contract(count, &extended);
+                assert_decode_contract(count.wrapping_add(1), &extended);
+            }
+
+            #[test]
+            fn fused_encode_is_encode_then_hash(case in any::<u64>(), len in 0usize..600) {
+                // Fused encode against plain encode, then the frame decoded
+                // back with the hash riding along.
+                round_trip(&regime_edges(case, len));
+            }
+        }
     }
 }

@@ -25,12 +25,22 @@
 //! ```
 //!
 //! Shards stream through the same bounded-memory chunk machinery as
-//! generation: TSV shards line by line, interleaved (v2) binary shards in
-//! fixed 64 KiB slabs, and split-array (v1) binary shards through two
-//! cursors walking the row and column segments in lockstep.  Every I/O or
-//! parse failure names the shard it occurred in
-//! ([`SparseError::WithPath`]), so one corrupt file in a thousand-shard set
-//! is identifiable from the error alone.
+//! generation: TSV shards line by line, compressed (v4) shards frame by
+//! frame, interleaved (v2/v3) binary shards in fixed 64 KiB slabs, and
+//! split-array (v1) binary shards through two cursors walking the row and
+//! column segments in lockstep.  Every I/O or parse failure names the shard
+//! it occurred in ([`SparseError::WithPath`]), so one corrupt file in a
+//! thousand-shard set is identifiable from the error alone.
+//!
+//! A v4 shard's bytes are touched once: its checksum is taken inside the
+//! frame decoder's loop ([`codec::decode_frame_checksummed`] — FNV-1a's
+//! serial multiply chain hides behind the varint decoding instead of
+//! costing a second pass), the decoder's observer absorbing exactly each
+//! frame's payload whether the frame decodes or not, so the choice between
+//! reporting a decode error and a checksum mismatch reads one finished
+//! hash.  Decoded frames are bounds-scanned and handed on whole rather
+//! than edge by edge.  [`Pipeline::resume`](crate::pipeline::Pipeline::resume)
+//! re-verifies the shards it keeps through the same function.
 
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -328,6 +338,65 @@ where
     Ok(())
 }
 
+/// Move one decoded frame into the stream: a single bounds scan over the
+/// whole frame, then whole chunks handed to `sink` — straight from `frame`
+/// while the chunk is empty, through a bulk copy when it holds a leftover.
+/// The sink sees what per-edge [`push_edge`] calls would show it: slices of
+/// exactly the chunk's capacity, the tail left buffered in the chunk.  An
+/// out-of-range edge still lets the edges before it through.
+fn push_frame<E, F>(
+    path: &Path,
+    vertices: u64,
+    chunk: &mut EdgeChunk,
+    sink: &mut F,
+    frame: &[(u64, u64)],
+) -> Result<(), E>
+where
+    E: From<SparseError>,
+    F: FnMut(&[(u64, u64)]) -> Result<(), E>,
+{
+    // Branch-free, so the scan vectorises; the position of an offender
+    // matters only on the failure path.
+    let largest = frame
+        .iter()
+        .fold(0u64, |largest, &(row, col)| largest.max(row).max(col));
+    let valid = if largest < vertices {
+        frame.len()
+    } else {
+        frame
+            .iter()
+            .position(|&(row, col)| row >= vertices || col >= vertices)
+            .unwrap_or(frame.len())
+    };
+    let mut rest = &frame[..valid];
+    while !rest.is_empty() {
+        if chunk.is_empty() && rest.len() >= chunk.capacity() {
+            let (whole, after) = rest.split_at(chunk.capacity());
+            sink(whole)?;
+            rest = after;
+        } else {
+            let (run, after) = rest.split_at(chunk.remaining().min(rest.len()));
+            chunk.fill_spare(run.len(), |spare| spare.copy_from_slice(run));
+            rest = after;
+            if chunk.is_full() {
+                chunk.try_flush(sink)?;
+            }
+        }
+    }
+    match frame.get(valid) {
+        Some(&(row, col)) => Err(shard_error(
+            path,
+            SparseError::IndexOutOfBounds {
+                row,
+                col,
+                nrows: vertices,
+                ncols: vertices,
+            },
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Stream one TSV shard (`row<TAB>col[<TAB>value]` lines, `#` comments)
 /// through the chunk without materialising it.
 ///
@@ -458,17 +527,18 @@ where
             .payload_len
             // lint:allow(no-expect) -- read_block_header always sets payload_len for v4
             .expect("v4 header carries a payload length");
-        while remaining > 0 {
-            let mut frame_head = [0u8; codec::FRAME_HEADER_LEN];
+        let parse_error = |message: String| SparseError::Parse { line: 0, message };
+        let streamed: Result<(), E> = loop {
+            if remaining == 0 {
+                break Ok(());
+            }
             if remaining < codec::FRAME_HEADER_LEN as u64 {
-                return Err(shard_error(
+                break Err(shard_error(
                     path,
-                    SparseError::Parse {
-                        line: 0,
-                        message: "compressed shard payload ends mid frame header".into(),
-                    },
+                    parse_error("compressed shard payload ends mid frame header".into()),
                 ));
             }
+            let mut frame_head = [0u8; codec::FRAME_HEADER_LEN];
             reader
                 .read_exact(&mut frame_head)
                 .map_err(|e| shard_error(path, e.into()))?;
@@ -476,63 +546,58 @@ where
             remaining -= codec::FRAME_HEADER_LEN as u64;
             let (count, byte_len) = codec::frame_header(&frame_head);
             if u64::from(byte_len) > remaining {
-                return Err(shard_error(
+                break Err(shard_error(
                     path,
-                    SparseError::Parse {
-                        line: 0,
-                        message: format!(
-                            "compressed shard frame declares {byte_len} bytes but only {remaining} remain"
-                        ),
-                    },
+                    parse_error(format!(
+                        "compressed shard frame declares {byte_len} bytes but only {remaining} remain"
+                    )),
                 ));
             }
             body.resize(byte_len as usize, 0);
             reader
                 .read_exact(&mut body)
                 .map_err(|e| shard_error(path, e.into()))?;
-            hasher.update(&body);
             remaining -= u64::from(byte_len);
-            let mut failure: Option<E> = None;
-            match codec::decode_frame(count, &body, &mut frame) {
-                Err(e) => failure = Some(E::from(shard_error(path, e))),
-                Ok(()) => {
+            // One pass over the body: the hash absorbs each byte as the
+            // decoder loads it — all of `body`, also when decoding fails.
+            let delivered = codec::decode_frame_checksummed(count, &body, &mut frame, &mut hasher)
+                .map_err(|e| shard_error(path, e))
+                .and_then(|()| {
                     decoded += u64::from(count);
-                    for &(row, col) in &frame {
-                        if let Err(e) = push_edge(path, vertices, chunk, sink, row, col) {
-                            failure = Some(e);
-                            break;
-                        }
+                    push_frame(path, vertices, chunk, sink, &frame)
+                });
+            if delivered.is_err() {
+                break delivered;
+            }
+        };
+        if let Err(err) = streamed {
+            // A corrupt byte surfaces as garbage — a frame header that
+            // does not fit, an undecodable frame, a wildly out-of-range
+            // edge — long before the end-of-payload checksum would run.
+            // Prefer reporting the cause over the symptom: hash the unread
+            // remainder and, if the stored checksum disagrees, the shard is
+            // corrupt.  When the checksum *does* match (a genuine
+            // downstream failure over an intact shard), the original error
+            // stands.
+            if let Some(expected) = header.checksum {
+                let mut drain = vec![0u8; 1 << 16];
+                while remaining > 0 {
+                    let take = remaining.min(drain.len() as u64) as usize;
+                    if reader.read_exact(&mut drain[..take]).is_err() {
+                        break;
                     }
+                    hasher.update(&drain[..take]);
+                    remaining -= take as u64;
+                }
+                let actual = hasher.finish();
+                if remaining == 0 && actual != expected {
+                    return Err(shard_error(
+                        path,
+                        SparseError::ChecksumMismatch { expected, actual },
+                    ));
                 }
             }
-            if let Some(err) = failure {
-                // A corrupt varint decodes to garbage — an undecodable
-                // frame or a wildly out-of-range edge — long before the
-                // end-of-payload checksum would run.  Prefer reporting the
-                // cause over the symptom: hash the unread remainder and, if
-                // the stored checksum disagrees, the shard is corrupt.
-                // When the checksum *does* match (a genuine downstream
-                // failure over an intact shard), the original error stands.
-                if let Some(expected) = header.checksum {
-                    let mut drain = vec![0u8; 1 << 16];
-                    while remaining > 0 {
-                        let take = remaining.min(drain.len() as u64) as usize;
-                        if reader.read_exact(&mut drain[..take]).is_err() {
-                            break;
-                        }
-                        hasher.update(&drain[..take]);
-                        remaining -= take as u64;
-                    }
-                    let actual = hasher.finish();
-                    if remaining == 0 && actual != expected {
-                        return Err(E::from(shard_error(
-                            path,
-                            SparseError::ChecksumMismatch { expected, actual },
-                        )));
-                    }
-                }
-                return Err(err);
-            }
+            return Err(err);
         }
         if let Some(expected) = header.checksum {
             let actual = hasher.finish();
@@ -688,6 +753,121 @@ mod tests {
             }
             replayed.sort_unstable();
             assert_eq!(replayed, expected, "{format:?} replay changed the edges");
+        }
+    }
+
+    /// Write `edges` as one v4 shard under `dir`.
+    fn v4_shard(dir: &Path, index: usize, vertices: u64, edges: &[(u64, u64)]) -> PathBuf {
+        use crate::sink::{CompressedShardSink, EdgeSink};
+        let path = dir.join(format!("block_{index:05}.kbkz"));
+        let mut sink = CompressedShardSink::create(&path, vertices, vertices).unwrap();
+        sink.consume(edges).unwrap();
+        sink.finish().unwrap()
+    }
+
+    #[test]
+    fn the_sink_sees_whole_chunks_whatever_the_frames_look_like() {
+        // Shards of two full frames and a bit, one frame and a bit, exactly
+        // one frame, and a sliver: at every capacity below, frame ends
+        // straddle chunk ends somewhere.
+        let vertices = 1u64 << 20;
+        let lengths = [2 * codec::FRAME_EDGES + 17, 70_001, codec::FRAME_EDGES, 5];
+        let dir = TestDir::new("chunk_shape");
+        let mut next = 0u64;
+        let shards: Vec<Vec<(u64, u64)>> = lengths
+            .iter()
+            .map(|&len| {
+                (0..len)
+                    .map(|_| {
+                        next += 1;
+                        (next % vertices, next.wrapping_mul(0x9E37_79B9) % vertices)
+                    })
+                    .collect()
+            })
+            .collect();
+        let files: Vec<PathBuf> = shards
+            .iter()
+            .enumerate()
+            .map(|(index, edges)| v4_shard(&dir, index, vertices, edges))
+            .collect();
+        let source = ReplaySource::from_file_set(&BlockFileSet {
+            directory: dir.to_path_buf(),
+            files,
+            vertices,
+            format: BlockFormat::Compressed,
+        });
+        let leftover = (7u64, 9u64);
+        for shards_per_worker in [1usize, 2, 4] {
+            let workers = lengths.len() / shards_per_worker;
+            let (run, _) = source.prepare(workers).unwrap();
+            for capacity in [1usize, 3, 4096, 65_536, 100_000] {
+                for worker in 0..workers {
+                    // A leftover edge in the chunk on entry goes out first,
+                    // on its own.
+                    let mut chunk = EdgeChunk::new(capacity);
+                    chunk.push(leftover.0, leftover.1);
+                    let mut slices: Vec<usize> = Vec::new();
+                    let mut seen: Vec<(u64, u64)> = Vec::new();
+                    let delivered = run
+                        .stream_worker::<SparseError, _>(worker, &mut chunk, |edges| {
+                            slices.push(edges.len());
+                            seen.extend_from_slice(edges);
+                            Ok(())
+                        })
+                        .unwrap();
+                    assert!(chunk.is_empty(), "a shard's tail must be flushed");
+
+                    let mine = &shards[worker * shards_per_worker..][..shards_per_worker];
+                    let mut expected_edges = vec![leftover];
+                    let mut expected_slices = vec![1];
+                    for shard in mine {
+                        expected_edges.extend_from_slice(shard);
+                        expected_slices
+                            .extend(std::iter::repeat_n(capacity, shard.len() / capacity));
+                        if shard.len() % capacity != 0 {
+                            expected_slices.push(shard.len() % capacity);
+                        }
+                    }
+                    let context = format!("capacity {capacity}, worker {worker} of {workers}");
+                    assert_eq!(delivered as usize, expected_edges.len() - 1, "{context}");
+                    assert_eq!(slices, expected_slices, "{context}");
+                    assert!(seen == expected_edges, "{context}: edges differ");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resume_reverifies_multi_frame_shards_to_the_uninterrupted_report() {
+        // 276 480 edges on two workers: three frames a shard.  Resume keeps
+        // worker 0's shard (streaming it back through this module's v4
+        // branch) and regenerates worker 1's.
+        let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9, 16], SelfLoop::None).unwrap();
+        let pipeline = || Pipeline::for_design(&design).workers(2);
+        let whole_dir = TestDir::new("resume_shape_whole");
+        let whole = pipeline().write_compressed(&whole_dir).unwrap();
+        assert!(whole.edge_count() / 2 > 2 * codec::FRAME_EDGES as u64);
+        for capacity in [1usize, 3, 4096, 65_536, 100_000] {
+            let dir = TestDir::new("resume_shape");
+            let first = pipeline().write_compressed(&dir).unwrap();
+            std::fs::remove_file(&first.outputs[1]).unwrap();
+            let resumed = pipeline().chunk_capacity(capacity).resume(&dir).unwrap();
+            assert!(
+                resumed
+                    .stats
+                    .warnings
+                    .iter()
+                    .any(|note| note.contains("1 shard(s) verified")),
+                "one shard must take the skip path: {:?}",
+                resumed.stats.warnings
+            );
+            assert_eq!(resumed.metrics, whole.metrics, "capacity {capacity}");
+            for (resumed, whole) in resumed.outputs.iter().zip(&whole.outputs) {
+                assert_eq!(
+                    std::fs::read(resumed).unwrap(),
+                    std::fs::read(whole).unwrap()
+                );
+            }
         }
     }
 

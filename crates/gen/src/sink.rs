@@ -31,6 +31,14 @@
 //! * [`PermuteSink`] — relabel both endpoints through a seeded
 //!   [`FeistelPermutation`] before an inner sink sees them: Graph500-style
 //!   vertex scrambling in O(1) memory.
+//!
+//! Every shard sink keeps a running FNV-1a checksum of the bytes it writes.
+//! FNV-1a is a serial multiply chain that leaves the core mostly idle, so
+//! the TSV and compressed sinks do not hash their output in a second pass:
+//! the hash is taken inside the loop that produces the bytes
+//! ([`write_tsv_edges`], [`encode_frame_checksummed`]), where it hides
+//! behind the formatting and varint work.  The bytes and checksums are
+//! what a separate pass would give — a golden test below pins them.
 
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -38,7 +46,7 @@ use std::path::{Path, PathBuf};
 use kron_sparse::reduce::DegreeAccumulator;
 use kron_sparse::{CooMatrix, SparseError};
 
-use crate::codec::{encode_frame, FRAME_EDGES};
+use crate::codec::{encode_frame_checksummed, FRAME_EDGES};
 use crate::permute::FeistelPermutation;
 use crate::writer::{
     write_tsv_edges, Fnv1a, BLOCK_HEADER_LEN, BLOCK_MAGIC, BLOCK_VERSION_CHECKSUM,
@@ -210,7 +218,6 @@ pub struct TsvShardSink {
     path: PathBuf,
     tmp: PathBuf,
     hasher: Fnv1a,
-    scratch: Vec<u8>,
     finished: bool,
 }
 
@@ -225,7 +232,6 @@ impl TsvShardSink {
             path: path.to_path_buf(),
             tmp,
             hasher: Fnv1a::new(),
-            scratch: Vec::new(),
             finished: false,
         })
     }
@@ -235,16 +241,14 @@ impl EdgeSink for TsvShardSink {
     type Output = PathBuf;
 
     fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError> {
-        // Format into a reusable buffer first so the checksum sees exactly
-        // the bytes that reach the file.
-        self.scratch.clear();
-        write_tsv_edges(&mut self.scratch, edges)?;
-        self.hasher.update(&self.scratch);
-        self.writer
+        let writer = self
+            .writer
             .as_mut()
             // lint:allow(no-expect) -- the writer is Some until finish(); use-after-finish is a caller contract violation documented on the type
-            .expect("sink used after finish")
-            .write_all(&self.scratch)?;
+            .expect("sink used after finish");
+        // The formatter hashes each line as it produces it, so the checksum
+        // sees exactly the bytes that reach the file.
+        write_tsv_edges(writer, edges, &mut self.hasher)?;
         Ok(())
     }
 
@@ -416,6 +420,8 @@ impl Drop for BinaryShardSink {
 /// final short frame), so the bytes on disk depend only on the edge
 /// stream — never on the chunk size the pipeline happened to use.  That
 /// invariant is what lets a resumed run reproduce a shard bit-identically.
+/// Each frame is encoded and checksummed in one pass
+/// ([`encode_frame_checksummed`]).
 ///
 /// Like the other shard sinks, bytes stage at `<path>.tmp` and `finish()`
 /// fsyncs and atomically renames, so the final name only ever holds a
@@ -460,14 +466,13 @@ impl CompressedShardSink {
         })
     }
 
-    /// Encode and write the pending edges as one frame.
+    /// Encode, checksum and write the pending edges as one frame.
     fn flush_frame(&mut self) -> Result<(), SparseError> {
         if self.pending.is_empty() {
             return Ok(());
         }
         self.scratch.clear();
-        encode_frame(&self.pending, &mut self.scratch);
-        self.hasher.update(&self.scratch);
+        encode_frame_checksummed(&self.pending, &mut self.scratch, &mut self.hasher);
         self.writer
             .as_mut()
             // lint:allow(no-expect) -- the writer is Some until finish(); use-after-finish is a caller contract violation documented on the type
@@ -1101,6 +1106,46 @@ mod tests {
         assert!(!kbkz.exists());
         assert!(tmp_shard_path(&kbkz).exists());
     }
+
+    #[test]
+    fn shard_bytes_and_checksums_are_pinned_to_golden_values() {
+        // The formats are frozen: whatever the encoders and formatters do
+        // inside, the bytes on disk — and so the header and manifest
+        // checksums — of this design must never change.  (Golden values
+        // taken from the writers before the checksum moved into their
+        // loops.)
+        use crate::pipeline::Pipeline;
+        use kron_core::{KroneckerDesign, SelfLoop};
+        let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre).unwrap();
+        let pipeline = || {
+            Pipeline::for_design(&design)
+                .workers(2)
+                .chunk_capacity(1000)
+        };
+
+        let dir = TestDir::new("golden_v4");
+        let report = pipeline().write_compressed(&dir).unwrap();
+        let recorded: Vec<u64> = report.manifest.shards.iter().map(|s| s.checksum).collect();
+        assert_eq!(recorded, GOLDEN_V4_CHECKSUMS);
+        let files: Vec<u64> = report
+            .outputs
+            .iter()
+            .map(|path| Fnv1a::hash(&std::fs::read(path).unwrap()))
+            .collect();
+        assert_eq!(files, GOLDEN_V4_FILE_HASHES);
+
+        let dir = TestDir::new("golden_tsv");
+        let report = pipeline().write_tsv(&dir).unwrap();
+        let recorded: Vec<u64> = report.manifest.shards.iter().map(|s| s.checksum).collect();
+        assert_eq!(recorded, GOLDEN_TSV_CHECKSUMS);
+        for (path, golden) in report.outputs.iter().zip(GOLDEN_TSV_CHECKSUMS) {
+            assert_eq!(Fnv1a::hash(&std::fs::read(path).unwrap()), golden);
+        }
+    }
+
+    const GOLDEN_V4_CHECKSUMS: [u64; 2] = [0x2a9f_f983_3305_fe41, 0xc9c7_5fa8_1cea_0b01];
+    const GOLDEN_V4_FILE_HASHES: [u64; 2] = [0x436a_7222_5d36_dceb, 0x3447_2188_c04c_0164];
+    const GOLDEN_TSV_CHECKSUMS: [u64; 2] = [0xc506_9e0e_ca8e_7d07, 0x2c8e_6e48_2dd8_187f];
 
     /// A sink that fails on the `n`-th consume, for exercising the
     /// double-buffered writer thread's error path.

@@ -1,13 +1,15 @@
 //! Test support shared by this crate's unit tests and the workspace's
 //! integration tests: a scratch directory that cannot collide with another
-//! test's, and a byte-level builder for the binary block layouts no writer
-//! in this crate produces any more.
+//! test's, and byte-level builders for block files no writer in this crate
+//! produces — the pre-checksum layouts, and compressed blocks with frames
+//! cut where the test wants them.
 
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::writer::{BLOCK_MAGIC, BLOCK_VERSION};
+use crate::codec::encode_frame;
+use crate::writer::{Fnv1a, BLOCK_MAGIC, BLOCK_VERSION, BLOCK_VERSION_COMPRESSED};
 
 /// A fresh, empty scratch directory that is unique per call — process id
 /// plus a process-wide counter, so neither parallel test threads nor
@@ -67,5 +69,30 @@ pub fn legacy_block_bytes(version: u32, nrows: u64, ncols: u64, edges: &[(u64, u
     let mut bytes = BLOCK_MAGIC.to_vec();
     bytes.extend_from_slice(&version.to_le_bytes());
     bytes.extend(words.iter().flat_map(|word| word.to_le_bytes()));
+    bytes
+}
+
+/// The bytes of a compressed ([`BLOCK_VERSION_COMPRESSED`]) block file with
+/// one frame per element of `frames`.  The compressed sink cuts frames at
+/// [`FRAME_EDGES`](crate::codec::FRAME_EDGES) only, so a multi-frame shard
+/// small enough to corrupt byte by byte needs a writer that cuts where it
+/// is told; readers accept frames of any size.
+pub fn compressed_block_bytes(nrows: u64, ncols: u64, frames: &[&[(u64, u64)]]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for frame in frames {
+        encode_frame(frame, &mut payload);
+    }
+    let edges: usize = frames.iter().map(|frame| frame.len()).sum();
+    let words = [
+        nrows,
+        ncols,
+        edges as u64,
+        payload.len() as u64,
+        Fnv1a::hash(&payload),
+    ];
+    let mut bytes = BLOCK_MAGIC.to_vec();
+    bytes.extend_from_slice(&BLOCK_VERSION_COMPRESSED.to_le_bytes());
+    bytes.extend(words.iter().flat_map(|word| word.to_le_bytes()));
+    bytes.extend_from_slice(&payload);
     bytes
 }

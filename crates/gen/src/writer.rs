@@ -85,12 +85,19 @@ impl Fnv1a {
 
     /// Absorb a byte slice.
     pub fn update(&mut self, bytes: &[u8]) {
-        let mut hash = self.0;
+        let mut hash = *self;
         for &byte in bytes {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(Self::PRIME);
+            hash.absorb(byte);
         }
-        self.0 = hash;
+        *self = hash;
+    }
+
+    /// Absorb one byte — the step the codec and TSV loops run on each byte
+    /// as they produce or consume it, so the serial xor→multiply chain
+    /// hides behind their work instead of costing a second pass.
+    #[inline(always)]
+    pub(crate) fn absorb(&mut self, byte: u8) {
+        self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(Self::PRIME);
     }
 
     /// The hash of everything absorbed so far (non-consuming — more bytes
@@ -175,18 +182,84 @@ pub(crate) fn prepare_directory(
         .collect())
 }
 
+/// The two ASCII digits of every value below 100, so the decimal writer
+/// spends one division per two digits.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Most decimal digits of a `u64`.
+const DIGITS_MAX: usize = 20;
+
+/// Longest TSV line: two endpoints, two tabs, the `1`, the newline.
+const TSV_LINE_MAX: usize = 2 * DIGITS_MAX + 4;
+
+/// Bytes formatted between writes.  The tile lives on the stack and stays
+/// in L1; a chunk-sized scratch (worst case 44 bytes an edge) would show in
+/// the run's peak RSS.
+const TSV_TILE: usize = 4096;
+
+/// Write `value` in decimal at `tile[at..]`, returning the end offset.
+#[inline(always)]
+fn put_decimal(tile: &mut [u8], at: usize, mut value: u64) -> usize {
+    // Digits come out least significant first: fill a field from its right
+    // edge, then move the used part down to `at`.
+    let mut field = [0u8; DIGITS_MAX];
+    let mut left = DIGITS_MAX;
+    while value >= 100 {
+        let pair = 2 * (value % 100) as usize;
+        value /= 100;
+        left -= 2;
+        field[left..left + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if value >= 10 {
+        let pair = 2 * value as usize;
+        left -= 2;
+        field[left..left + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        left -= 1;
+        field[left] = b'0' + value as u8;
+    }
+    let end = at + DIGITS_MAX - left;
+    tile[at..end].copy_from_slice(&field[left..]);
+    end
+}
+
 /// Write one chunk of pattern edges in the TSV triple format
 /// (`row<TAB>col<TAB>1`) — the single definition of the line layout shared
 /// by every TSV emitter (and matched by the reader behind
-/// [`BlockFileSet::read_assembled`]).
-pub(crate) fn write_tsv_edges(
+/// [`BlockFileSet::read_assembled`]) — with the shard checksum riding
+/// along: `hasher` absorbs exactly the bytes written, in order.
+///
+/// Lines are formatted two digits per division into a small stack tile,
+/// and each line is hashed as soon as it is formatted, so the serial FNV-1a
+/// chain of one line overlaps the divisions of the next instead of costing
+/// a second pass over the text.
+pub fn write_tsv_edges(
     writer: &mut impl Write,
     edges: &[(u64, u64)],
+    hasher: &mut Fnv1a,
 ) -> Result<(), std::io::Error> {
+    // One longest line of slack, so a line is never split.
+    let mut tile = [0u8; TSV_TILE + TSV_LINE_MAX];
+    let mut filled = 0usize;
     for &(row, col) in edges {
-        writeln!(writer, "{row}\t{col}\t1")?;
+        let line = filled;
+        filled = put_decimal(&mut tile, filled, row);
+        tile[filled] = b'\t';
+        filled = put_decimal(&mut tile, filled + 1, col);
+        tile[filled..filled + 3].copy_from_slice(b"\t1\n");
+        filled += 3;
+        hasher.update(&tile[line..filled]);
+        if filled >= TSV_TILE {
+            writer.write_all(&tile[..filled])?;
+            filled = 0;
+        }
     }
-    Ok(())
+    writer.write_all(&tile[..filled])
 }
 
 /// The validated header of a binary block file.
@@ -682,6 +755,48 @@ mod tests {
         hasher.update(b"foo");
         hasher.update(b"bar");
         assert_eq!(hasher.finish(), Fnv1a::hash(b"foobar"));
+    }
+
+    #[test]
+    fn tsv_lines_match_the_standard_formatter_at_every_digit_count() {
+        // 0, every power of ten and its neighbours (so every digit count,
+        // odd and even, at both ends), and the largest u64.
+        let mut values = vec![0u64, 9, 10, 99, 100, u64::MAX];
+        let mut power = 1u64;
+        loop {
+            values.extend([power - 1, power, power + 1]);
+            match power.checked_mul(10) {
+                Some(next) => power = next,
+                None => break,
+            }
+        }
+        // Every value as a row against every value as a column: ~150 KiB
+        // of text, so the formatter's tile fills and flushes many times.
+        let edges: Vec<(u64, u64)> = values
+            .iter()
+            .flat_map(|&row| values.iter().map(move |&col| (row, col)))
+            .collect();
+        let expected: String = edges
+            .iter()
+            .map(|(row, col)| format!("{row}\t{col}\t1\n"))
+            .collect();
+        let mut written = Vec::new();
+        let mut hasher = Fnv1a::new();
+        hasher.update(b"earlier chunk");
+        // Two calls, so the hasher is seen to carry across chunks.
+        let (head, tail) = edges.split_at(edges.len() / 3);
+        write_tsv_edges(&mut written, head, &mut hasher).unwrap();
+        write_tsv_edges(&mut written, tail, &mut hasher).unwrap();
+        assert_eq!(String::from_utf8(written).unwrap(), expected);
+        let mut second_pass = Fnv1a::new();
+        second_pass.update(b"earlier chunk");
+        second_pass.update(expected.as_bytes());
+        assert_eq!(hasher, second_pass);
+
+        let mut nothing = Vec::new();
+        write_tsv_edges(&mut nothing, &[], &mut hasher).unwrap();
+        assert!(nothing.is_empty());
+        assert_eq!(hasher, second_pass);
     }
 
     #[test]

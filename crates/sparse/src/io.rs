@@ -183,6 +183,29 @@ mod tests {
         CooMatrix::from_entries(4, 5, vec![(0, 1, 1), (2, 3, 7), (3, 0, 2)]).unwrap()
     }
 
+    /// A scratch directory no other test thread or test process shares
+    /// (process id plus a counter), removed on drop.
+    struct ScratchDir(std::path::PathBuf);
+
+    impl ScratchDir {
+        fn new() -> Self {
+            use std::sync::atomic::{AtomicU64, Ordering};
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let id = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir()
+                .join(format!("kron_sparse_io_test_{}_{id}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&path);
+            std::fs::create_dir_all(&path).unwrap();
+            ScratchDir(path)
+        }
+    }
+
+    impl Drop for ScratchDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn tsv_round_trip() {
         let m = sample();
@@ -209,14 +232,12 @@ mod tests {
 
     #[test]
     fn tsv_file_round_trip() {
-        let dir = std::env::temp_dir().join("kron_sparse_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.tsv");
+        let dir = ScratchDir::new();
+        let path = dir.0.join("sample.tsv");
         let m = sample();
         write_tsv_file(&m, &path).unwrap();
         let back = read_tsv_file(4, 5, &path).unwrap();
         assert_eq!(back, m);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! cargo run --release --example fault_tolerant_run
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
+use extreme_graphs::gen::testing::TestDir;
 use extreme_graphs::gen::ReplaySource;
 use extreme_graphs::{
     FaultSchedule, FaultySource, KroneckerDesign, KroneckerSource, Pipeline, RetryPolicy, SelfLoop,
@@ -43,20 +44,14 @@ fn shard_bytes(directory: &Path, extension: &str) -> std::io::Result<Vec<(String
     Ok(shards)
 }
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("extreme_graphs_fault_tolerant_run")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre)?;
     let workers = 4;
 
     // 0. The reference: the same run, never interrupted.
-    let clean_dir = fresh_dir("clean");
+    // Directories of this process's own, removed when they drop: two runs
+    // at once, or a run after a crashed one, never share shards.
+    let clean_dir = TestDir::new("fault_tolerant_run_clean");
     let clean = pipeline(&design, workers).write_binary(&clean_dir)?;
     assert!(clean.is_valid());
     println!("=== reference run (no faults) ===");
@@ -70,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Inject faults: worker 1 fails once at edge 50 (transient — the
     //    retry policy absorbs it), worker 2 fails at edge 100 on every
     //    attempt (permanent — quarantined, its shard left missing).
-    let crash_dir = fresh_dir("crash");
+    let crash_dir = TestDir::new("fault_tolerant_run_crash");
     let schedule = FaultSchedule::none()
         .with_transient(1, 50, 1)
         .with_permanent(2, 100);
@@ -171,9 +166,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  note: {warning}");
     }
     println!("directory byte-identical to the reference again: true");
-
-    std::fs::remove_dir_all(&clean_dir).ok();
-    std::fs::remove_dir_all(&crash_dir).ok();
 
     Ok(())
 }

@@ -9,12 +9,14 @@
 //! cargo run --release --example replay_validation
 //! ```
 
+use extreme_graphs::gen::testing::TestDir;
 use extreme_graphs::gen::{Pipeline, PredicateCountMetric, ReplaySource};
 use extreme_graphs::{KroneckerDesign, SelfLoop};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dir = std::env::temp_dir().join("extreme_graphs_replay_validation");
-    let _ = std::fs::remove_dir_all(&dir);
+    // A directory of this process's own, removed when `dir` drops: two
+    // runs at once, or a run after a crashed one, never share shards.
+    let dir = TestDir::new("replay_validation");
 
     // 1. Generate a designed graph to binary shards (one per worker, plus a
     //    manifest.json describing the run and its measured metrics).
@@ -71,8 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "power-law fit: alpha {:.4}, residual vs ideal {:.4}",
         fit.alpha, fit.residual_vs_ideal
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 
     Ok(())
 }

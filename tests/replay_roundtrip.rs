@@ -13,8 +13,13 @@ use std::path::{Path, PathBuf};
 
 use extreme_graphs::core::CoreError;
 use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
-use extreme_graphs::gen::testing::TestDir;
-use extreme_graphs::gen::{Pipeline, ReplaySource, RunManifest, RunReport};
+use extreme_graphs::gen::testing::{compressed_block_bytes, TestDir};
+use extreme_graphs::gen::writer::BLOCK_HEADER_COMPRESSED_LEN;
+use extreme_graphs::gen::{
+    BlockFileSet, BlockFormat, EdgeChunk, EdgeSource, Fnv1a, Pipeline, ReplaySource, RunManifest,
+    RunReport, SourceRun,
+};
+use extreme_graphs::sparse::SparseError;
 use extreme_graphs::{KroneckerDesign, SelfLoop};
 
 fn generate(dir: &Path, binary: bool, workers: usize) -> RunReport<PathBuf> {
@@ -197,4 +202,179 @@ fn replay_manifest_round_trips_with_metric_records() {
         .count()
         .unwrap();
     assert_eq!(again.metrics, generated.metrics);
+}
+
+/// A four-frame v4 shard small enough to corrupt byte by byte: 40 edges
+/// over 40 vertices, ten a frame.
+struct SmallV4Shard {
+    dir: TestDir,
+    path: PathBuf,
+    edges: Vec<(u64, u64)>,
+    bytes: Vec<u8>,
+}
+
+const SMALL_VERTICES: u64 = 40;
+const SMALL_FRAME: usize = 10;
+
+impl SmallV4Shard {
+    fn new(label: &str) -> Self {
+        let edges: Vec<(u64, u64)> = (0..40u64)
+            .map(|j| (j * 7 % SMALL_VERTICES, j * 13 % SMALL_VERTICES))
+            .collect();
+        let frames: Vec<&[(u64, u64)]> = edges.chunks(SMALL_FRAME).collect();
+        let bytes = compressed_block_bytes(SMALL_VERTICES, SMALL_VERTICES, &frames);
+        let dir = TestDir::new(label);
+        let path = dir.join("block_00000.kbkz");
+        SmallV4Shard {
+            dir,
+            path,
+            edges,
+            bytes,
+        }
+    }
+
+    /// Put `bytes` on disk as the shard and replay it the way a user does.
+    fn count(&self, bytes: &[u8]) -> Result<RunReport<u64>, CoreError> {
+        std::fs::write(&self.path, bytes).unwrap();
+        Pipeline::for_source(self.source()).workers(1).count()
+    }
+
+    /// Replay `bytes` one edge per chunk, so the sink has seen every edge
+    /// that came before a failure.
+    fn stream(&self, bytes: &[u8]) -> (Vec<(u64, u64)>, Result<u64, SparseError>) {
+        std::fs::write(&self.path, bytes).unwrap();
+        let (run, _) = self.source().prepare(1).unwrap();
+        let mut seen = Vec::new();
+        let mut chunk = EdgeChunk::new(1);
+        let result = run.stream_worker::<SparseError, _>(0, &mut chunk, |edges| {
+            seen.extend_from_slice(edges);
+            Ok(())
+        });
+        (seen, result)
+    }
+
+    fn source(&self) -> ReplaySource {
+        ReplaySource::from_file_set(&BlockFileSet {
+            directory: self.dir.to_path_buf(),
+            files: vec![self.path.clone()],
+            vertices: SMALL_VERTICES,
+            format: BlockFormat::Compressed,
+        })
+    }
+
+    /// Byte offsets of the four frame headers within the file.
+    fn frame_header_offsets(&self) -> Vec<usize> {
+        let mut offsets = Vec::new();
+        let mut at = BLOCK_HEADER_COMPRESSED_LEN as usize;
+        while at < self.bytes.len() {
+            offsets.push(at);
+            let byte_len = u32::from_le_bytes(self.bytes[at + 4..at + 8].try_into().unwrap());
+            at += 8 + byte_len as usize;
+        }
+        offsets
+    }
+}
+
+/// The error under the shard's path, which must be there.
+fn in_shard(error: &SparseError) -> &SparseError {
+    match error {
+        SparseError::WithPath { path, source } => {
+            assert!(
+                path.contains("block_00000.kbkz"),
+                "wrong shard named: {path}"
+            );
+            source
+        }
+        other => panic!("the error does not name the shard: {other}"),
+    }
+}
+
+#[test]
+fn every_flipped_payload_byte_of_a_v4_shard_is_a_checksum_mismatch() {
+    let shard = SmallV4Shard::new("v4_flips");
+    let payload_start = BLOCK_HEADER_COMPRESSED_LEN as usize;
+    assert!(shard.count(&shard.bytes).unwrap().is_valid());
+    let headers = shard.frame_header_offsets();
+    assert_eq!(headers.len(), 4, "the fixture must have several frames");
+
+    // What each flip would have surfaced as had the checksum not been
+    // there to catch it (found by re-sealing the checksum over the flipped
+    // payload), so that the cases the streaming reader has to get right
+    // are known to be among the flips tried.
+    let mut symptoms = std::collections::BTreeSet::new();
+    for at in payload_start..shard.bytes.len() {
+        // Every single-bit flip and the whole-byte one.
+        for mask in (0..8).map(|bit| 1u8 << bit).chain([0xFF]) {
+            let mut flipped = shard.bytes.clone();
+            flipped[at] ^= mask;
+
+            // As found on disk: always the checksum, never the symptom and
+            // never a clean pass.
+            match shard.count(&flipped) {
+                Err(CoreError::Sparse(error)) => assert!(
+                    matches!(in_shard(&error), SparseError::ChecksumMismatch { .. }),
+                    "byte {at} ^ {mask:#04x}: {error}"
+                ),
+                other => panic!("byte {at} ^ {mask:#04x}: {other:?}"),
+            }
+
+            let sealed = Fnv1a::hash(&flipped[payload_start..]);
+            flipped[40..48].copy_from_slice(&sealed.to_le_bytes());
+            let (seen, streamed) = shard.stream(&flipped);
+            let in_header = headers.iter().any(|&h| (h..h + 8).contains(&at));
+            let symptom = match streamed.as_ref().map_err(in_shard) {
+                Ok(_) => {
+                    assert_ne!(seen, shard.edges, "a flipped byte decoded unchanged");
+                    "a different valid graph"
+                }
+                Err(SparseError::Parse { .. }) if in_header => "bad frame header",
+                Err(SparseError::Parse { .. }) => "undecodable frame",
+                Err(SparseError::IndexOutOfBounds { .. }) => {
+                    // The edges before the offender got through: the
+                    // frames before the flipped one as written, the rest
+                    // (deltas shifted by the flip) at least in range.
+                    let intact = SMALL_FRAME * headers.iter().rposition(|&h| h <= at).unwrap();
+                    assert_eq!(seen[..intact], shard.edges[..intact], "byte {at}");
+                    assert!(seen
+                        .iter()
+                        .all(|&(row, col)| row < SMALL_VERTICES && col < SMALL_VERTICES));
+                    match seen.len() % SMALL_FRAME {
+                        0 => "first edge of a frame out of range",
+                        9 => "last edge of a frame out of range",
+                        _ => "middle edge of a frame out of range",
+                    }
+                }
+                Err(other) => panic!("byte {at} ^ {mask:#04x}: unexpected {other}"),
+            };
+            symptoms.insert(symptom);
+        }
+    }
+    let expected = [
+        "a different valid graph",
+        "bad frame header",
+        "first edge of a frame out of range",
+        "last edge of a frame out of range",
+        "middle edge of a frame out of range",
+        "undecodable frame",
+    ];
+    assert_eq!(symptoms.into_iter().collect::<Vec<_>>(), expected);
+}
+
+#[test]
+fn every_truncation_of_a_v4_shard_is_a_typed_error_naming_it() {
+    let shard = SmallV4Shard::new("v4_truncations");
+    // Every shorter file, and one a byte longer than its header declares.
+    let mut longer = shard.bytes.clone();
+    longer.push(0);
+    let damaged = (0..shard.bytes.len())
+        .map(|keep| &shard.bytes[..keep])
+        .chain([longer.as_slice()]);
+    for bytes in damaged {
+        match shard.count(bytes) {
+            Err(CoreError::Sparse(error)) => {
+                in_shard(&error);
+            }
+            other => panic!("{} of {} bytes: {other:?}", bytes.len(), shard.bytes.len()),
+        }
+    }
 }
