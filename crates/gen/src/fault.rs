@@ -268,8 +268,8 @@ impl<S: EdgeSink> EdgeSink for FaultySink<S> {
         self.inner.abandon();
     }
 
-    fn payload_checksum(&self) -> Option<u64> {
-        self.inner.payload_checksum()
+    fn finish_with_checksum(self) -> Result<(Self::Output, Option<u64>), SparseError> {
+        self.inner.finish_with_checksum()
     }
 }
 

@@ -12,9 +12,9 @@
 //!    hand each of the `N_p` workers a contiguous, equal-size slice
 //!    ([`partition::Partition`]).
 //! 3. Each worker independently streams its block `A_p = B_p ⊗ C`
-//!    ([`stream::try_stream_block_edges_into`]) — no inter-worker
-//!    communication is needed, and every worker produces the same number of
-//!    edges.
+//!    ([`source::SourceRun::stream_worker`] of a
+//!    [`source::KroneckerSource`] run) — no inter-worker communication is
+//!    needed, and every worker produces the same number of edges.
 //! 4. The blocks together are exactly the designed graph; the single
 //!    self-loop of the triangle-control construction is filtered in-stream
 //!    by whichever worker owns it ([`source::KroneckerSource`]).
@@ -31,15 +31,16 @@
 //!    generic over a pluggable [`source::EdgeSource`].  The exact Kronecker
 //!    expansion ([`source::KroneckerSource`]), the raw `B ⊗ C` product, and
 //!    non-Kronecker generators (the R-MAT sampler in `kron-rmat`) all
-//!    stream through the same terminals.  Each worker streams its share of
-//!    the source straight into a pluggable [`sink::EdgeSink`] (TSV shard,
-//!    binary shard, counter, COO block, or any custom impl — [`sink`] also
-//!    provides tee/filter-map/permute combinators and a degree-only
-//!    validator) while accumulating the degree histogram in `O(vertices)`
-//!    memory, so generation *and* validation both run as bounded-memory
-//!    streams at scales whose edges never fit in memory.  An optional
-//!    in-stream [`permute::FeistelPermutation`] stage relabels vertices
-//!    (Graph500's shuffle without the `O(V)` table).  Every run
+//!    stream through the same terminals.  Per chunk, a worker's share of
+//!    the source goes source [+ relabel] → observe → consume: the optional
+//!    in-stream [`permute::FeistelPermutation`] relabels vertices
+//!    (Graph500's shuffle without the `O(V)` table), the degree histogram
+//!    accumulates in `O(vertices)` memory, and a pluggable
+//!    [`sink::EdgeSink`] consumes the chunk (TSV, binary or compressed
+//!    shard, counter, COO block, or any custom impl — [`sink`] also
+//!    provides tee/filter-map combinators and a degree-only validator), so
+//!    generation *and* validation both run as bounded-memory streams at
+//!    scales whose edges never fit in memory.  Every run
 //!    yields a [`manifest::RunManifest`] reproducibility record — source
 //!    kind and seeds included — written as `manifest.json` next to file
 //!    output.  The pre-pipeline entry points (the materialising generator,
@@ -68,7 +69,6 @@ pub mod sink;
 pub mod source;
 pub mod split;
 pub mod stats;
-pub mod stream;
 pub mod testing;
 pub mod writer;
 
@@ -90,11 +90,10 @@ pub use pipeline::{
 pub use replay::ReplaySource;
 pub use scaling::{ScalingModel, ScalingPoint};
 pub use sink::{
-    BinaryShardSink, CooSink, CountingSink, DegreeOnlySink, EdgeSink, FilterMapSink, PermuteSink,
-    TeeSink, TsvShardSink,
+    BinaryShardSink, CooSink, CountingSink, DegreeOnlySink, EdgeSink, FilterMapSink, TeeSink,
+    TsvShardSink,
 };
 pub use source::{EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
 pub use split::{choose_split, choose_split_with_fallback, SplitPlan};
 pub use stats::GenerationStats;
-pub use stream::{stream_block_edges_into, try_stream_block_edges_into};
 pub use writer::{read_block_bin, shard_checksum, BlockFileSet, BlockFormat, Fnv1a};

@@ -22,6 +22,7 @@ use serde::{Deserialize, Serialize};
 use kron_sparse::SparseError;
 
 use crate::metrics::MetricRecord;
+use crate::sink::StagedFile;
 
 /// The name under which file-writing pipeline terminals store the manifest,
 /// inside the shard directory.
@@ -231,9 +232,21 @@ impl RunManifest {
         })
     }
 
-    /// Write the manifest as JSON to `path`.
+    /// Write the manifest as JSON to `path`, crash-safely: the bytes stage
+    /// at `<path>.tmp`, are fsynced, and only then renamed into place, so a
+    /// crash mid-write never leaves a truncated manifest under the final
+    /// name (and a previous manifest stays intact until the new one is
+    /// durable).
     pub fn write_to(&self, path: &Path) -> Result<(), SparseError> {
-        std::fs::write(path, self.to_json()).map_err(|e| SparseError::with_path(path, e.into()))
+        // Unbuffered: the document goes out in one write.
+        let mut staged = StagedFile::stage(path, 0)?;
+        let (writer, _) = staged.parts();
+        if let Err(error) = writer.write_all(self.to_json().as_bytes()) {
+            staged.abandon();
+            return Err(SparseError::with_path(path, error.into()));
+        }
+        staged.commit(None)?;
+        Ok(())
     }
 
     /// Read a manifest back from a JSON file.

@@ -156,8 +156,8 @@ impl MetricObserver for PredicateCountObserver {
 }
 
 /// An ordered collection of custom metrics — what
-/// [`Pipeline::metrics`](crate::pipeline::Pipeline::metrics) installs.
-/// Cloning shares the metrics (they are stateless factories).
+/// [`Pipeline::with_metric`](crate::pipeline::Pipeline::with_metric) adds
+/// to.  Cloning shares the metrics (they are stateless factories).
 #[derive(Clone, Default)]
 pub struct MetricSuite {
     metrics: Vec<Arc<dyn StreamingMetric>>,
@@ -507,27 +507,27 @@ pub(crate) struct WorkerMetrics<'e> {
 }
 
 impl WorkerMetrics<'_> {
-    /// Observe one chunk as the *source* produced it, before any in-stream
-    /// relabelling.  Only the built-in degree metrics record here: every one
-    /// of them (histogram, counts, loops, max degree, slope) is invariant
-    /// under a vertex bijection, and the pre-permutation labels are far
-    /// cheaper to count (the source emits them with locality; the permuted
-    /// labels scatter across the whole count vector by design).
+    /// Observe one chunk, in the two label spaces a run has.
+    ///
+    /// `counted` feeds the built-in degree metrics.  Every one of them
+    /// (histogram, counts, loops, max degree, slope) is invariant under a
+    /// vertex bijection, so a fresh run passes the chunk as the *source*
+    /// produced it: the pre-permutation labels are far cheaper to count (the
+    /// source emits them with locality; the permuted labels scatter across
+    /// the whole count vector by design).
+    ///
+    /// `delivered` is the chunk exactly as the sink is about to receive it
+    /// (relabelled when the run permutes vertices) — what the custom metrics
+    /// see, so a custom metric always describes the graph that actually left
+    /// the run.
     #[inline]
-    pub(crate) fn observe_source(&mut self, edges: &[(u64, u64)]) {
+    pub(crate) fn observe(&mut self, counted: &[(u64, u64)], delivered: &[(u64, u64)]) {
         match &mut self.degrees {
-            WorkerDegrees::Local(local) => local.record(edges),
-            WorkerDegrees::Shared(shared) => shared.record(edges),
+            WorkerDegrees::Local(local) => local.record(counted),
+            WorkerDegrees::Shared(shared) => shared.record(counted),
         }
-    }
-
-    /// Observe one chunk exactly as delivered to the sink (relabelled when
-    /// the run permutes vertices) — what the custom metrics see, so a custom
-    /// metric always describes the graph that actually left the run.
-    #[inline]
-    pub(crate) fn observe_delivered(&mut self, edges: &[(u64, u64)]) {
         for observer in &mut self.observers {
-            observer.observe(edges);
+            observer.observe(delivered);
         }
     }
 
@@ -575,10 +575,10 @@ mod tests {
         let suite = MetricSuite::new();
         let engine = MetricsEngine::new(&suite, 4, 2, u64::MAX);
         let mut first = engine.worker();
-        first.observe_source(&EDGES[..3]);
+        first.observe(&EDGES[..3], &EDGES[..3]);
         first.finish();
         let mut second = engine.worker();
-        second.observe_source(&EDGES[3..]);
+        second.observe(&EDGES[3..], &EDGES[3..]);
         second.finish();
         let (measured, report) = engine.finalize(vec![3, 2]);
 
@@ -618,7 +618,7 @@ mod tests {
         let run = |budget: u64| {
             let engine = MetricsEngine::new(&suite, 4, 2, budget);
             let mut worker = engine.worker();
-            worker.observe_source(EDGES);
+            worker.observe(EDGES, EDGES);
             worker.finish();
             engine.finalize(vec![EDGES.len() as u64]).1
         };
@@ -637,12 +637,10 @@ mod tests {
 
         let engine = MetricsEngine::new(&suite, 4, 2, u64::MAX);
         let mut first = engine.worker();
-        first.observe_source(&EDGES[..3]);
-        first.observe_delivered(&EDGES[..3]);
+        first.observe(&EDGES[..3], &EDGES[..3]);
         first.finish();
         let mut second = engine.worker();
-        second.observe_source(&EDGES[3..]);
-        second.observe_delivered(&EDGES[3..]);
+        second.observe(&EDGES[3..], &EDGES[3..]);
         second.finish();
         let (_, report) = engine.finalize(vec![3, 2]);
         assert_eq!(report.custom_value("upper_triangle"), Some("2"));
@@ -667,8 +665,7 @@ mod tests {
         let suite = MetricSuite::new().with(PredicateCountMetric::new("loops", |r, c| r == c));
         let engine = MetricsEngine::new(&suite, 4, 1, u64::MAX);
         let mut worker = engine.worker();
-        worker.observe_source(EDGES);
-        worker.observe_delivered(EDGES);
+        worker.observe(EDGES, EDGES);
         worker.finish();
         let (_, report) = engine.finalize(vec![EDGES.len() as u64]);
         let records = report.records();

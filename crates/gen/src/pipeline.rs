@@ -16,7 +16,7 @@
 //! let report = Pipeline::for_design(&design)
 //!     .workers(8)
 //!     .permute_vertices(0xFEED)  // Feistel relabelling, no O(V) table
-//!     .write_binary(std::path::Path::new("/data/run1"))?;
+//!     .write_compressed(std::path::Path::new("/data/run1"))?;
 //! assert!(report.validation.is_exact_match());
 //! println!("{}", report.manifest.to_json());
 //! # Ok::<(), kron_core::CoreError>(())
@@ -24,25 +24,45 @@
 //!
 //! * [`Pipeline::count`] — generate and validate, store nothing.
 //! * [`Pipeline::collect_coo`] — per-worker in-memory COO blocks.
-//! * [`Pipeline::write_tsv`] / [`Pipeline::write_binary`] — one shard file
-//!   per worker, plus a `manifest.json` reproducibility record.
+//! * [`Pipeline::write_tsv`] / [`Pipeline::write_binary`] /
+//!   [`Pipeline::write_compressed`] — one shard file per worker, plus a
+//!   `manifest.json` reproducibility record and a `progress.jsonl` journal.
+//! * [`Pipeline::resume`] — finish an interrupted or partly quarantined file
+//!   run from its journal, bit-identically.
 //! * [`Pipeline::into_sinks`] — any custom [`EdgeSink`] factory.
+//!
+//! Every terminal is the same engine, and the engine is §V's worker written
+//! down once — each stage of a worker's life is one private method of
+//! `Stages` with one call site:
+//!
+//! 1. **plan** (`run`) — a `WorkerPlan` settled before any worker starts:
+//!    generate the shard, or re-verify one a resume already proved complete
+//!    (`reverify`).
+//! 2. **attempt under retry** — `RetryPolicy::run` owns the attempt count,
+//!    the backoff sleep and the give-up test; its one caller decides whether
+//!    a spent shard fails the run or is quarantined.
+//! 3. **per chunk: source [+ relabel] → observe → consume** (`attempt`) —
+//!    the worker's deterministic share streams through a reusable chunk
+//!    ([`SourceRun::stream_worker`], or
+//!    [`SourceRun::stream_worker_relabelled`] under
+//!    [`Pipeline::permute_vertices`]: no `O(V)` permutation table, seed
+//!    captured in the manifest); the streaming metrics observe each chunk,
+//!    then the worker's sink consumes it.  A failed attempt abandons its
+//!    sink and drops its metrics unfolded, so it leaves nothing behind.
+//!    An attempt ends with [`EdgeSink::finish_with_checksum`] (for a shard
+//!    file: flush → fsync → rename), so a failed finish is retried too.
+//! 4. **seal** (`seal`) — outside the retry loop, because it cannot be
+//!    taken back: the worker's metrics fold into the run's, then the shard's
+//!    record is appended to the journal — only ever after the rename.
 //!
 //! Every terminal returns a [`RunReport`]: the sink outputs, the
 //! [`GenerationStats`], the streamed [`ValidationReport`] (field-by-field
 //! for everything the source can predict exactly; measured-only otherwise),
 //! and a serialisable [`RunManifest`] recording the source kind and every
-//! seed.  Generation is always the communication-free streaming engine —
-//! each worker streams its share of the source through a reusable chunk into
-//! its sink while feeding an adaptive streaming degree histogram — so every
-//! backend, in-memory or on-disk, gets bounded-memory generation *and*
-//! validation.  [`Pipeline::permute_vertices`] inserts an in-stream
-//! [`FeistelPermutation`] relabelling stage: no `O(V)` permutation table,
-//! seed captured in the manifest.  The pre-pipeline entry points
-//! were removed in PR 12; this builder is the only way to generate.
+//! seed.  Every backend, in-memory or on-disk, gets bounded-memory
+//! generation *and* validation; this builder is the only way to generate.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
@@ -55,14 +75,13 @@ use crate::chunk::EdgeChunk;
 use crate::manifest::{
     JournalHeader, ProgressJournal, RunManifest, ShardRecord, MANIFEST_FILE_NAME,
 };
-use crate::metrics::{would_share, MetricSuite, MetricsEngine, MetricsReport, StreamingMetric};
-use crate::permute::FeistelPermutation;
-use crate::replay::{stream_binary_shard, stream_tsv_shard};
-use crate::sink::{
-    BinaryShardSink, CompressedShardSink, CooSink, CountingSink, DoubleBufferedSink, EdgeSink,
-    TsvShardSink,
+use crate::metrics::{
+    would_share, MetricSuite, MetricsEngine, MetricsReport, StreamingMetric, WorkerMetrics,
 };
-use crate::source::{EdgeSource, KroneckerSource, SourceRun};
+use crate::permute::FeistelPermutation;
+use crate::replay::stream_shard;
+use crate::sink::{CooSink, CountingSink, EdgeSink, ShardSink, StagedFile};
+use crate::source::{EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
 use crate::split::SplitPlan;
 use crate::stats::GenerationStats;
 use crate::writer::{prepare_directory, shard_checksum, BlockFileSet, BlockFormat};
@@ -121,6 +140,24 @@ impl RetryPolicy {
             .base_backoff
             .saturating_mul(1u32.checked_shl(attempt.min(31)).unwrap_or(u32::MAX));
         doubled.min(self.max_backoff)
+    }
+
+    /// Run `attempt` until it succeeds or the retries are spent, sleeping
+    /// [`backoff`](Self::backoff) before each retry.  Either way the number
+    /// of attempts made comes back, beside the value or the *last* error.
+    fn run<T>(
+        &self,
+        mut attempt: impl FnMut() -> Result<T, CoreError>,
+    ) -> Result<(T, u32), (CoreError, u32)> {
+        let mut attempts = 0u32;
+        loop {
+            attempts += 1;
+            match attempt() {
+                Ok(value) => return Ok((value, attempts)),
+                Err(error) if attempts > self.max_retries => return Err((error, attempts)),
+                Err(_) => std::thread::sleep(self.backoff(attempts - 1)),
+            }
+        }
     }
 }
 
@@ -333,12 +370,6 @@ impl<S: EdgeSource> Pipeline<S> {
         self
     }
 
-    /// Replace the whole custom-metric suite.
-    pub fn metrics(mut self, metrics: MetricSuite) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
     /// Retry a failed worker attempt under `retry` before giving up on its
     /// shard.  A retried attempt restarts the worker's deterministic stream
     /// from scratch (the failed sink is [abandoned](EdgeSink::abandon), its
@@ -363,33 +394,28 @@ impl<S: EdgeSource> Pipeline<S> {
     /// at all — the cheapest way to reproduce measured-equals-predicted at
     /// scales far beyond memory for edges.
     pub fn count(self) -> Result<RunReport<u64>, CoreError> {
-        self.run(SinkSpec::plain("counting"), |_| Ok(CountingSink::new()))
+        let spec = SinkSpec::Memory("counting");
+        self.run_with(spec, |_| Ok(CountingSink::new()), None)
     }
 
     /// Generate into one in-memory [`CooSink`] block per worker (tests and
     /// small graphs).
     pub fn collect_coo(self) -> Result<RunReport<CooMatrix<u64>>, CoreError> {
         let vertices = self.source.vertices()?;
-        self.run(SinkSpec::plain("coo"), |_| Ok(CooSink::new(vertices)))
+        let spec = SinkSpec::Memory("coo");
+        self.run_with(spec, |_| Ok(CooSink::new(vertices)), None)
     }
 
     /// Generate into one TSV shard per worker under `directory`, and write
     /// the run's `manifest.json` next to the shards.
     pub fn write_tsv(self, directory: &Path) -> Result<RunReport<PathBuf>, CoreError> {
-        let files = prepare_directory(directory, self.workers, "tsv")?;
-        let spec = SinkSpec::files("tsv", directory, &files, BlockFormat::Tsv);
-        self.run(spec, |worker| TsvShardSink::create(&files[worker]))
+        self.write_shards(directory, BlockFormat::Tsv, None)
     }
 
     /// Generate into one interleaved binary shard per worker under
     /// `directory`, and write the run's `manifest.json` next to the shards.
     pub fn write_binary(self, directory: &Path) -> Result<RunReport<PathBuf>, CoreError> {
-        let vertices = self.source.vertices()?;
-        let files = prepare_directory(directory, self.workers, "kbk")?;
-        let spec = SinkSpec::files("binary", directory, &files, BlockFormat::Binary);
-        self.run(spec, |worker| {
-            BinaryShardSink::create(&files[worker], vertices, vertices)
-        })
+        self.write_shards(directory, BlockFormat::Binary, None)
     }
 
     /// Generate into one compressed (v4 delta/varint) shard per worker
@@ -398,16 +424,7 @@ impl<S: EdgeSource> Pipeline<S> {
     /// writing happen on a dedicated writer thread, overlapped with
     /// generation, behind a bounded two-chunk queue.
     pub fn write_compressed(self, directory: &Path) -> Result<RunReport<PathBuf>, CoreError> {
-        let vertices = self.source.vertices()?;
-        let files = prepare_directory(directory, self.workers, "kbkz")?;
-        let spec = SinkSpec::files("compressed", directory, &files, BlockFormat::Compressed);
-        self.run(spec, |worker| {
-            Ok(DoubleBufferedSink::new(CompressedShardSink::create(
-                &files[worker],
-                vertices,
-                vertices,
-            )?))
-        })
+        self.write_shards(directory, BlockFormat::Compressed, None)
     }
 
     /// Generate into custom sinks: `make_sink(worker)` creates the sink each
@@ -419,7 +436,7 @@ impl<S: EdgeSource> Pipeline<S> {
         K::Output: Send,
         F: Fn(usize) -> Result<K, SparseError> + Sync,
     {
-        self.run(SinkSpec::plain("custom"), make_sink)
+        self.run_with(SinkSpec::Memory("custom"), make_sink, None)
     }
 
     /// Resume an interrupted (or partially quarantined) file-writing run
@@ -441,57 +458,37 @@ impl<S: EdgeSource> Pipeline<S> {
     /// [`MetricsReport`] — to the same run never having been interrupted.
     pub fn resume(self, directory: &Path) -> Result<RunReport<PathBuf>, CoreError> {
         if self.workers == 0 {
-            return Err(CoreError::InvalidConfig {
-                message: "the pipeline needs at least one worker".into(),
-            });
+            return Err(no_workers());
         }
         let (header, records) = ProgressJournal::read(directory)?;
-        if header.workers != self.workers {
-            return Err(CoreError::ResumeMismatch {
-                field: "workers".into(),
-                journal: header.workers.to_string(),
-                run: self.workers.to_string(),
-            });
-        }
-        if header.permutation_seed != self.permutation_seed {
-            return Err(CoreError::ResumeMismatch {
-                field: "permutation_seed".into(),
-                journal: fmt_seed(header.permutation_seed),
-                run: fmt_seed(self.permutation_seed),
-            });
-        }
+        let (journal_seed, seed) = (header.permutation_seed, self.permutation_seed);
+        journal_agrees("workers", header.workers, self.workers)?;
+        journal_agrees("permutation_seed", fmt_seed(journal_seed), fmt_seed(seed))?;
         let vertices = self.source.vertices()?;
-        let (format, extension, label) = match header.sink.as_str() {
-            "tsv" => (BlockFormat::Tsv, "tsv", "tsv"),
-            "binary" => (BlockFormat::Binary, "kbk", "binary"),
-            "compressed" => (BlockFormat::Compressed, "kbkz", "compressed"),
-            other => {
-                return Err(CoreError::InvalidConfig {
-                    message: format!(
-                        "cannot resume a '{other}' run: only tsv, binary, and compressed \
-                         file runs journal their progress"
-                    ),
-                })
-            }
-        };
-        if header.vertices != vertices.to_string() {
-            return Err(CoreError::ResumeMismatch {
-                field: "vertices".into(),
-                journal: header.vertices,
-                run: vertices.to_string(),
-            });
-        }
+        let format =
+            BlockFormat::from_label(&header.sink).ok_or_else(|| CoreError::InvalidConfig {
+                message: format!(
+                    "cannot resume a '{}' run: only shard-file runs journal their progress",
+                    header.sink
+                ),
+            })?;
+        journal_agrees("vertices", header.vertices, vertices)?;
 
-        let files = prepare_directory(directory, self.workers, extension)?;
+        let files = prepare_directory(directory, self.workers, format)?;
         let mut notes = Vec::new();
-        let removed = remove_orphaned_tmp_files(directory)?;
+        let removed = StagedFile::sweep(directory).map_err(CoreError::Sparse)?;
         if removed > 0 {
             notes.push(format!(
                 "resume: removed {removed} orphaned .tmp staging file(s) left by the \
                  interrupted run"
             ));
         }
-        let mut skips: Vec<Option<SkipShard<PathBuf>>> = (0..self.workers).map(|_| None).collect();
+        // Verification is a pre-pass: every plan is settled before any
+        // worker runs, so a shard that fails it is regenerated by a worker
+        // that has fed nothing into a (possibly shared) histogram yet.
+        let mut plans: Vec<WorkerPlan<PathBuf>> =
+            (0..self.workers).map(|_| WorkerPlan::Generate).collect();
+        let mut verified = 0;
         for record in records {
             let Some(expected) = files.get(record.worker) else {
                 continue;
@@ -504,8 +501,9 @@ impl<S: EdgeSource> Pipeline<S> {
             let path = directory.join(&record.file);
             match shard_checksum(&path, format) {
                 Ok(actual) if actual == record.checksum => {
+                    verified += 1;
                     let worker = record.worker;
-                    skips[worker] = Some(SkipShard {
+                    plans[worker] = WorkerPlan::Reverify(VerifiedShard {
                         output: expected.clone(),
                         path,
                         format,
@@ -523,63 +521,48 @@ impl<S: EdgeSource> Pipeline<S> {
                 )),
             }
         }
-        let verified = skips.iter().filter(|s| s.is_some()).count();
         notes.push(format!(
             "resume: {verified} shard(s) verified complete, {} to generate",
             self.workers - verified
         ));
-
-        let mut spec = SinkSpec::files(label, directory, &files, format);
-        spec.journal = JournalMode::Append;
-        spec.expect = Some(ResumeExpectation {
+        let resumed = Resumed {
             source: header.source,
             source_seed: header.source_seed,
+            notes,
+            plans,
+        };
+        self.write_shards(directory, format, Some(resumed))
+    }
+
+    /// The shard-file terminal behind `write_*` and `resume`: one shard of
+    /// `format` per worker under `directory`, the progress journal, and the
+    /// manifest.
+    fn write_shards(
+        self,
+        directory: &Path,
+        format: BlockFormat,
+        resumed: Option<Resumed<PathBuf>>,
+    ) -> Result<RunReport<PathBuf>, CoreError> {
+        let vertices = self.source.vertices()?;
+        let files = prepare_directory(directory, self.workers, format)?;
+        let spec = SinkSpec::Shards(BlockFileSet {
+            directory: directory.to_path_buf(),
+            files: files.clone(),
+            vertices,
+            format,
         });
-        spec.notes = notes;
-        match format {
-            BlockFormat::Tsv => {
-                self.run_with(spec, |worker| TsvShardSink::create(&files[worker]), skips)
-            }
-            BlockFormat::Binary => self.run_with(
-                spec,
-                |worker| BinaryShardSink::create(&files[worker], vertices, vertices),
-                skips,
-            ),
-            BlockFormat::Compressed => self.run_with(
-                spec,
-                |worker| {
-                    Ok(DoubleBufferedSink::new(CompressedShardSink::create(
-                        &files[worker],
-                        vertices,
-                        vertices,
-                    )?))
-                },
-                skips,
-            ),
-        }
+        let make_sink = |worker: usize| ShardSink::create(format, &files[worker], vertices);
+        self.run_with(spec, make_sink, resumed)
     }
 
-    fn run<K, F>(self, spec: SinkSpec, make_sink: F) -> Result<RunReport<K::Output>, CoreError>
-    where
-        K: EdgeSink,
-        K::Output: Send,
-        F: Fn(usize) -> Result<K, SparseError> + Sync,
-    {
-        let skips = (0..self.workers).map(|_| None).collect();
-        self.run_with(spec, make_sink, skips)
-    }
-
-    /// The engine: prepare the source, stream every worker's share through
-    /// the optional permutation into the per-worker sinks (retrying and
-    /// quarantining failures per the pipeline's policy, journalling shard
-    /// completions, and skipping shards a resume already verified),
-    /// accumulate the streaming degree histogram, and assemble the report
-    /// (validation + manifest included).
+    /// The engine: prepare the source and the state every worker shares,
+    /// carry out each worker's plan through the [`Stages`] in parallel, and
+    /// assemble the report (validation + manifest included).
     fn run_with<K, F>(
         self,
         spec: SinkSpec,
         make_sink: F,
-        skips: Vec<Option<SkipShard<K::Output>>>,
+        resumed: Option<Resumed<K::Output>>,
     ) -> Result<RunReport<K::Output>, CoreError>
     where
         K: EdgeSink,
@@ -587,78 +570,38 @@ impl<S: EdgeSource> Pipeline<S> {
         F: Fn(usize) -> Result<K, SparseError> + Sync,
     {
         if self.workers == 0 {
-            return Err(CoreError::InvalidConfig {
-                message: "the pipeline needs at least one worker".into(),
-            });
+            return Err(no_workers());
         }
         let vertices = self.source.vertices()?;
         let (source_run, mut warnings) = self.source.prepare(self.workers)?;
-        if let Some(note) = &self.default_worker_note {
-            warnings.push(note.clone());
-        }
+        warnings.extend(self.default_worker_note.clone());
         let descriptor = source_run.descriptor();
-        if let Some(expect) = &spec.expect {
-            if descriptor.kind != expect.source {
-                return Err(CoreError::ResumeMismatch {
-                    field: "source".into(),
-                    journal: expect.source.clone(),
-                    run: descriptor.kind.to_string(),
-                });
+        let builtins_on_delivered = resumed.is_some();
+        let plans: Vec<WorkerPlan<K::Output>> = match resumed {
+            Some(resumed) => {
+                // Source kind and seed are only known once the source is
+                // prepared; no file has been touched yet.
+                let (journal_seed, seed) = (resumed.source_seed, descriptor.seed);
+                journal_agrees("source", resumed.source, descriptor.kind)?;
+                journal_agrees("source_seed", fmt_seed(journal_seed), fmt_seed(seed))?;
+                warnings.extend(resumed.notes);
+                resumed.plans
             }
-            if descriptor.seed != expect.source_seed {
-                return Err(CoreError::ResumeMismatch {
-                    field: "source_seed".into(),
-                    journal: fmt_seed(expect.source_seed),
-                    run: fmt_seed(descriptor.seed),
-                });
-            }
-        }
-        warnings.extend(spec.notes.iter().cloned());
-        let journal = match (&spec.journal, spec.directory.as_ref()) {
-            (JournalMode::Off, _) | (_, None) => None,
-            (JournalMode::Fresh, Some(directory)) => Some(ProgressJournal::create(
-                directory,
-                &JournalHeader {
-                    source: descriptor.kind.to_string(),
-                    source_seed: descriptor.seed,
-                    permutation_seed: self.permutation_seed,
-                    workers: self.workers,
-                    vertices: descriptor.vertices.clone(),
-                    sink: spec.label.to_string(),
-                },
-            )?),
-            (JournalMode::Append, Some(directory)) => {
-                Some(ProgressJournal::open_for_append(directory)?)
-            }
+            None => (0..self.workers).map(|_| WorkerPlan::Generate).collect(),
         };
+        let header = JournalHeader {
+            source: descriptor.kind.to_string(),
+            source_seed: descriptor.seed,
+            permutation_seed: self.permutation_seed,
+            workers: self.workers,
+            vertices: descriptor.vertices.clone(),
+            sink: spec.label().to_string(),
+        };
+        let journal = spec.open_journal(builtins_on_delivered, &header)?;
         let permutation = self
             .permutation_seed
             .map(|seed| FeistelPermutation::new(vertices, seed));
-
-        // A failed attempt can discard a *local* degree vector unfolded, but
-        // partial counts in the run-wide shared atomic vector cannot be
-        // taken back — so a run that may retry or quarantine must count
-        // locally, trading the budget for rollback safety.
-        let fault_tolerant = self.retry.max_retries > 0 || self.quarantine;
-        let mut histogram_budget = self.max_histogram_bytes;
-        if fault_tolerant && would_share(vertices, self.workers, histogram_budget) {
-            histogram_budget = u64::MAX;
-            warnings.push(
-                "fault-tolerant run: counting degrees per worker (the shared atomic \
-                 histogram cannot roll back a failed attempt), exceeding \
-                 max_histogram_bytes"
-                    .to_string(),
-            );
-        }
-
-        // The per-vertex degree vectors of every worker merge into one, so
-        // all workers must count in the same label space.  A fresh run
-        // counts source labels (cheap, local); a resumed run's skipped
-        // shards can only replay *delivered* (possibly permuted) labels, so
-        // its regenerating workers count delivered labels too.  Either space
-        // yields the identical histogram — the permutation is a bijection —
-        // which is exactly why a resumed report equals an uninterrupted one.
-        let builtins_on_delivered = spec.expect.is_some();
+        let histogram_budget = self.histogram_budget(vertices, &mut warnings);
 
         // Wall-clock time is reported to operators in RunStats only; it
         // never feeds the edge stream, which stays (seed, index)-derived.
@@ -666,175 +609,50 @@ impl<S: EdgeSource> Pipeline<S> {
         // lint:allow(no-ambient-time) -- operator-facing run timing only; the edge stream never reads the clock
         let started = Instant::now();
         let engine = MetricsEngine::new(&self.metrics, vertices, self.workers, histogram_budget);
-        let skips: Vec<Mutex<Option<SkipShard<K::Output>>>> =
-            skips.into_iter().map(Mutex::new).collect();
-        let worker_results: Vec<Result<WorkerOutcome<K::Output>, CoreError>> = (0..self.workers)
+        let stages = Stages {
+            retry: &self.retry,
+            quarantine: self.quarantine,
+            chunk_capacity: self.chunk_capacity,
+            source_run: &source_run,
+            permutation: permutation.as_ref(),
+            builtins_on_delivered,
+            engine: &engine,
+            make_sink: &make_sink,
+            journal: journal.as_ref(),
+            outputs: spec.shards().map_or(&[], |set| &set.files),
+            vertices,
+        };
+        let plans: Vec<(usize, WorkerPlan<K::Output>)> = plans.into_iter().enumerate().collect();
+        let worker_results: Vec<Result<WorkerOutcome<K::Output>, CoreError>> = plans
             .into_par_iter()
-            .map(|worker| {
-                let taken = skips
-                    .get(worker)
-                    // lint:allow(no-expect) -- a poisoned skip-slot mutex means a sibling worker already panicked; rayon surfaces that panic
-                    .and_then(|slot| slot.lock().expect("skip slot poisoned").take());
-                if let Some(skip) = taken {
-                    // The shard already exists and its checksum verified:
-                    // stream it back through the metrics engine (verifying
-                    // again as it streams) instead of regenerating it, so
-                    // the report covers the whole graph.
-                    let mut metrics = engine.worker();
-                    let mut chunk = EdgeChunk::new(self.chunk_capacity);
-                    let mut observe = |edges: &[(u64, u64)]| -> Result<(), SparseError> {
-                        // The shard holds *delivered* (possibly permuted)
-                        // labels; the built-in metrics are invariant under
-                        // the bijection, so observing them here reproduces
-                        // the uninterrupted run's report exactly.
-                        metrics.observe_source(edges);
-                        metrics.observe_delivered(edges);
-                        Ok(())
-                    };
-                    let delivered = match skip.format {
-                        BlockFormat::Tsv => stream_tsv_shard(
-                            &skip.path,
-                            vertices,
-                            Some(skip.record.checksum),
-                            &mut chunk,
-                            &mut observe,
-                        ),
-                        BlockFormat::Binary | BlockFormat::Compressed => {
-                            stream_binary_shard(&skip.path, vertices, &mut chunk, &mut observe)
-                        }
-                    }
-                    .map_err(CoreError::Sparse)?;
-                    metrics.finish();
-                    return Ok(WorkerOutcome::Done {
-                        output: skip.output,
-                        delivered,
-                        record: Some(skip.record),
-                    });
-                }
-
-                let mut attempts = 0u32;
-                loop {
-                    attempts += 1;
-                    let attempt = || -> Result<(K::Output, u64, Option<u64>), CoreError> {
-                        let mut sink = make_sink(worker).map_err(CoreError::Sparse)?;
-                        let mut metrics = engine.worker();
-                        let mut chunk = EdgeChunk::new(self.chunk_capacity);
-                        // The built-in degree metrics are invariant under
-                        // the vertex bijection, so a fresh run feeds them the
-                        // source's labels (cheap, local); custom metrics and
-                        // the sink see exactly the delivered (relabelled)
-                        // stream.
-                        let mut deliver = |edges: &[(u64, u64)], out: &[(u64, u64)]| {
-                            metrics.observe_source(if builtins_on_delivered { out } else { edges });
-                            metrics.observe_delivered(out);
-                            sink.consume(out)
-                        };
-                        let streamed = match permutation.as_ref() {
-                            Some(permutation) => source_run
-                                .stream_worker_relabelled::<SparseError, _>(
-                                    worker,
-                                    permutation,
-                                    &mut chunk,
-                                    deliver,
-                                ),
-                            None => source_run.stream_worker::<SparseError, _>(
-                                worker,
-                                &mut chunk,
-                                |edges| deliver(edges, edges),
-                            ),
-                        };
-                        let delivered = match streamed {
-                            Ok(delivered) => delivered,
-                            Err(e) => {
-                                // Dropping `metrics` unfolded discards the
-                                // attempt's partial counts; abandoning the
-                                // sink removes its staging file silently.
-                                sink.abandon();
-                                return Err(CoreError::Sparse(e));
-                            }
-                        };
-                        // finish_with_checksum() seals trailing sink state
-                        // (a partial compression frame, a patched header)
-                        // before reporting the checksum, so the journal
-                        // record always matches the finished bytes on disk.
-                        let (output, checksum) =
-                            sink.finish_with_checksum().map_err(CoreError::Sparse)?;
-                        metrics.finish();
-                        Ok((output, delivered, checksum))
-                    };
-                    match attempt() {
-                        Ok((output, delivered, checksum)) => {
-                            // Journal the completion only now, *after* the
-                            // atomic rename: a record always points at a
-                            // fully-renamed, checksummed shard.
-                            let record = match (journal.as_ref(), checksum) {
-                                (Some(journal), Some(checksum)) => {
-                                    let record = ShardRecord {
-                                        worker,
-                                        file: shard_file_name(&spec.outputs[worker]),
-                                        edges: delivered,
-                                        checksum,
-                                    };
-                                    journal.record_shard(&record)?;
-                                    Some(record)
-                                }
-                                _ => None,
-                            };
-                            return Ok(WorkerOutcome::Done {
-                                output,
-                                delivered,
-                                record,
-                            });
-                        }
-                        Err(error) => {
-                            if attempts <= self.retry.max_retries {
-                                std::thread::sleep(self.retry.backoff(attempts - 1));
-                                continue;
-                            }
-                            if self.quarantine {
-                                return Ok(WorkerOutcome::Quarantined(ShardFailure {
-                                    worker,
-                                    path: spec.outputs.get(worker).cloned(),
-                                    error,
-                                    attempts,
-                                }));
-                            }
-                            return Err(error);
-                        }
-                    }
-                }
-            })
+            .map(|(worker, plan)| stages.run(worker, plan))
             .collect();
         let elapsed = started.elapsed();
 
         let mut outputs = Vec::with_capacity(self.workers);
-        let mut delivered = Vec::with_capacity(self.workers);
+        let mut edges_per_worker = Vec::with_capacity(self.workers);
         let mut failures = Vec::new();
-        let mut shard_records = Vec::new();
+        let mut shards = Vec::new();
         for result in worker_results {
             match result? {
                 WorkerOutcome::Done {
                     output,
-                    delivered: count,
+                    delivered,
                     record,
                 } => {
                     outputs.push(output);
-                    delivered.push(count);
-                    if let Some(record) = record {
-                        shard_records.push(record);
-                    }
+                    edges_per_worker.push(delivered);
+                    shards.extend(record);
                 }
                 WorkerOutcome::Quarantined(failure) => {
-                    delivered.push(0);
+                    edges_per_worker.push(0);
                     failures.push(failure);
                 }
             }
         }
-        let (measured, metrics) = engine.finalize(delivered.clone());
-        let mut stats = GenerationStats::new(delivered, elapsed);
-        for warning in warnings {
-            stats.warn(warning);
-        }
+        let (measured, metrics) = engine.finalize(edges_per_worker.clone());
+        let mut stats = GenerationStats::new(edges_per_worker, elapsed);
+        stats.warnings = warnings;
         for failure in &failures {
             stats.warn(format!(
                 "worker {} quarantined after {} attempt(s): {}",
@@ -845,51 +663,15 @@ impl<S: EdgeSource> Pipeline<S> {
 
         let predicted = source_run.predicted_properties();
         let validation = source_run.validate(&measured);
-
-        let manifest = RunManifest {
-            source: descriptor.kind.to_string(),
-            source_seed: descriptor.seed,
-            permutation_seed: self.permutation_seed,
-            star_points: descriptor.star_points,
-            self_loop: descriptor.self_loop,
-            vertices: descriptor.vertices,
-            predicted_edges: descriptor.predicted_edges,
-            workers: self.workers,
-            split_index: descriptor.split_index,
-            max_c_edges: descriptor.max_c_edges,
-            max_b_edges: descriptor.max_b_edges,
-            chunk_capacity: self.chunk_capacity,
-            max_histogram_bytes: self.max_histogram_bytes,
-            self_loop_policy: descriptor.self_loop_policy,
-            sink: spec.label.to_string(),
-            directory: spec.directory.as_ref().map(|d| d.display().to_string()),
-            outputs: spec
-                .outputs
-                .iter()
-                .map(|p| p.display().to_string())
-                .collect(),
-            edges_per_worker: stats.edges_per_worker.clone(),
-            total_edges: stats.total_edges,
-            seconds: stats.seconds,
-            exact_match: validation.is_exact_match(),
-            warnings: stats.warnings.clone(),
-            shards: shard_records,
-            metrics: metrics.records(),
-        };
-        let files = spec.directory.as_ref().map(|directory| {
-            manifest
-                .write_to(&directory.join(MANIFEST_FILE_NAME))
-                .map(|()| BlockFileSet {
-                    directory: directory.clone(),
-                    files: spec.outputs.clone(),
-                    vertices,
-                    // lint:allow(no-expect) -- file-terminal specs always carry a format; the builder sets it when the terminal is chosen
-                    format: spec.format.expect("file sinks declare a format"),
-                })
-        });
-        let files = match files {
-            Some(result) => Some(result.map_err(CoreError::Sparse)?),
-            None => None,
+        let manifest = self.manifest(&spec, descriptor, &stats, &validation, shards, &metrics);
+        let files = match spec {
+            SinkSpec::Memory(_) => None,
+            SinkSpec::Shards(set) => {
+                manifest
+                    .write_to(&set.directory.join(MANIFEST_FILE_NAME))
+                    .map_err(CoreError::Sparse)?;
+                Some(set)
+            }
         };
 
         Ok(RunReport {
@@ -906,11 +688,258 @@ impl<S: EdgeSource> Pipeline<S> {
             files,
         })
     }
+
+    /// The byte budget the degree histogram is sized from.  A failed attempt
+    /// can discard a *local* degree vector unfolded, but partial counts in
+    /// the run-wide shared atomic vector cannot be taken back — so a run that
+    /// may retry or quarantine must count locally, trading the budget for
+    /// rollback safety.
+    fn histogram_budget(&self, vertices: u64, warnings: &mut Vec<String>) -> u64 {
+        let fault_tolerant = self.retry.max_retries > 0 || self.quarantine;
+        if fault_tolerant && would_share(vertices, self.workers, self.max_histogram_bytes) {
+            warnings.push(
+                "fault-tolerant run: counting degrees per worker (the shared atomic \
+                 histogram cannot roll back a failed attempt), exceeding \
+                 max_histogram_bytes"
+                    .to_string(),
+            );
+            return u64::MAX;
+        }
+        self.max_histogram_bytes
+    }
+
+    /// The run's reproducibility record.
+    fn manifest(
+        &self,
+        spec: &SinkSpec,
+        descriptor: SourceDescriptor,
+        stats: &GenerationStats,
+        validation: &ValidationReport,
+        shards: Vec<ShardRecord>,
+        metrics: &MetricsReport,
+    ) -> RunManifest {
+        let paths = |paths: &[PathBuf]| paths.iter().map(|p| p.display().to_string()).collect();
+        RunManifest {
+            source: descriptor.kind.to_string(),
+            source_seed: descriptor.seed,
+            permutation_seed: self.permutation_seed,
+            star_points: descriptor.star_points,
+            self_loop: descriptor.self_loop,
+            vertices: descriptor.vertices,
+            predicted_edges: descriptor.predicted_edges,
+            workers: self.workers,
+            split_index: descriptor.split_index,
+            max_c_edges: descriptor.max_c_edges,
+            max_b_edges: descriptor.max_b_edges,
+            chunk_capacity: self.chunk_capacity,
+            max_histogram_bytes: self.max_histogram_bytes,
+            self_loop_policy: descriptor.self_loop_policy,
+            sink: spec.label().to_string(),
+            directory: spec.shards().map(|set| set.directory.display().to_string()),
+            outputs: spec.shards().map_or_else(Vec::new, |set| paths(&set.files)),
+            edges_per_worker: stats.edges_per_worker.clone(),
+            total_edges: stats.total_edges,
+            seconds: stats.seconds,
+            exact_match: validation.is_exact_match(),
+            warnings: stats.warnings.clone(),
+            shards,
+            metrics: metrics.records(),
+        }
+    }
 }
 
-/// Everything one worker hands back when its turn ends: a finished (or
-/// skipped-as-verified) shard, or the quarantine record of a shard the run
-/// gave up on.
+/// The stages of a worker's life (see the module docs) over the read-only
+/// state every worker of a run shares.  Each stage is one method with one
+/// call site, so it can be timed, counted or changed in exactly one place.
+struct Stages<'a, R, F> {
+    retry: &'a RetryPolicy,
+    quarantine: bool,
+    chunk_capacity: usize,
+    source_run: &'a R,
+    permutation: Option<&'a FeistelPermutation>,
+    /// The per-vertex degree vectors of every worker merge into one, so all
+    /// workers must count in the same label space.  A fresh run counts
+    /// source labels (cheap, local); a resumed run's reverified shards can
+    /// only replay *delivered* (possibly permuted) labels, so its generating
+    /// workers count delivered labels too.  Either space yields the
+    /// identical histogram — the permutation is a bijection — which is
+    /// exactly why a resumed report equals an uninterrupted one.
+    builtins_on_delivered: bool,
+    engine: &'a MetricsEngine<'a>,
+    make_sink: &'a F,
+    journal: Option<&'a ProgressJournal>,
+    /// The shard file of each worker (empty for in-memory terminals).
+    outputs: &'a [PathBuf],
+    vertices: u64,
+}
+
+impl<R, K, F> Stages<'_, R, F>
+where
+    R: SourceRun,
+    K: EdgeSink,
+    F: Fn(usize) -> Result<K, SparseError>,
+{
+    /// Carry out one worker's plan.  A shard that exhausts its retries fails
+    /// the run, or — on a quarantining run — is recorded for a later resume.
+    fn run(
+        &self,
+        worker: usize,
+        plan: WorkerPlan<K::Output>,
+    ) -> Result<WorkerOutcome<K::Output>, CoreError> {
+        if let WorkerPlan::Reverify(shard) = plan {
+            return self.reverify(shard);
+        }
+        match self.retry.run(|| self.attempt(worker)) {
+            Ok((finished, _)) => self.seal(worker, finished),
+            Err((error, attempts)) if self.quarantine => {
+                Ok(WorkerOutcome::Quarantined(ShardFailure {
+                    worker,
+                    path: self.outputs.get(worker).cloned(),
+                    error,
+                    attempts,
+                }))
+            }
+            Err((error, _)) => Err(error),
+        }
+    }
+
+    /// Stream a verified shard back through the metrics (verifying it again
+    /// as it streams) so the report covers the whole graph.  The shard holds
+    /// *delivered* (possibly permuted) labels; the built-in metrics are
+    /// invariant under the bijection, so observing them here reproduces the
+    /// uninterrupted run's report exactly.
+    fn reverify(
+        &self,
+        shard: VerifiedShard<K::Output>,
+    ) -> Result<WorkerOutcome<K::Output>, CoreError> {
+        let mut metrics = self.engine.worker();
+        let mut chunk = EdgeChunk::new(self.chunk_capacity);
+        let mut observe = |edges: &[(u64, u64)]| -> Result<(), SparseError> {
+            metrics.observe(edges, edges);
+            Ok(())
+        };
+        let delivered = stream_shard(
+            &shard.path,
+            shard.format,
+            self.vertices,
+            Some(shard.record.checksum),
+            &mut chunk,
+            &mut observe,
+        )
+        .map_err(CoreError::Sparse)?;
+        metrics.finish();
+        Ok(WorkerOutcome::Done {
+            output: shard.output,
+            delivered,
+            record: Some(shard.record),
+        })
+    }
+
+    /// One try at a worker's shard from a fresh sink, metrics check-out and
+    /// chunk: per chunk, source [+ relabel] → observe → consume, then the
+    /// sink is finished — which seals trailing sink state (a partial
+    /// compression frame, a patched header) before the checksum is taken.
+    /// A failed stream abandons the sink (its staging file goes, silently);
+    /// any failure drops the metrics unfolded.
+    fn attempt(&self, worker: usize) -> Result<Finished<'_, K::Output>, CoreError> {
+        let mut sink = (self.make_sink)(worker).map_err(CoreError::Sparse)?;
+        let mut metrics = self.engine.worker();
+        let mut chunk = EdgeChunk::new(self.chunk_capacity);
+        let mut deliver = |edges: &[(u64, u64)], out: &[(u64, u64)]| {
+            let counted = if self.builtins_on_delivered {
+                out
+            } else {
+                edges
+            };
+            metrics.observe(counted, out);
+            sink.consume(out)
+        };
+        let streamed = match self.permutation {
+            Some(permutation) => self.source_run.stream_worker_relabelled::<SparseError, _>(
+                worker,
+                permutation,
+                &mut chunk,
+                deliver,
+            ),
+            None => self
+                .source_run
+                .stream_worker::<SparseError, _>(worker, &mut chunk, |edges| deliver(edges, edges)),
+        };
+        let delivered = match streamed {
+            Ok(delivered) => delivered,
+            Err(error) => {
+                sink.abandon();
+                return Err(CoreError::Sparse(error));
+            }
+        };
+        let (output, checksum) = sink.finish_with_checksum().map_err(CoreError::Sparse)?;
+        Ok(Finished {
+            output,
+            checksum,
+            delivered,
+            metrics,
+        })
+    }
+
+    /// Seal a finished attempt: fold the worker's metrics into the run's and
+    /// journal the shard.  Outside the retry loop, because a fold cannot be
+    /// taken back; after the sink's atomic rename, so a journal record always
+    /// points at a complete, checksummed shard.
+    fn seal(
+        &self,
+        worker: usize,
+        finished: Finished<'_, K::Output>,
+    ) -> Result<WorkerOutcome<K::Output>, CoreError> {
+        finished.metrics.finish();
+        let record = match (self.journal, finished.checksum) {
+            (Some(journal), Some(checksum)) => {
+                let record = ShardRecord {
+                    worker,
+                    file: shard_file_name(&self.outputs[worker]),
+                    edges: finished.delivered,
+                    checksum,
+                };
+                journal.record_shard(&record)?;
+                Some(record)
+            }
+            _ => None,
+        };
+        Ok(WorkerOutcome::Done {
+            output: finished.output,
+            delivered: finished.delivered,
+            record,
+        })
+    }
+}
+
+/// What a worker does when its turn comes, decided before any worker runs.
+enum WorkerPlan<O> {
+    /// Generate the worker's shard from the source.
+    Generate,
+    /// Stream a shard a resume already proved complete back through the
+    /// metrics instead of regenerating it.
+    Reverify(VerifiedShard<O>),
+}
+
+/// A shard a resume's checksum pre-pass verified complete on disk.
+struct VerifiedShard<O> {
+    output: O,
+    path: PathBuf,
+    format: BlockFormat,
+    record: ShardRecord,
+}
+
+/// What a successful attempt hands on to be sealed: the finished sink's
+/// output and checksum, and the worker's metrics, still unfolded.
+struct Finished<'e, O> {
+    output: O,
+    checksum: Option<u64>,
+    delivered: u64,
+    metrics: WorkerMetrics<'e>,
+}
+
+/// What one worker hands back: a finished (or reverified) shard, or the
+/// quarantine record of a shard the run gave up on.
 enum WorkerOutcome<O> {
     Done {
         output: O,
@@ -920,74 +949,80 @@ enum WorkerOutcome<O> {
     Quarantined(ShardFailure),
 }
 
-/// A shard a resume verified complete on disk: stream it back through the
-/// metrics instead of regenerating it.
-struct SkipShard<O> {
-    output: O,
-    path: PathBuf,
-    format: BlockFormat,
-    record: ShardRecord,
-}
-
-/// Whether (and how) a run writes the progress journal.
-enum JournalMode {
-    /// Non-file terminals: nothing to journal.
-    Off,
-    /// A new file run: truncate any previous journal and write the header.
-    Fresh,
-    /// A resumed run: append to the interrupted run's journal.
-    Append,
-}
-
-/// The journal header's run identity a resume asks the engine to enforce
-/// against the *prepared* source (kind and seed are only known after
-/// `prepare`).
-struct ResumeExpectation {
+/// What [`Pipeline::resume`] settled from the interrupted run's journal
+/// before handing over to the engine.
+struct Resumed<O> {
+    /// The journal header's source kind and seed.
     source: String,
     source_seed: Option<u64>,
+    /// What the resume found and did, for the run's warnings.
+    notes: Vec<String>,
+    plans: Vec<WorkerPlan<O>>,
 }
 
-/// How a terminal labels itself in the manifest and, for file terminals,
-/// where its outputs live.
-struct SinkSpec {
-    label: &'static str,
-    directory: Option<PathBuf>,
-    outputs: Vec<PathBuf>,
-    format: Option<BlockFormat>,
-    journal: JournalMode,
-    expect: Option<ResumeExpectation>,
-    notes: Vec<String>,
+/// What a terminal leaves behind, and so how it labels itself in the
+/// manifest and whether it journals its progress.
+enum SinkSpec {
+    /// An in-memory terminal: nothing on disk, only a manifest label.
+    Memory(&'static str),
+    /// A shard-file terminal: one file per worker, beside the progress
+    /// journal and the manifest.
+    Shards(BlockFileSet),
 }
 
 impl SinkSpec {
-    fn plain(label: &'static str) -> Self {
-        SinkSpec {
-            label,
-            directory: None,
-            outputs: Vec::new(),
-            format: None,
-            journal: JournalMode::Off,
-            expect: None,
-            notes: Vec::new(),
+    fn label(&self) -> &'static str {
+        match self {
+            SinkSpec::Memory(label) => label,
+            SinkSpec::Shards(set) => set.format.label(),
         }
     }
 
-    fn files(
-        label: &'static str,
-        directory: &Path,
-        files: &[PathBuf],
-        format: BlockFormat,
-    ) -> Self {
-        SinkSpec {
-            label,
-            directory: Some(directory.to_path_buf()),
-            outputs: files.to_vec(),
-            format: Some(format),
-            journal: JournalMode::Fresh,
-            expect: None,
-            notes: Vec::new(),
+    fn shards(&self) -> Option<&BlockFileSet> {
+        match self {
+            SinkSpec::Memory(_) => None,
+            SinkSpec::Shards(set) => Some(set),
         }
     }
+
+    /// The progress journal of a shard-file run: the interrupted run's,
+    /// reopened for appending, when `resuming`; a fresh one opened with
+    /// `header` otherwise.
+    fn open_journal(
+        &self,
+        resuming: bool,
+        header: &JournalHeader,
+    ) -> Result<Option<ProgressJournal>, SparseError> {
+        match self.shards() {
+            None => Ok(None),
+            Some(set) if resuming => ProgressJournal::open_for_append(&set.directory).map(Some),
+            Some(set) => ProgressJournal::create(&set.directory, header).map(Some),
+        }
+    }
+}
+
+fn no_workers() -> CoreError {
+    CoreError::InvalidConfig {
+        message: "the pipeline needs at least one worker".into(),
+    }
+}
+
+/// A resumed run must agree on `field` with the journal of the run it
+/// resumes; the values are compared as the mismatch error prints them.
+fn journal_agrees(
+    field: &str,
+    journal: impl ToString,
+    run: impl ToString,
+) -> Result<(), CoreError> {
+    let (journal, run) = (journal.to_string(), run.to_string());
+    if journal == run {
+        return Ok(());
+    }
+    Err(CoreError::ResumeMismatch {
+        field: field.into(),
+        journal,
+        run,
+    })
 }
 
 /// A seed as the mismatch error prints it.
@@ -1004,27 +1039,6 @@ fn shard_file_name(path: &Path) -> String {
     path.file_name()
         .map(|name| name.to_string_lossy().into_owned())
         .unwrap_or_else(|| path.display().to_string())
-}
-
-/// Delete every `*.tmp` staging file in `directory` — the leftovers of
-/// sinks that were mid-write when an interrupted run died.  Returns how
-/// many were removed.
-fn remove_orphaned_tmp_files(directory: &Path) -> Result<usize, CoreError> {
-    let to_sparse = |e: std::io::Error| {
-        CoreError::Sparse(SparseError::with_path(
-            directory,
-            SparseError::Io(e.to_string()),
-        ))
-    };
-    let mut removed = 0;
-    for entry in std::fs::read_dir(directory).map_err(to_sparse)? {
-        let path = entry.map_err(to_sparse)?.path();
-        if path.extension().is_some_and(|extension| extension == "tmp") && path.is_file() {
-            std::fs::remove_file(&path).map_err(to_sparse)?;
-            removed += 1;
-        }
-    }
-    Ok(removed)
 }
 
 /// The result of one pipeline run: per-worker sink outputs plus everything
@@ -1116,6 +1130,50 @@ mod tests {
             .workers(workers)
             .max_c_edges(100_000)
             .chunk_capacity(512)
+    }
+
+    #[test]
+    fn retry_run_counts_attempts_and_returns_the_last_error() {
+        let fail = |attempt: u32| CoreError::InvalidConfig {
+            message: format!("attempt {attempt} failed"),
+        };
+        for retries in [0u32, 1, 3] {
+            let policy = RetryPolicy {
+                max_retries: retries,
+                base_backoff: Duration::ZERO,
+                max_backoff: Duration::ZERO,
+            };
+            // Never succeeding: one attempt plus every retry, last error back.
+            let mut calls = 0;
+            let always_failing = policy.run(|| -> Result<(), CoreError> {
+                calls += 1;
+                Err(fail(calls))
+            });
+            assert_eq!(always_failing, Err((fail(retries + 1), retries + 1)));
+            // Succeeding on the last attempt the policy allows.
+            let mut calls = 0;
+            let last_chance = policy.run(|| {
+                calls += 1;
+                (calls > retries)
+                    .then_some(calls)
+                    .ok_or_else(|| fail(calls))
+            });
+            assert_eq!(last_chance, Ok((retries + 1, retries + 1)));
+        }
+    }
+
+    #[test]
+    fn backoff_doubles_from_the_base_and_saturates_at_the_maximum() {
+        let policy = RetryPolicy {
+            max_retries: u32::MAX,
+            base_backoff: Duration::from_millis(10),
+            max_backoff: Duration::from_millis(65),
+        };
+        let sequence: Vec<u128> = (0..5).map(|n| policy.backoff(n).as_millis()).collect();
+        assert_eq!(sequence, [10, 20, 40, 65, 65]);
+        for attempt in [31, 32, 33, u32::MAX] {
+            assert_eq!(policy.backoff(attempt), policy.max_backoff);
+        }
     }
 
     #[test]

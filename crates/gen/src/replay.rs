@@ -87,18 +87,13 @@ impl ReplaySource {
     pub fn from_directory(directory: &Path) -> Result<Self, CoreError> {
         let manifest = RunManifest::read_from(&directory.join(MANIFEST_FILE_NAME))
             .map_err(CoreError::Sparse)?;
-        let format = match manifest.sink.as_str() {
-            "tsv" => BlockFormat::Tsv,
-            "binary" => BlockFormat::Binary,
-            "compressed" => BlockFormat::Compressed,
-            other => {
-                return Err(CoreError::InvalidConfig {
-                    message: format!(
-                    "manifest records sink kind \"{other}\", which left no shard files to replay"
+        let format =
+            BlockFormat::from_label(&manifest.sink).ok_or_else(|| CoreError::InvalidConfig {
+                message: format!(
+                    "manifest records sink kind \"{}\", which left no shard files to replay",
+                    manifest.sink
                 ),
-                })
-            }
-        };
+            })?;
         if manifest.outputs.is_empty() {
             return Err(CoreError::InvalidConfig {
                 message: "manifest records no output shards".into(),
@@ -241,19 +236,14 @@ impl SourceRun for ReplayRun {
         chunk.try_flush(&mut sink)?;
         let mut delivered = 0u64;
         for index in self.partition.range(worker) {
-            let file = &self.source.files[index];
-            delivered += match self.source.format {
-                BlockFormat::Tsv => stream_tsv_shard(
-                    file,
-                    self.source.vertices,
-                    self.source.checksums[index],
-                    chunk,
-                    &mut sink,
-                ),
-                BlockFormat::Binary | BlockFormat::Compressed => {
-                    stream_binary_shard(file, self.source.vertices, chunk, &mut sink)
-                }
-            }?;
+            delivered += stream_shard(
+                &self.source.files[index],
+                self.source.format,
+                self.source.vertices,
+                self.source.checksums[index],
+                chunk,
+                &mut sink,
+            )?;
         }
         Ok(delivered)
     }
@@ -397,6 +387,32 @@ where
     }
 }
 
+/// Stream one shard of `format` through the chunk in bounded memory,
+/// verifying it as it streams, and return the number of edges delivered —
+/// the one shard reader behind both replay and
+/// [`Pipeline::resume`](crate::pipeline::Pipeline::resume)'s re-verification.
+/// `expected_checksum` is the sidecar checksum of the manifest or journal;
+/// only TSV shards need it, binary shards carry theirs in the header.
+pub(crate) fn stream_shard<E, F>(
+    path: &Path,
+    format: BlockFormat,
+    vertices: u64,
+    expected_checksum: Option<u64>,
+    chunk: &mut EdgeChunk,
+    sink: &mut F,
+) -> Result<u64, E>
+where
+    E: From<SparseError>,
+    F: FnMut(&[(u64, u64)]) -> Result<(), E>,
+{
+    match format {
+        BlockFormat::Tsv => stream_tsv_shard(path, vertices, expected_checksum, chunk, sink),
+        BlockFormat::Binary | BlockFormat::Compressed => {
+            stream_binary_shard(path, vertices, chunk, sink)
+        }
+    }
+}
+
 /// Stream one TSV shard (`row<TAB>col[<TAB>value]` lines, `#` comments)
 /// through the chunk without materialising it.
 ///
@@ -404,7 +420,7 @@ where
 /// journal), the whole file is FNV-1a-hashed as it streams and verified at
 /// the end; a mismatch fails with [`SparseError::ChecksumMismatch`] naming
 /// the shard.
-pub(crate) fn stream_tsv_shard<E, F>(
+fn stream_tsv_shard<E, F>(
     path: &Path,
     vertices: u64,
     expected_checksum: Option<u64>,
@@ -492,7 +508,7 @@ where
 /// with [`SparseError::ChecksumMismatch`] naming the shard — including when
 /// the corruption first surfaces as an undecodable frame or an
 /// out-of-bounds edge mid-stream.
-pub(crate) fn stream_binary_shard<E, F>(
+fn stream_binary_shard<E, F>(
     path: &Path,
     vertices: u64,
     chunk: &mut EdgeChunk,

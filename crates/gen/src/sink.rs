@@ -1,12 +1,13 @@
 //! Edge sinks: the pluggable consumers every generation backend streams
 //! into.
 //!
-//! A sink is one worker's view of "where the edges go".  The
-//! [`Pipeline`](crate::pipeline::Pipeline) expands each worker's slice of
-//! `B_p ⊗ C` straight into the sink the run's factory creates for that
-//! worker, so adding a new output backend — a socket, a compressed file, a
-//! columnar store — is one [`EdgeSink`] impl, not a new generation entry
-//! point.
+//! A sink is one worker's view of "where the edges go": the last stage of
+//! the [`Pipeline`](crate::pipeline::Pipeline)'s per-chunk chain (source
+//! [+ relabel] → observe → **consume**), sealed once by
+//! [`EdgeSink::finish_with_checksum`] when the worker's stream ends or
+//! thrown away by [`EdgeSink::abandon`] when an attempt fails.  Adding an
+//! output backend — a socket, a columnar store — is one [`EdgeSink`] impl,
+//! not a new generation entry point.
 //!
 //! Concrete sinks:
 //!
@@ -28,18 +29,22 @@
 //!   overlapping encode+write with generation behind a bounded queue.
 //! * [`FilterMapSink`] — transform or drop edges before an inner sink sees
 //!   them.
-//! * [`PermuteSink`] — relabel both endpoints through a seeded
-//!   [`FeistelPermutation`] before an inner sink sees them: Graph500-style
-//!   vertex scrambling in O(1) memory.
 //!
-//! Every shard sink keeps a running FNV-1a checksum of the bytes it writes.
+//! Every shard sink writes through one `StagedFile`: bytes stage at
+//! `<path>.tmp` beside a running FNV-1a checksum, and its commit — flush →
+//! patch the header → fsync → rename → fsync the directory — is the only way
+//! a file reaches its final name, so a shard that exists is a shard that
+//! finished.
+//!
 //! FNV-1a is a serial multiply chain that leaves the core mostly idle, so
 //! the TSV and compressed sinks do not hash their output in a second pass:
-//! the hash is taken inside the loop that produces the bytes
-//! ([`write_tsv_edges`], [`encode_frame_checksummed`]), where it hides
-//! behind the formatting and varint work.  The bytes and checksums are
-//! what a separate pass would give — a golden test below pins them.
+//! the staged file lends out its writer and hasher together and the hash is
+//! taken inside the loop that produces the bytes ([`write_tsv_edges`],
+//! [`encode_frame_checksummed`]), where it hides behind the formatting and
+//! varint work.  The bytes and checksums are what a separate pass would
+//! give — a golden test below pins them.
 
+use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -47,9 +52,8 @@ use kron_sparse::reduce::DegreeAccumulator;
 use kron_sparse::{CooMatrix, SparseError};
 
 use crate::codec::{encode_frame_checksummed, FRAME_EDGES};
-use crate::permute::FeistelPermutation;
 use crate::writer::{
-    write_tsv_edges, Fnv1a, BLOCK_HEADER_LEN, BLOCK_MAGIC, BLOCK_VERSION_CHECKSUM,
+    write_tsv_edges, BlockFormat, Fnv1a, BLOCK_HEADER_LEN, BLOCK_MAGIC, BLOCK_VERSION_CHECKSUM,
     BLOCK_VERSION_COMPRESSED,
 };
 
@@ -84,35 +88,26 @@ pub trait EdgeSink {
         drop(self);
     }
 
-    /// The checksum of everything the sink has written so far, if the sink
-    /// produces a durable artefact worth checksumming.  File shard sinks
-    /// return the FNV-1a hash the progress journal records; in-memory sinks
-    /// return `None`.
-    fn payload_checksum(&self) -> Option<u64> {
-        None
-    }
-
-    /// Finalise the sink and return its output together with the payload
-    /// checksum of the *finished* artefact.
+    /// Finalise the sink and return its output together with the checksum
+    /// of the *finished* artefact — the FNV-1a hash the progress journal and
+    /// the manifest record for a shard file, `None` (the default) for sinks
+    /// that leave nothing durable behind.
     ///
-    /// The default reads [`EdgeSink::payload_checksum`] and then finishes —
-    /// correct for sinks whose byte stream is complete before `finish()`.
-    /// Sinks that seal trailing state during finalisation (a partial
-    /// compression frame, a footer) override this so the checksum covers
-    /// every payload byte; sinks that hand their state to another thread
-    /// (double buffering) override it because the checksum only exists
-    /// where the inner sink lives.
+    /// This is the only way a sink reports a checksum: a hash only describes
+    /// the artefact once trailing state (a partial compression frame, a
+    /// patched header) is sealed, and for a sink running on another thread
+    /// it only exists where the inner sink lives.  A wrapper around another
+    /// sink forwards this method to it.
     #[must_use = "finish flushes buffers and returns the sink's output; dropping the result loses both"]
     fn finish_with_checksum(self) -> Result<(Self::Output, Option<u64>), SparseError>
     where
         Self: Sized,
     {
-        let checksum = self.payload_checksum();
-        Ok((self.finish()?, checksum))
+        Ok((self.finish()?, None))
     }
 }
 
-/// `<path>.tmp` — where a shard sink stages its bytes until `finish()`
+/// `<path>.tmp` — where a [`StagedFile`] keeps its bytes until the commit
 /// atomically renames them into place.
 pub(crate) fn tmp_shard_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_os_string();
@@ -120,14 +115,116 @@ pub(crate) fn tmp_shard_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Best-effort fsync of `path`'s parent directory so the rename that put
-/// `path` in place is itself durable.  Failures are ignored: not every
-/// platform lets a directory be opened for syncing, and the shard data
-/// itself is already synced.
-fn sync_parent_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
+/// Bytes a shard sink buffers between writes to its file.
+const SHARD_BUFFER: usize = 1 << 18;
+
+/// A file on its way to `path`: the single owner of the crash-safe write
+/// protocol of this crate.  Bytes stage at `<path>.tmp`; [`commit`] makes
+/// them durable and only then gives them their final name, so a crash can
+/// never leave a truncated file under it; [`abandon`] removes the staging
+/// file without a trace.  A staged file dropped any other way — a worker
+/// dying mid-stream — leaves the partial visible and says so on stderr.
+///
+/// [`commit`]: StagedFile::commit
+/// [`abandon`]: StagedFile::abandon
+pub(crate) struct StagedFile {
+    writer: BufWriter<File>,
+    hasher: Fnv1a,
+    names: StagingNames,
+}
+
+/// Where a staged file is and where it is going; warns when dropped before
+/// `commit` or `abandon` has dealt with the staging file.
+struct StagingNames {
+    path: PathBuf,
+    tmp: PathBuf,
+    settled: bool,
+}
+
+impl StagedFile {
+    /// Start staging the file that will become `path`, buffering `buffer`
+    /// bytes between writes (0 for a file written in one piece).
+    pub(crate) fn stage(path: &Path, buffer: usize) -> Result<Self, SparseError> {
+        let tmp = tmp_shard_path(path);
+        let file = File::create(&tmp).map_err(|e| SparseError::with_path(&tmp, e.into()))?;
+        let path = path.to_path_buf();
+        Ok(StagedFile {
+            writer: BufWriter::with_capacity(buffer, file),
+            hasher: Fnv1a::new(),
+            names: StagingNames {
+                path,
+                tmp,
+                settled: false,
+            },
+        })
+    }
+
+    /// The writer and the running checksum, lent together so a formatter or
+    /// encoder can hash each byte inside the loop that produces it.  What
+    /// the hasher absorbs is the caller's decision: shard headers are written
+    /// but not hashed.
+    pub(crate) fn parts(&mut self) -> (&mut BufWriter<File>, &mut Fnv1a) {
+        (&mut self.writer, &mut self.hasher)
+    }
+
+    /// Make the file durable under its final name: flush, overwrite `bytes`
+    /// at `offset` when a `patch` is given (the header fields only known at
+    /// the end), fsync, rename, and fsync the directory.  Returns the final
+    /// path and the checksum.
+    pub(crate) fn commit(self, patch: Option<(u64, &[u8])>) -> Result<(PathBuf, u64), SparseError> {
+        let mut names = self.names;
+        names.settled = true;
+        // Flushes, and gives the write buffer back before anything below
+        // allocates.
+        let mut file = self.writer.into_inner().map_err(|e| e.into_error())?;
+        if let Some((offset, bytes)) = patch {
+            file.seek(SeekFrom::Start(offset))?;
+            file.write_all(bytes)?;
+        }
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&names.tmp, &names.path)
+            .map_err(|e| SparseError::with_path(&names.path, e.into()))?;
+        // Best effort: not every platform lets a directory be opened for
+        // syncing, and the file's own bytes are already durable.
+        if let Some(Ok(directory)) = names.path.parent().map(File::open) {
+            let _ = directory.sync_all();
+        }
+        Ok((std::mem::take(&mut names.path), self.hasher.finish()))
+    }
+
+    /// Throw the staged bytes away: the staging file is removed and nothing
+    /// is printed.
+    pub(crate) fn abandon(mut self) {
+        self.names.settled = true;
+        let _ = std::fs::remove_file(&self.names.tmp);
+    }
+
+    /// Delete every staging file in `directory` — the leftovers of files
+    /// that were mid-write when an interrupted run died.  Returns how many
+    /// were removed.
+    pub(crate) fn sweep(directory: &Path) -> Result<usize, SparseError> {
+        let named = |e: std::io::Error| SparseError::with_path(directory, e.into());
+        let mut removed = 0;
+        for entry in std::fs::read_dir(directory).map_err(named)? {
+            let path = entry.map_err(named)?.path();
+            if path.extension().is_some_and(|extension| extension == "tmp") && path.is_file() {
+                std::fs::remove_file(&path).map_err(named)?;
+                removed += 1;
+            }
+        }
+        Ok(removed)
+    }
+}
+
+impl Drop for StagingNames {
+    fn drop(&mut self) {
+        if !self.settled && !std::thread::panicking() {
+            eprintln!(
+                "warning: {} was dropped without finish(); the partial file stays at {}",
+                self.path.display(),
+                self.tmp.display()
+            );
         }
     }
 }
@@ -204,35 +301,60 @@ impl EdgeSink for CooSink {
     }
 }
 
+/// Open a staged binary shard: the shared header fields, then `patched`
+/// zeroed `u64` slots — entry count first — for `finish` to fill in.
+fn stage_block_file(
+    path: &Path,
+    version: u32,
+    nrows: u64,
+    ncols: u64,
+    patched: usize,
+) -> Result<StagedFile, SparseError> {
+    let mut staged = StagedFile::stage(path, SHARD_BUFFER)?;
+    let (writer, _) = staged.parts();
+    writer.write_all(&BLOCK_MAGIC)?;
+    writer.write_all(&version.to_le_bytes())?;
+    writer.write_all(&nrows.to_le_bytes())?;
+    writer.write_all(&ncols.to_le_bytes())?;
+    for _ in 0..patched {
+        writer.write_all(&0u64.to_le_bytes())?;
+    }
+    Ok(staged)
+}
+
+/// Commit a staged binary shard, patching `fields` and then the payload
+/// checksum into the header slots [`stage_block_file`] left zeroed (the
+/// entry count sits at the same offset in every layout version).
+fn commit_block_file(
+    staged: StagedFile,
+    fields: &[u64],
+) -> Result<(PathBuf, Option<u64>), SparseError> {
+    let patch: Vec<u8> = fields
+        .iter()
+        .chain([&staged.hasher.finish()])
+        .flat_map(|field| field.to_le_bytes())
+        .collect();
+    let (path, checksum) = staged.commit(Some((BLOCK_HEADER_LEN - 8, &patch)))?;
+    Ok((path, Some(checksum)))
+}
+
 /// An [`EdgeSink`] writing `row<TAB>col<TAB>1` triples through a buffered
 /// writer — one TSV shard per worker.
 ///
-/// The shard is staged at `<path>.tmp`, fsynced, and atomically renamed to
-/// `path` by `finish()`, so a crash can never leave a truncated file under
-/// the final name: a shard that exists is a shard that finished.  The sink
-/// also maintains a running FNV-1a checksum of every byte written
-/// ([`EdgeSink::payload_checksum`]) — the sidecar checksum the run's
-/// progress journal and manifest record for later verification.
+/// Like every shard sink, it stages its bytes at `<path>.tmp` until
+/// `finish()` fsyncs them and atomically renames them to `path`, so the
+/// final name only ever holds a complete shard.  Its checksum is the FNV-1a
+/// hash of the whole file — the sidecar checksum the run's progress journal
+/// and manifest record for later verification.
 pub struct TsvShardSink {
-    writer: Option<BufWriter<std::fs::File>>,
-    path: PathBuf,
-    tmp: PathBuf,
-    hasher: Fnv1a,
-    finished: bool,
+    staged: StagedFile,
 }
 
 impl TsvShardSink {
     /// Create the shard, staging bytes at `<path>.tmp` until `finish()`.
     pub fn create(path: &Path) -> Result<Self, SparseError> {
-        let tmp = tmp_shard_path(path);
-        let file =
-            std::fs::File::create(&tmp).map_err(|e| SparseError::with_path(&tmp, e.into()))?;
         Ok(TsvShardSink {
-            writer: Some(BufWriter::with_capacity(1 << 18, file)),
-            path: path.to_path_buf(),
-            tmp,
-            hasher: Fnv1a::new(),
-            finished: false,
+            staged: StagedFile::stage(path, SHARD_BUFFER)?,
         })
     }
 }
@@ -241,54 +363,24 @@ impl EdgeSink for TsvShardSink {
     type Output = PathBuf;
 
     fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError> {
-        let writer = self
-            .writer
-            .as_mut()
-            // lint:allow(no-expect) -- the writer is Some until finish(); use-after-finish is a caller contract violation documented on the type
-            .expect("sink used after finish");
         // The formatter hashes each line as it produces it, so the checksum
         // sees exactly the bytes that reach the file.
-        write_tsv_edges(writer, edges, &mut self.hasher)?;
+        let (writer, hasher) = self.staged.parts();
+        write_tsv_edges(writer, edges, hasher)?;
         Ok(())
     }
 
-    fn finish(mut self) -> Result<PathBuf, SparseError> {
-        self.finished = true;
-        // lint:allow(no-expect) -- the finished flag checked above guarantees the writer has not been taken yet
-        let mut writer = self.writer.take().expect("finish called once");
-        writer.flush()?;
-        let file = writer
-            .into_inner()
-            .map_err(|e| SparseError::Io(e.to_string()))?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&self.tmp, &self.path)
-            .map_err(|e| SparseError::with_path(&self.path, e.into()))?;
-        sync_parent_dir(&self.path);
-        Ok(self.path.clone())
+    fn finish(self) -> Result<PathBuf, SparseError> {
+        Ok(self.finish_with_checksum()?.0)
     }
 
-    fn abandon(mut self) {
-        self.finished = true;
-        self.writer.take();
-        let _ = std::fs::remove_file(&self.tmp);
+    fn abandon(self) {
+        self.staged.abandon();
     }
 
-    fn payload_checksum(&self) -> Option<u64> {
-        Some(self.hasher.finish())
-    }
-}
-
-impl Drop for TsvShardSink {
-    fn drop(&mut self) {
-        if !self.finished && !std::thread::panicking() {
-            eprintln!(
-                "warning: TSV shard sink for {} dropped without finish(); \
-                 the partial shard stays at {}",
-                self.path.display(),
-                self.tmp.display()
-            );
-        }
+    fn finish_with_checksum(self) -> Result<(PathBuf, Option<u64>), SparseError> {
+        let (path, checksum) = self.staged.commit(None)?;
+        Ok((path, Some(checksum)))
     }
 }
 
@@ -298,42 +390,21 @@ impl Drop for TsvShardSink {
 /// `finish` seeks back and patches the true count and the payload's FNV-1a
 /// checksum into the header.  16 bytes per edge, no buffering beyond the
 /// write buffer.
-///
-/// Like [`TsvShardSink`], the shard is staged at `<path>.tmp` and
-/// atomically renamed into place by `finish()` after an fsync, so the final
-/// name only ever holds a complete, checksummed shard.
 pub struct BinaryShardSink {
-    writer: Option<BufWriter<std::fs::File>>,
-    path: PathBuf,
-    tmp: PathBuf,
+    staged: StagedFile,
     written: u64,
-    hasher: Fnv1a,
     scratch: Vec<u8>,
-    finished: bool,
 }
 
 impl BinaryShardSink {
     /// Create the shard for a `nrows × ncols` graph, staging bytes at
     /// `<path>.tmp` until `finish()`.
     pub fn create(path: &Path, nrows: u64, ncols: u64) -> Result<Self, SparseError> {
-        let tmp = tmp_shard_path(path);
-        let file =
-            std::fs::File::create(&tmp).map_err(|e| SparseError::with_path(&tmp, e.into()))?;
-        let mut writer = BufWriter::with_capacity(1 << 18, file);
-        writer.write_all(&BLOCK_MAGIC)?;
-        writer.write_all(&BLOCK_VERSION_CHECKSUM.to_le_bytes())?;
-        writer.write_all(&nrows.to_le_bytes())?;
-        writer.write_all(&ncols.to_le_bytes())?;
-        writer.write_all(&0u64.to_le_bytes())?; // entry count, patched by finish()
-        writer.write_all(&0u64.to_le_bytes())?; // checksum, patched by finish()
         Ok(BinaryShardSink {
-            writer: Some(writer),
-            path: path.to_path_buf(),
-            tmp,
+            // Patched by finish(): entry count, checksum.
+            staged: stage_block_file(path, BLOCK_VERSION_CHECKSUM, nrows, ncols, 2)?,
             written: 0,
-            hasher: Fnv1a::new(),
             scratch: Vec::new(),
-            finished: false,
         })
     }
 }
@@ -350,58 +421,23 @@ impl EdgeSink for BinaryShardSink {
             self.scratch.extend_from_slice(&row.to_le_bytes());
             self.scratch.extend_from_slice(&col.to_le_bytes());
         }
-        self.hasher.update(&self.scratch);
-        self.writer
-            .as_mut()
-            // lint:allow(no-expect) -- the writer is Some until finish(); use-after-finish is a caller contract violation documented on the type
-            .expect("sink used after finish")
-            .write_all(&self.scratch)?;
+        let (writer, hasher) = self.staged.parts();
+        hasher.update(&self.scratch);
+        writer.write_all(&self.scratch)?;
         self.written += edges.len() as u64;
         Ok(())
     }
 
-    fn finish(mut self) -> Result<PathBuf, SparseError> {
-        self.finished = true;
-        // lint:allow(no-expect) -- the finished flag checked above guarantees the writer has not been taken yet
-        let mut writer = self.writer.take().expect("finish called once");
-        writer.flush()?;
-        let mut file = writer
-            .into_inner()
-            .map_err(|e| SparseError::Io(e.to_string()))?;
-        // The count sits at the same offset in every layout version; the
-        // checksum follows it directly in v3.
-        file.seek(SeekFrom::Start(BLOCK_HEADER_LEN - 8))?;
-        file.write_all(&self.written.to_le_bytes())?;
-        file.write_all(&self.hasher.finish().to_le_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&self.tmp, &self.path)
-            .map_err(|e| SparseError::with_path(&self.path, e.into()))?;
-        sync_parent_dir(&self.path);
-        Ok(self.path.clone())
+    fn finish(self) -> Result<PathBuf, SparseError> {
+        Ok(self.finish_with_checksum()?.0)
     }
 
-    fn abandon(mut self) {
-        self.finished = true;
-        self.writer.take();
-        let _ = std::fs::remove_file(&self.tmp);
+    fn abandon(self) {
+        self.staged.abandon();
     }
 
-    fn payload_checksum(&self) -> Option<u64> {
-        Some(self.hasher.finish())
-    }
-}
-
-impl Drop for BinaryShardSink {
-    fn drop(&mut self) {
-        if !self.finished && !std::thread::panicking() {
-            eprintln!(
-                "warning: binary shard sink for {} dropped without finish(); \
-                 the partial shard stays at {}",
-                self.path.display(),
-                self.tmp.display()
-            );
-        }
+    fn finish_with_checksum(self) -> Result<(PathBuf, Option<u64>), SparseError> {
+        commit_block_file(self.staged, &[self.written])
     }
 }
 
@@ -422,47 +458,25 @@ impl Drop for BinaryShardSink {
 /// invariant is what lets a resumed run reproduce a shard bit-identically.
 /// Each frame is encoded and checksummed in one pass
 /// ([`encode_frame_checksummed`]).
-///
-/// Like the other shard sinks, bytes stage at `<path>.tmp` and `finish()`
-/// fsyncs and atomically renames, so the final name only ever holds a
-/// complete, checksummed shard.
 pub struct CompressedShardSink {
-    writer: Option<BufWriter<std::fs::File>>,
-    path: PathBuf,
-    tmp: PathBuf,
+    staged: StagedFile,
     pending: Vec<(u64, u64)>,
     written: u64,
     payload_len: u64,
-    hasher: Fnv1a,
     scratch: Vec<u8>,
-    finished: bool,
 }
 
 impl CompressedShardSink {
     /// Create the shard for a `nrows × ncols` graph, staging bytes at
     /// `<path>.tmp` until `finish()`.
     pub fn create(path: &Path, nrows: u64, ncols: u64) -> Result<Self, SparseError> {
-        let tmp = tmp_shard_path(path);
-        let file =
-            std::fs::File::create(&tmp).map_err(|e| SparseError::with_path(&tmp, e.into()))?;
-        let mut writer = BufWriter::with_capacity(1 << 18, file);
-        writer.write_all(&BLOCK_MAGIC)?;
-        writer.write_all(&BLOCK_VERSION_COMPRESSED.to_le_bytes())?;
-        writer.write_all(&nrows.to_le_bytes())?;
-        writer.write_all(&ncols.to_le_bytes())?;
-        writer.write_all(&0u64.to_le_bytes())?; // entry count, patched by finish()
-        writer.write_all(&0u64.to_le_bytes())?; // payload length, patched by finish()
-        writer.write_all(&0u64.to_le_bytes())?; // checksum, patched by finish()
         Ok(CompressedShardSink {
-            writer: Some(writer),
-            path: path.to_path_buf(),
-            tmp,
+            // Patched by finish(): entry count, payload length, checksum.
+            staged: stage_block_file(path, BLOCK_VERSION_COMPRESSED, nrows, ncols, 3)?,
             pending: Vec::with_capacity(FRAME_EDGES),
             written: 0,
             payload_len: 0,
-            hasher: Fnv1a::new(),
             scratch: Vec::new(),
-            finished: false,
         })
     }
 
@@ -472,12 +486,9 @@ impl CompressedShardSink {
             return Ok(());
         }
         self.scratch.clear();
-        encode_frame_checksummed(&self.pending, &mut self.scratch, &mut self.hasher);
-        self.writer
-            .as_mut()
-            // lint:allow(no-expect) -- the writer is Some until finish(); use-after-finish is a caller contract violation documented on the type
-            .expect("sink used after finish")
-            .write_all(&self.scratch)?;
+        let (writer, hasher) = self.staged.parts();
+        encode_frame_checksummed(&self.pending, &mut self.scratch, hasher);
+        writer.write_all(&self.scratch)?;
         self.payload_len += self.scratch.len() as u64;
         self.written += self.pending.len() as u64;
         self.pending.clear();
@@ -500,56 +511,81 @@ impl EdgeSink for CompressedShardSink {
         Ok(())
     }
 
-    fn finish(mut self) -> Result<PathBuf, SparseError> {
-        self.flush_frame()?;
-        self.finished = true;
-        // lint:allow(no-expect) -- the finished flag checked above guarantees the writer has not been taken yet
-        let mut writer = self.writer.take().expect("finish called once");
-        writer.flush()?;
-        let mut file = writer
-            .into_inner()
-            .map_err(|e| SparseError::Io(e.to_string()))?;
-        // Patch the three fields finish() owns: count at 24, payload length
-        // at 32, checksum at 40.
-        file.seek(SeekFrom::Start(BLOCK_HEADER_LEN - 8))?;
-        file.write_all(&self.written.to_le_bytes())?;
-        file.write_all(&self.payload_len.to_le_bytes())?;
-        file.write_all(&self.hasher.finish().to_le_bytes())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&self.tmp, &self.path)
-            .map_err(|e| SparseError::with_path(&self.path, e.into()))?;
-        sync_parent_dir(&self.path);
-        Ok(self.path.clone())
+    fn finish(self) -> Result<PathBuf, SparseError> {
+        Ok(self.finish_with_checksum()?.0)
     }
 
-    fn abandon(mut self) {
-        self.finished = true;
-        self.writer.take();
-        let _ = std::fs::remove_file(&self.tmp);
+    fn abandon(self) {
+        self.staged.abandon();
     }
 
-    // payload_checksum() keeps the default `None` on purpose: edges still
-    // sitting in the pending frame have not been encoded yet, so no
-    // mid-stream hash can match the finished file.  The journal checksum
-    // comes from finish_with_checksum(), which seals the last frame first.
-
+    /// Seals the trailing partial frame first: until then edges still sit
+    /// unencoded in the pending buffer and no hash can match the file.
     fn finish_with_checksum(mut self) -> Result<(PathBuf, Option<u64>), SparseError> {
         self.flush_frame()?;
-        let checksum = self.hasher.finish();
-        Ok((self.finish()?, Some(checksum)))
+        commit_block_file(self.staged, &[self.written, self.payload_len])
     }
 }
 
-impl Drop for CompressedShardSink {
-    fn drop(&mut self) {
-        if !self.finished && !std::thread::panicking() {
-            eprintln!(
-                "warning: compressed shard sink for {} dropped without finish(); \
-                 the partial shard stays at {}",
-                self.path.display(),
-                self.tmp.display()
-            );
+/// The sink behind the pipeline's shard-file terminals: one variant per
+/// [`BlockFormat`], and the one place that knows the compressed format runs
+/// double-buffered behind a writer thread while the other two write on the
+/// generating thread.
+pub(crate) enum ShardSink {
+    Tsv(TsvShardSink),
+    Binary(BinaryShardSink),
+    Compressed(DoubleBufferedSink<CompressedShardSink>),
+}
+
+impl ShardSink {
+    /// Create the shard at `path` in `format`, for a graph of `vertices`
+    /// vertices.
+    pub(crate) fn create(
+        format: BlockFormat,
+        path: &Path,
+        vertices: u64,
+    ) -> Result<Self, SparseError> {
+        Ok(match format {
+            BlockFormat::Tsv => ShardSink::Tsv(TsvShardSink::create(path)?),
+            BlockFormat::Binary => {
+                ShardSink::Binary(BinaryShardSink::create(path, vertices, vertices)?)
+            }
+            BlockFormat::Compressed => ShardSink::Compressed(DoubleBufferedSink::new(
+                CompressedShardSink::create(path, vertices, vertices)?,
+            )),
+        })
+    }
+}
+
+impl EdgeSink for ShardSink {
+    type Output = PathBuf;
+
+    #[inline]
+    fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError> {
+        match self {
+            ShardSink::Tsv(sink) => sink.consume(edges),
+            ShardSink::Binary(sink) => sink.consume(edges),
+            ShardSink::Compressed(sink) => sink.consume(edges),
+        }
+    }
+
+    fn finish(self) -> Result<PathBuf, SparseError> {
+        Ok(self.finish_with_checksum()?.0)
+    }
+
+    fn abandon(self) {
+        match self {
+            ShardSink::Tsv(sink) => sink.abandon(),
+            ShardSink::Binary(sink) => sink.abandon(),
+            ShardSink::Compressed(sink) => sink.abandon(),
+        }
+    }
+
+    fn finish_with_checksum(self) -> Result<(PathBuf, Option<u64>), SparseError> {
+        match self {
+            ShardSink::Tsv(sink) => sink.finish_with_checksum(),
+            ShardSink::Binary(sink) => sink.finish_with_checksum(),
+            ShardSink::Compressed(sink) => sink.finish_with_checksum(),
         }
     }
 }
@@ -777,14 +813,19 @@ impl<A: EdgeSink, B: EdgeSink> EdgeSink for TeeSink<A, B> {
     }
 
     fn finish(self) -> Result<(A::Output, B::Output), SparseError> {
-        let first = self.first.finish()?;
-        let second = self.second.finish()?;
-        Ok((first, second))
+        Ok(self.finish_with_checksum()?.0)
     }
 
     fn abandon(self) {
         self.first.abandon();
         self.second.abandon();
+    }
+
+    /// Reports the first branch's checksum.
+    fn finish_with_checksum(self) -> Result<(Self::Output, Option<u64>), SparseError> {
+        let (first, checksum) = self.first.finish_with_checksum()?;
+        let second = self.second.finish()?;
+        Ok(((first, second), checksum))
     }
 }
 
@@ -841,69 +882,8 @@ where
         self.inner.abandon();
     }
 
-    fn payload_checksum(&self) -> Option<u64> {
-        self.inner.payload_checksum()
-    }
-}
-
-/// An [`EdgeSink`] that relabels both endpoints of every edge through a
-/// seeded [`FeistelPermutation`] before an inner sink sees them — the
-/// pipeline's [`permute_vertices`](crate::pipeline::Pipeline::permute_vertices)
-/// stage as a standalone combinator, so any hand-built sink stack (or a
-/// legacy entry point) can scramble vertex labels in O(1) memory too.
-///
-/// Relabelled chunks are staged in an internal buffer so the inner sink
-/// still receives whole slices; the buffer is reused across chunks, so the
-/// steady state allocates nothing.
-#[derive(Debug, Clone)]
-pub struct PermuteSink<S> {
-    inner: S,
-    permutation: FeistelPermutation,
-    buffer: Vec<(u64, u64)>,
-}
-
-impl<S: EdgeSink> PermuteSink<S> {
-    /// Wrap `inner`, relabelling every endpoint through `permutation`.
-    pub fn new(inner: S, permutation: FeistelPermutation) -> Self {
-        PermuteSink {
-            inner,
-            permutation,
-            buffer: Vec::new(),
-        }
-    }
-
-    /// Wrap `inner` with a fresh permutation of `[0, vertices)` keyed by
-    /// `seed`.
-    pub fn seeded(inner: S, vertices: u64, seed: u64) -> Self {
-        PermuteSink::new(inner, FeistelPermutation::new(vertices, seed))
-    }
-
-    /// The permutation this sink applies.
-    pub fn permutation(&self) -> &FeistelPermutation {
-        &self.permutation
-    }
-}
-
-impl<S: EdgeSink> EdgeSink for PermuteSink<S> {
-    type Output = S::Output;
-
-    fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError> {
-        self.buffer.clear();
-        self.buffer
-            .extend(edges.iter().map(|&e| self.permutation.apply_edge(e)));
-        self.inner.consume(&self.buffer)
-    }
-
-    fn finish(self) -> Result<S::Output, SparseError> {
-        self.inner.finish()
-    }
-
-    fn abandon(self) {
-        self.inner.abandon();
-    }
-
-    fn payload_checksum(&self) -> Option<u64> {
-        self.inner.payload_checksum()
+    fn finish_with_checksum(self) -> Result<(S::Output, Option<u64>), SparseError> {
+        self.inner.finish_with_checksum()
     }
 }
 
@@ -947,22 +927,6 @@ mod tests {
         assert_eq!(
             block.iter().map(|(r, c, _)| (r, c)).collect::<Vec<_>>(),
             vec![(1, 0), (0, 2)]
-        );
-    }
-
-    #[test]
-    fn permute_sink_relabels_bijectively_and_preserves_structure() {
-        let mut sink = PermuteSink::seeded(CooSink::new(4), 4, 31);
-        let perm = sink.permutation().clone();
-        sink.consume(EDGES).unwrap();
-        let block = sink.finish().unwrap();
-        let relabelled: Vec<(u64, u64)> = block.iter().map(|(r, c, _)| (r, c)).collect();
-        let expected: Vec<(u64, u64)> = EDGES.iter().map(|&e| perm.apply_edge(e)).collect();
-        assert_eq!(relabelled, expected);
-        // Self-loops stay self-loops under any bijection.
-        assert_eq!(
-            relabelled.iter().filter(|&&(r, c)| r == c).count(),
-            EDGES.iter().filter(|&&(r, c)| r == c).count()
         );
     }
 
@@ -1017,16 +981,14 @@ mod tests {
         let tsv = dir.join("shard.tsv");
         let mut sink = TsvShardSink::create(&tsv).unwrap();
         sink.consume(EDGES).unwrap();
-        let reported = sink.payload_checksum().unwrap();
-        sink.finish().unwrap();
+        let reported = sink.finish_with_checksum().unwrap().1.unwrap();
         assert_eq!(reported, shard_checksum(&tsv, BlockFormat::Tsv).unwrap());
         assert_eq!(reported, Fnv1a::hash(&std::fs::read(&tsv).unwrap()));
 
         let kbk = dir.join("shard.kbk");
         let mut sink = BinaryShardSink::create(&kbk, 4, 4).unwrap();
         sink.consume(EDGES).unwrap();
-        let reported = sink.payload_checksum().unwrap();
-        sink.finish().unwrap();
+        let reported = sink.finish_with_checksum().unwrap().1.unwrap();
         assert_eq!(reported, shard_checksum(&kbk, BlockFormat::Binary).unwrap());
         // …and the header stores the same checksum the trait reported.
         let bytes = std::fs::read(&kbk).unwrap();
@@ -1043,10 +1005,10 @@ mod tests {
         sink.consume(EDGES).unwrap();
         assert!(!kbkz.exists(), "the final name must not exist mid-stream");
         assert!(tmp_shard_path(&kbkz).exists());
-        // The trailing partial frame is not encoded yet, so the trait
-        // reports no mid-stream checksum — finish_with_checksum is the one
-        // that seals and reports.
-        assert_eq!(sink.payload_checksum(), None);
+        // The trailing partial frame is not encoded yet, so nothing has been
+        // hashed mid-stream — finish_with_checksum is the one that seals
+        // and reports.
+        assert_eq!(sink.staged.hasher, Fnv1a::new());
         let (out, checksum) = sink.finish_with_checksum().unwrap();
         assert_eq!(out, kbkz);
         assert!(kbkz.exists());

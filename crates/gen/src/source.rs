@@ -384,6 +384,54 @@ impl KroneckerRun<'_> {
     }
 }
 
+/// Stream the edges of one worker's block — the Kronecker product of its
+/// `B`-triple slice with `C` — filling the caller's reusable `chunk` and
+/// calling the fallible `sink` with each full chunk (and once with the
+/// final partial chunk), so the per-edge cost is two adds and a buffered
+/// store: no bounds check, no closure dispatch, no allocation after the
+/// first chunk.  Global `(row, col)` indices; returns the number of edges
+/// produced.
+///
+/// The first sink error aborts the expansion immediately — no further
+/// edges are generated — and the undelivered edges stay in `chunk` (see
+/// [`EdgeChunk::try_flush`]).  On success the chunk is left empty, so one
+/// buffer can serve a whole run of blocks.  The chunk is also flushed on
+/// entry if it still holds edges from a previous call.
+fn try_stream_block_edges_into<E, F: FnMut(&[(u64, u64)]) -> Result<(), E>>(
+    b_triples: &[(u64, u64, u64)],
+    c: &CooMatrix<u64>,
+    chunk: &mut EdgeChunk,
+    mut sink: F,
+) -> Result<u64, E> {
+    chunk.try_flush(&mut sink)?;
+    let (c_rows, c_cols) = (c.row_indices(), c.col_indices());
+    let (c_nrows, c_ncols) = (c.nrows(), c.ncols());
+    let c_nnz = c_rows.len();
+    for &(rb, cb, _) in b_triples {
+        let row_base = rb * c_nrows;
+        let col_base = cb * c_ncols;
+        // Copy C in runs sized to the space left in the chunk: each run is a
+        // single vectorized extend, and the full-chunk test amortizes over
+        // the run instead of running per edge.
+        let mut done = 0;
+        while done < c_nnz {
+            let take = (c_nnz - done).min(chunk.remaining());
+            chunk.extend_translated(
+                row_base,
+                col_base,
+                &c_rows[done..done + take],
+                &c_cols[done..done + take],
+            );
+            done += take;
+            if chunk.is_full() {
+                chunk.try_flush(&mut sink)?;
+            }
+        }
+    }
+    chunk.try_flush(&mut sink)?;
+    Ok((b_triples.len() * c_nnz) as u64)
+}
+
 impl SourceRun for KroneckerRun<'_> {
     fn stream_worker<E, F>(
         &self,
@@ -398,14 +446,12 @@ impl SourceRun for KroneckerRun<'_> {
         let slice = &self.triples[self.partition.range(worker)];
         let mut cut = self.loop_cut(worker);
         let produced =
-            crate::stream::try_stream_block_edges_into(slice, &self.c, chunk, |edges| {
-                match cut.find(edges) {
-                    Some(at) => {
-                        sink(&edges[..at])?;
-                        sink(&edges[at + 1..])
-                    }
-                    None => sink(edges),
+            try_stream_block_edges_into(slice, &self.c, chunk, |edges| match cut.find(edges) {
+                Some(at) => {
+                    sink(&edges[..at])?;
+                    sink(&edges[at + 1..])
                 }
+                None => sink(edges),
             })?;
         Ok(cut.delivered(produced))
     }
@@ -633,6 +679,74 @@ mod tests {
         assert_eq!(descriptor.split_index, 1);
         assert!(run.predicted_properties().is_some());
         assert!(run.split_plan().is_some());
+    }
+
+    /// A raw-product run over `design` split after its first constituent:
+    /// worker `p` streams exactly `B_p ⊗ C`, no self-loop cut.
+    fn raw_run(design: &KroneckerDesign, workers: usize) -> KroneckerRun<'_> {
+        KroneckerSource::new(design)
+            .split_index(1)
+            .self_loop_policy(SelfLoopPolicy::KeepRaw)
+            .prepare(workers)
+            .unwrap()
+            .0
+    }
+
+    #[test]
+    fn chunked_stream_is_the_translated_product_in_order_at_every_chunk_size() {
+        let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
+        let (b_design, c_design) = design.split(1).unwrap();
+        let b = b_design.realize_raw(10_000).unwrap();
+        let c = c_design.realize_raw(10_000).unwrap();
+
+        // The definition of B ⊗ C, one edge at a time.
+        let mut expected: Vec<(u64, u64)> = Vec::new();
+        for &(rb, cb, _) in &csc_ordered_triples(&b) {
+            for (rc, cc, _) in c.iter() {
+                expected.push((rb * c.nrows() + rc, cb * c.ncols() + cc));
+            }
+        }
+
+        let run = raw_run(&design, 1);
+        for chunk_capacity in [1usize, 3, 4096] {
+            let mut chunked: Vec<(u64, u64)> = Vec::new();
+            let mut chunk = EdgeChunk::new(chunk_capacity);
+            let produced = run
+                .stream_worker::<SparseError, _>(0, &mut chunk, |edges| {
+                    chunked.extend_from_slice(edges);
+                    Ok(())
+                })
+                .unwrap();
+            assert!(chunk.is_empty(), "chunk must be drained on return");
+            assert_eq!(produced as usize, chunked.len());
+            assert_eq!(
+                chunked, expected,
+                "order differs at chunk capacity {chunk_capacity}"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_slice_streams_nothing() {
+        // Six B triples on eight workers: the last two slices are empty.
+        let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
+        let run = raw_run(&design, 8);
+        let idle: Vec<usize> = (0..8)
+            .filter(|&w| run.partition.range(w).is_empty())
+            .collect();
+        assert!(!idle.is_empty());
+        for worker in idle {
+            let mut calls = 0usize;
+            let mut chunk = EdgeChunk::new(8);
+            let produced = run
+                .stream_worker::<SparseError, _>(worker, &mut chunk, |_| {
+                    calls += 1;
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(produced, 0);
+            assert_eq!(calls, 0, "no edges must mean no sink calls");
+        }
     }
 
     /// Every `(source, delivered)` slice pair one worker's relabelled stream

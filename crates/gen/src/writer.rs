@@ -134,6 +134,36 @@ pub enum BlockFormat {
     Compressed,
 }
 
+impl BlockFormat {
+    /// Every format a file terminal can write.
+    pub(crate) const ALL: [Self; 3] = [Self::Tsv, Self::Binary, Self::Compressed];
+
+    /// The sink kind a run of this format records in its manifest and
+    /// progress journal.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            BlockFormat::Tsv => "tsv",
+            BlockFormat::Binary => "binary",
+            BlockFormat::Compressed => "compressed",
+        }
+    }
+
+    /// The file extension of this format's shards.
+    pub(crate) fn extension(self) -> &'static str {
+        match self {
+            BlockFormat::Tsv => "tsv",
+            BlockFormat::Binary => "kbk",
+            BlockFormat::Compressed => "kbkz",
+        }
+    }
+
+    /// The format recorded under sink kind `label`, or `None` when the label
+    /// names a terminal that leaves no shard files.
+    pub(crate) fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|format| format.label() == label)
+    }
+}
+
 /// The files produced by one of the pipeline's file terminals.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BlockFileSet {
@@ -170,13 +200,15 @@ impl BlockFileSet {
     }
 }
 
+/// Create `directory` and name one shard of `format` per worker inside it.
 pub(crate) fn prepare_directory(
     directory: &Path,
     workers: usize,
-    extension: &str,
+    format: BlockFormat,
 ) -> Result<Vec<PathBuf>, CoreError> {
     std::fs::create_dir_all(directory)
         .map_err(|e| CoreError::Sparse(SparseError::Io(e.to_string())))?;
+    let extension = format.extension();
     Ok((0..workers)
         .map(|worker| directory.join(format!("block_{worker:05}.{extension}")))
         .collect())
@@ -800,9 +832,22 @@ mod tests {
     }
 
     #[test]
+    fn format_table_round_trips_and_keeps_extensions_distinct() {
+        for format in BlockFormat::ALL {
+            assert_eq!(BlockFormat::from_label(format.label()), Some(format));
+        }
+        let mut extensions = BlockFormat::ALL.map(BlockFormat::extension).to_vec();
+        extensions.sort_unstable();
+        extensions.dedup();
+        assert_eq!(extensions.len(), BlockFormat::ALL.len());
+        // Terminals that leave no shard files have no format.
+        assert_eq!(BlockFormat::from_label("counting"), None);
+    }
+
+    #[test]
     fn file_names_are_worker_ordered() {
         let dir = TestDir::new("names");
-        let files = prepare_directory(&dir, 2, "tsv").unwrap();
+        let files = prepare_directory(&dir, 2, BlockFormat::Tsv).unwrap();
         assert_eq!(files[0], dir.join("block_00000.tsv"));
         assert_eq!(files[1], dir.join("block_00001.tsv"));
         assert!(dir.is_dir(), "the shard directory is created up front");

@@ -133,8 +133,9 @@
 //! Graph500-style relabelling would otherwise need (unusable at the paper's
 //! 10¹⁰-vertex designs).  The permutation is degree-preserving, so
 //! validation still passes, and the seed lands in the manifest so the run
-//! stays reproducible.  [`gen::PermuteSink`] is the same stage as a
-//! standalone sink combinator.
+//! stays reproducible.  The relabelling is a stage of the source, not a
+//! sink wrapper ([`SourceRun::stream_worker_relabelled`]): a Kronecker run
+//! images each block's label ranges once instead of every edge.
 //!
 //! ## Pre-pipeline entry points
 //!
@@ -161,10 +162,9 @@ pub use kron_core::{
 };
 pub use kron_gen::{
     DesignPipeline, EdgeSource, FaultSchedule, FaultySink, FaultySource, FeistelPermutation,
-    GenerationStats, KroneckerSource, MetricRecord, MetricSuite, MetricsReport, PermuteSink,
-    Pipeline, PredicateCountMetric, ProgressJournal, ReplaySource, RetryPolicy, RunManifest,
-    RunReport, SelfLoopPolicy, ShardFailure, ShardRecord, SourceDescriptor, SourceRun,
-    StreamingMetric,
+    GenerationStats, KroneckerSource, MetricRecord, MetricSuite, MetricsReport, Pipeline,
+    PredicateCountMetric, ProgressJournal, ReplaySource, RetryPolicy, RunManifest, RunReport,
+    SelfLoopPolicy, ShardFailure, ShardRecord, SourceDescriptor, SourceRun, StreamingMetric,
 };
 pub use kron_rmat::{RmatGenerator, RmatParams, RmatSource};
 

@@ -1,52 +1,77 @@
 //! The chunked expansion against the definition of the product.
 //!
 //! The chunked zero-allocation stream must be a pure optimisation: for any
-//! design, worker count, and chunk capacity, the edges it produces are
-//! exactly the edges of the full `kron_coo` product, computed one entry at a
-//! time by the sparse substrate (sorted-pair equality).  These tests pin
+//! design, worker count, and chunk capacity, the edges a raw-product
+//! [`KroneckerSource`] run streams are exactly the edges of the full
+//! `kron_coo` product, computed one entry at a time by the sparse substrate
+//! (sorted-pair equality).  These tests pin
 //! that invariant across every `SelfLoop` variant, worker counts
 //! {1, 2, 4, 7}, chunk capacities {1, 3, 4096}, the empty-slice edge case,
 //! and more workers than `B` triples — first on the paper-shaped
 //! deterministic designs, then on randomly drawn star sets.
 
-use extreme_graphs::gen::partition::{csc_ordered_triples, Partition};
-use extreme_graphs::gen::{stream_block_edges_into, EdgeChunk};
-use extreme_graphs::sparse::{kron_coo, CooMatrix, PlusTimes};
-use extreme_graphs::{KroneckerDesign, SelfLoop};
+use extreme_graphs::gen::{EdgeChunk, SelfLoopPolicy};
+use extreme_graphs::sparse::{kron_coo, CooMatrix, PlusTimes, SparseError};
+use extreme_graphs::{EdgeSource, KroneckerDesign, KroneckerSource, SelfLoop, SourceRun};
 
-/// All edges of `B ⊗ C`, streamed in `workers` slices through chunks of
-/// `chunk_capacity` edges, sorted.
+/// Every worker's stream of the raw product `B ⊗ C` of `design` split after
+/// its first constituent, through one reused chunk of `chunk_capacity`
+/// edges: the slices each worker's sink saw, in order.
+fn chunked(
+    design: &KroneckerDesign,
+    workers: usize,
+    chunk_capacity: usize,
+) -> Vec<Vec<Vec<(u64, u64)>>> {
+    let (run, _) = KroneckerSource::new(design)
+        .split_index(1)
+        .self_loop_policy(SelfLoopPolicy::KeepRaw)
+        .prepare(workers)
+        .unwrap();
+    let mut chunk = EdgeChunk::new(chunk_capacity);
+    (0..workers)
+        .map(|worker| {
+            let mut slices = Vec::new();
+            let produced = run
+                .stream_worker::<SparseError, _>(worker, &mut chunk, |edges| {
+                    slices.push(edges.to_vec());
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(
+                produced as usize,
+                slices.iter().map(Vec::len).sum::<usize>()
+            );
+            slices
+        })
+        .collect()
+}
+
+/// All edges of [`chunked`], sorted.
 fn chunked_sorted(
-    triples: &[(u64, u64, u64)],
-    c: &CooMatrix<u64>,
+    design: &KroneckerDesign,
     workers: usize,
     chunk_capacity: usize,
 ) -> Vec<(u64, u64)> {
-    let partition = Partition::even(triples.len(), workers);
-    let mut edges: Vec<(u64, u64)> = Vec::new();
-    let mut chunk = EdgeChunk::new(chunk_capacity);
-    for worker in 0..workers {
-        let before = edges.len();
-        let slice = &triples[partition.range(worker)];
-        let produced =
-            stream_block_edges_into(slice, c, &mut chunk, |run| edges.extend_from_slice(run));
-        assert_eq!(produced as usize, edges.len() - before);
-    }
+    let mut edges: Vec<(u64, u64)> = chunked(design, workers, chunk_capacity)
+        .into_iter()
+        .flatten()
+        .flatten()
+        .collect();
     edges.sort_unstable();
     edges
 }
 
 /// The oracle: the full product through `kron_coo`, which shares no code
 /// with the streaming expansion.
-fn product_sorted(b: &CooMatrix<u64>, c: &CooMatrix<u64>) -> Vec<(u64, u64)> {
-    let full = kron_coo::<u64, PlusTimes>(b, c).expect("product fits");
+fn product_sorted(design: &KroneckerDesign) -> Vec<(u64, u64)> {
+    let (b, c) = factors(design);
+    let full = kron_coo::<u64, PlusTimes>(&b, &c).expect("product fits");
     let mut edges: Vec<(u64, u64)> = full.iter().map(|(r, col, _)| (r, col)).collect();
     edges.sort_unstable();
     edges
 }
 
-fn factors(points: &[u64], self_loop: SelfLoop) -> (CooMatrix<u64>, CooMatrix<u64>) {
-    let design = KroneckerDesign::from_star_points(points, self_loop).unwrap();
+fn factors(design: &KroneckerDesign) -> (CooMatrix<u64>, CooMatrix<u64>) {
     let (b_design, c_design) = design.split(1).unwrap();
     (
         b_design.realize_raw(100_000).unwrap(),
@@ -57,13 +82,12 @@ fn factors(points: &[u64], self_loop: SelfLoop) -> (CooMatrix<u64>, CooMatrix<u6
 #[test]
 fn all_paths_agree_for_every_self_loop_variant() {
     for self_loop in [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf] {
-        let (b, c) = factors(&[3, 4, 5], self_loop);
-        let triples = csc_ordered_triples(&b);
-        let expected = product_sorted(&b, &c);
+        let design = KroneckerDesign::from_star_points(&[3, 4, 5], self_loop).unwrap();
+        let expected = product_sorted(&design);
         for workers in [1usize, 2, 4, 7] {
             for chunk_capacity in [1usize, 3, 4096] {
                 assert_eq!(
-                    chunked_sorted(&triples, &c, workers, chunk_capacity),
+                    chunked_sorted(&design, workers, chunk_capacity),
                     expected,
                     "{self_loop:?}: {workers} workers, chunk {chunk_capacity}"
                 );
@@ -74,21 +98,25 @@ fn all_paths_agree_for_every_self_loop_variant() {
 
 #[test]
 fn more_workers_than_triples_still_agree() {
-    let (b, c) = factors(&[2, 2], SelfLoop::Centre);
-    let triples = csc_ordered_triples(&b);
-    assert!(triples.len() < 64);
+    let design = KroneckerDesign::from_star_points(&[2, 2], SelfLoop::Centre).unwrap();
+    assert!(factors(&design).0.nnz() < 64);
     assert_eq!(
-        chunked_sorted(&triples, &c, 64, 3),
-        product_sorted(&b, &c),
+        chunked_sorted(&design, 64, 3),
+        product_sorted(&design),
         "idle workers must contribute nothing"
     );
 }
 
 #[test]
 fn empty_slice_is_a_clean_no_op_everywhere() {
-    let (_, c) = factors(&[3, 4], SelfLoop::None);
+    // Six `B` triples on eight workers leave two workers an empty slice:
+    // they must not call their sink at all, not even with an empty chunk.
+    let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
+    let triples = factors(&design).0.nnz();
     for chunk_capacity in [1usize, 4096] {
-        assert_eq!(chunked_sorted(&[], &c, 1, chunk_capacity), Vec::new());
+        let per_worker = chunked(&design, 8, chunk_capacity);
+        let idle = per_worker.iter().filter(|slices| slices.is_empty()).count();
+        assert_eq!(idle, 8 - triples, "chunk {chunk_capacity}");
     }
 }
 
@@ -111,11 +139,11 @@ mod random_designs {
                 1 => SelfLoop::Centre,
                 _ => SelfLoop::Leaf,
             };
-            let (b, c) = factors(&[left_points, right_points], self_loop);
-            let triples = csc_ordered_triples(&b);
+            let design =
+                KroneckerDesign::from_star_points(&[left_points, right_points], self_loop).unwrap();
             prop_assert_eq!(
-                chunked_sorted(&triples, &c, workers, chunk_capacity),
-                product_sorted(&b, &c)
+                chunked_sorted(&design, workers, chunk_capacity),
+                product_sorted(&design)
             );
         }
     }

@@ -1,0 +1,277 @@
+//! The seams of the run engine, from the outside.
+//!
+//! Each stage of a worker's life — plan → attempt under retry → per chunk
+//! source [+ relabel] → observe → consume → seal — and each durability
+//! decision behind it has one owner inside `kron-gen`.  These tests pin what
+//! those owners promise, through the public API only: the order of the
+//! per-chunk stages and what a failed attempt leaves behind, the checksum a
+//! wrapped shard sink reports, the staged manifest write, and the typed
+//! errors for sink labels that name no shard format.
+
+use std::path::Path;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+use extreme_graphs::core::CoreError;
+use extreme_graphs::gen::manifest::{MANIFEST_FILE_NAME, PROGRESS_FILE_NAME};
+use extreme_graphs::gen::sink::{
+    CompressedShardSink, CountingSink, EdgeSink, FilterMapSink, TeeSink, TsvShardSink,
+};
+use extreme_graphs::gen::testing::TestDir;
+use extreme_graphs::gen::{shard_checksum, BlockFormat};
+use extreme_graphs::sparse::SparseError;
+use extreme_graphs::{
+    FaultSchedule, FaultySink, FaultySource, KroneckerDesign, KroneckerSource, Pipeline,
+    PredicateCountMetric, ReplaySource, RetryPolicy, RunManifest, SelfLoop,
+};
+
+fn design() -> KroneckerDesign {
+    KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap()
+}
+
+/// What the recording sink and metric of the stage-order test saw.
+#[derive(Debug, Clone, PartialEq)]
+enum Event {
+    Observed((u64, u64)),
+    Consumed(Vec<(u64, u64)>),
+    Abandoned,
+    Sealed,
+    FinishedWithoutChecksum,
+}
+
+type Log = Arc<Mutex<Vec<Event>>>;
+
+struct RecordingSink {
+    log: Log,
+    edges: u64,
+}
+
+impl RecordingSink {
+    fn record(&self, event: Event) {
+        self.log.lock().unwrap().push(event);
+    }
+}
+
+impl EdgeSink for RecordingSink {
+    type Output = u64;
+
+    fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError> {
+        self.record(Event::Consumed(edges.to_vec()));
+        self.edges += edges.len() as u64;
+        Ok(())
+    }
+
+    fn finish(self) -> Result<u64, SparseError> {
+        self.record(Event::FinishedWithoutChecksum);
+        Ok(self.edges)
+    }
+
+    fn abandon(self) {
+        self.record(Event::Abandoned);
+    }
+
+    fn finish_with_checksum(self) -> Result<(u64, Option<u64>), SparseError> {
+        self.record(Event::Sealed);
+        Ok((self.edges, None))
+    }
+}
+
+#[test]
+fn every_chunk_is_observed_then_consumed_and_a_failed_attempt_leaves_no_trace() {
+    let design = design();
+    for permutation_seed in [None, Some(0xFEED)] {
+        let log = Log::default();
+        let metric_log = Arc::clone(&log);
+        // One worker fails once, 100 edges into its stream, and is retried.
+        let schedule = FaultSchedule::none().with_transient(0, 100, 1);
+        let source = FaultySource::new(KroneckerSource::new(&design).split_index(1), schedule);
+        let mut pipeline = Pipeline::for_source(source)
+            .workers(1)
+            .chunk_capacity(64)
+            .retry_policy(RetryPolicy {
+                max_retries: 1,
+                base_backoff: Duration::ZERO,
+                max_backoff: Duration::ZERO,
+            })
+            .with_metric(PredicateCountMetric::new("seen", move |row, col| {
+                metric_log.lock().unwrap().push(Event::Observed((row, col)));
+                true
+            }));
+        if let Some(seed) = permutation_seed {
+            pipeline = pipeline.permute_vertices(seed);
+        }
+        let report = pipeline
+            .into_sinks(|_| {
+                Ok(RecordingSink {
+                    log: Arc::clone(&log),
+                    edges: 0,
+                })
+            })
+            .unwrap();
+
+        // Per chunk: the custom metric saw exactly the slice `consume` was
+        // about to get (delivered labels), edge for edge, just before it.
+        let events = log.lock().unwrap().clone();
+        let mut pending: Vec<(u64, u64)> = Vec::new();
+        let (mut consumed_by_attempt, mut consumed) = (Vec::new(), 0u64);
+        for event in &events {
+            match event {
+                Event::Observed(edge) => pending.push(*edge),
+                Event::Consumed(slice) => {
+                    assert_eq!(&pending, slice, "observe and consume disagree");
+                    consumed += slice.len() as u64;
+                    pending.clear();
+                }
+                Event::Abandoned | Event::Sealed => {
+                    assert!(
+                        pending.is_empty(),
+                        "a chunk was observed but never consumed"
+                    );
+                    consumed_by_attempt.push((event.clone(), consumed));
+                    consumed = 0;
+                }
+                Event::FinishedWithoutChecksum => {
+                    panic!("the engine must seal through finish_with_checksum")
+                }
+            }
+        }
+        // The failed attempt was abandoned exactly once, after exactly the
+        // scheduled prefix; the successful one was sealed exactly once.
+        let edges = report.edge_count();
+        assert_eq!(
+            consumed_by_attempt,
+            [(Event::Abandoned, 100), (Event::Sealed, edges)],
+            "permutation {permutation_seed:?}"
+        );
+        // The failed attempt's 100 observations were dropped unfolded.
+        assert_eq!(report.outputs, [edges]);
+        assert_eq!(
+            report.metrics.custom_value("seen"),
+            Some(edges.to_string().as_str())
+        );
+        assert_eq!(report.metrics.edges, edges);
+        assert!(report.is_valid());
+    }
+}
+
+/// Wrap a shard sink of `format` in each combinator: every wrapper must
+/// report the checksum `shard_checksum` reads back from the finished file.
+fn wrappers_forward_the_checksum<S: EdgeSink>(
+    dir: &TestDir,
+    format: BlockFormat,
+    extension: &str,
+    create: impl Fn(&Path) -> S,
+) {
+    const EDGES: &[(u64, u64)] = &[(0, 1), (1, 1), (2, 0), (3, 3)];
+    let path = |name: &str| dir.join(format!("{name}.{extension}"));
+    let on_disk = |name: &str| Some(shard_checksum(&path(name), format).unwrap());
+
+    let mut sink = FaultySink::new(create(&path("faulty")), 0, FaultSchedule::none());
+    sink.consume(EDGES).unwrap();
+    assert_eq!(sink.finish_with_checksum().unwrap().1, on_disk("faulty"));
+
+    let mut sink = FilterMapSink::new(create(&path("filtered")), |row, col| Some((row, col)));
+    sink.consume(EDGES).unwrap();
+    assert_eq!(sink.finish_with_checksum().unwrap().1, on_disk("filtered"));
+
+    // A tee reports its first branch.
+    let mut sink = TeeSink::new(create(&path("teed")), CountingSink::new());
+    sink.consume(EDGES).unwrap();
+    let ((_, count), checksum) = sink.finish_with_checksum().unwrap();
+    assert_eq!((count, checksum), (4, on_disk("teed")));
+}
+
+#[test]
+fn wrappers_report_the_inner_shards_checksum() {
+    let dir = TestDir::new("wrapped_checksums");
+    // A compressed shard's hash only exists once its last frame is sealed,
+    // so only `finish_with_checksum` — forwarded by every wrapper — has it.
+    wrappers_forward_the_checksum(&dir, BlockFormat::Compressed, "kbkz", |path| {
+        CompressedShardSink::create(path, 4, 4).unwrap()
+    });
+    wrappers_forward_the_checksum(&dir, BlockFormat::Tsv, "tsv", |path| {
+        TsvShardSink::create(path).unwrap()
+    });
+}
+
+#[test]
+fn manifest_write_is_staged_and_a_failed_one_leaves_the_previous_manifest_intact() {
+    let design = design();
+    let dir = TestDir::new("staged_manifest");
+    let path = dir.join(MANIFEST_FILE_NAME);
+    let staging = dir.join(format!("{MANIFEST_FILE_NAME}.tmp"));
+
+    let first = Pipeline::for_design(&design).workers(2).count().unwrap();
+    first.manifest.write_to(&path).unwrap();
+    assert!(
+        !staging.exists(),
+        "a successful write leaves no staging file"
+    );
+    assert_eq!(RunManifest::read_from(&path).unwrap(), first.manifest);
+    let before = std::fs::read(&path).unwrap();
+
+    // A write that cannot even stage: the staging name is taken by a directory.
+    std::fs::create_dir(&staging).unwrap();
+    let second = Pipeline::for_design(&design).workers(3).count().unwrap();
+    let error = second.manifest.write_to(&path).unwrap_err();
+    assert!(matches!(error, SparseError::WithPath { .. }), "{error:?}");
+    assert!(error.to_string().contains(MANIFEST_FILE_NAME), "{error}");
+    assert_eq!(std::fs::read(&path).unwrap(), before);
+}
+
+#[test]
+fn resume_sweeps_an_orphaned_manifest_staging_file() {
+    let design = design();
+    let dir = TestDir::new("orphaned_manifest_tmp");
+    let pipeline = || Pipeline::for_design(&design).workers(2).split_index(1);
+    let whole = pipeline().write_tsv(&dir).unwrap();
+    // A crash between the last shard and the manifest's rename.
+    let staging = dir.join(format!("{MANIFEST_FILE_NAME}.tmp"));
+    std::fs::write(&staging, "{ \"source\": \"kron").unwrap();
+    std::fs::remove_file(dir.join(MANIFEST_FILE_NAME)).unwrap();
+
+    let resumed = pipeline().resume(&dir).unwrap();
+    assert!(!staging.exists());
+    let swept = "removed 1 orphaned .tmp staging file(s)";
+    assert!(
+        resumed
+            .stats
+            .warnings
+            .iter()
+            .any(|note| note.contains(swept)),
+        "{:?}",
+        resumed.stats.warnings
+    );
+    assert_eq!(resumed.metrics, whole.metrics);
+    let on_disk = RunManifest::read_from(&dir.join(MANIFEST_FILE_NAME)).unwrap();
+    assert_eq!(on_disk, resumed.manifest);
+}
+
+#[test]
+fn a_sink_label_that_names_no_shard_format_is_a_typed_error_naming_it() {
+    let design = design();
+    let dir = TestDir::new("unknown_sink_label");
+    let pipeline = || Pipeline::for_design(&design).workers(2).split_index(1);
+    let _ = pipeline().write_tsv(&dir).unwrap();
+    let relabel = |file: &str| {
+        let path = dir.join(file);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"sink\": \"tsv\""), "{text}");
+        std::fs::write(
+            &path,
+            text.replace("\"sink\": \"tsv\"", "\"sink\": \"parquet\""),
+        )
+        .unwrap();
+    };
+    let names_the_label = |error: CoreError| match error {
+        CoreError::InvalidConfig { message } => assert!(message.contains("parquet"), "{message}"),
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    };
+
+    // Through the journal…
+    relabel(PROGRESS_FILE_NAME);
+    names_the_label(pipeline().resume(&dir).unwrap_err());
+    // …and through the manifest.
+    relabel(MANIFEST_FILE_NAME);
+    names_the_label(ReplaySource::from_directory(&dir).unwrap_err());
+}
