@@ -16,13 +16,13 @@
 //!   replay run (the hash inside the codec loop), all over the same
 //!   K70-shaped frames, so "fused ≈ max(codec, hash), not their sum" is
 //!   three printed rows to compare.
-//! * `tsv_format` — [`kron_gen::writer::write_tsv_edges`], the TSV sink's
+//! * `tsv_format` — [`kron_gen::sink::write_tsv_edges`], the TSV sink's
 //!   decimal formatter with the hash riding along.
 //!
 //! End-to-end numbers live in the benchmark (`BENCHMARK.json`,
-//! `crates/bench/src/bin/benchmark/`) and `source_throughput`; this bench
-//! exists so a kernel regression is attributable to the kernel, not
-//! inferred from pipeline deltas.
+//! `crates/bench/src/bin/benchmark/`); this bench exists so a kernel
+//! regression is attributable to the kernel, not inferred from pipeline
+//! deltas.
 
 use std::time::{Duration, Instant};
 
@@ -32,7 +32,7 @@ use kron_gen::codec::{
     FRAME_HEADER_LEN,
 };
 use kron_gen::permute::FeistelPermutation;
-use kron_gen::writer::write_tsv_edges;
+use kron_gen::sink::write_tsv_edges;
 use kron_gen::{EdgeChunk, EdgeSource, Fnv1a, KroneckerSource, SourceRun};
 use kron_rmat::{RmatGenerator, RmatParams};
 use kron_sparse::SparseError;
@@ -80,9 +80,8 @@ fn main() {
         rate / 1e6
     );
 
-    // The source_throughput bench's Kronecker graph has 43 200 vertices;
-    // use the same domain so the cycle-walk rate matches the end-to-end
-    // measurement.
+    // 43 200 vertices is not a power of two, so the Feistel network
+    // cycle-walks, as it does on every Kronecker design.
     let vertices = 43_200u64;
     let perm = FeistelPermutation::new(vertices, 0x5EED);
     let edges: Vec<(u64, u64)> = (0..CHUNK as u64)

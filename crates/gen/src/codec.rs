@@ -1,7 +1,22 @@
-//! The delta/varint edge codec behind the compressed (v4) binary shard
-//! layout.
+//! The compressed (v4) shard layout, every byte of it: the block header and
+//! the delta/varint edge frames it prefixes.
 //!
-//! A v4 shard's payload is a sequence of self-describing **frames**:
+//! A `.kbkz` file is one 48-byte little-endian header followed by the
+//! payload.  `BlockHeader` is the only code that knows the header layout —
+//! it builds the placeholder a sink stages, the patch that seals it, and
+//! reads and validates it back:
+//!
+//! | offset | width | field | written by |
+//! |-------:|------:|-------|------------|
+//! | 0  | 4 | magic ([`BLOCK_MAGIC`]) | placeholder |
+//! | 4  | 4 | version ([`BLOCK_VERSION_COMPRESSED`]) | placeholder |
+//! | 8  | 8 | `nrows` | placeholder |
+//! | 16 | 8 | `ncols` | placeholder |
+//! | 24 | 8 | `nnz`, edges in the payload | seal (zero until then) |
+//! | 32 | 8 | `payload_len`, bytes after the header | seal (zero until then) |
+//! | 40 | 8 | FNV-1a checksum of the payload | seal (zero until then) |
+//!
+//! The payload is a sequence of self-describing **frames**:
 //!
 //! ```text
 //! u32 edge_count   u32 byte_len   byte_len bytes of varint deltas
@@ -13,16 +28,17 @@
 //! varint-coded.  Generated edge streams have strong endpoint locality —
 //! the Kronecker expansion walks `B` in CSC order and R-MAT is skewed
 //! toward low vertex ids — so most deltas fit one or two bytes and a shard
-//! shrinks to a fraction of the fixed 16 bytes per edge of the v2/v3
-//! layouts.  Every frame resets the delta state, so a decoder can resume
-//! at any frame boundary and a corrupt frame is contained.
+//! shrinks to a fraction of 16 bytes per edge.  Every frame resets the delta
+//! state, so a decoder can resume at any frame boundary and a corrupt frame
+//! is contained.
 //!
-//! This module is pure byte-slice arithmetic: no file I/O (shard files are
-//! owned by the sinks in [`crate::sink`]), no allocation beyond the
-//! caller's buffers, and typed [`SparseError`] results on every malformed
-//! input — truncated varints, overlong encodings, trailing bytes, and
-//! frame counts that disagree with the payload all fail loudly instead of
-//! decoding garbage.
+//! This module is pure byte arithmetic: it opens no file (shard files are
+//! owned by the sinks in [`crate::sink`] and read by [`crate::replay`]),
+//! allocates nothing beyond the caller's buffers, and returns typed
+//! [`SparseError`] results on every malformed input — a header that is not
+//! this layout or disagrees with the file's length, truncated varints,
+//! overlong encodings, trailing bytes, and frame counts that disagree with
+//! the payload all fail loudly instead of decoding garbage.
 //!
 //! # Where the checksum is computed
 //!
@@ -41,9 +57,179 @@
 //! observer of a decode is shown exactly the payload on every outcome,
 //! success or failure — see [`decode_frame_checksummed`].
 
+use std::io::Read;
+
 use kron_sparse::SparseError;
 
-use crate::writer::Fnv1a;
+/// Magic bytes opening a binary block file.
+pub const BLOCK_MAGIC: [u8; 4] = *b"KBLK";
+/// Version of the binary block layout this crate writes and reads: a
+/// delta/varint-compressed payload behind a header carrying the edge count,
+/// the payload byte length — with variable-width frames the edge count does
+/// not determine the file size, so truncation detection needs the length
+/// spelled out — and the payload checksum.
+pub const BLOCK_VERSION_COMPRESSED: u32 = 4;
+/// Size in bytes of the [`BLOCK_VERSION_COMPRESSED`] header (see the module
+/// docs for the layout).
+pub const BLOCK_HEADER_COMPRESSED_LEN: u64 = 4 + 4 + 8 + 8 + 8 + 8 + 8;
+
+/// What every rejection of a raw-binary shard or run says, whether it is
+/// met as a block version in a file or as a sink label in a manifest or
+/// journal.
+pub(crate) const RAW_BINARY_RETIRED: &str =
+    "raw-binary shards (block versions 1-3) are no longer read; regenerate the directory \
+     from the design and seeds in its manifest.json with write_compressed";
+
+/// Streaming 64-bit FNV-1a hasher — the checksum every shard carries.
+///
+/// FNV-1a is not cryptographic; it is a fast, dependency-free integrity
+/// check that reliably catches the corruption modes a crash or a bad disk
+/// produces (flipped bytes, truncation combined with the length check).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// Start a fresh hash.
+    pub fn new() -> Self {
+        Fnv1a(Self::OFFSET_BASIS)
+    }
+
+    /// Absorb a byte slice.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let mut hash = *self;
+        for &byte in bytes {
+            hash.absorb(byte);
+        }
+        *self = hash;
+    }
+
+    /// Absorb one byte — the step the codec and TSV loops run on each byte
+    /// as they produce or consume it, so the serial xor→multiply chain
+    /// hides behind their work instead of costing a second pass.
+    #[inline(always)]
+    pub(crate) fn absorb(&mut self, byte: u8) {
+        self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(Self::PRIME);
+    }
+
+    /// The hash of everything absorbed so far (non-consuming — more bytes
+    /// may still be absorbed afterwards).
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// Hash a complete byte slice in one call.
+    pub fn hash(bytes: &[u8]) -> u64 {
+        let mut hasher = Fnv1a::new();
+        hasher.update(bytes);
+        hasher.finish()
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a::new()
+    }
+}
+
+/// The validated header of a compressed block file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockHeader {
+    /// Declared number of rows.
+    pub nrows: u64,
+    /// Declared number of columns.
+    pub ncols: u64,
+    /// Declared number of edges in the payload.
+    pub nnz: u64,
+    /// Declared payload byte length.
+    pub payload_len: u64,
+    /// FNV-1a checksum of the payload.
+    pub checksum: u64,
+}
+
+impl BlockHeader {
+    /// The header a sink stages before its first frame: magic, version and
+    /// dimensions, with the three fields only known at the end left zero
+    /// for [`seal`](Self::seal) to fill in.
+    pub(crate) fn placeholder(
+        nrows: u64,
+        ncols: u64,
+    ) -> [u8; BLOCK_HEADER_COMPRESSED_LEN as usize] {
+        let mut bytes = [0u8; BLOCK_HEADER_COMPRESSED_LEN as usize];
+        bytes[0..4].copy_from_slice(&BLOCK_MAGIC);
+        bytes[4..8].copy_from_slice(&BLOCK_VERSION_COMPRESSED.to_le_bytes());
+        bytes[8..16].copy_from_slice(&nrows.to_le_bytes());
+        bytes[16..24].copy_from_slice(&ncols.to_le_bytes());
+        bytes
+    }
+
+    /// The patch that completes a [`placeholder`](Self::placeholder) once
+    /// the payload is written: the file offset to overwrite at, and the
+    /// bytes of the three trailing fields.
+    pub(crate) fn seal(nnz: u64, payload_len: u64, checksum: u64) -> (u64, [u8; 24]) {
+        let mut bytes = [0u8; 24];
+        bytes[0..8].copy_from_slice(&nnz.to_le_bytes());
+        bytes[8..16].copy_from_slice(&payload_len.to_le_bytes());
+        bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+        (BLOCK_HEADER_COMPRESSED_LEN - 24, bytes)
+    }
+
+    /// Read and validate a header — magic, version, and the declared payload
+    /// length against the actual `file_len` — leaving `reader` at the first
+    /// frame, so a corrupt header fails cleanly before anything is streamed
+    /// from it.  `nnz` is only a claim until the frames have been decoded
+    /// and counted; nothing may be sized from it.
+    pub(crate) fn read(file_len: u64, reader: &mut impl Read) -> Result<Self, SparseError> {
+        let parse_error = |message: String| SparseError::Parse { line: 0, message };
+        let mut magic = [0u8; 4];
+        reader.read_exact(&mut magic)?;
+        if magic != BLOCK_MAGIC {
+            return Err(parse_error(format!(
+                "bad block magic {magic:?}, expected {BLOCK_MAGIC:?}"
+            )));
+        }
+        let mut version = [0u8; 4];
+        reader.read_exact(&mut version)?;
+        let version = u32::from_le_bytes(version);
+        if version != BLOCK_VERSION_COMPRESSED {
+            let retired = match version {
+                1..=3 => format!(": {RAW_BINARY_RETIRED}"),
+                _ => String::new(),
+            };
+            return Err(parse_error(format!(
+                "unsupported block version {version}{retired}"
+            )));
+        }
+        let mut field = || -> Result<u64, SparseError> {
+            let mut bytes = [0u8; 8];
+            reader.read_exact(&mut bytes)?;
+            Ok(u64::from_le_bytes(bytes))
+        };
+        let header = BlockHeader {
+            nrows: field()?,
+            ncols: field()?,
+            nnz: field()?,
+            payload_len: field()?,
+            checksum: field()?,
+        };
+        let (nnz, payload_len) = (header.nnz, header.payload_len);
+        let expected_len =
+            payload_len
+                .checked_add(BLOCK_HEADER_COMPRESSED_LEN)
+                .ok_or(SparseError::TooLarge {
+                    what: "compressed block payload length",
+                    requested: payload_len as u128,
+                })?;
+        if expected_len != file_len {
+            return Err(parse_error(format!(
+                "binary block declares {nnz} entries ({expected_len} bytes) but the file is {file_len} bytes"
+            )));
+        }
+        Ok(header)
+    }
+}
 
 /// Edges per full frame the compressed sink emits (the last frame of a
 /// shard holds the remainder).  Frames are sized so a decoder's
@@ -584,7 +770,7 @@ mod tests {
     #[test]
     fn locality_compresses_well_below_the_fixed_layout() {
         // A plausibly local stream (sorted-ish small deltas) must beat the
-        // v2/v3 fixed 16 bytes per edge by a wide margin.
+        // fixed 16 bytes per edge of raw pairs by a wide margin.
         let edges: Vec<(u64, u64)> = (0..10_000u64)
             .map(|i| (i / 16, splitmix(i) % 4096))
             .collect();
@@ -659,6 +845,68 @@ mod tests {
                 // back with the hash riding along.
                 round_trip(&regime_edges(case, len));
             }
+
+            #[test]
+            fn arbitrary_header_bytes_read_whole_or_fail_typed(
+                mut bytes in proptest::collection::vec(any::<u8>(), HEADER..HEADER + 1),
+                // Arbitrary bytes almost never open with the magic, so most
+                // cases get a valid magic and version put in front.
+                opens_valid in 0u8..4,
+                arbitrary_len in any::<u64>(),
+                // …and most of those the one file length that agrees.
+                len_agrees in 0u8..4,
+                cut in 0usize..HEADER,
+            ) {
+                if opens_valid > 0 {
+                    bytes[..8].copy_from_slice(&BlockHeader::placeholder(0, 0)[..8]);
+                }
+                let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+                let file_len = match len_agrees {
+                    0 => arbitrary_len,
+                    _ => word(32).wrapping_add(BLOCK_HEADER_COMPRESSED_LEN),
+                };
+                match BlockHeader::read(file_len, &mut &bytes[..]) {
+                    Ok(header) => {
+                        prop_assert_eq!(&bytes[..8], &BlockHeader::placeholder(0, 0)[..8]);
+                        let fields = [8, 16, 24, 32, 40].map(word);
+                        prop_assert_eq!(
+                            fields,
+                            [header.nrows, header.ncols, header.nnz, header.payload_len, header.checksum]
+                        );
+                        prop_assert_eq!(
+                            header.payload_len.checked_add(BLOCK_HEADER_COMPRESSED_LEN),
+                            Some(file_len)
+                        );
+                    }
+                    Err(SparseError::Parse { .. } | SparseError::TooLarge { .. }) => {}
+                    Err(other) => prop_assert!(false, "untyped rejection: {other:?}"),
+                }
+                // A header that ends early is an error at whatever field it
+                // ends in, never a panic and never a header.
+                prop_assert!(BlockHeader::read(file_len, &mut &bytes[..cut]).is_err());
+            }
+
+            #[test]
+            fn a_sealed_placeholder_reads_back_its_fields(
+                fields in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            ) {
+                let (nrows, ncols, nnz, payload_len, checksum) = fields;
+                let mut bytes = BlockHeader::placeholder(nrows, ncols);
+                let (offset, patch) = BlockHeader::seal(nnz, payload_len, checksum);
+                bytes[offset as usize..].copy_from_slice(&patch);
+                let header = BlockHeader { nrows, ncols, nnz, payload_len, checksum };
+                match payload_len.checked_add(BLOCK_HEADER_COMPRESSED_LEN) {
+                    Some(file_len) => {
+                        prop_assert_eq!(BlockHeader::read(file_len, &mut &bytes[..]), Ok(header));
+                    }
+                    None => prop_assert!(matches!(
+                        BlockHeader::read(u64::MAX, &mut &bytes[..]),
+                        Err(SparseError::TooLarge { .. })
+                    )),
+                }
+            }
         }
+
+        const HEADER: usize = BLOCK_HEADER_COMPRESSED_LEN as usize;
     }
 }

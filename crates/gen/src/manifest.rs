@@ -47,8 +47,8 @@ pub struct ShardRecord {
     /// Edges the shard holds.
     pub edges: u64,
     /// FNV-1a checksum of the shard — the whole file for TSV, the payload
-    /// after the header for binary (see
-    /// [`shard_checksum`](crate::writer::shard_checksum)).
+    /// after the header for compressed (see
+    /// [`shard_checksum`](crate::replay::shard_checksum)).
     pub checksum: u64,
 }
 
@@ -95,7 +95,7 @@ pub struct RunManifest {
     pub max_histogram_bytes: u64,
     /// Self-loop policy of the run (`"remove_designed"` or `"keep_raw"`).
     pub self_loop_policy: String,
-    /// The terminal sink kind (`"counting"`, `"coo"`, `"tsv"`, `"binary"`,
+    /// The terminal sink kind (`"counting"`, `"coo"`, `"tsv"`,
     /// `"compressed"`, `"custom"`).
     pub sink: String,
     /// Output directory of a file-writing run, if any.
@@ -272,7 +272,7 @@ pub struct JournalHeader {
     pub workers: usize,
     /// Designed vertex count, as a decimal string.
     pub vertices: String,
-    /// The file sink kind (`"tsv"`, `"binary"`, or `"compressed"`).
+    /// The file sink kind (`"tsv"` or `"compressed"`).
     pub sink: String,
 }
 
@@ -928,9 +928,12 @@ mod tests {
             chunk_capacity: 65536,
             max_histogram_bytes: 1 << 30,
             self_loop_policy: "remove_designed".into(),
-            sink: "binary".into(),
+            sink: "compressed".into(),
             directory: Some("/tmp/run with \"quotes\" and \\slashes\\".into()),
-            outputs: vec!["/tmp/block_00000.kbk".into(), "/tmp/block_00001.kbk".into()],
+            outputs: vec![
+                "/tmp/block_00000.kbkz".into(),
+                "/tmp/block_00001.kbkz".into(),
+            ],
             edges_per_worker: vec![3292, 3291, 3292, 3291],
             total_edges: 13166,
             seconds: 0.123456789,
@@ -939,13 +942,13 @@ mod tests {
             shards: vec![
                 ShardRecord {
                     worker: 0,
-                    file: "block_00000.kbk".into(),
+                    file: "block_00000.kbkz".into(),
                     edges: 6583,
                     checksum: u64::MAX - 9,
                 },
                 ShardRecord {
                     worker: 1,
-                    file: "block_00001.kbk".into(),
+                    file: "block_00001.kbkz".into(),
                     edges: 6583,
                     checksum: 42,
                 },
@@ -1080,24 +1083,24 @@ mod tests {
             permutation_seed: Some(0xFEED),
             workers: 3,
             vertices: "3600".into(),
-            sink: "binary".into(),
+            sink: "compressed".into(),
         };
         let journal = ProgressJournal::create(&dir, &header).unwrap();
         let first = ShardRecord {
             worker: 1,
-            file: "block_00001.kbk".into(),
+            file: "block_00001.kbkz".into(),
             edges: 10,
             checksum: 111,
         };
         let replacement = ShardRecord {
             worker: 1,
-            file: "block_00001.kbk".into(),
+            file: "block_00001.kbkz".into(),
             edges: 12,
             checksum: 222,
         };
         let other = ShardRecord {
             worker: 0,
-            file: "block_00000.kbk".into(),
+            file: "block_00000.kbkz".into(),
             edges: 9,
             checksum: 333,
         };

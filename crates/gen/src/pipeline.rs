@@ -24,9 +24,9 @@
 //!
 //! * [`Pipeline::count`] — generate and validate, store nothing.
 //! * [`Pipeline::collect_coo`] — per-worker in-memory COO blocks.
-//! * [`Pipeline::write_tsv`] / [`Pipeline::write_binary`] /
-//!   [`Pipeline::write_compressed`] — one shard file per worker, plus a
-//!   `manifest.json` reproducibility record and a `progress.jsonl` journal.
+//! * [`Pipeline::write_tsv`] / [`Pipeline::write_compressed`] — one shard
+//!   file per worker, plus a `manifest.json` reproducibility record and a
+//!   `progress.jsonl` journal.
 //! * [`Pipeline::resume`] — finish an interrupted or partly quarantined file
 //!   run from its journal, bit-identically.
 //! * [`Pipeline::into_sinks`] — any custom [`EdgeSink`] factory.
@@ -79,12 +79,14 @@ use crate::metrics::{
     would_share, MetricSuite, MetricsEngine, MetricsReport, StreamingMetric, WorkerMetrics,
 };
 use crate::permute::FeistelPermutation;
-use crate::replay::stream_shard;
-use crate::sink::{CooSink, CountingSink, EdgeSink, ShardSink, StagedFile};
+use crate::replay::{shard_checksum, stream_shard};
+use crate::sink::{
+    prepare_directory, BlockFileSet, BlockFormat, CooSink, CountingSink, EdgeSink, ShardSink,
+    StagedFile,
+};
 use crate::source::{EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
 use crate::split::SplitPlan;
 use crate::stats::GenerationStats;
-use crate::writer::{prepare_directory, shard_checksum, BlockFileSet, BlockFormat};
 
 pub use crate::source::SelfLoopPolicy;
 
@@ -412,12 +414,6 @@ impl<S: EdgeSource> Pipeline<S> {
         self.write_shards(directory, BlockFormat::Tsv, None)
     }
 
-    /// Generate into one interleaved binary shard per worker under
-    /// `directory`, and write the run's `manifest.json` next to the shards.
-    pub fn write_binary(self, directory: &Path) -> Result<RunReport<PathBuf>, CoreError> {
-        self.write_shards(directory, BlockFormat::Binary, None)
-    }
-
     /// Generate into one compressed (v4 delta/varint) shard per worker
     /// under `directory`, and write the run's `manifest.json` next to the
     /// shards.  Each worker's sink runs double-buffered: encoding and
@@ -465,13 +461,7 @@ impl<S: EdgeSource> Pipeline<S> {
         journal_agrees("workers", header.workers, self.workers)?;
         journal_agrees("permutation_seed", fmt_seed(journal_seed), fmt_seed(seed))?;
         let vertices = self.source.vertices()?;
-        let format =
-            BlockFormat::from_label(&header.sink).ok_or_else(|| CoreError::InvalidConfig {
-                message: format!(
-                    "cannot resume a '{}' run: only shard-file runs journal their progress",
-                    header.sink
-                ),
-            })?;
+        let format = BlockFormat::from_label(&header.sink)?;
         journal_agrees("vertices", header.vertices, vertices)?;
 
         let files = prepare_directory(directory, self.workers, format)?;
@@ -1119,7 +1109,6 @@ mod tests {
     use crate::manifest::MANIFEST_FILE_NAME;
     use crate::sink::{DegreeOnlySink, FilterMapSink, TeeSink};
     use crate::testing::TestDir;
-    use crate::writer::BLOCK_HEADER_CHECKSUM_LEN;
     use kron_bignum::BigUint;
     use kron_core::validate::measure_from_histogram;
     use kron_core::SelfLoop;
@@ -1269,27 +1258,28 @@ mod tests {
         let dir = TestDir::new("manifest_binary");
         let report = pipeline(&design, 3)
             .split_index(1)
-            .write_binary(&dir)
+            .write_compressed(&dir)
             .unwrap();
         assert!(report.is_valid());
 
         let files = report.files.as_ref().expect("binary run produces files");
         assert_eq!(files.files.len(), 3);
-        assert_eq!(files.format, BlockFormat::Binary);
+        assert_eq!(files.format, BlockFormat::Compressed);
         let mut from_disk = files.read_assembled().unwrap();
         let mut expected = design.realize(1_000_000).unwrap();
         from_disk.sort();
         expected.sort();
         assert_eq!(from_disk, expected);
-        // Checksummed header + 16 bytes per edge, exactly.
+        // The header, then at least two one-byte varints per edge.
         for (file, edges) in files.files.iter().zip(&report.stats.edges_per_worker) {
             let len = std::fs::metadata(file).unwrap().len();
-            assert_eq!(len, BLOCK_HEADER_CHECKSUM_LEN + 16 * edges);
+            assert!(len >= crate::codec::BLOCK_HEADER_COMPRESSED_LEN + 2 * edges);
+            assert!(len < 16 * edges, "{len} bytes for {edges} edges");
         }
 
         let on_disk = RunManifest::read_from(&dir.join(MANIFEST_FILE_NAME)).unwrap();
         assert_eq!(on_disk, report.manifest);
-        assert_eq!(on_disk.sink, "binary");
+        assert_eq!(on_disk.sink, "compressed");
         assert_eq!(on_disk.source, "kronecker");
         assert_eq!(on_disk.star_points, vec![3, 4, 5]);
         assert_eq!(on_disk.self_loop, "Centre");
@@ -1630,7 +1620,7 @@ mod tests {
         let report = pipeline(&design, 2)
             .split_index(1)
             .permute_vertices(99)
-            .write_binary(&dir)
+            .write_compressed(&dir)
             .unwrap();
         let on_disk = RunManifest::read_from(&dir.join(MANIFEST_FILE_NAME)).unwrap();
         assert_eq!(on_disk, report.manifest);

@@ -4,7 +4,7 @@
 //! Related generators validate their output *after the fact*, reading the
 //! generated files back from disk; our pipeline could only measure a graph
 //! *while* generating it.  [`ReplaySource`] closes that gap: it implements
-//! [`EdgeSource`] over a directory of TSV or binary shards — typically one a
+//! [`EdgeSource`] over a directory of TSV or compressed shards — typically one a
 //! file-writing [`Pipeline`](crate::pipeline::Pipeline) terminal produced,
 //! located through its `manifest.json` — so the design → generate →
 //! **validate** loop runs as a standalone stage.  Any graph on disk can be
@@ -26,11 +26,11 @@
 //!
 //! Shards stream through the same bounded-memory chunk machinery as
 //! generation: TSV shards line by line, compressed (v4) shards frame by
-//! frame, interleaved (v2/v3) binary shards in fixed 64 KiB slabs, and
-//! split-array (v1) binary shards through two cursors walking the row and
-//! column segments in lockstep.  Every I/O or parse failure names the shard
-//! it occurred in ([`SparseError::WithPath`]), so one corrupt file in a
-//! thousand-shard set is identifiable from the error alone.
+//! frame.  Every I/O or parse failure names the shard it occurred in
+//! ([`SparseError::WithPath`]), so one corrupt file in a thousand-shard set
+//! is identifiable from the error alone.  This module is the crate's one
+//! shard reader: [`BlockFileSet::read_assembled`] and [`shard_checksum`]
+//! live here too, beside the streams they are built from.
 //!
 //! A v4 shard's bytes are touched once: its checksum is taken inside the
 //! frame decoder's loop ([`codec::decode_frame_checksummed`] — FNV-1a's
@@ -42,23 +42,21 @@
 //! than edge by edge.  [`Pipeline::resume`](crate::pipeline::Pipeline::resume)
 //! re-verifies the shards it keeps through the same function.
 
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
+use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 
 use kron_core::validate::{FieldCheck, ValidationReport};
 use kron_core::{CoreError, GraphProperties};
-use kron_sparse::SparseError;
+use kron_sparse::io::read_tsv_file;
+use kron_sparse::{CooMatrix, SparseError};
 
 use crate::chunk::EdgeChunk;
-use crate::codec;
+use crate::codec::{self, BlockHeader, Fnv1a};
 use crate::manifest::{RunManifest, MANIFEST_FILE_NAME};
 use crate::partition::Partition;
+use crate::sink::{BlockFileSet, BlockFormat, CooSink, EdgeSink};
 use crate::source::{EdgeSource, SourceDescriptor, SourceRun};
 use crate::split::SplitPlan;
-use crate::writer::{
-    le_u64, read_block_header, BlockFileSet, BlockFormat, Fnv1a, BLOCK_HEADER_LEN, BLOCK_VERSION,
-    BLOCK_VERSION_COMPRESSED,
-};
 
 /// An [`EdgeSource`] that streams an existing shard set back through the
 /// pipeline.
@@ -66,8 +64,8 @@ use crate::writer::{
 pub struct ReplaySource {
     files: Vec<PathBuf>,
     /// Expected whole-file checksum per shard (same order as `files`), from
-    /// the manifest's `shards` records.  Binary shards carry their checksum
-    /// in the v3 header and verify it regardless; this sidecar is what
+    /// the manifest's `shards` records.  Compressed shards carry their
+    /// checksum in the header and verify it regardless; this sidecar is what
     /// makes *TSV* shards verifiable.  `None` (pre-checksum manifests,
     /// hand-built file sets) skips verification for that shard.
     checksums: Vec<Option<u64>>,
@@ -87,13 +85,7 @@ impl ReplaySource {
     pub fn from_directory(directory: &Path) -> Result<Self, CoreError> {
         let manifest = RunManifest::read_from(&directory.join(MANIFEST_FILE_NAME))
             .map_err(CoreError::Sparse)?;
-        let format =
-            BlockFormat::from_label(&manifest.sink).ok_or_else(|| CoreError::InvalidConfig {
-                message: format!(
-                    "manifest records sink kind \"{}\", which left no shard files to replay",
-                    manifest.sink
-                ),
-            })?;
+        let format = BlockFormat::from_label(&manifest.sink)?;
         if manifest.outputs.is_empty() {
             return Err(CoreError::InvalidConfig {
                 message: "manifest records no output shards".into(),
@@ -296,43 +288,11 @@ fn shard_error<E: From<SparseError>>(path: &Path, error: SparseError) -> E {
     E::from(SparseError::with_path(path, error))
 }
 
-/// Push one bounds-checked edge into the chunk, flushing when full.
-#[inline]
-fn push_edge<E, F>(
-    path: &Path,
-    vertices: u64,
-    chunk: &mut EdgeChunk,
-    sink: &mut F,
-    row: u64,
-    col: u64,
-) -> Result<(), E>
-where
-    E: From<SparseError>,
-    F: FnMut(&[(u64, u64)]) -> Result<(), E>,
-{
-    if row >= vertices || col >= vertices {
-        return Err(shard_error(
-            path,
-            SparseError::IndexOutOfBounds {
-                row,
-                col,
-                nrows: vertices,
-                ncols: vertices,
-            },
-        ));
-    }
-    chunk.push(row, col);
-    if chunk.is_full() {
-        chunk.try_flush(sink)?;
-    }
-    Ok(())
-}
-
 /// Move one decoded frame into the stream: a single bounds scan over the
 /// whole frame, then whole chunks handed to `sink` — straight from `frame`
 /// while the chunk is empty, through a bulk copy when it holds a leftover.
-/// The sink sees what per-edge [`push_edge`] calls would show it: slices of
-/// exactly the chunk's capacity, the tail left buffered in the chunk.  An
+/// The sink sees what pushing the frame edge by edge would show it: slices
+/// of exactly the chunk's capacity, the tail left buffered in the chunk.  An
 /// out-of-range edge still lets the edges before it through.
 fn push_frame<E, F>(
     path: &Path,
@@ -389,10 +349,11 @@ where
 
 /// Stream one shard of `format` through the chunk in bounded memory,
 /// verifying it as it streams, and return the number of edges delivered —
-/// the one shard reader behind both replay and
-/// [`Pipeline::resume`](crate::pipeline::Pipeline::resume)'s re-verification.
-/// `expected_checksum` is the sidecar checksum of the manifest or journal;
-/// only TSV shards need it, binary shards carry theirs in the header.
+/// the one shard reader behind replay,
+/// [`Pipeline::resume`](crate::pipeline::Pipeline::resume)'s re-verification
+/// and [`BlockFileSet::read_assembled`].  `expected_checksum` is the sidecar
+/// checksum of the manifest or journal; only TSV shards need it, compressed
+/// shards carry theirs in the header.
 pub(crate) fn stream_shard<E, F>(
     path: &Path,
     format: BlockFormat,
@@ -407,9 +368,7 @@ where
 {
     match format {
         BlockFormat::Tsv => stream_tsv_shard(path, vertices, expected_checksum, chunk, sink),
-        BlockFormat::Binary | BlockFormat::Compressed => {
-            stream_binary_shard(path, vertices, chunk, sink)
-        }
+        BlockFormat::Compressed => stream_binary_shard(path, vertices, chunk, sink),
     }
 }
 
@@ -484,7 +443,10 @@ where
                 "edge ({row}, {col}) out of bounds for {vertices} vertices"
             )));
         }
-        push_edge(path, vertices, chunk, sink, row, col)?;
+        chunk.push(row, col);
+        if chunk.is_full() {
+            chunk.try_flush(sink)?;
+        }
         delivered += 1;
     }
     if let Some(expected) = expected_checksum {
@@ -500,14 +462,12 @@ where
     Ok(delivered)
 }
 
-/// Stream one binary shard through the chunk in bounded buffers: v4
-/// delta/varint frames one bounded slab at a time, v2/v3 interleaved pairs
-/// slab by slab, v1 split arrays through two cursors walking the row and
-/// column segments in lockstep.  v3/v4 shards carry their payload checksum
-/// in the header; it is verified as the shard streams, and a mismatch fails
-/// with [`SparseError::ChecksumMismatch`] naming the shard — including when
-/// the corruption first surfaces as an undecodable frame or an
-/// out-of-bounds edge mid-stream.
+/// Stream one compressed (v4) shard through the chunk, one bounded slab per
+/// delta/varint frame.  The header must describe a `vertices × vertices`
+/// graph.  The payload checksum the header carries is verified as the shard
+/// streams, and a mismatch fails with [`SparseError::ChecksumMismatch`]
+/// naming the shard — including when the corruption first surfaces as an
+/// undecodable frame or an out-of-bounds edge mid-stream.
 fn stream_binary_shard<E, F>(
     path: &Path,
     vertices: u64,
@@ -524,217 +484,211 @@ where
         .map_err(|e| shard_error(path, e.into()))?
         .len();
     let mut reader = BufReader::with_capacity(1 << 18, &file);
-    // The single owner of the header format (shared with read_block_bin)
-    // validates magic, version, and the declared count against the actual
-    // file length before anything streams.
-    let header = read_block_header(file_len, &mut reader).map_err(|e| shard_error(path, e))?;
-    let (version, nnz) = (header.version, header.nnz);
+    // The codec validates magic, version, and the declared payload length
+    // against the actual file length before anything streams.
+    let header = BlockHeader::read(file_len, &mut reader).map_err(|e| shard_error(path, e))?;
+    if header.nrows != vertices || header.ncols != vertices {
+        return Err(shard_error(
+            path,
+            SparseError::DimensionMismatch {
+                op: "shard header",
+                left: (header.nrows, header.ncols),
+                right: (vertices, vertices),
+            },
+        ));
+    }
+    let (nnz, expected) = (header.nnz, header.checksum);
 
-    if version == BLOCK_VERSION_COMPRESSED {
-        // Delta/varint frames, one bounded slab per frame: read each
-        // frame's 8-byte header, then its body (at most ~1.3 MiB for a
-        // full frame of worst-case varints), hashing everything so the
-        // header checksum is verified once the payload is exhausted.
-        let mut hasher = Fnv1a::new();
-        let mut body = Vec::new();
-        let mut frame = Vec::new();
-        let mut decoded = 0u64;
-        let mut remaining = header
-            .payload_len
-            // lint:allow(no-expect) -- read_block_header always sets payload_len for v4
-            .expect("v4 header carries a payload length");
-        let parse_error = |message: String| SparseError::Parse { line: 0, message };
-        let streamed: Result<(), E> = loop {
-            if remaining == 0 {
-                break Ok(());
-            }
-            if remaining < codec::FRAME_HEADER_LEN as u64 {
-                break Err(shard_error(
-                    path,
-                    parse_error("compressed shard payload ends mid frame header".into()),
-                ));
-            }
-            let mut frame_head = [0u8; codec::FRAME_HEADER_LEN];
-            reader
-                .read_exact(&mut frame_head)
-                .map_err(|e| shard_error(path, e.into()))?;
-            hasher.update(&frame_head);
-            remaining -= codec::FRAME_HEADER_LEN as u64;
-            let (count, byte_len) = codec::frame_header(&frame_head);
-            if u64::from(byte_len) > remaining {
-                break Err(shard_error(
-                    path,
-                    parse_error(format!(
-                        "compressed shard frame declares {byte_len} bytes but only {remaining} remain"
-                    )),
-                ));
-            }
-            body.resize(byte_len as usize, 0);
-            reader
-                .read_exact(&mut body)
-                .map_err(|e| shard_error(path, e.into()))?;
-            remaining -= u64::from(byte_len);
-            // One pass over the body: the hash absorbs each byte as the
-            // decoder loads it — all of `body`, also when decoding fails.
-            let delivered = codec::decode_frame_checksummed(count, &body, &mut frame, &mut hasher)
-                .map_err(|e| shard_error(path, e))
-                .and_then(|()| {
-                    decoded += u64::from(count);
-                    push_frame(path, vertices, chunk, sink, &frame)
-                });
-            if delivered.is_err() {
-                break delivered;
-            }
-        };
-        if let Err(err) = streamed {
-            // A corrupt byte surfaces as garbage — a frame header that
-            // does not fit, an undecodable frame, a wildly out-of-range
-            // edge — long before the end-of-payload checksum would run.
-            // Prefer reporting the cause over the symptom: hash the unread
-            // remainder and, if the stored checksum disagrees, the shard is
-            // corrupt.  When the checksum *does* match (a genuine
-            // downstream failure over an intact shard), the original error
-            // stands.
-            if let Some(expected) = header.checksum {
-                let mut drain = vec![0u8; 1 << 16];
-                while remaining > 0 {
-                    let take = remaining.min(drain.len() as u64) as usize;
-                    if reader.read_exact(&mut drain[..take]).is_err() {
-                        break;
-                    }
-                    hasher.update(&drain[..take]);
-                    remaining -= take as u64;
-                }
-                let actual = hasher.finish();
-                if remaining == 0 && actual != expected {
-                    return Err(shard_error(
-                        path,
-                        SparseError::ChecksumMismatch { expected, actual },
-                    ));
-                }
-            }
-            return Err(err);
+    // Delta/varint frames, one bounded slab per frame: read each
+    // frame's 8-byte header, then its body (at most ~1.3 MiB for a
+    // full frame of worst-case varints), hashing everything so the
+    // header checksum is verified once the payload is exhausted.
+    let mut hasher = Fnv1a::new();
+    let mut body = Vec::new();
+    let mut frame = Vec::new();
+    let mut decoded = 0u64;
+    let mut remaining = header.payload_len;
+    let parse_error = |message: String| SparseError::Parse { line: 0, message };
+    let streamed: Result<(), E> = loop {
+        if remaining == 0 {
+            break Ok(());
         }
-        if let Some(expected) = header.checksum {
-            let actual = hasher.finish();
-            if actual != expected {
-                return Err(shard_error(
-                    path,
-                    SparseError::ChecksumMismatch { expected, actual },
-                ));
-            }
-        }
-        if decoded != nnz {
-            return Err(shard_error(
+        if remaining < codec::FRAME_HEADER_LEN as u64 {
+            break Err(shard_error(
                 path,
-                SparseError::Parse {
-                    line: 0,
-                    message: format!(
-                        "compressed shard declares {nnz} entries but its frames decode {decoded}"
-                    ),
-                },
+                parse_error("compressed shard payload ends mid frame header".into()),
             ));
         }
-    } else if version != BLOCK_VERSION {
-        // Interleaved (row, col) pairs: 4096 at a time.
-        let mut buffer = [0u8; 16 * 4096];
-        let mut remaining = nnz;
-        let mut hasher = Fnv1a::new();
-        while remaining > 0 {
-            let pairs = remaining.min(4096) as usize;
-            let bytes = &mut buffer[..16 * pairs];
-            reader
-                .read_exact(bytes)
-                .map_err(|e| shard_error(path, e.into()))?;
-            if header.checksum.is_some() {
-                hasher.update(bytes);
-            }
-            for pair in bytes.chunks_exact(16) {
-                // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: chunks_exact(16) halves are exactly 8 bytes
-                let row = le_u64(&pair[..8]);
-                // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: chunks_exact(16) halves are exactly 8 bytes
-                let col = le_u64(&pair[8..]);
-                push_edge(path, vertices, chunk, sink, row, col)?;
-            }
-            remaining -= pairs as u64;
-        }
-        if let Some(expected) = header.checksum {
-            let actual = hasher.finish();
-            if actual != expected {
-                return Err(shard_error(
-                    path,
-                    SparseError::ChecksumMismatch { expected, actual },
-                ));
-            }
-        }
-    } else {
-        // Split arrays: a second cursor over the same file walks the column
-        // segment while the buffered reader walks the rows.
-        let mut cols_file = std::fs::File::open(path).map_err(|e| shard_error(path, e.into()))?;
-        cols_file
-            .seek(SeekFrom::Start(BLOCK_HEADER_LEN + 8 * nnz))
+        let mut frame_head = [0u8; codec::FRAME_HEADER_LEN];
+        reader
+            .read_exact(&mut frame_head)
             .map_err(|e| shard_error(path, e.into()))?;
-        let mut cols = BufReader::with_capacity(1 << 18, cols_file);
-        let mut row_bytes = [0u8; 8 * 4096];
-        let mut col_bytes = [0u8; 8 * 4096];
-        let mut remaining = nnz;
-        while remaining > 0 {
-            let run = remaining.min(4096) as usize;
-            reader
-                .read_exact(&mut row_bytes[..8 * run])
-                .map_err(|e| shard_error(path, e.into()))?;
-            cols.read_exact(&mut col_bytes[..8 * run])
-                .map_err(|e| shard_error(path, e.into()))?;
-            for (row, col) in row_bytes[..8 * run]
-                .chunks_exact(8)
-                .zip(col_bytes[..8 * run].chunks_exact(8))
-            {
-                // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: chunks_exact(8) yields exactly 8 bytes
-                let row = le_u64(row);
-                // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: chunks_exact(8) yields exactly 8 bytes
-                let col = le_u64(col);
-                push_edge(path, vertices, chunk, sink, row, col)?;
-            }
-            remaining -= run as u64;
+        hasher.update(&frame_head);
+        remaining -= codec::FRAME_HEADER_LEN as u64;
+        let (count, byte_len) = codec::frame_header(&frame_head);
+        if u64::from(byte_len) > remaining {
+            break Err(shard_error(
+                path,
+                parse_error(format!(
+                    "compressed shard frame declares {byte_len} bytes but only {remaining} remain"
+                )),
+            ));
         }
+        body.resize(byte_len as usize, 0);
+        reader
+            .read_exact(&mut body)
+            .map_err(|e| shard_error(path, e.into()))?;
+        remaining -= u64::from(byte_len);
+        // One pass over the body: the hash absorbs each byte as the
+        // decoder loads it — all of `body`, also when decoding fails.
+        let delivered = codec::decode_frame_checksummed(count, &body, &mut frame, &mut hasher)
+            .map_err(|e| shard_error(path, e))
+            .and_then(|()| {
+                decoded += u64::from(count);
+                push_frame(path, vertices, chunk, sink, &frame)
+            });
+        if delivered.is_err() {
+            break delivered;
+        }
+    };
+    if let Err(err) = streamed {
+        // A corrupt byte surfaces as garbage — a frame header that
+        // does not fit, an undecodable frame, a wildly out-of-range
+        // edge — long before the end-of-payload checksum would run.
+        // Prefer reporting the cause over the symptom: hash the unread
+        // remainder and, if the stored checksum disagrees, the shard is
+        // corrupt.  When the checksum *does* match (a genuine
+        // downstream failure over an intact shard), the original error
+        // stands.
+        let mut drain = vec![0u8; 1 << 16];
+        while remaining > 0 {
+            let take = remaining.min(drain.len() as u64) as usize;
+            if reader.read_exact(&mut drain[..take]).is_err() {
+                break;
+            }
+            hasher.update(&drain[..take]);
+            remaining -= take as u64;
+        }
+        let actual = hasher.finish();
+        if remaining == 0 && actual != expected {
+            return Err(shard_error(
+                path,
+                SparseError::ChecksumMismatch { expected, actual },
+            ));
+        }
+        return Err(err);
+    }
+    let actual = hasher.finish();
+    if actual != expected {
+        return Err(shard_error(
+            path,
+            SparseError::ChecksumMismatch { expected, actual },
+        ));
+    }
+    if decoded != nnz {
+        return Err(shard_error(
+            path,
+            SparseError::Parse {
+                line: 0,
+                message: format!(
+                    "compressed shard declares {nnz} entries but its frames decode {decoded}"
+                ),
+            },
+        ));
     }
     chunk.try_flush(sink)?;
     Ok(nnz)
+}
+
+impl BlockFileSet {
+    /// Read every block file back and assemble the full adjacency matrix.
+    ///
+    /// A failure names the shard it occurred in
+    /// ([`SparseError::WithPath`]), so a corrupt file in a large set is
+    /// identifiable from the error alone.
+    pub fn read_assembled(&self) -> Result<CooMatrix<u64>, CoreError> {
+        let mut all = CooMatrix::new(self.vertices, self.vertices);
+        for file in &self.files {
+            let block = match self.format {
+                BlockFormat::Tsv => read_tsv_file(self.vertices, self.vertices, file)
+                    .map_err(|e| SparseError::with_path(file, e))?,
+                BlockFormat::Compressed => {
+                    let mut block = CooSink::new(self.vertices);
+                    let mut chunk = EdgeChunk::new(EdgeChunk::DEFAULT_CAPACITY);
+                    let mut collect = |edges: &[(u64, u64)]| block.consume(edges);
+                    stream_shard(
+                        file,
+                        self.format,
+                        self.vertices,
+                        None,
+                        &mut chunk,
+                        &mut collect,
+                    )?;
+                    block.finish()?
+                }
+            };
+            all.append(&block)
+                .map_err(|e| SparseError::with_path(file, e))?;
+        }
+        Ok(all)
+    }
+}
+
+/// Recompute the checksum a shard *should* carry by streaming its bytes
+/// back from disk: for TSV shards the FNV-1a hash of the whole file, for
+/// compressed shards the hash of the payload after the header (equal to the
+/// checksum the header stores).  Errors are annotated with the shard path.
+///
+/// This is what `Pipeline::resume` uses to decide whether a shard recorded
+/// in the progress journal is still intact or must be regenerated.
+pub fn shard_checksum(path: &Path, format: BlockFormat) -> Result<u64, SparseError> {
+    let attempt = || -> Result<u64, SparseError> {
+        let file = std::fs::File::open(path)?;
+        let file_len = file.metadata()?.len();
+        let mut reader = std::io::BufReader::with_capacity(1 << 18, file);
+        if format == BlockFormat::Compressed {
+            // Position the reader past the header; the header itself is
+            // validated in passing.
+            BlockHeader::read(file_len, &mut reader)?;
+        }
+        let mut hasher = Fnv1a::new();
+        let mut buffer = [0u8; 1 << 16];
+        loop {
+            let read = reader.read(&mut buffer)?;
+            if read == 0 {
+                break;
+            }
+            hasher.update(&buffer[..read]);
+        }
+        Ok(hasher.finish())
+    };
+    attempt().map_err(|e| SparseError::with_path(path, e))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::Pipeline;
-    use crate::testing::{legacy_block_bytes, TestDir};
+    use crate::testing::TestDir;
     use kron_core::{KroneckerDesign, SelfLoop};
 
+    /// Write a three-worker run of `format` under `dir` and return the edges
+    /// it must hold, sorted — taken from the design's own realisation, which
+    /// never touches a shard codec.
     fn written_run(dir: &Path, format: BlockFormat) -> Vec<(u64, u64)> {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
+        let pipeline = Pipeline::for_design(&design)
+            .workers(3)
+            .split_index(1)
+            .max_c_edges(100_000);
         let report = match format {
-            BlockFormat::Tsv => Pipeline::for_design(&design)
-                .workers(3)
-                .split_index(1)
-                .max_c_edges(100_000)
-                .write_tsv(dir)
-                .unwrap(),
-            BlockFormat::Binary => Pipeline::for_design(&design)
-                .workers(3)
-                .split_index(1)
-                .max_c_edges(100_000)
-                .write_binary(dir)
-                .unwrap(),
-            BlockFormat::Compressed => Pipeline::for_design(&design)
-                .workers(3)
-                .split_index(1)
-                .max_c_edges(100_000)
-                .write_compressed(dir)
-                .unwrap(),
-        };
-        let mut edges: Vec<(u64, u64)> = report
-            .files
-            .unwrap()
-            .read_assembled()
+            BlockFormat::Tsv => pipeline.write_tsv(dir),
+            BlockFormat::Compressed => pipeline.write_compressed(dir),
+        }
+        .unwrap();
+        assert!(report.is_valid());
+        let mut edges: Vec<(u64, u64)> = design
+            .realize(1_000_000)
             .unwrap()
             .iter()
             .map(|(r, c, _)| (r, c))
@@ -745,11 +699,7 @@ mod tests {
 
     #[test]
     fn replay_streams_the_exact_stored_edge_set() {
-        for format in [
-            BlockFormat::Tsv,
-            BlockFormat::Binary,
-            BlockFormat::Compressed,
-        ] {
+        for format in BlockFormat::ALL {
             let dir = TestDir::new(&format!("stream_{format:?}"));
             let expected = written_run(&dir, format);
             let source = ReplaySource::from_directory(&dir).unwrap();
@@ -890,7 +840,7 @@ mod tests {
     #[test]
     fn idle_workers_warn_and_deliver_nothing() {
         let dir = TestDir::new("idle_workers");
-        let expected = written_run(&dir, BlockFormat::Binary);
+        let expected = written_run(&dir, BlockFormat::Compressed);
         let source = ReplaySource::from_directory(&dir).unwrap();
         let (run, warnings) = source.prepare(5).unwrap();
         assert_eq!(warnings.len(), 1);
@@ -909,43 +859,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_split_array_blocks_replay_without_a_manifest() {
-        // Version 1 is the split-array layout; replay it through the
-        // two-cursor streamer.
-        let dir = TestDir::new("v1_blocks");
-        let edges = vec![(0u64, 1u64), (1, 2), (2, 0), (3, 3), (1, 0)];
-        let path = dir.join("block_00000.kbk");
-        std::fs::write(
-            &path,
-            legacy_block_bytes(crate::writer::BLOCK_VERSION, 4, 4, &edges),
-        )
-        .unwrap();
-        let set = BlockFileSet {
-            directory: dir.to_path_buf(),
-            files: vec![path],
-            vertices: 4,
-            format: BlockFormat::Binary,
-        };
-        let source = ReplaySource::from_file_set(&set).expect_edges(5);
-        let (run, _) = source.prepare(1).unwrap();
-        let mut replayed = Vec::new();
-        let mut chunk = EdgeChunk::new(2);
-        let delivered = run
-            .stream_worker::<SparseError, _>(0, &mut chunk, |slice| {
-                replayed.extend_from_slice(slice);
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(delivered, 5);
-        assert_eq!(replayed, edges);
-    }
-
-    #[test]
     fn errors_name_the_failing_shard() {
         let dir = TestDir::new("corrupt");
-        let _ = written_run(&dir, BlockFormat::Binary);
+        let _ = written_run(&dir, BlockFormat::Compressed);
         // Corrupt the middle shard's magic.
-        let victim = dir.join("block_00001.kbk");
+        let victim = dir.join("block_00001.kbkz");
         let mut bytes = std::fs::read(&victim).unwrap();
         bytes[..4].copy_from_slice(b"NOPE");
         std::fs::write(&victim, &bytes).unwrap();
@@ -1034,7 +952,7 @@ mod tests {
     #[test]
     fn descriptor_reflects_the_replayed_manifest() {
         let dir = TestDir::new("descriptor");
-        let _ = written_run(&dir, BlockFormat::Binary);
+        let _ = written_run(&dir, BlockFormat::Compressed);
         let source = ReplaySource::from_directory(&dir).unwrap();
         let (run, _) = source.prepare(2).unwrap();
         let descriptor = run.descriptor();

@@ -1,15 +1,13 @@
 //! Test support shared by this crate's unit tests and the workspace's
 //! integration tests: a scratch directory that cannot collide with another
-//! test's, and byte-level builders for block files no writer in this crate
-//! produces — the pre-checksum layouts, and compressed blocks with frames
-//! cut where the test wants them.
+//! test's, and a byte-level builder for block files no writer in this crate
+//! produces — compressed blocks with frames cut where the test wants them.
 
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::codec::encode_frame;
-use crate::writer::{Fnv1a, BLOCK_MAGIC, BLOCK_VERSION, BLOCK_VERSION_COMPRESSED};
+use crate::codec::{encode_frame, Fnv1a, BLOCK_MAGIC, BLOCK_VERSION_COMPRESSED};
 
 /// A fresh, empty scratch directory that is unique per call — process id
 /// plus a process-wide counter, so neither parallel test threads nor
@@ -51,25 +49,6 @@ impl Drop for TestDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-/// The bytes of a pre-checksum binary block file, for feeding the readers
-/// that must keep accepting them: [`BLOCK_VERSION`] (1) stores all row
-/// indices and then all column indices,
-/// [`BLOCK_VERSION_PAIRS`](crate::writer::BLOCK_VERSION_PAIRS) (2) stores
-/// interleaved `(row, col)` pairs; both open with the shared 32-byte header.
-pub fn legacy_block_bytes(version: u32, nrows: u64, ncols: u64, edges: &[(u64, u64)]) -> Vec<u8> {
-    let mut words = vec![nrows, ncols, edges.len() as u64];
-    if version == BLOCK_VERSION {
-        words.extend(edges.iter().map(|&(row, _)| row));
-        words.extend(edges.iter().map(|&(_, col)| col));
-    } else {
-        words.extend(edges.iter().flat_map(|&(row, col)| [row, col]));
-    }
-    let mut bytes = BLOCK_MAGIC.to_vec();
-    bytes.extend_from_slice(&version.to_le_bytes());
-    bytes.extend(words.iter().flat_map(|word| word.to_le_bytes()));
-    bytes
 }
 
 /// The bytes of a compressed ([`BLOCK_VERSION_COMPRESSED`]) block file with

@@ -147,13 +147,13 @@ mod tests {
 
     #[test]
     fn with_path_annotates_and_never_double_wraps() {
-        let path = std::path::Path::new("/data/block_00003.kbk");
+        let path = std::path::Path::new("/data/block_00003.kbkz");
         let inner = SparseError::Parse {
             line: 7,
             message: "bad magic".into(),
         };
         let wrapped = SparseError::with_path(path, inner.clone());
-        assert!(wrapped.to_string().contains("block_00003.kbk"));
+        assert!(wrapped.to_string().contains("block_00003.kbkz"));
         assert!(wrapped.to_string().contains("bad magic"));
         let rewrapped = SparseError::with_path(std::path::Path::new("/other"), wrapped.clone());
         assert_eq!(rewrapped, wrapped, "annotation must be idempotent");

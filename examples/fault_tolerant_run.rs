@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Directories of this process's own, removed when they drop: two runs
     // at once, or a run after a crashed one, never share shards.
     let clean_dir = TestDir::new("fault_tolerant_run_clean");
-    let clean = pipeline(&design, workers).write_binary(&clean_dir)?;
+    let clean = pipeline(&design, workers).write_compressed(&clean_dir)?;
     assert!(clean.is_valid());
     println!("=== reference run (no faults) ===");
     println!(
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_backoff: Duration::from_millis(4),
         })
         .quarantine_failures(true)
-        .write_binary(&crash_dir)?;
+        .write_compressed(&crash_dir)?;
 
     println!();
     println!("=== faulty run (transient fault on worker 1, permanent on worker 2) ===");
@@ -103,8 +103,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(crashed.failures[0].worker, 2);
     // The transient fault was retried in place; the permanent one left no
     // truncated shard behind — its staging file was abandoned.
-    assert!(!crash_dir.join("block_00002.kbk").exists());
-    assert_eq!(shard_bytes(&crash_dir, "kbk")?.len(), 3);
+    assert!(!crash_dir.join("block_00002.kbkz").exists());
+    assert_eq!(shard_bytes(&crash_dir, "kbkz")?.len(), 3);
     assert!(shard_bytes(&crash_dir, "tmp")?.is_empty());
 
     // 2. Resume with the same (fault-free) configuration: the journal knows
@@ -119,8 +119,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(resumed.is_complete());
     assert!(resumed.is_valid());
     assert_eq!(
-        shard_bytes(&crash_dir, "kbk")?,
-        shard_bytes(&clean_dir, "kbk")?,
+        shard_bytes(&crash_dir, "kbkz")?,
+        shard_bytes(&clean_dir, "kbkz")?,
         "resumed shards are byte-identical to the uninterrupted run"
     );
     assert_eq!(resumed.metrics, clean.metrics);
@@ -130,12 +130,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         resumed.edge_count()
     );
 
-    // 3. Corruption detection: flip one payload bit in a finished shard.
-    //    The edge stays in bounds, so only the recorded checksum can tell —
-    //    and the error names the failing shard.
-    let shard = crash_dir.join("block_00001.kbk");
+    // 3. Corruption detection: flip one payload bit (past the 48-byte
+    //    header) in a finished shard.  The frames still decode, so only the
+    //    recorded checksum can tell — and the error names the failing shard.
+    let shard = crash_dir.join("block_00001.kbkz");
     let mut bytes = std::fs::read(&shard)?;
-    bytes[40] ^= 1;
+    bytes[60] ^= 1;
     std::fs::write(&shard, &bytes)?;
     let err = Pipeline::for_source(ReplaySource::from_directory(&crash_dir)?)
         .workers(workers)
@@ -145,15 +145,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== corruption detection on replay ===");
     println!("  {err}");
     assert!(err.to_string().contains("checksum mismatch"));
-    assert!(err.to_string().contains("block_00001.kbk"));
+    assert!(err.to_string().contains("block_00001.kbkz"));
 
     // 4. Resume heals the corruption too: the bad shard fails verification,
     //    is regenerated, and the directory matches the reference again.
     let healed = pipeline(&design, workers).resume(&crash_dir)?;
     assert!(healed.is_valid());
     assert_eq!(
-        shard_bytes(&crash_dir, "kbk")?,
-        shard_bytes(&clean_dir, "kbk")?
+        shard_bytes(&crash_dir, "kbkz")?,
+        shard_bytes(&clean_dir, "kbkz")?
     );
     println!();
     println!("=== corruption repaired by resume ===");
@@ -161,7 +161,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .stats
         .warnings
         .iter()
-        .filter(|w| w.contains("block_00001.kbk"))
+        .filter(|w| w.contains("block_00001.kbkz"))
     {
         println!("  note: {warning}");
     }

@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Every run carries a serialisable manifest: the design spec, the
     //    full configuration, and the per-worker results.  File-writing
-    //    terminals (`.write_tsv(dir)` / `.write_binary(dir)`) drop this as
+    //    terminals (`.write_tsv(dir)` / `.write_compressed(dir)`) drop this as
     //    `manifest.json` next to the shards.
     println!("=== run manifest ===");
     println!("{}", report.manifest.to_json());

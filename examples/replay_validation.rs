@@ -18,12 +18,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // runs at once, or a run after a crashed one, never share shards.
     let dir = TestDir::new("replay_validation");
 
-    // 1. Generate a designed graph to binary shards (one per worker, plus a
+    // 1. Generate a designed graph to compressed shards (one per worker, plus a
     //    manifest.json describing the run and its measured metrics).
     let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre)?;
     let generated = Pipeline::for_design(&design)
         .workers(4)
-        .write_binary(&dir)?;
+        .write_compressed(&dir)?;
     assert!(generated.is_valid());
     println!("=== generation ===");
     println!(

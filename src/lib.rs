@@ -41,7 +41,7 @@
 //! ```
 //!
 //! Other terminals: [`Pipeline::collect_coo`] for in-memory blocks,
-//! [`Pipeline::write_tsv`] / [`Pipeline::write_binary`] for one shard file
+//! [`Pipeline::write_tsv`] / [`Pipeline::write_compressed`] for one shard file
 //! per worker (plus a `manifest.json`), and [`Pipeline::into_sinks`] for any
 //! custom [`gen::sink::EdgeSink`].
 //!
@@ -116,7 +116,7 @@
 //!
 //! let dir = std::env::temp_dir().join("extreme_graphs_facade_replay_doc");
 //! let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::Centre).unwrap();
-//! let generated = Pipeline::for_design(&design).workers(2).write_binary(&dir).unwrap();
+//! let generated = Pipeline::for_design(&design).workers(2).write_compressed(&dir).unwrap();
 //!
 //! let source = ReplaySource::from_directory(&dir).unwrap();
 //! let replayed = Pipeline::for_source(source).workers(2).count().unwrap();

@@ -71,7 +71,9 @@ fn permanent_fault_quarantines_and_resume_is_bit_identical() {
 
     // The reference: the same run, never interrupted.
     let clean_dir = TestDir::new("permanent_clean");
-    let clean = pipeline(&design, workers).write_binary(&clean_dir).unwrap();
+    let clean = pipeline(&design, workers)
+        .write_compressed(&clean_dir)
+        .unwrap();
     assert!(clean.is_valid());
 
     // Kill worker 2 mid-shard, permanently; quarantine instead of failing.
@@ -79,7 +81,7 @@ fn permanent_fault_quarantines_and_resume_is_bit_identical() {
     let schedule = FaultSchedule::none().with_permanent(2, 100);
     let crashed = faulty_pipeline(&design, workers, schedule)
         .quarantine_failures(true)
-        .write_binary(&crash_dir)
+        .write_compressed(&crash_dir)
         .unwrap();
     assert!(!crashed.is_complete());
     assert_eq!(crashed.failures.len(), 1);
@@ -98,10 +100,10 @@ fn permanent_fault_quarantines_and_resume_is_bit_identical() {
         .contains("block_00002"));
     // The failed worker's shard is absent — not a truncated file that looks
     // complete — and no staging litter survives the abandon.
-    assert!(!crash_dir.join("block_00002.kbk").exists());
+    assert!(!crash_dir.join("block_00002.kbkz").exists());
     assert!(shard_bytes(&crash_dir, "tmp").is_empty());
     // The other three shards are already byte-identical to the clean run's.
-    assert_eq!(shard_bytes(&crash_dir, "kbk").len(), 3);
+    assert_eq!(shard_bytes(&crash_dir, "kbkz").len(), 3);
     // The incomplete run cannot match the prediction.
     assert!(!crashed.is_valid());
 
@@ -111,8 +113,8 @@ fn permanent_fault_quarantines_and_resume_is_bit_identical() {
     assert!(resumed.is_complete());
     assert!(resumed.is_valid());
     assert_eq!(
-        shard_bytes(&crash_dir, "kbk"),
-        shard_bytes(&clean_dir, "kbk"),
+        shard_bytes(&crash_dir, "kbkz"),
+        shard_bytes(&clean_dir, "kbkz"),
         "resumed shards must be byte-identical to the uninterrupted run"
     );
     assert_eq!(resumed.metrics, clean.metrics);
@@ -237,16 +239,17 @@ fn corrupt_shard_is_detected_on_resume_and_regenerated() {
     let workers = 3;
 
     let clean_dir = TestDir::new("corrupt_resume_clean");
-    let _ = pipeline(&design, workers).write_binary(&clean_dir).unwrap();
+    let _ = pipeline(&design, workers).write_tsv(&clean_dir).unwrap();
 
     let dir = TestDir::new("corrupt_resume");
-    let _ = pipeline(&design, workers).write_binary(&dir).unwrap();
-    // Flip the low bit of the first payload byte (offset 40, past the v3
-    // header): the edge stays in bounds, so only the checksum can tell.
-    let shard = dir.join("block_00001.kbk");
-    let mut bytes = std::fs::read(&shard).unwrap();
-    bytes[40] ^= 1;
-    std::fs::write(&shard, &bytes).unwrap();
+    let _ = pipeline(&design, workers).write_tsv(&dir).unwrap();
+    // Turn a value field "1" into "2": still a perfectly parseable line, so
+    // only the checksum the journal recorded for the file can tell.
+    let shard = dir.join("block_00001.tsv");
+    let text = std::fs::read_to_string(&shard).unwrap();
+    let corrupted = text.replacen("\t1\n", "\t2\n", 1);
+    assert_ne!(text, corrupted, "the corruption must change the file");
+    std::fs::write(&shard, corrupted).unwrap();
 
     let resumed = pipeline(&design, workers).resume(&dir).unwrap();
     assert!(resumed.is_valid());
@@ -255,11 +258,11 @@ fn corrupt_shard_is_detected_on_resume_and_regenerated() {
             .stats
             .warnings
             .iter()
-            .any(|w| w.contains("block_00001.kbk") && w.contains("checksum")),
+            .any(|w| w.contains("block_00001.tsv") && w.contains("checksum")),
         "the corrupt shard must be named: {:?}",
         resumed.stats.warnings
     );
-    assert_eq!(shard_bytes(&dir, "kbk"), shard_bytes(&clean_dir, "kbk"));
+    assert_eq!(shard_bytes(&dir, "tsv"), shard_bytes(&clean_dir, "tsv"));
 }
 
 #[test]
@@ -282,21 +285,6 @@ fn corrupt_shard_fails_replay_with_checksum_error_naming_the_shard() {
     let message = err.to_string();
     assert!(message.contains("checksum mismatch"), "{message}");
     assert!(message.contains("block_00000.tsv"), "{message}");
-
-    // Binary: flip a payload bit; the v3 header checksum catches it.
-    let bin_dir = TestDir::new("corrupt_replay_bin");
-    let _ = pipeline(&design, 2).write_binary(&bin_dir).unwrap();
-    let shard = bin_dir.join("block_00001.kbk");
-    let mut bytes = std::fs::read(&shard).unwrap();
-    bytes[40] ^= 1;
-    std::fs::write(&shard, &bytes).unwrap();
-    let err = Pipeline::for_source(ReplaySource::from_directory(&bin_dir).unwrap())
-        .workers(2)
-        .count()
-        .unwrap_err();
-    let message = err.to_string();
-    assert!(message.contains("checksum mismatch"), "{message}");
-    assert!(message.contains("block_00001.kbk"), "{message}");
 
     // Compressed (v4): flip a byte past the 48-byte header — inside the
     // delta/varint payload — and the streamed replay must fail the same way.
@@ -355,7 +343,7 @@ fn resume_rejects_mismatched_configuration() {
     let schedule = FaultSchedule::none().with_permanent(0, 10);
     let _ = faulty_pipeline(&design, 2, schedule)
         .quarantine_failures(true)
-        .write_binary(&dir)
+        .write_compressed(&dir)
         .unwrap();
 
     // Wrong worker count.
@@ -394,7 +382,7 @@ mod seeded_faults {
         #[test]
         fn resume_after_a_fault_is_bit_identical(
             workers in 1usize..5,
-            format in 0usize..3,
+            format in 0usize..2,
             permute in any::<bool>(),
             fault_worker in 0usize..5,
             after_edges in 0u64..200,
@@ -413,7 +401,6 @@ mod seeded_faults {
             }
             let clean = match format {
                 0 => clean_pipe.write_tsv(&clean_dir).unwrap(),
-                1 => clean_pipe.write_binary(&clean_dir).unwrap(),
                 _ => clean_pipe.write_compressed(&clean_dir).unwrap(),
             };
 
@@ -426,7 +413,6 @@ mod seeded_faults {
             }
             let crashed = match format {
                 0 => crash_pipe.write_tsv(&crash_dir).unwrap(),
-                1 => crash_pipe.write_binary(&crash_dir).unwrap(),
                 _ => crash_pipe.write_compressed(&crash_dir).unwrap(),
             };
             prop_assert_eq!(crashed.failures.len(), 1);
@@ -438,7 +424,7 @@ mod seeded_faults {
             let resumed = resume_pipe.resume(&crash_dir).unwrap();
             prop_assert!(resumed.is_complete());
             prop_assert!(resumed.is_valid());
-            let extension = ["tsv", "kbk", "kbkz"][format];
+            let extension = ["tsv", "kbkz"][format];
             prop_assert_eq!(
                 shard_bytes(&crash_dir, extension),
                 shard_bytes(&clean_dir, extension)

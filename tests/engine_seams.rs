@@ -253,25 +253,40 @@ fn a_sink_label_that_names_no_shard_format_is_a_typed_error_naming_it() {
     let dir = TestDir::new("unknown_sink_label");
     let pipeline = || Pipeline::for_design(&design).workers(2).split_index(1);
     let _ = pipeline().write_tsv(&dir).unwrap();
-    let relabel = |file: &str| {
-        let path = dir.join(file);
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"sink\": \"tsv\""), "{text}");
-        std::fs::write(
-            &path,
-            text.replace("\"sink\": \"tsv\"", "\"sink\": \"parquet\""),
-        )
-        .unwrap();
-    };
-    let names_the_label = |error: CoreError| match error {
-        CoreError::InvalidConfig { message } => assert!(message.contains("parquet"), "{message}"),
-        other => panic!("expected InvalidConfig, got {other:?}"),
-    };
+    // A label no terminal ever had, and the retired raw-binary terminal's,
+    // whose error also says how to get the directory back.
+    let mut current = "tsv";
+    for (label, says) in [
+        ("parquet", "no shard format"),
+        ("binary", "write_compressed"),
+    ] {
+        let relabel = |file: &str| {
+            let path = dir.join(file);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let recorded = format!("\"sink\": \"{current}\"");
+            assert!(text.contains(&recorded), "{text}");
+            std::fs::write(
+                &path,
+                text.replace(&recorded, &format!("\"sink\": \"{label}\"")),
+            )
+            .unwrap();
+        };
+        let names_the_label = |error: CoreError| match error {
+            CoreError::InvalidConfig { message } => {
+                assert!(
+                    message.contains(label) && message.contains(says),
+                    "{message}"
+                )
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
 
-    // Through the journal…
-    relabel(PROGRESS_FILE_NAME);
-    names_the_label(pipeline().resume(&dir).unwrap_err());
-    // …and through the manifest.
-    relabel(MANIFEST_FILE_NAME);
-    names_the_label(ReplaySource::from_directory(&dir).unwrap_err());
+        // Through the journal…
+        relabel(PROGRESS_FILE_NAME);
+        names_the_label(pipeline().resume(&dir).unwrap_err());
+        // …and through the manifest.
+        relabel(MANIFEST_FILE_NAME);
+        names_the_label(ReplaySource::from_directory(&dir).unwrap_err());
+        current = label;
+    }
 }

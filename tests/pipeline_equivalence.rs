@@ -149,11 +149,10 @@ fn pipeline_counts_equal_the_design_prediction() {
 #[derive(Debug, Clone, Copy)]
 enum Format {
     Tsv,
-    Binary,
     Compressed,
 }
 
-const FORMATS: [Format; 3] = [Format::Tsv, Format::Binary, Format::Compressed];
+const FORMATS: [Format; 2] = [Format::Tsv, Format::Compressed];
 
 /// What one file-writing run left behind.
 struct WrittenRun {
@@ -174,7 +173,6 @@ fn permuted(pipeline: DesignPipeline<'_>, seed: Option<u64>) -> DesignPipeline<'
 fn write<S: EdgeSource>(pipeline: Pipeline<S>, format: Format, dir: &Path) -> RunReport<PathBuf> {
     let report = match format {
         Format::Tsv => pipeline.write_tsv(dir),
-        Format::Binary => pipeline.write_binary(dir),
         Format::Compressed => pipeline.write_compressed(dir),
     }
     .unwrap();
@@ -351,7 +349,7 @@ fn every_shard_producing_run_emits_a_round_tripping_manifest() {
     let dir = TestDir::new("manifest_round_trip");
     let report = pipeline(&design, 4, 2048)
         .split_index(2)
-        .write_binary(&dir)
+        .write_compressed(&dir)
         .unwrap();
 
     let path = dir.join(MANIFEST_FILE_NAME);
@@ -370,7 +368,7 @@ fn every_shard_producing_run_emits_a_round_tripping_manifest() {
     assert_eq!(manifest.workers, 4);
     assert_eq!(manifest.split_index, 2);
     assert_eq!(manifest.chunk_capacity, 2048);
-    assert_eq!(manifest.sink, "binary");
+    assert_eq!(manifest.sink, "compressed");
     assert_eq!(manifest.total_edges, report.edge_count());
     assert_eq!(manifest.edges_per_worker, report.stats.edges_per_worker);
     assert_eq!(manifest.outputs.len(), 4);
@@ -385,7 +383,7 @@ fn corrupt_shard_errors_name_the_failing_file() {
     let dir = TestDir::new("corrupt_named");
     let report = pipeline(&design, 2, 512)
         .split_index(1)
-        .write_binary(&dir)
+        .write_compressed(&dir)
         .unwrap();
     let files = report.files.unwrap();
     // Corrupt the second shard's magic.
@@ -415,7 +413,7 @@ mod random_designs {
             workers in 1usize..8,
             chunk_choice in 0usize..3,
             loop_choice in 0usize..3,
-            format_choice in 0usize..4,
+            format_choice in 0usize..3,
             permutation_seed in 0u64..3,
         ) {
             let chunk = [1usize, 7, 4096][chunk_choice];

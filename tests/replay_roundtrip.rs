@@ -5,16 +5,16 @@
 //! `ReplaySource` pair: for the same shard layout (as many replay workers as
 //! generation workers), the replay's `MetricsReport` — degree histogram,
 //! counts, max degree, slope fit, per-worker balance — is *equal* to the
-//! generation-time report, across TSV and binary formats, permuted and
+//! generation-time report, across TSV and compressed formats, permuted and
 //! plain runs, and both histogram modes.  Corrupt and missing shards must
 //! fail with errors naming the offending file.
 
 use std::path::{Path, PathBuf};
 
 use extreme_graphs::core::CoreError;
+use extreme_graphs::gen::codec::BLOCK_HEADER_COMPRESSED_LEN;
 use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
 use extreme_graphs::gen::testing::{compressed_block_bytes, TestDir};
-use extreme_graphs::gen::writer::BLOCK_HEADER_COMPRESSED_LEN;
 use extreme_graphs::gen::{
     BlockFileSet, BlockFormat, EdgeChunk, EdgeSource, Fnv1a, Pipeline, ReplaySource, RunManifest,
     RunReport, SourceRun,
@@ -29,7 +29,7 @@ fn generate(dir: &Path, binary: bool, workers: usize) -> RunReport<PathBuf> {
         .split_index(2)
         .max_c_edges(200_000);
     let report = if binary {
-        pipeline.write_binary(dir).unwrap()
+        pipeline.write_compressed(dir).unwrap()
     } else {
         pipeline.write_tsv(dir).unwrap()
     };
@@ -54,7 +54,7 @@ fn replay(dir: &Path, workers: usize) -> RunReport<u64> {
 
 #[test]
 fn replayed_metrics_are_bit_identical_across_formats() {
-    for (binary, label) in [(false, "tsv"), (true, "binary")] {
+    for (binary, label) in [(false, "tsv"), (true, "compressed")] {
         let dir = TestDir::new(&format!("identical_{label}"));
         let generated = generate(&dir, binary, 4);
         let replayed = replay(&dir, 4);
@@ -91,7 +91,7 @@ fn permuted_shards_replay_to_the_same_invariant_metrics() {
         .split_index(2)
         .max_c_edges(200_000)
         .permute_vertices(0xD15C)
-        .write_binary(&dir)
+        .write_compressed(&dir)
         .unwrap();
     let replayed = replay(&dir, 3);
     // The shards hold relabelled edges; the degree structure is invariant,
@@ -136,11 +136,11 @@ fn shared_histogram_mode_replays_identically_too() {
 
 #[test]
 fn corrupt_shards_fail_the_replay_naming_the_file() {
-    for (binary, label) in [(false, "tsv"), (true, "binary")] {
+    for (binary, label) in [(false, "tsv"), (true, "compressed")] {
         let dir = TestDir::new(&format!("corrupt_{label}"));
         let _ = generate(&dir, binary, 3);
         let victim = dir.join(if binary {
-            "block_00001.kbk"
+            "block_00001.kbkz"
         } else {
             "block_00001.tsv"
         });
@@ -165,7 +165,7 @@ fn corrupt_shards_fail_the_replay_naming_the_file() {
 fn missing_shards_fail_the_replay_naming_the_file() {
     let dir = TestDir::new("missing");
     let _ = generate(&dir, true, 3);
-    std::fs::remove_file(dir.join("block_00002.kbk")).unwrap();
+    std::fs::remove_file(dir.join("block_00002.kbkz")).unwrap();
     let source = ReplaySource::from_directory(&dir).unwrap();
     let error = Pipeline::for_source(source).workers(3).count().unwrap_err();
     assert!(matches!(error, CoreError::Sparse(_)));
@@ -377,4 +377,74 @@ fn every_truncation_of_a_v4_shard_is_a_typed_error_naming_it() {
             other => panic!("{} of {} bytes: {other:?}", bytes.len(), shard.bytes.len()),
         }
     }
+}
+
+#[test]
+fn every_flipped_header_bit_of_a_v4_shard_is_a_typed_error_naming_it() {
+    let shard = SmallV4Shard::new("v4_header_flips");
+    for bit in 0..8 * BLOCK_HEADER_COMPRESSED_LEN as usize {
+        let (at, mask) = (bit / 8, 1u8 << (bit % 8));
+        let mut flipped = shard.bytes.clone();
+        flipped[at] ^= mask;
+        let error = match shard.count(&flipped) {
+            Err(CoreError::Sparse(error)) => error,
+            other => panic!("byte {at} ^ {mask:#04x}: {other:?}"),
+        };
+        // Which field the bit is in decides what the reader can say.
+        let message = error.to_string();
+        let as_expected = match (at, in_shard(&error)) {
+            (0..=3, SparseError::Parse { .. }) => message.contains("bad block magic"),
+            (4..=7, SparseError::Parse { .. }) => message.contains("unsupported block version"),
+            (8..=23, SparseError::DimensionMismatch { .. }) => true,
+            (24..=31, SparseError::Parse { .. }) => message.contains("frames decode 40"),
+            (32..=39, SparseError::Parse { .. }) => message.contains("but the file is"),
+            (40..=47, SparseError::ChecksumMismatch { .. }) => true,
+            _ => false,
+        };
+        assert!(as_expected, "byte {at} ^ {mask:#04x}: {message}");
+    }
+}
+
+#[test]
+fn a_shard_declaring_another_graph_is_a_dimension_mismatch_on_every_read_path() {
+    let is_a_dimension_mismatch = |error: CoreError, path: &str| match error {
+        CoreError::Sparse(error) => {
+            assert!(
+                error.to_string().contains("block_00001.kbkz"),
+                "{path}: {error}"
+            );
+            let SparseError::WithPath { source, .. } = &error else {
+                panic!("{path}: the error does not name the shard: {error}");
+            };
+            assert!(
+                matches!(**source, SparseError::DimensionMismatch { .. }),
+                "{path}: {error}"
+            );
+        }
+        other => panic!("{path}: {other:?}"),
+    };
+    let dir = TestDir::new("other_dimensions");
+    let generated = generate(&dir, true, 3);
+    // One more row than the run has vertices.  The payload and its checksum
+    // are untouched, so every other gate passes.
+    let victim = dir.join("block_00001.kbkz");
+    let mut bytes = std::fs::read(&victim).unwrap();
+    bytes[8..16].copy_from_slice(&(generated.vertices + 1).to_le_bytes());
+    std::fs::write(&victim, &bytes).unwrap();
+
+    let replayed = Pipeline::for_source(ReplaySource::from_directory(&dir).unwrap())
+        .workers(3)
+        .count();
+    is_a_dimension_mismatch(replayed.unwrap_err(), "replay");
+    let assembled = generated.files.as_ref().unwrap().read_assembled();
+    is_a_dimension_mismatch(assembled.unwrap_err(), "read_assembled");
+    // Resume's checksum pre-pass hashes the payload, which is intact: it
+    // keeps the shard, and the re-verification that streams it back refuses.
+    let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre).unwrap();
+    let resumed = Pipeline::for_design(&design)
+        .workers(3)
+        .split_index(2)
+        .max_c_edges(200_000)
+        .resume(&dir);
+    is_a_dimension_mismatch(resumed.unwrap_err(), "resume");
 }

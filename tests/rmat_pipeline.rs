@@ -71,7 +71,7 @@ fn rmat_run_emits_a_round_tripping_manifest_with_source_and_seed() {
     let report = Pipeline::for_source(RmatSource::new(params, 41).unwrap())
         .workers(3)
         .permute_vertices(17)
-        .write_binary(&dir)
+        .write_compressed(&dir)
         .unwrap();
     assert!(report.is_valid());
     assert_eq!(report.vertices, params.vertices());

@@ -7,13 +7,14 @@
 //! validates exactly against the analytic prediction — including for designs
 //! too large to realise in memory at all.  Shard files must also survive
 //! hostile inputs: every corrupt-header and corrupt-body variant of the
-//! binary layout has to fail cleanly.
+//! compressed layout has to fail cleanly.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use extreme_graphs::gen::testing::{legacy_block_bytes, TestDir};
-use extreme_graphs::gen::writer::{read_block_bin, BLOCK_HEADER_LEN, BLOCK_VERSION_PAIRS};
-use extreme_graphs::sparse::SparseError;
+use extreme_graphs::core::CoreError;
+use extreme_graphs::gen::testing::{compressed_block_bytes, TestDir};
+use extreme_graphs::gen::{BlockFileSet, BlockFormat};
+use extreme_graphs::sparse::{CooMatrix, SparseError};
 use extreme_graphs::{DesignPipeline, KroneckerDesign, Pipeline, SelfLoop};
 
 fn pipeline(design: &KroneckerDesign, workers: usize) -> DesignPipeline<'_> {
@@ -34,7 +35,7 @@ fn shards_assemble_to_the_realised_design() {
             let dir = TestDir::new("equiv");
             let report = pipeline(&design, workers)
                 .split_index(2)
-                .write_binary(&dir)
+                .write_compressed(&dir)
                 .unwrap();
             let mut streamed = report.files.as_ref().unwrap().read_assembled().unwrap();
             streamed.sort();
@@ -81,23 +82,50 @@ fn driver_validates_beyond_the_materialising_ceiling_in_bounded_memory() {
 mod corrupt_binary_shards {
     use super::*;
 
-    /// The bytes of one valid shard, and a path in a directory of this
-    /// test's own to write their mutilated copy to.
+    /// Offsets of the entry count and the payload length in the v4 header.
+    const NNZ: usize = 24;
+    const PAYLOAD_LEN: usize = 32;
+
+    /// The bytes of one valid shard of a 20-vertex graph, and a path in a
+    /// directory of this test's own to write their mutilated copy to.
     fn valid_shard_bytes() -> (Vec<u8>, TestDir, PathBuf) {
         let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
         let dir = TestDir::new("corrupt");
         let report = pipeline(&design, 1)
             .split_index(1)
-            .write_binary(&dir)
+            .write_compressed(&dir)
             .unwrap();
+        assert_eq!(report.vertices, 20);
         let bytes = std::fs::read(&report.files.unwrap().files[0]).unwrap();
-        let path = dir.join("shard.kbk");
+        let path = dir.join("shard.kbkz");
         (bytes, dir, path)
+    }
+
+    /// Read `path` as the one shard of a `vertices`-vertex graph, the way a
+    /// user does, taking the error out from under the shard's path — which
+    /// must be there.
+    fn read_shard(path: &Path, vertices: u64) -> Result<CooMatrix<u64>, SparseError> {
+        let set = BlockFileSet {
+            directory: path.parent().unwrap().to_path_buf(),
+            files: vec![path.to_path_buf()],
+            vertices,
+            format: BlockFormat::Compressed,
+        };
+        set.read_assembled().map_err(|error| match error {
+            CoreError::Sparse(SparseError::WithPath {
+                path: named,
+                source,
+            }) => {
+                assert!(named.ends_with("shard.kbkz"), "wrong shard named: {named}");
+                *source
+            }
+            other => panic!("the error does not name the shard: {other}"),
+        })
     }
 
     fn expect_parse_error(bytes: &[u8], path: &PathBuf, what: &str) {
         std::fs::write(path, bytes).unwrap();
-        match read_block_bin(path) {
+        match read_shard(path, 20) {
             Err(SparseError::Parse { .. }) => {}
             other => panic!("{what}: expected a parse error, got {other:?}"),
         }
@@ -120,11 +148,10 @@ mod corrupt_binary_shards {
     #[test]
     fn declared_count_must_match_file_length() {
         let (mut bytes, _dir, path) = valid_shard_bytes();
-        // Inflate the declared entry count without adding bytes.
-        let nnz_offset = BLOCK_HEADER_LEN as usize - 8;
-        let declared = u64::from_le_bytes(bytes[nnz_offset..nnz_offset + 8].try_into().unwrap());
-        bytes[nnz_offset..nnz_offset + 8].copy_from_slice(&(declared + 1).to_le_bytes());
-        expect_parse_error(&bytes, &path, "length mismatch (inflated count)");
+        // Inflate the declared payload length without adding bytes.
+        let declared = u64::from_le_bytes(bytes[PAYLOAD_LEN..PAYLOAD_LEN + 8].try_into().unwrap());
+        bytes[PAYLOAD_LEN..PAYLOAD_LEN + 8].copy_from_slice(&(declared + 1).to_le_bytes());
+        expect_parse_error(&bytes, &path, "length mismatch (inflated payload length)");
     }
 
     #[test]
@@ -137,21 +164,17 @@ mod corrupt_binary_shards {
     fn truncated_header_is_rejected() {
         let (bytes, _dir, path) = valid_shard_bytes();
         std::fs::write(&path, &bytes[..10]).unwrap();
-        assert!(read_block_bin(&path).is_err(), "truncated header must fail");
+        assert!(read_shard(&path, 20).is_err(), "truncated header must fail");
     }
 
     #[test]
     fn out_of_bounds_indices_are_rejected() {
-        // A one-edge interleaved (v2) shard whose column index exceeds the
-        // declared dimensions.
+        // A one-edge shard whose column index exceeds the declared
+        // dimensions — which no writer in the library would produce.
         let dir = TestDir::new("out_of_bounds");
-        let path = dir.join("shard.kbk");
-        std::fs::write(
-            &path,
-            legacy_block_bytes(BLOCK_VERSION_PAIRS, 4, 4, &[(1, 9)]),
-        )
-        .unwrap();
-        match read_block_bin(&path) {
+        let path = dir.join("shard.kbkz");
+        std::fs::write(&path, compressed_block_bytes(4, 4, &[&[(1, 9)]])).unwrap();
+        match read_shard(&path, 4) {
             Err(SparseError::IndexOutOfBounds { col: 9, .. }) => {}
             other => panic!("expected IndexOutOfBounds, got {other:?}"),
         }
@@ -159,11 +182,29 @@ mod corrupt_binary_shards {
 
     #[test]
     fn absurd_declared_count_fails_before_allocating() {
-        let (mut bytes, _dir, path) = valid_shard_bytes();
-        let nnz_offset = BLOCK_HEADER_LEN as usize - 8;
-        bytes[nnz_offset..nnz_offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        // Neither the length check nor the payload checksum covers the entry
+        // count, so nothing may be sized from it: whatever it claims, the
+        // frames are decoded and counted, and the count is what disagrees.
+        let (valid, _dir, path) = valid_shard_bytes();
+        let declared = u64::from_le_bytes(valid[NNZ..NNZ + 8].try_into().unwrap());
+        for hostile in [declared + 1, 1 << 40, 1 << 62, u64::MAX] {
+            let mut bytes = valid.clone();
+            bytes[NNZ..NNZ + 8].copy_from_slice(&hostile.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            match read_shard(&path, 20) {
+                Err(SparseError::Parse { message, .. }) => assert!(
+                    message.ends_with(&format!("frames decode {declared}")),
+                    "{hostile}: {message}"
+                ),
+                other => panic!("{hostile}: expected a parse error, got {other:?}"),
+            }
+        }
+        // A payload length no file could have fails before the length check
+        // can even be phrased.
+        let mut bytes = valid.clone();
+        bytes[PAYLOAD_LEN..PAYLOAD_LEN + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        match read_block_bin(&path) {
+        match read_shard(&path, 20) {
             Err(SparseError::TooLarge { .. }) => {}
             other => panic!("expected TooLarge, got {other:?}"),
         }
@@ -194,7 +235,7 @@ mod random_designs {
             let dir = TestDir::new("prop");
             let report = pipeline(&design, workers)
                 .split_index(1)
-                .write_binary(&dir)
+                .write_compressed(&dir)
                 .unwrap();
             prop_assert!(report.is_valid());
 
