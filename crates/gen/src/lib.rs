@@ -58,6 +58,7 @@
 pub mod chunk;
 pub mod codec;
 pub mod fault;
+mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod partition;

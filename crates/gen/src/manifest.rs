@@ -5,15 +5,19 @@
 //! configuration, the output paths, and the per-worker edge counts — enough
 //! to re-run the exact same generation or to audit a directory of shards
 //! long after the run.  File-writing terminals drop the manifest as
-//! `manifest.json` next to the shards.
+//! `manifest.json` next to the shards, and append to the
+//! [`ProgressJournal`] (`progress.jsonl`) as workers finish.
 //!
-//! The manifest derives the workspace's serde traits, but the vendored serde
-//! is API-only, so the JSON encoding that actually ships is implemented here:
-//! [`RunManifest::to_json`] emits it and [`RunManifest::from_json`] parses it
-//! back, and the two are round-trip exact (including `u64` counts beyond
-//! 2^53 and shortest-representation `f64` seconds).
+//! This module owns the *schema* of those two files and nothing of their
+//! syntax: each of the four records has one private `Record` impl that
+//! lists its keys once for writing and once for reading, shared by the
+//! manifest and the journal; the JSON itself — layout, escaping, the strict
+//! bounded parser — is the crate's private `json` module.  Writing and
+//! reading are round-trip exact (including `u64` counts beyond 2^53 and
+//! shortest-representation `f64` seconds), and reading stays tolerant of
+//! what older and newer writers produce: fields added later have documented
+//! defaults and unknown keys are ignored.
 
-use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -21,6 +25,7 @@ use serde::{Deserialize, Serialize};
 
 use kron_sparse::SparseError;
 
+use crate::json::{schema_error, Field, Json};
 use crate::metrics::MetricRecord;
 use crate::sink::StagedFile;
 
@@ -129,50 +134,7 @@ pub struct RunManifest {
 impl RunManifest {
     /// Serialise the manifest as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        write_string(&mut out, "source", &self.source);
-        write_optional_u64(&mut out, "source_seed", self.source_seed);
-        write_optional_u64(&mut out, "permutation_seed", self.permutation_seed);
-        write_u64_array(&mut out, "star_points", &self.star_points);
-        write_string(&mut out, "self_loop", &self.self_loop);
-        write_string(&mut out, "vertices", &self.vertices);
-        write_string(&mut out, "predicted_edges", &self.predicted_edges);
-        write_number(&mut out, "workers", &self.workers.to_string());
-        write_number(&mut out, "split_index", &self.split_index.to_string());
-        write_number(&mut out, "max_c_edges", &self.max_c_edges.to_string());
-        write_number(&mut out, "max_b_edges", &self.max_b_edges.to_string());
-        write_number(&mut out, "chunk_capacity", &self.chunk_capacity.to_string());
-        write_number(
-            &mut out,
-            "max_histogram_bytes",
-            &self.max_histogram_bytes.to_string(),
-        );
-        write_string(&mut out, "self_loop_policy", &self.self_loop_policy);
-        write_string(&mut out, "sink", &self.sink);
-        match &self.directory {
-            Some(dir) => write_string(&mut out, "directory", dir),
-            None => write_number(&mut out, "directory", "null"),
-        }
-        write_string_array(&mut out, "outputs", &self.outputs);
-        write_u64_array(&mut out, "edges_per_worker", &self.edges_per_worker);
-        write_number(&mut out, "total_edges", &self.total_edges.to_string());
-        // `{:?}` prints the shortest decimal that parses back to the same
-        // f64, which is what makes the round-trip exact.
-        write_number(&mut out, "seconds", &format!("{:?}", self.seconds));
-        write_number(
-            &mut out,
-            "exact_match",
-            if self.exact_match { "true" } else { "false" },
-        );
-        write_string_array(&mut out, "warnings", &self.warnings);
-        write_shard_array(&mut out, "shards", &self.shards);
-        write_metric_array(&mut out, "metrics", &self.metrics);
-        // Strip the trailing comma of the last entry.
-        let trimmed = out.trim_end_matches([',', '\n']).len();
-        out.truncate(trimmed);
-        out.push_str("\n}\n");
-        out
+        self.to_object().to_document()
     }
 
     /// Parse a manifest back from its JSON form.
@@ -181,55 +143,7 @@ impl RunManifest {
     /// pipeline; manifests written before it parse with their documented
     /// defaults, so old shard directories stay auditable.
     pub fn from_json(text: &str) -> Result<Self, SparseError> {
-        let value = JsonValue::parse(text)?;
-        let obj = value.as_object("manifest root")?;
-        let self_loop_policy = get(obj, "self_loop_policy")?.as_string("self_loop_policy")?;
-        let source = match get_optional(obj, "source") {
-            Some(value) => value.as_string("source")?,
-            // Pre-source manifests could only have come from the Kronecker
-            // engine; keep-raw runs were the raw-product stream.
-            None if self_loop_policy == "keep_raw" => "kronecker_raw".to_string(),
-            None => "kronecker".to_string(),
-        };
-        Ok(RunManifest {
-            source,
-            source_seed: optional_u64(obj, "source_seed")?,
-            permutation_seed: optional_u64(obj, "permutation_seed")?,
-            star_points: get(obj, "star_points")?.as_u64_array("star_points")?,
-            self_loop: get(obj, "self_loop")?.as_string("self_loop")?,
-            vertices: get(obj, "vertices")?.as_string("vertices")?,
-            predicted_edges: get(obj, "predicted_edges")?.as_string("predicted_edges")?,
-            workers: get(obj, "workers")?.as_u64("workers")? as usize,
-            split_index: get(obj, "split_index")?.as_u64("split_index")? as usize,
-            max_c_edges: get(obj, "max_c_edges")?.as_u64("max_c_edges")?,
-            max_b_edges: get(obj, "max_b_edges")?.as_u64("max_b_edges")?,
-            chunk_capacity: get(obj, "chunk_capacity")?.as_u64("chunk_capacity")? as usize,
-            max_histogram_bytes: get(obj, "max_histogram_bytes")?.as_u64("max_histogram_bytes")?,
-            self_loop_policy,
-            sink: get(obj, "sink")?.as_string("sink")?,
-            directory: match get(obj, "directory")? {
-                JsonValue::Null => None,
-                value => Some(value.as_string("directory")?),
-            },
-            outputs: get(obj, "outputs")?.as_string_array("outputs")?,
-            edges_per_worker: get(obj, "edges_per_worker")?.as_u64_array("edges_per_worker")?,
-            total_edges: get(obj, "total_edges")?.as_u64("total_edges")?,
-            seconds: get(obj, "seconds")?.as_f64("seconds")?,
-            exact_match: get(obj, "exact_match")?.as_bool("exact_match")?,
-            warnings: get(obj, "warnings")?.as_string_array("warnings")?,
-            // Added with crash-safe runs; older manifests recorded no
-            // shard checksums.
-            shards: match get_optional(obj, "shards") {
-                Some(value) => parse_shard_array(value)?,
-                None => Vec::new(),
-            },
-            // Added with the streaming-metrics engine; older manifests
-            // simply recorded no metric values.
-            metrics: match get_optional(obj, "metrics") {
-                Some(value) => parse_metric_array(value)?,
-                None => Vec::new(),
-            },
-        })
+        RunManifest::from_fields(Json::parse(text)?.named("manifest"))
     }
 
     /// Write the manifest as JSON to `path`, crash-safely: the bytes stage
@@ -311,18 +225,7 @@ impl ProgressJournal {
             file: std::sync::Mutex::new(file),
             path,
         };
-        let mut line = String::from("{\"kind\": \"run\", \"source\": ");
-        push_json_string(&mut line, &header.source);
-        line.push_str(", \"source_seed\": ");
-        push_optional_u64(&mut line, header.source_seed);
-        line.push_str(", \"permutation_seed\": ");
-        push_optional_u64(&mut line, header.permutation_seed);
-        let _ = write!(line, ", \"workers\": {}, \"vertices\": ", header.workers);
-        push_json_string(&mut line, &header.vertices);
-        line.push_str(", \"sink\": ");
-        push_json_string(&mut line, &header.sink);
-        line.push_str("}\n");
-        journal.append_line(&line)?;
+        journal.append_line(&journal_line("run", header))?;
         Ok(journal)
     }
 
@@ -345,13 +248,7 @@ impl ProgressJournal {
     /// workers as they finish; each record is flushed and fsynced before
     /// the call returns, so a later crash cannot take it back.
     pub fn record_shard(&self, record: &ShardRecord) -> Result<(), SparseError> {
-        let mut line = String::from("{\"kind\": \"shard\", ");
-        // push_shard_object writes the braces; splice its body instead.
-        let mut body = String::new();
-        push_shard_object(&mut body, record);
-        line.push_str(&body[1..]);
-        line.push('\n');
-        self.append_line(&line)
+        self.append_line(&journal_line("shard", record))
     }
 
     fn append_line(&self, line: &str) -> Result<(), SparseError> {
@@ -377,24 +274,20 @@ impl ProgressJournal {
         let mut latest: std::collections::BTreeMap<usize, ShardRecord> =
             std::collections::BTreeMap::new();
         for line in text.lines() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let Ok(value) = JsonValue::parse(trimmed) else {
-                continue; // torn append from a crash: the line never happened
-            };
-            let Ok(obj) = value.as_object("journal line") else {
+            // A line that does not parse — blank, or torn by a crash
+            // mid-append — never happened.
+            let Ok(json) = Json::parse(line) else {
                 continue;
             };
-            match get_optional(obj, "kind").and_then(|k| k.as_string("kind").ok()) {
-                Some(kind) if kind == "run" => {
-                    if let Ok(parsed) = parse_journal_header(obj) {
+            let line = json.named("journal line");
+            match line.get("kind").and_then(Field::string).as_deref() {
+                Ok("run") => {
+                    if let Ok(parsed) = JournalHeader::from_fields(line) {
                         header = Some(parsed);
                     }
                 }
-                Some(kind) if kind == "shard" => {
-                    if let Ok(record) = parse_shard_object(&JsonValue::Object(obj.to_vec())) {
+                Ok("shard") => {
+                    if let Ok(record) = ShardRecord::from_fields(line) {
                         latest.insert(record.worker, record);
                     }
                 }
@@ -402,508 +295,174 @@ impl ProgressJournal {
             }
         }
         let header = header.ok_or_else(|| {
-            SparseError::with_path(&path, parse_error("progress journal has no run header"))
+            SparseError::with_path(&path, schema_error("progress journal has no run header"))
         })?;
         Ok((header, latest.into_values().collect()))
     }
 }
 
-fn push_optional_u64(out: &mut String, value: Option<u64>) {
-    match value {
-        Some(v) => {
-            let _ = write!(out, "{v}");
+/// One journal line: `{"kind": …, <the record's fields>}` and a newline.
+fn journal_line(kind: &str, record: &impl Record) -> String {
+    let fields = std::iter::once(("kind", kind.into())).chain(record.to_fields());
+    let mut line = Json::object(fields).to_line();
+    line.push('\n');
+    line
+}
+
+/// The one JSON definition of a record: its keys, listed once for writing
+/// and once for reading, for the manifest and the journal alike.  The two
+/// lists are held together by the `no_key_is_written_unread_or_read_unwritten`
+/// test, not by the reader — unknown keys must stay ignorable.
+trait Record: Sized {
+    /// The record's fields in document order.
+    fn to_fields(&self) -> Vec<(&'static str, Json)>;
+
+    /// The record read back from the object holding those fields.
+    fn from_fields(object: Field<'_>) -> Result<Self, SparseError>;
+
+    fn to_object(&self) -> Json {
+        Json::object(self.to_fields())
+    }
+}
+
+impl Record for RunManifest {
+    fn to_fields(&self) -> Vec<(&'static str, Json)> {
+        fn records(records: &[impl Record]) -> Json {
+            Json::array(records.iter().map(Record::to_object))
         }
-        None => out.push_str("null"),
+        let strings = |values: &[String]| Json::array(values.iter().map(String::as_str));
+        let numbers = |values: &[u64]| Json::array(values.iter().copied());
+        vec![
+            ("source", self.source.as_str().into()),
+            ("source_seed", self.source_seed.into()),
+            ("permutation_seed", self.permutation_seed.into()),
+            ("star_points", numbers(&self.star_points)),
+            ("self_loop", self.self_loop.as_str().into()),
+            ("vertices", self.vertices.as_str().into()),
+            ("predicted_edges", self.predicted_edges.as_str().into()),
+            ("workers", self.workers.into()),
+            ("split_index", self.split_index.into()),
+            ("max_c_edges", self.max_c_edges.into()),
+            ("max_b_edges", self.max_b_edges.into()),
+            ("chunk_capacity", self.chunk_capacity.into()),
+            ("max_histogram_bytes", self.max_histogram_bytes.into()),
+            ("self_loop_policy", self.self_loop_policy.as_str().into()),
+            ("sink", self.sink.as_str().into()),
+            ("directory", self.directory.as_deref().into()),
+            ("outputs", strings(&self.outputs)),
+            ("edges_per_worker", numbers(&self.edges_per_worker)),
+            ("total_edges", self.total_edges.into()),
+            ("seconds", self.seconds.into()),
+            ("exact_match", Json::Bool(self.exact_match)),
+            ("warnings", strings(&self.warnings)),
+            ("shards", records(&self.shards)),
+            ("metrics", records(&self.metrics)),
+        ]
     }
-}
 
-fn parse_journal_header(obj: &[(String, JsonValue)]) -> Result<JournalHeader, SparseError> {
-    Ok(JournalHeader {
-        source: get(obj, "source")?.as_string("journal source")?,
-        source_seed: optional_u64(obj, "source_seed")?,
-        permutation_seed: optional_u64(obj, "permutation_seed")?,
-        workers: get(obj, "workers")?.as_u64("journal workers")? as usize,
-        vertices: get(obj, "vertices")?.as_string("journal vertices")?,
-        sink: get(obj, "sink")?.as_string("journal sink")?,
-    })
-}
-
-fn write_key(out: &mut String, key: &str) {
-    let _ = write!(out, "  \"{key}\": ");
-}
-
-fn write_number(out: &mut String, key: &str, literal: &str) {
-    write_key(out, key);
-    out.push_str(literal);
-    out.push_str(",\n");
-}
-
-fn write_string(out: &mut String, key: &str, value: &str) {
-    write_key(out, key);
-    push_json_string(out, value);
-    out.push_str(",\n");
-}
-
-fn write_optional_u64(out: &mut String, key: &str, value: Option<u64>) {
-    match value {
-        Some(v) => write_number(out, key, &v.to_string()),
-        None => write_number(out, key, "null"),
-    }
-}
-
-fn write_u64_array(out: &mut String, key: &str, values: &[u64]) {
-    write_key(out, key);
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push_str("],\n");
-}
-
-fn write_metric_array(out: &mut String, key: &str, records: &[MetricRecord]) {
-    write_key(out, key);
-    out.push('[');
-    for (i, record) in records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    {\"name\": ");
-        push_json_string(out, &record.name);
-        out.push_str(", \"value\": ");
-        push_json_string(out, &record.value);
-        out.push('}');
-    }
-    if !records.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-}
-
-fn write_shard_array(out: &mut String, key: &str, shards: &[ShardRecord]) {
-    write_key(out, key);
-    out.push('[');
-    for (i, shard) in shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    ");
-        push_shard_object(out, shard);
-    }
-    if !shards.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-}
-
-/// The single definition of a shard record's JSON object, shared by the
-/// manifest's `shards` array and the progress journal's `shard` lines.
-fn push_shard_object(out: &mut String, shard: &ShardRecord) {
-    let _ = write!(out, "{{\"worker\": {}, \"file\": ", shard.worker);
-    push_json_string(out, &shard.file);
-    let _ = write!(
-        out,
-        ", \"edges\": {}, \"checksum\": {}}}",
-        shard.edges, shard.checksum
-    );
-}
-
-fn parse_shard_object(value: &JsonValue) -> Result<ShardRecord, SparseError> {
-    let obj = value.as_object("shard record")?;
-    Ok(ShardRecord {
-        worker: get(obj, "worker")?.as_u64("shard worker")? as usize,
-        file: get(obj, "file")?.as_string("shard file")?,
-        edges: get(obj, "edges")?.as_u64("shard edges")?,
-        checksum: get(obj, "checksum")?.as_u64("shard checksum")?,
-    })
-}
-
-fn parse_shard_array(value: &JsonValue) -> Result<Vec<ShardRecord>, SparseError> {
-    let JsonValue::Array(items) = value else {
-        return Err(parse_error("shards must be a JSON array"));
-    };
-    items.iter().map(parse_shard_object).collect()
-}
-
-fn parse_metric_array(value: &JsonValue) -> Result<Vec<MetricRecord>, SparseError> {
-    let JsonValue::Array(items) = value else {
-        return Err(parse_error("metrics must be a JSON array"));
-    };
-    items
-        .iter()
-        .map(|item| {
-            let obj = item.as_object("metrics entry")?;
-            Ok(MetricRecord {
-                name: get(obj, "name")?.as_string("metric name")?,
-                value: get(obj, "value")?.as_string("metric value")?,
-            })
-        })
-        .collect()
-}
-
-fn write_string_array(out: &mut String, key: &str, values: &[String]) {
-    write_key(out, key);
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        push_json_string(out, v);
-    }
-    out.push_str("],\n");
-}
-
-fn push_json_string(out: &mut String, value: &str) {
-    out.push('"');
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// The JSON subset the manifest round-trips through.  Numbers keep their
-/// source text so `u64` counts beyond 2^53 survive exactly.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    Null,
-    Bool(bool),
-    Number(String),
-    String(String),
-    Array(Vec<JsonValue>),
-    Object(Vec<(String, JsonValue)>),
-}
-
-fn parse_error(message: impl Into<String>) -> SparseError {
-    SparseError::Parse {
-        line: 0,
-        message: message.into(),
-    }
-}
-
-fn get<'v>(obj: &'v [(String, JsonValue)], key: &str) -> Result<&'v JsonValue, SparseError> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| parse_error(format!("manifest is missing the \"{key}\" field")))
-}
-
-/// A field that later pipeline versions added: absent in older manifests.
-fn get_optional<'v>(obj: &'v [(String, JsonValue)], key: &str) -> Option<&'v JsonValue> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// An optional `u64` field: absent and `null` both mean `None`.
-fn optional_u64(obj: &[(String, JsonValue)], key: &str) -> Result<Option<u64>, SparseError> {
-    match get_optional(obj, key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(value) => value.as_u64(key).map(Some),
-    }
-}
-
-impl JsonValue {
-    fn parse(text: &str) -> Result<JsonValue, SparseError> {
-        let mut cursor = Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
+    fn from_fields(object: Field<'_>) -> Result<Self, SparseError> {
+        let self_loop_policy = object.get("self_loop_policy")?.string()?;
+        let source = match object.find("source") {
+            Some(source) => source.string()?,
+            // Pre-source manifests could only have come from the Kronecker
+            // engine; keep-raw runs were the raw-product stream.
+            None if self_loop_policy == "keep_raw" => "kronecker_raw".to_string(),
+            None => "kronecker".to_string(),
         };
-        let value = cursor.value()?;
-        cursor.skip_whitespace();
-        if cursor.pos != cursor.bytes.len() {
-            return Err(parse_error("trailing content after the JSON document"));
-        }
-        Ok(value)
-    }
-
-    fn as_object(&self, what: &str) -> Result<&[(String, JsonValue)], SparseError> {
-        match self {
-            JsonValue::Object(fields) => Ok(fields),
-            _ => Err(parse_error(format!("{what} must be a JSON object"))),
-        }
-    }
-
-    fn as_string(&self, what: &str) -> Result<String, SparseError> {
-        match self {
-            JsonValue::String(s) => Ok(s.clone()),
-            _ => Err(parse_error(format!("{what} must be a JSON string"))),
-        }
-    }
-
-    fn as_bool(&self, what: &str) -> Result<bool, SparseError> {
-        match self {
-            JsonValue::Bool(b) => Ok(*b),
-            _ => Err(parse_error(format!("{what} must be a JSON boolean"))),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, SparseError> {
-        match self {
-            JsonValue::Number(text) => text
-                .parse::<u64>()
-                .map_err(|_| parse_error(format!("{what} is not a u64: {text}"))),
-            _ => Err(parse_error(format!("{what} must be a JSON number"))),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, SparseError> {
-        match self {
-            JsonValue::Number(text) => text
-                .parse::<f64>()
-                .map_err(|_| parse_error(format!("{what} is not a number: {text}"))),
-            _ => Err(parse_error(format!("{what} must be a JSON number"))),
-        }
-    }
-
-    fn as_u64_array(&self, what: &str) -> Result<Vec<u64>, SparseError> {
-        match self {
-            JsonValue::Array(items) => items.iter().map(|item| item.as_u64(what)).collect(),
-            _ => Err(parse_error(format!("{what} must be a JSON array"))),
-        }
-    }
-
-    fn as_string_array(&self, what: &str) -> Result<Vec<String>, SparseError> {
-        match self {
-            JsonValue::Array(items) => items.iter().map(|item| item.as_string(what)).collect(),
-            _ => Err(parse_error(format!("{what} must be a JSON array"))),
-        }
+        // Added with crash-safe runs (`shards`) and the streaming-metrics
+        // engine (`metrics`): older manifests simply recorded none.
+        let shards = object.find("shards").map(|f| f.list(Record::from_fields));
+        let metrics = object.find("metrics").map(|f| f.list(Record::from_fields));
+        Ok(RunManifest {
+            source,
+            source_seed: object.optional("source_seed", Field::number)?,
+            permutation_seed: object.optional("permutation_seed", Field::number)?,
+            star_points: object.get("star_points")?.list(Field::number)?,
+            self_loop: object.get("self_loop")?.string()?,
+            vertices: object.get("vertices")?.string()?,
+            predicted_edges: object.get("predicted_edges")?.string()?,
+            workers: object.get("workers")?.number()?,
+            split_index: object.get("split_index")?.number()?,
+            max_c_edges: object.get("max_c_edges")?.number()?,
+            max_b_edges: object.get("max_b_edges")?.number()?,
+            chunk_capacity: object.get("chunk_capacity")?.number()?,
+            max_histogram_bytes: object.get("max_histogram_bytes")?.number()?,
+            self_loop_policy,
+            sink: object.get("sink")?.string()?,
+            directory: object
+                .get("directory")?
+                .nullable()
+                .map(Field::string)
+                .transpose()?,
+            outputs: object.get("outputs")?.list(Field::string)?,
+            edges_per_worker: object.get("edges_per_worker")?.list(Field::number)?,
+            total_edges: object.get("total_edges")?.number()?,
+            seconds: object.get("seconds")?.number()?,
+            exact_match: object.get("exact_match")?.bool()?,
+            warnings: object.get("warnings")?.list(Field::string)?,
+            shards: shards.transpose()?.unwrap_or_default(),
+            metrics: metrics.transpose()?.unwrap_or_default(),
+        })
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+impl Record for JournalHeader {
+    fn to_fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("source", self.source.as_str().into()),
+            ("source_seed", self.source_seed.into()),
+            ("permutation_seed", self.permutation_seed.into()),
+            ("workers", self.workers.into()),
+            ("vertices", self.vertices.as_str().into()),
+            ("sink", self.sink.as_str().into()),
+        ]
+    }
+
+    fn from_fields(object: Field<'_>) -> Result<Self, SparseError> {
+        Ok(JournalHeader {
+            source: object.get("source")?.string()?,
+            source_seed: object.optional("source_seed", Field::number)?,
+            permutation_seed: object.optional("permutation_seed", Field::number)?,
+            workers: object.get("workers")?.number()?,
+            vertices: object.get("vertices")?.string()?,
+            sink: object.get("sink")?.string()?,
+        })
+    }
 }
 
-impl Cursor<'_> {
-    fn skip_whitespace(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+impl Record for ShardRecord {
+    fn to_fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("worker", self.worker.into()),
+            ("file", self.file.as_str().into()),
+            ("edges", self.edges.into()),
+            ("checksum", self.checksum.into()),
+        ]
     }
 
-    fn peek(&mut self) -> Result<u8, SparseError> {
-        self.skip_whitespace();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| parse_error("unexpected end of JSON"))
+    fn from_fields(object: Field<'_>) -> Result<Self, SparseError> {
+        Ok(ShardRecord {
+            worker: object.get("worker")?.number()?,
+            file: object.get("file")?.string()?,
+            edges: object.get("edges")?.number()?,
+            checksum: object.get("checksum")?.number()?,
+        })
+    }
+}
+
+impl Record for MetricRecord {
+    fn to_fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("name", self.name.as_str().into()),
+            ("value", self.value.as_str().into()),
+        ]
     }
 
-    fn expect_byte(&mut self, byte: u8) -> Result<(), SparseError> {
-        if self.peek()? == byte {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(parse_error(format!(
-                "expected '{}' at byte {}",
-                byte as char, self.pos
-            )))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, SparseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(parse_error(format!("invalid literal at byte {}", self.pos)))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, SparseError> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(JsonValue::String(self.string()?)),
-            b't' => self.literal("true", JsonValue::Bool(true)),
-            b'f' => self.literal("false", JsonValue::Bool(false)),
-            b'n' => self.literal("null", JsonValue::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(parse_error(format!(
-                "unexpected character '{}' at byte {}",
-                other as char, self.pos
-            ))),
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, SparseError> {
-        self.expect_byte(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(JsonValue::Object(fields));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.string()?;
-            self.expect_byte(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(fields));
-                }
-                other => {
-                    return Err(parse_error(format!(
-                        "expected ',' or '}}' in object, found '{}'",
-                        other as char
-                    )))
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, SparseError> {
-        self.expect_byte(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                other => {
-                    return Err(parse_error(format!(
-                        "expected ',' or ']' in array, found '{}'",
-                        other as char
-                    )))
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, SparseError> {
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(parse_error("empty number"));
-        }
-        let text = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        Ok(JsonValue::Number(text))
-    }
-
-    fn string(&mut self) -> Result<String, SparseError> {
-        if self.peek()? != b'"' {
-            return Err(parse_error(format!("expected string at byte {}", self.pos)));
-        }
-        self.pos += 1;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| parse_error("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| parse_error("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let first = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&first) {
-                                // Surrogate pair: a following \uXXXX low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&low) {
-                                        return Err(parse_error(
-                                            "high surrogate not followed by a low surrogate",
-                                        ));
-                                    }
-                                    0x10000 + ((first - 0xD800) << 10) + (low - 0xDC00)
-                                } else {
-                                    return Err(parse_error("lone high surrogate"));
-                                }
-                            } else {
-                                first
-                            };
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| parse_error("invalid \\u escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(parse_error(format!(
-                                "unknown escape '\\{}'",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                b => {
-                    // Collect the full UTF-8 sequence starting at this byte.
-                    let len = match b {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    let end = start + len;
-                    let slice = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| parse_error("truncated UTF-8 sequence"))?;
-                    let s = std::str::from_utf8(slice)
-                        .map_err(|_| parse_error("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, SparseError> {
-        let slice = self
-            .bytes
-            .get(self.pos..self.pos + 4)
-            .ok_or_else(|| parse_error("truncated \\u escape"))?;
-        let text = std::str::from_utf8(slice).map_err(|_| parse_error("invalid \\u escape"))?;
-        let code = u32::from_str_radix(text, 16).map_err(|_| parse_error("invalid \\u escape"))?;
-        self.pos += 4;
-        Ok(code)
+    fn from_fields(object: Field<'_>) -> Result<Self, SparseError> {
+        Ok(MetricRecord {
+            name: object.get("name")?.string()?,
+            value: object.get("value")?.string()?,
+        })
     }
 }
 
@@ -959,6 +518,114 @@ mod tests {
                 MetricRecord::new("odd \"name\"", "with\ttab"),
             ],
         }
+    }
+
+    /// The second golden sample: every field at its "empty" form.
+    fn sparse_sample() -> RunManifest {
+        RunManifest {
+            source: "rmat".into(),
+            source_seed: Some(u64::MAX),
+            permutation_seed: None,
+            star_points: Vec::new(),
+            directory: None,
+            outputs: Vec::new(),
+            warnings: vec!["\u{1}\u{1f}é😀/\\\"\t\r\n".into()],
+            shards: Vec::new(),
+            metrics: Vec::new(),
+            ..sample()
+        }
+    }
+
+    fn sample_header() -> JournalHeader {
+        JournalHeader {
+            source: "rmat".into(),
+            source_seed: Some(u64::MAX),
+            permutation_seed: None,
+            workers: 2,
+            vertices: "3600".into(),
+            sink: "compressed".into(),
+        }
+    }
+
+    const GOLDEN_MANIFEST: &str = r#"{
+  "source": "kronecker",
+  "source_seed": null,
+  "permutation_seed": 77,
+  "star_points": [3, 4, 5, 9],
+  "self_loop": "Centre",
+  "vertices": "3600",
+  "predicted_edges": "13166",
+  "workers": 4,
+  "split_index": 2,
+  "max_c_edges": 1048576,
+  "max_b_edges": 16777216,
+  "chunk_capacity": 65536,
+  "max_histogram_bytes": 1073741824,
+  "self_loop_policy": "remove_designed",
+  "sink": "compressed",
+  "directory": "/tmp/run with \"quotes\" and \\slashes\\",
+  "outputs": ["/tmp/block_00000.kbkz", "/tmp/block_00001.kbkz"],
+  "edges_per_worker": [3292, 3291, 3292, 3291],
+  "total_edges": 13166,
+  "seconds": 0.123456789,
+  "exact_match": true,
+  "warnings": ["unicode é → ok\nsecond line"],
+  "shards": [
+    {"worker": 0, "file": "block_00000.kbkz", "edges": 6583, "checksum": 18446744073709551606},
+    {"worker": 1, "file": "block_00001.kbkz", "edges": 6583, "checksum": 42}
+  ],
+  "metrics": [
+    {"name": "edges", "value": "13166"},
+    {"name": "power_law_alpha", "value": "1.0"},
+    {"name": "odd \"name\"", "value": "with\ttab"}
+  ]
+}
+"#;
+
+    const GOLDEN_SPARSE_MANIFEST: &str = r#"{
+  "source": "rmat",
+  "source_seed": 18446744073709551615,
+  "permutation_seed": null,
+  "star_points": [],
+  "self_loop": "Centre",
+  "vertices": "3600",
+  "predicted_edges": "13166",
+  "workers": 4,
+  "split_index": 2,
+  "max_c_edges": 1048576,
+  "max_b_edges": 16777216,
+  "chunk_capacity": 65536,
+  "max_histogram_bytes": 1073741824,
+  "self_loop_policy": "remove_designed",
+  "sink": "compressed",
+  "directory": null,
+  "outputs": [],
+  "edges_per_worker": [3292, 3291, 3292, 3291],
+  "total_edges": 13166,
+  "seconds": 0.123456789,
+  "exact_match": true,
+  "warnings": ["\u0001\u001fé😀/\\\"\t\r\n"],
+  "shards": [],
+  "metrics": []
+}
+"#;
+
+    const GOLDEN_JOURNAL: &str = r#"{"kind": "run", "source": "rmat", "source_seed": 18446744073709551615, "permutation_seed": null, "workers": 2, "vertices": "3600", "sink": "compressed"}
+{"kind": "shard", "worker": 0, "file": "block_00000.kbkz", "edges": 6583, "checksum": 18446744073709551606}
+"#;
+
+    /// The layout is the contract: tests elsewhere edit these files as text,
+    /// and directories written by earlier builds must keep reading back.
+    #[test]
+    fn manifest_and_journal_bytes_are_pinned() {
+        assert_eq!(sample().to_json(), GOLDEN_MANIFEST);
+        assert_eq!(sparse_sample().to_json(), GOLDEN_SPARSE_MANIFEST);
+        let dir = TestDir::new("journal_golden_bytes");
+        let journal = ProgressJournal::create(&dir, &sample_header()).unwrap();
+        journal.record_shard(&sample().shards[0]).unwrap();
+        drop(journal);
+        let written = std::fs::read_to_string(ProgressJournal::path_in(&dir)).unwrap();
+        assert_eq!(written, GOLDEN_JOURNAL);
     }
 
     #[test]
@@ -1176,22 +843,156 @@ mod tests {
         let json = sample().to_json();
         assert!(RunManifest::from_json(&json[..json.len() - 3]).is_err());
         assert!(RunManifest::from_json(&format!("{json} trailing")).is_err());
+        // Near-JSON the reader once let through, planted as the value on
+        // line 3 — and the error says line 3.
+        for bad in ["--", "1e", "01", "1.", "[1-2]", "\"raw\nnewline\""] {
+            let seed = format!("\"source_seed\": {bad}");
+            let planted = json.replacen("\"source_seed\": null", &seed, 1);
+            match RunManifest::from_json(&planted) {
+                Err(SparseError::Parse { line: 3, .. }) => {}
+                other => panic!("{bad:?} must be a parse error on line 3, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn surrogate_pairs_round_trip() {
-        let parsed = JsonValue::parse("\"\\ud83d\\ude00\"").unwrap();
-        assert_eq!(parsed, JsonValue::String("😀".to_string()));
+        let parsed = Json::parse("\"\\ud83d\\ude00\"").unwrap();
+        assert_eq!(parsed, Json::String("😀".to_string()));
     }
 
     #[test]
     fn malformed_surrogates_fail_cleanly() {
         // High surrogate followed by a non-surrogate escape must be a parse
         // error, not an arithmetic underflow.
-        assert!(JsonValue::parse("\"\\ud800\\u0041\"").is_err());
+        assert!(Json::parse("\"\\ud800\\u0041\"").is_err());
         // Lone halves are errors too.
-        assert!(JsonValue::parse("\"\\ud800\"").is_err());
-        assert!(JsonValue::parse("\"\\udc00\"").is_err());
+        assert!(Json::parse("\"\\ud800\"").is_err());
+        assert!(Json::parse("\"\\udc00\"").is_err());
+        // Four hex digits, not whatever `from_str_radix` takes.
+        assert!(Json::parse("\"\\u+041\"").is_err());
+        assert!(Json::parse("\"\\u12\"").is_err());
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_typed_error_not_a_stack_overflow() {
+        for opener in ["[", "{\"a\":"] {
+            let deep = opener.repeat((1 << 20) / opener.len());
+            match RunManifest::from_json(&deep) {
+                Err(SparseError::Parse { line: 1, message }) => {
+                    assert!(message.contains("nested deeper than"), "{message}")
+                }
+                other => panic!("expected the depth error, got {other:?}"),
+            }
+            // In the journal it is one more line that does not parse.
+            let dir = TestDir::new("journal_hostile_nesting");
+            drop(ProgressJournal::create(&dir, &sample_header()).unwrap());
+            let path = ProgressJournal::path_in(&dir);
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::write(&path, format!("{text}{deep}\n")).unwrap();
+            let (header, records) = ProgressJournal::read(&dir).unwrap();
+            assert_eq!(header, sample_header());
+            assert!(records.is_empty());
+        }
+    }
+
+    /// The schema-drift guard: what `to_fields` writes and what
+    /// `from_fields` reads are the same keys.  `sample` must hold a
+    /// non-default value in every field that has a default.
+    fn assert_keys_in_balance<R: Record + PartialEq + std::fmt::Debug>(sample: &R) {
+        let read = |fields: Vec<(&'static str, Json)>| {
+            R::from_fields(Json::object(fields).named("sample"))
+        };
+        // Every key the reader needs is written…
+        assert_eq!(read(sample.to_fields()).as_ref(), Ok(sample));
+        // …and every key written is read: without it the record is refused
+        // or comes back different.
+        for (dropped, _) in sample.to_fields() {
+            let mut fields = sample.to_fields();
+            fields.retain(|(key, _)| *key != dropped);
+            assert_ne!(
+                read(fields).as_ref(),
+                Ok(sample),
+                "\"{dropped}\" is written but never read back"
+            );
+        }
+    }
+
+    #[test]
+    fn no_key_is_written_unread_or_read_unwritten() {
+        let manifest = RunManifest {
+            source: "rmat".into(),
+            source_seed: Some(5),
+            ..sample()
+        };
+        assert_keys_in_balance(&manifest);
+        assert_keys_in_balance(&JournalHeader {
+            permutation_seed: Some(0xFEED),
+            ..sample_header()
+        });
+        assert_keys_in_balance(&manifest.shards[0]);
+        assert_keys_in_balance(&manifest.metrics[0]);
+    }
+
+    #[test]
+    fn every_cut_or_damaged_manifest_is_a_typed_error_or_a_manifest() {
+        let typed_or_whole = |text: &str| match RunManifest::from_json(text) {
+            Ok(_) => true,
+            Err(SparseError::Parse { .. }) => false,
+            Err(other) => panic!("untyped failure {other:?} for {text:?}"),
+        };
+        let closing = GOLDEN_MANIFEST.rfind('}').unwrap();
+        for (cut, _) in GOLDEN_MANIFEST.char_indices() {
+            if cut <= closing {
+                assert!(!typed_or_whole(&GOLDEN_MANIFEST[..cut]), "cut at {cut}");
+            }
+        }
+        let mut survivors = 0;
+        for at in 0..GOLDEN_MANIFEST.len() {
+            for byte in *b"\"\\{[,0\n" {
+                let mut damaged = GOLDEN_MANIFEST.as_bytes().to_vec();
+                damaged[at] = byte;
+                survivors += usize::from(typed_or_whole(&String::from_utf8_lossy(&damaged)));
+            }
+        }
+        // Some damage is harmless — a digit inside a number, a byte inside a
+        // string — so both outcomes were exercised.
+        assert!(survivors > 100, "{survivors}");
+    }
+
+    #[test]
+    fn every_truncation_of_a_journal_reads_back_what_survived_the_cut() {
+        let dir = TestDir::new("journal_every_truncation");
+        let journal = ProgressJournal::create(&dir, &sample_header()).unwrap();
+        let records: Vec<ShardRecord> = (0..3)
+            .map(|worker| ShardRecord {
+                worker,
+                file: format!("block_{worker:05}.tsv"),
+                edges: 10 + worker as u64,
+                checksum: u64::MAX - worker as u64,
+            })
+            .collect();
+        for record in &records {
+            journal.record_shard(record).unwrap();
+        }
+        drop(journal);
+        let path = ProgressJournal::path_in(&dir);
+        let whole = std::fs::read(&path).unwrap();
+        for cut in 0..=whole.len() {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            // A line counts from the byte that closes its object.
+            let closed = whole[..cut].iter().filter(|&&b| b == b'}').count();
+            match ProgressJournal::read(&dir) {
+                Ok((header, read)) => {
+                    assert_eq!(header, sample_header(), "cut at {cut}");
+                    assert_eq!(read, records[..closed - 1], "cut at {cut}");
+                }
+                Err(error) => {
+                    assert_eq!(closed, 0, "cut at {cut}: {error}");
+                    assert!(error.to_string().contains("no run header"), "{error}");
+                }
+            }
+        }
     }
 
     #[test]

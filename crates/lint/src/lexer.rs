@@ -13,10 +13,10 @@ use std::collections::BTreeSet;
 /// One surviving token: an identifier (with its text), a single
 /// punctuation character, or a string literal (with its raw, unescaped
 /// source text).  Numeric/char literals and comments are consumed by the
-/// lexer and never appear here.  String literals used to be consumed
-/// too; they are kept now because the manifest-schema-drift rule reads
-/// the JSON keys out of them — but they are a distinct token kind, so
-/// no identifier-matching rule can ever fire on string *contents*.
+/// lexer and never appear here.  No rule reads a string literal's content
+/// today (the item parser only steps over the `"C"` of `extern "C"`), and
+/// because literals are a distinct token kind no identifier-matching rule
+/// can ever fire on string *contents*.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {
     Ident(String),

@@ -9,8 +9,8 @@
 //! path, and failures surface as typed errors naming the shard.  This
 //! crate enforces those rules mechanically: a lightweight comment- and
 //! string-aware lexer ([`lexer`]) feeds a rule engine ([`rules`]) with
-//! per-rule diagnostics, `file:line` output, a JSON report mode, and an
-//! inline suppression syntax (`// lint:allow(<rule>) -- <reason>`,
+//! per-rule diagnostics, `file:line` output, and an inline suppression
+//! syntax (`// lint:allow(<rule>) -- <reason>`,
 //! reason mandatory) so every exception is documented in place.
 //!
 //! Run it over the workspace with:

@@ -2,12 +2,11 @@
 //! Command-line front end for `kron-lint`.
 //!
 //! ```text
-//! kron-lint [--deny] [--json] [--changed] [--rules] [ROOT]
+//! kron-lint [--deny] [--changed] [--rules] [ROOT]
 //! ```
 //!
 //! * `--deny`    — exit non-zero when any unsuppressed finding remains
 //!   (the CI gate).
-//! * `--json`    — emit the report as JSON instead of `file:line` text.
 //! * `--changed` — report only findings in files changed vs the merge
 //!   base with the main branch (the whole workspace is still analyzed,
 //!   so cross-file rules keep their full view).
@@ -23,13 +22,11 @@ use kron_lint::{changed::changed_files, lint_root, Finding, RULES};
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut json = false;
     let mut changed = false;
     let mut root: Option<PathBuf> = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--json" => json = true,
             "--changed" => changed = true,
             "--rules" => {
                 for (id, why) in RULES {
@@ -38,7 +35,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
-                println!("usage: kron-lint [--deny] [--json] [--changed] [--rules] [ROOT]");
+                println!("usage: kron-lint [--deny] [--changed] [--rules] [ROOT]");
                 return ExitCode::SUCCESS;
             }
             other if !other.starts_with('-') => root = Some(PathBuf::from(other)),
@@ -77,18 +74,14 @@ fn main() -> ExitCode {
     let active: Vec<&Finding> = findings.iter().filter(|f| !f.suppressed).collect();
     let suppressed = findings.len() - active.len();
 
-    if json {
-        println!("{}", report_json(&active, suppressed));
-    } else {
-        for f in &active {
-            println!("{f}");
-        }
-        println!(
-            "kron-lint: {} finding(s), {} suppression(s) honoured",
-            active.len(),
-            suppressed
-        );
+    for f in &active {
+        println!("{f}");
     }
+    println!(
+        "kron-lint: {} finding(s), {} suppression(s) honoured",
+        active.len(),
+        suppressed
+    );
 
     if deny && !active.is_empty() {
         ExitCode::FAILURE
@@ -109,44 +102,4 @@ fn find_workspace_root() -> Option<PathBuf> {
             return None;
         }
     }
-}
-
-/// Hand-rolled JSON report (the workspace's vendored serde is API-only,
-/// and the lint stays dependency-free on purpose).
-fn report_json(active: &[&Finding], suppressed: usize) -> String {
-    let mut s = String::from("{\n  \"findings\": [\n");
-    for (i, f) in active.iter().enumerate() {
-        let comma = if i + 1 < active.len() { "," } else { "" };
-        s.push_str(&format!(
-            "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}}}{comma}\n",
-            json_str(&f.file),
-            f.line,
-            json_str(f.rule),
-            json_str(&f.message),
-        ));
-    }
-    s.push_str(&format!(
-        "  ],\n  \"unsuppressed\": {},\n  \"suppressed\": {}\n}}",
-        active.len(),
-        suppressed
-    ));
-    s
-}
-
-fn json_str(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len() + 2);
-    out.push('"');
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

@@ -95,7 +95,6 @@ pub const MISSING_FORBID_UNSAFE: &str = "missing-forbid-unsafe";
 pub const ALLOW_WITHOUT_REASON: &str = "allow-without-reason";
 pub const BAD_SUPPRESSION: &str = "bad-suppression";
 pub const PANIC_REACHABILITY: &str = "panic-reachability";
-pub const MANIFEST_SCHEMA_DRIFT: &str = "manifest-schema-drift";
 pub const ATOMIC_ORDERING: &str = "atomic-ordering";
 pub const UNUSED_SUPPRESSION: &str = "unused-suppression";
 
@@ -140,10 +139,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         PANIC_REACHABILITY,
         "no call path from a Pipeline public entry point may reach a panic site",
-    ),
-    (
-        MANIFEST_SCHEMA_DRIFT,
-        "every JSON key the manifest/journal writers emit must be parsed back, and vice versa",
     ),
     (
         ATOMIC_ORDERING,
@@ -325,9 +320,6 @@ pub fn analyze_file(rel: &str, source: &str) -> Option<FileAnalysis> {
         scan_determinism(&lexed, &mask, &mut raw);
         scan_pub_signatures(&lexed, &mask, &mut raw);
         semantic::scan_atomic_ordering(&lexed, &mask, &mut raw);
-        if semantic::is_manifest_file(&class.rel) {
-            semantic::scan_manifest_schema(&lexed, &mask, &mut raw);
-        }
         if class.rel.starts_with("crates/gen/src/") && !GEN_FS_OWNERS.contains(&class.rel.as_str())
         {
             scan_raw_fs(&lexed, &mask, &mut raw);

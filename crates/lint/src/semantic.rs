@@ -1,14 +1,10 @@
 //! The semantic rule families built on the item parser and call graph.
 //!
-//! Three scans live here:
+//! Two scans live here:
 //!
 //! * [`scan_atomic_ordering`] — per file: every `Ordering::<variant>`
 //!   site on an atomic op must carry an adjacent comment mentioning
 //!   "ordering" that justifies the chosen memory ordering.
-//! * [`scan_manifest_schema`] — per file, scoped to the gen crate's
-//!   `manifest.rs`: every JSON key the hand-rolled writers emit must be
-//!   consumed by the parsers and vice versa, so resume can never be
-//!   corrupted by silent schema drift.
 //! * [`panic_reachability`] — whole workspace: no transitive call path
 //!   from a `Pipeline` public entry point to a panicking site, reported
 //!   with the full call chain.
@@ -18,11 +14,11 @@
 //! engine ([`crate::rules::lint_workspace`]) because only the engine
 //! sees the finding/suppression matching.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::graph::{CallGraph, GraphFile};
 use crate::lexer::{Lexed, TokKind, Token};
-use crate::rules::{ATOMIC_ORDERING, MANIFEST_SCHEMA_DRIFT, PANIC_REACHABILITY};
+use crate::rules::{ATOMIC_ORDERING, PANIC_REACHABILITY};
 
 fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
     match tokens.get(i).map(|t| &t.kind) {
@@ -81,164 +77,6 @@ pub fn scan_atomic_ordering(
             ));
         }
     }
-}
-
-/// The manifest writer helpers whose first string argument is a JSON
-/// key being **emitted**.
-const EMIT_HELPERS: &[&str] = &[
-    "write_string",
-    "write_number",
-    "write_optional_u64",
-    "write_u64_array",
-    "write_string_array",
-    "write_shard_array",
-    "write_metric_array",
-];
-
-/// The parser helpers whose string argument is a JSON key being
-/// **consumed**.
-const CONSUME_HELPERS: &[&str] = &["get", "get_optional", "optional_u64"];
-
-/// Whether this file is the schema owner the drift rule audits.
-pub fn is_manifest_file(rel: &str) -> bool {
-    rel.starts_with("crates/gen/") && rel.ends_with("/manifest.rs")
-}
-
-/// Cross-check emitted vs consumed JSON keys inside `manifest.rs`.
-///
-/// Emitted keys come from two shapes: the first string argument of a
-/// writer helper call, and `"key":` patterns embedded in any
-/// non-test string literal (the journal writes whole JSON lines via
-/// `format!`).  Consumed keys are the string argument of the parser
-/// helpers.  A key on one side only is a finding at the site where the
-/// key appears.
-pub fn scan_manifest_schema(
-    lexed: &Lexed,
-    mask: &[bool],
-    out: &mut Vec<(u32, &'static str, String)>,
-) {
-    let t = &lexed.tokens;
-    // key -> first line seen, per side.
-    let mut emitted: BTreeMap<String, u32> = BTreeMap::new();
-    let mut consumed: BTreeMap<String, u32> = BTreeMap::new();
-    for i in 0..t.len() {
-        if mask[i] {
-            continue;
-        }
-        if let Some(name) = ident_at(t, i) {
-            if punct_at(t, i + 1, '(') && !punct_at(t, i.wrapping_sub(1), '.') {
-                let side = if EMIT_HELPERS.contains(&name) {
-                    Some(&mut emitted)
-                } else if CONSUME_HELPERS.contains(&name) {
-                    Some(&mut consumed)
-                } else {
-                    None
-                };
-                if let Some(side) = side {
-                    if let Some((line, key)) = first_str_arg(t, i + 1) {
-                        side.entry(key).or_insert(line);
-                    }
-                }
-            }
-        }
-        // `"key":` patterns inside string literals (journal lines are
-        // written whole through format! strings).
-        if let TokKind::Str(content) = &t[i].kind {
-            for key in embedded_keys(content) {
-                emitted.entry(key).or_insert(t[i].line);
-            }
-        }
-    }
-    for (key, line) in &emitted {
-        if !consumed.contains_key(key) {
-            out.push((
-                *line,
-                MANIFEST_SCHEMA_DRIFT,
-                format!(
-                    "JSON key `{key}` is written but never read back; resume would \
-                     silently drop it — wire it through the parser or stop emitting it"
-                ),
-            ));
-        }
-    }
-    for (key, line) in &consumed {
-        if !emitted.contains_key(key) {
-            out.push((
-                *line,
-                MANIFEST_SCHEMA_DRIFT,
-                format!(
-                    "JSON key `{key}` is read but never written; the parser consumes \
-                     a field no writer produces — emit it or drop the read"
-                ),
-            ));
-        }
-    }
-}
-
-/// The string literal in the *second* argument position of the call
-/// whose parens open at `open` — the key slot of every schema helper
-/// (`helper(out, "key", ..)` / `get(obj, "key")`).  Restricting to that
-/// slot keeps the helpers' own bodies (where the key is a pass-through
-/// variable and some other literal may appear later) out of the key set.
-fn first_str_arg(t: &[Token], open: usize) -> Option<(u32, String)> {
-    let mut depth = 0usize;
-    let mut commas = 0usize;
-    let mut i = open;
-    while i < t.len() {
-        if punct_at(t, i, '(') || punct_at(t, i, '[') || punct_at(t, i, '{') {
-            depth += 1;
-        } else if punct_at(t, i, ')') || punct_at(t, i, ']') || punct_at(t, i, '}') {
-            depth -= 1;
-            if depth == 0 {
-                return None;
-            }
-        } else if depth == 1 && punct_at(t, i, ',') {
-            commas += 1;
-            if commas > 1 {
-                return None;
-            }
-        } else if depth == 1 && commas == 1 {
-            if let TokKind::Str(s) = &t[i].kind {
-                return Some((t[i].line, s.clone()));
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Extract `"key":` patterns from raw string content.  Backslashes are
-/// stripped first so escaped quotes inside normal literals
-/// (`{\"kind\": ..`) and plain quotes inside raw literals both match.
-fn embedded_keys(content: &str) -> Vec<String> {
-    let stripped: String = content.chars().filter(|&c| c != '\\').collect();
-    let bytes: Vec<char> = stripped.chars().collect();
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        if bytes[i] != '"' {
-            i += 1;
-            continue;
-        }
-        let start = i + 1;
-        let mut j = start;
-        while j < bytes.len() && (bytes[j].is_alphanumeric() || bytes[j] == '_') {
-            j += 1;
-        }
-        if j > start && j < bytes.len() && bytes[j] == '"' {
-            let mut k = j + 1;
-            while k < bytes.len() && bytes[k] == ' ' {
-                k += 1;
-            }
-            if k < bytes.len() && bytes[k] == ':' {
-                out.push(bytes[start..j].iter().collect());
-                i = k + 1;
-                continue;
-            }
-        }
-        i = j.max(i + 1);
-    }
-    out
 }
 
 /// The two sanctioned panic helpers (documented single-owner contracts
@@ -370,54 +208,6 @@ mod tests {
     fn cmp_ordering_variants_are_not_atomic_sites() {
         let src = "fn f(a: u64, b: u64) -> Ordering { Ordering::Less }\n";
         assert!(scan_atomics(src).is_empty());
-    }
-
-    #[test]
-    fn embedded_keys_parse_escaped_and_raw_forms() {
-        assert_eq!(
-            embedded_keys(r#"{\"kind\": \"shard\", \"name\": "#),
-            vec!["kind".to_string(), "name".to_string()]
-        );
-        assert_eq!(embedded_keys(r#"{"edges": 12}"#), vec!["edges".to_string()]);
-        assert!(embedded_keys("no keys here").is_empty());
-        assert!(embedded_keys(r#"just a \"value\""#).is_empty());
-    }
-
-    fn scan_schema(src: &str) -> Vec<(u32, String)> {
-        let lexed = lex(src);
-        let mask = test_mask(&lexed.tokens);
-        let mut out = Vec::new();
-        scan_manifest_schema(&lexed, &mask, &mut out);
-        out.into_iter().map(|(line, _, msg)| (line, msg)).collect()
-    }
-
-    #[test]
-    fn schema_drift_catches_both_directions() {
-        let src = "fn to_json(out: &mut String) {\n\
-                       write_string(out, \"kept\", v);\n\
-                       write_number(out, \"dropped\", n);\n\
-                   }\n\
-                   fn from_json(obj: &Obj) {\n\
-                       get(obj, \"kept\");\n\
-                       get_optional(obj, \"phantom\");\n\
-                   }\n";
-        let drift = scan_schema(src);
-        assert_eq!(drift.len(), 2, "{drift:?}");
-        assert!(drift[0].1.contains("`dropped`") && drift[0].1.contains("never read"));
-        assert!(drift[1].1.contains("`phantom`") && drift[1].1.contains("never written"));
-    }
-
-    #[test]
-    fn schema_in_balance_is_clean() {
-        let src = "fn to_json(out: &mut String) {\n\
-                       write_string(out, \"a\", v);\n\
-                       out.push_str(\"{\\\"kind\\\": \\\"run\\\"}\");\n\
-                   }\n\
-                   fn from_json(obj: &Obj) {\n\
-                       get(obj, \"a\");\n\
-                       get(obj, \"kind\");\n\
-                   }\n";
-        assert!(scan_schema(src).is_empty(), "{:?}", scan_schema(src));
     }
 
     #[test]

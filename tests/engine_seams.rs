@@ -5,8 +5,9 @@
 //! decision behind it has one owner inside `kron-gen`.  These tests pin what
 //! those owners promise, through the public API only: the order of the
 //! per-chunk stages and what a failed attempt leaves behind, the checksum a
-//! wrapped shard sink reports, the staged manifest write, and the typed
-//! errors for sink labels that name no shard format.
+//! wrapped shard sink reports, the staged manifest write, the typed errors
+//! for sink labels that name no shard format, and that hostile nesting in
+//! `manifest.json` / `progress.jsonl` cannot overflow the stack.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -18,7 +19,7 @@ use extreme_graphs::gen::sink::{
     CompressedShardSink, CountingSink, EdgeSink, FilterMapSink, TeeSink, TsvShardSink,
 };
 use extreme_graphs::gen::testing::TestDir;
-use extreme_graphs::gen::{shard_checksum, BlockFormat};
+use extreme_graphs::gen::{shard_checksum, BlockFormat, ProgressJournal};
 use extreme_graphs::sparse::SparseError;
 use extreme_graphs::{
     FaultSchedule, FaultySink, FaultySource, KroneckerDesign, KroneckerSource, Pipeline,
@@ -288,5 +289,43 @@ fn a_sink_label_that_names_no_shard_format_is_a_typed_error_naming_it() {
         relabel(MANIFEST_FILE_NAME);
         names_the_label(ReplaySource::from_directory(&dir).unwrap_err());
         current = label;
+    }
+}
+
+#[test]
+fn hostile_nesting_in_the_manifest_or_journal_is_an_error_or_a_skipped_line_never_an_abort() {
+    let design = design();
+    let dir = TestDir::new("hostile_nesting");
+    let pipeline = || Pipeline::for_design(&design).workers(2).split_index(1);
+    let whole = pipeline().write_tsv(&dir).unwrap();
+    for opener in ["[", "{\"a\":"] {
+        let deep = opener.repeat((1 << 20) / opener.len());
+
+        // As the manifest: a typed error that names the file.
+        std::fs::write(dir.join(MANIFEST_FILE_NAME), &deep).unwrap();
+        match ReplaySource::from_directory(&dir).unwrap_err() {
+            CoreError::Sparse(error @ SparseError::WithPath { .. }) => {
+                let text = error.to_string();
+                assert!(
+                    text.contains(MANIFEST_FILE_NAME) && text.contains("nested deeper than"),
+                    "{text}"
+                );
+            }
+            other => panic!("expected a parse error naming the manifest, got {other:?}"),
+        }
+
+        // As a journal line in place of the shard records: a line that does
+        // not parse never happened, so resume regenerates both shards.
+        let journal = dir.join(PROGRESS_FILE_NAME);
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let header = text.lines().next().unwrap();
+        std::fs::write(&journal, format!("{header}\n{deep}\n")).unwrap();
+        let resumed = pipeline().resume(&dir).unwrap();
+        assert_eq!(resumed.metrics, whole.metrics);
+        assert_eq!(resumed.manifest.shards, whole.manifest.shards);
+        let (_, journalled) = ProgressJournal::read(&dir).unwrap();
+        assert_eq!(journalled, whole.manifest.shards);
+        let on_disk = RunManifest::read_from(&dir.join(MANIFEST_FILE_NAME)).unwrap();
+        assert_eq!(on_disk, resumed.manifest);
     }
 }
