@@ -155,12 +155,7 @@ impl DesignSearch {
                 ),
             });
         }
-        candidates.sort_by(|a, b| {
-            a.score()
-                .partial_cmp(&b.score())
-                // lint:allow(no-expect) -- candidate scores are sums of finite terms, so partial_cmp cannot return None
-                .expect("scores are finite")
-        });
+        candidates.sort_by(|a, b| a.score().total_cmp(&b.score()));
         candidates.truncate(top_k.max(1));
         Ok(candidates)
     }

@@ -72,8 +72,8 @@ impl IncidencePair {
 /// Kronecker product of each constituent's incidence matrices (paper §IV-D).
 ///
 /// The result describes the *raw* product (before the final self-loop
-/// removal), mirroring the paper's construction; refuse designs whose edge
-/// count does not fit in memory-addressable sizes.
+/// removal), mirroring the paper's construction; refuse designs whose raw
+/// edge count exceeds `max_edges`.
 pub fn design_incidence(
     design: &KroneckerDesign,
     max_edges: u64,

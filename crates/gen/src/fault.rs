@@ -36,6 +36,7 @@ use kron_core::{CoreError, GraphProperties};
 use kron_sparse::SparseError;
 
 use crate::chunk::EdgeChunk;
+use crate::lock;
 use crate::sink::EdgeSink;
 use crate::source::{EdgeSource, SourceDescriptor, SourceRun};
 use crate::split::SplitPlan;
@@ -93,8 +94,7 @@ impl FaultSchedule {
     /// `after_edges` edges, on its next `failures` attempts.
     pub fn with_transient(self, worker: usize, after_edges: u64, failures: u32) -> Self {
         if failures > 0 {
-            // lint:allow(no-expect) -- a poisoned fault-plan mutex means a worker already panicked; re-panicking is the correct fault-injection outcome
-            self.faults.lock().expect("fault plan poisoned").insert(
+            lock(&self.faults).insert(
                 worker,
                 FaultState {
                     after_edges,
@@ -108,8 +108,7 @@ impl FaultSchedule {
     /// Plan a permanent fault: worker `worker` fails after delivering
     /// `after_edges` edges, on every attempt.
     pub fn with_permanent(self, worker: usize, after_edges: u64) -> Self {
-        // lint:allow(no-expect) -- a poisoned fault-plan mutex means a worker already panicked; re-panicking is the correct fault-injection outcome
-        self.faults.lock().expect("fault plan poisoned").insert(
+        lock(&self.faults).insert(
             worker,
             FaultState {
                 after_edges,
@@ -141,12 +140,7 @@ impl FaultSchedule {
             } else {
                 FaultKind::Permanent
             };
-            schedule
-                .faults
-                .lock()
-                // lint:allow(no-expect) -- a poisoned fault-plan mutex means a worker already panicked; re-panicking is the correct fault-injection outcome
-                .expect("fault plan poisoned")
-                .insert(worker, FaultState { after_edges, kind });
+            lock(&schedule.faults).insert(worker, FaultState { after_edges, kind });
         }
         schedule
     }
@@ -154,10 +148,7 @@ impl FaultSchedule {
     /// The faults still pending, in worker order — transient faults that
     /// already fired their last failure are gone.
     pub fn planned(&self) -> Vec<PlannedFault> {
-        self.faults
-            .lock()
-            // lint:allow(no-expect) -- a poisoned fault-plan mutex means a worker already panicked; re-panicking is the correct fault-injection outcome
-            .expect("fault plan poisoned")
+        lock(&self.faults)
             .iter()
             .map(|(&worker, state)| PlannedFault {
                 worker,
@@ -169,8 +160,7 @@ impl FaultSchedule {
 
     /// Whether any fault is still pending.
     pub fn is_exhausted(&self) -> bool {
-        // lint:allow(no-expect) -- a poisoned fault-plan mutex means a worker already panicked; re-panicking is the correct fault-injection outcome
-        self.faults.lock().expect("fault plan poisoned").is_empty()
+        lock(&self.faults).is_empty()
     }
 
     /// Consult the plan for a batch of `batch` edges arriving when `worker`
@@ -179,8 +169,7 @@ impl FaultSchedule {
     /// batch's edges to deliver before failing, plus the injected error —
     /// and counts a transient firing down.
     fn take_fault(&self, worker: usize, delivered: u64, batch: u64) -> Option<(u64, SparseError)> {
-        // lint:allow(no-expect) -- a poisoned fault-plan mutex means a worker already panicked; re-panicking is the correct fault-injection outcome
-        let mut faults = self.faults.lock().expect("fault plan poisoned");
+        let mut faults = lock(&self.faults);
         let state = faults.get_mut(&worker)?;
         if delivered + batch < state.after_edges {
             return None;
@@ -203,6 +192,34 @@ impl FaultSchedule {
                 "injected {label} fault for worker {worker} after {after} edges"
             )),
         ))
+    }
+
+    /// Hand `edges` to `sink` on behalf of `worker`, which has already
+    /// delivered `*delivered` edges this attempt: the whole batch when the
+    /// fault point lies beyond it, otherwise exactly the prefix up to the
+    /// fault point followed by the injected error — the one fault boundary
+    /// behind both [`FaultySink`] and [`FaultySource`].
+    fn deliver<E: From<SparseError>>(
+        &self,
+        worker: usize,
+        delivered: &mut u64,
+        edges: &[(u64, u64)],
+        mut sink: impl FnMut(&[(u64, u64)]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self.take_fault(worker, *delivered, edges.len() as u64) {
+            Some((boundary, error)) => {
+                if boundary > 0 {
+                    sink(&edges[..boundary as usize])?;
+                }
+                *delivered += boundary;
+                Err(E::from(error))
+            }
+            None => {
+                sink(edges)?;
+                *delivered += edges.len() as u64;
+                Ok(())
+            }
+        }
     }
 }
 
@@ -241,23 +258,10 @@ impl<S: EdgeSink> EdgeSink for FaultySink<S> {
     type Output = S::Output;
 
     fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError> {
-        match self
-            .schedule
-            .take_fault(self.worker, self.delivered, edges.len() as u64)
-        {
-            Some((boundary, error)) => {
-                if boundary > 0 {
-                    self.inner.consume(&edges[..boundary as usize])?;
-                }
-                self.delivered += boundary;
-                Err(error)
-            }
-            None => {
-                self.inner.consume(edges)?;
-                self.delivered += edges.len() as u64;
-                Ok(())
-            }
-        }
+        self.schedule
+            .deliver(self.worker, &mut self.delivered, edges, |batch| {
+                self.inner.consume(batch)
+            })
     }
 
     fn finish(self) -> Result<Self::Output, SparseError> {
@@ -330,22 +334,8 @@ impl<R: SourceRun> SourceRun for FaultyRun<R> {
     {
         let mut delivered = 0u64;
         self.inner.stream_worker::<E, _>(worker, chunk, |edges| {
-            match self
-                .schedule
-                .take_fault(worker, delivered, edges.len() as u64)
-            {
-                Some((boundary, error)) => {
-                    if boundary > 0 {
-                        sink(&edges[..boundary as usize])?;
-                    }
-                    delivered += boundary;
-                    Err(E::from(error))
-                }
-                None => {
-                    delivered += edges.len() as u64;
-                    sink(edges)
-                }
-            }
+            self.schedule
+                .deliver(worker, &mut delivered, edges, &mut sink)
         })
     }
 

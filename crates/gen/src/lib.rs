@@ -98,6 +98,20 @@ pub use source::{EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
 pub use split::{choose_split, choose_split_with_fallback, SplitPlan};
 pub use stats::GenerationStats;
 
+/// Lock a mutex whose guarded state stays consistent across a panic, taking
+/// the guard even if another thread panicked while holding it.
+///
+/// This is safe for the fault plan and the metrics merge slots because a
+/// poisoning panic never goes unnoticed: it happens on a worker, and the
+/// vendored rayon re-raises a worker's panic at the join, so the run panics
+/// there and nothing read after the poison is ever used.  Durable state
+/// (the progress journal) must not use this: it fails closed instead.
+fn lock<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Tests of the shard formats across the three modules that share them:
 /// [`sink`] writes a shard, [`codec`] lays it out, [`replay`] reads it back.
 /// The module is named for the file these tests were written in, whose

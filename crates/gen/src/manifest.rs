@@ -251,9 +251,16 @@ impl ProgressJournal {
         self.append_line(&journal_line("shard", record))
     }
 
+    /// Append one line durably.  A poisoned lock means a writer panicked
+    /// mid-append, so what the file ends with is unknown: fail closed and
+    /// append nothing.
     fn append_line(&self, line: &str) -> Result<(), SparseError> {
-        // lint:allow(no-expect) -- a poisoned journal mutex means another worker already panicked mid-record; continuing could corrupt the journal
-        let mut file = self.file.lock().expect("journal lock poisoned");
+        let Ok(mut file) = self.file.lock() else {
+            return Err(SparseError::Io(format!(
+                "{}: progress journal lock poisoned by a panicked writer; nothing appended",
+                self.path.display()
+            )));
+        };
         let mut attempt = || -> std::io::Result<()> {
             file.write_all(line.as_bytes())?;
             file.sync_data()
@@ -833,6 +840,31 @@ mod tests {
         .unwrap();
         let error = ProgressJournal::read(&dir).unwrap_err();
         assert!(error.to_string().contains("no run header"), "{error}");
+    }
+
+    #[test]
+    fn a_poisoned_journal_lock_fails_closed() {
+        let dir = TestDir::new("journal_poisoned");
+        let journal = ProgressJournal::create(&dir, &sample_header()).unwrap();
+        let path = ProgressJournal::path_in(&dir);
+        let before = std::fs::read(&path).unwrap();
+        let writer = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = journal.file.lock().unwrap();
+                    panic!("a writer dies mid-append");
+                })
+                .join()
+        });
+        assert!(writer.is_err(), "the writer's panic reaches the parent");
+        match journal.record_shard(&sample().shards[0]) {
+            Err(SparseError::Io(message)) => {
+                assert!(message.contains(&path.display().to_string()), "{message}");
+                assert!(message.contains("poisoned"), "{message}");
+            }
+            other => panic!("expected a typed i/o error, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), before, "nothing appended");
     }
 
     #[test]

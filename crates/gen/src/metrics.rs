@@ -42,6 +42,8 @@ use kron_core::GraphProperties;
 use kron_sparse::reduce::SharedDegreeAccumulator;
 use kron_sparse::DegreeAccumulator;
 
+use crate::lock;
+
 /// A pluggable streaming metric: a factory of per-worker observers.
 ///
 /// The engine asks the metric for one [`MetricObserver`] per worker; each
@@ -421,14 +423,9 @@ impl<'s> MetricsEngine<'s> {
             None => {
                 // A fault-tolerant run can quarantine every worker, so an
                 // empty accumulator stands in when none finished.
-                let merged = self
-                    .merged_degrees
-                    .into_inner()
-                    // lint:allow(no-expect) -- a poisoned metrics mutex means a worker already panicked; that panic is already aborting the run
-                    .expect("degree mutex poisoned")
-                    .unwrap_or_else(|| {
-                        DegreeAccumulator::rows_only(self.context.vertices, self.context.vertices)
-                    });
+                let merged = lock(&self.merged_degrees).take().unwrap_or_else(|| {
+                    DegreeAccumulator::rows_only(self.context.vertices, self.context.vertices)
+                });
                 (
                     merged.row_histogram(),
                     merged.self_loop_count(),
@@ -442,12 +439,7 @@ impl<'s> MetricsEngine<'s> {
             .suite
             .metrics
             .iter()
-            .zip(
-                self.merged_custom
-                    .into_inner()
-                    // lint:allow(no-expect) -- a poisoned metrics mutex means a worker already panicked; that panic is already aborting the run
-                    .expect("metric mutex poisoned"),
-            )
+            .zip(std::mem::take(&mut *lock(&self.merged_custom)))
             .map(|(metric, observer)| MetricRecord {
                 name: metric.name().to_string(),
                 value: observer
@@ -536,24 +528,14 @@ impl WorkerMetrics<'_> {
     /// concurrently.
     pub(crate) fn finish(self) {
         if let WorkerDegrees::Local(local) = self.degrees {
-            let mut guard = self
-                .engine
-                .merged_degrees
-                .lock()
-                // lint:allow(no-expect) -- a poisoned metrics mutex means a worker already panicked; that panic is already aborting the run
-                .expect("degree mutex poisoned");
+            let mut guard = lock(&self.engine.merged_degrees);
             match guard.as_mut() {
                 Some(merged) => merged.merge(&local),
                 None => *guard = Some(local),
             }
         }
         if !self.observers.is_empty() {
-            let mut guard = self
-                .engine
-                .merged_custom
-                .lock()
-                // lint:allow(no-expect) -- a poisoned metrics mutex means a worker already panicked; that panic is already aborting the run
-                .expect("metric mutex poisoned");
+            let mut guard = lock(&self.engine.merged_custom);
             for (slot, observer) in guard.iter_mut().zip(self.observers) {
                 match slot.as_mut() {
                     Some(merged) => merged.merge(observer),

@@ -668,10 +668,10 @@ const QUEUE_DEPTH: usize = 2;
 ///
 /// Buffers are recycled through a return channel, so the steady state
 /// allocates nothing; the bounded queue (`QUEUE_DEPTH`) keeps memory use
-/// flat when generation outruns the disk.  If the inner sink fails, the
-/// writer thread keeps draining (so the sender never blocks on a dead
-/// consumer), abandons the inner sink, and the error surfaces on the next
-/// `consume()` or at `finish()`.
+/// flat when generation outruns the disk.  The writer thread owns the inner
+/// sink: if it fails, the thread keeps draining (so the sender never blocks
+/// on a dead consumer), abandons the inner sink once the channel closes, and
+/// the error surfaces on the next `consume()` or at `finish()`.
 pub struct DoubleBufferedSink<S: EdgeSink> {
     sender: Option<std::sync::mpsc::SyncSender<Vec<(u64, u64)>>>,
     recycle: std::sync::mpsc::Receiver<Vec<(u64, u64)>>,
@@ -691,7 +691,7 @@ where
     S::Output: Send + 'static,
 {
     /// Move `inner` onto a writer thread and return the front half.
-    pub fn new(inner: S) -> Self {
+    pub fn new(mut inner: S) -> Self {
         use std::sync::atomic::{AtomicBool, Ordering};
         let (sender, receiver) = std::sync::mpsc::sync_channel::<Vec<(u64, u64)>>(QUEUE_DEPTH);
         let (recycle_tx, recycle) = std::sync::mpsc::channel::<Vec<(u64, u64)>>();
@@ -700,16 +700,12 @@ where
         let thread_failed = std::sync::Arc::clone(&failed);
         let thread_abandoned = std::sync::Arc::clone(&abandoned);
         let handle = std::thread::spawn(move || {
-            let mut sink = Some(inner);
             let mut error = None;
             for buffer in receiver {
                 if error.is_none() {
-                    // lint:allow(no-expect) -- the sink is taken exactly once, on the first error
-                    if let Err(e) = sink.as_mut().expect("sink present").consume(&buffer) {
+                    if let Err(e) = inner.consume(&buffer) {
                         // ordering: Release — pairs with the Acquire load in consume(); a front half that observes `failed` must also observe the draining state this thread is in
                         thread_failed.store(true, Ordering::Release);
-                        // lint:allow(no-expect) -- error.is_none() guarantees the sink has not been taken
-                        sink.take().expect("sink present").abandon();
                         error = Some(e);
                     }
                 }
@@ -718,16 +714,15 @@ where
                 let _ = recycle_tx.send(buffer);
             }
             if let Some(e) = error {
+                inner.abandon();
                 return Err(e);
             }
-            // lint:allow(no-expect) -- error was None on every chunk, so the sink was never taken
-            let sink = sink.take().expect("sink present");
             // ordering: Acquire — pairs with the Release store in abandon(); the flag was set before the channel closed, so the drain loop above happened-after it
             if thread_abandoned.load(Ordering::Acquire) {
-                sink.abandon();
+                inner.abandon();
                 return Ok(None);
             }
-            sink.finish_with_checksum().map(Some)
+            inner.finish_with_checksum().map(Some)
         });
         DoubleBufferedSink {
             sender: Some(sender),

@@ -5,17 +5,8 @@ impl Pipeline {
     pub fn count(self, values: &[u64]) -> u64 {
         stage_total(values)
     }
-
-    pub fn resume(self, bytes: &[u8]) -> u64 {
-        checked_word(bytes)
-    }
 }
 
 fn stage_total(values: &[u64]) -> u64 {
     kron_sparse::fold_counts(values)
-}
-
-fn checked_word(bytes: &[u8]) -> u64 {
-    // lint:allow(panic-reachability) -- le_u64's 8-byte contract holds: resume validated the header length first
-    kron_sparse::le_u64(bytes)
 }

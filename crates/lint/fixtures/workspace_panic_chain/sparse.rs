@@ -8,10 +8,3 @@ pub fn fold_counts(values: &[u64]) -> u64 {
 fn tally(values: &[u64]) -> u64 {
     *values.first().expect("fold_counts needs a batch") //~ no-expect, panic-reachability
 }
-
-pub fn le_u64(bytes: &[u8]) -> u64 {
-    assert!(bytes.len() >= 8, "le_u64 needs at least 8 bytes");
-    let mut word = [0u8; 8];
-    word.copy_from_slice(&bytes[..8]);
-    u64::from_le_bytes(word)
-}

@@ -394,7 +394,7 @@ fn resolve_free(
     if let Some(hits) = free_by_crate.get(&(own_crate, m)) {
         return hits.clone();
     }
-    // Imported: `use kron_sparse::addressable;` then `addressable(..)`.
+    // Imported: `use kron_sparse::fold_counts;` then `fold_counts(..)`.
     for path in &file.imports {
         if path.last().is_some_and(|leaf| leaf == m) {
             if let Some(head) = path.first() {

@@ -19,7 +19,6 @@
 //! cargo run -p kron-lint -- --deny
 //! ```
 
-pub mod changed;
 pub mod graph;
 pub mod lexer;
 pub mod parser;

@@ -2,32 +2,27 @@
 //! Command-line front end for `kron-lint`.
 //!
 //! ```text
-//! kron-lint [--deny] [--changed] [--rules] [ROOT]
+//! kron-lint [--deny] [--rules] [ROOT]
 //! ```
 //!
-//! * `--deny`    — exit non-zero when any unsuppressed finding remains
+//! * `--deny`  — exit non-zero when any unsuppressed finding remains
 //!   (the CI gate).
-//! * `--changed` — report only findings in files changed vs the merge
-//!   base with the main branch (the whole workspace is still analyzed,
-//!   so cross-file rules keep their full view).
-//! * `--rules`   — list every rule with its rationale and exit.
-//! * `ROOT`      — workspace root to scan (default: walk up from the
+//! * `--rules` — list every rule with its rationale and exit.
+//! * `ROOT`    — workspace root to scan (default: walk up from the
 //!   current directory to the first `Cargo.toml` owning a `crates/`
 //!   directory).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use kron_lint::{changed::changed_files, lint_root, Finding, RULES};
+use kron_lint::{lint_root, Finding, RULES};
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut changed = false;
     let mut root: Option<PathBuf> = None;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--changed" => changed = true,
             "--rules" => {
                 for (id, why) in RULES {
                     println!("{id:24} {why}");
@@ -35,7 +30,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
-                println!("usage: kron-lint [--deny] [--changed] [--rules] [ROOT]");
+                println!("usage: kron-lint [--deny] [--rules] [ROOT]");
                 return ExitCode::SUCCESS;
             }
             other if !other.starts_with('-') => root = Some(PathBuf::from(other)),
@@ -54,22 +49,13 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut findings = match lint_root(&root) {
+    let findings = match lint_root(&root) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("kron-lint: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if changed {
-        match changed_files(&root) {
-            Some(touched) => findings.retain(|f| touched.contains(&f.file)),
-            None => {
-                eprintln!("kron-lint: not a git checkout; --changed falls back to a full report")
-            }
-        }
-    }
 
     let active: Vec<&Finding> = findings.iter().filter(|f| !f.suppressed).collect();
     let suppressed = findings.len() - active.len();

@@ -19,7 +19,7 @@
 //! Suppression syntax, one exception documented in place:
 //!
 //! ```text
-//! // lint:allow(no-expect) -- mutex poisoning means a worker already panicked
+//! // lint:allow(no-expect) -- every block is created with the same full-graph dimensions
 //! ```
 //!
 //! A trailing suppression covers its own line; a standalone suppression
@@ -382,7 +382,6 @@ pub fn lint_workspace(files: &[FileAnalysis]) -> Vec<Finding> {
         .map(|(fi, f)| semantic::ReachFile {
             lexed: &f.lexed,
             parsed: &f.parsed,
-            mask: &f.mask,
             is_library: f.class.kind == FileKind::Library,
             open_panic_lines: &open_panics[fi],
         })

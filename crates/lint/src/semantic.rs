@@ -79,18 +79,10 @@ pub fn scan_atomic_ordering(
     }
 }
 
-/// The two sanctioned panic helpers (documented single-owner contracts
-/// from the durability pass): calling them is a panic *site* for
-/// reachability purposes, so every call on a `Pipeline` path needs a
-/// reasoned `lint:allow(panic-reachability)` restating why the
-/// contract holds there.
-const SANCTIONED_HELPERS: &[&str] = &["addressable", "le_u64"];
-
 /// One file's inputs to the reachability pass.
 pub struct ReachFile<'a> {
     pub lexed: &'a Lexed,
     pub parsed: &'a crate::parser::ParsedFile,
-    pub mask: &'a [bool],
     /// Whether the file is Library-class (only library panic sites count).
     pub is_library: bool,
     /// Lines of *unsuppressed* lexical panic findings
@@ -101,8 +93,10 @@ pub struct ReachFile<'a> {
 
 /// Whole-workspace panic-reachability: build the call graph, BFS from
 /// every `pub fn` on a `Pipeline` impl, and report each reachable panic
-/// site with its full call chain.  Returns `(file index, line, rule,
-/// message)` tuples.
+/// site with its full call chain.  The sites are exactly the open
+/// lexical panic findings, so this rule only adds the chain to a line
+/// that already fails.  Returns `(file index, line, rule, message)`
+/// tuples.
 pub fn panic_reachability(files: &[ReachFile<'_>]) -> Vec<(usize, u32, &'static str, String)> {
     let graph_files: Vec<GraphFile<'_>> = files
         .iter()
@@ -124,40 +118,18 @@ pub fn panic_reachability(files: &[ReachFile<'_>]) -> Vec<(usize, u32, &'static 
     }
     let parent = graph.reach_from(&entries);
 
-    // Panic sites: (file, line, what).
-    let mut sites: Vec<(usize, u32, String)> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
-        if !f.is_library {
-            continue;
-        }
-        for &line in f.open_panic_lines {
-            sites.push((fi, line, "unsuppressed panic site".to_string()));
-        }
-        // Calls into the sanctioned helpers (not their definitions).
-        let t = &f.lexed.tokens;
-        for i in 0..t.len() {
-            if f.mask.get(i).copied().unwrap_or(false) {
-                continue;
-            }
-            let Some(name) = ident_at(t, i) else { continue };
-            if !SANCTIONED_HELPERS.contains(&name) || !punct_at(t, i + 1, '(') {
-                continue;
-            }
-            if i > 0 && ident_at(t, i - 1) == Some("fn") {
-                continue; // the helper's own definition
-            }
-            sites.push((
-                fi,
-                t[i].line,
-                format!("call into panicking helper `{name}`"),
-            ));
-        }
-    }
+    // Panic sites: (file, line).
+    let mut sites: Vec<(usize, u32)> = files
+        .iter()
+        .enumerate()
+        .filter(|(_, f)| f.is_library)
+        .flat_map(|(fi, f)| f.open_panic_lines.iter().map(move |&line| (fi, line)))
+        .collect();
     sites.sort();
     sites.dedup();
 
     let mut out = Vec::new();
-    for (fi, line, what) in sites {
+    for (fi, line) in sites {
         let Some(node) = graph.containing_fn(fi, line) else {
             continue;
         };
@@ -170,7 +142,7 @@ pub fn panic_reachability(files: &[ReachFile<'_>]) -> Vec<(usize, u32, &'static 
             line,
             PANIC_REACHABILITY,
             format!(
-                "{what} is reachable from a Pipeline entry point: {chain} -> panic at line {line}"
+                "unsuppressed panic site is reachable from a Pipeline entry point: {chain} -> panic at line {line}"
             ),
         ));
     }
@@ -231,14 +203,12 @@ mod tests {
             ReachFile {
                 lexed: &lex_a,
                 parsed: &parsed_a,
-                mask: &mask_a,
                 is_library: true,
                 open_panic_lines: &[5],
             },
             ReachFile {
                 lexed: &lex_b,
                 parsed: &parsed_b,
-                mask: &mask_b,
                 is_library: true,
                 open_panic_lines: &[2],
             },
@@ -252,26 +222,5 @@ mod tests {
             msg.contains("Pipeline::count -> gen::helper -> sparse::fold -> sparse::tally"),
             "{msg}"
         );
-    }
-
-    #[test]
-    fn sanctioned_helper_calls_are_sites_but_definitions_are_not() {
-        let src = "pub struct Pipeline;\n\
-                   impl Pipeline { pub fn run(self) { le_u64(buf) } }\n\
-                   pub fn le_u64(b: &[u8]) -> u64 { 0 }\n";
-        let lexed = lex(src);
-        let mask = test_mask(&lexed.tokens);
-        let parsed = parse_file("crates/gen/src/writer.rs", &lexed, &mask);
-        let files = [ReachFile {
-            lexed: &lexed,
-            parsed: &parsed,
-            mask: &mask,
-            is_library: true,
-            open_panic_lines: &[],
-        }];
-        let found = panic_reachability(&files);
-        assert_eq!(found.len(), 1, "{found:?}");
-        assert_eq!(found[0].1, 2, "the call line, not the definition line");
-        assert!(found[0].3.contains("le_u64"));
     }
 }

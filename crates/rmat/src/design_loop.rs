@@ -56,12 +56,9 @@ impl DesignLoopReport {
 
     /// The best (lowest-error) iteration, if any iteration was run.
     pub fn best(&self) -> Option<&TrialIteration> {
-        self.iterations.iter().min_by(|a, b| {
-            a.relative_error
-                .partial_cmp(&b.relative_error)
-                // lint:allow(no-expect) -- fitness errors are sums of absolute values of finite floats, so partial_cmp cannot return None
-                .expect("finite errors")
-        })
+        self.iterations
+            .iter()
+            .min_by(|a, b| a.relative_error.total_cmp(&b.relative_error))
     }
 }
 

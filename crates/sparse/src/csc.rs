@@ -39,14 +39,7 @@ impl<T: Scalar> CscMatrix<T> {
 
     /// Build from a COO matrix, combining duplicates with the semiring ⊕.
     pub fn from_coo<S: Semiring<T>>(coo: &CooMatrix<T>) -> Result<Self, SparseError> {
-        let nrows = usize::try_from(coo.nrows()).map_err(|_| SparseError::TooLarge {
-            what: "CSC rows",
-            requested: coo.nrows() as u128,
-        })?;
-        let ncols = usize::try_from(coo.ncols()).map_err(|_| SparseError::TooLarge {
-            what: "CSC cols",
-            requested: coo.ncols() as u128,
-        })?;
+        let (nrows, ncols) = (coo.nrows() as usize, coo.ncols() as usize);
         let mut canonical = coo.clone();
         canonical.sum_duplicates::<S>();
 

@@ -2,8 +2,8 @@
 //!
 //! CSR gives O(1) access to a row's entries, which is what SpGEMM, SpMV, and
 //! triangle counting need.  CSR matrices are always fully materialised, so
-//! dimensions are `usize`; conversion from the `u64`-indexed [`CooMatrix`]
-//! checks that the matrix actually fits in addressable memory.
+//! dimensions are `usize`; under the crate's 64-bit contract that is as wide
+//! as the `u64` indices of [`CooMatrix`], so conversion loses nothing.
 
 use serde::{Deserialize, Serialize};
 
@@ -40,14 +40,7 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Build from a COO matrix, combining duplicates with the semiring ⊕.
     pub fn from_coo<S: Semiring<T>>(coo: &CooMatrix<T>) -> Result<Self, SparseError> {
-        let nrows = usize::try_from(coo.nrows()).map_err(|_| SparseError::TooLarge {
-            what: "CSR rows",
-            requested: coo.nrows() as u128,
-        })?;
-        let ncols = usize::try_from(coo.ncols()).map_err(|_| SparseError::TooLarge {
-            what: "CSR cols",
-            requested: coo.ncols() as u128,
-        })?;
+        let (nrows, ncols) = (coo.nrows() as usize, coo.ncols() as usize);
         let mut canonical = coo.clone();
         canonical.sum_duplicates::<S>();
 

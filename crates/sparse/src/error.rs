@@ -25,7 +25,9 @@ pub enum SparseError {
         /// Dimensions of the right operand.
         right: (u64, u64),
     },
-    /// A matrix was too large to materialise in addressable memory.
+    /// A requested size exceeds a limit: the `u64` range (a Kronecker
+    /// product's dimensions, a declared file length) or the caller's budget
+    /// (a dense conversion).
     TooLarge {
         /// Human-readable description of what was being materialised.
         what: &'static str,

@@ -33,25 +33,21 @@
 //! Everything is exercised heavily by the higher-level crates; this crate is
 //! deliberately free of graph semantics so it can be reused as a small
 //! stand-alone sparse library.
+//!
+//! # The 64-bit contract
+//!
+//! Indices and dimensions are `u64` because the graphs are: the paper's
+//! Fig. 4 design has 11 177 649 600 vertices, more than 2³².  Per-vertex
+//! vectors (degree counts, bitmaps) are indexed by those labels, so the
+//! crate only builds where `usize` is 64 bits wide, and there every
+//! `u64 as usize` in it is lossless.  A label outside a vector's declared
+//! dimension is an ordinary out-of-bounds index.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Convert a `u64` dimension or index into a `usize` the host can
-/// address, panicking with the caller's capacity message when it cannot.
-///
-/// This is the single owner of the workspace's "fits in memory" contract:
-/// per-vertex vectors (degree counts, bitmaps, permutation tables) are
-/// `O(vertices)` by design, so failing to address them is a host capacity
-/// limit, not a data error, and every call site documents what would not
-/// fit via `what`.
-///
-/// # Panics
-/// Panics with `what` when `n` exceeds `usize::MAX` (32-bit hosts).
-pub fn addressable(n: u64, what: &str) -> usize {
-    // lint:allow(no-expect) -- single documented owner of the capacity contract: a host that cannot address the vector cannot run the algorithm at all
-    usize::try_from(n).expect(what)
-}
+#[cfg(not(target_pointer_width = "64"))]
+compile_error!("kron-sparse indexes per-vertex vectors by u64 labels and needs a 64-bit target");
 
 pub mod bfs;
 pub mod coo;

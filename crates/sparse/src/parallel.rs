@@ -62,7 +62,7 @@ pub fn par_kron_coo<T: Scalar, S: Semiring<T>>(
 /// histogram which is then merged (a tree reduction), so no locking is needed
 /// on the hot path.
 pub fn par_row_counts<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
-    let nrows = crate::addressable(m.nrows(), "row count vector must fit in memory");
+    let nrows = m.nrows() as usize;
     let rows = m.row_indices();
     rows.par_chunks(
         16_384

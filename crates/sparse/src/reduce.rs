@@ -15,8 +15,7 @@ use crate::semiring::Scalar;
 
 /// Number of stored entries in each row of a COO matrix.
 pub fn row_counts<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
-    let nrows = crate::addressable(m.nrows(), "row count vector must fit in memory");
-    let mut counts = vec![0u64; nrows];
+    let mut counts = vec![0u64; m.nrows() as usize];
     for &r in m.row_indices() {
         counts[r as usize] += 1;
     }
@@ -25,8 +24,7 @@ pub fn row_counts<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
 
 /// Number of stored entries in each column of a COO matrix.
 pub fn col_counts<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
-    let ncols = crate::addressable(m.ncols(), "column count vector must fit in memory");
-    let mut counts = vec![0u64; ncols];
+    let mut counts = vec![0u64; m.ncols() as usize];
     for &c in m.col_indices() {
         counts[c as usize] += 1;
     }
@@ -48,8 +46,7 @@ pub fn symmetric_degrees<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
 /// Total (in + out) pattern degree of each vertex of a square COO matrix.
 pub fn total_degrees<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
     assert!(m.is_square(), "total_degrees requires a square matrix");
-    let n = crate::addressable(m.nrows(), "degree vector must fit in memory");
-    let mut counts = vec![0u64; n];
+    let mut counts = vec![0u64; m.nrows() as usize];
     for (r, c, _) in m.iter() {
         counts[r as usize] += 1;
         if r != c {
@@ -113,16 +110,11 @@ pub struct DegreeAccumulator {
 impl DegreeAccumulator {
     /// Create an accumulator for a graph with the given dimensions,
     /// tracking both row and column endpoint counts.
-    ///
-    /// # Panics
-    /// Panics if either dimension does not fit in addressable memory.
     pub fn new(nrows: u64, ncols: u64) -> Self {
-        let rows = crate::addressable(nrows, "row count vector must fit in memory");
-        let cols = crate::addressable(ncols, "column count vector must fit in memory");
         DegreeAccumulator {
             ncols,
-            row_counts: vec![0u64; rows],
-            col_counts: Some(vec![0u64; cols]),
+            row_counts: vec![0u64; nrows as usize],
+            col_counts: Some(vec![0u64; ncols as usize]),
             self_loops: 0,
             edges: 0,
         }
@@ -131,15 +123,10 @@ impl DegreeAccumulator {
     /// Create an accumulator that tracks only row endpoint counts (plus the
     /// edge and self-loop tallies); [`DegreeAccumulator::col_counts`] and
     /// [`DegreeAccumulator::col_histogram`] return `None`.
-    ///
-    /// # Panics
-    /// Panics if the row dimension does not fit in addressable memory.
     pub fn rows_only(nrows: u64, ncols: u64) -> Self {
-        // lint:allow(panic-reachability) -- the documented `# Panics` contract: callers size nrows from the design, which already fit in memory
-        let rows = crate::addressable(nrows, "row count vector must fit in memory");
         DegreeAccumulator {
             ncols,
-            row_counts: vec![0u64; rows],
+            row_counts: vec![0u64; nrows as usize],
             col_counts: None,
             self_loops: 0,
             edges: 0,
@@ -171,18 +158,15 @@ impl DegreeAccumulator {
         match self.col_counts.as_mut() {
             Some(col_counts) => {
                 for &(row, col) in edges {
-                    // lint:allow(panic-reachability) -- documented `# Panics` contract; generated indices are < the declared dims by construction
-                    self.row_counts[crate::addressable(row, "row index addressable")] += 1;
-                    // lint:allow(panic-reachability) -- documented `# Panics` contract; generated indices are < the declared dims by construction
-                    col_counts[crate::addressable(col, "column index addressable")] += 1;
+                    self.row_counts[row as usize] += 1;
+                    col_counts[col as usize] += 1;
                     self.self_loops += u64::from(row == col);
                 }
             }
             None => {
                 for &(row, col) in edges {
                     assert!(col < self.ncols, "column index out of bounds");
-                    // lint:allow(panic-reachability) -- documented `# Panics` contract; generated indices are < the declared dims by construction
-                    self.row_counts[crate::addressable(row, "row index addressable")] += 1;
+                    self.row_counts[row as usize] += 1;
                     self.self_loops += u64::from(row == col);
                 }
             }
@@ -301,12 +285,8 @@ pub struct SharedDegreeAccumulator {
 impl SharedDegreeAccumulator {
     /// Create a shared accumulator tracking row endpoint counts (plus edge
     /// and self-loop tallies) for a graph with the given dimensions.
-    ///
-    /// # Panics
-    /// Panics if the row dimension does not fit in addressable memory.
     pub fn rows_only(nrows: u64, ncols: u64) -> Self {
-        // lint:allow(panic-reachability) -- the documented `# Panics` contract: callers size nrows from the design, which already fit in memory
-        let rows = crate::addressable(nrows, "row count vector must fit in memory");
+        let rows = nrows as usize;
         let mut row_counts = Vec::with_capacity(rows);
         row_counts.resize_with(rows, || AtomicU64::new(0));
         SharedDegreeAccumulator {
@@ -336,8 +316,7 @@ impl SharedDegreeAccumulator {
         let mut loops = 0u64;
         for &(row, col) in edges {
             assert!(col < self.ncols, "column index out of bounds");
-            // lint:allow(panic-reachability) -- documented `# Panics` contract; generated indices are < the declared dims by construction
-            self.row_counts[crate::addressable(row, "row index addressable")]
+            self.row_counts[row as usize]
                 // ordering: Relaxed — independent counter increments; totals are read only after the recording workers are joined
                 .fetch_add(1, Ordering::Relaxed);
             loops += u64::from(row == col);

@@ -63,8 +63,7 @@ pub fn empty_vertices<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
         m.is_square(),
         "empty_vertices requires a square adjacency matrix"
     );
-    let n = crate::addressable(m.nrows(), "vertex bitmap must fit in memory");
-    let mut touched = vec![false; n];
+    let mut touched = vec![false; m.nrows() as usize];
     for (r, c, _) in m.iter() {
         touched[r as usize] = true;
         touched[c as usize] = true;
