@@ -4,7 +4,6 @@
 
 use kron_bench::{design, figure_header, machine_pipeline, paper};
 use kron_core::SelfLoop;
-use kron_gen::BalanceReport;
 use kron_sparse::select::{empty_vertices, has_duplicates, self_loop_count};
 
 fn main() {
@@ -28,7 +27,7 @@ fn main() {
             .split_index(paper::MACHINE_SCALE_SPLIT)
             .count()
             .expect("machine-scale design fits in memory");
-        let balance = BalanceReport::from_stats(&run.stats);
+        let balance = &run.metrics.balance;
         println!(
             "{:>8} {:>14} {:>14} {:>12} {:>12.4}",
             workers,

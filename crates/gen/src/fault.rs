@@ -264,10 +264,6 @@ impl<S: EdgeSink> EdgeSink for FaultySink<S> {
             })
     }
 
-    fn finish(self) -> Result<Self::Output, SparseError> {
-        self.inner.finish()
-    }
-
     fn abandon(self) {
         self.inner.abandon();
     }
@@ -378,13 +374,13 @@ mod tests {
             let mut sink = FaultySink::new(CountingSink::new(), 0, schedule.clone());
             let err = consume_all(&mut sink, &edges).unwrap_err();
             assert!(err.to_string().contains("injected transient fault"));
-            assert_eq!(sink.inner.clone().finish().unwrap(), 3);
+            assert_eq!(sink.inner.clone().finish_with_checksum().unwrap().0, 3);
         }
         // …then the fault is spent and the third attempt succeeds.
         assert!(schedule.is_exhausted());
         let mut sink = FaultySink::new(CountingSink::new(), 0, schedule.clone());
         consume_all(&mut sink, &edges).unwrap();
-        assert_eq!(sink.finish().unwrap(), 5);
+        assert_eq!(sink.finish_with_checksum().unwrap().0, 5);
     }
 
     #[test]
@@ -396,13 +392,13 @@ mod tests {
             assert!(err.to_string().contains("permanent fault"));
             assert!(err.to_string().contains("worker 1"));
             // Boundary 0: nothing delivered before the failure.
-            assert_eq!(sink.inner.clone().finish().unwrap(), 0);
+            assert_eq!(sink.inner.clone().finish_with_checksum().unwrap().0, 0);
         }
         assert!(!schedule.is_exhausted());
         // Other workers are untouched.
         let mut sink = FaultySink::new(CountingSink::new(), 0, schedule.clone());
         sink.consume(&[(0, 0)]).unwrap();
-        assert_eq!(sink.finish().unwrap(), 1);
+        assert_eq!(sink.finish_with_checksum().unwrap().0, 1);
     }
 
     #[test]
@@ -413,7 +409,7 @@ mod tests {
         sink.consume(&[(0, 0), (1, 1)]).unwrap();
         let err = sink.consume(&[(2, 2), (3, 3), (4, 4), (5, 5)]).unwrap_err();
         assert!(err.to_string().contains("after 4 edges"));
-        assert_eq!(sink.inner.clone().finish().unwrap(), 4);
+        assert_eq!(sink.inner.clone().finish_with_checksum().unwrap().0, 4);
     }
 
     #[test]

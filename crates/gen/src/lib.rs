@@ -19,8 +19,8 @@
 //!    self-loop of the triangle-control construction is filtered in-stream
 //!    by whichever worker owns it ([`source::KroneckerSource`]).
 //! 5. Properties (degree distribution, edge counts, balance, max degree,
-//!    power-law fit, custom metrics) are measured in-stream by the
-//!    pluggable [`metrics`] engine without ever assembling the full graph,
+//!    power-law fit, custom predicate counts) are measured in-stream by the
+//!    [`metrics`] engine without ever assembling the full graph,
 //!    reproducing the paper's "measured = predicted" validation at whatever
 //!    scale fits the machine — and the [`replay`] source streams existing
 //!    shard sets back through the same engine, so any graph on disk can be
@@ -37,8 +37,7 @@
 //!    (Graph500's shuffle without the `O(V)` table), the degree histogram
 //!    accumulates in `O(vertices)` memory, and a pluggable
 //!    [`sink::EdgeSink`] consumes the chunk (TSV or compressed
-//!    shard, counter, COO block, or any custom impl — [`sink`] also
-//!    provides tee/filter-map combinators and a degree-only validator), so
+//!    shard, counter, COO block, or any custom impl), so
 //!    generation *and* validation both run as bounded-memory streams at
 //!    scales whose edges never fit in memory.  Every run
 //!    yields a [`manifest::RunManifest`] reproducibility record — source
@@ -79,10 +78,7 @@ pub use manifest::{
     JournalHeader, ProgressJournal, RunManifest, ShardRecord, MANIFEST_FILE_NAME,
     PROGRESS_FILE_NAME,
 };
-pub use metrics::{
-    BalanceReport, MetricContext, MetricObserver, MetricRecord, MetricSuite, MetricsReport,
-    PredicateCountMetric, StreamingMetric,
-};
+pub use metrics::{BalanceReport, MetricRecord, MetricsReport, PredicateCountMetric};
 pub use partition::Partition;
 pub use permute::FeistelPermutation;
 pub use pipeline::{
@@ -90,10 +86,7 @@ pub use pipeline::{
 };
 pub use replay::{shard_checksum, ReplaySource};
 pub use scaling::{ScalingModel, ScalingPoint};
-pub use sink::{
-    BlockFileSet, BlockFormat, CooSink, CountingSink, DegreeOnlySink, EdgeSink, FilterMapSink,
-    TeeSink, TsvShardSink,
-};
+pub use sink::{BlockFileSet, BlockFormat, CooSink, CountingSink, EdgeSink, TsvShardSink};
 pub use source::{EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
 pub use split::{choose_split, choose_split_with_fallback, SplitPlan};
 pub use stats::GenerationStats;
@@ -192,7 +185,7 @@ mod writer {
             let edges: Vec<(u64, u64)> = (0..100u64).map(|i| (i % 64, (i * 7) % 64)).collect();
             let mut sink = CompressedShardSink::create(&path, 64, 64).unwrap();
             sink.consume(&edges).unwrap();
-            sink.finish().unwrap();
+            sink.finish_with_checksum().unwrap();
             (dir, path, edges)
         }
 

@@ -1,4 +1,4 @@
-//! The pluggable streaming-metrics engine.
+//! The streaming-metrics engine.
 //!
 //! The paper's headline result (Figure 4) is that *measured* properties of a
 //! trillion-edge graph exactly equal the *predicted* ones — which makes the
@@ -18,10 +18,10 @@
 //!   (`α = log n(1) / log d_max`,
 //!   [`kron_core::powerlaw::PowerLaw::from_extremes`]) with its goodness
 //!   residuals against the fitted and the ideal `n(d) = n(1)/d` curves;
-//! * any number of **custom [`StreamingMetric`]s** registered through
+//! * any number of **custom [`PredicateCountMetric`]s** registered through
 //!   [`Pipeline::with_metric`](crate::pipeline::Pipeline::with_metric) —
-//!   per-worker observers that see every delivered chunk, merge when workers
-//!   finish, and report one value each.
+//!   named edge counts over every delivered chunk, one `u64` per worker,
+//!   summed when workers finish.
 //!
 //! Every run's [`RunReport`](crate::pipeline::RunReport) carries the result
 //! as a typed [`MetricsReport`], and the run manifest records the same
@@ -38,57 +38,18 @@ use serde::{Deserialize, Serialize};
 
 use kron_core::powerlaw::PowerLawFit;
 use kron_core::validate::measure_from_histogram;
-use kron_core::GraphProperties;
+use kron_core::{CoreError, GraphProperties};
 use kron_sparse::reduce::SharedDegreeAccumulator;
 use kron_sparse::DegreeAccumulator;
 
 use crate::lock;
 
-/// A pluggable streaming metric: a factory of per-worker observers.
-///
-/// The engine asks the metric for one [`MetricObserver`] per worker; each
-/// observer sees every chunk its worker delivers to the sink, observers are
-/// merged pairwise as workers finish, and the surviving observer is
-/// finalised into the metric's reported value.  Implementations must be
-/// cheap per edge — they run inside the generation hot loop.
-pub trait StreamingMetric: Send + Sync {
-    /// The metric's name, used in the [`MetricsReport`] and the manifest.
-    fn name(&self) -> &str;
-
-    /// Create one worker's observer.
-    fn observer(&self, context: &MetricContext) -> Box<dyn MetricObserver>;
-}
-
-/// What the engine tells a metric when creating observers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetricContext {
-    /// Number of vertices of the streamed graph.
-    pub vertices: u64,
-    /// Number of workers in the run.
-    pub workers: usize,
-}
-
-/// One worker's live accumulator of a [`StreamingMetric`].
-pub trait MetricObserver: Send {
-    /// Observe one chunk of delivered `(row, col)` edges.
-    fn observe(&mut self, edges: &[(u64, u64)]);
-
-    /// Fold another worker's observer of the same metric into this one.
-    /// Implementations downcast via [`MetricObserver::into_any`]; the engine
-    /// guarantees `other` came from the same [`StreamingMetric`].
-    fn merge(&mut self, other: Box<dyn MetricObserver>);
-
-    /// The observer as `Any`, for [`MetricObserver::merge`] downcasts.
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any>;
-
-    /// Render the accumulated value (after all merges) for the report and
-    /// the manifest.
-    fn finalize(self: Box<Self>) -> String;
-}
-
-/// A ready-made [`StreamingMetric`] counting edges that satisfy a predicate
-/// — duplicate-prone regions, upper-triangle edges, cross-partition edges,
-/// anything expressible per edge:
+/// A custom metric: the number of delivered edges for which a predicate
+/// holds — duplicate-prone regions, upper-triangle edges, cross-partition
+/// edges, anything expressible per edge.  Registered through
+/// [`Pipeline::with_metric`](crate::pipeline::Pipeline::with_metric); each
+/// worker counts into one `u64` of its own, and the counts are summed as
+/// workers finish:
 ///
 /// ```
 /// use kron_gen::metrics::PredicateCountMetric;
@@ -111,97 +72,61 @@ impl PredicateCountMetric {
             predicate: Arc::new(predicate),
         }
     }
-}
 
-struct PredicateCountObserver {
-    count: u64,
-    predicate: Arc<dyn Fn(u64, u64) -> bool + Send + Sync>,
-}
-
-impl StreamingMetric for PredicateCountMetric {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn observer(&self, _context: &MetricContext) -> Box<dyn MetricObserver> {
-        Box::new(PredicateCountObserver {
-            count: 0,
-            predicate: Arc::clone(&self.predicate),
-        })
-    }
-}
-
-impl MetricObserver for PredicateCountObserver {
-    fn observe(&mut self, edges: &[(u64, u64)]) {
-        self.count += edges
+    /// How many of `edges` satisfy the predicate.
+    fn count(&self, edges: &[(u64, u64)]) -> u64 {
+        edges
             .iter()
             .filter(|&&(row, col)| (self.predicate)(row, col))
-            .count() as u64;
-    }
-
-    fn merge(&mut self, other: Box<dyn MetricObserver>) {
-        let other = other
-            .into_any()
-            .downcast::<PredicateCountObserver>()
-            // lint:allow(no-expect) -- merge is only called over observers cloned from the same engine, so the metric ids match
-            .expect("merged observers come from the same metric");
-        self.count += other.count;
-    }
-
-    fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-        self
-    }
-
-    fn finalize(self: Box<Self>) -> String {
-        self.count.to_string()
+            .count() as u64
     }
 }
 
-/// An ordered collection of custom metrics — what
-/// [`Pipeline::with_metric`](crate::pipeline::Pipeline::with_metric) adds
-/// to.  Cloning shares the metrics (they are stateless factories).
-#[derive(Clone, Default)]
-pub struct MetricSuite {
-    metrics: Vec<Arc<dyn StreamingMetric>>,
-}
-
-impl MetricSuite {
-    /// The empty suite (the built-in metrics always run).
-    pub fn new() -> Self {
-        MetricSuite::default()
-    }
-
-    /// Add a metric, builder style.
-    pub fn with(mut self, metric: impl StreamingMetric + 'static) -> Self {
-        self.push(metric);
-        self
-    }
-
-    /// Add a metric.
-    pub fn push(&mut self, metric: impl StreamingMetric + 'static) {
-        self.metrics.push(Arc::new(metric));
-    }
-
-    /// Number of custom metrics in the suite.
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    /// Whether the suite holds no custom metrics.
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
-    /// The metric names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.metrics.iter().map(|m| m.name()).collect()
-    }
-}
-
-impl fmt::Debug for MetricSuite {
+impl fmt::Debug for PredicateCountMetric {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("MetricSuite").field(&self.names()).finish()
+        f.debug_tuple("PredicateCountMetric")
+            .field(&self.name)
+            .finish()
     }
+}
+
+/// The names of the built-in records, in the order
+/// [`MetricsReport::records`] writes them (the last three only when a
+/// power-law fit exists).  A custom metric may take none of them.
+const BUILTIN_RECORDS: [&str; 9] = [
+    "vertices",
+    "edges",
+    "self_loops",
+    "max_degree",
+    "distinct_degrees",
+    "balance_max_over_mean",
+    "power_law_alpha",
+    "power_law_residual",
+    "power_law_residual_vs_ideal",
+];
+
+/// Reject custom metrics whose records could not be told apart: a name a
+/// built-in record already uses, or a name registered twice.  The error
+/// names the metric.
+pub(crate) fn check_metric_names(metrics: &[PredicateCountMetric]) -> Result<(), CoreError> {
+    for (index, metric) in metrics.iter().enumerate() {
+        let name = metric.name.as_str();
+        let clash = if BUILTIN_RECORDS.contains(&name) {
+            "is the name of a built-in metric record"
+        } else if metrics
+            .iter()
+            .take(index)
+            .any(|earlier| earlier.name == name)
+        {
+            "is registered twice"
+        } else {
+            continue;
+        };
+        return Err(CoreError::InvalidConfig {
+            message: format!("custom metric \"{name}\" {clash}; give it a name of its own"),
+        });
+    }
+    Ok(())
 }
 
 /// One named metric value, as recorded in the [`MetricsReport`] and the run
@@ -240,12 +165,6 @@ pub struct BalanceReport {
 }
 
 impl BalanceReport {
-    /// Build the balance report of any run from its generation statistics
-    /// (`BalanceReport::from_stats(&report.stats)`).
-    pub fn from_stats(stats: &crate::stats::GenerationStats) -> Self {
-        BalanceReport::from_worker_counts(stats.edges_per_worker.clone())
-    }
-
     /// Build the balance report from raw per-worker edge counts (worker
     /// order) — the constructor the streaming-metrics engine uses.
     pub fn from_worker_counts(edges_per_worker: Vec<u64>) -> Self {
@@ -301,7 +220,7 @@ pub struct MetricsReport {
     /// Extreme-point power-law fit with goodness residuals, when the
     /// distribution pins one.
     pub power_law: Option<PowerLawFit>,
-    /// Results of the custom metrics, in suite order.
+    /// Results of the custom metrics, in registration order.
     pub custom: Vec<MetricRecord>,
 }
 
@@ -309,30 +228,26 @@ impl MetricsReport {
     /// The report as flat name/value records — the form the run manifest
     /// stores (custom metrics appended after the built-ins).
     pub fn records(&self) -> Vec<MetricRecord> {
+        let [vertices, edges, self_loops, max_degree, distinct_degrees, balance, alpha, residual, residual_vs_ideal] =
+            BUILTIN_RECORDS;
         let mut records = vec![
-            MetricRecord::new("vertices", self.vertices),
-            MetricRecord::new("edges", self.edges),
-            MetricRecord::new("self_loops", self.self_loops),
-            MetricRecord::new("max_degree", self.max_degree),
-            MetricRecord::new("distinct_degrees", self.distinct_degrees),
+            MetricRecord::new(vertices, self.vertices),
+            MetricRecord::new(edges, self.edges),
+            MetricRecord::new(self_loops, self.self_loops),
+            MetricRecord::new(max_degree, self.max_degree),
+            MetricRecord::new(distinct_degrees, self.distinct_degrees),
             // `{:?}` prints the shortest decimal that parses back to the
             // same f64, keeping manifest round trips exact.
-            MetricRecord::new(
-                "balance_max_over_mean",
-                format!("{:?}", self.balance.max_over_mean),
-            ),
+            MetricRecord::new(balance, format!("{:?}", self.balance.max_over_mean)),
         ];
         if let Some(fit) = &self.power_law {
+            records.push(MetricRecord::new(alpha, format!("{:?}", fit.alpha)));
             records.push(MetricRecord::new(
-                "power_law_alpha",
-                format!("{:?}", fit.alpha),
-            ));
-            records.push(MetricRecord::new(
-                "power_law_residual",
+                residual,
                 format!("{:?}", fit.mean_log_residual),
             ));
             records.push(MetricRecord::new(
-                "power_law_residual_vs_ideal",
+                residual_vs_ideal,
                 format!("{:?}", fit.residual_vs_ideal),
             ));
         }
@@ -350,27 +265,29 @@ impl MetricsReport {
 }
 
 /// The run-wide measurement state: the adaptive degree accumulator plus the
-/// merge slots of every custom metric.  One engine per pipeline run; workers
-/// check out a [`WorkerMetrics`] each and fold back in as they finish.
-pub(crate) struct MetricsEngine<'s> {
-    suite: &'s MetricSuite,
-    context: MetricContext,
+/// summed count of every custom metric.  One engine per pipeline run;
+/// workers check out a [`WorkerMetrics`] each and fold back in as they
+/// finish.
+pub(crate) struct MetricsEngine<'m> {
+    metrics: &'m [PredicateCountMetric],
+    vertices: u64,
     /// The run-wide shared atomic accumulator, when the per-worker local
     /// vectors would exceed the byte budget.
     shared: Option<SharedDegreeAccumulator>,
     /// Local accumulators are folded and dropped as each worker finishes, so
     /// at most one per pool thread is live at once (plus this merged one).
     merged_degrees: Mutex<Option<DegreeAccumulator>>,
-    merged_custom: Mutex<Vec<Option<Box<dyn MetricObserver>>>>,
+    /// One total per custom metric, in registration order.
+    merged_counts: Mutex<Vec<u64>>,
 }
 
-impl<'s> MetricsEngine<'s> {
+impl<'m> MetricsEngine<'m> {
     /// Size the histogram mode from the budget: while the peak of concurrent
     /// per-worker local vectors fits `max_histogram_bytes`, workers count
     /// privately at full speed; beyond it one shared atomic vector bounds
     /// the cost at `O(vertices)` total.
     pub(crate) fn new(
-        suite: &'s MetricSuite,
+        metrics: &'m [PredicateCountMetric],
         vertices: u64,
         workers: usize,
         max_histogram_bytes: u64,
@@ -381,11 +298,11 @@ impl<'s> MetricsEngine<'s> {
             None
         };
         MetricsEngine {
-            suite,
-            context: MetricContext { vertices, workers },
+            metrics,
+            vertices,
             shared,
             merged_degrees: Mutex::new(None),
-            merged_custom: Mutex::new(vec_of_none(suite.len())),
+            merged_counts: Mutex::new(vec![0; metrics.len()]),
         }
     }
 
@@ -393,20 +310,14 @@ impl<'s> MetricsEngine<'s> {
     pub(crate) fn worker(&self) -> WorkerMetrics<'_> {
         let degrees = match self.shared.as_ref() {
             Some(shared) => WorkerDegrees::Shared(shared),
-            None => WorkerDegrees::Local(DegreeAccumulator::rows_only(
-                self.context.vertices,
-                self.context.vertices,
-            )),
+            None => {
+                WorkerDegrees::Local(DegreeAccumulator::rows_only(self.vertices, self.vertices))
+            }
         };
         WorkerMetrics {
             engine: self,
             degrees,
-            observers: self
-                .suite
-                .metrics
-                .iter()
-                .map(|metric| metric.observer(&self.context))
-                .collect(),
+            counts: vec![0; self.metrics.len()],
         }
     }
 
@@ -423,9 +334,9 @@ impl<'s> MetricsEngine<'s> {
             None => {
                 // A fault-tolerant run can quarantine every worker, so an
                 // empty accumulator stands in when none finished.
-                let merged = lock(&self.merged_degrees).take().unwrap_or_else(|| {
-                    DegreeAccumulator::rows_only(self.context.vertices, self.context.vertices)
-                });
+                let merged = lock(&self.merged_degrees)
+                    .take()
+                    .unwrap_or_else(|| DegreeAccumulator::rows_only(self.vertices, self.vertices));
                 (
                     merged.row_histogram(),
                     merged.self_loop_count(),
@@ -434,23 +345,17 @@ impl<'s> MetricsEngine<'s> {
                 )
             }
         };
-        let measured = measure_from_histogram(self.context.vertices, &histogram, self_loops);
+        let measured = measure_from_histogram(self.vertices, &histogram, self_loops);
         let custom: Vec<MetricRecord> = self
-            .suite
             .metrics
             .iter()
-            .zip(std::mem::take(&mut *lock(&self.merged_custom)))
-            .map(|(metric, observer)| MetricRecord {
-                name: metric.name().to_string(),
-                value: observer
-                    .unwrap_or_else(|| metric.observer(&self.context))
-                    .finalize(),
-            })
+            .zip(std::mem::take(&mut *lock(&self.merged_counts)))
+            .map(|(metric, count)| MetricRecord::new(metric.name.as_str(), count))
             .collect();
         let mut degree_histogram = histogram;
         degree_histogram.remove(&0);
         let report = MetricsReport {
-            vertices: self.context.vertices,
+            vertices: self.vertices,
             edges,
             self_loops,
             max_degree,
@@ -475,12 +380,6 @@ pub(crate) fn would_share(vertices: u64, workers: usize, max_histogram_bytes: u6
     local_histogram_bytes > u128::from(max_histogram_bytes)
 }
 
-fn vec_of_none(len: usize) -> Vec<Option<Box<dyn MetricObserver>>> {
-    let mut slots = Vec::with_capacity(len);
-    slots.resize_with(len, || None);
-    slots
-}
-
 /// One worker's view of the run's degree histogram: a private local vector
 /// (fast, `O(vertices)` per concurrent worker) or the run-wide shared
 /// atomic vector (`O(vertices)` total) — see
@@ -495,7 +394,8 @@ enum WorkerDegrees<'a> {
 pub(crate) struct WorkerMetrics<'e> {
     engine: &'e MetricsEngine<'e>,
     degrees: WorkerDegrees<'e>,
-    observers: Vec<Box<dyn MetricObserver>>,
+    /// This worker's count of each custom metric.
+    counts: Vec<u64>,
 }
 
 impl WorkerMetrics<'_> {
@@ -518,8 +418,8 @@ impl WorkerMetrics<'_> {
             WorkerDegrees::Local(local) => local.record(counted),
             WorkerDegrees::Shared(shared) => shared.record(counted),
         }
-        for observer in &mut self.observers {
-            observer.observe(delivered);
+        for (metric, count) in self.engine.metrics.iter().zip(&mut self.counts) {
+            *count += metric.count(delivered);
         }
     }
 
@@ -534,13 +434,10 @@ impl WorkerMetrics<'_> {
                 None => *guard = Some(local),
             }
         }
-        if !self.observers.is_empty() {
-            let mut guard = lock(&self.engine.merged_custom);
-            for (slot, observer) in guard.iter_mut().zip(self.observers) {
-                match slot.as_mut() {
-                    Some(merged) => merged.merge(observer),
-                    None => *slot = Some(observer),
-                }
+        if !self.counts.is_empty() {
+            let mut totals = lock(&self.engine.merged_counts);
+            for (total, count) in totals.iter_mut().zip(self.counts) {
+                *total += count;
             }
         }
     }
@@ -554,8 +451,7 @@ mod tests {
 
     #[test]
     fn engine_measures_counts_histogram_and_balance() {
-        let suite = MetricSuite::new();
-        let engine = MetricsEngine::new(&suite, 4, 2, u64::MAX);
+        let engine = MetricsEngine::new(&[], 4, 2, u64::MAX);
         let mut first = engine.worker();
         first.observe(&EDGES[..3], &EDGES[..3]);
         first.finish();
@@ -596,9 +492,8 @@ mod tests {
 
     #[test]
     fn shared_and_local_modes_finalize_identically() {
-        let suite = MetricSuite::new();
         let run = |budget: u64| {
-            let engine = MetricsEngine::new(&suite, 4, 2, budget);
+            let engine = MetricsEngine::new(&[], 4, 2, budget);
             let mut worker = engine.worker();
             worker.observe(EDGES, EDGES);
             worker.finish();
@@ -609,15 +504,13 @@ mod tests {
 
     #[test]
     fn custom_metric_observes_merges_and_reports() {
-        let suite = MetricSuite::new()
-            .with(PredicateCountMetric::new("upper_triangle", |r, c| r < c))
-            .with(PredicateCountMetric::new("loops", |r, c| r == c));
-        assert_eq!(suite.names(), vec!["upper_triangle", "loops"]);
-        assert_eq!(suite.len(), 2);
-        assert!(!suite.is_empty());
-        assert!(format!("{suite:?}").contains("upper_triangle"));
+        let metrics = [
+            PredicateCountMetric::new("upper_triangle", |r, c| r < c),
+            PredicateCountMetric::new("loops", |r, c| r == c),
+        ];
+        assert!(format!("{metrics:?}").contains("upper_triangle"));
 
-        let engine = MetricsEngine::new(&suite, 4, 2, u64::MAX);
+        let engine = MetricsEngine::new(&metrics, 4, 2, u64::MAX);
         let mut first = engine.worker();
         first.observe(&EDGES[..3], &EDGES[..3]);
         first.finish();
@@ -634,8 +527,8 @@ mod tests {
     fn finalize_tolerates_zero_finished_workers() {
         // Every worker of a fault-tolerant run can be quarantined; the
         // report must still assemble (as an empty graph) rather than panic.
-        let suite = MetricSuite::new().with(PredicateCountMetric::new("loops", |r, c| r == c));
-        let engine = MetricsEngine::new(&suite, 4, 2, u64::MAX);
+        let metrics = [PredicateCountMetric::new("loops", |r, c| r == c)];
+        let engine = MetricsEngine::new(&metrics, 4, 2, u64::MAX);
         let (_, report) = engine.finalize(vec![0, 0]);
         assert_eq!(report.edges, 0);
         assert_eq!(report.max_degree, 0);
@@ -644,8 +537,8 @@ mod tests {
 
     #[test]
     fn records_cover_builtins_and_customs() {
-        let suite = MetricSuite::new().with(PredicateCountMetric::new("loops", |r, c| r == c));
-        let engine = MetricsEngine::new(&suite, 4, 1, u64::MAX);
+        let metrics = [PredicateCountMetric::new("loops", |r, c| r == c)];
+        let engine = MetricsEngine::new(&metrics, 4, 1, u64::MAX);
         let mut worker = engine.worker();
         worker.observe(EDGES, EDGES);
         worker.finish();

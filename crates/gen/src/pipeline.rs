@@ -76,7 +76,8 @@ use crate::manifest::{
     JournalHeader, ProgressJournal, RunManifest, ShardRecord, MANIFEST_FILE_NAME,
 };
 use crate::metrics::{
-    would_share, MetricSuite, MetricsEngine, MetricsReport, StreamingMetric, WorkerMetrics,
+    check_metric_names, would_share, MetricsEngine, MetricsReport, PredicateCountMetric,
+    WorkerMetrics,
 };
 use crate::permute::FeistelPermutation;
 use crate::replay::{shard_checksum, stream_shard};
@@ -199,7 +200,7 @@ pub struct Pipeline<S> {
     chunk_capacity: usize,
     max_histogram_bytes: u64,
     permutation_seed: Option<u64>,
-    metrics: MetricSuite,
+    metrics: Vec<PredicateCountMetric>,
     retry: RetryPolicy,
     quarantine: bool,
     /// Set when the worker count is still the clamped default
@@ -307,7 +308,7 @@ impl<S: EdgeSource> Pipeline<S> {
             chunk_capacity: EdgeChunk::DEFAULT_CAPACITY,
             max_histogram_bytes: DEFAULT_MAX_HISTOGRAM_BYTES,
             permutation_seed: None,
-            metrics: MetricSuite::new(),
+            metrics: Vec::new(),
             retry: RetryPolicy::none(),
             quarantine: false,
             default_worker_note: note,
@@ -361,13 +362,15 @@ impl<S: EdgeSource> Pipeline<S> {
         self
     }
 
-    /// Register one custom [`StreamingMetric`]: each worker gets an observer
-    /// that sees every chunk delivered to its sink, observers merge as
-    /// workers finish, and the metric's value lands in
+    /// Register one custom [`PredicateCountMetric`]: each worker counts the
+    /// edges of every chunk delivered to its sink that satisfy it, the
+    /// counts are summed as workers finish, and the total lands in
     /// [`RunReport::metrics`] and the manifest.  The built-in metrics
     /// (degree histogram, counts, max degree, balance, power-law fit) always
-    /// run; this adds to them.
-    pub fn with_metric(mut self, metric: impl StreamingMetric + 'static) -> Self {
+    /// run; this adds to them.  A name a built-in record uses, or one
+    /// registered twice, fails the run with [`CoreError::InvalidConfig`]
+    /// before anything is written.
+    pub fn with_metric(mut self, metric: PredicateCountMetric) -> Self {
         self.metrics.push(metric);
         self
     }
@@ -453,9 +456,7 @@ impl<S: EdgeSource> Pipeline<S> {
     /// are deleted.  The result is bit-identical — shard bytes and
     /// [`MetricsReport`] — to the same run never having been interrupted.
     pub fn resume(self, directory: &Path) -> Result<RunReport<PathBuf>, CoreError> {
-        if self.workers == 0 {
-            return Err(no_workers());
-        }
+        self.check_config()?;
         let (header, records) = ProgressJournal::read(directory)?;
         let (journal_seed, seed) = (header.permutation_seed, self.permutation_seed);
         journal_agrees("workers", header.workers, self.workers)?;
@@ -559,9 +560,7 @@ impl<S: EdgeSource> Pipeline<S> {
         K::Output: Send,
         F: Fn(usize) -> Result<K, SparseError> + Sync,
     {
-        if self.workers == 0 {
-            return Err(no_workers());
-        }
+        self.check_config()?;
         let vertices = self.source.vertices()?;
         let (source_run, mut warnings) = self.source.prepare(self.workers)?;
         warnings.extend(self.default_worker_note.clone());
@@ -677,6 +676,17 @@ impl<S: EdgeSource> Pipeline<S> {
             manifest,
             files,
         })
+    }
+
+    /// The checks every terminal makes before it writes anything: at least
+    /// one worker, and custom metric names no record of the run shares.
+    fn check_config(&self) -> Result<(), CoreError> {
+        if self.workers == 0 {
+            return Err(CoreError::InvalidConfig {
+                message: "the pipeline needs at least one worker".into(),
+            });
+        }
+        check_metric_names(&self.metrics)
     }
 
     /// The byte budget the degree histogram is sized from.  A failed attempt
@@ -991,12 +1001,6 @@ impl SinkSpec {
     }
 }
 
-fn no_workers() -> CoreError {
-    CoreError::InvalidConfig {
-        message: "the pipeline needs at least one worker".into(),
-    }
-}
-
 /// A resumed run must agree on `field` with the journal of the run it
 /// resumes; the values are compared as the mismatch error prints them.
 fn journal_agrees(
@@ -1106,13 +1110,10 @@ impl RunReport<CooMatrix<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::MANIFEST_FILE_NAME;
-    use crate::sink::{DegreeOnlySink, FilterMapSink, TeeSink};
+    use crate::manifest::{MANIFEST_FILE_NAME, PROGRESS_FILE_NAME};
     use crate::testing::TestDir;
     use kron_bignum::BigUint;
-    use kron_core::validate::measure_from_histogram;
     use kron_core::SelfLoop;
-    use kron_sparse::DegreeAccumulator;
 
     fn pipeline(design: &KroneckerDesign, workers: usize) -> DesignPipeline<'_> {
         Pipeline::for_design(design)
@@ -1347,48 +1348,36 @@ mod tests {
         assert_eq!(raw, expected);
     }
 
+    /// Counts the upper-triangle edges it is handed: a sink the crate does
+    /// not ship, plugged in through the extension point.
+    struct UpperTriangleSink(u64);
+
+    impl EdgeSink for UpperTriangleSink {
+        type Output = u64;
+
+        fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError> {
+            self.0 += edges.iter().filter(|&&(row, col)| row < col).count() as u64;
+            Ok(())
+        }
+
+        fn finish_with_checksum(self) -> Result<(u64, Option<u64>), SparseError> {
+            Ok((self.0, None))
+        }
+    }
+
     #[test]
     fn custom_sink_combinators_run_through_the_pipeline() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-        let vertices = design.vertices().to_u64().unwrap();
-        // Tee a degree-only validator with a filtered counter that keeps
-        // only upper-triangle edges.
         let report = pipeline(&design, 2)
             .split_index(1)
-            .into_sinks(|_| {
-                Ok(TeeSink::new(
-                    DegreeOnlySink::new(vertices),
-                    FilterMapSink::new(CountingSink::new(), |row, col| {
-                        (row < col).then_some((row, col))
-                    }),
-                ))
-            })
+            .into_sinks(|_| Ok(UpperTriangleSink(0)))
             .unwrap();
         assert!(report.is_valid());
         assert_eq!(report.manifest.sink, "custom");
-        let mut merged: Option<DegreeAccumulator> = None;
-        let mut upper = 0;
-        for (degrees, count) in &report.outputs {
-            upper += count;
-            match merged.as_mut() {
-                Some(m) => m.merge(degrees),
-                None => merged = Some(degrees.clone()),
-            }
-        }
-        let merged = merged.unwrap();
-        assert_eq!(merged.edge_count(), report.edge_count());
+        assert_eq!(report.outputs.len(), 2);
         // The designed graph is loop-free and symmetric: upper-triangle
         // edges are exactly half.
-        assert_eq!(upper * 2, report.edge_count());
-        let streamed = measure_from_histogram(
-            report.vertices,
-            &merged.row_histogram(),
-            merged.self_loop_count(),
-        );
-        assert_eq!(
-            streamed.degree_distribution,
-            report.measured.degree_distribution
-        );
+        assert_eq!(report.outputs.iter().sum::<u64>() * 2, report.edge_count());
     }
 
     #[test]
@@ -1519,6 +1508,48 @@ mod tests {
             .parse()
             .unwrap();
         assert_ne!(plain_touches, permuted_touches);
+    }
+
+    #[test]
+    fn clashing_custom_metric_names_fail_before_anything_is_written() {
+        use crate::metrics::PredicateCountMetric;
+        let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
+        let never = |name: &str| PredicateCountMetric::new(name, |_, _| false);
+        let rejected = |result: Result<RunReport<PathBuf>, CoreError>, name: &str| match result {
+            Err(CoreError::InvalidConfig { message }) => {
+                assert!(message.contains(&format!("\"{name}\"")), "{message}")
+            }
+            other => panic!("metric {name}: {other:?}"),
+        };
+        // A built-in record's name, and one custom name registered twice:
+        // either would put two records of one name in the manifest.
+        for (metrics, name) in [
+            (vec![never("edges")], "edges"),
+            (vec![never("mine"), never("mine")], "mine"),
+        ] {
+            let with_metrics = || {
+                metrics
+                    .iter()
+                    .cloned()
+                    .fold(pipeline(&design, 2), Pipeline::with_metric)
+            };
+            let dir = TestDir::new("clashing_metric");
+            rejected(with_metrics().write_tsv(&dir), name);
+            let written = std::fs::read_dir(&dir).map_or(0, |entries| entries.count());
+            assert_eq!(written, 0, "no shard, {PROGRESS_FILE_NAME} or manifest");
+            assert!(matches!(
+                with_metrics().count(),
+                Err(CoreError::InvalidConfig { .. })
+            ));
+
+            // A resume refuses before it sweeps the interrupted run's
+            // staging files.
+            assert!(pipeline(&design, 2).write_tsv(&dir).unwrap().is_valid());
+            let orphan = dir.join("block_00000.tsv.tmp");
+            std::fs::write(&orphan, b"partial").unwrap();
+            rejected(with_metrics().resume(&dir), name);
+            assert!(orphan.exists());
+        }
     }
 
     #[test]

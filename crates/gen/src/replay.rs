@@ -47,7 +47,6 @@ use std::path::{Path, PathBuf};
 
 use kron_core::validate::{FieldCheck, ValidationReport};
 use kron_core::{CoreError, GraphProperties};
-use kron_sparse::io::read_tsv_file;
 use kron_sparse::{CooMatrix, SparseError};
 
 use crate::chunk::EdgeChunk;
@@ -603,34 +602,26 @@ where
 impl BlockFileSet {
     /// Read every block file back and assemble the full adjacency matrix.
     ///
-    /// A failure names the shard it occurred in
-    /// ([`SparseError::WithPath`]), so a corrupt file in a large set is
-    /// identifiable from the error alone.
+    /// Both formats stream through the reader replay uses, into one
+    /// [`CooSink`]: a failure names the shard it occurred in
+    /// ([`SparseError::WithPath`]) — and, in a TSV shard, the line — so a
+    /// corrupt file in a large set is identifiable from the error alone.
+    /// A TSV value column is not read; generated shards always write `1`.
     pub fn read_assembled(&self) -> Result<CooMatrix<u64>, CoreError> {
-        let mut all = CooMatrix::new(self.vertices, self.vertices);
+        let mut all = CooSink::new(self.vertices);
+        let mut chunk = EdgeChunk::new(EdgeChunk::DEFAULT_CAPACITY);
+        let mut collect = |edges: &[(u64, u64)]| all.consume(edges);
         for file in &self.files {
-            let block = match self.format {
-                BlockFormat::Tsv => read_tsv_file(self.vertices, self.vertices, file)
-                    .map_err(|e| SparseError::with_path(file, e))?,
-                BlockFormat::Compressed => {
-                    let mut block = CooSink::new(self.vertices);
-                    let mut chunk = EdgeChunk::new(EdgeChunk::DEFAULT_CAPACITY);
-                    let mut collect = |edges: &[(u64, u64)]| block.consume(edges);
-                    stream_shard(
-                        file,
-                        self.format,
-                        self.vertices,
-                        None,
-                        &mut chunk,
-                        &mut collect,
-                    )?;
-                    block.finish()?
-                }
-            };
-            all.append(&block)
-                .map_err(|e| SparseError::with_path(file, e))?;
+            stream_shard(
+                file,
+                self.format,
+                self.vertices,
+                None,
+                &mut chunk,
+                &mut collect,
+            )?;
         }
-        Ok(all)
+        Ok(all.finish_with_checksum()?.0)
     }
 }
 
@@ -728,7 +719,7 @@ mod tests {
         let path = dir.join(format!("block_{index:05}.kbkz"));
         let mut sink = CompressedShardSink::create(&path, vertices, vertices).unwrap();
         sink.consume(edges).unwrap();
-        sink.finish().unwrap()
+        sink.finish_with_checksum().unwrap().0
     }
 
     #[test]

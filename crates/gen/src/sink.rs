@@ -21,16 +21,12 @@
 //! * [`CompressedShardSink`] — one delta/varint-compressed (v4) shard per
 //!   worker (`block_<p>.kbkz`; [`crate::codec`] owns every byte of it), a few
 //!   bytes per edge.
-//! * [`DegreeOnlySink`] — accumulates the worker's exact degree counts and
-//!   writes nothing: measured-equals-predicted validation with zero output.
 //!
-//! Combinators:
-//!
-//! * [`TeeSink`] — fan one stream out to two sinks.
-//! * [`DoubleBufferedSink`] — move any sink onto its own writer thread,
-//!   overlapping encode+write with generation behind a bounded queue.
-//! * [`FilterMapSink`] — transform or drop edges before an inner sink sees
-//!   them.
+//! One wrapper: [`DoubleBufferedSink`] moves any sink onto its own writer
+//! thread, overlapping encode+write with generation behind a bounded queue
+//! (the compressed file terminal runs behind it).  A wrapper forwards
+//! [`EdgeSink::finish_with_checksum`] — the trait's one finishing method —
+//! so the inner shard's checksum always reaches the journal.
 //!
 //! The natural on-disk form of a distributed Kronecker graph is one file per
 //! worker — exactly what a distributed file system would hold after the
@@ -59,7 +55,6 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use kron_core::CoreError;
-use kron_sparse::reduce::DegreeAccumulator;
 use kron_sparse::{CooMatrix, SparseError};
 
 use crate::codec::{encode_frame_checksummed, BlockHeader, Fnv1a, FRAME_EDGES, RAW_BINARY_RETIRED};
@@ -79,38 +74,31 @@ pub trait EdgeSink {
     /// Consume one chunk of `(row, col)` edges with global indices.
     fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError>;
 
-    /// Finalise the sink (flush buffers, patch headers) and return its
-    /// output.
-    #[must_use = "finish flushes buffers and returns the sink's output; dropping the result loses both"]
-    fn finish(self) -> Result<Self::Output, SparseError>;
+    /// Finalise the sink (flush buffers, seal trailing state, patch
+    /// headers) and return its output together with the checksum of the
+    /// *finished* artefact — the FNV-1a hash the progress journal and the
+    /// manifest record for a shard file, `None` for sinks that leave nothing
+    /// durable behind.
+    ///
+    /// This is the sink's one way to finish, and so the only way it reports
+    /// a checksum: a hash only describes the artefact once trailing state (a
+    /// partial compression frame, a patched header) is sealed, and for a
+    /// sink running on another thread it only exists where the inner sink
+    /// lives.  A wrapper around another sink forwards this method to it.
+    #[must_use = "finishing flushes buffers and returns the sink's output; dropping the result loses both"]
+    fn finish_with_checksum(self) -> Result<(Self::Output, Option<u64>), SparseError>
+    where
+        Self: Sized;
 
     /// Deliberately discard the sink without finishing it — the clean way to
     /// throw a failed attempt away.  File-backed sinks remove their
-    /// temporary file and suppress the dropped-without-`finish` warning;
+    /// temporary file and suppress the dropped-without-finishing warning;
     /// the default just drops the sink.
     fn abandon(self)
     where
         Self: Sized,
     {
         drop(self);
-    }
-
-    /// Finalise the sink and return its output together with the checksum
-    /// of the *finished* artefact — the FNV-1a hash the progress journal and
-    /// the manifest record for a shard file, `None` (the default) for sinks
-    /// that leave nothing durable behind.
-    ///
-    /// This is the only way a sink reports a checksum: a hash only describes
-    /// the artefact once trailing state (a partial compression frame, a
-    /// patched header) is sealed, and for a sink running on another thread
-    /// it only exists where the inner sink lives.  A wrapper around another
-    /// sink forwards this method to it.
-    #[must_use = "finish flushes buffers and returns the sink's output; dropping the result loses both"]
-    fn finish_with_checksum(self) -> Result<(Self::Output, Option<u64>), SparseError>
-    where
-        Self: Sized,
-    {
-        Ok((self.finish()?, None))
     }
 }
 
@@ -228,7 +216,7 @@ impl Drop for StagingNames {
     fn drop(&mut self) {
         if !self.settled && !std::thread::panicking() {
             eprintln!(
-                "warning: {} was dropped without finish(); the partial file stays at {}",
+                "warning: {} was dropped unfinished; the partial file stays at {}",
                 self.path.display(),
                 self.tmp.display()
             );
@@ -258,8 +246,8 @@ impl EdgeSink for CountingSink {
         Ok(())
     }
 
-    fn finish(self) -> Result<u64, SparseError> {
-        Ok(self.edges)
+    fn finish_with_checksum(self) -> Result<(u64, Option<u64>), SparseError> {
+        Ok((self.edges, None))
     }
 }
 
@@ -303,8 +291,8 @@ impl EdgeSink for CooSink {
             .extend_from_triples(&self.rows, &self.cols, &self.ones[..edges.len()])
     }
 
-    fn finish(self) -> Result<CooMatrix<u64>, SparseError> {
-        Ok(self.block)
+    fn finish_with_checksum(self) -> Result<(CooMatrix<u64>, Option<u64>), SparseError> {
+        Ok((self.block, None))
     }
 }
 
@@ -392,7 +380,7 @@ pub fn write_tsv_edges(
 /// writer — one TSV shard per worker.
 ///
 /// Like every shard sink, it stages its bytes at `<path>.tmp` until
-/// `finish()` fsyncs them and atomically renames them to `path`, so the
+/// finishing fsyncs them and atomically renames them to `path`, so the
 /// final name only ever holds a complete shard.  Its checksum is the FNV-1a
 /// hash of the whole file — the sidecar checksum the run's progress journal
 /// and manifest record for later verification.
@@ -401,7 +389,7 @@ pub struct TsvShardSink {
 }
 
 impl TsvShardSink {
-    /// Create the shard, staging bytes at `<path>.tmp` until `finish()`.
+    /// Create the shard, staging bytes at `<path>.tmp` until it is finished.
     pub fn create(path: &Path) -> Result<Self, SparseError> {
         Ok(TsvShardSink {
             staged: StagedFile::stage(path, SHARD_BUFFER)?,
@@ -420,10 +408,6 @@ impl EdgeSink for TsvShardSink {
         Ok(())
     }
 
-    fn finish(self) -> Result<PathBuf, SparseError> {
-        Ok(self.finish_with_checksum()?.0)
-    }
-
     fn abandon(self) {
         self.staged.abandon();
     }
@@ -437,7 +421,7 @@ impl EdgeSink for TsvShardSink {
 /// An [`EdgeSink`] writing the compressed (v4) block layout of
 /// [`crate::codec`]: the header with zeroed count/length/checksum fields, then
 /// delta/varint frames appended as edges stream;
-/// `finish` seals the final partial frame and patches the true entry
+/// finishing seals the final partial frame and patches the true entry
 /// count, payload length, and payload FNV-1a checksum into the header.
 /// Several times smaller than 16-byte `(row, col)` pairs on generated
 /// streams (see `sink.bytes_per_edge` of the `kron_shard_v4` workload in
@@ -460,7 +444,7 @@ pub struct CompressedShardSink {
 
 impl CompressedShardSink {
     /// Create the shard for a `nrows × ncols` graph, staging bytes at
-    /// `<path>.tmp` until `finish()`.
+    /// `<path>.tmp` until it is finished.
     pub fn create(path: &Path, nrows: u64, ncols: u64) -> Result<Self, SparseError> {
         let mut staged = StagedFile::stage(path, SHARD_BUFFER)?;
         let (writer, _) = staged.parts();
@@ -503,10 +487,6 @@ impl EdgeSink for CompressedShardSink {
             }
         }
         Ok(())
-    }
-
-    fn finish(self) -> Result<PathBuf, SparseError> {
-        Ok(self.finish_with_checksum()?.0)
     }
 
     fn abandon(self) {
@@ -637,10 +617,6 @@ impl EdgeSink for ShardSink {
         }
     }
 
-    fn finish(self) -> Result<PathBuf, SparseError> {
-        Ok(self.finish_with_checksum()?.0)
-    }
-
     fn abandon(self) {
         match self {
             ShardSink::Tsv(sink) => sink.abandon(),
@@ -671,7 +647,7 @@ const QUEUE_DEPTH: usize = 2;
 /// flat when generation outruns the disk.  The writer thread owns the inner
 /// sink: if it fails, the thread keeps draining (so the sender never blocks
 /// on a dead consumer), abandons the inner sink once the channel closes, and
-/// the error surfaces on the next `consume()` or at `finish()`.
+/// the error surfaces on the next `consume()` or when the sink is finished.
 pub struct DoubleBufferedSink<S: EdgeSink> {
     sender: Option<std::sync::mpsc::SyncSender<Vec<(u64, u64)>>>,
     recycle: std::sync::mpsc::Receiver<Vec<(u64, u64)>>,
@@ -779,10 +755,6 @@ where
         Ok(())
     }
 
-    fn finish(self) -> Result<S::Output, SparseError> {
-        self.finish_with_checksum().map(|(output, _)| output)
-    }
-
     fn abandon(mut self) {
         use std::sync::atomic::Ordering;
         // ordering: Release — pairs with the writer thread's Acquire load after the channel closes; the thread must observe the flag once the drain loop ends, or it would finish (and publish) an abandoned shard
@@ -803,9 +775,9 @@ where
 impl<S: EdgeSink> Drop for DoubleBufferedSink<S> {
     fn drop(&mut self) {
         use std::sync::atomic::Ordering;
-        // A front half dropped without finish()/abandon() must not let the
-        // writer thread seal a shard nobody asked to complete: flag the
-        // abandon, close the channel, and wait the thread out.
+        // A front half dropped without being finished or abandoned must not
+        // let the writer thread seal a shard nobody asked to complete: flag
+        // the abandon, close the channel, and wait the thread out.
         if self.handle.is_some() {
             // ordering: Release — same pairing as abandon(): the writer thread's post-drain Acquire load must observe the flag
             self.abandoned.store(true, Ordering::Release);
@@ -814,137 +786,6 @@ impl<S: EdgeSink> Drop for DoubleBufferedSink<S> {
                 let _ = handle.join();
             }
         }
-    }
-}
-
-/// An [`EdgeSink`] that accumulates exact per-vertex degree counts and
-/// writes nothing at all — the cheapest way to run the paper's
-/// measured-equals-predicted validation when the edges themselves are not
-/// wanted.  Its output is the worker's [`DegreeAccumulator`]; merge the
-/// per-worker outputs for a run-wide histogram.
-#[derive(Debug, Clone)]
-pub struct DegreeOnlySink {
-    degrees: DegreeAccumulator,
-}
-
-impl DegreeOnlySink {
-    /// Create a sink counting row-endpoint degrees of a
-    /// `vertices × vertices` graph.
-    pub fn new(vertices: u64) -> Self {
-        DegreeOnlySink {
-            degrees: DegreeAccumulator::rows_only(vertices, vertices),
-        }
-    }
-}
-
-impl EdgeSink for DegreeOnlySink {
-    type Output = DegreeAccumulator;
-
-    fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError> {
-        self.degrees.record(edges);
-        Ok(())
-    }
-
-    fn finish(self) -> Result<DegreeAccumulator, SparseError> {
-        Ok(self.degrees)
-    }
-}
-
-/// An [`EdgeSink`] that fans every chunk out to two inner sinks — write a
-/// shard *and* count, or feed two independent backends from one expansion.
-#[derive(Debug, Clone)]
-pub struct TeeSink<A, B> {
-    first: A,
-    second: B,
-}
-
-impl<A: EdgeSink, B: EdgeSink> TeeSink<A, B> {
-    /// Fan the stream out to `first` and `second` (in that order per chunk).
-    pub fn new(first: A, second: B) -> Self {
-        TeeSink { first, second }
-    }
-}
-
-impl<A: EdgeSink, B: EdgeSink> EdgeSink for TeeSink<A, B> {
-    type Output = (A::Output, B::Output);
-
-    fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError> {
-        self.first.consume(edges)?;
-        self.second.consume(edges)
-    }
-
-    fn finish(self) -> Result<(A::Output, B::Output), SparseError> {
-        Ok(self.finish_with_checksum()?.0)
-    }
-
-    fn abandon(self) {
-        self.first.abandon();
-        self.second.abandon();
-    }
-
-    /// Reports the first branch's checksum.
-    fn finish_with_checksum(self) -> Result<(Self::Output, Option<u64>), SparseError> {
-        let (first, checksum) = self.first.finish_with_checksum()?;
-        let second = self.second.finish()?;
-        Ok(((first, second), checksum))
-    }
-}
-
-/// An [`EdgeSink`] that applies a `(row, col) → Option<(row, col)>`
-/// transform to every edge before an inner sink sees it — drop edges by
-/// returning `None`, or rewrite them (relabelling, masking, sampling by
-/// index arithmetic) by returning `Some` of the new pair.
-///
-/// Transformed chunks are staged in an internal buffer so the inner sink
-/// still receives whole slices; the buffer is reused across chunks, so the
-/// steady state allocates nothing.
-#[derive(Debug, Clone)]
-pub struct FilterMapSink<S, F> {
-    inner: S,
-    transform: F,
-    buffer: Vec<(u64, u64)>,
-}
-
-impl<S, F> FilterMapSink<S, F>
-where
-    S: EdgeSink,
-    F: FnMut(u64, u64) -> Option<(u64, u64)>,
-{
-    /// Wrap `inner`, passing every edge through `transform` first.
-    pub fn new(inner: S, transform: F) -> Self {
-        FilterMapSink {
-            inner,
-            transform,
-            buffer: Vec::new(),
-        }
-    }
-}
-
-impl<S, F> EdgeSink for FilterMapSink<S, F>
-where
-    S: EdgeSink,
-    F: FnMut(u64, u64) -> Option<(u64, u64)>,
-{
-    type Output = S::Output;
-
-    fn consume(&mut self, edges: &[(u64, u64)]) -> Result<(), SparseError> {
-        self.buffer.clear();
-        let transform = &mut self.transform;
-        self.buffer
-            .extend(edges.iter().filter_map(|&(row, col)| transform(row, col)));
-        self.inner.consume(&self.buffer)
-    }
-
-    fn finish(self) -> Result<S::Output, SparseError> {
-        self.inner.finish()
-    }
-
-    fn abandon(self) {
-        self.inner.abandon();
-    }
-
-    fn finish_with_checksum(self) -> Result<(S::Output, Option<u64>), SparseError> {
-        self.inner.finish_with_checksum()
     }
 }
 
@@ -961,34 +802,7 @@ mod tests {
         let mut sink = CountingSink::new();
         sink.consume(EDGES).unwrap();
         sink.consume(&EDGES[..2]).unwrap();
-        assert_eq!(sink.finish().unwrap(), 6);
-    }
-
-    #[test]
-    fn tee_sink_feeds_both_branches() {
-        let mut tee = TeeSink::new(CountingSink::new(), CooSink::new(4));
-        tee.consume(EDGES).unwrap();
-        let (count, block) = tee.finish().unwrap();
-        assert_eq!(count, 4);
-        assert_eq!(block.nnz(), 4);
-        assert_eq!(
-            block.iter().map(|(r, c, _)| (r, c)).collect::<Vec<_>>(),
-            EDGES
-        );
-    }
-
-    #[test]
-    fn filter_map_sink_drops_and_rewrites() {
-        // Drop self-loops, transpose everything else.
-        let mut sink = FilterMapSink::new(CooSink::new(4), |row, col| {
-            (row != col).then_some((col, row))
-        });
-        sink.consume(EDGES).unwrap();
-        let block = sink.finish().unwrap();
-        assert_eq!(
-            block.iter().map(|(r, c, _)| (r, c)).collect::<Vec<_>>(),
-            vec![(1, 0), (0, 2)]
-        );
+        assert_eq!(sink.finish_with_checksum().unwrap(), (6, None));
     }
 
     #[test]
@@ -999,7 +813,7 @@ mod tests {
         sink.consume(EDGES).unwrap();
         assert!(!tsv.exists(), "the final name must not exist mid-stream");
         assert!(tmp_shard_path(&tsv).exists());
-        let out = sink.finish().unwrap();
+        let (out, _) = sink.finish_with_checksum().unwrap();
         assert_eq!(out, tsv);
         assert!(tsv.exists());
         assert!(!tmp_shard_path(&tsv).exists());
@@ -1012,7 +826,7 @@ mod tests {
         let mut sink = TsvShardSink::create(&tsv).unwrap();
         sink.consume(EDGES).unwrap();
         drop(sink); // simulates a worker dying mid-stream (warns on stderr)
-        assert!(!tsv.exists(), "no shard may appear without finish()");
+        assert!(!tsv.exists(), "no shard may appear unfinished");
         assert!(tmp_shard_path(&tsv).exists(), "the partial stays visible");
     }
 
@@ -1085,14 +899,14 @@ mod tests {
         let whole = dir.join("whole.kbkz");
         let mut sink = CompressedShardSink::create(&whole, 64, 64).unwrap();
         sink.consume(&edges).unwrap();
-        sink.finish().unwrap();
+        sink.finish_with_checksum().unwrap();
 
         let pieces = dir.join("pieces.kbkz");
         let mut sink = CompressedShardSink::create(&pieces, 64, 64).unwrap();
         for piece in edges.chunks(7) {
             sink.consume(piece).unwrap();
         }
-        sink.finish().unwrap();
+        sink.finish_with_checksum().unwrap();
 
         assert_eq!(
             std::fs::read(&whole).unwrap(),
@@ -1178,8 +992,8 @@ mod tests {
             Ok(())
         }
 
-        fn finish(self) -> Result<(), SparseError> {
-            Ok(())
+        fn finish_with_checksum(self) -> Result<((), Option<u64>), SparseError> {
+            Ok(((), None))
         }
     }
 
@@ -1224,7 +1038,7 @@ mod tests {
             }
         }
         if !failed {
-            let err = sink.finish().unwrap_err();
+            let err = sink.finish_with_checksum().unwrap_err();
             assert!(err.to_string().contains("injected sink failure"), "{err}");
         }
     }
@@ -1249,15 +1063,5 @@ mod tests {
             !dropped.exists(),
             "drop must never produce a complete shard"
         );
-    }
-
-    #[test]
-    fn degree_only_sink_measures_without_writing() {
-        let mut sink = DegreeOnlySink::new(4);
-        sink.consume(EDGES).unwrap();
-        let degrees = sink.finish().unwrap();
-        assert_eq!(degrees.edge_count(), 4);
-        assert_eq!(degrees.self_loop_count(), 2);
-        assert_eq!(degrees.row_counts(), &[1, 1, 1, 1]);
     }
 }

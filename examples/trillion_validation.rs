@@ -17,7 +17,6 @@
 
 use extreme_graphs::bignum::grouped;
 use extreme_graphs::core::validate::{compare_properties, measure_properties};
-use extreme_graphs::gen::BalanceReport;
 use extreme_graphs::{KroneckerDesign, Pipeline, SelfLoop};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -86,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         run.stats.seconds,
         run.stats.edges_per_second() / 1e6
     );
-    let balance = BalanceReport::from_stats(&run.stats);
+    let balance = &run.metrics.balance;
     println!(
         "per-worker edges: min {}, max {} (max/mean = {:.4})",
         balance.min_edges, balance.max_edges, balance.max_over_mean

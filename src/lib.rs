@@ -72,7 +72,7 @@
 //!
 //! ## Streaming metrics
 //!
-//! Every run's measurement flows through the pluggable metrics engine
+//! Every run's measurement flows through the streaming metrics engine
 //! ([`gen::metrics`]): the [`RunReport`] carries a typed [`MetricsReport`]
 //! and the manifest records the same numbers as forward-compatible
 //! name/value records:
@@ -84,7 +84,7 @@
 //! | max degree | `max_degree` |
 //! | per-worker balance | `balance` |
 //! | power-law slope fit + goodness vs fitted and ideal curves | `power_law` |
-//! | custom [`StreamingMetric`]s via `.with_metric(...)` | `custom` |
+//! | custom [`PredicateCountMetric`]s (named edge counts) via `.with_metric(...)` | `custom` |
 //!
 //! ```
 //! use extreme_graphs::{KroneckerDesign, Pipeline, PredicateCountMetric, SelfLoop};
@@ -162,9 +162,9 @@ pub use kron_core::{
 };
 pub use kron_gen::{
     DesignPipeline, EdgeSource, FaultSchedule, FaultySink, FaultySource, FeistelPermutation,
-    GenerationStats, KroneckerSource, MetricRecord, MetricSuite, MetricsReport, Pipeline,
-    PredicateCountMetric, ProgressJournal, ReplaySource, RetryPolicy, RunManifest, RunReport,
-    SelfLoopPolicy, ShardFailure, ShardRecord, SourceDescriptor, SourceRun, StreamingMetric,
+    GenerationStats, KroneckerSource, MetricRecord, MetricsReport, Pipeline, PredicateCountMetric,
+    ProgressJournal, ReplaySource, RetryPolicy, RunManifest, RunReport, SelfLoopPolicy,
+    ShardFailure, ShardRecord, SourceDescriptor, SourceRun,
 };
 pub use kron_rmat::{RmatGenerator, RmatParams, RmatSource};
 

@@ -15,9 +15,7 @@ use std::time::Duration;
 
 use extreme_graphs::core::CoreError;
 use extreme_graphs::gen::manifest::{MANIFEST_FILE_NAME, PROGRESS_FILE_NAME};
-use extreme_graphs::gen::sink::{
-    CompressedShardSink, CountingSink, EdgeSink, FilterMapSink, TeeSink, TsvShardSink,
-};
+use extreme_graphs::gen::sink::{CompressedShardSink, DoubleBufferedSink, EdgeSink, TsvShardSink};
 use extreme_graphs::gen::testing::TestDir;
 use extreme_graphs::gen::{shard_checksum, BlockFormat, ProgressJournal};
 use extreme_graphs::sparse::SparseError;
@@ -37,7 +35,6 @@ enum Event {
     Consumed(Vec<(u64, u64)>),
     Abandoned,
     Sealed,
-    FinishedWithoutChecksum,
 }
 
 type Log = Arc<Mutex<Vec<Event>>>;
@@ -62,18 +59,13 @@ impl EdgeSink for RecordingSink {
         Ok(())
     }
 
-    fn finish(self) -> Result<u64, SparseError> {
-        self.record(Event::FinishedWithoutChecksum);
-        Ok(self.edges)
+    fn finish_with_checksum(self) -> Result<(u64, Option<u64>), SparseError> {
+        self.record(Event::Sealed);
+        Ok((self.edges, None))
     }
 
     fn abandon(self) {
         self.record(Event::Abandoned);
-    }
-
-    fn finish_with_checksum(self) -> Result<(u64, Option<u64>), SparseError> {
-        self.record(Event::Sealed);
-        Ok((self.edges, None))
     }
 }
 
@@ -131,9 +123,6 @@ fn every_chunk_is_observed_then_consumed_and_a_failed_attempt_leaves_no_trace() 
                     consumed_by_attempt.push((event.clone(), consumed));
                     consumed = 0;
                 }
-                Event::FinishedWithoutChecksum => {
-                    panic!("the engine must seal through finish_with_checksum")
-                }
             }
         }
         // The failed attempt was abandoned exactly once, after exactly the
@@ -155,14 +144,18 @@ fn every_chunk_is_observed_then_consumed_and_a_failed_attempt_leaves_no_trace() 
     }
 }
 
-/// Wrap a shard sink of `format` in each combinator: every wrapper must
-/// report the checksum `shard_checksum` reads back from the finished file.
-fn wrappers_forward_the_checksum<S: EdgeSink>(
+/// Wrap a shard sink of `format` in each wrapper, alone and nested: every
+/// one must report the checksum `shard_checksum` reads back from the
+/// finished file.
+fn wrappers_forward_the_checksum<S>(
     dir: &TestDir,
     format: BlockFormat,
     extension: &str,
     create: impl Fn(&Path) -> S,
-) {
+) where
+    S: EdgeSink + Send + 'static,
+    S::Output: Send + 'static,
+{
     const EDGES: &[(u64, u64)] = &[(0, 1), (1, 1), (2, 0), (3, 3)];
     let path = |name: &str| dir.join(format!("{name}.{extension}"));
     let on_disk = |name: &str| Some(shard_checksum(&path(name), format).unwrap());
@@ -171,22 +164,27 @@ fn wrappers_forward_the_checksum<S: EdgeSink>(
     sink.consume(EDGES).unwrap();
     assert_eq!(sink.finish_with_checksum().unwrap().1, on_disk("faulty"));
 
-    let mut sink = FilterMapSink::new(create(&path("filtered")), |row, col| Some((row, col)));
+    // The writer thread owns the inner sink, so its checksum exists only
+    // over there and must come back through the join.
+    let mut sink = DoubleBufferedSink::new(create(&path("buffered")));
     sink.consume(EDGES).unwrap();
-    assert_eq!(sink.finish_with_checksum().unwrap().1, on_disk("filtered"));
+    assert_eq!(sink.finish_with_checksum().unwrap().1, on_disk("buffered"));
 
-    // A tee reports its first branch.
-    let mut sink = TeeSink::new(create(&path("teed")), CountingSink::new());
+    let mut sink = FaultySink::new(
+        DoubleBufferedSink::new(create(&path("nested"))),
+        0,
+        FaultSchedule::none(),
+    );
     sink.consume(EDGES).unwrap();
-    let ((_, count), checksum) = sink.finish_with_checksum().unwrap();
-    assert_eq!((count, checksum), (4, on_disk("teed")));
+    assert_eq!(sink.finish_with_checksum().unwrap().1, on_disk("nested"));
 }
 
 #[test]
 fn wrappers_report_the_inner_shards_checksum() {
     let dir = TestDir::new("wrapped_checksums");
     // A compressed shard's hash only exists once its last frame is sealed,
-    // so only `finish_with_checksum` — forwarded by every wrapper — has it.
+    // so only `finish_with_checksum` — the one way to finish, forwarded by
+    // every wrapper — has it.
     wrappers_forward_the_checksum(&dir, BlockFormat::Compressed, "kbkz", |path| {
         CompressedShardSink::create(path, 4, 4).unwrap()
     });
