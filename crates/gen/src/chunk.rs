@@ -8,10 +8,24 @@
 //! closure dispatch of the original streaming API is amortized over
 //! [`EdgeChunk::DEFAULT_CAPACITY`] edges per sink call.
 
+/// Cache-line size the first buffered edge is aligned to.
+const LINE: usize = 64;
+/// Slots reserved ahead of the edges, so that one of them begins a line.
+const LEAD: usize = LINE / std::mem::size_of::<(u64, u64)>() - 1;
+
 /// A reusable fixed-capacity buffer of `(row, col)` edges.
+///
+/// The edges start on a cache-line boundary.  The expansion fills the chunk
+/// with full-width vector stores, and a buffer that starts off a line splits
+/// every one of them across two lines.  Where the allocator puts the buffer
+/// depends on what the process allocated before, so an unaligned chunk made
+/// the same pass run at two speeds: on a 2-vCPU AVX-512 host, a 1-worker
+/// K373 count took 0.70 s or 0.89 s depending on the pass.
 #[derive(Debug, Clone)]
 pub struct EdgeChunk {
+    /// `start` unused lead slots, then the buffered edges.
     edges: Vec<(u64, u64)>,
+    start: usize,
     capacity: usize,
 }
 
@@ -24,8 +38,17 @@ impl EdgeChunk {
     /// Create a chunk holding at most `capacity` edges (at least 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
+        let mut edges: Vec<(u64, u64)> = Vec::with_capacity(capacity + LEAD);
+        // No slot begins a line (`usize::MAX`) only under an allocator that
+        // aligns to less than 16 bytes: the chunk then starts unaligned.
+        let start = match edges.as_ptr().align_offset(LINE) {
+            start if start <= LEAD => start,
+            _ => 0,
+        };
+        edges.resize(start, (0, 0));
         EdgeChunk {
-            edges: Vec::with_capacity(capacity),
+            edges,
+            start,
             capacity,
         }
     }
@@ -42,22 +65,22 @@ impl EdgeChunk {
 
     /// Number of edges currently buffered.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.edges.len() - self.start
     }
 
     /// Whether no edges are buffered.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.len() == 0
     }
 
     /// Whether the chunk must be flushed before the next push.
     pub fn is_full(&self) -> bool {
-        self.edges.len() >= self.capacity
+        self.len() >= self.capacity
     }
 
     /// Number of edges that fit before the chunk is full.
     pub fn remaining(&self) -> usize {
-        self.capacity - self.edges.len()
+        self.capacity - self.len()
     }
 
     /// Buffer one edge.  The caller ensures the chunk is not full (the
@@ -101,19 +124,19 @@ impl EdgeChunk {
 
     /// The buffered edges.
     pub fn as_slice(&self) -> &[(u64, u64)] {
-        &self.edges
+        &self.edges[self.start..]
     }
 
     /// Discard all buffered edges, keeping the allocation.
     pub fn clear(&mut self) {
-        self.edges.clear();
+        self.edges.truncate(self.start);
     }
 
     /// Hand any buffered edges to `sink` and clear the buffer.
     pub fn flush<F: FnMut(&[(u64, u64)])>(&mut self, sink: &mut F) {
-        if !self.edges.is_empty() {
-            sink(&self.edges);
-            self.edges.clear();
+        if !self.is_empty() {
+            sink(self.as_slice());
+            self.clear();
         }
     }
 
@@ -124,9 +147,9 @@ impl EdgeChunk {
         &mut self,
         sink: &mut F,
     ) -> Result<(), E> {
-        if !self.edges.is_empty() {
-            sink(&self.edges)?;
-            self.edges.clear();
+        if !self.is_empty() {
+            sink(self.as_slice())?;
+            self.clear();
         }
         Ok(())
     }
@@ -170,5 +193,22 @@ mod tests {
         chunk.flush(&mut sink);
 
         assert_eq!(flushed, vec![vec![(0, 10), (1, 11), (2, 12)], vec![(9, 9)]]);
+    }
+
+    #[test]
+    fn edges_start_on_a_cache_line_and_the_lead_slots_stay_hidden() {
+        for capacity in [1, 3, 7, EdgeChunk::DEFAULT_CAPACITY] {
+            let mut chunk = EdgeChunk::new(capacity);
+            assert!(chunk.is_empty());
+            assert_eq!(chunk.remaining(), capacity);
+            chunk.fill_spare(capacity, |slots| slots.fill((4, 5)));
+            assert!(chunk.is_full());
+            assert_eq!(chunk.as_slice().as_ptr() as usize % LINE, 0);
+            assert!(chunk.as_slice().iter().all(|&edge| edge == (4, 5)));
+            chunk.clear();
+            chunk.extend_translated(10, 20, &[1], &[2]);
+            assert_eq!(chunk.as_slice(), &[(11, 22)]);
+            assert_eq!(chunk.as_slice().as_ptr() as usize % LINE, 0);
+        }
     }
 }

@@ -38,7 +38,7 @@ use kron_sparse::SparseError;
 use crate::chunk::EdgeChunk;
 use crate::lock;
 use crate::sink::EdgeSink;
-use crate::source::{EdgeSource, SourceDescriptor, SourceRun};
+use crate::source::{ColumnWindows, EdgeSource, SourceDescriptor, SourceRun};
 use crate::split::SplitPlan;
 
 /// How a planned fault behaves across attempts.
@@ -333,6 +333,12 @@ impl<R: SourceRun> SourceRun for FaultyRun<R> {
             self.schedule
                 .deliver(worker, &mut delivered, edges, &mut sink)
         })
+    }
+
+    /// Forwarded: a fault cuts an attempt short, it never reorders one, so
+    /// a faulty run counts in the inner source's windows.
+    fn column_windows(&self) -> Option<&ColumnWindows> {
+        self.inner.column_windows()
     }
 
     fn predicted_properties(&self) -> Option<GraphProperties> {

@@ -87,7 +87,7 @@ pub use pipeline::{
 pub use replay::{shard_checksum, ReplaySource};
 pub use scaling::{ScalingModel, ScalingPoint};
 pub use sink::{BlockFileSet, BlockFormat, CooSink, CountingSink, EdgeSink, TsvShardSink};
-pub use source::{EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
+pub use source::{ColumnWindows, EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
 pub use split::{choose_split, choose_split_with_fallback, SplitPlan};
 pub use stats::GenerationStats;
 

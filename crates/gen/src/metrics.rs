@@ -6,11 +6,29 @@
 //! buried in the generation loop.  This module owns everything a
 //! [`Pipeline`](crate::pipeline::Pipeline) run measures while edges stream:
 //!
-//! * the **degree histogram** in both adaptive modes — per-worker local
-//!   [`DegreeAccumulator`] vectors folded as workers finish while the peak
-//!   fits the byte budget, one run-wide
-//!   [`SharedDegreeAccumulator`] (relaxed atomics, `O(vertices)` total)
-//!   beyond it;
+//! * the **degree histogram**, counted in one of three modes, chosen once
+//!   per run:
+//!   - **windowed** — whenever the source promises
+//!     [`ColumnWindows`] ([`SourceRun::column_windows`]) and the run is
+//!     fresh: a Kronecker run over symmetric factors, permuted or not.  Each
+//!     worker counts the *column* endpoints of its stream in one window of
+//!     `|V_C|` labels, folds the window into a sparse degree → vertices
+//!     histogram whenever the stream moves to the next window, and hands its
+//!     first and last windows — which the neighbouring workers may share — to
+//!     the engine when it finishes; the engine folds a shared window once
+//!     every worker the source says shares it has reported.  No `O(vertices)`
+//!     vector and no merge: the paper's own method, each processor measuring
+//!     its block.  The promise is checked as the edges stream;
+//!   - **local** — otherwise, while the peak of per-worker
+//!     [`DegreeAccumulator`] row vectors fits
+//!     [`Pipeline::max_histogram_bytes`](crate::pipeline::Pipeline::max_histogram_bytes):
+//!     each worker counts privately, and its vector is merged and dropped as
+//!     it finishes.  Resumed runs, R-MAT and replay count here;
+//!   - **shared** — beyond that budget: one run-wide
+//!     [`SharedDegreeAccumulator`] (relaxed atomics, `O(vertices)` total).
+//!
+//!   A flat vector the host cannot hold is [`SparseError::TooLarge`], not
+//!   an abort;
 //! * **vertex / edge / self-loop counts** and the **max degree**;
 //! * the **per-worker balance** sheet (the paper's "same number of edges on
 //!   each processor" claim, quantified);
@@ -30,6 +48,7 @@
 //! measured, and a later [`ReplaySource`](crate::replay::ReplaySource) pass
 //! can check it reproduces bit-identically.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -39,10 +58,13 @@ use serde::{Deserialize, Serialize};
 use kron_core::powerlaw::PowerLawFit;
 use kron_core::validate::measure_from_histogram;
 use kron_core::{CoreError, GraphProperties};
-use kron_sparse::reduce::SharedDegreeAccumulator;
-use kron_sparse::DegreeAccumulator;
+use kron_sparse::reduce::{try_counts, SharedDegreeAccumulator};
+use kron_sparse::{DegreeAccumulator, SparseError};
 
 use crate::lock;
+use crate::source::ColumnWindows;
+#[cfg(doc)]
+use crate::source::SourceRun;
 
 /// A custom metric: the number of delivered edges for which a predicate
 /// holds — duplicate-prone regions, upper-triangle edges, cross-partition
@@ -208,12 +230,16 @@ pub struct MetricsReport {
     pub edges: u64,
     /// Diagonal (self-loop) edges observed.
     pub self_loops: u64,
-    /// Largest row-endpoint degree.
+    /// Largest row-endpoint degree.  A windowed run counts column
+    /// endpoints, which for the symmetric graphs it is chosen for are the
+    /// row endpoints.
     pub max_degree: u64,
     /// Number of distinct non-zero degrees.
     pub distinct_degrees: usize,
     /// Row-endpoint degree histogram (degree → vertex count), degree-zero
-    /// vertices excluded — the support of the measured distribution.
+    /// vertices excluded — the support of the measured distribution.  A
+    /// windowed run counts column endpoints, which equal the row endpoints
+    /// by symmetry.
     pub degree_histogram: BTreeMap<u64, u64>,
     /// Per-worker load balance.
     pub balance: BalanceReport,
@@ -264,88 +290,108 @@ impl MetricsReport {
     }
 }
 
-/// The run-wide measurement state: the adaptive degree accumulator plus the
-/// summed count of every custom metric.  One engine per pipeline run;
-/// workers check out a [`WorkerMetrics`] each and fold back in as they
+/// The run-wide measurement state: the degree counting of the run's mode
+/// plus the summed count of every custom metric.  One engine per pipeline
+/// run; workers check out a [`WorkerMetrics`] each and fold back in as they
 /// finish.
 pub(crate) struct MetricsEngine<'m> {
     metrics: &'m [PredicateCountMetric],
     vertices: u64,
-    /// The run-wide shared atomic accumulator, when the per-worker local
-    /// vectors would exceed the byte budget.
-    shared: Option<SharedDegreeAccumulator>,
-    /// Local accumulators are folded and dropped as each worker finishes, so
-    /// at most one per pool thread is live at once (plus this merged one).
-    merged_degrees: Mutex<Option<DegreeAccumulator>>,
+    degrees: RunDegrees,
     /// One total per custom metric, in registration order.
     merged_counts: Mutex<Vec<u64>>,
 }
 
+/// The run-wide side of the three degree-counting modes (see the module
+/// docs).
+enum RunDegrees {
+    /// Per-worker local vectors, folded and dropped as each worker finishes,
+    /// so at most one per pool thread is live at once (plus this merged
+    /// one).
+    Local(Mutex<Option<DegreeAccumulator>>),
+    /// One atomic vector every worker counts into.
+    Shared(SharedDegreeAccumulator),
+    /// Per-worker column windows, folded into one sparse histogram.
+    Windowed(WindowFold),
+}
+
 impl<'m> MetricsEngine<'m> {
-    /// Size the histogram mode from the budget: while the peak of concurrent
-    /// per-worker local vectors fits `max_histogram_bytes`, workers count
-    /// privately at full speed; beyond it one shared atomic vector bounds
-    /// the cost at `O(vertices)` total.
+    /// Choose the degree-counting mode: column windows when the source
+    /// promises them; otherwise, while the peak of concurrent per-worker
+    /// local vectors fits `max_histogram_bytes`, workers count privately at
+    /// full speed, and beyond it one shared atomic vector bounds the cost
+    /// at `O(vertices)` total.  A vector the host cannot hold is
+    /// [`SparseError::TooLarge`].
     pub(crate) fn new(
         metrics: &'m [PredicateCountMetric],
         vertices: u64,
         workers: usize,
         max_histogram_bytes: u64,
-    ) -> Self {
-        let shared = if would_share(vertices, workers, max_histogram_bytes) {
-            Some(SharedDegreeAccumulator::rows_only(vertices, vertices))
-        } else {
-            None
+        windows: Option<&ColumnWindows>,
+    ) -> Result<Self, SparseError> {
+        let degrees = match windows.filter(|windows| windows.width > 0) {
+            Some(windows) => RunDegrees::Windowed(WindowFold::new(windows)),
+            None if would_share(vertices, workers, max_histogram_bytes) => {
+                RunDegrees::Shared(SharedDegreeAccumulator::try_rows_only(vertices, vertices)?)
+            }
+            None => RunDegrees::Local(Mutex::new(None)),
         };
-        MetricsEngine {
+        Ok(MetricsEngine {
             metrics,
             vertices,
-            shared,
-            merged_degrees: Mutex::new(None),
+            degrees,
             merged_counts: Mutex::new(vec![0; metrics.len()]),
-        }
+        })
     }
 
     /// Check out one worker's observation state.
-    pub(crate) fn worker(&self) -> WorkerMetrics<'_> {
-        let degrees = match self.shared.as_ref() {
-            Some(shared) => WorkerDegrees::Shared(shared),
-            None => {
-                WorkerDegrees::Local(DegreeAccumulator::rows_only(self.vertices, self.vertices))
+    pub(crate) fn worker(&self) -> Result<WorkerMetrics<'_>, SparseError> {
+        let degrees = match &self.degrees {
+            RunDegrees::Local(merged) => WorkerDegrees::Local(
+                DegreeAccumulator::try_rows_only(self.vertices, self.vertices)?,
+                merged,
+            ),
+            RunDegrees::Shared(shared) => WorkerDegrees::Shared(shared),
+            RunDegrees::Windowed(fold) => {
+                WorkerDegrees::Windowed(WindowCounter::new(fold.width, self.vertices), fold)
             }
         };
-        WorkerMetrics {
+        Ok(WorkerMetrics {
             engine: self,
             degrees,
             counts: vec![0; self.metrics.len()],
-        }
+        })
     }
 
     /// Assemble the measured property sheet and the typed metrics report
-    /// once every worker has finished.
-    pub(crate) fn finalize(self, edges_per_worker: Vec<u64>) -> (GraphProperties, MetricsReport) {
-        let (histogram, self_loops, edges, max_degree) = match self.shared {
-            Some(shared) => (
+    /// once every worker has finished — or the broken stream-order promise
+    /// a windowed run found only now that every worker has reported.
+    pub(crate) fn finalize(
+        self,
+        edges_per_worker: Vec<u64>,
+    ) -> Result<(GraphProperties, MetricsReport), SparseError> {
+        let vertices = self.vertices;
+        let (histogram, self_loops, edges, max_degree) = match self.degrees {
+            RunDegrees::Shared(shared) => (
                 shared.row_histogram(),
                 shared.self_loop_count(),
                 shared.edge_count(),
                 shared.max_row_degree(),
             ),
-            None => {
-                // A fault-tolerant run can quarantine every worker, so an
-                // empty accumulator stands in when none finished.
-                let merged = lock(&self.merged_degrees)
-                    .take()
-                    .unwrap_or_else(|| DegreeAccumulator::rows_only(self.vertices, self.vertices));
-                (
+            // A fault-tolerant run can quarantine every worker, so no
+            // accumulator at all stands for an edgeless graph.
+            RunDegrees::Local(merged) => match lock(&merged).take() {
+                Some(merged) => (
                     merged.row_histogram(),
                     merged.self_loop_count(),
                     merged.edge_count(),
                     merged.max_row_degree(),
-                )
-            }
+                ),
+                None => (with_zero_degrees(BTreeMap::new(), vertices), 0, 0, 0),
+            },
+            RunDegrees::Windowed(fold) => fold.finish(vertices)?,
         };
-        let measured = measure_from_histogram(self.vertices, &histogram, self_loops);
+        let measured = measure_from_histogram(vertices, &histogram, self_loops);
         let custom: Vec<MetricRecord> = self
             .metrics
             .iter()
@@ -355,7 +401,7 @@ impl<'m> MetricsEngine<'m> {
         let mut degree_histogram = histogram;
         degree_histogram.remove(&0);
         let report = MetricsReport {
-            vertices: self.vertices,
+            vertices,
             edges,
             self_loops,
             max_degree,
@@ -365,28 +411,324 @@ impl<'m> MetricsEngine<'m> {
             power_law: measured.power_law_fit(),
             custom,
         };
-        (measured, report)
+        Ok((measured, report))
     }
 }
 
 /// Whether a run with this shape counts degrees in the run-wide shared
 /// atomic vector instead of per-worker local vectors — the budget decision
-/// [`MetricsEngine::new`] makes, exposed so the pipeline's fault-tolerant
-/// path can detect (and override) the shared mode, which cannot roll back a
-/// failed worker's partial counts.
+/// [`MetricsEngine::new`] makes for a run without column windows, exposed
+/// so the pipeline's fault-tolerant path can detect (and override) the
+/// shared mode, which cannot roll back a failed worker's partial counts.
 pub(crate) fn would_share(vertices: u64, workers: usize, max_histogram_bytes: u64) -> bool {
     let concurrent = workers.min(rayon::current_num_threads()) + 1;
     let local_histogram_bytes = (concurrent as u128) * (vertices as u128) * 8;
     local_histogram_bytes > u128::from(max_histogram_bytes)
 }
 
-/// One worker's view of the run's degree histogram: a private local vector
-/// (fast, `O(vertices)` per concurrent worker) or the run-wide shared
-/// atomic vector (`O(vertices)` total) — see
-/// [`Pipeline::max_histogram_bytes`](crate::pipeline::Pipeline::max_histogram_bytes).
+/// `histogram` (non-zero degrees only) with the degree-zero bucket of a
+/// `vertices`-vertex graph added, as a flat vector's histogram has it.
+fn with_zero_degrees(mut histogram: BTreeMap<u64, u64>, vertices: u64) -> BTreeMap<u64, u64> {
+    let zero = vertices - histogram.values().sum::<u64>();
+    if zero > 0 {
+        histogram.insert(0, zero);
+    }
+    histogram
+}
+
+/// Add the non-zero counts of one window to a degree → vertices histogram,
+/// and zero the window for its next use.  Neighbouring labels of a
+/// Kronecker product mostly share a degree, so the map is touched once per
+/// run of equal counts, not once per vertex.
+fn fold_window(counts: &mut [u64], histogram: &mut BTreeMap<u64, u64>) {
+    let mut rest = &counts[..];
+    while let Some(&degree) = rest.first() {
+        let run = rest.iter().take_while(|&&count| count == degree).count();
+        if degree > 0 {
+            *histogram.entry(degree).or_insert(0) += run as u64;
+        }
+        rest = &rest[run..];
+    }
+    counts.fill(0);
+}
+
+/// The run-wide side of windowed counting: the histogram of every folded
+/// window, and the partial windows still waiting for the workers that share
+/// them.
+struct WindowFold {
+    width: u64,
+    state: Mutex<FoldState>,
+}
+
+struct FoldState {
+    /// Non-zero degree → vertices, over every folded window.
+    histogram: BTreeMap<u64, u64>,
+    edges: u64,
+    self_loops: u64,
+    /// How many more workers will hand over a part of each shared window,
+    /// from [`ColumnWindows::partials`]; 0 once the window is folded.
+    awaited: BTreeMap<u64, usize>,
+    /// The summed parts of the shared windows not folded yet.
+    pending: BTreeMap<u64, Vec<u64>>,
+    /// Zeroed windows a worker's part or a fold left behind, for the next
+    /// worker to count in: a fresh window would cost a page fault per 512
+    /// labels, once per worker.
+    spare: Vec<Vec<u64>>,
+    /// The first and last window of each finished worker's stream.
+    spans: Vec<(u64, u64)>,
+    /// The first broken promise a hand-over revealed.
+    broken: Option<SparseError>,
+}
+
+impl WindowFold {
+    fn new(windows: &ColumnWindows) -> Self {
+        WindowFold {
+            width: windows.width,
+            state: Mutex::new(FoldState {
+                histogram: BTreeMap::new(),
+                edges: 0,
+                self_loops: 0,
+                awaited: windows.partials.clone(),
+                pending: BTreeMap::new(),
+                spare: Vec::new(),
+                spans: Vec::new(),
+                broken: None,
+            }),
+        }
+    }
+
+    /// A zeroed window of `width` counts: a spare one if a fold or a part
+    /// left one behind, a new one otherwise.
+    fn window(&self) -> Result<Vec<u64>, SparseError> {
+        match lock(&self.state).spare.pop() {
+            Some(window) => Ok(window),
+            None => try_counts(self.width, || 0),
+        }
+    }
+
+    /// Take a finished worker's count: its histogram and tallies, and its
+    /// first and last windows, which the workers streaming before and after
+    /// it may share.
+    fn accept(&self, counter: WindowCounter) {
+        let mut state = lock(&self.state);
+        for (degree, vertices) in counter.histogram {
+            *state.histogram.entry(degree).or_insert(0) += vertices;
+        }
+        state.edges += counter.edges;
+        state.self_loops += counter.self_loops;
+        let Some(last) = counter.open else {
+            return;
+        };
+        let first = counter.first.as_ref().map_or(last, |&(index, _)| index);
+        state.spans.push((first, last));
+        if let Some((index, counts)) = counter.first {
+            state.take_part(index, counts);
+        }
+        state.take_part(last, counter.counts);
+    }
+
+    /// The run's histogram (degree-zero bucket included), self-loops, edges
+    /// and max degree, once every worker has finished: fold the windows
+    /// still pending (a quarantined worker's neighbours wait for a part that
+    /// never comes), after checking that no two workers' streams overlap
+    /// anywhere but at their ends.
+    fn finish(self, vertices: u64) -> Result<(BTreeMap<u64, u64>, u64, u64, u64), SparseError> {
+        let mut state = self
+            .state
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(broken) = state.broken {
+            return Err(broken);
+        }
+        state.spans.sort_unstable();
+        for pair in state.spans.windows(2) {
+            if let [(first, last), (next_first, next_last)] = *pair {
+                if last > next_first {
+                    return Err(SparseError::StreamOrder {
+                        message: format!(
+                            "two workers streamed windows {first}..={last} and \
+                             {next_first}..={next_last}: they share a window that is not at \
+                             the ends of both streams"
+                        ),
+                    });
+                }
+            }
+        }
+        let FoldState {
+            pending, histogram, ..
+        } = &mut state;
+        for counts in pending.values_mut() {
+            fold_window(counts, histogram);
+        }
+        let max_degree = state.histogram.keys().next_back().copied().unwrap_or(0);
+        let histogram = with_zero_degrees(state.histogram, vertices);
+        Ok((histogram, state.self_loops, state.edges, max_degree))
+    }
+}
+
+impl FoldState {
+    /// Add one worker's part of window `index`, and fold the window once
+    /// every worker that shares it has handed its part over.
+    fn take_part(&mut self, index: u64, mut counts: Vec<u64>) {
+        match self.pending.entry(index) {
+            Entry::Vacant(slot) => {
+                slot.insert(counts);
+            }
+            Entry::Occupied(mut slot) => {
+                for (sum, part) in slot.get_mut().iter_mut().zip(&mut counts) {
+                    *sum += std::mem::take(part);
+                }
+                self.spare.push(counts);
+            }
+        }
+        match self.awaited.get_mut(&index) {
+            Some(0) => {
+                self.broken.get_or_insert(SparseError::StreamOrder {
+                    message: format!(
+                        "a worker handed over a part of window {index} after every worker \
+                         declared to share it had"
+                    ),
+                });
+            }
+            Some(awaited) => {
+                *awaited -= 1;
+                if *awaited == 0 {
+                    if let Some(mut counts) = self.pending.remove(&index) {
+                        fold_window(&mut counts, &mut self.histogram);
+                        self.spare.push(counts);
+                    }
+                }
+            }
+            None => {}
+        }
+    }
+}
+
+/// One worker's windowed degree count: the counts of the open window, the
+/// first window once the stream has left it (the worker before may share
+/// it), and the histogram of the windows in between, which no other worker
+/// streams.  The open window at the end is the last one, which the worker
+/// after may share.
+struct WindowCounter {
+    width: u64,
+    vertices: u64,
+    /// Index of the open window; `None` before the first edge.
+    open: Option<u64>,
+    /// Column counts of the open window (allocated at the first edge, so an
+    /// idle worker costs nothing).
+    counts: Vec<u64>,
+    first: Option<(u64, Vec<u64>)>,
+    histogram: BTreeMap<u64, u64>,
+    edges: u64,
+    self_loops: u64,
+}
+
+impl WindowCounter {
+    fn new(width: u64, vertices: u64) -> Self {
+        WindowCounter {
+            width,
+            vertices,
+            open: None,
+            counts: Vec::new(),
+            first: None,
+            histogram: BTreeMap::new(),
+            edges: 0,
+            self_loops: 0,
+        }
+    }
+
+    /// Count one chunk's column endpoints in one pass: an edge whose column
+    /// lies in the open window costs one compare and one increment, and
+    /// only a column outside it stops the pass to check the stream's order
+    /// and move the window on.  The same pass finds the chunk's largest row
+    /// and its self-loops.
+    fn record(&mut self, edges: &[(u64, u64)], fold: &WindowFold) -> Result<(), SparseError> {
+        let (mut top_row, mut loops, mut done) = (0, 0, 0);
+        loop {
+            // The open window's counts (none before the first edge), cut at
+            // the last vertex: a width that does not divide the vertex count
+            // leaves the last window short, so a column past the last vertex
+            // leaves the window too.
+            let start = self.open.map_or(0, |open| open * self.width);
+            let len = self
+                .vertices
+                .saturating_sub(start)
+                .min(self.counts.len() as u64);
+            let counts = &mut self.counts[..len as usize];
+            for &(row, col) in &edges[done..] {
+                let Some(count) = counts.get_mut(col.wrapping_sub(start) as usize) else {
+                    break;
+                };
+                *count += 1;
+                top_row = top_row.max(row);
+                loops += u64::from(row == col);
+                done += 1;
+            }
+            let Some(&(row, col)) = edges.get(done) else {
+                break;
+            };
+            if col >= self.vertices {
+                return Err(self.out_of_bounds(row, col));
+            }
+            let index = col / self.width;
+            if let Some(open) = self.open.filter(|&open| index < open) {
+                return Err(SparseError::StreamOrder {
+                    message: format!(
+                        "column {col} lies in window {index}, behind the open window \
+                         {open} ({} labels each)",
+                        self.width
+                    ),
+                });
+            }
+            self.advance(index, fold)?;
+        }
+        if top_row >= self.vertices {
+            let (row, col) = edges
+                .iter()
+                .copied()
+                .find(|&(row, _)| row >= self.vertices)
+                .unwrap_or((top_row, 0));
+            return Err(self.out_of_bounds(row, col));
+        }
+        self.edges += edges.len() as u64;
+        self.self_loops += loops;
+        Ok(())
+    }
+
+    /// Close the open window — keep it aside if it was the first, fold it
+    /// otherwise — and open window `index`.
+    fn advance(&mut self, index: u64, fold: &WindowFold) -> Result<(), SparseError> {
+        match self.open {
+            None => self.counts = fold.window()?,
+            Some(closed) if self.first.is_none() => {
+                let fresh = fold.window()?;
+                self.first = Some((closed, std::mem::replace(&mut self.counts, fresh)));
+            }
+            Some(_) => fold_window(&mut self.counts, &mut self.histogram),
+        }
+        self.open = Some(index);
+        Ok(())
+    }
+
+    fn out_of_bounds(&self, row: u64, col: u64) -> SparseError {
+        SparseError::IndexOutOfBounds {
+            row,
+            col,
+            nrows: self.vertices,
+            ncols: self.vertices,
+        }
+    }
+}
+
+/// One worker's view of the run's degree counting, in the run's mode: a
+/// private local vector (fast, `O(vertices)` per concurrent worker), the
+/// run-wide shared atomic vector (`O(vertices)` total) — see
+/// [`Pipeline::max_histogram_bytes`](crate::pipeline::Pipeline::max_histogram_bytes)
+/// — or a column window (`O(width)` per worker).
 enum WorkerDegrees<'a> {
-    Local(DegreeAccumulator),
+    Local(DegreeAccumulator, &'a Mutex<Option<DegreeAccumulator>>),
     Shared(&'a SharedDegreeAccumulator),
+    Windowed(WindowCounter, &'a WindowFold),
 }
 
 /// One worker's live measurement state; fold back with
@@ -405,34 +747,49 @@ impl WorkerMetrics<'_> {
     /// (histogram, counts, loops, max degree, slope) is invariant under a
     /// vertex bijection, so a fresh run passes the chunk as the *source*
     /// produced it: the pre-permutation labels are far cheaper to count (the
-    /// source emits them with locality; the permuted labels scatter across
-    /// the whole count vector by design).
+    /// source emits them with locality — the order column windows rely on;
+    /// the permuted labels scatter across the whole count vector by design).
     ///
     /// `delivered` is the chunk exactly as the sink is about to receive it
     /// (relabelled when the run permutes vertices) — what the custom metrics
     /// see, so a custom metric always describes the graph that actually left
     /// the run.
+    ///
+    /// A windowed count rejects a chunk that breaks the source's declared
+    /// order, or carries a label past the last vertex.
     #[inline]
-    pub(crate) fn observe(&mut self, counted: &[(u64, u64)], delivered: &[(u64, u64)]) {
+    pub(crate) fn observe(
+        &mut self,
+        counted: &[(u64, u64)],
+        delivered: &[(u64, u64)],
+    ) -> Result<(), SparseError> {
         match &mut self.degrees {
-            WorkerDegrees::Local(local) => local.record(counted),
+            WorkerDegrees::Local(local, _) => local.record(counted),
             WorkerDegrees::Shared(shared) => shared.record(counted),
+            WorkerDegrees::Windowed(window, fold) => window.record(counted, fold)?,
         }
         for (metric, count) in self.engine.metrics.iter().zip(&mut self.counts) {
             *count += metric.count(delivered);
         }
+        Ok(())
     }
 
     /// Fold this worker's state into the engine.  Local degree vectors merge
     /// and drop here, so the peak is bounded by the workers running
-    /// concurrently.
+    /// concurrently; a windowed worker hands over its histogram and its two
+    /// end windows.  Nothing reaches the engine before this call, so an
+    /// attempt dropped unfinished leaves no trace.
     pub(crate) fn finish(self) {
-        if let WorkerDegrees::Local(local) = self.degrees {
-            let mut guard = lock(&self.engine.merged_degrees);
-            match guard.as_mut() {
-                Some(merged) => merged.merge(&local),
-                None => *guard = Some(local),
+        match self.degrees {
+            WorkerDegrees::Local(local, merged) => {
+                let mut guard = lock(merged);
+                match guard.as_mut() {
+                    Some(merged) => merged.merge(&local),
+                    None => *guard = Some(local),
+                }
             }
+            WorkerDegrees::Shared(_) => {}
+            WorkerDegrees::Windowed(window, fold) => fold.accept(window),
         }
         if !self.counts.is_empty() {
             let mut totals = lock(&self.engine.merged_counts);
@@ -451,14 +808,14 @@ mod tests {
 
     #[test]
     fn engine_measures_counts_histogram_and_balance() {
-        let engine = MetricsEngine::new(&[], 4, 2, u64::MAX);
-        let mut first = engine.worker();
-        first.observe(&EDGES[..3], &EDGES[..3]);
+        let engine = MetricsEngine::new(&[], 4, 2, u64::MAX, None).unwrap();
+        let mut first = engine.worker().unwrap();
+        first.observe(&EDGES[..3], &EDGES[..3]).unwrap();
         first.finish();
-        let mut second = engine.worker();
-        second.observe(&EDGES[3..], &EDGES[3..]);
+        let mut second = engine.worker().unwrap();
+        second.observe(&EDGES[3..], &EDGES[3..]).unwrap();
         second.finish();
-        let (measured, report) = engine.finalize(vec![3, 2]);
+        let (measured, report) = engine.finalize(vec![3, 2]).unwrap();
 
         assert_eq!(report.vertices, 4);
         assert_eq!(report.edges, 5);
@@ -493,13 +850,147 @@ mod tests {
     #[test]
     fn shared_and_local_modes_finalize_identically() {
         let run = |budget: u64| {
-            let engine = MetricsEngine::new(&[], 4, 2, budget);
-            let mut worker = engine.worker();
-            worker.observe(EDGES, EDGES);
+            let engine = MetricsEngine::new(&[], 4, 2, budget, None).unwrap();
+            let mut worker = engine.worker().unwrap();
+            worker.observe(EDGES, EDGES).unwrap();
             worker.finish();
-            engine.finalize(vec![EDGES.len() as u64]).1
+            engine.finalize(vec![EDGES.len() as u64]).unwrap().1
         };
         assert_eq!(run(u64::MAX), run(0));
+    }
+
+    /// A symmetric graph — star centre 0, leaves 1..=3, loops on 0 and 3 —
+    /// in column order: two windows of two labels.
+    const BY_COLUMN: &[(u64, u64)] = &[
+        (0, 0),
+        (1, 0),
+        (2, 0),
+        (3, 0),
+        (0, 1),
+        (0, 2),
+        (0, 3),
+        (3, 3),
+    ];
+
+    fn windows(partials: &[(u64, usize)]) -> ColumnWindows {
+        ColumnWindows {
+            width: 2,
+            partials: partials.iter().copied().collect(),
+        }
+    }
+
+    /// Count `BY_COLUMN` cut into one slice per worker, in column windows.
+    fn windowed(cuts: &[usize], windows: &ColumnWindows) -> Result<MetricsReport, SparseError> {
+        let engine = MetricsEngine::new(&[], 4, cuts.len() + 1, u64::MAX, Some(windows))?;
+        let mut start = 0;
+        for &end in cuts.iter().chain([&BY_COLUMN.len()]) {
+            let mut worker = engine.worker()?;
+            // One edge at a time and then the rest: both the edge-by-edge
+            // and the whole-chunk path.
+            let (head, tail) = BY_COLUMN[start..end].split_at((end - start).min(1));
+            worker.observe(head, head)?;
+            worker.observe(tail, tail)?;
+            worker.finish();
+            start = end;
+        }
+        Ok(engine.finalize(vec![0; 3])?.1)
+    }
+
+    #[test]
+    fn windowed_mode_finalizes_like_the_flat_vector() {
+        let flat = {
+            let engine = MetricsEngine::new(&[], 4, 3, u64::MAX, None).unwrap();
+            let mut worker = engine.worker().unwrap();
+            worker.observe(BY_COLUMN, BY_COLUMN).unwrap();
+            worker.finish();
+            engine.finalize(vec![0; 3]).unwrap().1
+        };
+        assert_eq!(
+            flat.degree_histogram,
+            BTreeMap::from([(1, 2), (2, 1), (4, 1)])
+        );
+        // Three workers, the middle one spanning both windows; then the
+        // same without the hint's counts, so every window waits for the end.
+        for windows in [windows(&[(0, 2), (1, 2)]), windows(&[])] {
+            assert_eq!(windowed(&[3, 6], &windows).unwrap(), flat);
+        }
+        assert_eq!(windowed(&[], &windows(&[(0, 1), (1, 1)])).unwrap(), flat);
+    }
+
+    #[test]
+    fn windowed_mode_rejects_a_broken_stream_order() {
+        let order = |error: SparseError| match error {
+            SparseError::StreamOrder { message } => message,
+            other => panic!("expected StreamOrder, got {other:?}"),
+        };
+        let engine = MetricsEngine::new(&[], 4, 1, u64::MAX, Some(&windows(&[]))).unwrap();
+        let mut worker = engine.worker().unwrap();
+        worker.observe(&[(0, 2)], &[(0, 2)]).unwrap();
+        let backwards = order(worker.observe(&[(1, 1)], &[(1, 1)]).unwrap_err());
+        assert!(
+            backwards.contains("behind the open window 1"),
+            "{backwards}"
+        );
+        for past in [(0, 4), (4, 2)] {
+            assert!(matches!(
+                worker.observe(&[past], &[past]),
+                Err(SparseError::IndexOutOfBounds { nrows: 4, .. })
+            ));
+        }
+        // A width that does not divide the vertex count: the last window
+        // reaches past the last vertex, and a chunk inside it is checked too.
+        let ragged = ColumnWindows {
+            width: 3,
+            partials: BTreeMap::new(),
+        };
+        let engine = MetricsEngine::new(&[], 4, 1, u64::MAX, Some(&ragged)).unwrap();
+        let mut worker = engine.worker().unwrap();
+        worker.observe(&[(0, 3)], &[(0, 3)]).unwrap();
+        let inside = [(1, 3), (1, 4)];
+        assert!(matches!(
+            worker.observe(&inside, &inside),
+            Err(SparseError::IndexOutOfBounds { col: 4, .. })
+        ));
+
+        // Two workers that both stream window 1 in the middle of their
+        // streams: only the end of the run can tell.
+        let overlapping = windowed_spans(&[&[(0, 0), (0, 2), (0, 3)], &[(0, 1), (0, 2), (0, 3)]]);
+        assert!(order(overlapping).contains("share a window"));
+        // A third part of a window the hint says two workers share.
+        let engine = MetricsEngine::new(&[], 4, 3, u64::MAX, Some(&windows(&[(0, 2)]))).unwrap();
+        for _ in 0..3 {
+            let mut worker = engine.worker().unwrap();
+            worker.observe(&[(1, 0)], &[(1, 0)]).unwrap();
+            worker.finish();
+        }
+        let late = order(engine.finalize(vec![1, 1, 1]).unwrap_err());
+        assert!(late.contains("window 0 after"), "{late}");
+    }
+
+    /// Finalize one windowed worker per edge list.
+    fn windowed_spans(workers: &[&[(u64, u64)]]) -> SparseError {
+        let engine = MetricsEngine::new(&[], 4, 2, u64::MAX, Some(&windows(&[]))).unwrap();
+        for edges in workers {
+            let mut worker = engine.worker().unwrap();
+            worker.observe(edges, edges).unwrap();
+            worker.finish();
+        }
+        engine.finalize(vec![3, 3]).unwrap_err()
+    }
+
+    #[test]
+    fn an_unallocatable_degree_vector_is_a_typed_error() {
+        let too_large = |error: SparseError| match error {
+            SparseError::TooLarge { requested, .. } => assert_eq!(requested, 1 << 65),
+            other => panic!("expected TooLarge, got {other:?}"),
+        };
+        // Shared mode fails at the engine, local mode at the worker.
+        for budget in [0, u64::MAX] {
+            match MetricsEngine::new(&[], 1 << 62, 1, budget, None) {
+                Err(error) => too_large(error),
+                Ok(engine) => too_large(engine.worker().err().unwrap()),
+            }
+        }
     }
 
     #[test]
@@ -510,14 +1001,14 @@ mod tests {
         ];
         assert!(format!("{metrics:?}").contains("upper_triangle"));
 
-        let engine = MetricsEngine::new(&metrics, 4, 2, u64::MAX);
-        let mut first = engine.worker();
-        first.observe(&EDGES[..3], &EDGES[..3]);
+        let engine = MetricsEngine::new(&metrics, 4, 2, u64::MAX, None).unwrap();
+        let mut first = engine.worker().unwrap();
+        first.observe(&EDGES[..3], &EDGES[..3]).unwrap();
         first.finish();
-        let mut second = engine.worker();
-        second.observe(&EDGES[3..], &EDGES[3..]);
+        let mut second = engine.worker().unwrap();
+        second.observe(&EDGES[3..], &EDGES[3..]).unwrap();
         second.finish();
-        let (_, report) = engine.finalize(vec![3, 2]);
+        let (_, report) = engine.finalize(vec![3, 2]).unwrap();
         assert_eq!(report.custom_value("upper_triangle"), Some("2"));
         assert_eq!(report.custom_value("loops"), Some("2"));
         assert_eq!(report.custom_value("missing"), None);
@@ -528,8 +1019,8 @@ mod tests {
         // Every worker of a fault-tolerant run can be quarantined; the
         // report must still assemble (as an empty graph) rather than panic.
         let metrics = [PredicateCountMetric::new("loops", |r, c| r == c)];
-        let engine = MetricsEngine::new(&metrics, 4, 2, u64::MAX);
-        let (_, report) = engine.finalize(vec![0, 0]);
+        let engine = MetricsEngine::new(&metrics, 4, 2, u64::MAX, None).unwrap();
+        let (_, report) = engine.finalize(vec![0, 0]).unwrap();
         assert_eq!(report.edges, 0);
         assert_eq!(report.max_degree, 0);
         assert_eq!(report.custom_value("loops"), Some("0"));
@@ -538,11 +1029,11 @@ mod tests {
     #[test]
     fn records_cover_builtins_and_customs() {
         let metrics = [PredicateCountMetric::new("loops", |r, c| r == c)];
-        let engine = MetricsEngine::new(&metrics, 4, 1, u64::MAX);
-        let mut worker = engine.worker();
-        worker.observe(EDGES, EDGES);
+        let engine = MetricsEngine::new(&metrics, 4, 1, u64::MAX, None).unwrap();
+        let mut worker = engine.worker().unwrap();
+        worker.observe(EDGES, EDGES).unwrap();
         worker.finish();
-        let (_, report) = engine.finalize(vec![EDGES.len() as u64]);
+        let (_, report) = engine.finalize(vec![EDGES.len() as u64]).unwrap();
         let records = report.records();
         let value = |name: &str| {
             records

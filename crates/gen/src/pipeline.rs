@@ -330,13 +330,20 @@ impl<S: EdgeSource> Pipeline<S> {
         self
     }
 
-    /// Set the memory budget for the streaming degree histogram, in bytes.
-    /// While the peak of per-worker local count vectors — `(concurrent
-    /// workers + 1) × vertices × 8` bytes, since a vector is folded and
-    /// dropped the moment its worker finishes — fits the budget, each worker
-    /// counts privately at full speed; beyond it the run switches to a
-    /// single shared atomic vector — `O(vertices)` total no matter the
-    /// worker count, at the price of one relaxed `fetch_add` per edge.
+    /// Set the memory budget for a flat streaming degree histogram, in
+    /// bytes.  It governs only runs that count in per-vertex vectors —
+    /// resumed runs and sources without [column
+    /// windows](SourceRun::column_windows), such as R-MAT and replay; a
+    /// fresh Kronecker run counts in windows of `|V_C|` labels per worker and
+    /// allocates no vector to budget.  While the peak of per-worker local
+    /// count vectors — `(concurrent workers + 1) × vertices × 8` bytes,
+    /// since a vector is folded and dropped the moment its worker finishes —
+    /// fits the budget, each worker counts privately at full speed; beyond
+    /// it the run switches to a single shared atomic vector — `O(vertices)`
+    /// total no matter the worker count, at the price of one relaxed
+    /// `fetch_add` per edge.  A flat run that may retry or quarantine
+    /// always counts locally, with a warning that it exceeds this budget,
+    /// because the shared vector cannot roll back a failed attempt.
     pub fn max_histogram_bytes(mut self, max_histogram_bytes: u64) -> Self {
         self.max_histogram_bytes = max_histogram_bytes;
         self
@@ -586,18 +593,30 @@ impl<S: EdgeSource> Pipeline<S> {
             vertices: descriptor.vertices.clone(),
             sink: spec.label().to_string(),
         };
+        // A resumed run's reverified shards replay delivered labels in
+        // shard order, not the source's column windows: it counts flat.
+        let windows = source_run
+            .column_windows()
+            .filter(|_| !builtins_on_delivered);
+        let histogram_budget = self.histogram_budget(vertices, windows.is_some(), &mut warnings);
+        let engine = MetricsEngine::new(
+            &self.metrics,
+            vertices,
+            self.workers,
+            histogram_budget,
+            windows,
+        )
+        .map_err(CoreError::Sparse)?;
         let journal = spec.open_journal(builtins_on_delivered, &header)?;
         let permutation = self
             .permutation_seed
             .map(|seed| FeistelPermutation::new(vertices, seed));
-        let histogram_budget = self.histogram_budget(vertices, &mut warnings);
 
         // Wall-clock time is reported to operators in RunStats only; it
         // never feeds the edge stream, which stays (seed, index)-derived.
         #[allow(clippy::disallowed_methods)]
         // lint:allow(no-ambient-time) -- operator-facing run timing only; the edge stream never reads the clock
         let started = Instant::now();
-        let engine = MetricsEngine::new(&self.metrics, vertices, self.workers, histogram_budget);
         let stages = Stages {
             retry: &self.retry,
             quarantine: self.quarantine,
@@ -639,7 +658,9 @@ impl<S: EdgeSource> Pipeline<S> {
                 }
             }
         }
-        let (measured, metrics) = engine.finalize(edges_per_worker.clone());
+        let (measured, metrics) = engine
+            .finalize(edges_per_worker.clone())
+            .map_err(CoreError::Sparse)?;
         let mut stats = GenerationStats::new(edges_per_worker, elapsed);
         stats.warnings = warnings;
         for failure in &failures {
@@ -689,14 +710,18 @@ impl<S: EdgeSource> Pipeline<S> {
         check_metric_names(&self.metrics)
     }
 
-    /// The byte budget the degree histogram is sized from.  A failed attempt
-    /// can discard a *local* degree vector unfolded, but partial counts in
-    /// the run-wide shared atomic vector cannot be taken back — so a run that
-    /// may retry or quarantine must count locally, trading the budget for
-    /// rollback safety.
-    fn histogram_budget(&self, vertices: u64, warnings: &mut Vec<String>) -> u64 {
+    /// The byte budget a flat degree histogram is sized from.  A failed
+    /// attempt can discard a *local* degree vector unfolded, but partial
+    /// counts in the run-wide shared atomic vector cannot be taken back — so
+    /// a flat run that may retry or quarantine must count locally, trading
+    /// the budget for rollback safety.  A windowed run has no vector to
+    /// budget, and its windows roll back like local vectors.
+    fn histogram_budget(&self, vertices: u64, windowed: bool, warnings: &mut Vec<String>) -> u64 {
         let fault_tolerant = self.retry.max_retries > 0 || self.quarantine;
-        if fault_tolerant && would_share(vertices, self.workers, self.max_histogram_bytes) {
+        if !windowed
+            && fault_tolerant
+            && would_share(vertices, self.workers, self.max_histogram_bytes)
+        {
             warnings.push(
                 "fault-tolerant run: counting degrees per worker (the shared atomic \
                  histogram cannot roll back a failed attempt), exceeding \
@@ -812,12 +837,10 @@ where
         &self,
         shard: VerifiedShard<K::Output>,
     ) -> Result<WorkerOutcome<K::Output>, CoreError> {
-        let mut metrics = self.engine.worker();
+        let mut metrics = self.engine.worker().map_err(CoreError::Sparse)?;
         let mut chunk = EdgeChunk::new(self.chunk_capacity);
-        let mut observe = |edges: &[(u64, u64)]| -> Result<(), SparseError> {
-            metrics.observe(edges, edges);
-            Ok(())
-        };
+        let mut observe =
+            |edges: &[(u64, u64)]| -> Result<(), SparseError> { metrics.observe(edges, edges) };
         let delivered = stream_shard(
             &shard.path,
             shard.format,
@@ -843,7 +866,13 @@ where
     /// any failure drops the metrics unfolded.
     fn attempt(&self, worker: usize) -> Result<Finished<'_, K::Output>, CoreError> {
         let mut sink = (self.make_sink)(worker).map_err(CoreError::Sparse)?;
-        let mut metrics = self.engine.worker();
+        let mut metrics = match self.engine.worker() {
+            Ok(metrics) => metrics,
+            Err(error) => {
+                sink.abandon();
+                return Err(CoreError::Sparse(error));
+            }
+        };
         let mut chunk = EdgeChunk::new(self.chunk_capacity);
         let mut deliver = |edges: &[(u64, u64)], out: &[(u64, u64)]| {
             let counted = if self.builtins_on_delivered {
@@ -851,7 +880,7 @@ where
             } else {
                 edges
             };
-            metrics.observe(counted, out);
+            metrics.observe(counted, out)?;
             sink.consume(out)
         };
         let streamed = match self.permutation {

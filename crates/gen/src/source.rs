@@ -28,9 +28,11 @@
 //! rest of the property sheet is measured-only, exactly the workflow the
 //! paper contrasts its designs against.
 
+use std::collections::BTreeMap;
+
 use kron_core::validate::{FieldCheck, ValidationReport};
 use kron_core::{CoreError, GraphProperties, KroneckerDesign, SelfLoop};
-use kron_sparse::{CooMatrix, SparseError};
+use kron_sparse::{CooMatrix, PlusTimes, SparseError};
 
 use crate::chunk::EdgeChunk;
 use crate::partition::{csc_ordered_triples, Partition};
@@ -163,6 +165,15 @@ pub trait SourceRun {
         })
     }
 
+    /// The order this source's column labels stream in, when it promises
+    /// one: the metrics engine then counts a fresh run's degrees in one
+    /// window of [`ColumnWindows::width`] labels per worker instead of an
+    /// `O(vertices)` vector.  The provided body promises nothing (`None`),
+    /// which is right for any source; [`KroneckerRun`] overrides it.
+    fn column_windows(&self) -> Option<&ColumnWindows> {
+        None
+    }
+
     /// The exact predicted property sheet, for sources that know their
     /// output ahead of generation; `None` for sampling sources whose
     /// properties are measured-only.
@@ -178,6 +189,29 @@ pub trait SourceRun {
 
     /// The manifest-facing description of this run's source.
     fn descriptor(&self) -> SourceDescriptor;
+}
+
+/// A source's promise about the order of its column labels
+/// ([`SourceRun::column_windows`]).
+///
+/// The promise has three parts: the graph is symmetric, so its
+/// column-degree histogram is its row-degree histogram; every column label a
+/// worker streams lies in a window `[j·width, (j+1)·width)` whose index `j`
+/// never decreases along the worker's stream; and two workers share a window
+/// only at the ends of their streams.  The metrics engine checks the second
+/// part chunk by chunk and the third when the run ends — a broken promise
+/// is [`SparseError::StreamOrder`] (or [`SparseError::IndexOutOfBounds`] for
+/// a label past the last window), never a miscount.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnWindows {
+    /// Labels per window.
+    pub width: u64,
+    /// For each window some worker's stream starts or ends in, the number of
+    /// workers whose streams start or end there.  The engine folds such a
+    /// window once that many workers have handed it their part, so the
+    /// partial windows alive at once track the pool threads, not the
+    /// workers; a window missing here waits for the end of the run.
+    pub partials: BTreeMap<u64, usize>,
 }
 
 /// The design's vertex count as a `u64`, or [`CoreError::TooLargeToRealise`]
@@ -315,11 +349,38 @@ impl<'d> EdgeSource for KroneckerSource<'d> {
             None
         };
 
+        // Each B-triple (rb, cb) streams all of C into the columns
+        // [cb·|V_C|, (cb+1)·|V_C|), and the CSC order never lowers cb, so a
+        // worker's columns sweep windows of |V_C| labels.  The window
+        // measures column degrees, which are the row degrees only when the
+        // product is symmetric — as it is when every constituent is.
+        let symmetric = design
+            .constituents()
+            .iter()
+            .all(|constituent| constituent.adjacency().is_symmetric::<PlusTimes>());
+        let column_windows = symmetric.then(|| {
+            let mut partials = BTreeMap::new();
+            for worker in 0..workers {
+                let slice = &triples[partition.range(worker)];
+                if let (Some(&(_, first, _)), Some(&(_, last, _))) = (slice.first(), slice.last()) {
+                    *partials.entry(first).or_insert(0) += 1;
+                    if last != first {
+                        *partials.entry(last).or_insert(0) += 1;
+                    }
+                }
+            }
+            ColumnWindows {
+                width: c.ncols(),
+                partials,
+            }
+        });
+
         let run = KroneckerRun {
             design,
             c,
             triples,
             partition,
+            column_windows,
             split_plan,
             loop_filter,
             self_loop_policy: self.self_loop_policy,
@@ -338,6 +399,7 @@ pub struct KroneckerRun<'d> {
     c: CooMatrix<u64>,
     triples: Vec<(u64, u64, u64)>,
     partition: Partition,
+    column_windows: Option<ColumnWindows>,
     split_plan: SplitPlan,
     loop_filter: Option<(usize, u64)>,
     self_loop_policy: SelfLoopPolicy,
@@ -545,6 +607,12 @@ impl SourceRun for KroneckerRun<'_> {
         }
         flush(chunk, &mut relabelled)?;
         Ok(cut.delivered((slice.len() * c_rows.len()) as u64))
+    }
+
+    /// `|V_C|`-label windows, when every constituent is symmetric (every
+    /// star design is).
+    fn column_windows(&self) -> Option<&ColumnWindows> {
+        self.column_windows.as_ref()
     }
 
     fn predicted_properties(&self) -> Option<GraphProperties> {

@@ -51,6 +51,12 @@ pub enum SparseError {
         /// The checksum computed from the bytes actually read.
         actual: u64,
     },
+    /// An edge stream broke the order its source declared for it — a
+    /// column label behind the window a worker had already moved past, say.
+    StreamOrder {
+        /// Description of the broken promise.
+        message: String,
+    },
     /// An error annotated with the file it occurred in — multi-file readers
     /// wrap per-file failures so the caller learns *which* shard was bad.
     WithPath {
@@ -99,6 +105,9 @@ impl fmt::Display for SparseError {
                 write!(f, "parse error at line {line}: {message}")
             }
             SparseError::Io(msg) => write!(f, "i/o error: {msg}"),
+            SparseError::StreamOrder { message } => {
+                write!(f, "edge stream out of its declared order: {message}")
+            }
             SparseError::ChecksumMismatch { expected, actual } => write!(
                 f,
                 "checksum mismatch: stored {expected:#018x}, computed {actual:#018x}"

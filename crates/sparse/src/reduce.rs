@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
+use crate::error::SparseError;
 use crate::semiring::Scalar;
 
 /// Number of stored entries in each row of a COO matrix.
@@ -131,6 +132,19 @@ impl DegreeAccumulator {
             self_loops: 0,
             edges: 0,
         }
+    }
+
+    /// [`rows_only`](DegreeAccumulator::rows_only), or
+    /// [`SparseError::TooLarge`] naming the bytes needed when the host
+    /// cannot hold the row vector (where `rows_only` aborts the process).
+    pub fn try_rows_only(nrows: u64, ncols: u64) -> Result<Self, SparseError> {
+        Ok(DegreeAccumulator {
+            ncols,
+            row_counts: try_counts(nrows, || 0)?,
+            col_counts: None,
+            self_loops: 0,
+            edges: 0,
+        })
     }
 
     /// Number of rows the accumulator covers.
@@ -297,6 +311,18 @@ impl SharedDegreeAccumulator {
         }
     }
 
+    /// [`rows_only`](SharedDegreeAccumulator::rows_only), or
+    /// [`SparseError::TooLarge`] naming the bytes needed when the host
+    /// cannot hold the row vector (where `rows_only` aborts the process).
+    pub fn try_rows_only(nrows: u64, ncols: u64) -> Result<Self, SparseError> {
+        Ok(SharedDegreeAccumulator {
+            ncols,
+            row_counts: try_counts(nrows, || AtomicU64::new(0))?,
+            self_loops: AtomicU64::new(0),
+            edges: AtomicU64::new(0),
+        })
+    }
+
     /// Number of rows the accumulator covers.
     pub fn nrows(&self) -> u64 {
         self.row_counts.len() as u64
@@ -363,6 +389,22 @@ impl SharedDegreeAccumulator {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// A vector of `len` counters made by `zero`, sized with
+/// `try_reserve_exact`: a vector the host cannot hold is
+/// [`SparseError::TooLarge`] naming the bytes it needed, never an abort.
+pub fn try_counts<T>(len: u64, zero: impl FnMut() -> T) -> Result<Vec<T>, SparseError> {
+    let too_large = || SparseError::TooLarge {
+        what: "degree count vector (bytes)",
+        requested: u128::from(len) * std::mem::size_of::<T>() as u128,
+    };
+    let mut counts = Vec::new();
+    counts
+        .try_reserve_exact(len as usize)
+        .map_err(|_| too_large())?;
+    counts.resize_with(len as usize, zero);
+    Ok(counts)
 }
 
 /// Total number of stored entries per row, returned as `(max, min, mean)`;

@@ -161,10 +161,10 @@ pub use kron_core::{
     SelfLoop, StarGraph, ValidationReport,
 };
 pub use kron_gen::{
-    DesignPipeline, EdgeSource, FaultSchedule, FaultySink, FaultySource, FeistelPermutation,
-    GenerationStats, KroneckerSource, MetricRecord, MetricsReport, Pipeline, PredicateCountMetric,
-    ProgressJournal, ReplaySource, RetryPolicy, RunManifest, RunReport, SelfLoopPolicy,
-    ShardFailure, ShardRecord, SourceDescriptor, SourceRun,
+    ColumnWindows, DesignPipeline, EdgeSource, FaultSchedule, FaultySink, FaultySource,
+    FeistelPermutation, GenerationStats, KroneckerSource, MetricRecord, MetricsReport, Pipeline,
+    PredicateCountMetric, ProgressJournal, ReplaySource, RetryPolicy, RunManifest, RunReport,
+    SelfLoopPolicy, ShardFailure, ShardRecord, SourceDescriptor, SourceRun,
 };
 pub use kron_rmat::{RmatGenerator, RmatParams, RmatSource};
 

@@ -6,22 +6,29 @@
 //! those owners promise, through the public API only: the order of the
 //! per-chunk stages and what a failed attempt leaves behind, the checksum a
 //! wrapped shard sink reports, the staged manifest write, the typed errors
-//! for sink labels that name no shard format, and that hostile nesting in
-//! `manifest.json` / `progress.jsonl` cannot overflow the stack.
+//! for sink labels that name no shard format, that hostile nesting in
+//! `manifest.json` / `progress.jsonl` cannot overflow the stack, and that a
+//! source's declared column windows — and a degree vector the host cannot
+//! hold — end a run in a typed error, never an abort or a miscount.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use extreme_graphs::core::CoreError;
+use extreme_graphs::core::validate::ValidationReport;
+use extreme_graphs::core::{CoreError, GraphProperties};
+use extreme_graphs::gen::chunk::EdgeChunk;
 use extreme_graphs::gen::manifest::{MANIFEST_FILE_NAME, PROGRESS_FILE_NAME};
-use extreme_graphs::gen::sink::{CompressedShardSink, DoubleBufferedSink, EdgeSink, TsvShardSink};
+use extreme_graphs::gen::sink::{
+    CompressedShardSink, CountingSink, DoubleBufferedSink, EdgeSink, TsvShardSink,
+};
 use extreme_graphs::gen::testing::TestDir;
-use extreme_graphs::gen::{shard_checksum, BlockFormat, ProgressJournal};
+use extreme_graphs::gen::{shard_checksum, BlockFormat, ProgressJournal, SplitPlan};
 use extreme_graphs::sparse::SparseError;
 use extreme_graphs::{
-    FaultSchedule, FaultySink, FaultySource, KroneckerDesign, KroneckerSource, Pipeline,
-    PredicateCountMetric, ReplaySource, RetryPolicy, RunManifest, SelfLoop,
+    ColumnWindows, EdgeSource, FaultSchedule, FaultySink, FaultySource, KroneckerDesign,
+    KroneckerSource, Pipeline, PredicateCountMetric, ReplaySource, RetryPolicy, RunManifest,
+    SelfLoop, SourceDescriptor, SourceRun,
 };
 
 fn design() -> KroneckerDesign {
@@ -325,5 +332,180 @@ fn hostile_nesting_in_the_manifest_or_journal_is_an_error_or_a_skipped_line_neve
         assert_eq!(journalled, whole.manifest.shards);
         let on_disk = RunManifest::read_from(&dir.join(MANIFEST_FILE_NAME)).unwrap();
         assert_eq!(on_disk, resumed.manifest);
+    }
+}
+
+/// A source that streams a fixed edge list from worker 0 (the others stream
+/// nothing), promising `windows`: how a source that breaks its promise, or
+/// one too large to count flat, reaches the engine.
+#[derive(Clone)]
+struct Scripted {
+    vertices: u64,
+    windows: Option<ColumnWindows>,
+    edges: Vec<(u64, u64)>,
+}
+
+impl EdgeSource for Scripted {
+    type Run = Scripted;
+
+    fn vertices(&self) -> Result<u64, CoreError> {
+        Ok(self.vertices)
+    }
+
+    fn prepare(&self, _workers: usize) -> Result<(Scripted, Vec<String>), CoreError> {
+        Ok((self.clone(), Vec::new()))
+    }
+}
+
+impl SourceRun for Scripted {
+    fn stream_worker<E, F>(
+        &self,
+        worker: usize,
+        _chunk: &mut EdgeChunk,
+        mut sink: F,
+    ) -> Result<u64, E>
+    where
+        E: From<SparseError>,
+        F: FnMut(&[(u64, u64)]) -> Result<(), E>,
+    {
+        if worker > 0 {
+            return Ok(0);
+        }
+        // One edge per chunk, so the first one opens a window before the
+        // next one can break it.
+        for edge in &self.edges {
+            sink(std::slice::from_ref(edge))?;
+        }
+        Ok(self.edges.len() as u64)
+    }
+
+    fn column_windows(&self) -> Option<&ColumnWindows> {
+        self.windows.as_ref()
+    }
+
+    fn predicted_properties(&self) -> Option<GraphProperties> {
+        None
+    }
+
+    fn validate(&self, _measured: &GraphProperties) -> ValidationReport {
+        ValidationReport::from_checks(Vec::new())
+    }
+
+    fn split_plan(&self) -> Option<SplitPlan> {
+        None
+    }
+
+    fn descriptor(&self) -> SourceDescriptor {
+        SourceDescriptor {
+            kind: "scripted",
+            seed: None,
+            star_points: Vec::new(),
+            self_loop: "None".into(),
+            vertices: self.vertices.to_string(),
+            predicted_edges: self.edges.len().to_string(),
+            split_index: 0,
+            max_c_edges: 0,
+            max_b_edges: 0,
+            self_loop_policy: "raw_samples".into(),
+        }
+    }
+}
+
+#[test]
+fn a_column_outside_the_declared_windows_is_a_typed_error_and_writes_nothing() {
+    // Eight vertices in windows of two labels.
+    let windows = ColumnWindows {
+        width: 2,
+        partials: [(2, 1)].into_iter().collect(),
+    };
+    let backwards = [(0, 4), (1, 5), (2, 1)];
+    let past = [(0, 4), (1, 5), (2, 8)];
+    for (edges, expected) in [
+        (&backwards[..], "StreamOrder"),
+        (&past[..], "IndexOutOfBounds"),
+    ] {
+        let dir = TestDir::new("misordered_windows");
+        let source = Scripted {
+            vertices: 8,
+            windows: Some(windows.clone()),
+            edges: edges.to_vec(),
+        };
+        let error = Pipeline::for_source(source)
+            .workers(1)
+            .write_tsv(&dir)
+            .unwrap_err();
+        match &error {
+            CoreError::Sparse(SparseError::StreamOrder { message }) => {
+                assert_eq!(expected, "StreamOrder");
+                assert!(message.contains("column 1"), "{message}");
+            }
+            CoreError::Sparse(SparseError::IndexOutOfBounds { col: 8, .. }) => {
+                assert_eq!(expected, "IndexOutOfBounds");
+            }
+            other => panic!("expected {expected}, got {other:?}"),
+        }
+        let left: Vec<_> = std::fs::read_dir(&*dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".tsv") || name.starts_with(MANIFEST_FILE_NAME))
+            .collect();
+        assert!(left.is_empty(), "{expected}: {left:?} written");
+    }
+}
+
+#[test]
+fn a_retry_that_fails_mid_window_leaves_the_report_of_a_clean_run() {
+    let design = design();
+    let count = |schedule: FaultSchedule| {
+        Pipeline::for_design(&design)
+            .split_index(1)
+            .workers(2)
+            .chunk_capacity(64)
+            .retry_policy(RetryPolicy {
+                max_retries: 1,
+                base_backoff: Duration::ZERO,
+                max_backoff: Duration::ZERO,
+            })
+            .into_sinks(|worker| {
+                Ok(FaultySink::new(
+                    CountingSink::new(),
+                    worker,
+                    schedule.clone(),
+                ))
+            })
+            .unwrap()
+    };
+    let clean = count(FaultSchedule::none());
+    // B = star(3) with a centre loop: worker 0's first column window holds
+    // 4 triples × nnz(C) = 396 edges, so 150 edges in is mid-window.
+    let schedule = FaultSchedule::none().with_transient(0, 150, 1);
+    let retried = count(schedule.clone());
+    assert!(schedule.is_exhausted(), "the fault fired");
+    assert_eq!(retried.metrics, clean.metrics);
+    assert_eq!(retried.outputs, clean.outputs);
+    assert!(retried.is_valid());
+}
+
+#[test]
+fn a_degree_vector_the_host_cannot_hold_is_a_typed_error() {
+    // 2^62 vertices: a flat degree vector needs 2^65 bytes, which no host
+    // can reserve, so this fails the same way everywhere.
+    let source = Scripted {
+        vertices: 1 << 62,
+        windows: None,
+        edges: Vec::new(),
+    };
+    // Shared within the default budget's reach, local beyond it.
+    for budget in [None, Some(u64::MAX)] {
+        let mut pipeline = Pipeline::for_source(source.clone()).workers(1);
+        if let Some(budget) = budget {
+            pipeline = pipeline.max_histogram_bytes(budget);
+        }
+        match pipeline.count().unwrap_err() {
+            CoreError::Sparse(SparseError::TooLarge { requested, .. }) => {
+                assert_eq!(requested, 1 << 65, "budget {budget:?}")
+            }
+            other => panic!("expected TooLarge, got {other:?}"),
+        }
     }
 }

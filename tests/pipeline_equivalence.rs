@@ -7,21 +7,27 @@
 //! sparse substrate's product) for the edges, the closed-form
 //! `degree_distribution()` / `triangles()` for the properties.  On top of
 //! that, a determinism matrix pins shard bytes across chunk capacities and
-//! the `MetricsReport` across every configuration, and the `RunManifest`
-//! JSON every shard-producing run emits is round-tripped.
+//! the `MetricsReport` across every configuration, the `RunManifest`
+//! JSON every shard-producing run emits is round-tripped, and the degrees a
+//! Kronecker run counts in column windows are held to the flat per-vertex
+//! vector.
 
 use std::path::{Path, PathBuf};
 
 use extreme_graphs::bignum::BigUint;
+use extreme_graphs::core::validate::ValidationReport;
+use extreme_graphs::core::CoreError;
+use extreme_graphs::gen::chunk::EdgeChunk;
 use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
 use extreme_graphs::gen::metrics::PredicateCountMetric;
 use extreme_graphs::gen::testing::TestDir;
+use extreme_graphs::gen::SplitPlan;
 use extreme_graphs::gen::{BalanceReport, FeistelPermutation, MetricsReport, RunManifest};
 use extreme_graphs::sparse::triangles::count_triangles_coo;
-use extreme_graphs::sparse::{kron_coo, CooMatrix, PlusTimes};
+use extreme_graphs::sparse::{kron_coo, CooMatrix, PlusTimes, SparseError};
 use extreme_graphs::{
     DesignPipeline, EdgeSource, GraphProperties, KroneckerDesign, KroneckerSource, Pipeline,
-    RunReport, SelfLoop,
+    RunReport, SelfLoop, SelfLoopPolicy, SourceDescriptor, SourceRun,
 };
 
 const SELF_LOOPS: [SelfLoop; 3] = [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf];
@@ -293,6 +299,106 @@ fn determinism_matrix_above_the_permutation_table_cutoff() {
         let metrics = without_balance(report.metrics);
         let reference = reference_metrics.get_or_insert(metrics.clone());
         assert_eq!(&metrics, reference, "w{workers}: metrics");
+    }
+}
+
+/// The source it wraps with nothing forwarded but `stream_worker` and what
+/// validation and the manifest read — no column windows, so a run over it
+/// counts degrees in the flat per-vertex vector: the oracle a windowed
+/// count is held to.
+#[derive(Clone)]
+struct Flat<S>(S);
+
+struct FlatRun<R>(R);
+
+impl<S: EdgeSource> EdgeSource for Flat<S> {
+    type Run = FlatRun<S::Run>;
+
+    fn vertices(&self) -> Result<u64, CoreError> {
+        self.0.vertices()
+    }
+
+    fn prepare(&self, workers: usize) -> Result<(Self::Run, Vec<String>), CoreError> {
+        let (run, warnings) = self.0.prepare(workers)?;
+        Ok((FlatRun(run), warnings))
+    }
+}
+
+impl<R: SourceRun> SourceRun for FlatRun<R> {
+    fn stream_worker<E, F>(&self, worker: usize, chunk: &mut EdgeChunk, sink: F) -> Result<u64, E>
+    where
+        E: From<SparseError>,
+        F: FnMut(&[(u64, u64)]) -> Result<(), E>,
+    {
+        self.0.stream_worker(worker, chunk, sink)
+    }
+
+    fn predicted_properties(&self) -> Option<GraphProperties> {
+        self.0.predicted_properties()
+    }
+
+    fn validate(&self, measured: &GraphProperties) -> ValidationReport {
+        self.0.validate(measured)
+    }
+
+    fn split_plan(&self) -> Option<SplitPlan> {
+        self.0.split_plan()
+    }
+
+    fn descriptor(&self) -> SourceDescriptor {
+        self.0.descriptor()
+    }
+}
+
+/// A counting run with a custom metric, so the reports compare that too.
+fn count<S: EdgeSource>(
+    pipeline: Pipeline<S>,
+    workers: usize,
+    chunk: usize,
+    permutation_seed: Option<u64>,
+) -> RunReport<u64> {
+    let mut pipeline = pipeline
+        .workers(workers)
+        .chunk_capacity(chunk)
+        .with_metric(PredicateCountMetric::new("upper", |row, col| row < col));
+    if let Some(seed) = permutation_seed {
+        pipeline = pipeline.permute_vertices(seed);
+    }
+    pipeline.count().unwrap()
+}
+
+#[test]
+fn windowed_degree_counts_equal_the_flat_vector() {
+    for self_loop in SELF_LOOPS {
+        let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], self_loop).unwrap();
+        for policy in [SelfLoopPolicy::RemoveDesigned, SelfLoopPolicy::KeepRaw] {
+            let source = KroneckerSource::new(&design)
+                .split_index(2)
+                .max_c_edges(200_000)
+                .self_loop_policy(policy);
+            let (run, _) = source.prepare(1).unwrap();
+            let windows = run.column_windows().expect("star designs are symmetric");
+            assert_eq!(windows.width, 60, "|V_C| of star(5) ⊗ star(9)");
+            let nnz_b = run.split_plan().unwrap().b_nnz.to_u64().unwrap() as usize;
+            for workers in [1, 2, 3, 7, 64, nnz_b + 1] {
+                for chunk in [1, 7, 4096] {
+                    for seed in [None, Some(0xFEED)] {
+                        let label =
+                            format!("{self_loop:?} {policy:?} w{workers} c{chunk} {seed:?}");
+                        let windowed =
+                            count(Pipeline::for_source(source.clone()), workers, chunk, seed);
+                        let flat = count(
+                            Pipeline::for_source(Flat(source.clone())),
+                            workers,
+                            chunk,
+                            seed,
+                        );
+                        assert!(windowed.is_valid(), "{label}");
+                        assert_eq!(windowed.metrics, flat.metrics, "{label}");
+                    }
+                }
+            }
+        }
     }
 }
 
