@@ -6,29 +6,33 @@
 //! buried in the generation loop.  This module owns everything a
 //! [`Pipeline`](crate::pipeline::Pipeline) run measures while edges stream:
 //!
-//! * the **degree histogram**, counted in one of three modes, chosen once
-//!   per run:
-//!   - **windowed** — whenever the source promises
-//!     [`ColumnWindows`] ([`SourceRun::column_windows`]) and the run is
-//!     fresh: a Kronecker run over symmetric factors, permuted or not.  Each
-//!     worker counts the *column* endpoints of its stream in one window of
-//!     `|V_C|` labels, folds the window into a sparse degree → vertices
-//!     histogram whenever the stream moves to the next window, and hands its
-//!     first and last windows — which the neighbouring workers may share — to
-//!     the engine when it finishes; the engine folds a shared window once
-//!     every worker the source says shares it has reported.  No `O(vertices)`
-//!     vector and no merge: the paper's own method, each processor measuring
-//!     its block.  The promise is checked as the edges stream;
-//!   - **local** — otherwise, while the peak of per-worker
-//!     [`DegreeAccumulator`] row vectors fits
+//! * the **degree histogram**, counted in one of two modes, chosen once per
+//!   run by this module alone:
+//!   - **windows** — each worker counts one endpoint of its stream in one
+//!     window of labels at a time, folds the window into a sparse degree →
+//!     vertices histogram whenever the stream moves to the next window, and
+//!     hands its first and last windows — which the neighbouring workers may
+//!     share — to the engine when it finishes; the engine folds a shared
+//!     window once every worker the source says shares it has reported.  The
+//!     windows are either the `|V_C|`-label *column* windows a fresh run's
+//!     source declares ([`ColumnWindows`], [`SourceRun::column_windows`]: a
+//!     Kronecker run over symmetric factors, permuted or not) — no
+//!     `O(vertices)` vector and no merge, the paper's own method of each
+//!     processor measuring its block, with the promise checked as the edges
+//!     stream — or, for any other run (R-MAT, replay, every resume), one
+//!     window of `|V|` labels keyed on the *row* endpoint: a private vector
+//!     per live worker, summed into the run's one pending window as its
+//!     worker finishes and folded at the end;
+//!   - **shared** — a run without declared windows whose per-worker vectors
+//!     would exceed
 //!     [`Pipeline::max_histogram_bytes`](crate::pipeline::Pipeline::max_histogram_bytes):
-//!     each worker counts privately, and its vector is merged and dropped as
-//!     it finishes.  Resumed runs, R-MAT and replay count here;
-//!   - **shared** — beyond that budget: one run-wide
-//!     [`SharedDegreeAccumulator`] (relaxed atomics, `O(vertices)` total).
+//!     one run-wide [`SharedDegreeAccumulator`] (relaxed atomics,
+//!     `O(vertices)` total) — unless the run may retry or quarantine, since
+//!     the shared vector cannot roll back a failed attempt.
 //!
-//!   A flat vector the host cannot hold is [`SparseError::TooLarge`], not
-//!   an abort;
+//!   A label past the last vertex is [`SparseError::IndexOutOfBounds`] in
+//!   either mode, and a vector the host cannot hold is
+//!   [`SparseError::TooLarge`], never an abort;
 //! * **vertex / edge / self-loop counts** and the **max degree**;
 //! * the **per-worker balance** sheet (the paper's "same number of edges on
 //!   each processor" claim, quantified);
@@ -59,7 +63,7 @@ use kron_core::powerlaw::PowerLawFit;
 use kron_core::validate::measure_from_histogram;
 use kron_core::{CoreError, GraphProperties};
 use kron_sparse::reduce::{try_counts, SharedDegreeAccumulator};
-use kron_sparse::{DegreeAccumulator, SparseError};
+use kron_sparse::SparseError;
 
 use crate::lock;
 use crate::source::ColumnWindows;
@@ -230,16 +234,17 @@ pub struct MetricsReport {
     pub edges: u64,
     /// Diagonal (self-loop) edges observed.
     pub self_loops: u64,
-    /// Largest row-endpoint degree.  A windowed run counts column
-    /// endpoints, which for the symmetric graphs it is chosen for are the
-    /// row endpoints.
+    /// Largest degree, of the endpoint
+    /// [`degree_histogram`](Self::degree_histogram) counts.
     pub max_degree: u64,
     /// Number of distinct non-zero degrees.
     pub distinct_degrees: usize,
-    /// Row-endpoint degree histogram (degree → vertex count), degree-zero
-    /// vertices excluded — the support of the measured distribution.  A
-    /// windowed run counts column endpoints, which equal the row endpoints
-    /// by symmetry.
+    /// Degree histogram (degree → vertex count), degree-zero vertices
+    /// excluded — the support of the measured distribution.  A fresh run
+    /// whose source declares [`ColumnWindows`] counts column endpoints,
+    /// which equal the row endpoints by symmetry; every other run (R-MAT,
+    /// replay, resume) counts row endpoints, so an asymmetric source such as
+    /// R-MAT reports its out-degrees.
     pub degree_histogram: BTreeMap<u64, u64>,
     /// Per-worker load balance.
     pub balance: BalanceReport,
@@ -290,6 +295,21 @@ impl MetricsReport {
     }
 }
 
+/// What a pipeline run tells the metrics engine about itself, for
+/// [`MetricsEngine::new`] to decide from it how the run counts degrees.
+pub(crate) struct RunShape<'a> {
+    pub(crate) vertices: u64,
+    pub(crate) workers: usize,
+    /// The column order the source declares, if any.
+    pub(crate) windows: Option<&'a ColumnWindows>,
+    /// Whether the run resumes an interrupted one, streaming the shards it
+    /// verified back through the engine.
+    pub(crate) resumed: bool,
+    /// Whether a failed attempt may be retried or quarantined.
+    pub(crate) fault_tolerant: bool,
+    pub(crate) max_histogram_bytes: u64,
+}
+
 /// The run-wide measurement state: the degree counting of the run's mode
 /// plus the summed count of every custom metric.  One engine per pipeline
 /// run; workers check out a [`WorkerMetrics`] each and fold back in as they
@@ -297,70 +317,100 @@ impl MetricsReport {
 pub(crate) struct MetricsEngine<'m> {
     metrics: &'m [PredicateCountMetric],
     vertices: u64,
+    /// The workers' windows sum label by label, so every worker must count
+    /// in the same label space.  A fresh run counts the labels as the
+    /// source produced them (cheap, local, and the order column windows rely
+    /// on); a resume's verified shards hold only *delivered* (possibly
+    /// permuted) labels, so every worker of a resume counts delivered
+    /// labels.  Either space yields the identical histogram — the
+    /// permutation is a bijection — which is exactly why a resumed report
+    /// equals an uninterrupted one.
+    counts_delivered: bool,
     degrees: RunDegrees,
     /// One total per custom metric, in registration order.
     merged_counts: Mutex<Vec<u64>>,
 }
 
-/// The run-wide side of the three degree-counting modes (see the module
+/// The run-wide side of the two degree-counting modes (see the module
 /// docs).
 enum RunDegrees {
-    /// Per-worker local vectors, folded and dropped as each worker finishes,
-    /// so at most one per pool thread is live at once (plus this merged
-    /// one).
-    Local(Mutex<Option<DegreeAccumulator>>),
     /// One atomic vector every worker counts into.
     Shared(SharedDegreeAccumulator),
-    /// Per-worker column windows, folded into one sparse histogram.
+    /// Per-worker windows, folded into one sparse histogram.
     Windowed(WindowFold),
 }
 
 impl<'m> MetricsEngine<'m> {
-    /// Choose the degree-counting mode: column windows when the source
-    /// promises them; otherwise, while the peak of concurrent per-worker
-    /// local vectors fits `max_histogram_bytes`, workers count privately at
-    /// full speed, and beyond it one shared atomic vector bounds the cost
-    /// at `O(vertices)` total.  A vector the host cannot hold is
+    /// Choose how `run` counts degrees: in the source's column windows on a
+    /// fresh run that declares them; otherwise in one `|V|`-label window per
+    /// worker while their peak — `(concurrent workers + 1) × vertices × 8`
+    /// bytes — fits the budget, and in one shared atomic vector beyond it.
+    /// The shared vector cannot roll back a failed attempt, so a run that
+    /// may retry or quarantine keeps its windows past the budget, and says
+    /// so in `warnings`.  A vector the host cannot hold is
     /// [`SparseError::TooLarge`].
     pub(crate) fn new(
         metrics: &'m [PredicateCountMetric],
-        vertices: u64,
-        workers: usize,
-        max_histogram_bytes: u64,
-        windows: Option<&ColumnWindows>,
+        run: RunShape<'_>,
+        warnings: &mut Vec<String>,
     ) -> Result<Self, SparseError> {
-        let degrees = match windows.filter(|windows| windows.width > 0) {
-            Some(windows) => RunDegrees::Windowed(WindowFold::new(windows)),
-            None if would_share(vertices, workers, max_histogram_bytes) => {
+        let vertices = run.vertices;
+        // A resume's verified shards replay delivered labels in shard order,
+        // not in the source's windows.
+        let declared = run
+            .windows
+            .filter(|windows| windows.width > 0 && !run.resumed);
+        let concurrent = run.workers.min(rayon::current_num_threads()) + 1;
+        let over_budget =
+            concurrent as u128 * u128::from(vertices) * 8 > u128::from(run.max_histogram_bytes);
+        let degrees = match declared {
+            Some(windows) => RunDegrees::Windowed(WindowFold::new(windows, false)),
+            None if over_budget && !run.fault_tolerant => {
                 RunDegrees::Shared(SharedDegreeAccumulator::try_rows_only(vertices, vertices)?)
             }
-            None => RunDegrees::Local(Mutex::new(None)),
+            None => {
+                if over_budget {
+                    warnings.push(
+                        "fault-tolerant run: counting degrees per worker (the shared atomic \
+                         histogram cannot roll back a failed attempt), exceeding \
+                         max_histogram_bytes"
+                            .to_string(),
+                    );
+                }
+                let whole = ColumnWindows {
+                    width: vertices,
+                    partials: BTreeMap::new(),
+                };
+                let fold = WindowFold::new(&whole, true);
+                // The first worker's window, allocated before anything is
+                // written, so a vector the host cannot hold fails the run
+                // here.
+                lock(&fold.state).spare.push(try_counts(vertices, || 0)?);
+                RunDegrees::Windowed(fold)
+            }
         };
         Ok(MetricsEngine {
             metrics,
             vertices,
+            counts_delivered: run.resumed,
             degrees,
             merged_counts: Mutex::new(vec![0; metrics.len()]),
         })
     }
 
     /// Check out one worker's observation state.
-    pub(crate) fn worker(&self) -> Result<WorkerMetrics<'_>, SparseError> {
+    pub(crate) fn worker(&self) -> WorkerMetrics<'_> {
         let degrees = match &self.degrees {
-            RunDegrees::Local(merged) => WorkerDegrees::Local(
-                DegreeAccumulator::try_rows_only(self.vertices, self.vertices)?,
-                merged,
-            ),
             RunDegrees::Shared(shared) => WorkerDegrees::Shared(shared),
             RunDegrees::Windowed(fold) => {
                 WorkerDegrees::Windowed(WindowCounter::new(fold.width, self.vertices), fold)
             }
         };
-        Ok(WorkerMetrics {
+        WorkerMetrics {
             engine: self,
             degrees,
             counts: vec![0; self.metrics.len()],
-        })
+        }
     }
 
     /// Assemble the measured property sheet and the typed metrics report
@@ -378,17 +428,6 @@ impl<'m> MetricsEngine<'m> {
                 shared.edge_count(),
                 shared.max_row_degree(),
             ),
-            // A fault-tolerant run can quarantine every worker, so no
-            // accumulator at all stands for an edgeless graph.
-            RunDegrees::Local(merged) => match lock(&merged).take() {
-                Some(merged) => (
-                    merged.row_histogram(),
-                    merged.self_loop_count(),
-                    merged.edge_count(),
-                    merged.max_row_degree(),
-                ),
-                None => (with_zero_degrees(BTreeMap::new(), vertices), 0, 0, 0),
-            },
             RunDegrees::Windowed(fold) => fold.finish(vertices)?,
         };
         let measured = measure_from_histogram(vertices, &histogram, self_loops);
@@ -415,15 +454,18 @@ impl<'m> MetricsEngine<'m> {
     }
 }
 
-/// Whether a run with this shape counts degrees in the run-wide shared
-/// atomic vector instead of per-worker local vectors — the budget decision
-/// [`MetricsEngine::new`] makes for a run without column windows, exposed
-/// so the pipeline's fault-tolerant path can detect (and override) the
-/// shared mode, which cannot roll back a failed worker's partial counts.
-pub(crate) fn would_share(vertices: u64, workers: usize, max_histogram_bytes: u64) -> bool {
-    let concurrent = workers.min(rayon::current_num_threads()) + 1;
-    let local_histogram_bytes = (concurrent as u128) * (vertices as u128) * 8;
-    local_histogram_bytes > u128::from(max_histogram_bytes)
+/// Check that every label of `edges` names one of `vertices` vertices: the
+/// first edge that does not is [`SparseError::IndexOutOfBounds`].
+fn check_labels(edges: &[(u64, u64)], vertices: u64) -> Result<(), SparseError> {
+    match edges.iter().find(|&&(row, col)| row.max(col) >= vertices) {
+        Some(&(row, col)) => Err(SparseError::IndexOutOfBounds {
+            row,
+            col,
+            nrows: vertices,
+            ncols: vertices,
+        }),
+        None => Ok(()),
+    }
 }
 
 /// `histogram` (non-zero degrees only) with the degree-zero bucket of a
@@ -457,6 +499,10 @@ fn fold_window(counts: &mut [u64], histogram: &mut BTreeMap<u64, u64>) {
 /// them.
 struct WindowFold {
     width: u64,
+    /// Whether the windows are keyed on the row endpoint (the one `|V|`
+    /// window of a run without declared column windows) rather than the
+    /// column endpoint.
+    by_rows: bool,
     state: Mutex<FoldState>,
 }
 
@@ -481,9 +527,10 @@ struct FoldState {
 }
 
 impl WindowFold {
-    fn new(windows: &ColumnWindows) -> Self {
+    fn new(windows: &ColumnWindows, by_rows: bool) -> Self {
         WindowFold {
             width: windows.width,
+            by_rows,
             state: Mutex::new(FoldState {
                 histogram: BTreeMap::new(),
                 edges: 0,
@@ -614,8 +661,8 @@ struct WindowCounter {
     vertices: u64,
     /// Index of the open window; `None` before the first edge.
     open: Option<u64>,
-    /// Column counts of the open window (allocated at the first edge, so an
-    /// idle worker costs nothing).
+    /// Counts of the open window (allocated at the first edge, so an idle
+    /// worker costs nothing).
     counts: Vec<u64>,
     first: Option<(u64, Vec<u64>)>,
     histogram: BTreeMap<u64, u64>,
@@ -637,40 +684,43 @@ impl WindowCounter {
         }
     }
 
-    /// Count one chunk's column endpoints in one pass: an edge whose column
-    /// lies in the open window costs one compare and one increment, and
-    /// only a column outside it stops the pass to check the stream's order
-    /// and move the window on.  The same pass finds the chunk's largest row
-    /// and its self-loops.
-    fn record(&mut self, edges: &[(u64, u64)], fold: &WindowFold) -> Result<(), SparseError> {
-        let (mut top_row, mut loops, mut done) = (0, 0, 0);
+    /// Count one chunk's keyed endpoints — rows when `ROWS`, columns
+    /// otherwise — and its self-loops in one pass: an edge whose key lies in
+    /// the open window and whose other endpoint names a vertex costs two
+    /// compares and one increment, and any other edge stops the pass to
+    /// check its labels and the stream's order and move the window on.
+    fn record<const ROWS: bool>(
+        &mut self,
+        edges: &[(u64, u64)],
+        fold: &WindowFold,
+    ) -> Result<(), SparseError> {
+        let (vertices, mut loops, mut done) = (self.vertices, 0, 0);
         loop {
             // The open window's counts (none before the first edge), cut at
             // the last vertex: a width that does not divide the vertex count
-            // leaves the last window short, so a column past the last vertex
+            // leaves the last window short, so a key past the last vertex
             // leaves the window too.
             let start = self.open.map_or(0, |open| open * self.width);
-            let len = self
-                .vertices
-                .saturating_sub(start)
-                .min(self.counts.len() as u64);
+            let len = vertices.saturating_sub(start).min(self.counts.len() as u64);
             let counts = &mut self.counts[..len as usize];
             for &(row, col) in &edges[done..] {
-                let Some(count) = counts.get_mut(col.wrapping_sub(start) as usize) else {
+                let (key, other) = if ROWS { (row, col) } else { (col, row) };
+                let Some(count) = counts.get_mut(key.wrapping_sub(start) as usize) else {
                     break;
                 };
+                if other >= vertices {
+                    break;
+                }
                 *count += 1;
-                top_row = top_row.max(row);
                 loops += u64::from(row == col);
                 done += 1;
             }
             let Some(&(row, col)) = edges.get(done) else {
                 break;
             };
-            if col >= self.vertices {
-                return Err(self.out_of_bounds(row, col));
-            }
-            let index = col / self.width;
+            check_labels(&edges[done..=done], vertices)?;
+            let key = if ROWS { row } else { col };
+            let index = key / self.width;
             if let Some(open) = self.open.filter(|&open| index < open) {
                 return Err(SparseError::StreamOrder {
                     message: format!(
@@ -681,14 +731,6 @@ impl WindowCounter {
                 });
             }
             self.advance(index, fold)?;
-        }
-        if top_row >= self.vertices {
-            let (row, col) = edges
-                .iter()
-                .copied()
-                .find(|&(row, _)| row >= self.vertices)
-                .unwrap_or((top_row, 0));
-            return Err(self.out_of_bounds(row, col));
         }
         self.edges += edges.len() as u64;
         self.self_loops += loops;
@@ -709,24 +751,13 @@ impl WindowCounter {
         self.open = Some(index);
         Ok(())
     }
-
-    fn out_of_bounds(&self, row: u64, col: u64) -> SparseError {
-        SparseError::IndexOutOfBounds {
-            row,
-            col,
-            nrows: self.vertices,
-            ncols: self.vertices,
-        }
-    }
 }
 
 /// One worker's view of the run's degree counting, in the run's mode: a
-/// private local vector (fast, `O(vertices)` per concurrent worker), the
-/// run-wide shared atomic vector (`O(vertices)` total) — see
-/// [`Pipeline::max_histogram_bytes`](crate::pipeline::Pipeline::max_histogram_bytes)
-/// — or a column window (`O(width)` per worker).
+/// window of its own (`O(width)` per worker) or the run-wide shared atomic
+/// vector (`O(vertices)` total) — see
+/// [`Pipeline::max_histogram_bytes`](crate::pipeline::Pipeline::max_histogram_bytes).
 enum WorkerDegrees<'a> {
-    Local(DegreeAccumulator, &'a Mutex<Option<DegreeAccumulator>>),
     Shared(&'a SharedDegreeAccumulator),
     Windowed(WindowCounter, &'a WindowFold),
 }
@@ -743,30 +774,39 @@ pub(crate) struct WorkerMetrics<'e> {
 impl WorkerMetrics<'_> {
     /// Observe one chunk, in the two label spaces a run has.
     ///
-    /// `counted` feeds the built-in degree metrics.  Every one of them
-    /// (histogram, counts, loops, max degree, slope) is invariant under a
-    /// vertex bijection, so a fresh run passes the chunk as the *source*
-    /// produced it: the pre-permutation labels are far cheaper to count (the
-    /// source emits them with locality — the order column windows rely on;
-    /// the permuted labels scatter across the whole count vector by design).
+    /// `source` is the chunk as the source produced it, `delivered` the
+    /// chunk exactly as the sink is about to receive it (relabelled when the
+    /// run permutes vertices).  The built-in degree metrics — every one of
+    /// them (histogram, counts, loops, max degree, slope) invariant under a
+    /// vertex bijection — count `source` on a fresh run: the
+    /// pre-permutation labels are far cheaper to count (the source emits
+    /// them with locality — the order column windows rely on; the permuted
+    /// labels scatter across the whole count vector by design).  The custom
+    /// metrics see `delivered`, so a custom metric always describes the
+    /// graph that actually left the run.
     ///
-    /// `delivered` is the chunk exactly as the sink is about to receive it
-    /// (relabelled when the run permutes vertices) — what the custom metrics
-    /// see, so a custom metric always describes the graph that actually left
-    /// the run.
-    ///
-    /// A windowed count rejects a chunk that breaks the source's declared
-    /// order, or carries a label past the last vertex.
+    /// A chunk that breaks the source's declared order, or carries a label
+    /// past the last vertex, is rejected.
     #[inline]
     pub(crate) fn observe(
         &mut self,
-        counted: &[(u64, u64)],
+        source: &[(u64, u64)],
         delivered: &[(u64, u64)],
     ) -> Result<(), SparseError> {
+        let counted = if self.engine.counts_delivered {
+            delivered
+        } else {
+            source
+        };
         match &mut self.degrees {
-            WorkerDegrees::Local(local, _) => local.record(counted),
-            WorkerDegrees::Shared(shared) => shared.record(counted),
-            WorkerDegrees::Windowed(window, fold) => window.record(counted, fold)?,
+            WorkerDegrees::Shared(shared) => {
+                check_labels(counted, self.engine.vertices)?;
+                shared.record(counted);
+            }
+            WorkerDegrees::Windowed(window, fold) if fold.by_rows => {
+                window.record::<true>(counted, fold)?
+            }
+            WorkerDegrees::Windowed(window, fold) => window.record::<false>(counted, fold)?,
         }
         for (metric, count) in self.engine.metrics.iter().zip(&mut self.counts) {
             *count += metric.count(delivered);
@@ -774,22 +814,15 @@ impl WorkerMetrics<'_> {
         Ok(())
     }
 
-    /// Fold this worker's state into the engine.  Local degree vectors merge
-    /// and drop here, so the peak is bounded by the workers running
-    /// concurrently; a windowed worker hands over its histogram and its two
-    /// end windows.  Nothing reaches the engine before this call, so an
-    /// attempt dropped unfinished leaves no trace.
+    /// Fold this worker's state into the engine: a windowed worker hands
+    /// over its histogram and its two end windows, whose vectors the next
+    /// workers count in, so the peak is bounded by the workers running
+    /// concurrently.  Only the shared vector is counted into before this
+    /// call, so an attempt dropped unfinished in any other mode leaves no
+    /// trace.
     pub(crate) fn finish(self) {
-        match self.degrees {
-            WorkerDegrees::Local(local, merged) => {
-                let mut guard = lock(merged);
-                match guard.as_mut() {
-                    Some(merged) => merged.merge(&local),
-                    None => *guard = Some(local),
-                }
-            }
-            WorkerDegrees::Shared(_) => {}
-            WorkerDegrees::Windowed(window, fold) => fold.accept(window),
+        if let WorkerDegrees::Windowed(window, fold) = self.degrees {
+            fold.accept(window);
         }
         if !self.counts.is_empty() {
             let mut totals = lock(&self.engine.merged_counts);
@@ -806,13 +839,32 @@ mod tests {
 
     const EDGES: &[(u64, u64)] = &[(0, 1), (1, 1), (2, 0), (3, 3), (0, 2)];
 
+    /// An engine for a fresh run that neither retries nor quarantines.
+    fn new_engine<'m>(
+        metrics: &'m [PredicateCountMetric],
+        vertices: u64,
+        workers: usize,
+        max_histogram_bytes: u64,
+        windows: Option<&ColumnWindows>,
+    ) -> Result<MetricsEngine<'m>, SparseError> {
+        let run = RunShape {
+            vertices,
+            workers,
+            windows,
+            resumed: false,
+            fault_tolerant: false,
+            max_histogram_bytes,
+        };
+        MetricsEngine::new(metrics, run, &mut Vec::new())
+    }
+
     #[test]
     fn engine_measures_counts_histogram_and_balance() {
-        let engine = MetricsEngine::new(&[], 4, 2, u64::MAX, None).unwrap();
-        let mut first = engine.worker().unwrap();
+        let engine = new_engine(&[], 4, 2, u64::MAX, None).unwrap();
+        let mut first = engine.worker();
         first.observe(&EDGES[..3], &EDGES[..3]).unwrap();
         first.finish();
-        let mut second = engine.worker().unwrap();
+        let mut second = engine.worker();
         second.observe(&EDGES[3..], &EDGES[3..]).unwrap();
         second.finish();
         let (measured, report) = engine.finalize(vec![3, 2]).unwrap();
@@ -850,8 +902,8 @@ mod tests {
     #[test]
     fn shared_and_local_modes_finalize_identically() {
         let run = |budget: u64| {
-            let engine = MetricsEngine::new(&[], 4, 2, budget, None).unwrap();
-            let mut worker = engine.worker().unwrap();
+            let engine = new_engine(&[], 4, 2, budget, None).unwrap();
+            let mut worker = engine.worker();
             worker.observe(EDGES, EDGES).unwrap();
             worker.finish();
             engine.finalize(vec![EDGES.len() as u64]).unwrap().1
@@ -881,10 +933,10 @@ mod tests {
 
     /// Count `BY_COLUMN` cut into one slice per worker, in column windows.
     fn windowed(cuts: &[usize], windows: &ColumnWindows) -> Result<MetricsReport, SparseError> {
-        let engine = MetricsEngine::new(&[], 4, cuts.len() + 1, u64::MAX, Some(windows))?;
+        let engine = new_engine(&[], 4, cuts.len() + 1, u64::MAX, Some(windows))?;
         let mut start = 0;
         for &end in cuts.iter().chain([&BY_COLUMN.len()]) {
-            let mut worker = engine.worker()?;
+            let mut worker = engine.worker();
             // One edge at a time and then the rest: both the edge-by-edge
             // and the whole-chunk path.
             let (head, tail) = BY_COLUMN[start..end].split_at((end - start).min(1));
@@ -896,15 +948,30 @@ mod tests {
         Ok(engine.finalize(vec![0; 3])?.1)
     }
 
+    /// The report of `edges` on 4 vertices as `kron_sparse`'s flat
+    /// row-endpoint vector counts it, with the balance of three idle workers.
+    fn flat_vector(edges: &[(u64, u64)]) -> MetricsReport {
+        let mut flat = kron_sparse::DegreeAccumulator::rows_only(4, 4);
+        flat.record(edges);
+        let measured = measure_from_histogram(4, &flat.row_histogram(), flat.self_loop_count());
+        let mut degree_histogram = flat.row_histogram();
+        degree_histogram.remove(&0);
+        MetricsReport {
+            vertices: 4,
+            edges: flat.edge_count(),
+            self_loops: flat.self_loop_count(),
+            max_degree: flat.max_row_degree(),
+            distinct_degrees: degree_histogram.len(),
+            degree_histogram,
+            balance: BalanceReport::from_worker_counts(vec![0; 3]),
+            power_law: measured.power_law_fit(),
+            custom: Vec::new(),
+        }
+    }
+
     #[test]
     fn windowed_mode_finalizes_like_the_flat_vector() {
-        let flat = {
-            let engine = MetricsEngine::new(&[], 4, 3, u64::MAX, None).unwrap();
-            let mut worker = engine.worker().unwrap();
-            worker.observe(BY_COLUMN, BY_COLUMN).unwrap();
-            worker.finish();
-            engine.finalize(vec![0; 3]).unwrap().1
-        };
+        let flat = flat_vector(BY_COLUMN);
         assert_eq!(
             flat.degree_histogram,
             BTreeMap::from([(1, 2), (2, 1), (4, 1)])
@@ -915,6 +982,22 @@ mod tests {
             assert_eq!(windowed(&[3, 6], &windows).unwrap(), flat);
         }
         assert_eq!(windowed(&[], &windows(&[(0, 1), (1, 1)])).unwrap(), flat);
+
+        // Without declared windows the engine counts rows in one window of
+        // every label, so a graph whose row and column degrees differ — a
+        // star pointing out of vertex 0 — reports its row degrees.
+        let out_star = [(0, 1), (0, 2), (0, 3)];
+        for edges in [BY_COLUMN, &out_star] {
+            let engine = new_engine(&[], 4, 3, u64::MAX, None).unwrap();
+            let mut worker = engine.worker();
+            worker.observe(edges, edges).unwrap();
+            worker.finish();
+            assert_eq!(engine.finalize(vec![0; 3]).unwrap().1, flat_vector(edges));
+        }
+        assert_eq!(
+            flat_vector(&out_star).degree_histogram,
+            BTreeMap::from([(3, 1)])
+        );
     }
 
     #[test]
@@ -923,8 +1006,8 @@ mod tests {
             SparseError::StreamOrder { message } => message,
             other => panic!("expected StreamOrder, got {other:?}"),
         };
-        let engine = MetricsEngine::new(&[], 4, 1, u64::MAX, Some(&windows(&[]))).unwrap();
-        let mut worker = engine.worker().unwrap();
+        let engine = new_engine(&[], 4, 1, u64::MAX, Some(&windows(&[]))).unwrap();
+        let mut worker = engine.worker();
         worker.observe(&[(0, 2)], &[(0, 2)]).unwrap();
         let backwards = order(worker.observe(&[(1, 1)], &[(1, 1)]).unwrap_err());
         assert!(
@@ -943,8 +1026,8 @@ mod tests {
             width: 3,
             partials: BTreeMap::new(),
         };
-        let engine = MetricsEngine::new(&[], 4, 1, u64::MAX, Some(&ragged)).unwrap();
-        let mut worker = engine.worker().unwrap();
+        let engine = new_engine(&[], 4, 1, u64::MAX, Some(&ragged)).unwrap();
+        let mut worker = engine.worker();
         worker.observe(&[(0, 3)], &[(0, 3)]).unwrap();
         let inside = [(1, 3), (1, 4)];
         assert!(matches!(
@@ -957,9 +1040,9 @@ mod tests {
         let overlapping = windowed_spans(&[&[(0, 0), (0, 2), (0, 3)], &[(0, 1), (0, 2), (0, 3)]]);
         assert!(order(overlapping).contains("share a window"));
         // A third part of a window the hint says two workers share.
-        let engine = MetricsEngine::new(&[], 4, 3, u64::MAX, Some(&windows(&[(0, 2)]))).unwrap();
+        let engine = new_engine(&[], 4, 3, u64::MAX, Some(&windows(&[(0, 2)]))).unwrap();
         for _ in 0..3 {
-            let mut worker = engine.worker().unwrap();
+            let mut worker = engine.worker();
             worker.observe(&[(1, 0)], &[(1, 0)]).unwrap();
             worker.finish();
         }
@@ -969,9 +1052,9 @@ mod tests {
 
     /// Finalize one windowed worker per edge list.
     fn windowed_spans(workers: &[&[(u64, u64)]]) -> SparseError {
-        let engine = MetricsEngine::new(&[], 4, 2, u64::MAX, Some(&windows(&[]))).unwrap();
+        let engine = new_engine(&[], 4, 2, u64::MAX, Some(&windows(&[]))).unwrap();
         for edges in workers {
-            let mut worker = engine.worker().unwrap();
+            let mut worker = engine.worker();
             worker.observe(edges, edges).unwrap();
             worker.finish();
         }
@@ -984,12 +1067,9 @@ mod tests {
             SparseError::TooLarge { requested, .. } => assert_eq!(requested, 1 << 65),
             other => panic!("expected TooLarge, got {other:?}"),
         };
-        // Shared mode fails at the engine, local mode at the worker.
+        // Shared and windowed alike, before any worker starts.
         for budget in [0, u64::MAX] {
-            match MetricsEngine::new(&[], 1 << 62, 1, budget, None) {
-                Err(error) => too_large(error),
-                Ok(engine) => too_large(engine.worker().err().unwrap()),
-            }
+            too_large(new_engine(&[], 1 << 62, 1, budget, None).err().unwrap());
         }
     }
 
@@ -1001,11 +1081,11 @@ mod tests {
         ];
         assert!(format!("{metrics:?}").contains("upper_triangle"));
 
-        let engine = MetricsEngine::new(&metrics, 4, 2, u64::MAX, None).unwrap();
-        let mut first = engine.worker().unwrap();
+        let engine = new_engine(&metrics, 4, 2, u64::MAX, None).unwrap();
+        let mut first = engine.worker();
         first.observe(&EDGES[..3], &EDGES[..3]).unwrap();
         first.finish();
-        let mut second = engine.worker().unwrap();
+        let mut second = engine.worker();
         second.observe(&EDGES[3..], &EDGES[3..]).unwrap();
         second.finish();
         let (_, report) = engine.finalize(vec![3, 2]).unwrap();
@@ -1019,7 +1099,7 @@ mod tests {
         // Every worker of a fault-tolerant run can be quarantined; the
         // report must still assemble (as an empty graph) rather than panic.
         let metrics = [PredicateCountMetric::new("loops", |r, c| r == c)];
-        let engine = MetricsEngine::new(&metrics, 4, 2, u64::MAX, None).unwrap();
+        let engine = new_engine(&metrics, 4, 2, u64::MAX, None).unwrap();
         let (_, report) = engine.finalize(vec![0, 0]).unwrap();
         assert_eq!(report.edges, 0);
         assert_eq!(report.max_degree, 0);
@@ -1029,8 +1109,8 @@ mod tests {
     #[test]
     fn records_cover_builtins_and_customs() {
         let metrics = [PredicateCountMetric::new("loops", |r, c| r == c)];
-        let engine = MetricsEngine::new(&metrics, 4, 1, u64::MAX, None).unwrap();
-        let mut worker = engine.worker().unwrap();
+        let engine = new_engine(&metrics, 4, 1, u64::MAX, None).unwrap();
+        let mut worker = engine.worker();
         worker.observe(EDGES, EDGES).unwrap();
         worker.finish();
         let (_, report) = engine.finalize(vec![EDGES.len() as u64]).unwrap();

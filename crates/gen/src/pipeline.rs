@@ -76,8 +76,7 @@ use crate::manifest::{
     JournalHeader, ProgressJournal, RunManifest, ShardRecord, MANIFEST_FILE_NAME,
 };
 use crate::metrics::{
-    check_metric_names, would_share, MetricsEngine, MetricsReport, PredicateCountMetric,
-    WorkerMetrics,
+    check_metric_names, MetricsEngine, MetricsReport, PredicateCountMetric, RunShape, WorkerMetrics,
 };
 use crate::permute::FeistelPermutation;
 use crate::replay::{shard_checksum, stream_shard};
@@ -331,18 +330,19 @@ impl<S: EdgeSource> Pipeline<S> {
     }
 
     /// Set the memory budget for a flat streaming degree histogram, in
-    /// bytes.  It governs only runs that count in per-vertex vectors —
-    /// resumed runs and sources without [column
-    /// windows](SourceRun::column_windows), such as R-MAT and replay; a
-    /// fresh Kronecker run counts in windows of `|V_C|` labels per worker and
-    /// allocates no vector to budget.  While the peak of per-worker local
-    /// count vectors — `(concurrent workers + 1) × vertices × 8` bytes,
-    /// since a vector is folded and dropped the moment its worker finishes —
+    /// bytes.  A fresh run whose source declares [column
+    /// windows](SourceRun::column_windows) — a Kronecker run — counts the
+    /// *column* endpoints in windows of `|V_C|` labels per worker and
+    /// allocates no vector to budget.  Every other run — R-MAT, replay,
+    /// every resume — counts the *row* endpoints in per-vertex vectors, and
+    /// this budget governs it: while the peak of per-worker vectors —
+    /// `(concurrent workers + 1) × vertices × 8` bytes, since a vector is
+    /// summed into the run's and handed on the moment its worker finishes —
     /// fits the budget, each worker counts privately at full speed; beyond
     /// it the run switches to a single shared atomic vector — `O(vertices)`
     /// total no matter the worker count, at the price of one relaxed
     /// `fetch_add` per edge.  A flat run that may retry or quarantine
-    /// always counts locally, with a warning that it exceeds this budget,
+    /// always counts privately, with a warning that it exceeds this budget,
     /// because the shared vector cannot roll back a failed attempt.
     pub fn max_histogram_bytes(mut self, max_histogram_bytes: u64) -> Self {
         self.max_histogram_bytes = max_histogram_bytes;
@@ -572,7 +572,7 @@ impl<S: EdgeSource> Pipeline<S> {
         let (source_run, mut warnings) = self.source.prepare(self.workers)?;
         warnings.extend(self.default_worker_note.clone());
         let descriptor = source_run.descriptor();
-        let builtins_on_delivered = resumed.is_some();
+        let resuming = resumed.is_some();
         let plans: Vec<WorkerPlan<K::Output>> = match resumed {
             Some(resumed) => {
                 // Source kind and seed are only known once the source is
@@ -593,21 +593,17 @@ impl<S: EdgeSource> Pipeline<S> {
             vertices: descriptor.vertices.clone(),
             sink: spec.label().to_string(),
         };
-        // A resumed run's reverified shards replay delivered labels in
-        // shard order, not the source's column windows: it counts flat.
-        let windows = source_run
-            .column_windows()
-            .filter(|_| !builtins_on_delivered);
-        let histogram_budget = self.histogram_budget(vertices, windows.is_some(), &mut warnings);
-        let engine = MetricsEngine::new(
-            &self.metrics,
+        let run = RunShape {
             vertices,
-            self.workers,
-            histogram_budget,
-            windows,
-        )
-        .map_err(CoreError::Sparse)?;
-        let journal = spec.open_journal(builtins_on_delivered, &header)?;
+            workers: self.workers,
+            windows: source_run.column_windows(),
+            resumed: resuming,
+            fault_tolerant: self.retry.max_retries > 0 || self.quarantine,
+            max_histogram_bytes: self.max_histogram_bytes,
+        };
+        let engine =
+            MetricsEngine::new(&self.metrics, run, &mut warnings).map_err(CoreError::Sparse)?;
+        let journal = spec.open_journal(resuming, &header)?;
         let permutation = self
             .permutation_seed
             .map(|seed| FeistelPermutation::new(vertices, seed));
@@ -623,7 +619,6 @@ impl<S: EdgeSource> Pipeline<S> {
             chunk_capacity: self.chunk_capacity,
             source_run: &source_run,
             permutation: permutation.as_ref(),
-            builtins_on_delivered,
             engine: &engine,
             make_sink: &make_sink,
             journal: journal.as_ref(),
@@ -710,29 +705,6 @@ impl<S: EdgeSource> Pipeline<S> {
         check_metric_names(&self.metrics)
     }
 
-    /// The byte budget a flat degree histogram is sized from.  A failed
-    /// attempt can discard a *local* degree vector unfolded, but partial
-    /// counts in the run-wide shared atomic vector cannot be taken back — so
-    /// a flat run that may retry or quarantine must count locally, trading
-    /// the budget for rollback safety.  A windowed run has no vector to
-    /// budget, and its windows roll back like local vectors.
-    fn histogram_budget(&self, vertices: u64, windowed: bool, warnings: &mut Vec<String>) -> u64 {
-        let fault_tolerant = self.retry.max_retries > 0 || self.quarantine;
-        if !windowed
-            && fault_tolerant
-            && would_share(vertices, self.workers, self.max_histogram_bytes)
-        {
-            warnings.push(
-                "fault-tolerant run: counting degrees per worker (the shared atomic \
-                 histogram cannot roll back a failed attempt), exceeding \
-                 max_histogram_bytes"
-                    .to_string(),
-            );
-            return u64::MAX;
-        }
-        self.max_histogram_bytes
-    }
-
     /// The run's reproducibility record.
     fn manifest(
         &self,
@@ -782,14 +754,6 @@ struct Stages<'a, R, F> {
     chunk_capacity: usize,
     source_run: &'a R,
     permutation: Option<&'a FeistelPermutation>,
-    /// The per-vertex degree vectors of every worker merge into one, so all
-    /// workers must count in the same label space.  A fresh run counts
-    /// source labels (cheap, local); a resumed run's reverified shards can
-    /// only replay *delivered* (possibly permuted) labels, so its generating
-    /// workers count delivered labels too.  Either space yields the
-    /// identical histogram — the permutation is a bijection — which is
-    /// exactly why a resumed report equals an uninterrupted one.
-    builtins_on_delivered: bool,
     engine: &'a MetricsEngine<'a>,
     make_sink: &'a F,
     journal: Option<&'a ProgressJournal>,
@@ -837,7 +801,7 @@ where
         &self,
         shard: VerifiedShard<K::Output>,
     ) -> Result<WorkerOutcome<K::Output>, CoreError> {
-        let mut metrics = self.engine.worker().map_err(CoreError::Sparse)?;
+        let mut metrics = self.engine.worker();
         let mut chunk = EdgeChunk::new(self.chunk_capacity);
         let mut observe =
             |edges: &[(u64, u64)]| -> Result<(), SparseError> { metrics.observe(edges, edges) };
@@ -866,21 +830,10 @@ where
     /// any failure drops the metrics unfolded.
     fn attempt(&self, worker: usize) -> Result<Finished<'_, K::Output>, CoreError> {
         let mut sink = (self.make_sink)(worker).map_err(CoreError::Sparse)?;
-        let mut metrics = match self.engine.worker() {
-            Ok(metrics) => metrics,
-            Err(error) => {
-                sink.abandon();
-                return Err(CoreError::Sparse(error));
-            }
-        };
+        let mut metrics = self.engine.worker();
         let mut chunk = EdgeChunk::new(self.chunk_capacity);
         let mut deliver = |edges: &[(u64, u64)], out: &[(u64, u64)]| {
-            let counted = if self.builtins_on_delivered {
-                out
-            } else {
-                edges
-            };
-            metrics.observe(counted, out)?;
+            metrics.observe(edges, out)?;
             sink.consume(out)
         };
         let streamed = match self.permutation {
@@ -1616,16 +1569,39 @@ mod tests {
 
     #[test]
     fn shared_and_local_histogram_modes_measure_identically() {
+        // Replay declares no column windows, so it counts flat: in one
+        // private window per worker within the budget, in the shared atomic
+        // vector past it — unless the run may retry, which keeps its
+        // windows and says so.
         let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre).unwrap();
-        let local = pipeline(&design, 4).split_index(2).count().unwrap();
-        let shared = pipeline(&design, 4)
-            .split_index(2)
-            .max_histogram_bytes(0)
-            .count()
-            .unwrap();
-        assert_eq!(local.measured, shared.measured);
-        assert_eq!(local.edge_count(), shared.edge_count());
+        let dir = TestDir::new("flat_histogram_modes");
+        let written = pipeline(&design, 4).split_index(2).write_tsv(&dir).unwrap();
+        let replay = |budget: u64, retry: RetryPolicy| {
+            Pipeline::for_source(crate::replay::ReplaySource::from_directory(&dir).unwrap())
+                .workers(4)
+                .max_histogram_bytes(budget)
+                .retry_policy(retry)
+                .count()
+                .unwrap()
+        };
+        let overrides = |report: &RunReport<u64>| {
+            let warnings = report.stats.warnings.iter();
+            warnings.filter(|w| w.contains("cannot roll back")).count()
+        };
+        let local = replay(u64::MAX, RetryPolicy::none());
+        let shared = replay(0, RetryPolicy::none());
+        let retrying = replay(0, RetryPolicy::retries(1));
+        assert_eq!(local.metrics, written.metrics);
+        assert_eq!(shared.metrics, local.metrics);
+        assert_eq!(retrying.metrics, local.metrics);
+        assert_eq!(shared.measured, local.measured);
         assert!(shared.is_valid());
+        assert_eq!(
+            [&local, &shared, &retrying].map(overrides),
+            [0, 0, 1],
+            "{:?}",
+            retrying.stats.warnings
+        );
     }
 
     #[test]

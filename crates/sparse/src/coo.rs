@@ -211,35 +211,6 @@ impl<T: Scalar> CooMatrix<T> {
         self.vals.extend_from_slice(vals);
     }
 
-    /// Take ownership of whole triple vectors and append them, avoiding any
-    /// copy when the matrix is still empty.
-    ///
-    /// Like [`CooMatrix::extend_from_triples_unchecked`], indices are trusted
-    /// (debug-asserted only): this is the bulk hand-off from a worker that
-    /// built its triples with in-bounds arithmetic.
-    ///
-    /// # Panics
-    /// Panics if the vectors have mismatched lengths.
-    pub fn append_raw(&mut self, rows: Vec<u64>, cols: Vec<u64>, vals: Vec<T>) {
-        assert_eq!(rows.len(), cols.len(), "parallel triple vectors must match");
-        assert_eq!(rows.len(), vals.len(), "parallel triple vectors must match");
-        debug_assert!(
-            rows.iter()
-                .zip(cols.iter())
-                .all(|(&r, &c)| r < self.nrows && c < self.ncols),
-            "append_raw received out-of-bounds indices"
-        );
-        if self.is_empty() {
-            self.rows = rows;
-            self.cols = cols;
-            self.vals = vals;
-        } else {
-            self.rows.extend_from_slice(&rows);
-            self.cols.extend_from_slice(&cols);
-            self.vals.extend_from_slice(&vals);
-        }
-    }
-
     /// Append a translated and scaled copy of a triple block: entry `i`
     /// becomes `(row_offset + rows[i], col_offset + cols[i], scale ⊗ vals[i])`.
     ///
@@ -269,26 +240,6 @@ impl<T: Scalar> CooMatrix<T> {
         self.rows.extend(rows.iter().map(|&r| row_offset + r));
         self.cols.extend(cols.iter().map(|&c| col_offset + c));
         self.vals.extend(vals.iter().map(|&v| S::mul(scale, v)));
-    }
-
-    /// Remove the entry at position `index` (in storage order) by swapping in
-    /// the last entry, and return it.  O(1); storage order is not preserved.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of range.
-    pub fn swap_remove(&mut self, index: usize) -> (u64, u64, T) {
-        let row = self.rows.swap_remove(index);
-        let col = self.cols.swap_remove(index);
-        let val = self.vals.swap_remove(index);
-        (row, col, val)
-    }
-
-    /// Position of the first stored entry at `(row, col)`, if any.
-    pub fn find_entry(&self, row: u64, col: u64) -> Option<usize> {
-        self.rows
-            .iter()
-            .zip(self.cols.iter())
-            .position(|(&r, &c)| r == row && c == col)
     }
 
     /// Number of rows.
@@ -648,16 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn append_raw_moves_vectors() {
-        let mut m = CooMatrix::<u64>::new(3, 3);
-        m.append_raw(vec![0, 1], vec![1, 2], vec![9, 8]);
-        assert_eq!(m.nnz(), 2);
-        m.append_raw(vec![2], vec![0], vec![7]);
-        assert_eq!(m.nnz(), 3);
-        assert_eq!(m.get::<PlusTimes>(2, 0), 7);
-    }
-
-    #[test]
     fn append_translated_is_a_shifted_scaled_copy() {
         let c = CooMatrix::from_entries(2, 2, vec![(0, 1, 2u64), (1, 0, 3)]).unwrap();
         let mut out = CooMatrix::<u64>::new(6, 6);
@@ -665,19 +606,6 @@ mod tests {
         assert_eq!(out.nnz(), 2);
         assert_eq!(out.get::<PlusTimes>(2, 5), 10);
         assert_eq!(out.get::<PlusTimes>(3, 4), 15);
-    }
-
-    #[test]
-    fn swap_remove_and_find_entry() {
-        let mut m = sample();
-        assert_eq!(m.find_entry(2, 2), Some(2));
-        assert_eq!(m.find_entry(1, 2), None);
-        let (r, c, v) = m.swap_remove(0);
-        assert_eq!((r, c, v), (0, 1, 1));
-        assert_eq!(m.nnz(), 3);
-        // Duplicate (0,1) entry still present; diagonal untouched.
-        assert_eq!(m.get::<PlusTimes>(0, 1), 2);
-        assert_eq!(m.get::<PlusTimes>(2, 2), 5);
     }
 }
 

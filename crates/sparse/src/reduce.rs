@@ -134,19 +134,6 @@ impl DegreeAccumulator {
         }
     }
 
-    /// [`rows_only`](DegreeAccumulator::rows_only), or
-    /// [`SparseError::TooLarge`] naming the bytes needed when the host
-    /// cannot hold the row vector (where `rows_only` aborts the process).
-    pub fn try_rows_only(nrows: u64, ncols: u64) -> Result<Self, SparseError> {
-        Ok(DegreeAccumulator {
-            ncols,
-            row_counts: try_counts(nrows, || 0)?,
-            col_counts: None,
-            self_loops: 0,
-            edges: 0,
-        })
-    }
-
     /// Number of rows the accumulator covers.
     pub fn nrows(&self) -> u64 {
         self.row_counts.len() as u64

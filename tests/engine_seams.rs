@@ -8,8 +8,9 @@
 //! wrapped shard sink reports, the staged manifest write, the typed errors
 //! for sink labels that name no shard format, that hostile nesting in
 //! `manifest.json` / `progress.jsonl` cannot overflow the stack, and that a
-//! source's declared column windows — and a degree vector the host cannot
-//! hold — end a run in a typed error, never an abort or a miscount.
+//! source's broken column windows, a label past the last vertex in any
+//! counting mode, and a degree vector the host cannot hold end a run in a
+//! typed error, never an abort or a miscount.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -336,8 +337,9 @@ fn hostile_nesting_in_the_manifest_or_journal_is_an_error_or_a_skipped_line_neve
 }
 
 /// A source that streams a fixed edge list from worker 0 (the others stream
-/// nothing), promising `windows`: how a source that breaks its promise, or
-/// one too large to count flat, reaches the engine.
+/// nothing), promising `windows`: how a source that breaks its promise,
+/// names a vertex past the last, or is too large to count flat, reaches the
+/// engine.
 #[derive(Clone)]
 struct Scripted {
     vertices: u64,
@@ -418,28 +420,40 @@ fn a_column_outside_the_declared_windows_is_a_typed_error_and_writes_nothing() {
         width: 2,
         partials: [(2, 1)].into_iter().collect(),
     };
-    let backwards = [(0, 4), (1, 5), (2, 1)];
-    let past = [(0, 4), (1, 5), (2, 8)];
-    for (edges, expected) in [
-        (&backwards[..], "StreamOrder"),
-        (&past[..], "IndexOutOfBounds"),
-    ] {
+    let backwards = vec![(0, 4), (1, 5), (2, 1)];
+    let past = vec![(0, 4), (1, 5), (2, 8)];
+    let mut cases = vec![
+        (Some(windows.clone()), backwards, None, "StreamOrder"),
+        (Some(windows), past, None, "IndexOutOfBounds"),
+    ];
+    // A source that declares no order counts flat — in its own window
+    // within the default budget, in the shared vector past a zero one — and
+    // a label past the last vertex, row or column, is the same typed error.
+    for budget in [None, Some(0)] {
+        for edge in [(0, 8), (8, 0)] {
+            cases.push((None, vec![edge], budget, "IndexOutOfBounds"));
+        }
+    }
+    for (windows, edges, budget, expected) in cases {
         let dir = TestDir::new("misordered_windows");
         let source = Scripted {
             vertices: 8,
-            windows: Some(windows.clone()),
-            edges: edges.to_vec(),
+            windows,
+            edges,
         };
-        let error = Pipeline::for_source(source)
-            .workers(1)
-            .write_tsv(&dir)
-            .unwrap_err();
+        let mut pipeline = Pipeline::for_source(source).workers(1);
+        if let Some(budget) = budget {
+            pipeline = pipeline.max_histogram_bytes(budget);
+        }
+        let error = pipeline.write_tsv(&dir).unwrap_err();
         match &error {
             CoreError::Sparse(SparseError::StreamOrder { message }) => {
                 assert_eq!(expected, "StreamOrder");
                 assert!(message.contains("column 1"), "{message}");
             }
-            CoreError::Sparse(SparseError::IndexOutOfBounds { col: 8, .. }) => {
+            CoreError::Sparse(SparseError::IndexOutOfBounds { row, col, .. })
+                if row.max(col) == &8 =>
+            {
                 assert_eq!(expected, "IndexOutOfBounds");
             }
             other => panic!("expected {expected}, got {other:?}"),
@@ -495,7 +509,8 @@ fn a_degree_vector_the_host_cannot_hold_is_a_typed_error() {
         windows: None,
         edges: Vec::new(),
     };
-    // Shared within the default budget's reach, local beyond it.
+    // Shared past the default budget, one private window within a budget
+    // of everything.
     for budget in [None, Some(u64::MAX)] {
         let mut pipeline = Pipeline::for_source(source.clone()).workers(1);
         if let Some(budget) = budget {

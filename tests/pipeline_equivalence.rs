@@ -8,14 +8,16 @@
 //! `degree_distribution()` / `triangles()` for the properties.  On top of
 //! that, a determinism matrix pins shard bytes across chunk capacities and
 //! the `MetricsReport` across every configuration, the `RunManifest`
-//! JSON every shard-producing run emits is round-tripped, and the degrees a
-//! Kronecker run counts in column windows are held to the flat per-vertex
-//! vector.
+//! JSON every shard-producing run emits is round-tripped, and the degrees
+//! the engine counts — in a Kronecker run's column windows or in one window
+//! of every label — are held to `kron_sparse`'s flat per-vertex vector over
+//! the collected edges.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use extreme_graphs::bignum::BigUint;
-use extreme_graphs::core::validate::ValidationReport;
+use extreme_graphs::core::validate::{measure_from_histogram, ValidationReport};
 use extreme_graphs::core::CoreError;
 use extreme_graphs::gen::chunk::EdgeChunk;
 use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
@@ -23,11 +25,13 @@ use extreme_graphs::gen::metrics::PredicateCountMetric;
 use extreme_graphs::gen::testing::TestDir;
 use extreme_graphs::gen::SplitPlan;
 use extreme_graphs::gen::{BalanceReport, FeistelPermutation, MetricsReport, RunManifest};
+use extreme_graphs::sparse::reduce::degree_distribution;
 use extreme_graphs::sparse::triangles::count_triangles_coo;
-use extreme_graphs::sparse::{kron_coo, CooMatrix, PlusTimes, SparseError};
+use extreme_graphs::sparse::{kron_coo, CooMatrix, DegreeAccumulator, PlusTimes, SparseError};
 use extreme_graphs::{
-    DesignPipeline, EdgeSource, GraphProperties, KroneckerDesign, KroneckerSource, Pipeline,
-    RunReport, SelfLoop, SelfLoopPolicy, SourceDescriptor, SourceRun,
+    DesignPipeline, EdgeSource, GraphProperties, KroneckerDesign, KroneckerSource, MetricRecord,
+    Pipeline, RmatParams, RmatSource, RunReport, SelfLoop, SelfLoopPolicy, SourceDescriptor,
+    SourceRun,
 };
 
 const SELF_LOOPS: [SelfLoop; 3] = [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf];
@@ -304,8 +308,7 @@ fn determinism_matrix_above_the_permutation_table_cutoff() {
 
 /// The source it wraps with nothing forwarded but `stream_worker` and what
 /// validation and the manifest read — no column windows, so a run over it
-/// counts degrees in the flat per-vertex vector: the oracle a windowed
-/// count is held to.
+/// counts row endpoints in one window of every label per worker.
 #[derive(Clone)]
 struct Flat<S>(S);
 
@@ -350,13 +353,13 @@ impl<R: SourceRun> SourceRun for FlatRun<R> {
     }
 }
 
-/// A counting run with a custom metric, so the reports compare that too.
-fn count<S: EdgeSource>(
+/// A collecting run with a custom metric, so the reports compare that too.
+fn collect<S: EdgeSource>(
     pipeline: Pipeline<S>,
     workers: usize,
     chunk: usize,
     permutation_seed: Option<u64>,
-) -> RunReport<u64> {
+) -> RunReport<CooMatrix<u64>> {
     let mut pipeline = pipeline
         .workers(workers)
         .chunk_capacity(chunk)
@@ -364,7 +367,36 @@ fn count<S: EdgeSource>(
     if let Some(seed) = permutation_seed {
         pipeline = pipeline.permute_vertices(seed);
     }
-    pipeline.count().unwrap()
+    pipeline.collect_coo().unwrap()
+}
+
+/// The metrics report of the blocks a run collected, as `kron_sparse`'s
+/// flat row-endpoint vector counts them — the oracle every counting mode of
+/// the engine is held to.
+fn flat_vector(report: &RunReport<CooMatrix<u64>>) -> MetricsReport {
+    let vertices = report.vertices;
+    let mut flat = DegreeAccumulator::rows_only(vertices, vertices);
+    let mut upper = 0;
+    for block in &report.outputs {
+        let edges: Vec<(u64, u64)> = block.iter().map(|(r, c, _)| (r, c)).collect();
+        flat.record(&edges);
+        upper += edges.iter().filter(|&&(row, col)| row < col).count();
+    }
+    let measured = measure_from_histogram(vertices, &flat.row_histogram(), flat.self_loop_count());
+    let mut degree_histogram = flat.row_histogram();
+    degree_histogram.remove(&0);
+    let edges_per_worker = report.outputs.iter().map(|b| b.nnz() as u64).collect();
+    MetricsReport {
+        vertices,
+        edges: flat.edge_count(),
+        self_loops: flat.self_loop_count(),
+        max_degree: flat.max_row_degree(),
+        distinct_degrees: degree_histogram.len(),
+        degree_histogram,
+        balance: BalanceReport::from_worker_counts(edges_per_worker),
+        power_law: measured.power_law_fit(),
+        custom: vec![MetricRecord::new("upper", upper)],
+    }
 }
 
 #[test]
@@ -386,20 +418,35 @@ fn windowed_degree_counts_equal_the_flat_vector() {
                         let label =
                             format!("{self_loop:?} {policy:?} w{workers} c{chunk} {seed:?}");
                         let windowed =
-                            count(Pipeline::for_source(source.clone()), workers, chunk, seed);
-                        let flat = count(
+                            collect(Pipeline::for_source(source.clone()), workers, chunk, seed);
+                        let flat = collect(
                             Pipeline::for_source(Flat(source.clone())),
                             workers,
                             chunk,
                             seed,
                         );
                         assert!(windowed.is_valid(), "{label}");
-                        assert_eq!(windowed.metrics, flat.metrics, "{label}");
+                        assert_eq!(windowed.metrics, flat_vector(&windowed), "{label}");
+                        assert_eq!(flat.metrics, flat_vector(&flat), "{label} flat");
                     }
                 }
             }
         }
     }
+
+    // R-MAT declares no column order, and its graph is not symmetric: the
+    // run reports the row endpoints' histogram, which the columns' is not.
+    let rmat = RmatSource::new(RmatParams::graph500(8), 20180304).unwrap();
+    let report = collect(Pipeline::for_source(rmat), 3, 4096, None);
+    assert_eq!(report.metrics, flat_vector(&report));
+    let graph = report.assemble();
+    let without_zero = |mut histogram: BTreeMap<u64, u64>| {
+        histogram.remove(&0);
+        histogram
+    };
+    let rows = without_zero(degree_distribution(&graph));
+    assert_eq!(report.metrics.degree_histogram, rows);
+    assert_ne!(without_zero(degree_distribution(&graph.transpose())), rows);
 }
 
 #[test]
