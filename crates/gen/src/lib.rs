@@ -8,9 +8,11 @@
 //! 1. Split the design `A = ⊗_k A_k` into two factors `A = B ⊗ C` such that
 //!    both factors fit comfortably in one worker's memory
 //!    ([`split::choose_split`]).
-//! 2. Extract the non-zero triples of `B` in column-major (CSC) order and
-//!    hand each of the `N_p` workers a contiguous, equal-size slice
-//!    ([`partition::Partition`]).
+//! 2. Hand each of the `N_p` workers a contiguous, equal-size slice of the
+//!    non-zero triples of `B` in column-major (CSC) order
+//!    ([`partition::Partition`]).  `B` is never realised: a worker computes
+//!    each of its triples from `B`'s small factors, so it derives its slice
+//!    from the design alone.
 //! 3. Each worker independently streams its block `A_p = B_p ⊗ C`
 //!    ([`source::SourceRun::stream_worker`] of a
 //!    [`source::KroneckerSource`] run) — no inter-worker communication is

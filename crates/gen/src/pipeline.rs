@@ -270,8 +270,10 @@ impl<'d> Pipeline<KroneckerSource<'d>> {
         self
     }
 
-    /// Set the memory budget for the partitioned `B` factor, in stored
-    /// entries.
+    /// Set the guard on `nnz(B)`, the partitioned factor's triple count: a
+    /// larger `B` is refused with [`CoreError::TooLargeToRealise`].  `B` is
+    /// never stored — each worker computes its triples from `B`'s factors —
+    /// so the guard sizes no allocation.
     pub fn max_b_edges(mut self, max_b_edges: u64) -> Self {
         self.source = self.source.max_b_edges(max_b_edges);
         self

@@ -13,7 +13,7 @@
 //! A source is used in two phases:
 //!
 //! 1. [`EdgeSource::prepare`] turns the source description into a
-//!    [`SourceRun`]: factors realised, split resolved, partition fixed —
+//!    [`SourceRun`]: split resolved, `C` realised, partition fixed —
 //!    everything workers share read-only.
 //! 2. [`SourceRun::stream_worker`] streams one worker's deterministic share
 //!    of the edges through a reusable [`EdgeChunk`] into a fallible
@@ -32,10 +32,10 @@ use std::collections::BTreeMap;
 
 use kron_core::validate::{FieldCheck, ValidationReport};
 use kron_core::{CoreError, GraphProperties, KroneckerDesign, SelfLoop};
-use kron_sparse::{CooMatrix, PlusTimes, SparseError};
+use kron_sparse::{CooMatrix, SparseError};
 
 use crate::chunk::EdgeChunk;
-use crate::partition::{csc_ordered_triples, Partition};
+use crate::partition::{CscIndex, Partition};
 use crate::permute::FeistelPermutation;
 use crate::split::{choose_split_with_fallback, SplitPlan};
 
@@ -89,7 +89,7 @@ pub struct SourceDescriptor {
     pub split_index: usize,
     /// Memory budget for the replicated `C` factor (0 when not applicable).
     pub max_c_edges: u64,
-    /// Memory budget for the partitioned `B` factor (0 when not applicable).
+    /// Guard on `nnz(B)`, the partitioned factor's triples (0 when not applicable).
     pub max_b_edges: u64,
     /// The source's self-loop handling label (see [`SelfLoopPolicy`]; R-MAT
     /// reports `"raw_samples"` — samples are delivered untouched).
@@ -227,9 +227,9 @@ pub(crate) fn realisable_vertices(design: &KroneckerDesign) -> Result<u64, CoreE
 }
 
 /// The paper's exact Kronecker expansion as an [`EdgeSource`]: split the
-/// design into `B ⊗ C`, partition `B`'s CSC-ordered triples evenly, and let
-/// each worker expand its slice against the replicated `C` — today's
-/// pipeline code path, behind the trait.
+/// design into `B ⊗ C`, partition `B`'s CSC-ordered triples evenly (each
+/// computed from `B`'s factors; `B` is never realised), and let each worker
+/// expand its slice against the replicated `C`.
 ///
 /// With [`SelfLoopPolicy::KeepRaw`] the same source streams the raw product
 /// (self-loops included) and validates the raw counts — the third source
@@ -245,12 +245,12 @@ pub struct KroneckerSource<'d> {
 
 /// Default memory budget for the replicated `C` factor, in entries.
 const DEFAULT_MAX_C_EDGES: u64 = 1 << 20;
-/// Default memory budget for the partitioned `B` factor, in entries.
+/// Default guard on `nnz(B)`, the partitioned factor's triples.
 const DEFAULT_MAX_B_EDGES: u64 = 1 << 24;
 
 impl<'d> KroneckerSource<'d> {
-    /// A source over `design` with the default factor budgets (2^20 entries
-    /// for `C`, 2^24 for `B`) and an automatically chosen split.
+    /// A source over `design` with the default factor limits (2^20 entries
+    /// for `C`, 2^24 triples for `B`) and an automatically chosen split.
     pub fn new(design: &'d KroneckerDesign) -> Self {
         KroneckerSource {
             design,
@@ -279,8 +279,8 @@ impl<'d> KroneckerSource<'d> {
         self
     }
 
-    /// Set the memory budget for the partitioned `B` factor, in stored
-    /// entries.
+    /// Set the guard on `nnz(B)`: a larger `B` is refused.  `B` is never
+    /// stored, so the guard sizes no allocation.
     pub fn max_b_edges(mut self, max_b_edges: u64) -> Self {
         self.max_b_edges = max_b_edges;
         self
@@ -311,16 +311,20 @@ impl<'d> EdgeSource for KroneckerSource<'d> {
     }
 
     fn prepare(&self, workers: usize) -> Result<(KroneckerRun<'d>, Vec<String>), CoreError> {
+        if workers == 0 {
+            return Err(CoreError::InvalidConfig {
+                message: "a Kronecker run needs at least one worker".into(),
+            });
+        }
         let design = self.design;
         let (split_index, warnings) = self.resolve_split(workers)?;
         let (b_design, c_design) = design.split(split_index)?;
         // Both factors keep their self-loops: the raw product is exactly the
         // designed product, and the one surviving loop is filtered in-stream
         // by its owning worker (unless the policy keeps the raw product).
-        let b = b_design.realize_raw(self.max_b_edges)?;
+        let b = CscIndex::new(&b_design, self.max_b_edges)?;
         let c = c_design.realize_raw(self.max_c_edges)?;
-        let triples = csc_ordered_triples(&b);
-        let partition = Partition::even(triples.len(), workers);
+        let partition = Partition::even(b.nnz(), workers);
         let split_plan = SplitPlan {
             split_index,
             b_nnz: b_design.nnz_with_loops(),
@@ -333,52 +337,40 @@ impl<'d> EdgeSource for KroneckerSource<'d> {
         // edge (v, v) out of its stream.
         let remove_loop = self.self_loop_policy == SelfLoopPolicy::RemoveDesigned
             && design.has_removable_self_loop();
-        let loop_filter: Option<(usize, u64)> = if remove_loop {
+        let loop_filter = remove_loop.then(|| {
             let b_loop = self_loop_vertex_index(&b_design);
-            let position = triples
-                .iter()
-                .position(|&(r, c, _)| r == b_loop && c == b_loop)
-                // lint:allow(no-expect) -- a triangle-control B factor is constructed with exactly one diagonal triple
-                .expect("a triangle-control B factor has exactly one diagonal triple");
-            let owner = (0..workers)
-                .find(|&w| partition.range(w).contains(&position))
-                // lint:allow(no-expect) -- the partition above assigns every triple index to exactly one worker range
-                .expect("every triple index belongs to one worker");
-            Some((owner, self_loop_vertex_index(design)))
-        } else {
-            None
-        };
+            (
+                b.owner(&partition, (b_loop, b_loop)),
+                self_loop_vertex_index(design),
+            )
+        });
 
         // Each B-triple (rb, cb) streams all of C into the columns
         // [cb·|V_C|, (cb+1)·|V_C|), and the CSC order never lowers cb, so a
         // worker's columns sweep windows of |V_C| labels.  The window
         // measures column degrees, which are the row degrees only when the
-        // product is symmetric — as it is when every constituent is.
-        let symmetric = design
-            .constituents()
-            .iter()
-            .all(|constituent| constituent.adjacency().is_symmetric::<PlusTimes>());
-        let column_windows = symmetric.then(|| {
-            let mut partials = BTreeMap::new();
-            for worker in 0..workers {
-                let slice = &triples[partition.range(worker)];
-                if let (Some(&(_, first, _)), Some(&(_, last, _))) = (slice.first(), slice.last()) {
-                    *partials.entry(first).or_insert(0) += 1;
-                    if last != first {
-                        *partials.entry(last).or_insert(0) += 1;
-                    }
+        // product is symmetric — as it always is: every constituent is
+        // (`Constituent::from_matrix` refuses any other).
+        let mut partials = BTreeMap::new();
+        for worker in 0..workers {
+            let range = partition.range(worker);
+            if !range.is_empty() {
+                let (first, last) = (b.triple(range.start).1, b.triple(range.end - 1).1);
+                *partials.entry(first).or_insert(0) += 1;
+                if last != first {
+                    *partials.entry(last).or_insert(0) += 1;
                 }
             }
-            ColumnWindows {
-                width: c.ncols(),
-                partials,
-            }
-        });
+        }
+        let column_windows = ColumnWindows {
+            width: c.ncols(),
+            partials,
+        };
 
         let run = KroneckerRun {
             design,
             c,
-            triples,
+            b,
             partition,
             column_windows,
             split_plan,
@@ -391,15 +383,15 @@ impl<'d> EdgeSource for KroneckerSource<'d> {
     }
 }
 
-/// The prepared state of one Kronecker run: realised `C`, partitioned `B`
-/// triples, and the in-stream self-loop filter.
+/// The prepared state of one Kronecker run: realised `C`, the index over
+/// `B`'s factors and its partition, and the in-stream self-loop filter.
 #[derive(Debug, Clone)]
 pub struct KroneckerRun<'d> {
     design: &'d KroneckerDesign,
     c: CooMatrix<u64>,
-    triples: Vec<(u64, u64, u64)>,
+    b: CscIndex,
     partition: Partition,
-    column_windows: Option<ColumnWindows>,
+    column_windows: ColumnWindows,
     split_plan: SplitPlan,
     loop_filter: Option<(usize, u64)>,
     self_loop_policy: SelfLoopPolicy,
@@ -460,7 +452,7 @@ impl KroneckerRun<'_> {
 /// buffer can serve a whole run of blocks.  The chunk is also flushed on
 /// entry if it still holds edges from a previous call.
 fn try_stream_block_edges_into<E, F: FnMut(&[(u64, u64)]) -> Result<(), E>>(
-    b_triples: &[(u64, u64, u64)],
+    b_triples: impl ExactSizeIterator<Item = (u64, u64)>,
     c: &CooMatrix<u64>,
     chunk: &mut EdgeChunk,
     mut sink: F,
@@ -468,8 +460,8 @@ fn try_stream_block_edges_into<E, F: FnMut(&[(u64, u64)]) -> Result<(), E>>(
     chunk.try_flush(&mut sink)?;
     let (c_rows, c_cols) = (c.row_indices(), c.col_indices());
     let (c_nrows, c_ncols) = (c.nrows(), c.ncols());
-    let c_nnz = c_rows.len();
-    for &(rb, cb, _) in b_triples {
+    let (c_nnz, triples) = (c_rows.len(), b_triples.len());
+    for (rb, cb) in b_triples {
         let row_base = rb * c_nrows;
         let col_base = cb * c_ncols;
         // Copy C in runs sized to the space left in the chunk: each run is a
@@ -491,7 +483,7 @@ fn try_stream_block_edges_into<E, F: FnMut(&[(u64, u64)]) -> Result<(), E>>(
         }
     }
     chunk.try_flush(&mut sink)?;
-    Ok((b_triples.len() * c_nnz) as u64)
+    Ok((triples * c_nnz) as u64)
 }
 
 impl SourceRun for KroneckerRun<'_> {
@@ -505,8 +497,8 @@ impl SourceRun for KroneckerRun<'_> {
         E: From<SparseError>,
         F: FnMut(&[(u64, u64)]) -> Result<(), E>,
     {
-        let slice = &self.triples[self.partition.range(worker)];
         let mut cut = self.loop_cut(worker);
+        let slice = self.partition.range(worker).map(|t| self.b.triple(t));
         let produced =
             try_stream_block_edges_into(slice, &self.c, chunk, |edges| match cut.find(edges) {
                 Some(at) => {
@@ -538,7 +530,7 @@ impl SourceRun for KroneckerRun<'_> {
         E: From<SparseError>,
         F: FnMut(&[(u64, u64)], &[(u64, u64)]) -> Result<(), E>,
     {
-        let slice = &self.triples[self.partition.range(worker)];
+        let slice = self.partition.range(worker).map(|t| self.b.triple(t));
         let mut cut = self.loop_cut(worker);
         let mut relabelled: Vec<(u64, u64)> = Vec::with_capacity(chunk.capacity());
         let mut walking = Vec::new();
@@ -569,7 +561,7 @@ impl SourceRun for KroneckerRun<'_> {
         let mut row_images: Vec<u64> = Vec::new();
         let mut col_images: Vec<u64> = Vec::new();
         let (mut imaged_rb, mut imaged_cb) = (None, None);
-        for &(rb, cb, _) in slice {
+        for (rb, cb) in slice {
             let (row_base, col_base) = (rb * c_nrows, cb * c_ncols);
             if imaged_rb != Some(rb) {
                 permutation.apply_range_into(
@@ -606,13 +598,12 @@ impl SourceRun for KroneckerRun<'_> {
             }
         }
         flush(chunk, &mut relabelled)?;
-        Ok(cut.delivered((slice.len() * c_rows.len()) as u64))
+        Ok(cut.delivered((self.partition.len(worker) * c_rows.len()) as u64))
     }
 
-    /// `|V_C|`-label windows, when every constituent is symmetric (every
-    /// star design is).
+    /// `|V_C|`-label windows.
     fn column_windows(&self) -> Option<&ColumnWindows> {
-        self.column_windows.as_ref()
+        Some(&self.column_windows)
     }
 
     fn predicted_properties(&self) -> Option<GraphProperties> {
@@ -760,21 +751,82 @@ mod tests {
             .0
     }
 
+    /// The oracle for the index over `B`: `B` realised, sorted into CSC
+    /// order (column, then row) and deduplicated.
+    fn realised_csc(b: &KroneckerDesign) -> Vec<(u64, u64)> {
+        let raw = b.realize_raw(1 << 20).unwrap();
+        let mut triples: Vec<(u64, u64)> = raw.iter().map(|(r, c, _)| (r, c)).collect();
+        triples.sort_unstable_by_key(|&(r, c)| (c, r));
+        triples.dedup();
+        triples
+    }
+
+    /// The definition of `B ⊗ C` in `B`'s CSC order, one edge at a time.
+    fn realised_product(design: &KroneckerDesign, split: usize) -> Vec<(u64, u64)> {
+        let (b_design, c_design) = design.split(split).unwrap();
+        let c = c_design.realize_raw(1 << 20).unwrap();
+        let mut product = Vec::new();
+        for (rb, cb) in realised_csc(&b_design) {
+            for (rc, cc, _) in c.iter() {
+                product.push((rb * c.nrows() + rc, cb * c.ncols() + cc));
+            }
+        }
+        product
+    }
+
+    /// Prepare `design` split after `split` constituents and hold the run to
+    /// the realised `B`: the index triple for triple, the column windows, and
+    /// the workers' streams, concatenated, against the product with the
+    /// designed loop cut as `policy` says.
+    pub(super) fn check_against_realised(
+        design: &KroneckerDesign,
+        split: usize,
+        policy: SelfLoopPolicy,
+        workers: usize,
+    ) {
+        let source = KroneckerSource::new(design)
+            .split_index(split)
+            .self_loop_policy(policy);
+        let (run, _) = source.prepare(workers).unwrap();
+        let b = realised_csc(&design.split(split).unwrap().0);
+        let index: Vec<(u64, u64)> = (0..run.b.nnz()).map(|t| run.b.triple(t)).collect();
+        assert_eq!(index, b);
+
+        if let Some(windows) = run.column_windows() {
+            let mut partials = BTreeMap::new();
+            for worker in 0..workers {
+                let slice = &b[run.partition.range(worker)];
+                if let (Some(&(_, first)), Some(&(_, last))) = (slice.first(), slice.last()) {
+                    *partials.entry(first).or_insert(0) += 1;
+                    if last != first {
+                        *partials.entry(last).or_insert(0) += 1;
+                    }
+                }
+            }
+            assert_eq!(windows.partials, partials);
+        }
+
+        let mut expected = realised_product(design, split);
+        if policy == SelfLoopPolicy::RemoveDesigned && design.has_removable_self_loop() {
+            let v = self_loop_vertex_index(design);
+            expected.retain(|&edge| edge != (v, v));
+        }
+        let mut streamed = Vec::new();
+        for worker in 0..workers {
+            let mut chunk = EdgeChunk::new(64);
+            run.stream_worker::<SparseError, _>(worker, &mut chunk, |edges| {
+                streamed.extend_from_slice(edges);
+                Ok(())
+            })
+            .unwrap();
+        }
+        assert_eq!(streamed, expected);
+    }
+
     #[test]
     fn chunked_stream_is_the_translated_product_in_order_at_every_chunk_size() {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
-        let (b_design, c_design) = design.split(1).unwrap();
-        let b = b_design.realize_raw(10_000).unwrap();
-        let c = c_design.realize_raw(10_000).unwrap();
-
-        // The definition of B ⊗ C, one edge at a time.
-        let mut expected: Vec<(u64, u64)> = Vec::new();
-        for &(rb, cb, _) in &csc_ordered_triples(&b) {
-            for (rc, cc, _) in c.iter() {
-                expected.push((rb * c.nrows() + rc, cb * c.ncols() + cc));
-            }
-        }
-
+        let expected = realised_product(&design, 1);
         let run = raw_run(&design, 1);
         for chunk_capacity in [1usize, 3, 4096] {
             let mut chunked: Vec<(u64, u64)> = Vec::new();
@@ -791,6 +843,53 @@ mod tests {
                 chunked, expected,
                 "order differs at chunk capacity {chunk_capacity}"
             );
+        }
+    }
+
+    #[test]
+    fn zero_workers_rejected_at_prepare() {
+        let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::Centre).unwrap();
+        for source in [
+            KroneckerSource::new(&design),
+            KroneckerSource::new(&design).split_index(1),
+        ] {
+            assert!(matches!(
+                source.prepare(0),
+                Err(CoreError::InvalidConfig { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn max_b_edges_guards_nnz_b_exactly() {
+        let design = KroneckerDesign::from_star_points(&[3, 4, 5], SelfLoop::Centre).unwrap();
+        let b_design = design.split(2).unwrap().0;
+        let nnz = b_design.nnz_with_loops().to_u64().unwrap();
+        let source = KroneckerSource::new(&design).split_index(2);
+        assert!(source.clone().max_b_edges(nnz).prepare(2).is_ok());
+        let refused = source.max_b_edges(nnz - 1).prepare(2).unwrap_err();
+        assert_eq!(refused, b_design.realize_raw(nnz - 1).unwrap_err());
+        assert_eq!(
+            refused,
+            CoreError::TooLargeToRealise {
+                vertices: "20".into(),
+                edges: nnz.to_string(),
+            }
+        );
+    }
+
+    #[test]
+    fn custom_constituent_index_is_the_realised_csc_order() {
+        // A path 0–1–2 with its loop on 1 and an isolated vertex 3, whose
+        // empty column the index must step over.
+        let path = CooMatrix::from_edges(4, 4, vec![(0, 1), (1, 0), (1, 2), (2, 1), (1, 1)]);
+        let custom = kron_core::Constituent::from_matrix(path.unwrap(), 0).unwrap();
+        let star = |points| kron_core::Constituent::star(points, SelfLoop::Centre).unwrap();
+        let design = KroneckerDesign::new(vec![star(3), custom, star(2)]).unwrap();
+        for policy in [SelfLoopPolicy::RemoveDesigned, SelfLoopPolicy::KeepRaw] {
+            for workers in [1, 4, 7] {
+                check_against_realised(&design, 2, policy, workers);
+            }
         }
     }
 
@@ -928,5 +1027,43 @@ mod tests {
             descriptor.predicted_edges,
             design.nnz_with_loops().to_string()
         );
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn csc_index_is_the_realised_csc_order(
+            b_points in proptest::collection::vec(1u64..10, 1..5),
+            c_points in 1u64..4,
+            self_loop in prop_oneof![
+                Just(SelfLoop::None),
+                Just(SelfLoop::Centre),
+                Just(SelfLoop::Leaf)
+            ],
+            keep_raw in any::<bool>(),
+            workers in 1usize..9,
+            past_the_end in any::<bool>(),
+        ) {
+            let points: Vec<u64> = b_points.iter().copied().chain([c_points]).collect();
+            let design = KroneckerDesign::from_star_points(&points, self_loop).unwrap();
+            let policy = if keep_raw {
+                SelfLoopPolicy::KeepRaw
+            } else {
+                SelfLoopPolicy::RemoveDesigned
+            };
+            // One worker more than `B` has triples leaves the last idle.
+            let b_nnz = design.split(b_points.len()).unwrap().0.nnz_with_loops();
+            let workers = if past_the_end {
+                b_nnz.to_u64().unwrap() as usize + 1
+            } else {
+                workers
+            };
+            super::tests::check_against_realised(&design, b_points.len(), policy, workers);
+        }
     }
 }

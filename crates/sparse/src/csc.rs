@@ -1,9 +1,9 @@
 //! Compressed sparse column (CSC) matrices.
 //!
-//! The paper's parallel generation algorithm (§V) is described in terms of
-//! CSC storage: each processor takes a contiguous slice of the non-zero
-//! triples of `B`, subtracts the minimum column index of its slice, and forms
-//! a local matrix `Bp`.  CSC makes that column-oriented slicing natural.
+//! The paper's parallel generation algorithm (§V) hands each processor a
+//! contiguous slice of the non-zero triples of `B` in CSC order.  `kron-gen`
+//! never stores `B`: it keeps each of `B`'s factors in CSC form and computes
+//! any triple of the product from their column pointers and row indices.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,17 +26,6 @@ pub struct CscMatrix<T> {
 }
 
 impl<T: Scalar> CscMatrix<T> {
-    /// An empty (all-zero) matrix.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        CscMatrix {
-            nrows,
-            ncols,
-            col_ptr: vec![0; ncols + 1],
-            row_idx: Vec::new(),
-            vals: Vec::new(),
-        }
-    }
-
     /// Build from a COO matrix, combining duplicates with the semiring ⊕.
     pub fn from_coo<S: Semiring<T>>(coo: &CooMatrix<T>) -> Result<Self, SparseError> {
         let (nrows, ncols) = (coo.nrows() as usize, coo.ncols() as usize);
@@ -96,11 +85,6 @@ impl<T: Scalar> CscMatrix<T> {
         &self.row_idx
     }
 
-    /// The value array.
-    pub fn values(&self) -> &[T] {
-        &self.vals
-    }
-
     /// The row indices and values of column `c`.
     pub fn col(&self, c: usize) -> (&[usize], &[T]) {
         let start = self.col_ptr[c];
@@ -128,44 +112,6 @@ impl<T: Scalar> CscMatrix<T> {
             let (rows, vals) = self.col(c);
             rows.iter().zip(vals.iter()).map(move |(&r, &v)| (r, c, v))
         })
-    }
-
-    /// Convert back to COO format.
-    pub fn to_coo(&self) -> CooMatrix<T> {
-        let mut out = CooMatrix::with_capacity(self.nrows as u64, self.ncols as u64, self.nnz());
-        for (r, c, v) in self.iter() {
-            out.push(r as u64, c as u64, v)
-                // lint:allow(no-expect) -- indices were validated against the matrix dimensions at construction
-                .expect("indices in bounds by invariant");
-        }
-        out
-    }
-
-    /// Extract the submatrix of columns `[col_start, col_end)` as a new CSC
-    /// matrix whose column indices are shifted to start at zero.
-    ///
-    /// This is exactly the "subtract the minimum column index" step of the
-    /// paper's per-processor split.
-    pub fn column_slice(&self, col_start: usize, col_end: usize) -> CscMatrix<T> {
-        assert!(
-            col_start <= col_end && col_end <= self.ncols,
-            "column slice out of range"
-        );
-        let width = col_end - col_start;
-        let base = self.col_ptr[col_start];
-        let mut col_ptr = Vec::with_capacity(width + 1);
-        for c in col_start..=col_end {
-            col_ptr.push(self.col_ptr[c] - base);
-        }
-        let row_idx = self.row_idx[self.col_ptr[col_start]..self.col_ptr[col_end]].to_vec();
-        let vals = self.vals[self.col_ptr[col_start]..self.col_ptr[col_end]].to_vec();
-        CscMatrix {
-            nrows: self.nrows,
-            ncols: width,
-            col_ptr,
-            row_idx,
-            vals,
-        }
     }
 }
 
@@ -198,50 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_through_coo() {
-        let m = sample();
-        let back = CscMatrix::from_coo::<PlusTimes>(&m.to_coo()).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn column_slice_shifts_indices() {
-        let m = sample();
-        let slice = m.column_slice(3, 4);
-        assert_eq!(slice.ncols(), 1);
-        assert_eq!(slice.nrows(), 3);
-        assert_eq!(slice.nnz(), 2);
-        assert_eq!(slice.get::<PlusTimes>(0, 0), 4);
-        assert_eq!(slice.get::<PlusTimes>(2, 0), 5);
-
-        let empty = m.column_slice(2, 2);
-        assert_eq!(empty.ncols(), 0);
-        assert_eq!(empty.nnz(), 0);
-
-        let full = m.column_slice(0, 4);
-        assert_eq!(full.nnz(), m.nnz());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn column_slice_out_of_range_panics() {
-        let _ = sample().column_slice(2, 9);
-    }
-
-    #[test]
     fn iter_is_column_major() {
         let m = sample();
         let cols: Vec<usize> = m.iter().map(|(_, c, _)| c).collect();
         let mut sorted = cols.clone();
         sorted.sort_unstable();
         assert_eq!(cols, sorted);
-    }
-
-    #[test]
-    fn zeros_matrix() {
-        let m = CscMatrix::<u64>::zeros(2, 3);
-        assert_eq!(m.nnz(), 0);
-        assert_eq!(m.col(1).0.len(), 0);
     }
 }
 
@@ -270,15 +178,6 @@ mod proptests {
                     );
                 }
             }
-        }
-
-        #[test]
-        fn column_slices_partition_nnz(coo in arb_coo()) {
-            let csc = CscMatrix::from_coo::<PlusTimes>(&coo).unwrap();
-            let mid = csc.ncols() / 2;
-            let left = csc.column_slice(0, mid);
-            let right = csc.column_slice(mid, csc.ncols());
-            prop_assert_eq!(left.nnz() + right.nnz(), csc.nnz());
         }
     }
 }

@@ -15,8 +15,9 @@
 //! * [`CooMatrix`] — triple (row, col, value) storage with `u64` indices,
 //!   used for construction, Kronecker products, and distributed blocks.
 //! * [`CsrMatrix`] / [`CscMatrix`] — compressed row/column storage for
-//!   kernels that need fast row or column access (SpGEMM, SpMV, the paper's
-//!   CSC-based processor split).
+//!   kernels that need fast row or column access (SpGEMM, SpMV, and the
+//!   factors from which `kron-gen` computes the paper's CSC-ordered
+//!   processor slices of `B` without storing `B`).
 //! * [`kron`] — Kronecker products of sparse matrices, including a
 //!   streaming, allocation-free edge iterator.
 //! * [`ops`] — element-wise add/multiply (graph union / intersection),
