@@ -14,15 +14,17 @@
 //!     hands its first and last windows — which the neighbouring workers may
 //!     share — to the engine when it finishes; the engine folds a shared
 //!     window once every worker the source says shares it has reported.  The
-//!     windows are either the `|V_C|`-label *column* windows a fresh run's
-//!     source declares ([`ColumnWindows`], [`SourceRun::column_windows`]: a
-//!     Kronecker run over symmetric factors, permuted or not) — no
-//!     `O(vertices)` vector and no merge, the paper's own method of each
-//!     processor measuring its block, with the promise checked as the edges
-//!     stream — or, for any other run (R-MAT, replay, every resume), one
-//!     window of `|V|` labels keyed on the *row* endpoint: a private vector
-//!     per live worker, summed into the run's one pending window as its
-//!     worker finishes and folded at the end;
+//!     windows are either the `|V_C|`-label *column* windows a run's source
+//!     declares ([`ColumnWindows`], [`SourceRun::column_windows`]: a
+//!     Kronecker run over symmetric factors, permuted or not, fresh or
+//!     resumed) — no `O(vertices)` vector and no merge, the paper's own
+//!     method of each processor measuring its block, with the promise
+//!     checked as the edges stream — or, for any other run (R-MAT, replay),
+//!     one window of `|V|` labels keyed on the *row* endpoint: a private
+//!     vector per live worker, summed into the run's one pending window as
+//!     its worker finishes and folded at the end.  Every run counts source
+//!     labels: a resume maps its verified shards back through the
+//!     permutation's inverse first;
 //!   - **shared** — a run without declared windows whose per-worker vectors
 //!     would exceed
 //!     [`Pipeline::max_histogram_bytes`](crate::pipeline::Pipeline::max_histogram_bytes):
@@ -240,10 +242,10 @@ pub struct MetricsReport {
     /// Number of distinct non-zero degrees.
     pub distinct_degrees: usize,
     /// Degree histogram (degree → vertex count), degree-zero vertices
-    /// excluded — the support of the measured distribution.  A fresh run
-    /// whose source declares [`ColumnWindows`] counts column endpoints,
-    /// which equal the row endpoints by symmetry; every other run (R-MAT,
-    /// replay, resume) counts row endpoints, so an asymmetric source such as
+    /// excluded — the support of the measured distribution.  A run whose
+    /// source declares [`ColumnWindows`], fresh or resumed, counts column
+    /// endpoints, which equal the row endpoints by symmetry; every other run
+    /// (R-MAT, replay) counts row endpoints, so an asymmetric source such as
     /// R-MAT reports its out-degrees.
     pub degree_histogram: BTreeMap<u64, u64>,
     /// Per-worker load balance.
@@ -302,9 +304,6 @@ pub(crate) struct RunShape<'a> {
     pub(crate) workers: usize,
     /// The column order the source declares, if any.
     pub(crate) windows: Option<&'a ColumnWindows>,
-    /// Whether the run resumes an interrupted one, streaming the shards it
-    /// verified back through the engine.
-    pub(crate) resumed: bool,
     /// Whether a failed attempt may be retried or quarantined.
     pub(crate) fault_tolerant: bool,
     pub(crate) max_histogram_bytes: u64,
@@ -317,15 +316,6 @@ pub(crate) struct RunShape<'a> {
 pub(crate) struct MetricsEngine<'m> {
     metrics: &'m [PredicateCountMetric],
     vertices: u64,
-    /// The workers' windows sum label by label, so every worker must count
-    /// in the same label space.  A fresh run counts the labels as the
-    /// source produced them (cheap, local, and the order column windows rely
-    /// on); a resume's verified shards hold only *delivered* (possibly
-    /// permuted) labels, so every worker of a resume counts delivered
-    /// labels.  Either space yields the identical histogram — the
-    /// permutation is a bijection — which is exactly why a resumed report
-    /// equals an uninterrupted one.
-    counts_delivered: bool,
     degrees: RunDegrees,
     /// One total per custom metric, in registration order.
     merged_counts: Mutex<Vec<u64>>,
@@ -341,8 +331,8 @@ enum RunDegrees {
 }
 
 impl<'m> MetricsEngine<'m> {
-    /// Choose how `run` counts degrees: in the source's column windows on a
-    /// fresh run that declares them; otherwise in one `|V|`-label window per
+    /// Choose how `run` counts degrees: in the source's column windows when
+    /// it declares them; otherwise in one `|V|`-label window per
     /// worker while their peak — `(concurrent workers + 1) × vertices × 8`
     /// bytes — fits the budget, and in one shared atomic vector beyond it.
     /// The shared vector cannot roll back a failed attempt, so a run that
@@ -355,11 +345,7 @@ impl<'m> MetricsEngine<'m> {
         warnings: &mut Vec<String>,
     ) -> Result<Self, SparseError> {
         let vertices = run.vertices;
-        // A resume's verified shards replay delivered labels in shard order,
-        // not in the source's windows.
-        let declared = run
-            .windows
-            .filter(|windows| windows.width > 0 && !run.resumed);
+        let declared = run.windows.filter(|windows| windows.width > 0);
         let concurrent = run.workers.min(rayon::current_num_threads()) + 1;
         let over_budget =
             concurrent as u128 * u128::from(vertices) * 8 > u128::from(run.max_histogram_bytes);
@@ -392,7 +378,6 @@ impl<'m> MetricsEngine<'m> {
         Ok(MetricsEngine {
             metrics,
             vertices,
-            counts_delivered: run.resumed,
             degrees,
             merged_counts: Mutex::new(vec![0; metrics.len()]),
         })
@@ -774,11 +759,12 @@ pub(crate) struct WorkerMetrics<'e> {
 impl WorkerMetrics<'_> {
     /// Observe one chunk, in the two label spaces a run has.
     ///
-    /// `source` is the chunk as the source produced it, `delivered` the
-    /// chunk exactly as the sink is about to receive it (relabelled when the
-    /// run permutes vertices).  The built-in degree metrics — every one of
-    /// them (histogram, counts, loops, max degree, slope) invariant under a
-    /// vertex bijection — count `source` on a fresh run: the
+    /// `source` is the chunk as the source produced it — on a resume, a
+    /// verified shard's chunk mapped back through the permutation's inverse
+    /// — and `delivered` the chunk exactly as the sink receives it
+    /// (relabelled when the run permutes vertices).  The built-in degree
+    /// metrics — every one of them (histogram, counts, loops, max degree,
+    /// slope) invariant under a vertex bijection — count `source`: the
     /// pre-permutation labels are far cheaper to count (the source emits
     /// them with locality — the order column windows rely on; the permuted
     /// labels scatter across the whole count vector by design).  The custom
@@ -793,20 +779,15 @@ impl WorkerMetrics<'_> {
         source: &[(u64, u64)],
         delivered: &[(u64, u64)],
     ) -> Result<(), SparseError> {
-        let counted = if self.engine.counts_delivered {
-            delivered
-        } else {
-            source
-        };
         match &mut self.degrees {
             WorkerDegrees::Shared(shared) => {
-                check_labels(counted, self.engine.vertices)?;
-                shared.record(counted);
+                check_labels(source, self.engine.vertices)?;
+                shared.record(source);
             }
             WorkerDegrees::Windowed(window, fold) if fold.by_rows => {
-                window.record::<true>(counted, fold)?
+                window.record::<true>(source, fold)?
             }
-            WorkerDegrees::Windowed(window, fold) => window.record::<false>(counted, fold)?,
+            WorkerDegrees::Windowed(window, fold) => window.record::<false>(source, fold)?,
         }
         for (metric, count) in self.engine.metrics.iter().zip(&mut self.counts) {
             *count += metric.count(delivered);
@@ -839,7 +820,7 @@ mod tests {
 
     const EDGES: &[(u64, u64)] = &[(0, 1), (1, 1), (2, 0), (3, 3), (0, 2)];
 
-    /// An engine for a fresh run that neither retries nor quarantines.
+    /// An engine for a run that neither retries nor quarantines.
     fn new_engine<'m>(
         metrics: &'m [PredicateCountMetric],
         vertices: u64,
@@ -851,7 +832,6 @@ mod tests {
             vertices,
             workers,
             windows,
-            resumed: false,
             fault_tolerant: false,
             max_histogram_bytes,
         };

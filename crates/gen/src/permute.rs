@@ -47,6 +47,11 @@
 //! the cached and computed paths are the same function and both entry points
 //! collapse to loads.
 //!
+//! The crate-private `invert_edges_into` undoes
+//! [`FeistelPermutation::apply_edges_into`] through the same lane kernel and
+//! cycle-walk, run backwards; its one caller is a resume mapping verified
+//! shards back to source labels (`Stages::reverify` in [`crate::pipeline`]).
+//!
 //! [`SourceRun::stream_worker_relabelled`]: crate::source::SourceRun::stream_worker_relabelled
 //!
 //! **Compatibility note:** this
@@ -213,19 +218,15 @@ impl FeistelPermutation {
     /// one multiply of the keyed right half by an odd constant, taking the
     /// high bits of the product (where a multiply mixes best); the whole
     /// pass is six cheap ALU ops per round and branch-free.
+    ///
+    /// With `INV` the pass is the network's inverse: the same rounds on
+    /// swapped halves with the keys in reverse order, swapped back.
     #[inline(always)]
-    fn network(&self, x: u64) -> u64 {
-        let mut left = (x >> self.half_bits) & self.half_mask;
-        let mut right = x & self.half_mask;
-        for &key in &self.keys {
-            let feedback =
-                ((right ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.half_mask;
-            (left, right) = (right, left ^ feedback);
-        }
-        (left << self.half_bits) | right
+    fn network<const INV: bool>(&self, x: u64) -> u64 {
+        self.network_lanes::<INV, 1>([x])[0]
     }
 
-    /// [`Self::network`] over a fixed block of lanes.
+    /// [`Self::network`] over a fixed block of `N` lanes.
     ///
     /// The hot relabelling paths evaluate networks in [`WALK_LANES`]-wide
     /// blocks: the per-round multiply chains of one endpoint are serial, so
@@ -237,15 +238,19 @@ impl FeistelPermutation {
     /// vector ops of the body; inlined, the row and column blocks of the
     /// relabelling pass also interleave their multiply chains.
     #[inline(always)]
-    fn network_lanes(&self, x: [u64; WALK_LANES]) -> [u64; WALK_LANES] {
-        let mut left = [0u64; WALK_LANES];
-        let mut right = [0u64; WALK_LANES];
-        for lane in 0..WALK_LANES {
+    fn network_lanes<const INV: bool, const N: usize>(&self, x: [u64; N]) -> [u64; N] {
+        let mut left = [0u64; N];
+        let mut right = [0u64; N];
+        for lane in 0..N {
             left[lane] = (x[lane] >> self.half_bits) & self.half_mask;
             right[lane] = x[lane] & self.half_mask;
         }
-        for &key in &self.keys {
-            for lane in 0..WALK_LANES {
+        if INV {
+            std::mem::swap(&mut left, &mut right);
+        }
+        for round in 0..ROUNDS {
+            let key = self.keys[if INV { ROUNDS - 1 - round } else { round }];
+            for lane in 0..N {
                 let feedback = ((right[lane] ^ key).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32)
                     & self.half_mask;
                 let next = left[lane] ^ feedback;
@@ -253,8 +258,11 @@ impl FeistelPermutation {
                 right[lane] = next;
             }
         }
-        let mut y = [0u64; WALK_LANES];
-        for lane in 0..WALK_LANES {
+        if INV {
+            std::mem::swap(&mut left, &mut right);
+        }
+        let mut y = [0u64; N];
+        for lane in 0..N {
             y[lane] = (left[lane] << self.half_bits) | right[lane];
         }
         y
@@ -266,9 +274,9 @@ impl FeistelPermutation {
     /// an exact bijection on `[0, n)`.
     #[inline]
     fn walk(&self, x: u64) -> u64 {
-        let mut y = self.network(x);
+        let mut y = self.network::<false>(x);
         while y >= self.n {
-            y = self.network(y);
+            y = self.network::<false>(y);
         }
         y
     }
@@ -324,6 +332,32 @@ impl FeistelPermutation {
         out: &mut Vec<(u64, u64)>,
         pending: &mut Vec<u32>,
     ) {
+        self.relabel_edges_into::<false>(edges, out, pending);
+    }
+
+    /// Undo [`Self::apply_edges_into`]: the preimage of every endpoint of
+    /// `edges` into `out`.  The image table is forward-only, so this always
+    /// evaluates the network (and the walk) backwards.
+    ///
+    /// # Panics
+    /// As [`Self::apply_edges_into`].
+    pub(crate) fn invert_edges_into(
+        &self,
+        edges: &[(u64, u64)],
+        out: &mut Vec<(u64, u64)>,
+        pending: &mut Vec<u32>,
+    ) {
+        self.relabel_edges_into::<true>(edges, out, pending);
+    }
+
+    /// [`Self::apply_edges_into`] (forward) and [`Self::invert_edges_into`]
+    /// (`INV`): one body, so the inverse is the forward path's exact mirror.
+    fn relabel_edges_into<const INV: bool>(
+        &self,
+        edges: &[(u64, u64)],
+        out: &mut Vec<(u64, u64)>,
+        pending: &mut Vec<u32>,
+    ) {
         assert!(
             edges.len() * 2 <= u32::MAX as usize,
             "chunk of {} edges too large for 32-bit endpoint slots",
@@ -331,7 +365,7 @@ impl FeistelPermutation {
         );
         out.clear();
         out.reserve(edges.len());
-        if let Some(table) = &self.table {
+        if let (false, Some(table)) = (INV, &self.table) {
             // Table-resident domain: the whole relabelling is two loads per
             // edge from an L2-sized array — no network, no walk, nothing
             // pending.
@@ -370,14 +404,14 @@ impl FeistelPermutation {
                 hi[2 * i] = row;
                 hi[2 * i + 1] = col;
             }
-            let lo = self.network_lanes(lo);
-            let hi = self.network_lanes(hi);
+            let lo = self.network_lanes::<INV, _>(lo);
+            let hi = self.network_lanes::<INV, _>(hi);
             out.extend((0..WALK_LANES / 2).map(|i| (lo[2 * i], lo[2 * i + 1])));
             out.extend((0..WALK_LANES / 2).map(|i| (hi[2 * i], hi[2 * i + 1])));
         }
         out.extend(blocks.remainder().iter().map(|&(row, col)| {
             debug_assert!(row < self.n && col < self.n, "edge outside domain");
-            (self.network(row), self.network(col))
+            (self.network::<INV>(row), self.network::<INV>(col))
         }));
         let mut walking = 0usize;
         for (i, &(new_row, new_col)) in out.iter().enumerate() {
@@ -389,7 +423,7 @@ impl FeistelPermutation {
             walking += (new_col >= self.n) as usize;
         }
         pending.truncate(walking);
-        self.finish_walks(out.as_mut_slice(), pending);
+        self.finish_walks::<INV, _>(out.as_mut_slice(), pending);
     }
 
     /// The images of the contiguous labels `start .. start + len` into
@@ -431,11 +465,12 @@ impl FeistelPermutation {
         out.reserve(len);
         let mut x = start;
         for _ in 0..len / WALK_LANES {
-            let lanes = self.network_lanes(std::array::from_fn(|lane| x + lane as u64));
+            let lanes = self
+                .network_lanes::<false, WALK_LANES>(std::array::from_fn(|lane| x + lane as u64));
             out.extend_from_slice(&lanes);
             x += WALK_LANES as u64;
         }
-        out.extend((x..start + len as u64).map(|x| self.network(x)));
+        out.extend((x..start + len as u64).map(|x| self.network::<false>(x)));
         pending.resize(len, 0);
         let mut walking = 0usize;
         for (i, &image) in out.iter().enumerate() {
@@ -443,7 +478,7 @@ impl FeistelPermutation {
             walking += (image >= self.n) as usize;
         }
         pending.truncate(walking);
-        self.finish_walks(out.as_mut_slice(), pending);
+        self.finish_walks::<false, _>(out.as_mut_slice(), pending);
     }
 
     /// Continue the cycle-walk of every pending slot until its value lands
@@ -451,9 +486,14 @@ impl FeistelPermutation {
     /// advance all their networks side by side through the lane kernel,
     /// scatter back, and compact the survivors — the walked value is always
     /// stored, so a still-out-of-range one is simply overwritten next pass.
-    /// This computes exactly [`Self::apply`]'s walk for every slot; only the
-    /// evaluation order across slots changes.
-    fn finish_walks<S: WalkSlots + ?Sized>(&self, slots: &mut S, pending: &mut Vec<u32>) {
+    /// This computes exactly [`Self::apply`]'s walk for every slot — or, with
+    /// `INV`, the inverse walk — only the evaluation order across slots
+    /// changes.
+    fn finish_walks<const INV: bool, S: WalkSlots + ?Sized>(
+        &self,
+        slots: &mut S,
+        pending: &mut Vec<u32>,
+    ) {
         while !pending.is_empty() {
             let mut kept = 0usize;
             let mut j = 0usize;
@@ -462,7 +502,7 @@ impl FeistelPermutation {
                 for lane in 0..WALK_LANES {
                     values[lane] = slots.slot(pending[j + lane]);
                 }
-                let values = self.network_lanes(values);
+                let values = self.network_lanes::<INV, _>(values);
                 for lane in 0..WALK_LANES {
                     let slot = pending[j + lane];
                     slots.set_slot(slot, values[lane]);
@@ -473,7 +513,7 @@ impl FeistelPermutation {
             }
             while j < pending.len() {
                 let slot = pending[j];
-                let value = self.network(slots.slot(slot));
+                let value = self.network::<INV>(slots.slot(slot));
                 slots.set_slot(slot, value);
                 pending[kept] = slot;
                 kept += (value >= self.n) as usize;
@@ -785,6 +825,36 @@ mod proptests {
             FeistelPermutation::without_table(n, seed)
                 .apply_range_into(start, len, &mut out, &mut pending);
             prop_assert_eq!(&out, &expected, "table-free n={} seed={} start={}", n, seed, start);
+        }
+
+        #[test]
+        fn inverse_undoes_apply_edges(
+            // The domains of `range_kernel_is_apply`.
+            n in prop_oneof![
+                1u64..3_000,
+                TABLE_MAX_DOMAIN - 2..TABLE_MAX_DOMAIN + 3,
+                1u64 << 40..1u64 << 41,
+                u64::MAX - 3_000..u64::MAX,
+            ],
+            seed in any::<u64>(),
+            len in 0usize..300,
+            chunk_len in 1usize..40,
+            draw in any::<u64>(),
+        ) {
+            let n: u64 = n;
+            let edges: Vec<(u64, u64)> = (0..len as u64)
+                .map(|i| (diffuse(draw ^ i) % n, diffuse(draw.wrapping_add(i) ^ 0xF00D) % n))
+                .collect();
+            // The table serves only the forward map; the inverse must undo
+            // it either way.
+            for perm in [FeistelPermutation::new(n, seed), FeistelPermutation::without_table(n, seed)] {
+                let (mut image, mut back, mut pending) = (Vec::new(), vec![(7, 7)], vec![7u32; 3]);
+                for chunk in edges.chunks(chunk_len) {
+                    perm.apply_edges_into(chunk, &mut image, &mut pending);
+                    perm.invert_edges_into(&image, &mut back, &mut pending);
+                    prop_assert_eq!(&back[..], chunk, "n={} seed={} chunk={}", n, seed, chunk_len);
+                }
+            }
         }
     }
 }

@@ -332,11 +332,11 @@ impl<S: EdgeSource> Pipeline<S> {
     }
 
     /// Set the memory budget for a flat streaming degree histogram, in
-    /// bytes.  A fresh run whose source declares [column
-    /// windows](SourceRun::column_windows) — a Kronecker run — counts the
-    /// *column* endpoints in windows of `|V_C|` labels per worker and
-    /// allocates no vector to budget.  Every other run — R-MAT, replay,
-    /// every resume — counts the *row* endpoints in per-vertex vectors, and
+    /// bytes.  A run whose source declares [column
+    /// windows](SourceRun::column_windows) — a Kronecker run, fresh or
+    /// resumed — counts the *column* endpoints in windows of `|V_C|` labels
+    /// per worker and allocates no vector to budget.  Every other run —
+    /// R-MAT, replay — counts the *row* endpoints in per-vertex vectors, and
     /// this budget governs it: while the peak of per-worker vectors —
     /// `(concurrent workers + 1) × vertices × 8` bytes, since a vector is
     /// summed into the run's and handed on the moment its worker finishes —
@@ -599,7 +599,6 @@ impl<S: EdgeSource> Pipeline<S> {
             vertices,
             workers: self.workers,
             windows: source_run.column_windows(),
-            resumed: resuming,
             fault_tolerant: self.retry.max_retries > 0 || self.quarantine,
             max_histogram_bytes: self.max_histogram_bytes,
         };
@@ -796,17 +795,26 @@ where
 
     /// Stream a verified shard back through the metrics (verifying it again
     /// as it streams) so the report covers the whole graph.  The shard holds
-    /// *delivered* (possibly permuted) labels; the built-in metrics are
-    /// invariant under the bijection, so observing them here reproduces the
-    /// uninterrupted run's report exactly.
+    /// the worker's stream in stream order, as delivered; a permuted run maps
+    /// each chunk back to source labels through the permutation's inverse,
+    /// so the metrics observe exactly what [`Self::attempt`] would have
+    /// shown them — the same column windows, in the same order.
     fn reverify(
         &self,
         shard: VerifiedShard<K::Output>,
     ) -> Result<WorkerOutcome<K::Output>, CoreError> {
         let mut metrics = self.engine.worker();
         let mut chunk = EdgeChunk::new(self.chunk_capacity);
-        let mut observe =
-            |edges: &[(u64, u64)]| -> Result<(), SparseError> { metrics.observe(edges, edges) };
+        let (mut source, mut pending) = (Vec::new(), Vec::new());
+        let mut observe = |edges: &[(u64, u64)]| -> Result<(), SparseError> {
+            match self.permutation {
+                Some(permutation) => {
+                    permutation.invert_edges_into(edges, &mut source, &mut pending);
+                    metrics.observe(&source, edges)
+                }
+                None => metrics.observe(edges, edges),
+            }
+        };
         let delivered = stream_shard(
             &shard.path,
             shard.format,

@@ -211,37 +211,6 @@ impl<T: Scalar> CooMatrix<T> {
         self.vals.extend_from_slice(vals);
     }
 
-    /// Append a translated and scaled copy of a triple block: entry `i`
-    /// becomes `(row_offset + rows[i], col_offset + cols[i], scale ⊗ vals[i])`.
-    ///
-    /// This is the inner step of a Kronecker expansion — one factor entry
-    /// `(rb, cb, vb)` contributes the whole of the other factor shifted to
-    /// `(rb·nrows, cb·ncols)` and scaled by `vb` — expressed as three
-    /// slice-to-slice loops the compiler can vectorize, with no per-edge
-    /// bounds check or closure dispatch.  Offsets are trusted
-    /// (debug-asserted): callers derive them from factor dimensions.
-    pub fn append_translated<S: Semiring<T>>(
-        &mut self,
-        row_offset: u64,
-        col_offset: u64,
-        scale: T,
-        rows: &[u64],
-        cols: &[u64],
-        vals: &[T],
-    ) {
-        debug_assert_eq!(rows.len(), cols.len(), "parallel triple slices must match");
-        debug_assert_eq!(rows.len(), vals.len(), "parallel triple slices must match");
-        debug_assert!(
-            rows.iter()
-                .zip(cols.iter())
-                .all(|(&r, &c)| { row_offset + r < self.nrows && col_offset + c < self.ncols }),
-            "append_translated received out-of-bounds indices"
-        );
-        self.rows.extend(rows.iter().map(|&r| row_offset + r));
-        self.cols.extend(cols.iter().map(|&c| col_offset + c));
-        self.vals.extend(vals.iter().map(|&v| S::mul(scale, v)));
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> u64 {
         self.nrows
@@ -294,11 +263,6 @@ impl<T: Scalar> CooMatrix<T> {
     /// Iterate over stored entries as [`Triple`]s.
     pub fn triples(&self) -> impl Iterator<Item = Triple<T>> + '_ {
         self.iter().map(|(row, col, val)| Triple { row, col, val })
-    }
-
-    /// Consume the matrix and return its parallel triple vectors.
-    pub fn into_triples(self) -> (Vec<u64>, Vec<u64>, Vec<T>) {
-        (self.rows, self.cols, self.vals)
     }
 
     /// Look up the value at `(row, col)`, combining duplicates with ⊕.
@@ -567,14 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn into_triples_round_trip() {
-        let m = sample();
-        let (r, c, v) = m.clone().into_triples();
-        let rebuilt = CooMatrix::from_triples(3, 3, r, c, v).unwrap();
-        assert_eq!(rebuilt, m);
-    }
-
-    #[test]
     fn bulk_extend_matches_pushes() {
         let mut pushed = CooMatrix::<u64>::new(4, 4);
         let mut extended = CooMatrix::<u64>::new(4, 4);
@@ -596,16 +552,6 @@ mod tests {
         assert!(m.extend_from_triples(&[5], &[0], &[1]).is_err());
         assert!(m.extend_from_triples(&[0], &[5], &[1]).is_err());
         assert_eq!(m.nnz(), 0, "failed extends must not append anything");
-    }
-
-    #[test]
-    fn append_translated_is_a_shifted_scaled_copy() {
-        let c = CooMatrix::from_entries(2, 2, vec![(0, 1, 2u64), (1, 0, 3)]).unwrap();
-        let mut out = CooMatrix::<u64>::new(6, 6);
-        out.append_translated::<PlusTimes>(2, 4, 5, c.row_indices(), c.col_indices(), c.values());
-        assert_eq!(out.nnz(), 2);
-        assert_eq!(out.get::<PlusTimes>(2, 5), 10);
-        assert_eq!(out.get::<PlusTimes>(3, 4), 15);
     }
 }
 

@@ -16,6 +16,7 @@ use extreme_graphs::core::CoreError;
 use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
 use extreme_graphs::gen::testing::TestDir;
 use extreme_graphs::gen::{ReplaySource, RunManifest};
+use extreme_graphs::sparse::SparseError;
 use extreme_graphs::{
     FaultSchedule, FaultySource, KroneckerDesign, KroneckerSource, Pipeline, RetryPolicy, SelfLoop,
 };
@@ -367,6 +368,72 @@ fn resume_rejects_mismatched_configuration() {
     // No journal at all.
     let empty = TestDir::new("resume_no_journal");
     assert!(pipeline(&design, 2).resume(&empty).is_err());
+}
+
+#[test]
+fn resumed_kronecker_run_counts_in_its_column_windows() {
+    // No budget and a quarantining run: a resume that fell back to one
+    // `|V|`-label vector per worker would have to say it exceeds the budget.
+    let design = design();
+    for permute in [None, Some(0xFEED)] {
+        let configured = || {
+            let pipe = pipeline(&design, 4)
+                .max_histogram_bytes(0)
+                .quarantine_failures(true);
+            match permute {
+                Some(seed) => pipe.permute_vertices(seed),
+                None => pipe,
+            }
+        };
+        let dir = TestDir::new(&format!("windowed_resume_{}", permute.is_some()));
+        let clean = configured().write_compressed(&dir).unwrap();
+        assert!(clean.is_valid());
+        std::fs::remove_file(dir.join("block_00001.kbkz")).unwrap();
+
+        let resumed = configured().resume(&dir).unwrap();
+        assert!(resumed.is_valid());
+        assert!(
+            !resumed
+                .stats
+                .warnings
+                .iter()
+                .any(|w| w.contains("exceeding max_histogram_bytes")),
+            "permute={permute:?}: {:?}",
+            resumed.stats.warnings
+        );
+        assert_eq!(resumed.metrics, clean.metrics, "permute={permute:?}");
+    }
+}
+
+#[test]
+fn resume_under_another_kronecker_configuration_breaks_the_stream_order() {
+    // The journal does not record the split or the design, so `resume`
+    // cannot refuse these up front; their verified shards then break the
+    // column windows the resumed run declares.  These three cases are
+    // pinned, but this is no general guarantee: the up-front check is a
+    // `ResumeMismatch` on the descriptor fields `manifest.json` records.
+    let centre = design();
+    let leaf = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Leaf).unwrap();
+    let reordered = KroneckerDesign::from_star_points(&[3, 9, 5, 4], SelfLoop::Centre).unwrap();
+    // (name, written design and split, resumed design and split)
+    let cases = [
+        ("split", &centre, 2, &centre, 1),
+        ("self_loop", &centre, 2, &leaf, 2),
+        ("order", &reordered, 2, &centre, 2),
+    ];
+    for (name, written, split, resumed, resumed_split) in cases {
+        let dir = TestDir::new(&format!("resume_other_kronecker_{name}"));
+        let clean = pipeline(written, 4)
+            .split_index(split)
+            .write_tsv(&dir)
+            .unwrap();
+        assert!(clean.is_valid());
+        std::fs::remove_file(dir.join("block_00001.tsv")).unwrap();
+        match pipeline(resumed, 4).split_index(resumed_split).resume(&dir) {
+            Err(CoreError::Sparse(SparseError::StreamOrder { .. })) => {}
+            other => panic!("{name}: expected StreamOrder, got {other:?}"),
+        }
+    }
 }
 
 mod seeded_faults {
