@@ -139,9 +139,8 @@ impl ReplaySource {
 
     /// Replay the files of a [`BlockFileSet`] directly (no manifest needed —
     /// for shard sets produced by the pre-manifest writers or assembled by
-    /// hand).  Without a manifest the replay has no expected edge count;
-    /// validation checks the vertex count only, unless
-    /// [`ReplaySource::expect_edges`] supplies one.
+    /// hand).  Without a manifest the replay has no expected edge count, so
+    /// validation checks the vertex count only.
     pub fn from_file_set(files: &BlockFileSet) -> Self {
         ReplaySource {
             checksums: vec![None; files.files.len()],
@@ -152,12 +151,6 @@ impl ReplaySource {
             star_points: Vec::new(),
             self_loop: "None".to_string(),
         }
-    }
-
-    /// Validate the replayed stream against an expected total edge count.
-    pub fn expect_edges(mut self, edges: u64) -> Self {
-        self.expected_edges = Some(edges);
-        self
     }
 
     /// The shard files the source will stream, in original worker order.

@@ -11,3 +11,8 @@ pub fn first(values: &[u32]) -> u32 {
 pub fn second(values: &[u32]) -> u32 {
     *values.get(1).unwrap() // lint:allow(no-unwrap) --
 }
+
+// lint:allow(panic-reachability) -- the retired rule is no longer a known name //~ bad-suppression
+pub fn third(values: &[u32]) -> u32 {
+    values.get(2).copied().unwrap_or(0)
+}

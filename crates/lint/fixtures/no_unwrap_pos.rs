@@ -2,3 +2,8 @@
 pub fn first(values: &[u32]) -> u32 {
     *values.first().unwrap() //~ no-unwrap
 }
+
+#[cfg(any(test, feature = "extra"))]
+pub fn shipped_with_the_feature(x: Option<u32>) -> u32 {
+    x.unwrap() //~ no-unwrap
+}

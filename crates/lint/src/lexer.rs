@@ -13,10 +13,9 @@ use std::collections::BTreeSet;
 /// One surviving token: an identifier (with its text), a single
 /// punctuation character, or a string literal (with its raw, unescaped
 /// source text).  Numeric/char literals and comments are consumed by the
-/// lexer and never appear here.  No rule reads a string literal's content
-/// today (the item parser only steps over the `"C"` of `extern "C"`), and
-/// because literals are a distinct token kind no identifier-matching rule
-/// can ever fire on string *contents*.
+/// lexer and never appear here.  No rule reads a string literal's
+/// content, and because literals are a distinct token kind no
+/// identifier-matching rule can ever fire on string *contents*.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {
     Ident(String),
@@ -34,11 +33,6 @@ pub struct Token {
 }
 
 impl Token {
-    /// Whether this token is the identifier `name`.
-    pub fn is_ident(&self, name: &str) -> bool {
-        matches!(&self.kind, TokKind::Ident(s) if s == name)
-    }
-
     /// Whether this token is the punctuation character `c`.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct(c)
@@ -373,8 +367,12 @@ pub fn test_mask(tokens: &[Token]) -> Vec<bool> {
 }
 
 /// Scan an attribute starting at its `#`; returns the index of the
-/// closing `]` and whether the attribute gates test code (`#[cfg(test)]`,
-/// `#[cfg(all(test, ..))]`, or `#[test]`).
+/// closing `]` and whether the attribute gates test code.  Exactly two
+/// forms do: `#[test]`, and a `#[cfg(..)]` whose predicate names `test`
+/// and contains no `not` and no `any` (`#[cfg(test)]`,
+/// `#[cfg(all(test, ..))]`).  A predicate with `not(..)` or `any(..)`
+/// anywhere in it, such as `#[cfg(any(test, feature = "x"))]`, can hold
+/// in a non-test build, so its item stays under every rule.
 fn scan_attribute(tokens: &[Token], hash: usize) -> Option<(usize, bool)> {
     let mut i = hash + 1;
     if i < tokens.len() && tokens[i].is_punct('!') {
@@ -387,17 +385,18 @@ fn scan_attribute(tokens: &[Token], hash: usize) -> Option<(usize, bool)> {
     let mut depth = 0usize;
     let mut first_ident: Option<&str> = None;
     let mut saw_test = false;
-    let mut saw_not = false;
+    let mut saw_not_or_any = false;
     while i < tokens.len() {
         match &tokens[i].kind {
             TokKind::Punct('[') => depth += 1,
             TokKind::Punct(']') => {
                 depth -= 1;
                 if depth == 0 {
-                    // `#[cfg(not(test))]` gates *non*-test code; the
-                    // coarse `saw_not` check keeps it unmasked.
+                    // `#[cfg(not(test))]` and `#[cfg(any(test, ..))]`
+                    // also gate shipped code; the coarse check keeps
+                    // them unmasked.
                     let gates_test = match first_ident {
-                        Some("cfg") => saw_test && !saw_not,
+                        Some("cfg") => saw_test && !saw_not_or_any,
                         Some("test") => true,
                         _ => false,
                     };
@@ -411,8 +410,8 @@ fn scan_attribute(tokens: &[Token], hash: usize) -> Option<(usize, bool)> {
                 if name == "test" {
                     saw_test = true;
                 }
-                if name == "not" {
-                    saw_not = true;
+                if name == "not" || name == "any" {
+                    saw_not_or_any = true;
                 }
             }
             _ => {}
@@ -453,7 +452,7 @@ mod tests {
         lex(src)
             .tokens
             .iter()
-            .find(|t| t.is_ident(name))
+            .find(|t| matches!(&t.kind, TokKind::Ident(s) if s == name))
             .map(|t| t.line)
             .unwrap_or(0)
     }

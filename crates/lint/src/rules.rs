@@ -1,5 +1,7 @@
 //! The rule engine: file classification, the invariant rules, and the
-//! inline suppression syntax.
+//! inline suppression syntax.  Every rule reads one file:
+//! [`lint_source`] is the whole engine for a file, and [`lint_root`]
+//! maps it over the workspace.
 //!
 //! Every rule guards an invariant the rest of the workspace depends on:
 //!
@@ -35,7 +37,6 @@ use std::path::{Path, PathBuf};
 use rayon::prelude::*;
 
 use crate::lexer::{lex, test_mask, Comment, Lexed, TokKind, Token};
-use crate::parser::{parse_file, ParsedFile};
 use crate::semantic;
 
 /// How a file participates in the rule set.
@@ -94,7 +95,6 @@ pub const RAW_FS_SHARD: &str = "raw-fs-shard";
 pub const MISSING_FORBID_UNSAFE: &str = "missing-forbid-unsafe";
 pub const ALLOW_WITHOUT_REASON: &str = "allow-without-reason";
 pub const BAD_SUPPRESSION: &str = "bad-suppression";
-pub const PANIC_REACHABILITY: &str = "panic-reachability";
 pub const ATOMIC_ORDERING: &str = "atomic-ordering";
 pub const UNUSED_SUPPRESSION: &str = "unused-suppression";
 
@@ -135,10 +135,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         BAD_SUPPRESSION,
         "lint:allow(..) must carry a reason after ` -- `",
-    ),
-    (
-        PANIC_REACHABILITY,
-        "no call path from a Pipeline public entry point may reach a panic site",
     ),
     (
         ATOMIC_ORDERING,
@@ -280,30 +276,18 @@ fn parse_allow_body(rest: &str) -> Result<(Vec<String>, String), String> {
     Ok((rules, reason.to_string()))
 }
 
-/// The per-file analysis phase: classification, lexing, test masking,
-/// suppression parsing, item parsing, and every per-file rule scan.
-/// Independent across files, so [`lint_root`] runs it in parallel; the
-/// workspace phase ([`lint_workspace`]) then runs the cross-file rules
-/// and suppression accounting sequentially.
-#[derive(Debug)]
-pub struct FileAnalysis {
-    pub class: FileClass,
-    pub lexed: Lexed,
-    pub mask: Vec<bool>,
-    pub suppressions: Vec<Suppression>,
-    pub parsed: ParsedFile,
-    /// Per-file raw findings, before suppression matching.
-    raw: Vec<(u32, &'static str, String)>,
-}
-
-/// Analyze one source file.  `None` when the path is outside the lint's
-/// jurisdiction.
-pub fn analyze_file(rel: &str, source: &str) -> Option<FileAnalysis> {
-    let class = classify(rel)?;
+/// Lint one source file under its classification: run every rule scan,
+/// apply the file's suppressions, then report each suppression that
+/// matched nothing (`unused-suppression`).  Returns every finding, with
+/// `suppressed` set where a valid `lint:allow` covers it, in scan order;
+/// empty when the path is outside the lint's jurisdiction.
+pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
+    let Some(class) = classify(rel) else {
+        return Vec::new();
+    };
     let lexed = lex(source);
     let mask = test_mask(&lexed.tokens);
     let (suppressions, malformed) = parse_suppressions(&lexed.line_comments);
-    let parsed = parse_file(rel, &lexed, &mask);
 
     let mut raw: Vec<(u32, &'static str, String)> = Vec::new();
     for (line, why) in malformed {
@@ -320,11 +304,10 @@ pub fn analyze_file(rel: &str, source: &str) -> Option<FileAnalysis> {
         scan_determinism(&lexed, &mask, &mut raw);
         scan_pub_signatures(&lexed, &mask, &mut raw);
         semantic::scan_atomic_ordering(&lexed, &mask, &mut raw);
-        if class.rel.starts_with("crates/gen/src/") && !GEN_FS_OWNERS.contains(&class.rel.as_str())
-        {
+        if rel.starts_with("crates/gen/src/") && !GEN_FS_OWNERS.contains(&rel) {
             scan_raw_fs(&lexed, &mask, &mut raw);
         }
-        if is_crate_root(&class.rel) && !has_forbid_unsafe(&lexed.tokens) {
+        if is_crate_root(rel) && !has_forbid_unsafe(&lexed.tokens) {
             raw.push((
                 1,
                 MISSING_FORBID_UNSAFE,
@@ -333,120 +316,60 @@ pub fn analyze_file(rel: &str, source: &str) -> Option<FileAnalysis> {
         }
     }
 
-    Some(FileAnalysis {
-        class,
-        lexed,
-        mask,
-        suppressions,
-        parsed,
-        raw,
-    })
-}
-
-/// The whole-workspace phase: apply suppressions to every per-file
-/// finding, run the cross-file panic-reachability rule, then report
-/// every suppression that matched nothing (`unused-suppression`).
-///
-/// Passing a single file still runs every rule — the call graph is just
-/// confined to that file — which is what [`lint_source`] and the
-/// single-file fixtures rely on.
-pub fn lint_workspace(files: &[FileAnalysis]) -> Vec<Finding> {
-    let mut findings: Vec<Finding> = Vec::new();
-    // used[file][suppression] — a suppression is "used" once it covers
-    // at least one finding of one of its rules.
-    let mut used: Vec<Vec<bool>> = files
-        .iter()
-        .map(|f| vec![false; f.suppressions.len()])
-        .collect();
-    // Round 1: per-file raw findings.
-    let mut open_panics: Vec<Vec<u32>> = vec![Vec::new(); files.len()];
-    for (fi, f) in files.iter().enumerate() {
-        for (line, rule, message) in &f.raw {
-            let suppressed = apply_suppressions(f, &mut used[fi], *line, rule);
-            if !suppressed && matches!(*rule, NO_UNWRAP | NO_EXPECT | NO_PANIC) {
-                open_panics[fi].push(*line);
-            }
-            findings.push(Finding {
-                file: f.class.rel.clone(),
-                line: *line,
-                rule,
-                message: message.clone(),
-                suppressed,
-            });
-        }
-    }
-    // Round 2: cross-file panic-reachability.
-    let reach_files: Vec<semantic::ReachFile<'_>> = files
-        .iter()
-        .enumerate()
-        .map(|(fi, f)| semantic::ReachFile {
-            lexed: &f.lexed,
-            parsed: &f.parsed,
-            is_library: f.class.kind == FileKind::Library,
-            open_panic_lines: &open_panics[fi],
-        })
-        .collect();
-    for (fi, line, rule, message) in semantic::panic_reachability(&reach_files) {
-        let f = &files[fi];
-        let suppressed = apply_suppressions(f, &mut used[fi], line, rule);
-        findings.push(Finding {
-            file: f.class.rel.clone(),
+    // A suppression is "used" once it covers at least one finding of one
+    // of its rules.
+    let mut used = vec![false; suppressions.len()];
+    let mut findings: Vec<Finding> = raw
+        .into_iter()
+        .map(|(line, rule, message)| Finding {
+            file: class.rel.clone(),
             line,
             rule,
             message,
+            suppressed: apply_suppressions(&suppressions, &mut used, line, rule),
+        })
+        .collect();
+    // Suppressions that covered nothing are themselves findings —
+    // suppressible only by an explicit allow naming the
+    // unused-suppression rule (self-suppression included, as the
+    // documented way to keep an exemplar).
+    let unused: Vec<(u32, String)> = suppressions
+        .iter()
+        .zip(&used)
+        .filter(|(_, &u)| !u)
+        .map(|(s, _)| (s.lines[0], s.rules.join(", ")))
+        .collect();
+    for (line, rules) in unused {
+        let suppressed = apply_suppressions(&suppressions, &mut used, line, UNUSED_SUPPRESSION);
+        findings.push(Finding {
+            file: class.rel.clone(),
+            line,
+            rule: UNUSED_SUPPRESSION,
+            message: format!(
+                "`lint:allow({rules})` suppresses no finding; delete the dead suppression"
+            ),
             suppressed,
         });
     }
-    // Round 3: suppressions that covered nothing are themselves
-    // findings — suppressible only by an explicit allow naming the
-    // unused-suppression rule (self-suppression included, as the
-    // documented way to keep an exemplar).
-    for (fi, f) in files.iter().enumerate() {
-        let unused: Vec<(u32, String)> = f
-            .suppressions
-            .iter()
-            .zip(&used[fi])
-            .filter(|(_, &u)| !u)
-            .map(|(s, _)| (s.lines[0], s.rules.join(", ")))
-            .collect();
-        for (line, rules) in unused {
-            let suppressed = apply_suppressions(f, &mut used[fi], line, UNUSED_SUPPRESSION);
-            findings.push(Finding {
-                file: f.class.rel.clone(),
-                line,
-                rule: UNUSED_SUPPRESSION,
-                message: format!(
-                    "`lint:allow({rules})` suppresses no finding; delete the dead suppression"
-                ),
-                suppressed,
-            });
-        }
-    }
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
 }
 
-/// Whether any suppression in `f` covers `(line, rule)`; every covering
+/// Whether any of `suppressions` covers `(line, rule)`; every covering
 /// suppression is marked used.
-fn apply_suppressions(f: &FileAnalysis, used: &mut [bool], line: u32, rule: &str) -> bool {
+fn apply_suppressions(
+    suppressions: &[Suppression],
+    used: &mut [bool],
+    line: u32,
+    rule: &str,
+) -> bool {
     let mut hit = false;
-    for (k, s) in f.suppressions.iter().enumerate() {
+    for (k, s) in suppressions.iter().enumerate() {
         if s.lines.contains(&line) && s.rules.iter().any(|r| r == rule) {
             used[k] = true;
             hit = true;
         }
     }
     hit
-}
-
-/// Lint one source file under its classification.  Returns every
-/// finding, with `suppressed` set where a valid `lint:allow` covers it.
-/// Cross-file rules see only this file.
-pub fn lint_source(rel: &str, source: &str) -> Vec<Finding> {
-    match analyze_file(rel, source) {
-        Some(fa) => lint_workspace(&[fa]),
-        None => Vec::new(),
-    }
 }
 
 fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
@@ -719,9 +642,8 @@ pub fn collect_sources(root: &Path) -> io::Result<Vec<String>> {
     Ok(out)
 }
 
-/// Lint every workspace source under `root`.  The per-file analysis
-/// phase (lex, parse, per-file scans) runs in parallel; the cross-file
-/// phase is sequential.
+/// Lint every workspace source under `root`: [`lint_source`] over each
+/// file in parallel, findings sorted by file, line and rule.
 pub fn lint_root(root: &Path) -> io::Result<Vec<Finding>> {
     let sources: Vec<(String, String)> = collect_sources(root)?
         .into_iter()
@@ -730,14 +652,12 @@ pub fn lint_root(root: &Path) -> io::Result<Vec<Finding>> {
             Ok((rel, source))
         })
         .collect::<io::Result<Vec<_>>>()?;
-    let analyses: Vec<FileAnalysis> = sources
+    let mut findings: Vec<Finding> = sources
         .into_par_iter()
-        .map(|(rel, source)| analyze_file(&rel, &source))
-        .collect::<Vec<Option<FileAnalysis>>>()
-        .into_iter()
-        .flatten()
+        .flat_map_iter(|(rel, source)| lint_source(&rel, &source))
         .collect();
-    Ok(lint_workspace(&analyses))
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    Ok(findings)
 }
 
 #[cfg(test)]

@@ -80,11 +80,6 @@ impl<T: Scalar> CscMatrix<T> {
         &self.col_ptr
     }
 
-    /// The row index array.
-    pub fn row_idx(&self) -> &[usize] {
-        &self.row_idx
-    }
-
     /// The row indices and values of column `c`.
     pub fn col(&self, c: usize) -> (&[usize], &[T]) {
         let start = self.col_ptr[c];
