@@ -1,11 +1,10 @@
-//! Microbenchmarks of the sparse Kronecker kernels: sequential COO product,
-//! rayon-parallel product, and the streaming edge iterator (the ablation
-//! called out in DESIGN.md).
+//! Microbenchmarks of the sparse Kronecker kernels: the materialised COO
+//! product against the streaming edge iterator, which yields the same entries
+//! without storing them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use kron_core::{SelfLoop, StarGraph};
-use kron_sparse::parallel::par_kron_coo;
 use kron_sparse::{kron_coo, CooMatrix, KronEdgeIter, PlusTimes};
 
 fn star(points: u64) -> CooMatrix<u64> {
@@ -29,13 +28,6 @@ fn bench_kron_ops(c: &mut Criterion) {
             &(),
             |bench, _| {
                 bench.iter(|| kron_coo::<u64, PlusTimes>(&a, &b).expect("fits").nnz());
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("coo_parallel", format!("{pa}x{pb}")),
-            &(),
-            |bench, _| {
-                bench.iter(|| par_kron_coo::<u64, PlusTimes>(&a, &b).expect("fits").nnz());
             },
         );
         group.bench_with_input(

@@ -48,11 +48,25 @@ pub struct StarGraph {
 impl StarGraph {
     /// Create a star with `points = m̂ ≥ 1` points and the given self-loop
     /// placement.
+    ///
+    /// `m̂` is bounded so that every count the star reports fits in `u64`:
+    /// its `2m̂ + 1` stored entries, and the raw triangle sum `3m̂ + 1` of a
+    /// centre-looped star.
     pub fn new(points: u64, self_loop: SelfLoop) -> Result<Self, CoreError> {
         if points == 0 {
             return Err(CoreError::InvalidStar {
                 points,
                 message: "a star needs at least one point".into(),
+            });
+        }
+        let (limit, count) = match self_loop {
+            SelfLoop::None | SelfLoop::Leaf => ((u64::MAX - 1) / 2, "its 2m̂ + 1 entries"),
+            SelfLoop::Centre => ((u64::MAX - 1) / 3, "its raw triangle sum 3m̂ + 1"),
+        };
+        if points > limit {
+            return Err(CoreError::InvalidStar {
+                points,
+                message: format!("{count} must fit in u64, so m̂ is at most {limit}"),
             });
         }
         Ok(StarGraph { points, self_loop })
@@ -196,6 +210,35 @@ mod tests {
     fn rejects_zero_points() {
         assert!(StarGraph::new(0, SelfLoop::None).is_err());
         assert!(StarGraph::plain(1).is_ok());
+    }
+
+    #[test]
+    fn rejects_stars_whose_counts_overflow_u64() {
+        use crate::design::KroneckerDesign;
+        for self_loop in [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf] {
+            for points in [1u64 << 63, u64::MAX] {
+                assert!(matches!(
+                    StarGraph::new(points, self_loop),
+                    Err(CoreError::InvalidStar { .. })
+                ));
+                assert!(matches!(
+                    KroneckerDesign::from_star_points(&[points], self_loop),
+                    Err(CoreError::InvalidStar { .. })
+                ));
+            }
+        }
+        let largest = (1u64 << 63) - 1;
+        for self_loop in [SelfLoop::None, SelfLoop::Leaf] {
+            let star = StarGraph::new(largest, self_loop).unwrap();
+            assert_eq!(star.vertices(), 1 << 63);
+            let design = KroneckerDesign::from_star_points(&[largest], self_loop).unwrap();
+            assert_eq!(design.nnz_with_loops(), BigUint::from(star.nnz()));
+        }
+        assert_eq!(StarGraph::plain(largest).unwrap().nnz(), u64::MAX - 1);
+        let centre = (u64::MAX - 1) / 3;
+        let star = StarGraph::new(centre, SelfLoop::Centre).unwrap();
+        assert_eq!(star.triangle_raw_sum(), 3 * centre + 1);
+        assert!(StarGraph::new(centre + 1, SelfLoop::Centre).is_err());
     }
 
     #[test]

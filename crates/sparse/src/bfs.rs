@@ -166,16 +166,14 @@ pub fn bfs_reference<T: Scalar>(
     let mut levels: Vec<Option<u32>> = vec![None; n];
     let mut parents: Vec<Option<usize>> = vec![None; n];
     levels[source] = Some(0);
-    let mut queue = std::collections::VecDeque::from([source]);
-    while let Some(u) = queue.pop_front() {
-        // lint:allow(no-expect) -- every vertex is assigned a level before it is queued
-        let lu = levels[u].expect("queued vertices have levels");
+    let mut queue = std::collections::VecDeque::from([(source, 0)]);
+    while let Some((u, lu)) = queue.pop_front() {
         let (cols, _) = graph.row(u);
         for &v in cols {
             if levels[v].is_none() {
                 levels[v] = Some(lu + 1);
                 parents[v] = Some(u);
-                queue.push_back(v);
+                queue.push_back((v, lu + 1));
             }
         }
     }

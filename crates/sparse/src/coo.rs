@@ -116,13 +116,14 @@ impl<T: Scalar> CooMatrix<T> {
     where
         PlusTimes: Semiring<T>,
     {
-        let mut m = CooMatrix::with_capacity(n, n, usize::try_from(n).unwrap_or(0));
-        for i in 0..n {
-            m.push(i, i, <PlusTimes as Semiring<T>>::one())
-                // lint:allow(no-expect) -- indices were bounds-checked by the enclosing constructor before this push
-                .expect("in bounds");
+        let diagonal: Vec<u64> = (0..n).collect();
+        CooMatrix {
+            nrows: n,
+            ncols: n,
+            rows: diagonal.clone(),
+            vals: vec![<PlusTimes as Semiring<T>>::one(); diagonal.len()],
+            cols: diagonal,
         }
-        m
     }
 
     /// Append one entry.
@@ -325,36 +326,18 @@ impl<T: Scalar> CooMatrix<T> {
     /// entries that become the additive identity.
     pub fn sum_duplicates<S: Semiring<T>>(&mut self) {
         self.sort();
-        let mut out_rows = Vec::with_capacity(self.nnz());
-        let mut out_cols = Vec::with_capacity(self.nnz());
-        let mut out_vals: Vec<T> = Vec::with_capacity(self.nnz());
+        let mut merged: Vec<(u64, u64, T)> = Vec::with_capacity(self.nnz());
         for (r, c, v) in self.iter() {
-            if let (Some(&lr), Some(&lc)) = (out_rows.last(), out_cols.last()) {
-                if lr == r && lc == c {
-                    // lint:allow(no-expect) -- out_vals grows in lockstep with out_rows, so last_mut is Some
-                    let last = out_vals.last_mut().expect("parallel vectors");
-                    *last = S::add(*last, v);
-                    continue;
-                }
+            match merged.last_mut() {
+                Some((lr, lc, last)) if *lr == r && *lc == c => *last = S::add(*last, v),
+                _ => merged.push((r, c, v)),
             }
-            out_rows.push(r);
-            out_cols.push(c);
-            out_vals.push(v);
         }
         // Drop entries that cancelled to the additive identity.
-        let mut rows = Vec::with_capacity(out_vals.len());
-        let mut cols = Vec::with_capacity(out_vals.len());
-        let mut vals = Vec::with_capacity(out_vals.len());
-        for i in 0..out_vals.len() {
-            if !S::is_zero(out_vals[i]) {
-                rows.push(out_rows[i]);
-                cols.push(out_cols[i]);
-                vals.push(out_vals[i]);
-            }
-        }
-        self.rows = rows;
-        self.cols = cols;
-        self.vals = vals;
+        merged.retain(|&(_, _, v)| !S::is_zero(v));
+        self.rows = merged.iter().map(|&(r, _, _)| r).collect();
+        self.cols = merged.iter().map(|&(_, c, _)| c).collect();
+        self.vals = merged.iter().map(|&(_, _, v)| v).collect();
     }
 
     /// Whether the stored pattern is symmetric (requires canonical form for a

@@ -1,6 +1,6 @@
 //! Compressed sparse row (CSR) matrices.
 //!
-//! CSR gives O(1) access to a row's entries, which is what SpGEMM, SpMV, and
+//! CSR gives O(1) access to a row's entries, which is what SpGEMM, BFS, and
 //! triangle counting need.  CSR matrices are always fully materialised, so
 //! dimensions are `usize`; under the crate's 64-bit contract that is as wide
 //! as the `u64` indices of [`CooMatrix`], so conversion loses nothing.
@@ -189,12 +189,12 @@ impl<T: Scalar> CsrMatrix<T> {
 
     /// Convert back to COO format.
     pub fn to_coo(&self) -> CooMatrix<T> {
+        let rows: Vec<u64> = (0..self.nrows)
+            .flat_map(|r| std::iter::repeat_n(r as u64, self.row_nnz(r)))
+            .collect();
+        let cols: Vec<u64> = self.col_idx.iter().map(|&c| c as u64).collect();
         let mut out = CooMatrix::with_capacity(self.nrows as u64, self.ncols as u64, self.nnz());
-        for (r, c, v) in self.iter() {
-            out.push(r as u64, c as u64, v)
-                // lint:allow(no-expect) -- indices were validated against the matrix dimensions at construction
-                .expect("indices in bounds by invariant");
-        }
+        out.extend_from_triples_unchecked(&rows, &cols, &self.vals);
         out
     }
 

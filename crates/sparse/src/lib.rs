@@ -15,21 +15,20 @@
 //! * [`CooMatrix`] — triple (row, col, value) storage with `u64` indices,
 //!   used for construction, Kronecker products, and distributed blocks.
 //! * [`CsrMatrix`] / [`CscMatrix`] — compressed row/column storage for
-//!   kernels that need fast row or column access (SpGEMM, SpMV, and the
+//!   kernels that need fast row or column access (SpGEMM, BFS, and the
 //!   factors from which `kron-gen` computes the paper's CSC-ordered
 //!   processor slices of `B` without storing `B`).
 //! * [`kron`] — Kronecker products of sparse matrices, including a
 //!   streaming, allocation-free edge iterator.
-//! * [`ops`] — element-wise add/multiply (graph union / intersection),
-//!   SpGEMM, SpMV, transpose.
+//! * [`ops`] — element-wise multiply (graph intersection), SpGEMM, and the
+//!   `1ᵀM1` entry sum.
 //! * [`reduce`] — row/column degree vectors, nnz reductions, degree
 //!   histograms.
 //! * [`triangles`] — triangle counting via `1ᵀ((A·A) ⊗ A)1 / 6` and an
 //!   ordered merge variant.
-//! * [`select`] — submatrix extraction, diagonal manipulation (the paper's
-//!   self-loop insertion/removal), and structural predicates.
-//! * [`io`] — TSV triple and MatrixMarket-style readers/writers.
-//! * [`parallel`] — rayon-parallel versions of the hot kernels.
+//! * [`select`] — diagonal manipulation (the paper's self-loop removal) and
+//!   structural predicates.
+//! * [`mod@bfs`] — breadth-first search and connected components.
 //!
 //! Everything is exercised heavily by the higher-level crates; this crate is
 //! deliberately free of graph semantics so it can be reused as a small
@@ -55,10 +54,8 @@ pub mod coo;
 pub mod csc;
 pub mod csr;
 pub mod error;
-pub mod io;
 pub mod kron;
 pub mod ops;
-pub mod parallel;
 pub mod reduce;
 pub mod select;
 pub mod semiring;

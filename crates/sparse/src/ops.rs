@@ -1,35 +1,14 @@
 //! Element-wise and matrix-product kernels.
 //!
-//! * element-wise add (`⊕`): graph union / edge-weight combination;
 //! * element-wise multiply (`⊗`): graph intersection / masking;
 //! * SpGEMM (`A ⊕.⊗ B`): the matrix product used to build adjacency matrices
 //!   from incidence matrices and to count triangles;
-//! * SpMV: matrix-vector product for degree-style reductions.
+//! * `1ᵀ M 1`: the sum of every stored entry.
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::semiring::{Scalar, Semiring};
-
-/// Element-wise addition of two COO matrices (graph union).
-///
-/// Entries present in both operands are combined with ⊕.
-pub fn ewise_add<T: Scalar, S: Semiring<T>>(
-    a: &CooMatrix<T>,
-    b: &CooMatrix<T>,
-) -> Result<CooMatrix<T>, SparseError> {
-    if a.nrows() != b.nrows() || a.ncols() != b.ncols() {
-        return Err(SparseError::DimensionMismatch {
-            op: "ewise_add",
-            left: (a.nrows(), a.ncols()),
-            right: (b.nrows(), b.ncols()),
-        });
-    }
-    let mut out = a.clone();
-    out.append(b)?;
-    out.sum_duplicates::<S>();
-    Ok(out)
-}
 
 /// Element-wise multiplication of two COO matrices (graph intersection).
 ///
@@ -123,32 +102,6 @@ pub fn spgemm<T: Scalar, S: Semiring<T>>(
     CsrMatrix::from_raw(nrows, ncols, row_ptr, col_idx, vals)
 }
 
-/// Sparse matrix-vector product `y = A ⊕.⊗ x` over a semiring.
-pub fn spmv<T: Scalar, S: Semiring<T>>(a: &CsrMatrix<T>, x: &[T]) -> Result<Vec<T>, SparseError> {
-    if x.len() != a.ncols() {
-        return Err(SparseError::DimensionMismatch {
-            op: "spmv",
-            left: (a.nrows() as u64, a.ncols() as u64),
-            right: (x.len() as u64, 1),
-        });
-    }
-    let mut y = vec![S::zero(); a.nrows()];
-    for (i, out) in y.iter_mut().enumerate() {
-        let (cols, vals) = a.row(i);
-        let mut acc = S::zero();
-        for (&j, &v) in cols.iter().zip(vals.iter()) {
-            acc = S::add(acc, S::mul(v, x[j]));
-        }
-        *out = acc;
-    }
-    Ok(y)
-}
-
-/// `1ᵀ M 1`: reduce every stored entry of a CSR matrix with ⊕.
-pub fn sum_all<T: Scalar, S: Semiring<T>>(m: &CsrMatrix<T>) -> T {
-    m.values().iter().fold(S::zero(), |acc, &v| S::add(acc, v))
-}
-
 /// `1ᵀ M 1` for COO matrices.
 pub fn sum_all_coo<T: Scalar, S: Semiring<T>>(m: &CooMatrix<T>) -> T {
     m.values().iter().fold(S::zero(), |acc, &v| S::add(acc, v))
@@ -161,17 +114,6 @@ mod tests {
 
     fn coo(entries: Vec<(u64, u64, u64)>, n: u64) -> CooMatrix<u64> {
         CooMatrix::from_entries(n, n, entries).unwrap()
-    }
-
-    #[test]
-    fn ewise_add_unions_graphs() {
-        let a = coo(vec![(0, 1, 1), (1, 2, 2)], 3);
-        let b = coo(vec![(0, 1, 5), (2, 0, 7)], 3);
-        let c = ewise_add::<u64, PlusTimes>(&a, &b).unwrap();
-        assert_eq!(c.nnz(), 3);
-        assert_eq!(c.get::<PlusTimes>(0, 1), 6);
-        assert_eq!(c.get::<PlusTimes>(1, 2), 2);
-        assert_eq!(c.get::<PlusTimes>(2, 0), 7);
     }
 
     #[test]
@@ -189,7 +131,6 @@ mod tests {
     fn ewise_dimension_mismatch() {
         let a = coo(vec![(0, 1, 1)], 3);
         let b = CooMatrix::from_entries(2, 2, vec![(0, 1, 1u64)]).unwrap();
-        assert!(ewise_add::<u64, PlusTimes>(&a, &b).is_err());
         assert!(ewise_mul::<u64, PlusTimes>(&a, &b).is_err());
     }
 
@@ -242,21 +183,9 @@ mod tests {
     }
 
     #[test]
-    fn spmv_degree_style_reduction() {
-        let a = CsrMatrix::from_coo::<PlusTimes>(&coo(vec![(0, 1, 1), (0, 2, 1), (2, 0, 1)], 3))
-            .unwrap();
-        let ones = vec![1u64; 3];
-        let out_degrees = spmv::<u64, PlusTimes>(&a, &ones).unwrap();
-        assert_eq!(out_degrees, vec![2, 0, 1]);
-        assert!(spmv::<u64, PlusTimes>(&a, &[1, 1]).is_err());
-    }
-
-    #[test]
     fn sum_all_counts_entries() {
         let a = coo(vec![(0, 1, 1), (0, 2, 1), (2, 0, 1)], 3);
         assert_eq!(sum_all_coo::<u64, PlusTimes>(&a), 3);
-        let csr = CsrMatrix::from_coo::<PlusTimes>(&a).unwrap();
-        assert_eq!(sum_all::<u64, PlusTimes>(&csr), 3);
     }
 
     #[test]
@@ -308,13 +237,6 @@ mod proptests {
                     prop_assert_eq!(product.get::<PlusTimes>(i, j), expected);
                 }
             }
-        }
-
-        #[test]
-        fn ewise_add_commutes(a in arb_square(6), b in arb_square(6)) {
-            let ab = ewise_add::<u64, PlusTimes>(&a, &b).unwrap();
-            let ba = ewise_add::<u64, PlusTimes>(&b, &a).unwrap();
-            prop_assert_eq!(ab, ba);
         }
 
         #[test]

@@ -1,9 +1,10 @@
-//! Structural selection: submatrices, diagonals, self-loop handling.
+//! Structural selection: diagonals, self-loop handling, and the structural
+//! predicates of a clean adjacency matrix.
 //!
 //! The paper's triangle-rich graphs are built by *adding* a self-loop to each
 //! constituent star and then *removing* the single surviving self-loop from
-//! the product.  These helpers implement both directions plus the submatrix
-//! extraction used when verifying per-processor blocks.
+//! the product.  These helpers split a matrix into its diagonal and the rest,
+//! and check the invariants the paper advertises for generated graphs.
 
 use crate::coo::CooMatrix;
 use crate::semiring::{PlusTimes, Scalar, Semiring};
@@ -16,44 +17,6 @@ pub fn strip_diagonal<T: Scalar>(m: &CooMatrix<T>) -> CooMatrix<T> {
 /// Return a copy of `m` containing only its diagonal entries.
 pub fn diagonal<T: Scalar>(m: &CooMatrix<T>) -> CooMatrix<T> {
     m.filter(|r, c, _| r == c)
-}
-
-/// Return a copy of `m` with the single entry at `(index, index)` removed.
-///
-/// This is the paper's "set `A(1,1) = 0`" (Case 1) / "set `A(m,m) = 0`"
-/// (Case 2) step that removes the one self-loop surviving in the Kronecker
-/// product of self-looped stars.
-pub fn remove_entry<T: Scalar>(m: &CooMatrix<T>, row: u64, col: u64) -> CooMatrix<T> {
-    m.filter(|r, c, _| !(r == row && c == col))
-}
-
-/// Add a value on the diagonal at `(index, index)` (e.g. insert a self-loop).
-pub fn with_entry<T: Scalar>(m: &CooMatrix<T>, row: u64, col: u64, val: T) -> CooMatrix<T> {
-    let mut out = m.clone();
-    out.push(row, col, val)
-        // lint:allow(no-expect) -- entries come from a CooMatrix whose constructor bounds-checked them
-        .expect("entry must be inside matrix bounds");
-    out
-}
-
-/// Extract the submatrix with rows in `[row_start, row_end)` and columns in
-/// `[col_start, col_end)`, re-indexed to start at zero.
-pub fn submatrix<T: Scalar>(
-    m: &CooMatrix<T>,
-    row_range: std::ops::Range<u64>,
-    col_range: std::ops::Range<u64>,
-) -> CooMatrix<T> {
-    let nrows = row_range.end.saturating_sub(row_range.start);
-    let ncols = col_range.end.saturating_sub(col_range.start);
-    let mut out = CooMatrix::new(nrows, ncols);
-    for (r, c, v) in m.iter() {
-        if row_range.contains(&r) && col_range.contains(&c) {
-            out.push(r - row_range.start, c - col_range.start, v)
-                // lint:allow(no-expect) -- re-indexed entries are positions in the kept-vertex map built above
-                .expect("re-indexed entry is in bounds by construction");
-        }
-    }
-    out
 }
 
 /// Indices of rows with no stored entries in either the row or the column
@@ -138,31 +101,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_add_entries() {
-        let m = sample();
-        let removed = remove_entry(&m, 0, 0);
-        assert_eq!(removed.nnz(), m.nnz() - 1);
-        assert_eq!(removed.get::<PlusTimes>(0, 0), 0);
-        let restored = with_entry(&removed, 0, 0, 1);
-        assert_eq!(restored.get::<PlusTimes>(0, 0), 1);
-    }
-
-    #[test]
-    fn submatrix_reindexes() {
-        let m = sample();
-        let sub = submatrix(&m, 0..2, 0..2);
-        assert_eq!(sub.nrows(), 2);
-        assert_eq!(sub.nnz(), 3);
-        assert_eq!(sub.get::<PlusTimes>(0, 1), 2);
-        let lower = submatrix(&m, 2..4, 0..4);
-        assert_eq!(lower.nrows(), 2);
-        assert_eq!(lower.get::<PlusTimes>(1, 1), 4); // original (3,1)
-        let empty = submatrix(&m, 3..3, 0..4);
-        assert_eq!(empty.nrows(), 0);
-        assert_eq!(empty.nnz(), 0);
-    }
-
-    #[test]
     fn empty_vertex_detection() {
         let m = CooMatrix::from_edges(5, 5, vec![(0, 1), (1, 0), (3, 3)]).unwrap();
         assert_eq!(empty_vertices(&m), vec![2, 4]);
@@ -187,7 +125,8 @@ mod tests {
             CooMatrix::from_edges(3, 3, vec![(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
                 .unwrap();
         assert!(is_clean_adjacency(&clean));
-        let with_loop = with_entry(&clean, 0, 0, 1);
+        let mut with_loop = clean.clone();
+        with_loop.push(0, 0, 1).unwrap();
         assert!(!is_clean_adjacency(&with_loop));
         let with_empty = CooMatrix::from_edges(4, 4, vec![(0, 1), (1, 0)]).unwrap();
         assert!(!is_clean_adjacency(&with_empty));
@@ -221,13 +160,6 @@ mod proptests {
             let once = simplify(&m);
             let twice = simplify(&once);
             prop_assert_eq!(once, twice);
-        }
-
-        #[test]
-        fn submatrix_never_exceeds_parent_nnz(m in arb_coo()) {
-            let n = m.nrows();
-            let sub = submatrix(&m, 0..n / 2, 0..n);
-            prop_assert!(sub.nnz() <= m.nnz());
         }
     }
 }
