@@ -24,7 +24,11 @@
 //!     vector per live worker, summed into the run's one pending window as
 //!     its worker finishes and folded at the end.  Every run counts source
 //!     labels: a resume maps its verified shards back through the
-//!     permutation's inverse first;
+//!     permutation's inverse first.  Every window counts in 2-byte cells, a
+//!     quarter of a `u64` vector: the rare label whose cell wraps carries
+//!     `2^16` into the window's side table, summing two parts carries the
+//!     same way, and folding adds a carried label's carry back before its
+//!     degree enters the histogram;
 //!   - **shared** — a run without declared windows whose per-worker vectors
 //!     would exceed
 //!     [`Pipeline::max_histogram_bytes`](crate::pipeline::Pipeline::max_histogram_bytes):
@@ -333,12 +337,17 @@ enum RunDegrees {
 impl<'m> MetricsEngine<'m> {
     /// Choose how `run` counts degrees: in the source's column windows when
     /// it declares them; otherwise in one `|V|`-label window per
-    /// worker while their peak — `(concurrent workers + 1) × vertices × 8`
+    /// worker while their peak — `(concurrent workers + 1) × vertices × 2`
     /// bytes — fits the budget, and in one shared atomic vector beyond it.
     /// The shared vector cannot roll back a failed attempt, so a run that
     /// may retry or quarantine keeps its windows past the budget, and says
     /// so in `warnings`.  A vector the host cannot hold is
     /// [`SparseError::TooLarge`].
+    ///
+    /// The `|V|`-label windows are all allocated here, on the calling
+    /// thread, before any worker starts: a window a worker thread allocated
+    /// would stay in that thread's malloc arena once freed, on top of the
+    /// next run's.
     pub(crate) fn new(
         metrics: &'m [PredicateCountMetric],
         run: RunShape<'_>,
@@ -346,9 +355,10 @@ impl<'m> MetricsEngine<'m> {
     ) -> Result<Self, SparseError> {
         let vertices = run.vertices;
         let declared = run.windows.filter(|windows| windows.width > 0);
-        let concurrent = run.workers.min(rayon::current_num_threads()) + 1;
-        let over_budget =
-            concurrent as u128 * u128::from(vertices) * 8 > u128::from(run.max_histogram_bytes);
+        let threads = rayon::current_num_threads();
+        let concurrent = run.workers.min(threads) + 1;
+        let over_budget = concurrent as u128 * u128::from(vertices) * CELL_BYTES
+            > u128::from(run.max_histogram_bytes);
         let degrees = match declared {
             Some(windows) => RunDegrees::Windowed(WindowFold::new(windows, false)),
             None if over_budget && !run.fault_tolerant => {
@@ -367,11 +377,15 @@ impl<'m> MetricsEngine<'m> {
                     width: vertices,
                     partials: BTreeMap::new(),
                 };
+                // One window per worker running at once, and one more for
+                // the finished workers' sum while a thread runs a second
+                // worker; allocated before anything is written, so a vector
+                // the host cannot hold fails the run here.
+                let spare = (0..run.workers.min(threads + 1))
+                    .map(|_| Window::new(vertices))
+                    .collect::<Result<_, _>>()?;
                 let fold = WindowFold::new(&whole, true);
-                // The first worker's window, allocated before anything is
-                // written, so a vector the host cannot hold fails the run
-                // here.
-                lock(&fold.state).spare.push(try_counts(vertices, || 0)?);
+                lock(&fold.state).spare = spare;
                 RunDegrees::Windowed(fold)
             }
         };
@@ -463,20 +477,86 @@ fn with_zero_degrees(mut histogram: BTreeMap<u64, u64>, vertices: u64) -> BTreeM
     histogram
 }
 
-/// Add the non-zero counts of one window to a degree → vertices histogram,
-/// and zero the window for its next use.  Neighbouring labels of a
-/// Kronecker product mostly share a degree, so the map is touched once per
-/// run of equal counts, not once per vertex.
-fn fold_window(counts: &mut [u64], histogram: &mut BTreeMap<u64, u64>) {
-    let mut rest = &counts[..];
-    while let Some(&degree) = rest.first() {
-        let run = rest.iter().take_while(|&&count| count == degree).count();
-        if degree > 0 {
-            *histogram.entry(degree).or_insert(0) += run as u64;
-        }
-        rest = &rest[run..];
+/// The bytes of one window cell.
+const CELL_BYTES: u128 = std::mem::size_of::<u16>() as u128;
+
+/// What one wrap of a window's cell carries.
+const CARRY: u64 = 1 << 16;
+
+/// One window's degree counts: a 2-byte cell per label, and a side table
+/// with the offset of the label each time its cell wrapped.  A label's
+/// count is its cell plus `2^16` per entry of its offset, so a window costs
+/// 2 bytes per label however high its degrees run, and its table at most 8
+/// bytes per `2^16` counted endpoints.  The table is a plain list, emptied
+/// but kept while the window is reused, so a fold frees nothing.
+#[derive(Default)]
+struct Window {
+    cells: Vec<u16>,
+    /// One entry per wrap: the offset of the label whose cell wrapped.
+    wraps: Vec<usize>,
+}
+
+impl Window {
+    /// A zeroed window of `width` labels; a vector the host cannot hold is
+    /// [`SparseError::TooLarge`].
+    fn new(width: u64) -> Result<Self, SparseError> {
+        Ok(Window {
+            cells: try_counts(width, || 0)?,
+            wraps: Vec::new(),
+        })
     }
-    counts.fill(0);
+
+    /// Add `part` label by label, carrying every cell the sum wraps, and
+    /// leave `part` zeroed for its next use.
+    fn add(&mut self, part: &mut Window) {
+        for (offset, (sum, cell)) in self.cells.iter_mut().zip(&mut part.cells).enumerate() {
+            let (total, wrapped) = sum.overflowing_add(std::mem::take(cell));
+            *sum = total;
+            if wrapped {
+                wrap(&mut self.wraps, offset);
+            }
+        }
+        self.wraps.append(&mut part.wraps);
+    }
+
+    /// Add the non-zero counts to a degree → vertices histogram, and zero
+    /// the window for its next use.  A label that wrapped enters the
+    /// histogram first, with its carry added back, and its cell is cleared
+    /// so the scan of the cells skips it.
+    fn fold(&mut self, histogram: &mut BTreeMap<u64, u64>) {
+        self.wraps.sort_unstable();
+        for wraps in self.wraps.chunk_by(|a, b| a == b) {
+            // `chunk_by` yields no empty group, and every entry is the offset
+            // of a cell.
+            let cell = std::mem::take(&mut self.cells[wraps[0]]);
+            let degree = u64::from(cell) + CARRY * wraps.len() as u64;
+            *histogram.entry(degree).or_insert(0) += 1;
+        }
+        self.wraps.clear();
+        add_runs(&self.cells, histogram);
+        self.cells.fill(0);
+    }
+}
+
+/// Record one wrap of the cell at `offset`.  Kept out of line: a cell
+/// wraps once per `2^16` increments at most.
+#[cold]
+#[inline(never)]
+fn wrap(wraps: &mut Vec<usize>, offset: usize) {
+    wraps.push(offset);
+}
+
+/// Add the non-zero counts of `cells` to a degree → vertices histogram.
+/// Neighbouring labels of a Kronecker product mostly share a degree, so the
+/// map is touched once per run of equal counts, not once per vertex.
+fn add_runs(mut cells: &[u16], histogram: &mut BTreeMap<u64, u64>) {
+    while let Some(&degree) = cells.first() {
+        let run = cells.iter().take_while(|&&count| count == degree).count();
+        if degree > 0 {
+            *histogram.entry(u64::from(degree)).or_insert(0) += run as u64;
+        }
+        cells = &cells[run..];
+    }
 }
 
 /// The run-wide side of windowed counting: the histogram of every folded
@@ -500,11 +580,11 @@ struct FoldState {
     /// from [`ColumnWindows::partials`]; 0 once the window is folded.
     awaited: BTreeMap<u64, usize>,
     /// The summed parts of the shared windows not folded yet.
-    pending: BTreeMap<u64, Vec<u64>>,
+    pending: BTreeMap<u64, Window>,
     /// Zeroed windows a worker's part or a fold left behind, for the next
-    /// worker to count in: a fresh window would cost a page fault per 512
+    /// worker to count in: a fresh window would cost a page fault per 2 048
     /// labels, once per worker.
-    spare: Vec<Vec<u64>>,
+    spare: Vec<Window>,
     /// The first and last window of each finished worker's stream.
     spans: Vec<(u64, u64)>,
     /// The first broken promise a hand-over revealed.
@@ -531,10 +611,10 @@ impl WindowFold {
 
     /// A zeroed window of `width` counts: a spare one if a fold or a part
     /// left one behind, a new one otherwise.
-    fn window(&self) -> Result<Vec<u64>, SparseError> {
+    fn window(&self) -> Result<Window, SparseError> {
         match lock(&self.state).spare.pop() {
             Some(window) => Ok(window),
-            None => try_counts(self.width, || 0),
+            None => Window::new(self.width),
         }
     }
 
@@ -553,10 +633,10 @@ impl WindowFold {
         };
         let first = counter.first.as_ref().map_or(last, |&(index, _)| index);
         state.spans.push((first, last));
-        if let Some((index, counts)) = counter.first {
-            state.take_part(index, counts);
+        if let Some((index, window)) = counter.first {
+            state.take_part(index, window);
         }
-        state.take_part(last, counter.counts);
+        state.take_part(last, counter.window);
     }
 
     /// The run's histogram (degree-zero bucket included), self-loops, edges
@@ -589,8 +669,8 @@ impl WindowFold {
         let FoldState {
             pending, histogram, ..
         } = &mut state;
-        for counts in pending.values_mut() {
-            fold_window(counts, histogram);
+        for window in pending.values_mut() {
+            window.fold(histogram);
         }
         let max_degree = state.histogram.keys().next_back().copied().unwrap_or(0);
         let histogram = with_zero_degrees(state.histogram, vertices);
@@ -601,16 +681,14 @@ impl WindowFold {
 impl FoldState {
     /// Add one worker's part of window `index`, and fold the window once
     /// every worker that shares it has handed its part over.
-    fn take_part(&mut self, index: u64, mut counts: Vec<u64>) {
+    fn take_part(&mut self, index: u64, mut part: Window) {
         match self.pending.entry(index) {
             Entry::Vacant(slot) => {
-                slot.insert(counts);
+                slot.insert(part);
             }
             Entry::Occupied(mut slot) => {
-                for (sum, part) in slot.get_mut().iter_mut().zip(&mut counts) {
-                    *sum += std::mem::take(part);
-                }
-                self.spare.push(counts);
+                slot.get_mut().add(&mut part);
+                self.spare.push(part);
             }
         }
         match self.awaited.get_mut(&index) {
@@ -625,9 +703,9 @@ impl FoldState {
             Some(awaited) => {
                 *awaited -= 1;
                 if *awaited == 0 {
-                    if let Some(mut counts) = self.pending.remove(&index) {
-                        fold_window(&mut counts, &mut self.histogram);
-                        self.spare.push(counts);
+                    if let Some(mut window) = self.pending.remove(&index) {
+                        window.fold(&mut self.histogram);
+                        self.spare.push(window);
                     }
                 }
             }
@@ -648,8 +726,8 @@ struct WindowCounter {
     open: Option<u64>,
     /// Counts of the open window (allocated at the first edge, so an idle
     /// worker costs nothing).
-    counts: Vec<u64>,
-    first: Option<(u64, Vec<u64>)>,
+    window: Window,
+    first: Option<(u64, Window)>,
     histogram: BTreeMap<u64, u64>,
     edges: u64,
     self_loops: u64,
@@ -661,7 +739,7 @@ impl WindowCounter {
             width,
             vertices,
             open: None,
-            counts: Vec::new(),
+            window: Window::default(),
             first: None,
             histogram: BTreeMap::new(),
             edges: 0,
@@ -672,8 +750,9 @@ impl WindowCounter {
     /// Count one chunk's keyed endpoints — rows when `ROWS`, columns
     /// otherwise — and its self-loops in one pass: an edge whose key lies in
     /// the open window and whose other endpoint names a vertex costs two
-    /// compares and one increment, and any other edge stops the pass to
-    /// check its labels and the stream's order and move the window on.
+    /// compares and one increment (and a carry once per `2^16` of them),
+    /// and any other edge stops the pass to check its labels and the
+    /// stream's order and move the window on.
     fn record<const ROWS: bool>(
         &mut self,
         edges: &[(u64, u64)],
@@ -686,17 +765,22 @@ impl WindowCounter {
             // leaves the last window short, so a key past the last vertex
             // leaves the window too.
             let start = self.open.map_or(0, |open| open * self.width);
-            let len = vertices.saturating_sub(start).min(self.counts.len() as u64);
-            let counts = &mut self.counts[..len as usize];
+            let Window { cells, wraps } = &mut self.window;
+            let len = vertices.saturating_sub(start).min(cells.len() as u64);
+            let cells = &mut cells[..len as usize];
             for &(row, col) in &edges[done..] {
                 let (key, other) = if ROWS { (row, col) } else { (col, row) };
-                let Some(count) = counts.get_mut(key.wrapping_sub(start) as usize) else {
+                let offset = key.wrapping_sub(start) as usize;
+                let Some(cell) = cells.get_mut(offset) else {
                     break;
                 };
                 if other >= vertices {
                     break;
                 }
-                *count += 1;
+                *cell = cell.wrapping_add(1);
+                if *cell == 0 {
+                    wrap(wraps, offset);
+                }
                 loops += u64::from(row == col);
                 done += 1;
             }
@@ -726,12 +810,12 @@ impl WindowCounter {
     /// otherwise — and open window `index`.
     fn advance(&mut self, index: u64, fold: &WindowFold) -> Result<(), SparseError> {
         match self.open {
-            None => self.counts = fold.window()?,
+            None => self.window = fold.window()?,
             Some(closed) if self.first.is_none() => {
                 let fresh = fold.window()?;
-                self.first = Some((closed, std::mem::replace(&mut self.counts, fresh)));
+                self.first = Some((closed, std::mem::replace(&mut self.window, fresh)));
             }
-            Some(_) => fold_window(&mut self.counts, &mut self.histogram),
+            Some(_) => self.window.fold(&mut self.histogram),
         }
         self.open = Some(index);
         Ok(())
@@ -1043,13 +1127,112 @@ mod tests {
 
     #[test]
     fn an_unallocatable_degree_vector_is_a_typed_error() {
-        let too_large = |error: SparseError| match error {
-            SparseError::TooLarge { requested, .. } => assert_eq!(requested, 1 << 65),
+        let too_large = |error: SparseError, bytes: u128| match error {
+            SparseError::TooLarge { requested, .. } => assert_eq!(requested, bytes),
             other => panic!("expected TooLarge, got {other:?}"),
         };
-        // Shared and windowed alike, before any worker starts.
+        // Shared (8-byte atomics) and windowed (2-byte cells) alike, before
+        // any worker starts; only a fault-tolerant run keeps its windows
+        // past every budget.
         for budget in [0, u64::MAX] {
-            too_large(new_engine(&[], 1 << 62, 1, budget, None).err().unwrap());
+            too_large(
+                new_engine(&[], 1 << 62, 1, budget, None).err().unwrap(),
+                1 << 65,
+            );
+        }
+        let run = RunShape {
+            vertices: 1 << 62,
+            workers: 1,
+            windows: None,
+            fault_tolerant: true,
+            max_histogram_bytes: 0,
+        };
+        let windowed = MetricsEngine::new(&[], run, &mut Vec::new());
+        too_large(windowed.err().unwrap(), 1 << 63);
+    }
+
+    #[test]
+    fn the_budget_counts_two_byte_cells() {
+        // One worker on 4 vertices peaks at its window and the finished
+        // workers' sum: 2 × 4 × 2 = 16 bytes of 2-byte cells, where 8-byte
+        // counters would need 64.
+        let mode = |max_histogram_bytes: u64, fault_tolerant: bool| {
+            let run = RunShape {
+                vertices: 4,
+                workers: 1,
+                windows: None,
+                fault_tolerant,
+                max_histogram_bytes,
+            };
+            let mut warnings = Vec::new();
+            let engine = MetricsEngine::new(&[], run, &mut warnings).unwrap();
+            let windowed = matches!(engine.degrees, RunDegrees::Windowed(_));
+            (windowed, warnings.len())
+        };
+        assert_eq!(mode(16, false), (true, 0));
+        assert_eq!(mode(16, true), (true, 0));
+        assert_eq!(mode(15, false), (false, 0));
+        assert_eq!(mode(15, true), (true, 1));
+    }
+
+    #[test]
+    fn a_wrapped_row_cell_carries_through_the_sum_of_two_workers() {
+        // Two workers counting rows in one window each.  Row 0: 40 000 from
+        // each, so only the sum wraps.  Row 1: 70 000 from each, so each
+        // worker's cell wraps and the carries are summed.  Row 2: 65 535 +
+        // 1, a sum that wraps to a zero cell.  Row 3: 200 000 from the
+        // second worker alone, three wraps.
+        let rows = |counts: [usize; 4]| -> Vec<(u64, u64)> {
+            (0u64..4)
+                .zip(counts)
+                .flat_map(|(row, count)| std::iter::repeat_n((row, 3 - row), count))
+                .collect()
+        };
+        let parts = [
+            rows([40_000, 70_000, 65_535, 0]),
+            rows([40_000, 70_000, 1, 200_000]),
+        ];
+        let engine = new_engine(&[], 4, 2, u64::MAX, None).unwrap();
+        for edges in &parts {
+            let mut worker = engine.worker();
+            for chunk in edges.chunks(4096) {
+                worker.observe(chunk, chunk).unwrap();
+            }
+            worker.finish();
+        }
+        let report = engine.finalize(vec![0; 3]).unwrap().1;
+        assert_eq!(
+            report.degree_histogram,
+            BTreeMap::from([(65_536, 1), (80_000, 1), (140_000, 1), (200_000, 1)])
+        );
+        assert_eq!(report, flat_vector(&parts.concat()));
+    }
+
+    #[test]
+    fn a_wrapped_column_cell_carries_its_count() {
+        // Star 3 ⊗ star 70 000: the centres' product has degree 210 000 and
+        // each leaf of the first star times the second's centre 70 000, so
+        // cells wrap in the column windows, and with more workers in the
+        // parts two workers sum.
+        let design =
+            kron_core::KroneckerDesign::from_star_points(&[3, 70_000], kron_core::SelfLoop::None)
+                .unwrap();
+        let reports: Vec<_> = (1..=3)
+            .map(|workers| {
+                crate::pipeline::Pipeline::for_design(&design)
+                    .workers(workers)
+                    .count()
+                    .unwrap()
+            })
+            .collect();
+        for report in &reports {
+            assert!(report.is_valid(), "{:?}", report.validation.failures());
+            assert_eq!(report.metrics.max_degree, 210_000);
+            assert_eq!(report.metrics.degree_histogram.get(&70_000), Some(&3));
+            assert_eq!(
+                report.metrics.degree_histogram,
+                reports[0].metrics.degree_histogram
+            );
         }
     }
 

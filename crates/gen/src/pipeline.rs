@@ -337,10 +337,11 @@ impl<S: EdgeSource> Pipeline<S> {
     /// resumed — counts the *column* endpoints in windows of `|V_C|` labels
     /// per worker and allocates no vector to budget.  Every other run —
     /// R-MAT, replay — counts the *row* endpoints in per-vertex vectors, and
-    /// this budget governs it: while the peak of per-worker vectors —
-    /// `(concurrent workers + 1) × vertices × 8` bytes, since a vector is
-    /// summed into the run's and handed on the moment its worker finishes —
-    /// fits the budget, each worker counts privately at full speed; beyond
+    /// this budget governs it: while the peak of per-worker vectors of
+    /// 2-byte cells — `(concurrent workers + 1) × vertices × 2` bytes, since
+    /// a vector is summed into the run's and handed on the moment its
+    /// worker finishes — fits the budget, each worker counts privately at
+    /// full speed; beyond
     /// it the run switches to a single shared atomic vector — `O(vertices)`
     /// total no matter the worker count, at the price of one relaxed
     /// `fetch_add` per edge.  A flat run that may retry or quarantine

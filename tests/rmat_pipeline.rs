@@ -14,6 +14,7 @@ use extreme_graphs::gen::manifest::MANIFEST_FILE_NAME;
 use extreme_graphs::gen::testing::TestDir;
 use extreme_graphs::gen::{FeistelPermutation, Pipeline, RunManifest};
 use extreme_graphs::rmat::{RmatGenerator, RmatParams, RmatSource};
+use extreme_graphs::sparse::DegreeAccumulator;
 use extreme_graphs::{KroneckerDesign, SelfLoop};
 
 /// The reference sample stream: the scalar quadrant walk, one index at a
@@ -61,6 +62,33 @@ fn rmat_through_pipeline_matches_the_indexed_sampler() {
             assert_eq!(report.manifest.source, "rmat");
             assert_eq!(report.manifest.source_seed, Some(seed));
         }
+    }
+}
+
+#[test]
+fn a_row_whose_count_wraps_its_cell_is_counted_at_every_worker_count() {
+    // Scale 4 with 40 000 samples per vertex: row 0 draws about
+    // (a + b)^4 ≈ 1/3 of the 640 000 samples, so its 2-byte cell wraps
+    // three times, in one worker's window or across the sum of several.
+    let params = RmatParams {
+        edge_factor: 40_000,
+        ..RmatParams::graph500(4)
+    };
+    let seed = 7;
+    let mut flat = DegreeAccumulator::rows_only(params.vertices(), params.vertices());
+    flat.record(&indexed_samples(params, seed));
+    let mut expected = flat.row_histogram();
+    expected.remove(&0);
+    assert!(flat.max_row_degree() > 3 << 16, "{}", flat.max_row_degree());
+
+    for workers in [1usize, 2, 3] {
+        let report = Pipeline::for_source(RmatSource::new(params, seed).unwrap())
+            .workers(workers)
+            .count()
+            .unwrap();
+        assert_eq!(report.metrics.degree_histogram, expected, "w{workers}");
+        assert_eq!(report.metrics.max_degree, flat.max_row_degree());
+        assert_eq!(report.metrics.self_loops, flat.self_loop_count());
     }
 }
 
