@@ -16,8 +16,10 @@
 //!   replay run (the hash inside the codec loop), all over the same
 //!   K70-shaped frames, so "fused ≈ max(codec, hash), not their sum" is
 //!   three printed rows to compare.
-//! * `tsv_format` — [`kron_gen::sink::write_tsv_edges`], the TSV sink's
-//!   decimal formatter with the hash riding along.
+//! * `tsv_format` / `tsv_fnv1a` — [`kron_gen::sink::write_tsv_edges`], the
+//!   TSV sink's decimal formatter with the hash riding along, and FNV-1a
+//!   alone over the same text: the chain is the floor the fused loop cannot
+//!   beat, so the two rows print the formatter's distance from it.
 //!
 //! End-to-end numbers live in the benchmark (`BENCHMARK.json`,
 //! `crates/bench/src/bin/benchmark/`); this bench exists so a kernel
@@ -292,6 +294,33 @@ fn main() {
             },
             edge_total,
         ),
+    );
+    // The chain alone over the text `tsv_format` writes: its floor.
+    let texts: Vec<Vec<u8>> = chunks
+        .iter()
+        .map(|chunk| {
+            let mut text = Vec::new();
+            write_tsv_edges(&mut text, chunk, &mut Fnv1a::new()).expect("Vec write");
+            text
+        })
+        .collect();
+    let text_bytes: usize = texts.iter().map(Vec::len).sum();
+    row(
+        "tsv_fnv1a",
+        median_of(
+            || {
+                let mut hasher = Fnv1a::new();
+                for text in &texts {
+                    hasher.update(text);
+                }
+                hasher.finish()
+            },
+            edge_total,
+        ),
+    );
+    println!(
+        "  tsv text         {:.2} bytes per edge",
+        text_bytes as f64 / edge_total as f64
     );
 }
 

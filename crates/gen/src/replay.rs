@@ -364,8 +364,16 @@ where
     }
 }
 
+/// Longest line a TSV shard may hold, newline included.  The writer's
+/// longest is 44 bytes (two 20-digit labels, two tabs, the `1`, the
+/// newline); the rest is room for hand-written comments.  A longer line —
+/// or a file with no newline at all — is a parse error naming the line,
+/// never a line buffer the size of the file.
+const TSV_LINE_LIMIT: usize = 4096;
+
 /// Stream one TSV shard (`row<TAB>col[<TAB>value]` lines, `#` comments)
-/// through the chunk without materialising it.
+/// through the chunk without materialising it.  Lines are at most
+/// [`TSV_LINE_LIMIT`] bytes and UTF-8.
 ///
 /// When `expected_checksum` is given (from the run's manifest or progress
 /// journal), the whole file is FNV-1a-hashed as it streams and verified at
@@ -387,28 +395,20 @@ where
     let mut delivered = 0u64;
     let mut hasher = Fnv1a::new();
     // One reused line buffer for the whole shard — `lines()` would allocate
-    // a fresh String per edge on the replay hot path.
-    let mut line = String::new();
+    // a fresh String per edge on the replay hot path — read through `take`,
+    // so it never grows past the limit plus one byte.
+    let mut line = Vec::new();
     let mut number = 0usize;
     loop {
         line.clear();
-        if reader
-            .read_line(&mut line)
-            .map_err(|e| shard_error(path, e.into()))?
-            == 0
-        {
+        let read = (&mut reader)
+            .take(TSV_LINE_LIMIT as u64 + 1)
+            .read_until(b'\n', &mut line)
+            .map_err(|e| shard_error(path, e.into()))?;
+        if read == 0 {
             break;
         }
-        if expected_checksum.is_some() {
-            // read_line hands back the exact bytes read (newline included),
-            // so hashing the lines hashes the file.
-            hasher.update(line.as_bytes());
-        }
         number += 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
         let parse_error = |message: String| {
             shard_error::<E>(
                 path,
@@ -418,6 +418,22 @@ where
                 },
             )
         };
+        if read > TSV_LINE_LIMIT {
+            return Err(parse_error(format!(
+                "line longer than {TSV_LINE_LIMIT} bytes"
+            )));
+        }
+        if expected_checksum.is_some() {
+            // read_until hands back the exact bytes read (newline
+            // included), so hashing the lines hashes the file.
+            hasher.update(&line);
+        }
+        let trimmed = std::str::from_utf8(&line)
+            .map_err(|e| parse_error(format!("not UTF-8: {e}")))?
+            .trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        }
         let mut fields = trimmed.split_whitespace();
         let mut endpoint = |what: &str| -> Result<u64, E> {
             fields
@@ -901,6 +917,174 @@ mod tests {
         assert!(error.to_string().contains("out of bounds"), "{error}");
         assert!(error.to_string().contains("block_00000.tsv"), "{error}");
         assert!(error.to_string().contains("line 2"), "{error}");
+    }
+
+    /// Stream the TSV shard at `path` of a `vertices`-vertex graph: the
+    /// outcome, and the edges the sink was handed.
+    fn stream_tsv(
+        path: &Path,
+        vertices: u64,
+        checksum: Option<u64>,
+    ) -> (Result<u64, SparseError>, Vec<(u64, u64)>) {
+        let mut chunk = EdgeChunk::new(7);
+        let mut seen = Vec::new();
+        let mut collect = |edges: &[(u64, u64)]| {
+            seen.extend_from_slice(edges);
+            Ok::<(), SparseError>(())
+        };
+        let outcome = stream_shard(
+            path,
+            BlockFormat::Tsv,
+            vertices,
+            checksum,
+            &mut chunk,
+            &mut collect,
+        );
+        (outcome, seen)
+    }
+
+    /// The error inside `error`, which must name the shard at `path`.
+    fn named_by<'e>(error: &'e SparseError, path: &Path) -> &'e SparseError {
+        match error {
+            SparseError::WithPath {
+                path: named,
+                source,
+            } => {
+                assert_eq!(named, &path.display().to_string());
+                source
+            }
+            other => panic!("expected an error naming {}: {other:?}", path.display()),
+        }
+    }
+
+    #[test]
+    fn tsv_lines_longer_than_the_limit_are_parse_errors_naming_the_line() {
+        let dir = TestDir::new("tsv_line_limit");
+        let path = dir.join("block_00000.tsv");
+        // A comment of exactly the limit, newline included, is still a line.
+        let longest = format!("#{}\n", "x".repeat(TSV_LINE_LIMIT - 2));
+        std::fs::write(&path, format!("0\t1\t1\n{longest}1\t0\t1\n")).unwrap();
+        assert_eq!(stream_tsv(&path, 2, None).0.unwrap(), 2);
+        // One byte more is not, and neither is a megabyte with no newline.
+        let too_long = format!("0\t1\t1\n#{}\n", "x".repeat(TSV_LINE_LIMIT - 1));
+        for (text, at) in [(too_long, 2), ("7".repeat(1 << 20), 1)] {
+            std::fs::write(&path, text).unwrap();
+            let error = stream_tsv(&path, 2, None).0.unwrap_err();
+            match named_by(&error, &path) {
+                SparseError::Parse { line, message } => {
+                    assert_eq!(*line, at);
+                    assert!(message.contains("longer than 4096 bytes"), "{message}");
+                }
+                other => panic!("expected a parse error: {other:?}"),
+            }
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use crate::sink::TsvShardSink;
+        use proptest::prelude::*;
+
+        /// A TSV stream delivers what it counts, or fails with a typed error
+        /// naming the shard — whatever the file holds.
+        fn stream_checked(
+            path: &Path,
+            vertices: u64,
+            checksum: Option<u64>,
+        ) -> Result<u64, SparseError> {
+            let (outcome, seen) = stream_tsv(path, vertices, checksum);
+            match &outcome {
+                Ok(delivered) => assert_eq!(*delivered, seen.len() as u64),
+                Err(error) => assert!(
+                    matches!(
+                        named_by(error, path),
+                        SparseError::Parse { .. } | SparseError::ChecksumMismatch { .. }
+                    ),
+                    "{error}"
+                ),
+            }
+            outcome
+        }
+
+        /// A TSV shard of `edges` written by the sink at `path`, and the
+        /// checksum the run would record for it.
+        fn written_shard(path: &Path, edges: &[(u64, u64)]) -> Option<u64> {
+            let mut sink = TsvShardSink::create(path).unwrap();
+            sink.consume(edges).unwrap();
+            sink.finish_with_checksum().unwrap().1
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn arbitrary_bytes_give_their_edges_or_a_typed_error(
+                noise in proptest::collection::vec(any::<u8>(), 0..400),
+                // Mostly what shards are made of, so the parser is reached,
+                // not only the UTF-8 check.
+                letters in proptest::collection::vec(0usize..16, 0..400),
+                vertices in 0u64..64,
+            ) {
+                const SHARD_BYTES: &[u8; 16] = b"0123456789\t\t\n\n# ";
+                let dir = TestDir::new("tsv_noise");
+                let path = dir.join("block_00000.tsv");
+                let shardlike: Vec<u8> = letters.iter().map(|&letter| SHARD_BYTES[letter]).collect();
+                for bytes in [noise, shardlike] {
+                    std::fs::write(&path, &bytes).unwrap();
+                    let hash = Fnv1a::hash(&bytes);
+                    stream_checked(&path, vertices, None).ok();
+                    stream_checked(&path, vertices, Some(hash)).ok();
+                    prop_assert!(stream_checked(&path, vertices, Some(!hash)).is_err());
+                }
+            }
+
+            #[test]
+            fn every_truncation_of_a_valid_shard_is_a_typed_error(
+                edges in proptest::collection::vec((0u64..1_000, 0u64..1_000), 1..16),
+            ) {
+                let dir = TestDir::new("tsv_truncate");
+                let whole = dir.join("whole.tsv");
+                let checksum = written_shard(&whole, &edges);
+                let (outcome, seen) = stream_tsv(&whole, 1_000, checksum);
+                prop_assert_eq!(outcome.unwrap(), edges.len() as u64);
+                prop_assert_eq!(&seen, &edges);
+                let bytes = std::fs::read(&whole).unwrap();
+                let path = dir.join("block_00000.tsv");
+                for len in 0..bytes.len() {
+                    std::fs::write(&path, &bytes[..len]).unwrap();
+                    prop_assert!(
+                        stream_checked(&path, 1_000, checksum).is_err(),
+                        "the {len}-byte prefix passed"
+                    );
+                }
+            }
+
+            #[test]
+            fn labels_past_the_vertex_count_are_parse_errors_naming_their_line(
+                edges in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..32),
+            ) {
+                // The largest label is out of range in a graph of exactly that
+                // many vertices.
+                let vertices = edges.iter().map(|&(row, col)| row.max(col)).max().unwrap();
+                let first = edges
+                    .iter()
+                    .position(|&(row, col)| row >= vertices || col >= vertices)
+                    .unwrap();
+                let dir = TestDir::new("tsv_bounds");
+                let path = dir.join("block_00000.tsv");
+                let checksum = written_shard(&path, &edges);
+                let (outcome, seen) = stream_tsv(&path, vertices, checksum);
+                let error = outcome.unwrap_err();
+                match named_by(&error, &path) {
+                    SparseError::Parse { line, message } => {
+                        prop_assert_eq!(*line, first + 1);
+                        prop_assert!(message.contains("out of bounds"), "{}", message);
+                    }
+                    other => panic!("expected a parse error: {other:?}"),
+                }
+                prop_assert!(edges[..first].starts_with(&seen));
+            }
+        }
     }
 
     #[test]

@@ -44,9 +44,16 @@
 //! the TSV and compressed sinks do not hash their output in a second pass:
 //! the staged file lends out its writer and hasher together and the hash is
 //! taken inside the loop that produces the bytes ([`write_tsv_edges`],
-//! [`encode_frame_checksummed`]), where it hides behind the formatting and
-//! varint work.  The bytes and checksums are what a separate pass would
-//! give — a golden test below pins them.
+//! [`encode_frame_checksummed`]), where the formatting and varint work run
+//! beside it.  That chain — about 1.7 ns a byte — is the floor of both
+//! shard writers, and with the TSV formatter's branch-free word arithmetic
+//! (eight digits per `u64`) it is the TSV loop's pace.  The bytes and
+//! checksums are what a separate pass would give — a golden test below pins
+//! them.
+//!
+//! A write that fails names its file: every I/O error of a staged file,
+//! from the first buffered write to the fsync, is a
+//! [`SparseError::WithPath`] naming `<path>.tmp`.
 
 use std::fs::File;
 use std::io::{BufWriter, Seek, SeekFrom, Write};
@@ -162,6 +169,11 @@ impl StagedFile {
         (&mut self.writer, &mut self.hasher)
     }
 
+    /// `error`, met writing the staged bytes, named with the file it hit.
+    pub(crate) fn write_error(&self, error: std::io::Error) -> SparseError {
+        SparseError::with_path(&self.names.tmp, error.into())
+    }
+
     /// Make the file durable under its final name: flush, overwrite `bytes`
     /// at `offset` when a `patch` is given (the header fields only known at
     /// the end), fsync, rename, and fsync the directory.  Returns the final
@@ -169,14 +181,18 @@ impl StagedFile {
     pub(crate) fn commit(self, patch: Option<(u64, &[u8])>) -> Result<(PathBuf, u64), SparseError> {
         let mut names = self.names;
         names.settled = true;
+        let named = |e: std::io::Error| SparseError::with_path(&names.tmp, e.into());
         // Flushes, and gives the write buffer back before anything below
         // allocates.
-        let mut file = self.writer.into_inner().map_err(|e| e.into_error())?;
+        let mut file = self
+            .writer
+            .into_inner()
+            .map_err(|e| named(e.into_error()))?;
         if let Some((offset, bytes)) = patch {
-            file.seek(SeekFrom::Start(offset))?;
-            file.write_all(bytes)?;
+            file.seek(SeekFrom::Start(offset)).map_err(named)?;
+            file.write_all(bytes).map_err(named)?;
         }
-        file.sync_all()?;
+        file.sync_all().map_err(named)?;
         drop(file);
         std::fs::rename(&names.tmp, &names.path)
             .map_err(|e| SparseError::with_path(&names.path, e.into()))?;
@@ -296,19 +312,12 @@ impl EdgeSink for CooSink {
     }
 }
 
-/// The two ASCII digits of every value below 100, so the decimal writer
-/// spends one division per two digits.
-const DIGIT_PAIRS: &[u8; 200] = b"\
-    0001020304050607080910111213141516171819\
-    2021222324252627282930313233343536373839\
-    4041424344454647484950515253545556575859\
-    6061626364656667686970717273747576777879\
-    8081828384858687888990919293949596979899";
-
 /// Most decimal digits of a `u64`.
 const DIGITS_MAX: usize = 20;
 
-/// Longest TSV line: two endpoints, two tabs, the `1`, the newline.
+/// Longest TSV line: two endpoints, two tabs, the `1`, the newline.  The
+/// formatter's 8-byte stores stay inside it too: only a label below `10^8`
+/// stores past its last digit, and it starts by byte 21 of the line.
 const TSV_LINE_MAX: usize = 2 * DIGITS_MAX + 4;
 
 /// Bytes formatted between writes.  The tile lives on the stack and stays
@@ -316,30 +325,72 @@ const TSV_LINE_MAX: usize = 2 * DIGITS_MAX + 4;
 /// the run's peak RSS.
 const TSV_TILE: usize = 4096;
 
-/// Write `value` in decimal at `tile[at..]`, returning the end offset.
+/// `10^8`: the values one 8-digit word holds.
+const WORD_SPAN: u64 = 100_000_000;
+
+/// The ASCII `'0'` in every byte of a word.
+const ASCII_ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// The eight decimal digits of `value < 10^8` as one word, the most
+/// significant digit in the lowest byte (so a little-endian store writes
+/// them in reading order), each byte the digit's value `0..=9`.
+///
+/// No division and no branch: the value splits into two 4-digit groups,
+/// each group into two 2-digit lanes, each lane into two digits, with every
+/// lane of a step divided at once by one multiply and shift.  Each constant
+/// is exact on its range: `n * m >> s` equals `n / d` while
+/// `n * (m * d - 2^s) < 2^s`, which holds for `n < 10^8` with
+/// `109 951 163 >> 40` (`/ 10^4`), `n < 10^4` with `5 243 >> 19` (`/ 100`)
+/// and `n < 100` with `103 >> 10` (`/ 10`); no lane's product reaches the
+/// next lane.
 #[inline(always)]
-fn put_decimal(tile: &mut [u8], at: usize, mut value: u64) -> usize {
-    // Digits come out least significant first: fill a field from its right
-    // edge, then move the used part down to `at`.
-    let mut field = [0u8; DIGITS_MAX];
-    let mut left = DIGITS_MAX;
-    while value >= 100 {
-        let pair = 2 * (value % 100) as usize;
-        value /= 100;
-        left -= 2;
-        field[left..left + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+fn eight_digits(value: u64) -> u64 {
+    debug_assert!(value < WORD_SPAN);
+    let high = (value * 109_951_163) >> 40;
+    let groups = high | (value - high * 10_000) << 32;
+    let hundreds = ((groups * 5_243) >> 19) & 0x0000_007F_0000_007F;
+    let pairs = hundreds | (groups - hundreds * 100) << 16;
+    let tens = ((pairs * 103) >> 10) & 0x000F_000F_000F_000F;
+    tens | (pairs - tens * 10) << 8
+}
+
+/// Store the word `digits` (reading order from its lowest byte) at
+/// `tile[at..at + 8]`.
+#[inline(always)]
+fn store_word(tile: &mut [u8], at: usize, digits: u64) {
+    tile[at..at + 8].copy_from_slice(&digits.to_le_bytes());
+}
+
+/// Write `value < 10^8` without leading zeros at `tile[at..]` — eight bytes
+/// stored, the digits' count kept — returning the end offset.
+#[inline(always)]
+fn put_leading_word(tile: &mut [u8], at: usize, value: u64) -> usize {
+    let digits = eight_digits(value);
+    // Leading zeros are the zero bytes at the word's low end; the units
+    // byte counts as non-zero, so 0 keeps its one digit.
+    let zeros = (digits | 1 << 56).trailing_zeros() / 8;
+    store_word(tile, at, (digits + ASCII_ZEROS) >> (8 * zeros));
+    at + 8 - zeros as usize
+}
+
+/// Write `value` in decimal at `tile[at..]`, returning the end offset.  The
+/// `tile` needs eight bytes past `at` even for a one-digit value.
+#[inline(always)]
+fn put_label(tile: &mut [u8], at: usize, value: u64) -> usize {
+    if value < WORD_SPAN {
+        return put_leading_word(tile, at, value);
     }
-    if value >= 10 {
-        let pair = 2 * value as usize;
-        left -= 2;
-        field[left..left + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    // Every digit after the first word is written, zeros and all.
+    let (high, low) = (value / WORD_SPAN, value % WORD_SPAN);
+    let at = if high < WORD_SPAN {
+        put_leading_word(tile, at, high)
     } else {
-        left -= 1;
-        field[left] = b'0' + value as u8;
-    }
-    let end = at + DIGITS_MAX - left;
-    tile[at..end].copy_from_slice(&field[left..]);
-    end
+        let at = put_leading_word(tile, at, high / WORD_SPAN);
+        store_word(tile, at, eight_digits(high % WORD_SPAN) + ASCII_ZEROS);
+        at + 8
+    };
+    store_word(tile, at, eight_digits(low) + ASCII_ZEROS);
+    at + 8
 }
 
 /// Write one chunk of pattern edges in the TSV triple format
@@ -348,10 +399,11 @@ fn put_decimal(tile: &mut [u8], at: usize, mut value: u64) -> usize {
 /// [`BlockFileSet::read_assembled`]) — with the shard checksum riding
 /// along: `hasher` absorbs exactly the bytes written, in order.
 ///
-/// Lines are formatted two digits per division into a small stack tile,
-/// and each line is hashed as soon as it is formatted, so the serial FNV-1a
-/// chain of one line overlaps the divisions of the next instead of costing
-/// a second pass over the text.
+/// Lines are formatted into a small stack tile, each label as whole 8-digit
+/// words of multiply-shift arithmetic with no division or data-dependent
+/// branch, and each line is hashed as soon as it is formatted: the next
+/// line's formatting overlaps the serial FNV-1a chain of this one, which is
+/// the loop's pace, instead of the text costing a second pass.
 pub fn write_tsv_edges(
     writer: &mut impl Write,
     edges: &[(u64, u64)],
@@ -362,9 +414,9 @@ pub fn write_tsv_edges(
     let mut filled = 0usize;
     for &(row, col) in edges {
         let line = filled;
-        filled = put_decimal(&mut tile, filled, row);
+        filled = put_label(&mut tile, filled, row);
         tile[filled] = b'\t';
-        filled = put_decimal(&mut tile, filled + 1, col);
+        filled = put_label(&mut tile, filled + 1, col);
         tile[filled..filled + 3].copy_from_slice(b"\t1\n");
         filled += 3;
         hasher.update(&tile[line..filled]);
@@ -404,8 +456,7 @@ impl EdgeSink for TsvShardSink {
         // The formatter hashes each line as it produces it, so the checksum
         // sees exactly the bytes that reach the file.
         let (writer, hasher) = self.staged.parts();
-        write_tsv_edges(writer, edges, hasher)?;
-        Ok(())
+        write_tsv_edges(writer, edges, hasher).map_err(|e| self.staged.write_error(e))
     }
 
     fn abandon(self) {
@@ -448,7 +499,9 @@ impl CompressedShardSink {
     pub fn create(path: &Path, nrows: u64, ncols: u64) -> Result<Self, SparseError> {
         let mut staged = StagedFile::stage(path, SHARD_BUFFER)?;
         let (writer, _) = staged.parts();
-        writer.write_all(&BlockHeader::placeholder(nrows, ncols))?;
+        writer
+            .write_all(&BlockHeader::placeholder(nrows, ncols))
+            .map_err(|e| staged.write_error(e))?;
         Ok(CompressedShardSink {
             staged,
             pending: Vec::with_capacity(FRAME_EDGES),
@@ -466,7 +519,9 @@ impl CompressedShardSink {
         self.scratch.clear();
         let (writer, hasher) = self.staged.parts();
         encode_frame_checksummed(&self.pending, &mut self.scratch, hasher);
-        writer.write_all(&self.scratch)?;
+        writer
+            .write_all(&self.scratch)
+            .map_err(|e| self.staged.write_error(e))?;
         self.payload_len += self.scratch.len() as u64;
         self.written += self.pending.len() as u64;
         self.pending.clear();
@@ -971,6 +1026,183 @@ mod tests {
     const GOLDEN_V4_CHECKSUMS: [u64; 2] = [0x2a9f_f983_3305_fe41, 0xc9c7_5fa8_1cea_0b01];
     const GOLDEN_V4_FILE_HASHES: [u64; 2] = [0x436a_7222_5d36_dceb, 0x3447_2188_c04c_0164];
     const GOLDEN_TSV_CHECKSUMS: [u64; 2] = [0xc506_9e0e_ca8e_7d07, 0x2c8e_6e48_2dd8_187f];
+
+    /// What the standard library's formatter writes for `edges` — the oracle
+    /// the TSV formatter is checked against.
+    fn oracle_tsv(edges: &[(u64, u64)]) -> String {
+        edges
+            .iter()
+            .map(|(row, col)| format!("{row}\t{col}\t1\n"))
+            .collect()
+    }
+
+    /// `edges` through the TSV formatter in one call, checked byte for byte
+    /// and hash for hash against the oracle.
+    fn assert_formats_like_the_oracle(edges: &[(u64, u64)]) {
+        let expected = oracle_tsv(edges);
+        let mut written = Vec::new();
+        let mut hasher = Fnv1a::new();
+        write_tsv_edges(&mut written, edges, &mut hasher).unwrap();
+        // Line by line first, so a failure prints one line, not megabytes.
+        let written = String::from_utf8(written).unwrap();
+        if let Some((got, want)) = written.lines().zip(expected.lines()).find(|(a, b)| a != b) {
+            panic!("the formatter wrote {got:?} where the standard formatter writes {want:?}");
+        }
+        assert_eq!(written.len(), expected.len());
+        assert_eq!(hasher.finish(), Fnv1a::hash(expected.as_bytes()));
+    }
+
+    #[test]
+    fn every_four_digit_group_formats_in_every_group_position() {
+        // A label is at most five 4-digit groups.  Each group position takes
+        // every value 0..10 000 while the other groups are all 0 (so the
+        // group's own zeros lead or pad, by where it sits), all 1 (zeros
+        // inside every word) or all 9 999, under a top group of 0 or 1 843
+        // (the largest with room for any lower 16 digits below `u64::MAX`).
+        // The top position itself takes every value that fits.
+        const GROUP: u64 = 10_000;
+        let mut values = Vec::new();
+        for position in 0..5u32 {
+            let scale = GROUP.pow(position);
+            for fill in [0, 1, GROUP - 1] {
+                let lower: u64 = (0..4u32)
+                    .filter(|&other| other != position)
+                    .map(|other| fill * GROUP.pow(other))
+                    .sum();
+                let tops: &[u64] = if position == 4 { &[0] } else { &[0, 1_843] };
+                for top in tops {
+                    for group in 0..GROUP {
+                        let value = group
+                            .checked_mul(scale)
+                            .and_then(|placed| placed.checked_add(top * GROUP.pow(4) + lower));
+                        values.extend(value);
+                    }
+                }
+            }
+        }
+        assert!(values.contains(&(1_844 * GROUP.pow(4))));
+        assert!(values.len() > 4 * 6 * 9_000, "{} values", values.len());
+        // Every value as a row and, against the list reversed, as a column,
+        // so columns start after rows of every length.
+        let edges: Vec<(u64, u64)> = values
+            .iter()
+            .copied()
+            .zip(values.iter().rev().copied())
+            .collect();
+        assert_formats_like_the_oracle(&edges);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A label of a uniformly drawn digit count, 1 to 20, uniform within
+        /// that count — every word split, not just the 20-digit values a
+        /// uniform `u64` almost always is.
+        fn label() -> impl Strategy<Value = u64> {
+            (1u32..21, any::<u64>()).prop_map(|(digits, draw)| {
+                let low = if digits == 1 {
+                    0
+                } else {
+                    10u64.pow(digits - 1)
+                };
+                let high = 10u64.checked_pow(digits).map_or(u64::MAX, |top| top - 1);
+                low + draw % (high - low + 1)
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn random_labels_of_every_length_format_like_the_standard_formatter(
+                edges in proptest::collection::vec((label(), label()), 0..300),
+            ) {
+                assert_formats_like_the_oracle(&edges);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            #[test]
+            fn shard_bytes_and_checksum_ignore_where_consume_calls_split(
+                // ≈ 23 bytes a line on average, so 4–16 KiB of text: the
+                // formatter's 4 KiB tile flushes mid-call.
+                edges in proptest::collection::vec((label(), label()), 200..700),
+                cuts in proptest::collection::vec(any::<usize>(), 0..12),
+            ) {
+                let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut % (edges.len() + 1)).collect();
+                cuts.push(edges.len());
+                cuts.sort_unstable();
+                let dir = TestDir::new("tsv_splits");
+                let tsv = dir.join("shard.tsv");
+                let mut sink = TsvShardSink::create(&tsv).unwrap();
+                let mut from = 0;
+                for cut in cuts {
+                    sink.consume(&edges[from..cut]).unwrap();
+                    from = cut;
+                }
+                let (_, checksum) = sink.finish_with_checksum().unwrap();
+                let expected = oracle_tsv(&edges);
+                prop_assert!(std::fs::read(&tsv).unwrap() == expected.as_bytes());
+                prop_assert_eq!(checksum, Some(Fnv1a::hash(expected.as_bytes())));
+            }
+        }
+    }
+
+    /// Assert that `error` is an I/O error naming `shard`'s staging file.
+    #[cfg(target_os = "linux")]
+    fn assert_names_the_staged_file(error: SparseError, shard: &Path) {
+        match error {
+            SparseError::WithPath { path, source } => {
+                assert_eq!(path, tmp_shard_path(shard).display().to_string());
+                assert!(matches!(*source, SparseError::Io(_)), "{source}");
+            }
+            other => panic!("expected the error to name {}: {other:?}", shard.display()),
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn write_errors_name_the_shard_and_never_reach_the_final_name() {
+        // `<shard>.tmp` is a symlink to /dev/full, so every write that
+        // reaches the file fails with "no space left on device".
+        let dir = TestDir::new("dev_full");
+        let stage_on_full_disk = |name: &str| {
+            let shard = dir.join(name);
+            std::os::unix::fs::symlink("/dev/full", tmp_shard_path(&shard)).unwrap();
+            shard
+        };
+        // Far more than the 256 KiB write buffer, so consume itself writes.
+        let many: Vec<(u64, u64)> = (0..100_000u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20, i))
+            .collect();
+
+        // Failing inside consume.
+        let tsv = stage_on_full_disk("consume.tsv");
+        let mut sink = TsvShardSink::create(&tsv).unwrap();
+        assert_names_the_staged_file(sink.consume(&many).unwrap_err(), &tsv);
+        sink.abandon();
+        let kbkz = stage_on_full_disk("consume.kbkz");
+        let mut sink = CompressedShardSink::create(&kbkz, u64::MAX, u64::MAX).unwrap();
+        assert_names_the_staged_file(sink.consume(&many).unwrap_err(), &kbkz);
+        sink.abandon();
+
+        // Failing when the commit flushes what consume buffered.
+        let tsv_small = stage_on_full_disk("commit.tsv");
+        let mut sink = TsvShardSink::create(&tsv_small).unwrap();
+        sink.consume(EDGES).unwrap();
+        assert_names_the_staged_file(sink.finish_with_checksum().unwrap_err(), &tsv_small);
+        let kbkz_small = stage_on_full_disk("commit.kbkz");
+        let mut sink = CompressedShardSink::create(&kbkz_small, 4, 4).unwrap();
+        sink.consume(EDGES).unwrap();
+        assert_names_the_staged_file(sink.finish_with_checksum().unwrap_err(), &kbkz_small);
+
+        for shard in [tsv, kbkz, tsv_small, kbkz_small] {
+            assert!(!shard.exists(), "{} must not appear", shard.display());
+        }
+    }
 
     /// A sink that fails on the `n`-th consume, for exercising the
     /// double-buffered writer thread's error path.
