@@ -21,13 +21,23 @@
 //!   alone over the same text: the chain is the floor the fused loop cannot
 //!   beat, so the two rows print the formatter's distance from it.
 //!
+//! * `design_predict` / `realize_measure` — a `{3,4,5,9,16}` design's exact
+//!   property sheet from [`kron_core::KroneckerDesign::properties`] against
+//!   realising the graph and measuring the same sheet.
+//! * `triangles_spgemm` / `triangles_merge` / `triangles_oriented` — the
+//!   paper's `1ᵀ((A·A) ⊗ A)1 / 6`, the ordered merge and the degree-ordered
+//!   counter of [`kron_sparse::triangles`] on one realised `{3,4,5,9}` graph,
+//!   each checked against the merge count before it is timed.
+//!
 //! End-to-end numbers live in the benchmark (`BENCHMARK.json`,
 //! `crates/bench/src/bin/benchmark/`); this bench exists so a kernel
 //! regression is attributable to the kernel, not inferred from pipeline
 //! deltas.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use kron_core::validate::measure_properties;
 use kron_core::{KroneckerDesign, SelfLoop};
 use kron_gen::codec::{
     decode_frame, decode_frame_checksummed, encode_frame, encode_frame_checksummed, frame_header,
@@ -37,18 +47,19 @@ use kron_gen::permute::FeistelPermutation;
 use kron_gen::sink::write_tsv_edges;
 use kron_gen::{EdgeChunk, EdgeSource, Fnv1a, KroneckerSource, SourceRun};
 use kron_rmat::{RmatGenerator, RmatParams};
-use kron_sparse::SparseError;
+use kron_sparse::triangles::{count_triangles, count_triangles_merge, count_triangles_oriented};
+use kron_sparse::{CsrMatrix, PlusTimes, SparseError};
 
 const RMAT_SCALE: u32 = 18;
 const RMAT_SEED: u64 = 20180304;
 const CHUNK: usize = 1 << 16;
 const SAMPLES: usize = 5;
 
-fn median_of(mut pass: impl FnMut() -> u64, items: u64) -> (Duration, f64) {
+fn median_of<T>(mut pass: impl FnMut() -> T, items: u64) -> (Duration, f64) {
     let mut times: Vec<Duration> = (0..SAMPLES)
         .map(|_| {
             let started = Instant::now();
-            criterion::black_box(pass());
+            black_box(pass());
             started.elapsed()
         })
         .collect();
@@ -322,6 +333,43 @@ fn main() {
         "  tsv text         {:.2} bytes per edge",
         text_bytes as f64 / edge_total as f64
     );
+
+    // The paper's premise: a design's exact property sheet costs next to
+    // nothing beside realising the graph and measuring the same sheet.
+    let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9, 16], SelfLoop::Centre)
+        .expect("valid design");
+    let (predict, _) = median_of(|| design.properties(), 1);
+    let (measure, _) = median_of(
+        || {
+            let graph = design.realize(60_000_000).expect("fits in memory");
+            measure_properties(&graph).expect("measurable")
+        },
+        1,
+    );
+    println!("  design_predict         median {predict:>12?}");
+    println!(
+        "  realize_measure        median {measure:>12?}  ({:.0}x the prediction)",
+        measure.as_secs_f64() / predict.as_secs_f64()
+    );
+
+    // The three triangle counters on one realised graph; the ordered merge
+    // is the reference a streamed triangle count will be checked against.
+    let graph = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre)
+        .and_then(|design| design.realize(10_000_000))
+        .expect("fits in memory");
+    let csr = CsrMatrix::from_coo::<PlusTimes>(&graph).expect("fits in memory");
+    let nnz = csr.nnz() as u64;
+    let reference = count_triangles_merge(&csr).expect("countable");
+    let names = ["triangles_spgemm", "triangles_merge", "triangles_oriented"];
+    let counters = [
+        count_triangles,
+        count_triangles_merge,
+        count_triangles_oriented,
+    ];
+    for (name, count) in names.into_iter().zip(counters) {
+        assert_eq!(count(&csr).expect("countable"), reference, "{name}");
+        row(name, median_of(|| count(&csr).expect("countable"), nnz));
+    }
 }
 
 /// The first `count` chunks of worker 0's stream of the benchmark's K70

@@ -1,10 +1,12 @@
 //! # kron-bench
 //!
-//! Shared harness code for the per-figure reproduction binaries and the
-//! Criterion benchmarks.  Each binary in `src/bin/` regenerates the series or
-//! rows of one figure of Kepner et al. (2018); the helpers here keep their
-//! output format consistent and provide the scaled-down configurations used
-//! when a figure's full-scale experiment cannot fit on one machine.
+//! Shared code for the per-figure reproduction binaries.  Each binary in
+//! `src/bin/` regenerates the series or rows of one figure of Kepner et al.
+//! (2018); the helpers here keep their output format consistent and provide
+//! the scaled-down configurations used when a figure's full-scale experiment
+//! cannot fit on one machine.  The end-to-end benchmark (`src/bin/benchmark/`)
+//! and the isolated-kernel bench (`benches/kernel_microbench.rs`) are plain
+//! `main`s beside them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -89,43 +91,6 @@ pub fn design(points: &[u64], self_loop: SelfLoop) -> KroneckerDesign {
     KroneckerDesign::from_star_points(points, self_loop).expect("paper star sets are valid")
 }
 
-/// Benchmark provenance: the host and revision facts a recorded number is
-/// meaningless without.  Emitted into every `BENCH_*.json` so successive
-/// PRs comparing trajectories know whether a delta is code or circumstance.
-pub mod provenance {
-    /// The host's available parallelism (0 when unknown).
-    pub fn available_parallelism() -> usize {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(0)
-    }
-
-    /// The workspace's current git revision (short), or `"unknown"` when
-    /// git or the repository is unavailable.
-    pub fn git_rev() -> String {
-        std::process::Command::new("git")
-            .args(["rev-parse", "--short", "HEAD"])
-            .current_dir(env!("CARGO_MANIFEST_DIR"))
-            .output()
-            .ok()
-            .filter(|out| out.status.success())
-            .and_then(|out| String::from_utf8(out.stdout).ok())
-            .map(|rev| rev.trim().to_string())
-            .filter(|rev| !rev.is_empty())
-            .unwrap_or_else(|| "unknown".to_string())
-    }
-
-    /// The provenance fields as a JSON fragment (no surrounding braces),
-    /// ready to splice into a bench's JSON object alongside its results.
-    pub fn json_fields() -> String {
-        format!(
-            "\"available_parallelism\": {}, \"git_rev\": \"{}\"",
-            available_parallelism(),
-            git_rev()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,17 +130,5 @@ mod tests {
             .unwrap();
         assert_eq!(report.edge_count(), 276_480);
         assert!(report.is_valid());
-    }
-
-    #[test]
-    fn provenance_fields_are_well_formed() {
-        let fields = provenance::json_fields();
-        assert!(fields.contains("\"available_parallelism\": "));
-        assert!(fields.contains("\"git_rev\": \""));
-        // A raw fragment must splice into an object without trailing commas
-        // or braces of its own.
-        let object = format!("{{{fields}}}");
-        assert!(!object.contains(",}"));
-        assert!(!provenance::git_rev().is_empty());
     }
 }

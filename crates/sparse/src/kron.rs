@@ -7,9 +7,9 @@
 //! Because the product never combines two entries, `nnz(C) = nnz(A)·nnz(B)`
 //! whenever the semiring multiplication of two stored (non-zero) values is
 //! itself non-zero, which is the identity the paper's edge-count formula
-//! relies on.  The streaming iterator form ([`KronEdgeIter`]) generates the
-//! product without materialising it, which is what the per-processor
-//! generator uses for graphs whose blocks are still large.
+//! relies on.  These products are materialised: `kron-core` realises small
+//! designs with [`kron_chain`], and tests hold the streaming generator (which
+//! builds no product) to [`kron_coo`].
 
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
@@ -66,86 +66,10 @@ pub fn kron_chain<T: Scalar, S: Semiring<T>>(
     Ok(acc)
 }
 
-/// A streaming iterator over the entries of `A ⊗ B` in row-major-ish order
-/// (outer loop over `A`'s entries, inner loop over `B`'s entries).
-///
-/// Never allocates the product: each `next()` produces one `(row, col, value)`
-/// entry.  This is the kernel behind the communication-free generator's
-/// "write edges straight to the consumer" mode.
-pub struct KronEdgeIter<'a, T, S> {
-    a: &'a CooMatrix<T>,
-    b: &'a CooMatrix<T>,
-    a_pos: usize,
-    b_pos: usize,
-    _semiring: std::marker::PhantomData<S>,
-}
-
-impl<'a, T: Scalar, S: Semiring<T>> KronEdgeIter<'a, T, S> {
-    /// Create a streaming iterator over the entries of `a ⊗ b`.
-    pub fn new(a: &'a CooMatrix<T>, b: &'a CooMatrix<T>) -> Self {
-        KronEdgeIter {
-            a,
-            b,
-            a_pos: 0,
-            b_pos: 0,
-            _semiring: std::marker::PhantomData,
-        }
-    }
-
-    /// Total number of entries the iterator will produce (before zero
-    /// filtering by the caller).
-    pub fn expected_len(&self) -> usize {
-        self.a.nnz() * self.b.nnz()
-    }
-
-    /// Dimensions of the virtual product matrix.
-    pub fn dims(&self) -> (u128, u128) {
-        kron_dims(
-            (self.a.nrows(), self.a.ncols()),
-            (self.b.nrows(), self.b.ncols()),
-        )
-    }
-}
-
-impl<T: Scalar, S: Semiring<T>> Iterator for KronEdgeIter<'_, T, S> {
-    type Item = (u64, u64, T);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.a_pos >= self.a.nnz() {
-                return None;
-            }
-            if self.b_pos >= self.b.nnz() {
-                self.b_pos = 0;
-                self.a_pos += 1;
-                continue;
-            }
-            let ra = self.a.row_indices()[self.a_pos];
-            let ca = self.a.col_indices()[self.a_pos];
-            let va = self.a.values()[self.a_pos];
-            let rb = self.b.row_indices()[self.b_pos];
-            let cb = self.b.col_indices()[self.b_pos];
-            let vb = self.b.values()[self.b_pos];
-            self.b_pos += 1;
-            let val = S::mul(va, vb);
-            if S::is_zero(val) {
-                continue;
-            }
-            return Some((ra * self.b.nrows() + rb, ca * self.b.ncols() + cb, val));
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining =
-            (self.a.nnz().saturating_sub(self.a_pos)) * self.b.nnz() - self.b_pos.min(self.b.nnz());
-        (0, Some(remaining))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::{BoolOrAnd, PlusTimes};
+    use crate::semiring::PlusTimes;
 
     /// Undirected star adjacency matrix with `points + 1` vertices, centre 0.
     fn star(points: u64) -> CooMatrix<u64> {
@@ -226,29 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn bool_semiring_kron() {
-        let a = star(3).map_values(|_| true);
-        let b = star(2).map_values(|_| true);
-        let c = kron_coo::<bool, BoolOrAnd>(&a, &b).unwrap();
-        assert_eq!(c.nnz(), 6 * 4);
-        assert!(c.values().iter().all(|&v| v));
-    }
-
-    #[test]
-    fn streaming_iterator_matches_materialised() {
-        let a = star(4);
-        let b = star(3);
-        let mut materialised = kron_coo::<u64, PlusTimes>(&a, &b).unwrap();
-        let iter = KronEdgeIter::<u64, PlusTimes>::new(&a, &b);
-        assert_eq!(iter.expected_len(), a.nnz() * b.nnz());
-        assert_eq!(iter.dims(), (20, 20));
-        let mut streamed = CooMatrix::from_entries(20, 20, iter.collect::<Vec<_>>()).unwrap();
-        materialised.sort();
-        streamed.sort();
-        assert_eq!(materialised, streamed);
-    }
-
-    #[test]
     fn too_large_product_is_rejected() {
         let a = CooMatrix::<u64>::new(u64::MAX, u64::MAX);
         let b = CooMatrix::<u64>::new(3, 3);
@@ -305,21 +206,6 @@ mod proptests {
                     }
                 }
             }
-        }
-
-        #[test]
-        fn streaming_matches_materialised(a in arb_small_coo(), b in arb_small_coo()) {
-            let mut c = kron_coo::<u64, PlusTimes>(&a, &b).unwrap();
-            let (rows, cols) = kron_dims((a.nrows(), a.ncols()), (b.nrows(), b.ncols()));
-            let mut streamed = CooMatrix::from_entries(
-                rows as u64,
-                cols as u64,
-                KronEdgeIter::<u64, PlusTimes>::new(&a, &b).collect::<Vec<_>>(),
-            )
-            .unwrap();
-            c.sort();
-            streamed.sort();
-            prop_assert_eq!(c, streamed);
         }
     }
 }

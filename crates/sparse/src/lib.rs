@@ -10,16 +10,16 @@
 //! that subset:
 //!
 //! * [`Semiring`] — the algebraic structure (⊕, ⊗, 0, 1) all kernels are
-//!   generic over, with the standard instances ([`PlusTimes`], [`BoolOrAnd`],
-//!   [`MinPlus`], [`MaxTimes`]).
+//!   generic over, and [`PlusTimes`], the arithmetic instance under which
+//!   the paper's properties are exact and the only one the workspace uses.
 //! * [`CooMatrix`] — triple (row, col, value) storage with `u64` indices,
 //!   used for construction, Kronecker products, and distributed blocks.
 //! * [`CsrMatrix`] / [`CscMatrix`] — compressed row/column storage for
 //!   kernels that need fast row or column access (SpGEMM, BFS, and the
 //!   factors from which `kron-gen` computes the paper's CSC-ordered
 //!   processor slices of `B` without storing `B`).
-//! * [`kron`] — Kronecker products of sparse matrices, including a
-//!   streaming, allocation-free edge iterator.
+//! * [`kron`] — materialised Kronecker products: how small designs are
+//!   realised, and the streaming generator's test oracle.
 //! * [`ops`] — element-wise multiply (graph intersection), SpGEMM, and the
 //!   `1ᵀM1` entry sum.
 //! * [`reduce`] — row/column degree vectors, nnz reductions, degree
@@ -66,6 +66,6 @@ pub use coo::{CooMatrix, Triple};
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use error::SparseError;
-pub use kron::{kron_coo, kron_dims, KronEdgeIter};
+pub use kron::{kron_coo, kron_dims};
 pub use reduce::{DegreeAccumulator, SharedDegreeAccumulator};
-pub use semiring::{BoolOrAnd, MaxTimes, MinPlus, PlusTimes, Semiring};
+pub use semiring::{PlusTimes, Semiring};

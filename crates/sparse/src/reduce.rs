@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::semiring::Scalar;
 
@@ -30,18 +29,6 @@ pub fn col_counts<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
         counts[c as usize] += 1;
     }
     counts
-}
-
-/// Row-pattern degrees of a CSR matrix (`nnz` per row).
-pub fn csr_row_degrees<T: Scalar>(m: &CsrMatrix<T>) -> Vec<u64> {
-    (0..m.nrows()).map(|r| m.row_nnz(r) as u64).collect()
-}
-
-/// Undirected vertex degrees of a symmetric adjacency matrix in COO form:
-/// the number of stored entries in the vertex's row.  For matrices that are
-/// not symmetric use [`total_degrees`], which counts row + column entries.
-pub fn symmetric_degrees<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
-    row_counts(m)
 }
 
 /// Total (in + out) pattern degree of each vertex of a square COO matrix.
@@ -394,22 +381,9 @@ pub fn try_counts<T>(len: u64, zero: impl FnMut() -> T) -> Result<Vec<T>, Sparse
     Ok(counts)
 }
 
-/// Total number of stored entries per row, returned as `(max, min, mean)`;
-/// useful for checking the paper's per-processor load balance claim.
-pub fn balance_stats(counts: &[usize]) -> (usize, usize, f64) {
-    if counts.is_empty() {
-        return (0, 0, 0.0);
-    }
-    let max = counts.iter().copied().max().unwrap_or(0);
-    let min = counts.iter().copied().min().unwrap_or(0);
-    let mean = counts.iter().sum::<usize>() as f64 / counts.len() as f64;
-    (max, min, mean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::PlusTimes;
 
     fn star5_with_center_loop() -> CooMatrix<u64> {
         // Centre 0 with 5 leaves plus a self-loop on the centre.
@@ -429,13 +403,6 @@ mod tests {
         assert_eq!(rows[1..], [1, 1, 1, 1, 1]);
         let cols = col_counts(&m);
         assert_eq!(cols, rows, "symmetric matrix has equal row/col counts");
-    }
-
-    #[test]
-    fn csr_degrees_match_coo() {
-        let m = star5_with_center_loop();
-        let csr = CsrMatrix::from_coo::<PlusTimes>(&m).unwrap();
-        assert_eq!(csr_row_degrees(&csr), row_counts(&m));
     }
 
     #[test]
@@ -644,16 +611,6 @@ mod tests {
         let mut a = DegreeAccumulator::new(3, 3);
         let b = DegreeAccumulator::new(4, 4);
         a.merge(&b);
-    }
-
-    #[test]
-    fn balance_stats_basics() {
-        assert_eq!(balance_stats(&[]), (0, 0, 0.0));
-        let (max, min, mean) = balance_stats(&[4, 4, 4, 4]);
-        assert_eq!((max, min), (4, 4));
-        assert!((mean - 4.0).abs() < 1e-12);
-        let (max, min, _) = balance_stats(&[1, 7, 4]);
-        assert_eq!((max, min), (7, 1));
     }
 }
 

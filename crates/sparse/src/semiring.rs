@@ -4,9 +4,9 @@
 //! properties (associativity, distributivity over element-wise addition, the
 //! mixed-product rule with matrix multiplication) whenever element-wise
 //! addition and multiplication form a semiring with `0` as the annihilator.
-//! Modelling that explicitly lets the same kernels count edges (`PlusTimes`
-//! over integers), test reachability (`BoolOrAnd`), or compute shortest
-//! hops (`MinPlus`) without duplication — the GraphBLAS philosophy.
+//! The paper's properties are exact under the arithmetic semiring, so
+//! [`PlusTimes`] is the one instance; the kernels stay generic so that `⊕`
+//! and `⊗` are named where they are used, as in GraphBLAS.
 
 use std::fmt::Debug;
 
@@ -19,7 +19,7 @@ impl<T: Copy + PartialEq + Debug + Send + Sync + 'static> Scalar for T {}
 
 /// A semiring `(S, ⊕, ⊗, 0, 1)`.
 ///
-/// Laws expected (and checked by property tests for the provided instances):
+/// Laws expected (and checked by a property test for [`PlusTimes`]):
 ///
 /// * `(S, ⊕, 0)` is a commutative monoid;
 /// * `(S, ⊗, 1)` is a monoid;
@@ -65,74 +65,6 @@ macro_rules! impl_plus_times {
 
 impl_plus_times!(u8, u16, u32, u64, u128, usize, i32, i64, i128, f32, f64);
 
-/// The boolean (`∨`, `∧`) semiring: structural graph algebra.
-///
-/// Adjacency matrices whose entries only record the existence of an edge live
-/// here; Kronecker products over this semiring reproduce Weichsel's graph
-/// Kronecker product exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BoolOrAnd;
-
-impl Semiring<bool> for BoolOrAnd {
-    fn zero() -> bool {
-        false
-    }
-    fn one() -> bool {
-        true
-    }
-    fn add(a: bool, b: bool) -> bool {
-        a || b
-    }
-    fn mul(a: bool, b: bool) -> bool {
-        a && b
-    }
-}
-
-/// The tropical (`min`, `+`) semiring over `u64`, with `u64::MAX` as +∞.
-///
-/// Useful for hop-count style analyses of generated graphs; included to keep
-/// the substrate honest about being semiring-generic rather than hard-coding
-/// arithmetic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MinPlus;
-
-impl Semiring<u64> for MinPlus {
-    fn zero() -> u64 {
-        u64::MAX
-    }
-    fn one() -> u64 {
-        0
-    }
-    fn add(a: u64, b: u64) -> u64 {
-        a.min(b)
-    }
-    fn mul(a: u64, b: u64) -> u64 {
-        a.saturating_add(b)
-    }
-}
-
-/// The (`max`, `×`) semiring over `f64` with 0 as the annihilator.
-///
-/// Handy for most-probable-path style computations on weighted Kronecker
-/// models (e.g. stochastic Kronecker initiator matrices).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaxTimes;
-
-impl Semiring<f64> for MaxTimes {
-    fn zero() -> f64 {
-        0.0
-    }
-    fn one() -> f64 {
-        1.0
-    }
-    fn add(a: f64, b: f64) -> f64 {
-        a.max(b)
-    }
-    fn mul(a: f64, b: f64) -> f64 {
-        a * b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,31 +77,6 @@ mod tests {
         assert_eq!(<PlusTimes as Semiring<u64>>::mul(2, 3), 6);
         assert!(<PlusTimes as Semiring<u64>>::is_zero(0));
         assert!(!<PlusTimes as Semiring<u64>>::is_zero(7));
-    }
-
-    #[test]
-    fn bool_semiring_behaves_like_set_union_intersection() {
-        assert!(!<BoolOrAnd as Semiring<bool>>::zero());
-        assert!(<BoolOrAnd as Semiring<bool>>::one());
-        assert!(<BoolOrAnd as Semiring<bool>>::add(true, false));
-        assert!(!<BoolOrAnd as Semiring<bool>>::mul(true, false));
-    }
-
-    #[test]
-    fn min_plus_identities() {
-        assert_eq!(<MinPlus as Semiring<u64>>::zero(), u64::MAX);
-        assert_eq!(<MinPlus as Semiring<u64>>::one(), 0);
-        assert_eq!(<MinPlus as Semiring<u64>>::add(3, 9), 3);
-        assert_eq!(<MinPlus as Semiring<u64>>::mul(3, 9), 12);
-        // The annihilator law: ∞ ⊗ x = ∞.
-        assert_eq!(<MinPlus as Semiring<u64>>::mul(u64::MAX, 5), u64::MAX);
-    }
-
-    #[test]
-    fn max_times_identities() {
-        assert_eq!(<MaxTimes as Semiring<f64>>::add(0.25, 0.75), 0.75);
-        assert_eq!(<MaxTimes as Semiring<f64>>::mul(0.5, 0.5), 0.25);
-        assert_eq!(<MaxTimes as Semiring<f64>>::mul(0.0, 0.5), 0.0);
     }
 }
 
@@ -199,23 +106,6 @@ mod proptests {
         #[test]
         fn plus_times_laws(a in 0u64..1u64 << 20, b in 0u64..1u64 << 20, c in 0u64..1u64 << 20) {
             check_semiring_laws_u64::<PlusTimes>(a, b, c)?;
-        }
-
-        #[test]
-        fn min_plus_laws(a in 0u64..1u64 << 40, b in 0u64..1u64 << 40, c in 0u64..1u64 << 40) {
-            check_semiring_laws_u64::<MinPlus>(a, b, c)?;
-        }
-
-        #[test]
-        fn bool_laws(a in any::<bool>(), b in any::<bool>(), c in any::<bool>()) {
-            prop_assert_eq!(BoolOrAnd::add(a, BoolOrAnd::zero()), a);
-            prop_assert_eq!(BoolOrAnd::add(a, b), BoolOrAnd::add(b, a));
-            prop_assert_eq!(BoolOrAnd::mul(a, BoolOrAnd::one()), a);
-            prop_assert_eq!(BoolOrAnd::mul(a, BoolOrAnd::zero()), BoolOrAnd::zero());
-            prop_assert_eq!(
-                BoolOrAnd::mul(a, BoolOrAnd::add(b, c)),
-                BoolOrAnd::add(BoolOrAnd::mul(a, b), BoolOrAnd::mul(a, c))
-            );
         }
     }
 }

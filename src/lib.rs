@@ -8,7 +8,7 @@
 //! * [`bignum`] (re-export of `kron-bignum`) — exact arbitrary-precision
 //!   arithmetic for 10^30-edge designs.
 //! * [`sparse`] (re-export of `kron-sparse`) — the GraphBLAS-style sparse
-//!   matrix substrate (semirings, COO/CSR/CSC, Kronecker products, SpGEMM).
+//!   matrix substrate (COO/CSR/CSC, Kronecker products, SpGEMM).
 //! * [`core`] (re-export of `kron-core`) — the paper's contribution: exact
 //!   design of power-law Kronecker graphs from star constituents.
 //! * [`gen`] (re-export of `kron-gen`) — the unified design → generate →
