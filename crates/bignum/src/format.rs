@@ -32,7 +32,12 @@ pub fn grouped(decimal: &str) -> String {
 }
 
 /// Approximate a [`BigUint`] as `m.mmme+EE` scientific notation for axis
-/// labels and log-log summaries. Exact for values below 10^15.
+/// labels and log-log summaries.
+///
+/// The mantissa is the value's four leading significant digits, rounded
+/// half up in integer arithmetic from its decimal digits, so the result is
+/// correctly rounded at any size; a value that rounds up to `10.000` carries
+/// into the exponent (`99 996` prints `1.000e5`).
 ///
 /// ```
 /// use kron_bignum::{scientific, BigUint};
@@ -45,11 +50,20 @@ pub fn scientific(value: &BigUint) -> String {
         return "0".to_string();
     }
     let digits = value.to_string();
-    let exponent = digits.len() - 1;
-    let mantissa_digits: String = digits.chars().take(5).collect();
-    let mantissa: f64 = mantissa_digits.parse::<f64>().unwrap_or(0.0)
-        / 10f64.powi(mantissa_digits.len() as i32 - 1);
-    format!("{mantissa:.3}e{exponent}")
+    let mut exponent = digits.len() - 1;
+    // The five leading digits, zero-padded; the fifth rounds the four
+    // before it half up.
+    let leading = digits
+        .bytes()
+        .chain(std::iter::repeat(b'0'))
+        .take(5)
+        .fold(0u32, |acc, digit| acc * 10 + u32::from(digit - b'0'));
+    let mut mantissa = (leading + 5) / 10;
+    if mantissa == 10_000 {
+        mantissa = 1_000;
+        exponent += 1;
+    }
+    format!("{}.{:03}e{exponent}", mantissa / 1_000, mantissa % 1_000)
 }
 
 #[cfg(test)]
@@ -88,5 +102,10 @@ mod tests {
         assert_eq!(scientific(&BigUint::from(1_146_617_856_000u64)), "1.147e12");
         let decetta: BigUint = "2705963586782877716483871216764".parse().unwrap();
         assert_eq!(scientific(&decetta), "2.706e30");
+        // Rounding is decimal and carries into the exponent.
+        assert_eq!(scientific(&BigUint::from(99_996u64)), "1.000e5");
+        assert_eq!(scientific(&BigUint::from(999_960_000u64)), "1.000e9");
+        assert_eq!(scientific(&BigUint::from(1_234_567u64)), "1.235e6");
+        assert_eq!(scientific(&BigUint::from(9_999u64)), "9.999e3");
     }
 }

@@ -8,15 +8,15 @@
 //! with up to 10^30 edges.  Vertex, edge, degree, and triangle counts at that
 //! scale do not fit in `u64`, and some (products of degree counts) do not fit
 //! in `u128` either, so every exact property computation in the workspace is
-//! done with the types in this crate:
+//! done with [`BigUint`]:
 //!
 //! * [`BigUint`] — an arbitrary-precision unsigned integer stored as 64-bit
-//!   little-endian limbs.
-//! * [`BigInt`] — a signed wrapper (sign + magnitude) used by correction
-//!   formulas that subtract before dividing.
-//! * [`BigRatio`] — an exact rational built on [`BigInt`]/[`BigUint`], used
-//!   for power-law slope fits and for the triangle correction terms
-//!   `N_tri - m/2 + 1/3` before they are proven integral.
+//!   little-endian limbs.  The triangle corrections divide by six with
+//!   [`BigUint::div_rem_u64`] and check the remainder; power-law slope fits
+//!   are `f64`.
+//! * [`BigInt`] — a signed wrapper (sign + magnitude), and [`BigRatio`], an
+//!   exact rational built on [`BigInt`]/[`BigUint`].  No other crate of the
+//!   workspace computes with either.
 //!
 //! The crate is deliberately self-contained (no external bignum dependency)
 //! so the workspace builds offline and the arithmetic core can be audited in

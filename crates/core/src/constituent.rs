@@ -10,7 +10,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use kron_bignum::BigUint;
 use kron_sparse::reduce::degree_distribution;
 use kron_sparse::triangles::triangle_raw_sum;
 use kron_sparse::{CooMatrix, CsrMatrix, PlusTimes};
@@ -168,21 +167,12 @@ impl Constituent {
             ConstituentKind::Custom(m) => m.clone(),
         }
     }
-
-    /// Number of vertices as a [`BigUint`] (convenience for product formulas).
-    pub fn vertices_big(&self) -> BigUint {
-        BigUint::from(self.vertices)
-    }
-
-    /// Number of stored entries as a [`BigUint`].
-    pub fn nnz_big(&self) -> BigUint {
-        BigUint::from(self.nnz)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kron_bignum::BigUint;
 
     #[test]
     fn star_constituent_uses_closed_forms() {

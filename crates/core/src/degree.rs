@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use kron_bignum::{BigRatio, BigUint};
+use kron_bignum::BigUint;
 
 /// An exact degree distribution: a sorted map from degree to vertex count.
 ///
@@ -230,136 +230,6 @@ impl DegreeDistribution {
         let slope = (n * sum_xy - sum_x * sum_y) / denom;
         Some(-slope)
     }
-
-    /// Bin the distribution into logarithmic degree bins of the given ratio
-    /// (e.g. `2.0` doubles the bin edge each time).  Returns
-    /// `(bin_lower_edge, total_count)` pairs — the representation used for
-    /// log-binned plots of real-world graphs.
-    pub fn log_binned(&self, ratio: f64) -> Vec<(BigUint, BigUint)> {
-        assert!(ratio > 1.0, "log bin ratio must exceed 1");
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let mut bins: Vec<(BigUint, BigUint)> = Vec::new();
-        let mut lower = BigUint::one();
-        let mut upper = next_bin_edge(&lower, ratio);
-        let mut acc = BigUint::zero();
-        for (d, n) in &self.counts {
-            while d >= &upper {
-                if !acc.is_zero() {
-                    bins.push((lower.clone(), acc.clone()));
-                }
-                acc = BigUint::zero();
-                lower = upper.clone();
-                upper = next_bin_edge(&lower, ratio);
-            }
-            acc += n;
-        }
-        if !acc.is_zero() {
-            bins.push((lower, acc));
-        }
-        bins
-    }
-
-    /// Exact average degree `Σ d·n(d) / Σ n(d)` as a rational.
-    pub fn mean_degree(&self) -> Option<BigRatio> {
-        let vertices = self.total_vertices();
-        if vertices.is_zero() {
-            return None;
-        }
-        Some(BigRatio::new(self.total_edge_endpoints().into(), vertices))
-    }
-
-    /// Exact complementary cumulative counts: for each support degree `d`,
-    /// the number of vertices with degree **at least** `d`.  This is the
-    /// CCDF-style series often plotted instead of the raw histogram for
-    /// real-world graphs.
-    pub fn ccdf(&self) -> Vec<(BigUint, BigUint)> {
-        let mut out: Vec<(BigUint, BigUint)> = Vec::with_capacity(self.support_size());
-        let mut running = BigUint::zero();
-        for (d, n) in self.counts.iter().rev() {
-            running += n;
-            out.push((d.clone(), running.clone()));
-        }
-        out.reverse();
-        out
-    }
-
-    /// The smallest degree `d` such that at least `fraction` (numerator /
-    /// denominator) of all vertices have degree ≤ `d` — e.g. `(1, 2)` gives
-    /// the median degree.  Returns `None` for an empty distribution or a
-    /// zero denominator.
-    pub fn quantile_degree(&self, numerator: u64, denominator: u64) -> Option<BigUint> {
-        if self.is_empty() || denominator == 0 {
-            return None;
-        }
-        // Smallest d with  cumulative(d) * denominator >= total * numerator.
-        let threshold = self.total_vertices() * BigUint::from(numerator);
-        let mut cumulative = BigUint::zero();
-        for (d, n) in &self.counts {
-            cumulative += n;
-            if &cumulative * &BigUint::from(denominator) >= threshold {
-                return Some(d.clone());
-            }
-        }
-        self.max_degree().cloned()
-    }
-
-    /// Write the distribution as TSV rows `degree<TAB>count` (exact decimal),
-    /// the format the plotting scripts behind the paper's figures consume.
-    pub fn write_tsv<W: std::io::Write>(&self, mut writer: W) -> std::io::Result<()> {
-        for (d, n) in &self.counts {
-            writeln!(writer, "{d}\t{n}")?;
-        }
-        Ok(())
-    }
-
-    /// Parse a distribution from TSV rows produced by
-    /// [`DegreeDistribution::write_tsv`].
-    pub fn read_tsv<R: std::io::BufRead>(reader: R) -> std::io::Result<DegreeDistribution> {
-        let mut dist = DegreeDistribution::new();
-        for (idx, line) in reader.lines().enumerate() {
-            let line = line?;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let mut parts = trimmed.split_whitespace();
-            let parse = |field: Option<&str>| -> std::io::Result<BigUint> {
-                field
-                    .ok_or_else(|| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("line {}: missing field", idx + 1),
-                        )
-                    })?
-                    .parse()
-                    .map_err(|e| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("line {}: {e}", idx + 1),
-                        )
-                    })
-            };
-            let degree = parse(parts.next())?;
-            let count = parse(parts.next())?;
-            dist.add(degree, count);
-        }
-        Ok(dist)
-    }
-}
-
-fn next_bin_edge(lower: &BigUint, ratio: f64) -> BigUint {
-    // Smallest integer strictly greater than lower scaled by ratio; for huge
-    // lower values use an integer multiply with a rational approximation of
-    // the ratio to stay exact enough for binning.
-    let scaled = (ratio * 1024.0).round() as u64;
-    let candidate = (lower * scaled).div_rem_u64(1024).0;
-    if candidate > *lower {
-        candidate
-    } else {
-        lower + &BigUint::one()
-    }
 }
 
 #[cfg(test)]
@@ -476,65 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn log_binning_groups_degrees() {
-        let d = dist(&[(1, 8), (2, 4), (3, 3), (4, 2), (8, 1), (100, 1)]);
-        let bins = d.log_binned(2.0);
-        // Bin [1,2): 8; [2,4): 7; [4,8): 2; [8,16): 1; …; bin containing 100: 1.
-        assert_eq!(bins[0], (BigUint::from(1u64), BigUint::from(8u64)));
-        assert_eq!(bins[1], (BigUint::from(2u64), BigUint::from(7u64)));
-        assert_eq!(bins[2], (BigUint::from(4u64), BigUint::from(2u64)));
-        assert_eq!(bins[3], (BigUint::from(8u64), BigUint::from(1u64)));
-        let total: BigUint = bins
-            .iter()
-            .fold(BigUint::zero(), |acc, (_, n)| acc + n.clone());
-        assert_eq!(total, d.total_vertices());
-    }
-
-    #[test]
-    fn mean_degree_ratio() {
-        let d = dist(&[(1, 3), (3, 1)]);
-        let mean = d.mean_degree().unwrap();
-        assert_eq!(mean, BigRatio::new(6i64.into(), BigUint::from(4u64)));
-        assert!(DegreeDistribution::new().mean_degree().is_none());
-    }
-
-    #[test]
-    fn ccdf_counts_at_least() {
-        let d = dist(&[(1, 15), (3, 5), (5, 3), (15, 1)]);
-        let ccdf = d.ccdf();
-        assert_eq!(ccdf[0], (BigUint::from(1u64), BigUint::from(24u64)));
-        assert_eq!(ccdf[1], (BigUint::from(3u64), BigUint::from(9u64)));
-        assert_eq!(ccdf[3], (BigUint::from(15u64), BigUint::from(1u64)));
-        assert!(DegreeDistribution::new().ccdf().is_empty());
-    }
-
-    #[test]
-    fn quantile_degrees() {
-        let d = dist(&[(1, 15), (3, 5), (5, 3), (15, 1)]);
-        // 15 of 24 vertices have degree 1, so the median degree is 1.
-        assert_eq!(d.quantile_degree(1, 2), Some(BigUint::from(1u64)));
-        // The 90th percentile (21.6 vertices) needs degree 5.
-        assert_eq!(d.quantile_degree(9, 10), Some(BigUint::from(5u64)));
-        assert_eq!(d.quantile_degree(1, 1), Some(BigUint::from(15u64)));
-        assert_eq!(d.quantile_degree(1, 0), None);
-        assert_eq!(DegreeDistribution::new().quantile_degree(1, 2), None);
-    }
-
-    #[test]
-    fn tsv_round_trip() {
-        let d = dist(&[(1, 15), (3, 5), (5, 3), (15, 1)]);
-        let mut buffer = Vec::new();
-        d.write_tsv(&mut buffer).unwrap();
-        let text = String::from_utf8(buffer.clone()).unwrap();
-        assert!(text.contains("3\t5"));
-        let parsed =
-            DegreeDistribution::read_tsv(std::io::BufReader::new(buffer.as_slice())).unwrap();
-        assert_eq!(parsed, d);
-        assert!(DegreeDistribution::read_tsv(std::io::BufReader::new("1\n".as_bytes())).is_err());
-        assert!(DegreeDistribution::read_tsv(std::io::BufReader::new("a b\n".as_bytes())).is_err());
-    }
-
-    #[test]
     fn from_histogram_skips_zero_counts() {
         let mut hist = BTreeMap::new();
         hist.insert(1u64, 5u64);
@@ -583,13 +394,6 @@ mod proptests {
         #[test]
         fn kron_associates(a in arb_dist(), b in arb_dist(), c in arb_dist()) {
             prop_assert_eq!(a.kron(&b).kron(&c), a.kron(&b.kron(&c)));
-        }
-
-        #[test]
-        fn log_binning_preserves_vertex_count(a in arb_dist(), ratio in 1.1f64..4.0) {
-            let bins = a.log_binned(ratio);
-            let total: BigUint = bins.iter().fold(BigUint::zero(), |acc, (_, n)| acc + n.clone());
-            prop_assert_eq!(total, a.total_vertices());
         }
     }
 }

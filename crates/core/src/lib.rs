@@ -15,8 +15,8 @@
 //! * [`KroneckerDesign`] — an ordered list of constituents with exact
 //!   vertex/edge/degree-distribution/triangle computation, `(B, C)` splitting
 //!   for the parallel generator, and bounded materialisation.
-//! * [`DegreeDistribution`] — exact `d ↦ n(d)` maps with Kronecker products,
-//!   power-law fits, and logarithmic binning.
+//! * [`DegreeDistribution`] — exact `d ↦ n(d)` maps with Kronecker products
+//!   and power-law fits.
 //! * [`IncidencePair`] — incidence-matrix construction via Kronecker
 //!   products and the `A = E_outᵀ·E_in` identity.
 //! * [`DesignSearch`] — target-driven inversion: find star sets that hit a
@@ -63,7 +63,7 @@ pub use design::KroneckerDesign;
 pub use designer::{DesignCandidate, DesignSearch, DesignTargets, DEFAULT_POOL};
 pub use error::CoreError;
 pub use incidence::{design_incidence, IncidencePair};
-pub use powerlaw::{star_design_edge_vertex_ratio, star_products_unique, PowerLaw};
+pub use powerlaw::{star_products_unique, PowerLaw};
 pub use properties::GraphProperties;
 pub use star::{SelfLoop, StarGraph};
 pub use validate::{

@@ -8,7 +8,7 @@
 //! and the uniqueness check that tells a designer whether a chosen star set
 //! will stay exactly on the line.
 
-use kron_bignum::{BigRatio, BigUint};
+use kron_bignum::BigUint;
 
 use crate::degree::DegreeDistribution;
 
@@ -141,18 +141,6 @@ pub fn star_products_unique(points: &[u64]) -> bool {
     products.len() == len
 }
 
-/// The exact edge/vertex ratio of a plain star-product design,
-/// `∏ 2m̂_k / ∏ (m̂_k + 1)`, as a rational.
-pub fn star_design_edge_vertex_ratio(points: &[u64]) -> BigRatio {
-    let mut edges = BigUint::one();
-    let mut vertices = BigUint::one();
-    for &p in points {
-        edges *= 2 * p;
-        vertices *= p + 1;
-    }
-    BigRatio::new(edges.into(), vertices)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,15 +221,5 @@ mod tests {
         assert!(!star_products_unique(&[2, 2]));
         assert!(star_products_unique(&[7]));
         assert!(star_products_unique(&[]));
-    }
-
-    #[test]
-    fn edge_vertex_ratio_is_exact() {
-        // Single star m̂ = 3: 6 edges over 4 vertices = 3/2.
-        let r = star_design_edge_vertex_ratio(&[3]);
-        assert_eq!(r, BigRatio::new(3i64.into(), BigUint::from(2u64)));
-        // Paper's B factor: 13,824,000 / 530,400.
-        let r = star_design_edge_vertex_ratio(&[3, 4, 5, 9, 16, 25]);
-        assert!((r.to_f64() - 13_824_000.0 / 530_400.0).abs() < 1e-9);
     }
 }

@@ -53,6 +53,18 @@ impl EdgeChunk {
         }
     }
 
+    /// Whether a chunk of `capacity` edges can be sized: its buffer of
+    /// `capacity + LEAD` edges must fit in `isize::MAX` bytes, the most any
+    /// allocation may request.  [`EdgeChunk::new`] panics on a capacity
+    /// that fails this.
+    pub(crate) fn can_size(capacity: usize) -> bool {
+        capacity
+            .max(1)
+            .checked_add(LEAD)
+            .and_then(|slots| slots.checked_mul(std::mem::size_of::<(u64, u64)>()))
+            .is_some_and(|bytes| bytes <= isize::MAX.unsigned_abs())
+    }
+
     /// Create a chunk with [`EdgeChunk::DEFAULT_CAPACITY`].
     pub fn with_default_capacity() -> Self {
         EdgeChunk::new(Self::DEFAULT_CAPACITY)

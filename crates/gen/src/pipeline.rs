@@ -325,7 +325,9 @@ impl<S: EdgeSource> Pipeline<S> {
         self
     }
 
-    /// Set the capacity of each worker's reusable edge chunk.
+    /// Set the capacity of each worker's reusable edge chunk.  A capacity
+    /// whose buffer would exceed `isize::MAX` bytes fails the run with
+    /// [`CoreError::InvalidConfig`] before anything is written.
     pub fn chunk_capacity(mut self, chunk_capacity: usize) -> Self {
         self.chunk_capacity = chunk_capacity;
         self
@@ -697,11 +699,20 @@ impl<S: EdgeSource> Pipeline<S> {
     }
 
     /// The checks every terminal makes before it writes anything: at least
-    /// one worker, and custom metric names no record of the run shares.
+    /// one worker, a chunk capacity whose buffer can be sized, and custom
+    /// metric names no record of the run shares.
     fn check_config(&self) -> Result<(), CoreError> {
         if self.workers == 0 {
             return Err(CoreError::InvalidConfig {
                 message: "the pipeline needs at least one worker".into(),
+            });
+        }
+        if !EdgeChunk::can_size(self.chunk_capacity) {
+            return Err(CoreError::InvalidConfig {
+                message: format!(
+                    "a chunk of {} edges is too large to allocate",
+                    self.chunk_capacity
+                ),
             });
         }
         check_metric_names(&self.metrics)
@@ -1552,6 +1563,19 @@ mod tests {
             pipeline(&design, 0).count(),
             Err(CoreError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn unsizable_chunk_capacity_rejected_with_typed_error() {
+        let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
+        for capacity in [usize::MAX, 1 << 60] {
+            match pipeline(&design, 2).chunk_capacity(capacity).count() {
+                Err(CoreError::InvalidConfig { message }) => {
+                    assert!(message.contains(&capacity.to_string()), "{message}")
+                }
+                other => panic!("capacity {capacity}: {other:?}"),
+            }
+        }
     }
 
     #[test]

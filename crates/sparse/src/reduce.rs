@@ -1,10 +1,10 @@
 //! Reductions: degree vectors, nnz-per-row/column, degree histograms.
 //!
 //! For an adjacency matrix the "degree" of vertex `i` used throughout the
-//! paper is the number of stored entries in row `i` plus column `i` for a
-//! directed interpretation, or simply the row count for the symmetric
-//! matrices the star constituents produce.  These helpers operate on the
-//! *pattern* (stored entries), matching the paper's `nnz`-based definitions.
+//! paper is the number of stored entries in row `i`: the star constituents
+//! and their products are symmetric, so the row count is the whole degree.
+//! These helpers operate on the *pattern* (stored entries), matching the
+//! paper's `nnz`-based definitions.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,19 +31,6 @@ pub fn col_counts<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
     counts
 }
 
-/// Total (in + out) pattern degree of each vertex of a square COO matrix.
-pub fn total_degrees<T: Scalar>(m: &CooMatrix<T>) -> Vec<u64> {
-    assert!(m.is_square(), "total_degrees requires a square matrix");
-    let mut counts = vec![0u64; m.nrows() as usize];
-    for (r, c, _) in m.iter() {
-        counts[r as usize] += 1;
-        if r != c {
-            counts[c as usize] += 1;
-        }
-    }
-    counts
-}
-
 /// Histogram of a degree vector: map from degree `d` to the number of
 /// vertices with that degree.  Vertices of degree zero are included under
 /// key `0` (the paper's generator guarantees there are none).
@@ -57,65 +44,40 @@ pub fn degree_histogram(degrees: &[u64]) -> BTreeMap<u64, u64> {
 
 /// Histogram of row-pattern degrees of a COO matrix.
 pub fn degree_distribution<T: Scalar>(m: &CooMatrix<T>) -> BTreeMap<u64, u64> {
-    let mut hist = degree_histogram(&row_counts(m));
-    // Vertices with no stored entries at all still count as degree 0.
-    let total_vertices: u64 = m.nrows();
-    let seen: u64 = hist.values().sum();
-    if total_vertices > seen {
-        *hist.entry(0).or_insert(0) += total_vertices - seen;
-    }
-    // `degree_histogram(&row_counts)` already counts zero-degree rows, so the
-    // adjustment above only matters if row_counts was truncated, which it is
-    // not; keep the invariant explicit anyway.
-    hist
+    degree_histogram(&row_counts(m))
 }
 
-/// Streaming degree accumulator: per-chunk row/column endpoint counting for
-/// graphs that are never materialised.
+/// Streaming degree accumulator: per-chunk row-endpoint counting for graphs
+/// that are never materialised.
 ///
-/// A generation worker feeds every chunk of `(row, col)` edges it produces
-/// through [`DegreeAccumulator::record`]; the accumulator maintains exact
-/// per-vertex row and column endpoint counts (plus a diagonal tally) in
-/// flat `u64` vectors, so its memory cost is `O(vertices)` regardless of how
-/// many edges stream through it.  Per-worker accumulators are combined with
-/// [`DegreeAccumulator::merge`], and [`DegreeAccumulator::row_histogram`]
-/// produces the same degree histogram [`degree_distribution`] computes from a
-/// materialised matrix — including the degree-zero bucket.
+/// The accumulator is fed chunks of `(row, col)` edges through
+/// [`DegreeAccumulator::record`] and keeps exact per-vertex row endpoint
+/// counts — the paper's row-nnz degree — plus an edge and a diagonal tally,
+/// in one flat `u64` vector, so its memory cost is `O(vertices)` regardless
+/// of how many edges stream through it.  Accumulators over disjoint parts
+/// of a stream are combined with [`DegreeAccumulator::merge`], and
+/// [`DegreeAccumulator::row_histogram`] produces the same degree histogram
+/// [`degree_distribution`] computes from a materialised matrix — including
+/// the degree-zero bucket.
 ///
-/// When only row degrees are needed — a square graph's degree distribution
-/// is its row-endpoint histogram — [`DegreeAccumulator::rows_only`] skips
-/// the column vector entirely, halving both the memory per accumulator and
-/// the per-edge work.
+/// Rows are the only endpoints it counts.  Its one constructor is named
+/// [`rows_only`](DegreeAccumulator::rows_only) because that is the name
+/// outside callers, the benchmark's traced replica among them, build it by.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegreeAccumulator {
     ncols: u64,
     row_counts: Vec<u64>,
-    col_counts: Option<Vec<u64>>,
     self_loops: u64,
     edges: u64,
 }
 
 impl DegreeAccumulator {
-    /// Create an accumulator for a graph with the given dimensions,
-    /// tracking both row and column endpoint counts.
-    pub fn new(nrows: u64, ncols: u64) -> Self {
-        DegreeAccumulator {
-            ncols,
-            row_counts: vec![0u64; nrows as usize],
-            col_counts: Some(vec![0u64; ncols as usize]),
-            self_loops: 0,
-            edges: 0,
-        }
-    }
-
-    /// Create an accumulator that tracks only row endpoint counts (plus the
-    /// edge and self-loop tallies); [`DegreeAccumulator::col_counts`] and
-    /// [`DegreeAccumulator::col_histogram`] return `None`.
+    /// Create an accumulator for a graph with the given dimensions, tracking
+    /// row endpoint counts plus the edge and self-loop tallies.
     pub fn rows_only(nrows: u64, ncols: u64) -> Self {
         DegreeAccumulator {
             ncols,
             row_counts: vec![0u64; nrows as usize],
-            col_counts: None,
             self_loops: 0,
             edges: 0,
         }
@@ -131,33 +93,16 @@ impl DegreeAccumulator {
         self.ncols
     }
 
-    /// Whether column endpoint counts are being tracked.
-    pub fn tracks_cols(&self) -> bool {
-        self.col_counts.is_some()
-    }
-
-    /// Count one chunk of edges: each edge contributes one row endpoint and
-    /// (when tracked) one column endpoint, and diagonal edges are tallied
-    /// separately.
+    /// Count one chunk of edges: each edge contributes one row endpoint, and
+    /// diagonal edges are tallied separately.
     ///
     /// # Panics
     /// Panics if an index is outside the declared dimensions.
     pub fn record(&mut self, edges: &[(u64, u64)]) {
-        match self.col_counts.as_mut() {
-            Some(col_counts) => {
-                for &(row, col) in edges {
-                    self.row_counts[row as usize] += 1;
-                    col_counts[col as usize] += 1;
-                    self.self_loops += u64::from(row == col);
-                }
-            }
-            None => {
-                for &(row, col) in edges {
-                    assert!(col < self.ncols, "column index out of bounds");
-                    self.row_counts[row as usize] += 1;
-                    self.self_loops += u64::from(row == col);
-                }
-            }
+        for &(row, col) in edges {
+            assert!(col < self.ncols, "column index out of bounds");
+            self.row_counts[row as usize] += 1;
+            self.self_loops += u64::from(row == col);
         }
         self.edges += edges.len() as u64;
     }
@@ -175,26 +120,15 @@ impl DegreeAccumulator {
     /// Fold another accumulator (e.g. a different worker's) into this one.
     ///
     /// # Panics
-    /// Panics if the two accumulators cover different dimensions or track
-    /// different endpoint sets.
+    /// Panics if the two accumulators cover different dimensions.
     pub fn merge(&mut self, other: &DegreeAccumulator) {
         assert_eq!(
             (self.nrows(), self.ncols()),
             (other.nrows(), other.ncols()),
             "merged accumulators must cover the same graph dimensions"
         );
-        assert_eq!(
-            self.tracks_cols(),
-            other.tracks_cols(),
-            "merged accumulators must track the same endpoint sets"
-        );
         for (mine, theirs) in self.row_counts.iter_mut().zip(other.row_counts.iter()) {
             *mine += theirs;
-        }
-        if let (Some(mine), Some(theirs)) = (self.col_counts.as_mut(), other.col_counts.as_ref()) {
-            for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-                *m += t;
-            }
         }
         self.self_loops += other.self_loops;
         self.edges += other.edges;
@@ -205,23 +139,10 @@ impl DegreeAccumulator {
         &self.row_counts
     }
 
-    /// Column endpoint count of each vertex, or `None` for a
-    /// [`rows_only`](DegreeAccumulator::rows_only) accumulator.
-    pub fn col_counts(&self) -> Option<&[u64]> {
-        self.col_counts.as_deref()
-    }
-
     /// Histogram of row-endpoint degrees, including the degree-zero bucket —
     /// identical to [`degree_distribution`] of the materialised matrix.
     pub fn row_histogram(&self) -> BTreeMap<u64, u64> {
         degree_histogram(&self.row_counts)
-    }
-
-    /// Histogram of column-endpoint degrees, including the degree-zero
-    /// bucket, or `None` for a
-    /// [`rows_only`](DegreeAccumulator::rows_only) accumulator.
-    pub fn col_histogram(&self) -> Option<BTreeMap<u64, u64>> {
-        self.col_counts.as_deref().map(degree_histogram)
     }
 
     /// Largest row-endpoint degree recorded so far (zero for an empty or
@@ -423,35 +344,19 @@ mod tests {
     }
 
     #[test]
-    fn total_degrees_counts_both_endpoints() {
-        let m = CooMatrix::from_edges(3, 3, vec![(0, 1), (2, 2)]).unwrap();
-        let degs = total_degrees(&m);
-        assert_eq!(degs, vec![1, 1, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "square")]
-    fn total_degrees_requires_square() {
-        let m = CooMatrix::from_edges(2, 3, vec![(0, 1)]).unwrap();
-        let _ = total_degrees(&m);
-    }
-
-    #[test]
     fn accumulator_matches_materialised_histogram() {
         let m = star5_with_center_loop();
-        let mut acc = DegreeAccumulator::new(m.nrows(), m.ncols());
+        let mut acc = DegreeAccumulator::rows_only(m.nrows(), m.ncols());
         let edges: Vec<(u64, u64)> = m.iter().map(|(r, c, _)| (r, c)).collect();
         // Feed in two uneven chunks to exercise the chunk boundary.
         acc.record(&edges[..4]);
         acc.record(&edges[4..]);
         assert_eq!(acc.row_histogram(), degree_distribution(&m));
         assert_eq!(acc.row_counts(), row_counts(&m).as_slice());
-        assert_eq!(acc.col_counts(), Some(col_counts(&m).as_slice()));
-        assert_eq!(acc.col_histogram(), Some(degree_histogram(&col_counts(&m))));
         assert_eq!(acc.edge_count(), m.nnz() as u64);
         assert_eq!(acc.self_loop_count(), 1);
         assert_eq!(acc.max_row_degree(), 6);
-        assert_eq!(DegreeAccumulator::new(0, 0).max_row_degree(), 0);
+        assert_eq!(DegreeAccumulator::rows_only(0, 0).max_row_degree(), 0);
     }
 
     #[test]
@@ -459,11 +364,8 @@ mod tests {
         let m = star5_with_center_loop();
         let edges: Vec<(u64, u64)> = m.iter().map(|(r, c, _)| (r, c)).collect();
         let mut acc = DegreeAccumulator::rows_only(m.nrows(), m.ncols());
-        assert!(!acc.tracks_cols());
         acc.record(&edges);
         assert_eq!(acc.row_histogram(), degree_distribution(&m));
-        assert_eq!(acc.col_counts(), None);
-        assert_eq!(acc.col_histogram(), None);
         assert_eq!(acc.edge_count(), m.nnz() as u64);
         assert_eq!(acc.self_loop_count(), 1);
         assert_eq!((acc.nrows(), acc.ncols()), (m.nrows(), m.ncols()));
@@ -575,21 +477,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn merge_rejects_mixed_tracking_modes() {
-        let mut a = DegreeAccumulator::new(3, 3);
-        let b = DegreeAccumulator::rows_only(3, 3);
-        a.merge(&b);
-    }
-
-    #[test]
     fn accumulator_merge_equals_single_pass() {
         let m = star5_with_center_loop();
         let edges: Vec<(u64, u64)> = m.iter().map(|(r, c, _)| (r, c)).collect();
-        let mut whole = DegreeAccumulator::new(6, 6);
+        let mut whole = DegreeAccumulator::rows_only(6, 6);
         whole.record(&edges);
-        let mut left = DegreeAccumulator::new(6, 6);
-        let mut right = DegreeAccumulator::new(6, 6);
+        let mut left = DegreeAccumulator::rows_only(6, 6);
+        let mut right = DegreeAccumulator::rows_only(6, 6);
         left.record(&edges[..5]);
         right.record(&edges[5..]);
         left.merge(&right);
@@ -598,7 +492,7 @@ mod tests {
 
     #[test]
     fn accumulator_counts_zero_degree_vertices() {
-        let mut acc = DegreeAccumulator::new(4, 4);
+        let mut acc = DegreeAccumulator::rows_only(4, 4);
         acc.record(&[(0, 1), (1, 0)]);
         let hist = acc.row_histogram();
         assert_eq!(hist.get(&0), Some(&2));
@@ -608,8 +502,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn accumulator_merge_rejects_mismatched_dimensions() {
-        let mut a = DegreeAccumulator::new(3, 3);
-        let b = DegreeAccumulator::new(4, 4);
+        let mut a = DegreeAccumulator::rows_only(3, 3);
+        let b = DegreeAccumulator::rows_only(4, 4);
         a.merge(&b);
     }
 }
@@ -647,7 +541,7 @@ mod proptests {
         #[test]
         fn accumulator_is_chunking_invariant(m in arb_coo(), chunk in 1usize..7) {
             let edges: Vec<(u64, u64)> = m.iter().map(|(r, c, _)| (r, c)).collect();
-            let mut acc = DegreeAccumulator::new(m.nrows(), m.ncols());
+            let mut acc = DegreeAccumulator::rows_only(m.nrows(), m.ncols());
             for slice in edges.chunks(chunk) {
                 acc.record(slice);
             }

@@ -1,13 +1,14 @@
-//! Structural selection: diagonals, self-loop handling, and the structural
-//! predicates of a clean adjacency matrix.
+//! Structural selection: diagonals, self-loop handling, empty vertices and
+//! duplicate detection.
 //!
 //! The paper's triangle-rich graphs are built by *adding* a self-loop to each
 //! constituent star and then *removing* the single surviving self-loop from
 //! the product.  These helpers split a matrix into its diagonal and the rest,
-//! and check the invariants the paper advertises for generated graphs.
+//! and find the empty vertices and duplicate entries a generated graph must
+//! not have.
 
 use crate::coo::CooMatrix;
-use crate::semiring::{PlusTimes, Scalar, Semiring};
+use crate::semiring::Scalar;
 
 /// Return a copy of `m` without any diagonal entries (self-loops).
 pub fn strip_diagonal<T: Scalar>(m: &CooMatrix<T>) -> CooMatrix<T> {
@@ -52,26 +53,10 @@ pub fn has_duplicates<T: Scalar>(m: &CooMatrix<T>) -> bool {
     coords.len() != before
 }
 
-/// Convenience: canonical simple-graph form — duplicates combined, diagonal
-/// stripped, result returned as a fresh matrix.
-pub fn simplify(m: &CooMatrix<u64>) -> CooMatrix<u64> {
-    let mut out = strip_diagonal(m);
-    out.sum_duplicates::<PlusTimes>();
-    out
-}
-
-/// Check the structural invariants the paper advertises for generated graphs:
-/// no empty vertices, no self-loops, no duplicate edges.
-pub fn is_clean_adjacency<T: Scalar>(m: &CooMatrix<T>) -> bool
-where
-    PlusTimes: Semiring<T>,
-{
-    m.is_square() && self_loop_count(m) == 0 && !has_duplicates(m) && empty_vertices(m).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semiring::PlusTimes;
 
     fn sample() -> CooMatrix<u64> {
         CooMatrix::from_entries(
@@ -113,25 +98,9 @@ mod tests {
         let m = CooMatrix::from_entries(3, 3, vec![(0, 1, 1u64), (0, 1, 1), (1, 1, 1), (1, 0, 1)])
             .unwrap();
         assert!(has_duplicates(&m));
-        let simple = simplify(&m);
-        assert!(!has_duplicates(&simple));
-        assert_eq!(self_loop_count(&simple), 0);
-        assert_eq!(simple.get::<PlusTimes>(0, 1), 2);
-    }
-
-    #[test]
-    fn clean_adjacency_invariants() {
-        let clean =
-            CooMatrix::from_edges(3, 3, vec![(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)])
-                .unwrap();
-        assert!(is_clean_adjacency(&clean));
-        let mut with_loop = clean.clone();
-        with_loop.push(0, 0, 1).unwrap();
-        assert!(!is_clean_adjacency(&with_loop));
-        let with_empty = CooMatrix::from_edges(4, 4, vec![(0, 1), (1, 0)]).unwrap();
-        assert!(!is_clean_adjacency(&with_empty));
-        let rect = CooMatrix::from_edges(2, 3, vec![(0, 1)]).unwrap();
-        assert!(!is_clean_adjacency(&rect));
+        let distinct =
+            CooMatrix::from_entries(3, 3, vec![(0, 1, 2u64), (1, 1, 1), (1, 0, 1)]).unwrap();
+        assert!(!has_duplicates(&distinct));
     }
 }
 
@@ -153,13 +122,6 @@ mod proptests {
             let on = diagonal(&m).nnz();
             let off = strip_diagonal(&m).nnz();
             prop_assert_eq!(on + off, m.nnz());
-        }
-
-        #[test]
-        fn simplify_is_idempotent(m in arb_coo()) {
-            let once = simplify(&m);
-            let twice = simplify(&once);
-            prop_assert_eq!(once, twice);
         }
     }
 }
