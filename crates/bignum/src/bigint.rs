@@ -1,9 +1,8 @@
 //! Signed arbitrary-precision integers.
 //!
-//! [`BigInt`] wraps a [`BigUint`] magnitude with a sign.  It exists for the
-//! intermediate values in the paper's triangle-correction formulas (e.g.
-//! `N_tri(A) - m_A/2 + 1/3`), which subtract potentially-larger terms before
-//! the result is shown to be a non-negative integer.
+//! [`BigInt`] wraps a [`BigUint`] magnitude with a sign.  Nothing in the
+//! workspace computes with it: the triangle corrections stay in [`BigUint`]
+//! and divide by six with [`BigUint::div_rem_u64`].
 
 use std::cmp::Ordering;
 use std::fmt;

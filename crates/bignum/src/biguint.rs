@@ -71,22 +71,12 @@ impl BigUint {
         self.limbs.len() == 1 && self.limbs[0] == 1
     }
 
-    /// Returns `true` if the value is even (zero is even).
-    pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|l| l % 2 == 0)
-    }
-
     /// Construct from little-endian limbs, normalising trailing zeros.
     pub fn from_limbs(mut limbs: Vec<u64>) -> Self {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
         BigUint { limbs }
-    }
-
-    /// Borrow the little-endian limb slice (no trailing zeros).
-    pub fn limbs(&self) -> &[u64] {
-        &self.limbs
     }
 
     /// Number of significant bits (zero has zero bits).
@@ -121,11 +111,6 @@ impl BigUint {
             2 => Some((self.limbs[1] as u128) << 64 | self.limbs[0] as u128),
             _ => None,
         }
-    }
-
-    /// Checked conversion to `usize`.
-    pub fn to_usize(&self) -> Option<usize> {
-        self.to_u64().and_then(|v| usize::try_from(v).ok())
     }
 
     /// Approximate conversion to `f64` (positive infinity if it overflows).
@@ -251,44 +236,6 @@ impl BigUint {
             return self.is_zero();
         }
         self.div_rem(divisor).1.is_zero()
-    }
-
-    /// Greatest common divisor (binary GCD).
-    pub fn gcd(&self, other: &BigUint) -> BigUint {
-        let mut a = self.clone();
-        let mut b = other.clone();
-        if a.is_zero() {
-            return b;
-        }
-        if b.is_zero() {
-            return a;
-        }
-        let a_tz = a.trailing_zeros();
-        let b_tz = b.trailing_zeros();
-        let shift = a_tz.min(b_tz);
-        a = a >> a_tz;
-        b = b >> b_tz;
-        loop {
-            if a > b {
-                std::mem::swap(&mut a, &mut b);
-            }
-            // lint:allow(no-expect) -- the swap above orders b >= a, so checked_sub cannot return None
-            b = b.checked_sub(&a).expect("b >= a after swap");
-            if b.is_zero() {
-                return a << shift;
-            }
-            b = b.clone() >> b.trailing_zeros();
-        }
-    }
-
-    /// Number of trailing zero bits (zero returns 0).
-    pub fn trailing_zeros(&self) -> usize {
-        for (i, &limb) in self.limbs.iter().enumerate() {
-            if limb != 0 {
-                return i * 64 + limb.trailing_zeros() as usize;
-            }
-        }
-        0
     }
 
     /// Integer square root (floor).
@@ -807,24 +754,6 @@ mod tests {
     }
 
     #[test]
-    fn gcd_known_values() {
-        assert_eq!(
-            BigUint::from(48u64).gcd(&BigUint::from(36u64)),
-            BigUint::from(12u64)
-        );
-        assert_eq!(
-            BigUint::zero().gcd(&BigUint::from(7u64)),
-            BigUint::from(7u64)
-        );
-        assert_eq!(
-            BigUint::from(7u64).gcd(&BigUint::zero()),
-            BigUint::from(7u64)
-        );
-        let a = big("123456789012345678901234567890");
-        assert_eq!(a.gcd(&a), a);
-    }
-
-    #[test]
     fn isqrt_values() {
         assert_eq!(BigUint::zero().isqrt(), BigUint::zero());
         assert_eq!(BigUint::from(15u64).isqrt(), BigUint::from(3u64));
@@ -954,17 +883,6 @@ mod proptests {
         #[test]
         fn shifts_round_trip(a in arb_biguint(), s in 0usize..200) {
             prop_assert_eq!((a.clone() << s) >> s, a);
-        }
-
-        #[test]
-        fn gcd_divides_both(a in arb_biguint(), b in arb_biguint()) {
-            let g = a.gcd(&b);
-            if !g.is_zero() {
-                prop_assert!(a.is_multiple_of(&g));
-                prop_assert!(b.is_multiple_of(&g));
-            } else {
-                prop_assert!(a.is_zero() && b.is_zero());
-            }
         }
 
         #[test]

@@ -14,9 +14,9 @@
 //!   little-endian limbs.  The triangle corrections divide by six with
 //!   [`BigUint::div_rem_u64`] and check the remainder; power-law slope fits
 //!   are `f64`.
-//! * [`BigInt`] — a signed wrapper (sign + magnitude), and [`BigRatio`], an
-//!   exact rational built on [`BigInt`]/[`BigUint`].  No other crate of the
-//!   workspace computes with either.
+//! * [`BigInt`] — a signed wrapper (sign + magnitude).  No other crate of
+//!   the workspace computes with it, and it awaits deletion: every count the
+//!   designer predicts is a whole, non-negative number.
 //!
 //! The crate is deliberately self-contained (no external bignum dependency)
 //! so the workspace builds offline and the arithmetic core can be audited in
@@ -39,12 +39,10 @@
 mod bigint;
 mod biguint;
 mod format;
-mod ratio;
 
 pub use bigint::{BigInt, Sign};
 pub use biguint::{BigUint, ParseBigUintError};
 pub use format::{grouped, scientific};
-pub use ratio::BigRatio;
 
 /// Multiply an iterator of values convertible to [`BigUint`] into a single
 /// exact product. Returns one for an empty iterator (the empty product).

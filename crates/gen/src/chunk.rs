@@ -8,6 +8,8 @@
 //! closure dispatch of the original streaming API is amortized over
 //! [`EdgeChunk::DEFAULT_CAPACITY`] edges per sink call.
 
+use kron_sparse::SparseError;
+
 /// Cache-line size the first buffered edge is aligned to.
 const LINE: usize = 64;
 /// Slots reserved ahead of the edges, so that one of them begins a line.
@@ -36,9 +38,32 @@ impl EdgeChunk {
     pub const DEFAULT_CAPACITY: usize = 64 * 1024;
 
     /// Create a chunk holding at most `capacity` edges (at least 1).
+    /// Aborts the process if the host cannot allocate the buffer; the
+    /// pipeline sizes its workers' chunks with the fallible `try_new`.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let mut edges: Vec<(u64, u64)> = Vec::with_capacity(capacity + LEAD);
+        EdgeChunk::aligned(Vec::with_capacity(capacity + LEAD), capacity)
+    }
+
+    /// Create a chunk holding at most `capacity` edges (at least 1), or
+    /// [`SparseError::TooLarge`] naming the bytes its buffer needed when
+    /// the host cannot allocate them.
+    pub(crate) fn try_new(capacity: usize) -> Result<Self, SparseError> {
+        let capacity = capacity.max(1);
+        let slots = capacity.saturating_add(LEAD);
+        let mut edges: Vec<(u64, u64)> = Vec::new();
+        edges
+            .try_reserve_exact(slots)
+            .map_err(|_| SparseError::TooLarge {
+                what: "edge chunk (bytes)",
+                requested: slots as u128 * std::mem::size_of::<(u64, u64)>() as u128,
+            })?;
+        Ok(EdgeChunk::aligned(edges, capacity))
+    }
+
+    /// Skip the lead slots that put the first edge of `edges` — an empty
+    /// buffer of `capacity + LEAD` slots — on a cache line.
+    fn aligned(mut edges: Vec<(u64, u64)>, capacity: usize) -> Self {
         // No slot begins a line (`usize::MAX`) only under an allocator that
         // aligns to less than 16 bytes: the chunk then starts unaligned.
         let start = match edges.as_ptr().align_offset(LINE) {
@@ -210,17 +235,21 @@ mod tests {
     #[test]
     fn edges_start_on_a_cache_line_and_the_lead_slots_stay_hidden() {
         for capacity in [1, 3, 7, EdgeChunk::DEFAULT_CAPACITY] {
-            let mut chunk = EdgeChunk::new(capacity);
-            assert!(chunk.is_empty());
-            assert_eq!(chunk.remaining(), capacity);
-            chunk.fill_spare(capacity, |slots| slots.fill((4, 5)));
-            assert!(chunk.is_full());
-            assert_eq!(chunk.as_slice().as_ptr() as usize % LINE, 0);
-            assert!(chunk.as_slice().iter().all(|&edge| edge == (4, 5)));
-            chunk.clear();
-            chunk.extend_translated(10, 20, &[1], &[2]);
-            assert_eq!(chunk.as_slice(), &[(11, 22)]);
-            assert_eq!(chunk.as_slice().as_ptr() as usize % LINE, 0);
+            for mut chunk in [
+                EdgeChunk::new(capacity),
+                EdgeChunk::try_new(capacity).unwrap(),
+            ] {
+                assert!(chunk.is_empty());
+                assert_eq!(chunk.remaining(), capacity);
+                chunk.fill_spare(capacity, |slots| slots.fill((4, 5)));
+                assert!(chunk.is_full());
+                assert_eq!(chunk.as_slice().as_ptr() as usize % LINE, 0);
+                assert!(chunk.as_slice().iter().all(|&edge| edge == (4, 5)));
+                chunk.clear();
+                chunk.extend_translated(10, 20, &[1], &[2]);
+                assert_eq!(chunk.as_slice(), &[(11, 22)]);
+                assert_eq!(chunk.as_slice().as_ptr() as usize % LINE, 0);
+            }
         }
     }
 }

@@ -327,7 +327,9 @@ impl<S: EdgeSource> Pipeline<S> {
 
     /// Set the capacity of each worker's reusable edge chunk.  A capacity
     /// whose buffer would exceed `isize::MAX` bytes fails the run with
-    /// [`CoreError::InvalidConfig`] before anything is written.
+    /// [`CoreError::InvalidConfig`] before anything is written; a buffer
+    /// the host cannot allocate fails the worker with
+    /// [`SparseError::TooLarge`].
     pub fn chunk_capacity(mut self, chunk_capacity: usize) -> Self {
         self.chunk_capacity = chunk_capacity;
         self
@@ -816,7 +818,7 @@ where
         shard: VerifiedShard<K::Output>,
     ) -> Result<WorkerOutcome<K::Output>, CoreError> {
         let mut metrics = self.engine.worker();
-        let mut chunk = EdgeChunk::new(self.chunk_capacity);
+        let mut chunk = EdgeChunk::try_new(self.chunk_capacity).map_err(CoreError::Sparse)?;
         let (mut source, mut pending) = (Vec::new(), Vec::new());
         let mut observe = |edges: &[(u64, u64)]| -> Result<(), SparseError> {
             match self.permutation {
@@ -853,7 +855,13 @@ where
     fn attempt(&self, worker: usize) -> Result<Finished<'_, K::Output>, CoreError> {
         let mut sink = (self.make_sink)(worker).map_err(CoreError::Sparse)?;
         let mut metrics = self.engine.worker();
-        let mut chunk = EdgeChunk::new(self.chunk_capacity);
+        let mut chunk = match EdgeChunk::try_new(self.chunk_capacity) {
+            Ok(chunk) => chunk,
+            Err(error) => {
+                sink.abandon();
+                return Err(CoreError::Sparse(error));
+            }
+        };
         let mut deliver = |edges: &[(u64, u64)], out: &[(u64, u64)]| {
             metrics.observe(edges, out)?;
             sink.consume(out)
@@ -1576,6 +1584,26 @@ mod tests {
                 other => panic!("capacity {capacity}: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn unallocatable_chunk_capacity_is_a_typed_error() {
+        // 2^58 edges pass the `isize::MAX` size check but need 4 EiB, more
+        // than any host can allocate.
+        let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
+        let too_large = |error: CoreError| match error {
+            CoreError::Sparse(SparseError::TooLarge { what, requested }) => {
+                assert_eq!(what, "edge chunk (bytes)");
+                assert_eq!(requested, ((1u128 << 58) + 3) * 16);
+            }
+            other => panic!("{other:?}"),
+        };
+        let oversized = pipeline(&design, 1).chunk_capacity(1 << 58);
+        too_large(oversized.clone().count().unwrap_err());
+        // A file terminal abandons the sink it opened before the chunk.
+        let dir = TestDir::new("unallocatable_chunk");
+        too_large(oversized.write_tsv(&dir).unwrap_err());
+        assert!(!dir.join("block_00000.tsv.tmp").exists());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! This crate is the facade over the workspace:
 //!
 //! * [`bignum`] (re-export of `kron-bignum`) — exact arbitrary-precision
-//!   arithmetic for 10^30-edge designs.
+//!   integer arithmetic for 10^30-edge designs: every predicted count is a
+//!   [`BigUint`].
 //! * [`sparse`] (re-export of `kron-sparse`) — the GraphBLAS-style sparse
 //!   matrix substrate (COO/CSR/CSC, Kronecker products, SpGEMM).
 //! * [`core`] (re-export of `kron-core`) — the paper's contribution: exact
@@ -155,7 +156,7 @@ pub use kron_gen as gen;
 pub use kron_rmat as rmat;
 pub use kron_sparse as sparse;
 
-pub use kron_bignum::{BigInt, BigRatio, BigUint};
+pub use kron_bignum::{BigInt, BigUint};
 pub use kron_core::{
     Constituent, DegreeDistribution, DesignSearch, DesignTargets, GraphProperties, KroneckerDesign,
     SelfLoop, StarGraph, ValidationReport,
