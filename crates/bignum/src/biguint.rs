@@ -72,7 +72,7 @@ impl BigUint {
     }
 
     /// Construct from little-endian limbs, normalising trailing zeros.
-    pub fn from_limbs(mut limbs: Vec<u64>) -> Self {
+    fn from_limbs(mut limbs: Vec<u64>) -> Self {
         while limbs.last() == Some(&0) {
             limbs.pop();
         }
@@ -80,7 +80,7 @@ impl BigUint {
     }
 
     /// Number of significant bits (zero has zero bits).
-    pub fn bit_len(&self) -> usize {
+    fn bit_len(&self) -> usize {
         match self.limbs.last() {
             None => 0,
             Some(&top) => 64 * (self.limbs.len() - 1) + (64 - top.leading_zeros() as usize),
@@ -88,7 +88,7 @@ impl BigUint {
     }
 
     /// Value of bit `i` (little-endian bit numbering).
-    pub fn bit(&self, i: usize) -> bool {
+    fn bit(&self, i: usize) -> bool {
         let limb = i / 64;
         let off = i % 64;
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
@@ -155,15 +155,6 @@ impl BigUint {
     /// Saturating subtraction: zero when the result would be negative.
     pub fn saturating_sub(&self, other: &BigUint) -> BigUint {
         self.checked_sub(other).unwrap_or_else(BigUint::zero)
-    }
-
-    /// Absolute difference `|self - other|`.
-    pub fn abs_diff(&self, other: &BigUint) -> BigUint {
-        if self >= other {
-            sub_magnitudes(&self.limbs, &other.limbs)
-        } else {
-            sub_magnitudes(&other.limbs, &self.limbs)
-        }
     }
 
     /// Raise to an integer power with exact arithmetic.
@@ -272,11 +263,6 @@ impl BigUint {
             self.limbs.resize(limb + 1, 0);
         }
         self.limbs[limb] |= 1 << off;
-    }
-
-    /// Format with thousands separators (e.g. `1,853,002,140,758`).
-    pub fn to_grouped_string(&self) -> String {
-        crate::format::grouped(&self.to_string())
     }
 }
 
@@ -660,7 +646,6 @@ mod tests {
         assert_eq!((a.clone() - b.clone()).to_u64(), Some(u64::MAX));
         assert_eq!(b.checked_sub(&a), None);
         assert_eq!(b.saturating_sub(&a), BigUint::zero());
-        assert_eq!(b.abs_diff(&a), a.clone() - BigUint::one());
     }
 
     #[test]
@@ -783,18 +768,53 @@ mod tests {
         assert!((l - 400.0).abs() < 1e-6, "log10(10^400) = {l}");
     }
 
+    /// A serializer that yields the string it is given, and a deserializer
+    /// that hands one back: enough to drive both impls without a format
+    /// crate.
+    struct StringSerde(String);
+
+    #[derive(Debug, PartialEq)]
+    struct StringSerdeError(String);
+
+    impl serde::ser::Error for StringSerdeError {
+        fn custom<T: fmt::Display>(msg: T) -> Self {
+            StringSerdeError(msg.to_string())
+        }
+    }
+
+    impl serde::de::Error for StringSerdeError {
+        fn custom<T: fmt::Display>(msg: T) -> Self {
+            StringSerdeError(msg.to_string())
+        }
+    }
+
+    impl Serializer for StringSerde {
+        type Ok = String;
+        type Error = StringSerdeError;
+
+        fn serialize_str(self, v: &str) -> Result<String, StringSerdeError> {
+            Ok(v.to_string())
+        }
+    }
+
+    impl Deserializer<'_> for StringSerde {
+        type Error = StringSerdeError;
+
+        fn deserialize_string(self) -> Result<String, StringSerdeError> {
+            Ok(self.0)
+        }
+    }
+
     #[test]
     fn serde_round_trip() {
         let v = big("2705963586782877716483871216764");
-        let json = serde_json_like(&v);
-        assert_eq!(json, "\"2705963586782877716483871216764\"");
-    }
-
-    // Minimal serde check without pulling serde_json into this crate: use the
-    // serde test tokens via a tiny manual serializer would be overkill, so we
-    // just check Display/FromStr symmetry which backs the serde impls.
-    fn serde_json_like(v: &BigUint) -> String {
-        format!("\"{v}\"")
+        let text = v.serialize(StringSerde(String::new())).unwrap();
+        assert_eq!(text, "2705963586782877716483871216764");
+        assert_eq!(BigUint::deserialize(StringSerde(text)), Ok(v));
+        assert_eq!(
+            BigUint::deserialize(StringSerde("12a3".to_string())),
+            Err(StringSerdeError("invalid decimal digit 'a'".to_string()))
+        );
     }
 
     #[test]
@@ -816,15 +836,6 @@ mod tests {
         assert!(!big("1853002140758").is_multiple_of(&big("4")));
         assert!(BigUint::zero().is_multiple_of(&BigUint::zero()));
         assert!(BigUint::zero().is_multiple_of(&BigUint::one()));
-    }
-
-    #[test]
-    fn grouped_display() {
-        assert_eq!(
-            big("1853002140758").to_grouped_string(),
-            "1,853,002,140,758"
-        );
-        assert_eq!(big("7").to_grouped_string(), "7");
     }
 }
 

@@ -8,15 +8,12 @@
 //! with up to 10^30 edges.  Vertex, edge, degree, and triangle counts at that
 //! scale do not fit in `u64`, and some (products of degree counts) do not fit
 //! in `u128` either, so every exact property computation in the workspace is
-//! done with [`BigUint`]:
-//!
-//! * [`BigUint`] — an arbitrary-precision unsigned integer stored as 64-bit
-//!   little-endian limbs.  The triangle corrections divide by six with
-//!   [`BigUint::div_rem_u64`] and check the remainder; power-law slope fits
-//!   are `f64`.
-//! * [`BigInt`] — a signed wrapper (sign + magnitude).  No other crate of
-//!   the workspace computes with it, and it awaits deletion: every count the
-//!   designer predicts is a whole, non-negative number.
+//! done with [`BigUint`], an arbitrary-precision unsigned integer stored as
+//! 64-bit little-endian limbs.  Every count the designer predicts is a whole,
+//! non-negative number, so every count is a [`BigUint`] and the crate has no
+//! signed type: the triangle corrections divide by six with
+//! [`BigUint::div_rem_u64`] and check the remainder, and power-law slope fits
+//! are `f64`.
 //!
 //! The crate is deliberately self-contained (no external bignum dependency)
 //! so the workspace builds offline and the arithmetic core can be audited in
@@ -36,11 +33,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bigint;
 mod biguint;
 mod format;
 
-pub use bigint::{BigInt, Sign};
 pub use biguint::{BigUint, ParseBigUintError};
 pub use format::{grouped, scientific};
 

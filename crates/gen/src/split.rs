@@ -25,17 +25,6 @@ pub struct SplitPlan {
     pub c_vertices: BigUint,
 }
 
-impl SplitPlan {
-    /// Edges produced per worker when `workers` divide `B`'s triples evenly.
-    pub fn edges_per_worker(&self, workers: u64) -> BigUint {
-        if workers == 0 {
-            return BigUint::zero();
-        }
-        let total = &self.b_nnz * &self.c_nnz;
-        total.div_rem_u64(workers).0
-    }
-}
-
 /// [`choose_split`] with the single-worker fallback every generation entry
 /// point shares: when no split can give `workers` workers at least one `B`
 /// triple each, fall back to the best split for a single worker and return
@@ -159,13 +148,5 @@ mod tests {
         assert!(choose_split(&design, 1, 1).is_err());
         let single = KroneckerDesign::from_star_points(&[3], SelfLoop::None).unwrap();
         assert!(choose_split(&single, 100, 1).is_err());
-    }
-
-    #[test]
-    fn edges_per_worker_division() {
-        let plan = choose_split(&paper_design(), 100_000, 1_000).unwrap();
-        let per_worker = plan.edges_per_worker(4);
-        assert_eq!(per_worker, BigUint::from(1_146_617_856_000u64 / 4));
-        assert_eq!(plan.edges_per_worker(0), BigUint::zero());
     }
 }

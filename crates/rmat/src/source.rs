@@ -54,11 +54,6 @@ impl RmatSource {
         })
     }
 
-    /// Wrap an existing generator.
-    pub fn from_generator(generator: RmatGenerator) -> Self {
-        RmatSource { generator }
-    }
-
     /// The underlying generator.
     pub fn generator(&self) -> &RmatGenerator {
         &self.generator

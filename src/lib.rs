@@ -156,7 +156,7 @@ pub use kron_gen as gen;
 pub use kron_rmat as rmat;
 pub use kron_sparse as sparse;
 
-pub use kron_bignum::{BigInt, BigUint};
+pub use kron_bignum::BigUint;
 pub use kron_core::{
     Constituent, DegreeDistribution, DesignSearch, DesignTargets, GraphProperties, KroneckerDesign,
     SelfLoop, StarGraph, ValidationReport,
