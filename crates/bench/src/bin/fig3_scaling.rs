@@ -61,15 +61,15 @@ fn main() {
             .count()
             .expect("machine-scale factors fit in memory");
         if workers == 1 {
-            single_worker_rate = Some(run.stats.edges_per_second());
+            single_worker_rate = Some(run.edges_per_second());
         }
         println!(
             "{:>8} {:>16} {:>18.0} {:>14.4} {:>12.4}",
             workers,
-            run.stats.total_edges,
-            run.stats.edges_per_second(),
-            run.stats.seconds,
-            run.stats.balance_ratio(),
+            run.edge_count(),
+            run.edges_per_second(),
+            run.manifest.seconds,
+            run.metrics.balance.max_over_mean,
         );
     }
     println!(

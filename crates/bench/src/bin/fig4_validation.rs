@@ -57,9 +57,9 @@ fn main() {
         .expect("machine-scale factors fit in memory");
     println!(
         "  streamed {} edges on {} workers at {:.1} Medges/s (no edge was ever stored)",
-        grouped(&run.stats.total_edges.to_string()),
-        run.stats.workers,
-        run.stats.edges_per_second() / 1e6
+        grouped(&run.edge_count().to_string()),
+        run.manifest.workers,
+        run.edges_per_second() / 1e6
     );
 
     println!("\npredicted vs measured (every streamable field exact):");

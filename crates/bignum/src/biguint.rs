@@ -4,13 +4,13 @@
 //! trailing zero limbs (the canonical form of zero is an empty limb vector).
 //! The implementation favours clarity and correctness over asymptotic
 //! cleverness: the numbers handled by the graph designer are at most a few
-//! hundred bits, so schoolbook multiplication and shift-subtract division are
-//! more than fast enough and easy to verify.
+//! hundred bits, so schoolbook multiplication and limb-by-limb division by a
+//! `u64` are more than fast enough and easy to verify.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::iter::{Product, Sum};
-use std::ops::{Add, AddAssign, Mul, MulAssign, Rem, Shl, Shr, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Mul, MulAssign, Shl, Shr, Sub, SubAssign};
 use std::str::FromStr;
 
 use serde::de::Error as _;
@@ -85,13 +85,6 @@ impl BigUint {
             None => 0,
             Some(&top) => 64 * (self.limbs.len() - 1) + (64 - top.leading_zeros() as usize),
         }
-    }
-
-    /// Value of bit `i` (little-endian bit numbering).
-    fn bit(&self, i: usize) -> bool {
-        let limb = i / 64;
-        let off = i % 64;
-        self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
 
     /// Checked conversion to `u64`.
@@ -187,82 +180,6 @@ impl BigUint {
             rem = cur % divisor as u128;
         }
         (BigUint::from_limbs(quotient), rem as u64)
-    }
-
-    /// Quotient and remainder of division by an arbitrary non-zero divisor.
-    ///
-    /// Uses shift-subtract long division: O(bits × limbs), which is entirely
-    /// adequate for the few-hundred-bit values produced by graph designs.
-    ///
-    /// # Panics
-    /// Panics if `divisor` is zero.
-    pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
-        assert!(!divisor.is_zero(), "division by zero");
-        if let Some(d) = divisor.to_u64() {
-            let (q, r) = self.div_rem_u64(d);
-            return (q, BigUint::from(r));
-        }
-        if self < divisor {
-            return (BigUint::zero(), self.clone());
-        }
-        let mut quotient = BigUint::zero();
-        let mut remainder = BigUint::zero();
-        for i in (0..self.bit_len()).rev() {
-            remainder = remainder << 1usize;
-            if self.bit(i) {
-                remainder += BigUint::one();
-            }
-            if remainder >= *divisor {
-                // lint:allow(no-expect) -- the compare above guarantees remainder >= divisor, so checked_sub cannot return None
-                remainder = remainder.checked_sub(divisor).expect("checked by compare");
-                quotient.set_bit(i);
-            }
-        }
-        (quotient, remainder)
-    }
-
-    /// Returns `true` when `divisor` divides `self` exactly.
-    pub fn is_multiple_of(&self, divisor: &BigUint) -> bool {
-        if divisor.is_zero() {
-            return self.is_zero();
-        }
-        self.div_rem(divisor).1.is_zero()
-    }
-
-    /// Integer square root (floor).
-    pub fn isqrt(&self) -> BigUint {
-        if self.is_zero() {
-            return BigUint::zero();
-        }
-        if let Some(v) = self.to_u128() {
-            // Fast path through floating point with correction.
-            let mut guess = (v as f64).sqrt() as u128;
-            while guess.checked_mul(guess).is_none_or(|g| g > v) {
-                guess -= 1;
-            }
-            while (guess + 1).checked_mul(guess + 1).is_some_and(|g| g <= v) {
-                guess += 1;
-            }
-            return BigUint::from(guess);
-        }
-        // Newton's method on big values.
-        let mut x = BigUint::one() << (self.bit_len() / 2 + 1);
-        loop {
-            let y = (&x + &self.div_rem(&x).0).div_rem_u64(2).0;
-            if y >= x {
-                return x;
-            }
-            x = y;
-        }
-    }
-
-    fn set_bit(&mut self, i: usize) {
-        let limb = i / 64;
-        let off = i % 64;
-        if self.limbs.len() <= limb {
-            self.limbs.resize(limb + 1, 0);
-        }
-        self.limbs[limb] |= 1 << off;
     }
 }
 
@@ -463,13 +380,6 @@ impl MulAssign<&BigUint> for BigUint {
 impl MulAssign<u64> for BigUint {
     fn mul_assign(&mut self, rhs: u64) {
         *self = mul_magnitudes(&self.limbs, &[rhs]);
-    }
-}
-
-impl Rem for &BigUint {
-    type Output = BigUint;
-    fn rem(self, rhs: &BigUint) -> BigUint {
-        self.div_rem(rhs).1
     }
 }
 
@@ -704,21 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn div_rem_big_divisor() {
-        let n = big("2705963586782877716483871216764");
-        let d = big("178940587");
-        let (q, r) = n.div_rem(&d);
-        assert_eq!(&q * &d + r.clone(), n);
-        assert!(r < d);
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn div_by_zero_panics() {
-        let _ = BigUint::one().div_rem(&BigUint::zero());
-    }
-
-    #[test]
     fn pow_known_values() {
         assert_eq!(BigUint::from(2u64).pow(10), BigUint::from(1024u64));
         assert_eq!(BigUint::from(10u64).pow(0), BigUint::one());
@@ -736,15 +631,6 @@ mod tests {
         assert_eq!(one >> 1, BigUint::zero());
         let v = big("123456789012345678901234567890");
         assert_eq!((v.clone() << 7) >> 7, v);
-    }
-
-    #[test]
-    fn isqrt_values() {
-        assert_eq!(BigUint::zero().isqrt(), BigUint::zero());
-        assert_eq!(BigUint::from(15u64).isqrt(), BigUint::from(3u64));
-        assert_eq!(BigUint::from(16u64).isqrt(), BigUint::from(4u64));
-        let big_square = big("123456789012345678901234567890").pow(2);
-        assert_eq!(big_square.isqrt(), big("123456789012345678901234567890"));
     }
 
     #[test]
@@ -829,14 +715,6 @@ mod tests {
         assert_eq!(s, BigUint::from(10u64));
         assert_eq!(p, BigUint::from(30u64));
     }
-
-    #[test]
-    fn is_multiple_of() {
-        assert!(big("1853002140758").is_multiple_of(&big("2")));
-        assert!(!big("1853002140758").is_multiple_of(&big("4")));
-        assert!(BigUint::zero().is_multiple_of(&BigUint::zero()));
-        assert!(BigUint::zero().is_multiple_of(&BigUint::one()));
-    }
 }
 
 #[cfg(test)]
@@ -884,24 +762,8 @@ mod proptests {
         }
 
         #[test]
-        fn div_rem_reconstructs(a in arb_biguint(), b in arb_biguint()) {
-            prop_assume!(!b.is_zero());
-            let (q, r) = a.div_rem(&b);
-            prop_assert!(r < b);
-            prop_assert_eq!(q * b + r, a);
-        }
-
-        #[test]
         fn shifts_round_trip(a in arb_biguint(), s in 0usize..200) {
             prop_assert_eq!((a.clone() << s) >> s, a);
-        }
-
-        #[test]
-        fn isqrt_bounds(a in arb_biguint()) {
-            let r = a.isqrt();
-            prop_assert!(&r * &r <= a);
-            let r1 = r + BigUint::one();
-            prop_assert!(&r1 * &r1 > a);
         }
 
         #[test]

@@ -6,24 +6,17 @@
 
 use crate::BigUint;
 
-/// Insert thousands separators into a plain decimal string.
-///
-/// Non-digit prefixes (a leading `-`) are preserved.
+/// Insert thousands separators into an unsigned decimal string, such as
+/// [`BigUint`]'s `to_string()`.
 ///
 /// ```
 /// assert_eq!(kron_bignum::grouped("1146617856000"), "1,146,617,856,000");
-/// assert_eq!(kron_bignum::grouped("-42"), "-42");
 /// ```
 pub fn grouped(decimal: &str) -> String {
-    let (sign, digits) = match decimal.strip_prefix('-') {
-        Some(rest) => ("-", rest),
-        None => ("", decimal),
-    };
-    let bytes = digits.as_bytes();
-    let mut out = String::with_capacity(digits.len() + digits.len() / 3 + 1);
-    out.push_str(sign);
+    let bytes = decimal.as_bytes();
+    let mut out = String::with_capacity(bytes.len() + bytes.len() / 3);
     for (i, &b) in bytes.iter().enumerate() {
-        if i > 0 && (bytes.len() - i) % 3 == 0 {
+        if i > 0 && (bytes.len() - i).is_multiple_of(3) {
             out.push(',');
         }
         out.push(b as char);
@@ -88,11 +81,6 @@ mod tests {
             grouped("2705963586782877716483871216764"),
             "2,705,963,586,782,877,716,483,871,216,764"
         );
-    }
-
-    #[test]
-    fn grouped_negative() {
-        assert_eq!(grouped("-1234567"), "-1,234,567");
     }
 
     #[test]

@@ -15,6 +15,11 @@
 //! [`BigUint::div_rem_u64`] and check the remainder, and power-law slope fits
 //! are `f64`.
 //!
+//! It exports [`BigUint`] (with its [`ParseBigUintError`]), the exact
+//! [`product_of`] that turns constituent counts into design counts, and two
+//! formatters for reports: [`grouped`] and [`scientific`].  Division is by a
+//! `u64` only, which is all the triangle correction needs.
+//!
 //! The crate is deliberately self-contained (no external bignum dependency)
 //! so the workspace builds offline and the arithmetic core can be audited in
 //! one place.
@@ -59,24 +64,6 @@ where
     acc
 }
 
-/// Sum an iterator of values convertible to [`BigUint`].
-///
-/// ```
-/// use kron_bignum::{sum_of, BigUint};
-/// assert_eq!(sum_of([1u64, 2, 3]), BigUint::from(6u64));
-/// ```
-pub fn sum_of<I, T>(items: I) -> BigUint
-where
-    I: IntoIterator<Item = T>,
-    T: Into<BigUint>,
-{
-    let mut acc = BigUint::zero();
-    for item in items {
-        acc += item.into();
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,11 +71,6 @@ mod tests {
     #[test]
     fn product_of_empty_is_one() {
         assert_eq!(product_of(Vec::<u64>::new()), BigUint::one());
-    }
-
-    #[test]
-    fn sum_of_empty_is_zero() {
-        assert_eq!(sum_of(Vec::<u64>::new()), BigUint::zero());
     }
 
     #[test]

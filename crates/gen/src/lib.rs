@@ -41,12 +41,14 @@
 //!    [`sink::EdgeSink`] consumes the chunk (TSV or compressed
 //!    shard, counter, COO block, or any custom impl), so
 //!    generation *and* validation both run as bounded-memory streams at
-//!    scales whose edges never fit in memory.  Every run
-//!    yields a [`manifest::RunManifest`] reproducibility record — source
-//!    kind and seeds included — written as `manifest.json` next to file
-//!    output.  The pre-pipeline entry points (the materialising generator,
-//!    the shard driver, the block writers) were removed in PR 12; use
-//!    [`pipeline::Pipeline`].
+//!    scales whose edges never fit in memory.  Every run's
+//!    [`pipeline::RunReport`] holds its measured counts and per-worker
+//!    balance in one [`metrics::MetricsReport`], and everything else it
+//!    records — source kind, seeds, worker count, wall-clock seconds,
+//!    warnings — in one [`manifest::RunManifest`], written as
+//!    `manifest.json` next to file output.  The pre-pipeline entry points
+//!    (the materialising generator, the shard driver, the block writers)
+//!    were removed in PR 12; use [`pipeline::Pipeline`].
 //!
 //! On a shared-memory machine the "processors" are rayon tasks; the
 //! per-worker work and the communication structure (none) are identical to
@@ -70,7 +72,6 @@ pub mod scaling;
 pub mod sink;
 pub mod source;
 pub mod split;
-pub mod stats;
 pub mod testing;
 
 pub use chunk::EdgeChunk;
@@ -91,7 +92,6 @@ pub use scaling::{ScalingModel, ScalingPoint};
 pub use sink::{BlockFileSet, BlockFormat, CooSink, CountingSink, EdgeSink, TsvShardSink};
 pub use source::{ColumnWindows, EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
 pub use split::{choose_split, choose_split_with_fallback, SplitPlan};
-pub use stats::GenerationStats;
 
 /// Lock a mutex whose guarded state stays consistent across a panic, taking
 /// the guard even if another thread panicked while holding it.

@@ -56,11 +56,13 @@
 //!    record is appended to the journal — only ever after the rename.
 //!
 //! Every terminal returns a [`RunReport`]: the sink outputs, the
-//! [`GenerationStats`], the streamed [`ValidationReport`] (field-by-field
-//! for everything the source can predict exactly; measured-only otherwise),
-//! and a serialisable [`RunManifest`] recording the source kind and every
-//! seed.  Every backend, in-memory or on-disk, gets bounded-memory
-//! generation *and* validation; this builder is the only way to generate.
+//! [`MetricsReport`] (counts, degrees, per-worker balance), the streamed
+//! [`ValidationReport`] (field-by-field for everything the source can
+//! predict exactly; measured-only otherwise), and a serialisable
+//! [`RunManifest`] recording the source kind, every seed, the wall-clock
+//! time and the warnings.  Every backend, in-memory or on-disk, gets
+//! bounded-memory generation *and* validation; this builder is the only way
+//! to generate.
 
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -84,9 +86,8 @@ use crate::sink::{
     prepare_directory, BlockFileSet, BlockFormat, CooSink, CountingSink, EdgeSink, ShardSink,
     StagedFile,
 };
-use crate::source::{EdgeSource, KroneckerSource, SourceDescriptor, SourceRun};
+use crate::source::{EdgeSource, KroneckerSource, SourceRun};
 use crate::split::SplitPlan;
-use crate::stats::GenerationStats;
 
 pub use crate::source::SelfLoopPolicy;
 
@@ -614,8 +615,9 @@ impl<S: EdgeSource> Pipeline<S> {
             .permutation_seed
             .map(|seed| FeistelPermutation::new(vertices, seed));
 
-        // Wall-clock time is reported to operators in RunStats only; it
-        // never feeds the edge stream, which stays (seed, index)-derived.
+        // Wall-clock time is reported to operators in the manifest's
+        // `seconds` only; it never feeds the edge stream, which stays
+        // (seed, index)-derived.
         #[allow(clippy::disallowed_methods)]
         // lint:allow(no-ambient-time) -- operator-facing run timing only; the edge stream never reads the clock
         let started = Instant::now();
@@ -660,21 +662,45 @@ impl<S: EdgeSource> Pipeline<S> {
             }
         }
         let (measured, metrics) = engine
-            .finalize(edges_per_worker.clone())
+            .finalize(edges_per_worker)
             .map_err(CoreError::Sparse)?;
-        let mut stats = GenerationStats::new(edges_per_worker, elapsed);
-        stats.warnings = warnings;
         for failure in &failures {
-            stats.warn(format!(
+            warnings.push(format!(
                 "worker {} quarantined after {} attempt(s): {}",
                 failure.worker, failure.attempts, failure.error
             ));
         }
-        debug_assert_eq!(stats.total_edges, metrics.edges);
 
         let predicted = source_run.predicted_properties();
         let validation = source_run.validate(&measured);
-        let manifest = self.manifest(&spec, descriptor, &stats, &validation, shards, &metrics);
+        let paths = |paths: &[PathBuf]| paths.iter().map(|p| p.display().to_string()).collect();
+        let manifest = RunManifest {
+            source: descriptor.kind.to_string(),
+            source_seed: descriptor.seed,
+            permutation_seed: self.permutation_seed,
+            star_points: descriptor.star_points,
+            self_loop: descriptor.self_loop,
+            vertices: descriptor.vertices,
+            predicted_edges: descriptor.predicted_edges,
+            workers: self.workers,
+            split_index: descriptor.split_index,
+            max_c_edges: descriptor.max_c_edges,
+            max_b_edges: descriptor.max_b_edges,
+            chunk_capacity: self.chunk_capacity,
+            max_histogram_bytes: self.max_histogram_bytes,
+            self_loop_policy: descriptor.self_loop_policy,
+            sink: spec.label().to_string(),
+            directory: spec.shards().map(|set| set.directory.display().to_string()),
+            outputs: spec.shards().map_or_else(Vec::new, |set| paths(&set.files)),
+            edges_per_worker: metrics.balance.edges_per_worker.clone(),
+            total_edges: metrics.balance.edges_per_worker.iter().sum(),
+            seconds: elapsed.as_secs_f64(),
+            exact_match: validation.is_exact_match(),
+            warnings,
+            shards,
+            metrics: metrics.records(),
+        };
+        debug_assert_eq!(manifest.total_edges, metrics.edges);
         let files = match spec {
             SinkSpec::Memory(_) => None,
             SinkSpec::Shards(set) => {
@@ -687,12 +713,10 @@ impl<S: EdgeSource> Pipeline<S> {
 
         Ok(RunReport {
             outputs,
-            vertices,
             split: source_run.split_plan(),
             predicted,
             measured,
             metrics,
-            stats,
             validation,
             failures,
             manifest,
@@ -718,45 +742,6 @@ impl<S: EdgeSource> Pipeline<S> {
             });
         }
         check_metric_names(&self.metrics)
-    }
-
-    /// The run's reproducibility record.
-    fn manifest(
-        &self,
-        spec: &SinkSpec,
-        descriptor: SourceDescriptor,
-        stats: &GenerationStats,
-        validation: &ValidationReport,
-        shards: Vec<ShardRecord>,
-        metrics: &MetricsReport,
-    ) -> RunManifest {
-        let paths = |paths: &[PathBuf]| paths.iter().map(|p| p.display().to_string()).collect();
-        RunManifest {
-            source: descriptor.kind.to_string(),
-            source_seed: descriptor.seed,
-            permutation_seed: self.permutation_seed,
-            star_points: descriptor.star_points,
-            self_loop: descriptor.self_loop,
-            vertices: descriptor.vertices,
-            predicted_edges: descriptor.predicted_edges,
-            workers: self.workers,
-            split_index: descriptor.split_index,
-            max_c_edges: descriptor.max_c_edges,
-            max_b_edges: descriptor.max_b_edges,
-            chunk_capacity: self.chunk_capacity,
-            max_histogram_bytes: self.max_histogram_bytes,
-            self_loop_policy: descriptor.self_loop_policy,
-            sink: spec.label().to_string(),
-            directory: spec.shards().map(|set| set.directory.display().to_string()),
-            outputs: spec.shards().map_or_else(Vec::new, |set| paths(&set.files)),
-            edges_per_worker: stats.edges_per_worker.clone(),
-            total_edges: stats.total_edges,
-            seconds: stats.seconds,
-            exact_match: validation.is_exact_match(),
-            warnings: stats.warnings.clone(),
-            shards,
-            metrics: metrics.records(),
-        }
     }
 }
 
@@ -1054,8 +1039,6 @@ fn shard_file_name(path: &Path) -> String {
 pub struct RunReport<O> {
     /// Per-worker sink outputs, in worker order.
     pub outputs: Vec<O>,
-    /// Number of rows/columns of the generated graph.
-    pub vertices: u64,
     /// The split plan the run executed, for sources that have one (`None`
     /// for non-Kronecker sources).
     pub split: Option<SplitPlan>,
@@ -1066,12 +1049,10 @@ pub struct RunReport<O> {
     /// Properties measured from the merged streaming degree histograms
     /// (triangles are never measured in streaming mode).
     pub measured: GraphProperties,
-    /// The typed result sheet of the streaming-metrics engine: counts, max
-    /// degree, degree histogram, per-worker balance, power-law fit, and any
-    /// custom metric values.
+    /// The typed result sheet of the streaming-metrics engine: vertex and
+    /// edge counts, max degree, degree histogram, per-worker balance,
+    /// power-law fit, and any custom metric values.
     pub metrics: MetricsReport,
-    /// Timing and balance statistics.
-    pub stats: GenerationStats,
     /// The streamed measured-equals-predicted comparison (the paper's
     /// Figure 4), over every field the source predicts exactly.
     pub validation: ValidationReport,
@@ -1080,7 +1061,8 @@ pub struct RunReport<O> {
     /// runs; a non-quarantining run fails instead of recording anything
     /// here.  [`Pipeline::resume`] regenerates exactly these shards.
     pub failures: Vec<ShardFailure>,
-    /// The run's reproducibility record; file terminals also write it as
+    /// The run's reproducibility record — configuration, worker count,
+    /// wall-clock `seconds` and warnings; file terminals also write it as
     /// `manifest.json` next to the shards.
     pub manifest: RunManifest,
     /// The shard files of a file-writing terminal, if any.
@@ -1090,7 +1072,16 @@ pub struct RunReport<O> {
 impl<O> RunReport<O> {
     /// Total number of edges delivered to the sinks.
     pub fn edge_count(&self) -> u64 {
-        self.stats.total_edges
+        self.manifest.total_edges
+    }
+
+    /// Aggregate generation rate in edges per second (0 for a run that took
+    /// no measurable time).
+    pub fn edges_per_second(&self) -> f64 {
+        if self.manifest.seconds <= 0.0 {
+            return 0.0;
+        }
+        self.manifest.total_edges as f64 / self.manifest.seconds
     }
 
     /// Whether the streamed validation matched the prediction exactly.
@@ -1109,7 +1100,8 @@ impl RunReport<CooMatrix<u64>> {
     /// Assemble the per-worker COO blocks into the full adjacency matrix
     /// (tests and small graphs only).
     pub fn assemble(&self) -> CooMatrix<u64> {
-        let mut all = CooMatrix::new(self.vertices, self.vertices);
+        let vertices = self.metrics.vertices;
+        let mut all = CooMatrix::new(vertices, vertices);
         for block in &self.outputs {
             all.append(block)
                 // lint:allow(no-expect) -- every block is created with the same full-graph dimensions in this method
@@ -1203,9 +1195,9 @@ mod tests {
         let expected = DEFAULT_WORKERS.min(available.max(1));
 
         let report = Pipeline::for_design(&design).count().unwrap();
-        assert_eq!(report.stats.workers, expected);
+        assert_eq!(report.manifest.workers, expected);
         let clamp_warned = report
-            .stats
+            .manifest
             .warnings
             .iter()
             .any(|w| w.contains("available parallelism"));
@@ -1213,7 +1205,7 @@ mod tests {
             clamp_warned,
             expected < DEFAULT_WORKERS,
             "the clamp warning must appear exactly when the clamp engaged: {:?}",
-            report.stats.warnings
+            report.manifest.warnings
         );
 
         // An explicit worker count is never clamped, however oversubscribed,
@@ -1223,9 +1215,9 @@ mod tests {
             .workers(oversubscribed)
             .count()
             .unwrap();
-        assert_eq!(report.stats.workers, oversubscribed);
+        assert_eq!(report.manifest.workers, oversubscribed);
         assert!(!report
-            .stats
+            .manifest
             .warnings
             .iter()
             .any(|w| w.contains("available parallelism")));
@@ -1235,7 +1227,7 @@ mod tests {
     fn count_validates_every_self_loop_variant() {
         for self_loop in [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf] {
             let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], self_loop).unwrap();
-            let report = pipeline(&design, 4).split_index(2).count().unwrap();
+            let mut report = pipeline(&design, 4).split_index(2).count().unwrap();
             assert!(
                 report.is_valid(),
                 "pipeline validation failed for {self_loop:?}: {:?}",
@@ -1248,6 +1240,10 @@ mod tests {
             assert_eq!(report.manifest.permutation_seed, None);
             assert_eq!(report.manifest.total_edges, report.edge_count());
             assert!(report.files.is_none());
+            assert!(report.edges_per_second() > 0.0);
+            // A run that took no measurable time reports no rate.
+            report.manifest.seconds = 0.0;
+            assert_eq!(report.edges_per_second(), 0.0);
         }
     }
 
@@ -1256,13 +1252,12 @@ mod tests {
         let design = KroneckerDesign::from_star_points(&[3, 4], SelfLoop::None).unwrap();
         let report = pipeline(&design, 1_000).count().unwrap();
         assert_eq!(BigUint::from(report.edge_count()), design.edges());
-        assert_eq!(report.stats.warnings.len(), 1, "fallback must warn");
-        assert!(report.stats.warnings[0].contains("balance guarantee"));
-        assert_eq!(report.manifest.warnings, report.stats.warnings);
+        assert_eq!(report.manifest.warnings.len(), 1, "fallback must warn");
+        assert!(report.manifest.warnings[0].contains("balance guarantee"));
 
         let healthy = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::None).unwrap();
         let report = pipeline(&healthy, 4).count().unwrap();
-        assert!(report.stats.warnings.is_empty());
+        assert!(report.manifest.warnings.is_empty());
     }
 
     #[test]
@@ -1284,7 +1279,11 @@ mod tests {
         expected.sort();
         assert_eq!(from_disk, expected);
         // The header, then at least two one-byte varints per edge.
-        for (file, edges) in files.files.iter().zip(&report.stats.edges_per_worker) {
+        for (file, edges) in files
+            .files
+            .iter()
+            .zip(&report.metrics.balance.edges_per_worker)
+        {
             let len = std::fs::metadata(file).unwrap().len();
             assert!(len >= crate::codec::BLOCK_HEADER_COMPRESSED_LEN + 2 * edges);
             assert!(len < 16 * edges, "{len} bytes for {edges} edges");
@@ -1397,7 +1396,7 @@ mod tests {
         let design = KroneckerDesign::from_star_points(&[3, 4, 5, 9], SelfLoop::Centre).unwrap();
         let report = pipeline(&design, 4).split_index(2).count().unwrap();
         let metrics = &report.metrics;
-        assert_eq!(metrics.vertices, report.vertices);
+        assert_eq!(BigUint::from(metrics.vertices), design.vertices());
         assert_eq!(metrics.edges, report.edge_count());
         assert_eq!(metrics.self_loops, 0);
         assert_eq!(
@@ -1415,7 +1414,7 @@ mod tests {
         );
         assert_eq!(
             metrics.balance.edges_per_worker,
-            report.stats.edges_per_worker
+            report.manifest.edges_per_worker
         );
         // A plain star product lies exactly on the perfect n(d) = c/d law:
         // slope 1 from the extremes, zero residual against the ideal curve.
@@ -1648,7 +1647,7 @@ mod tests {
                 .unwrap()
         };
         let overrides = |report: &RunReport<u64>| {
-            let warnings = report.stats.warnings.iter();
+            let warnings = report.manifest.warnings.iter();
             warnings.filter(|w| w.contains("cannot roll back")).count()
         };
         let local = replay(u64::MAX, RetryPolicy::none());
@@ -1663,7 +1662,7 @@ mod tests {
             [&local, &shared, &retrying].map(overrides),
             [0, 0, 1],
             "{:?}",
-            retrying.stats.warnings
+            retrying.manifest.warnings
         );
     }
 
@@ -1689,7 +1688,7 @@ mod tests {
 
         // And the permuted edge set is exactly the plain edge set mapped
         // through the Feistel bijection.
-        let perm = FeistelPermutation::new(plain.vertices, 0xBEEF);
+        let perm = FeistelPermutation::new(plain.metrics.vertices, 0xBEEF);
         let mut expected: Vec<(u64, u64)> = plain
             .assemble()
             .iter()

@@ -820,12 +820,12 @@ mod tests {
             let resumed = pipeline().chunk_capacity(capacity).resume(&dir).unwrap();
             assert!(
                 resumed
-                    .stats
+                    .manifest
                     .warnings
                     .iter()
                     .any(|note| note.contains("1 shard(s) verified")),
                 "one shard must take the skip path: {:?}",
-                resumed.stats.warnings
+                resumed.manifest.warnings
             );
             assert_eq!(resumed.metrics, whole.metrics, "capacity {capacity}");
             for (resumed, whole) in resumed.outputs.iter().zip(&whole.outputs) {

@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let resumed = pipeline(&design, workers).resume(&crash_dir)?;
     println!();
     println!("=== resumed run ===");
-    for warning in &resumed.stats.warnings {
+    for warning in &resumed.manifest.warnings {
         println!("  note: {warning}");
     }
     assert!(resumed.is_complete());
@@ -158,7 +158,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!("=== corruption repaired by resume ===");
     for warning in healed
-        .stats
+        .manifest
         .warnings
         .iter()
         .filter(|w| w.contains("block_00001.kbkz"))

@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "generated in {:?} on {} workers ({:.1} Medges/s), streamed validation exact: {}",
         started.elapsed(),
-        report.stats.workers,
-        report.stats.edges_per_second() / 1e6,
+        report.manifest.workers,
+        report.edges_per_second() / 1e6,
         report.validation.is_exact_match(),
     );
 

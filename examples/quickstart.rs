@@ -30,12 +30,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== generation ===");
     println!(
         "workers: {}   edges: {}   rate: {:.1} Medges/s   balance (max/mean): {:.4}",
-        report.stats.workers,
-        report.stats.total_edges,
-        report.stats.edges_per_second() / 1e6,
-        report.stats.balance_ratio(),
+        report.manifest.workers,
+        report.edge_count(),
+        report.edges_per_second() / 1e6,
+        report.metrics.balance.max_over_mean,
     );
-    println!("edges per worker: {:?}", report.stats.edges_per_worker);
+    println!(
+        "edges per worker: {:?}",
+        report.metrics.balance.edges_per_worker
+    );
     println!();
 
     // 3. The run already validated itself: the streamed degree histogram is

@@ -42,8 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\ngenerated {} edges in {:?} ({:.1} Medges/s), per-worker imbalance {} edges",
         report.edge_count(),
         generate_elapsed,
-        report.stats.edges_per_second() / 1e6,
-        report.stats.imbalance(),
+        report.edges_per_second() / 1e6,
+        report.metrics.balance.max_edges - report.metrics.balance.min_edges,
     );
     let assembled = report.assemble();
     let measured = measure_properties(&assembled)?;

@@ -82,8 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "generated with {} workers in {:.3} s ({:.1} Medges/s)",
         workers,
-        run.stats.seconds,
-        run.stats.edges_per_second() / 1e6
+        run.manifest.seconds,
+        run.edges_per_second() / 1e6
     );
     let balance = &run.metrics.balance;
     println!(

@@ -143,9 +143,11 @@
 //! The materialising generator, the shard driver, their config structs, the
 //! block writers, and `kron-rmat`'s whole-list sampler and permutation table
 //! were removed in PR 12; use [`Pipeline`] (every terminal above takes any
-//! [`EdgeSource`]).  Measured values live in typed fields on
-//! `RunReport.metrics` ([`MetricsReport`]); `validation` keeps the
-//! predicted/measured comparison.
+//! [`EdgeSource`]).  A [`RunReport`] keeps the measured counts and
+//! per-worker balance in `metrics` ([`MetricsReport`]), the configuration,
+//! worker count, wall-clock `seconds` and warnings in `manifest`
+//! ([`RunManifest`]), and the predicted/measured comparison in
+//! `validation`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -163,7 +165,7 @@ pub use kron_core::{
 };
 pub use kron_gen::{
     ColumnWindows, DesignPipeline, EdgeSource, FaultSchedule, FaultySink, FaultySource,
-    FeistelPermutation, GenerationStats, KroneckerSource, MetricRecord, MetricsReport, Pipeline,
+    FeistelPermutation, KroneckerSource, MetricRecord, MetricsReport, Pipeline,
     PredicateCountMetric, ProgressJournal, ReplaySource, RetryPolicy, RunManifest, RunReport,
     SelfLoopPolicy, ShardFailure, ShardRecord, SourceDescriptor, SourceRun,
 };

@@ -125,7 +125,7 @@ fn permanent_fault_quarantines_and_resume_is_bit_identical() {
         clean.manifest.edges_per_worker
     );
     assert!(resumed
-        .stats
+        .manifest
         .warnings
         .iter()
         .any(|w| w.contains("3 shard(s) verified complete")));
@@ -256,12 +256,12 @@ fn corrupt_shard_is_detected_on_resume_and_regenerated() {
     assert!(resumed.is_valid());
     assert!(
         resumed
-            .stats
+            .manifest
             .warnings
             .iter()
             .any(|w| w.contains("block_00001.tsv") && w.contains("checksum")),
         "the corrupt shard must be named: {:?}",
-        resumed.stats.warnings
+        resumed.manifest.warnings
     );
     assert_eq!(shard_bytes(&dir, "tsv"), shard_bytes(&clean_dir, "tsv"));
 }
@@ -327,12 +327,12 @@ fn corrupt_compressed_shard_is_detected_on_resume_and_regenerated() {
     assert!(resumed.is_valid());
     assert!(
         resumed
-            .stats
+            .manifest
             .warnings
             .iter()
             .any(|w| w.contains("block_00001.kbkz") && w.contains("checksum")),
         "the corrupt shard must be named: {:?}",
-        resumed.stats.warnings
+        resumed.manifest.warnings
     );
     assert_eq!(shard_bytes(&dir, "kbkz"), shard_bytes(&clean_dir, "kbkz"));
 }
@@ -394,12 +394,12 @@ fn resumed_kronecker_run_counts_in_its_column_windows() {
         assert!(resumed.is_valid());
         assert!(
             !resumed
-                .stats
+                .manifest
                 .warnings
                 .iter()
                 .any(|w| w.contains("exceeding max_histogram_bytes")),
             "permute={permute:?}: {:?}",
-            resumed.stats.warnings
+            resumed.manifest.warnings
         );
         assert_eq!(resumed.metrics, clean.metrics, "permute={permute:?}");
     }

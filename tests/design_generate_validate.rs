@@ -121,7 +121,7 @@ fn per_worker_balance_is_within_one_b_triple() {
     for workers in [2usize, 4, 8, 12] {
         let report = pipeline(&design, workers).count().unwrap();
         let balance = &report.metrics.balance;
-        assert_eq!(balance.edges_per_worker, report.stats.edges_per_worker);
+        assert_eq!(balance.edges_per_worker, report.manifest.edges_per_worker);
         let c_nnz = report.split.as_ref().unwrap().c_nnz.to_u64().unwrap();
         assert!(
             balance.is_balanced_within(c_nnz),

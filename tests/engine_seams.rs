@@ -242,12 +242,12 @@ fn resume_sweeps_an_orphaned_manifest_staging_file() {
     let swept = "removed 1 orphaned .tmp staging file(s)";
     assert!(
         resumed
-            .stats
+            .manifest
             .warnings
             .iter()
             .any(|note| note.contains(swept)),
         "{:?}",
-        resumed.stats.warnings
+        resumed.manifest.warnings
     );
     assert_eq!(resumed.metrics, whole.metrics);
     let on_disk = RunManifest::read_from(&dir.join(MANIFEST_FILE_NAME)).unwrap();

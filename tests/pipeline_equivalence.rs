@@ -103,7 +103,7 @@ fn pipeline_blocks_equal_the_realised_design() {
                 assert!(report.is_valid(), "{label}");
                 assert_eq!(report.outputs.len(), workers, "{label}");
                 assert_eq!(
-                    BigUint::from(report.stats.edges_per_worker.iter().sum::<u64>()),
+                    BigUint::from(report.metrics.balance.edges_per_worker.iter().sum::<u64>()),
                     design.edges(),
                     "{label}"
                 );
@@ -142,7 +142,7 @@ fn pipeline_counts_equal_the_design_prediction() {
                 .count()
                 .unwrap();
             assert!(report.is_valid());
-            assert_eq!(report.outputs, report.stats.edges_per_worker);
+            assert_eq!(report.outputs, report.metrics.balance.edges_per_worker);
             assert_eq!(BigUint::from(report.edge_count()), design.edges());
             assert_eq!(report.predicted, Some(design.properties()));
             assert_eq!(report.measured.vertices, design.vertices());
@@ -374,7 +374,7 @@ fn collect<S: EdgeSource>(
 /// flat row-endpoint vector counts them — the oracle every counting mode of
 /// the engine is held to.
 fn flat_vector(report: &RunReport<CooMatrix<u64>>) -> MetricsReport {
-    let vertices = report.vertices;
+    let vertices = report.metrics.vertices;
     let mut flat = DegreeAccumulator::rows_only(vertices, vertices);
     let mut upper = 0;
     for block in &report.outputs {
@@ -523,7 +523,10 @@ fn every_shard_producing_run_emits_a_round_tripping_manifest() {
     assert_eq!(manifest.chunk_capacity, 2048);
     assert_eq!(manifest.sink, "compressed");
     assert_eq!(manifest.total_edges, report.edge_count());
-    assert_eq!(manifest.edges_per_worker, report.stats.edges_per_worker);
+    assert_eq!(
+        manifest.edges_per_worker,
+        report.metrics.balance.edges_per_worker
+    );
     assert_eq!(manifest.outputs.len(), 4);
     assert!(manifest.exact_match);
     assert_eq!(manifest.vertices, design.vertices().to_string());

@@ -429,7 +429,7 @@ fn a_shard_declaring_another_graph_is_a_dimension_mismatch_on_every_read_path() 
     // are untouched, so every other gate passes.
     let victim = dir.join("block_00001.kbkz");
     let mut bytes = std::fs::read(&victim).unwrap();
-    bytes[8..16].copy_from_slice(&(generated.vertices + 1).to_le_bytes());
+    bytes[8..16].copy_from_slice(&(generated.metrics.vertices + 1).to_le_bytes());
     std::fs::write(&victim, &bytes).unwrap();
 
     let replayed = Pipeline::for_source(ReplaySource::from_directory(&dir).unwrap())

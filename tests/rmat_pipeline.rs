@@ -102,7 +102,7 @@ fn rmat_run_emits_a_round_tripping_manifest_with_source_and_seed() {
         .write_compressed(&dir)
         .unwrap();
     assert!(report.is_valid());
-    assert_eq!(report.vertices, params.vertices());
+    assert_eq!(report.metrics.vertices, params.vertices());
 
     let on_disk = RunManifest::read_from(&dir.join(MANIFEST_FILE_NAME)).unwrap();
     assert_eq!(on_disk, report.manifest);
@@ -164,7 +164,7 @@ fn permuted_kronecker_run_still_validates_streamed() {
 
         // And the permuted edges are exactly the plain edges through the
         // recorded bijection.
-        let perm = FeistelPermutation::new(plain.vertices, 0xC0FFEE);
+        let perm = FeistelPermutation::new(plain.metrics.vertices, 0xC0FFEE);
         let mut expected: Vec<(u64, u64)> = plain
             .assemble()
             .iter()

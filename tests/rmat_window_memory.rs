@@ -32,9 +32,9 @@ fn a_scale_22_rmat_count_peaks_far_below_eight_byte_windows() {
         .unwrap();
     assert_eq!(report.metrics.edges, 1 << 22);
     assert!(
-        report.stats.warnings.is_empty(),
+        report.manifest.warnings.is_empty(),
         "{:?}",
-        report.stats.warnings
+        report.manifest.warnings
     );
     let peak = peak_rss_kib();
     assert!(

@@ -95,7 +95,7 @@ mod corrupt_binary_shards {
             .split_index(1)
             .write_compressed(&dir)
             .unwrap();
-        assert_eq!(report.vertices, 20);
+        assert_eq!(report.metrics.vertices, 20);
         let bytes = std::fs::read(&report.files.unwrap().files[0]).unwrap();
         let path = dir.join("shard.kbkz");
         (bytes, dir, path)
