@@ -15,7 +15,7 @@
 use kron_bench::{design, figure_header, machine_pipeline, paper, print_distribution_series};
 use kron_bignum::grouped;
 use kron_core::validate::{compare_properties, measure_properties};
-use kron_core::SelfLoop;
+use kron_core::{DegreeDistribution, SelfLoop};
 
 fn main() {
     let smoke = std::env::args().any(|arg| arg == "--smoke");
@@ -82,6 +82,9 @@ fn main() {
     }
 
     println!("\nmeasured degree distribution (equals prediction exactly):");
-    print_distribution_series(&run.measured.degree_distribution, 24);
+    print_distribution_series(
+        &DegreeDistribution::from_histogram(&run.metrics.degree_histogram),
+        24,
+    );
     println!("\nFigure 4 reproduced: predicted and measured distributions are identical.");
 }

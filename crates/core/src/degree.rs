@@ -49,11 +49,13 @@ impl DegreeDistribution {
     }
 
     /// Build from a measured `u64` histogram (degree → count), skipping
-    /// zero-count entries.
+    /// zero-count entries and the degree-zero bucket: degree-zero vertices
+    /// carry no edge endpoint and are never in a distribution, so they are
+    /// counted only in a graph's `vertices`.
     pub fn from_histogram(hist: &BTreeMap<u64, u64>) -> Self {
         let mut dist = DegreeDistribution::new();
         for (&d, &n) in hist {
-            if n > 0 {
+            if d > 0 && n > 0 {
                 dist.add(BigUint::from(d), BigUint::from(n));
             }
         }
@@ -350,8 +352,10 @@ mod tests {
         let mut hist = BTreeMap::new();
         hist.insert(1u64, 5u64);
         hist.insert(7u64, 0u64);
+        hist.insert(0u64, 3u64);
         let d = DegreeDistribution::from_histogram(&hist);
         assert_eq!(d.support_size(), 1);
+        assert_eq!(d.count(&BigUint::zero()), BigUint::zero());
     }
 }
 

@@ -17,8 +17,6 @@
 //!   for the parallel generator, and bounded materialisation.
 //! * [`DegreeDistribution`] — exact `d ↦ n(d)` maps with Kronecker products
 //!   and power-law fits.
-//! * [`IncidencePair`] — incidence-matrix construction via Kronecker
-//!   products and the `A = E_outᵀ·E_in` identity.
 //! * [`DesignSearch`] — target-driven inversion: find star sets that hit a
 //!   requested edge/vertex scale exactly-power-law.
 //! * [`validate`] — measure a realised graph and compare field-by-field with
@@ -51,7 +49,6 @@ pub mod degree;
 pub mod design;
 pub mod designer;
 pub mod error;
-pub mod incidence;
 pub mod powerlaw;
 pub mod properties;
 pub mod star;
@@ -62,7 +59,6 @@ pub use degree::DegreeDistribution;
 pub use design::KroneckerDesign;
 pub use designer::{DesignCandidate, DesignSearch, DesignTargets, DEFAULT_POOL};
 pub use error::CoreError;
-pub use incidence::{design_incidence, IncidencePair};
 pub use powerlaw::{star_products_unique, PowerLaw};
 pub use properties::GraphProperties;
 pub use star::{SelfLoop, StarGraph};

@@ -178,30 +178,11 @@ impl StarGraph {
         // lint:allow(no-expect) -- the loop bounds above keep every star index below m
         CooMatrix::from_edges(m, m, edges).expect("star indices are in bounds by construction")
     }
-
-    /// Out-vertex / in-vertex incidence matrices `(E_out, E_in)` such that
-    /// `A = E_outᵀ · E_in` (one row per stored adjacency entry, treating each
-    /// directed entry — including a self-loop — as one edge).
-    pub fn incidence(&self) -> (CooMatrix<u64>, CooMatrix<u64>) {
-        let adjacency = self.adjacency();
-        let m = self.vertices();
-        let nnz = adjacency.nnz() as u64;
-        let mut eout = CooMatrix::new(nnz, m);
-        let mut ein = CooMatrix::new(nnz, m);
-        for (e, (i, j, _)) in adjacency.iter().enumerate() {
-            // lint:allow(no-expect) -- edge index e < edge count by the enumeration
-            eout.push(e as u64, i, 1).expect("edge index in bounds");
-            // lint:allow(no-expect) -- edge index e < edge count by the enumeration
-            ein.push(e as u64, j, 1).expect("edge index in bounds");
-        }
-        (eout, ein)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kron_sparse::ops::spgemm;
     use kron_sparse::reduce::degree_distribution;
     use kron_sparse::triangles::triangle_raw_sum;
     use kron_sparse::{CsrMatrix, PlusTimes};
@@ -302,24 +283,6 @@ mod tests {
                     "raw triangle sum mismatch for m̂={points}, {self_loop:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn incidence_matrices_reconstruct_adjacency() {
-        for self_loop in [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf] {
-            let s = StarGraph::new(4, self_loop).unwrap();
-            let (eout, ein) = s.incidence();
-            let adjacency = spgemm::<u64, PlusTimes>(
-                &CsrMatrix::from_coo::<PlusTimes>(&eout.transpose()).unwrap(),
-                &CsrMatrix::from_coo::<PlusTimes>(&ein).unwrap(),
-            )
-            .unwrap();
-            let expected = CsrMatrix::from_coo::<PlusTimes>(&s.adjacency()).unwrap();
-            assert_eq!(
-                adjacency, expected,
-                "EoutT*Ein must equal A for {self_loop:?}"
-            );
         }
     }
 

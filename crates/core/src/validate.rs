@@ -92,18 +92,12 @@ pub fn measure_from_histogram(
     for (&degree, &count) in histogram {
         edges += BigUint::from(degree) * BigUint::from(count);
     }
-    let mut distribution = DegreeDistribution::from_histogram(histogram);
-    let zero = BigUint::zero();
-    if !distribution.count(&zero).is_zero() {
-        let n = distribution.count(&zero);
-        distribution.subtract(&zero, &n);
-    }
     GraphProperties {
         vertices: BigUint::from(vertices),
         edges,
         triangles: None,
         self_loops: BigUint::from(self_loops),
-        degree_distribution: distribution,
+        degree_distribution: DegreeDistribution::from_histogram(histogram),
     }
 }
 
@@ -237,18 +231,6 @@ pub fn validate_streamed(
     measured: &GraphProperties,
 ) -> ValidationReport {
     compare_fields(predicted, measured, false)
-}
-
-/// Compare two *measured* property sheets field by field — the
-/// replay-validation check: a graph streamed back from disk must measure
-/// exactly what its generation run measured.  Identical to
-/// [`validate_streamed`] except that the "predicted" column is itself a
-/// measurement, so the triangle check is likewise skipped.
-pub fn compare_measured(
-    generation_time: &GraphProperties,
-    replayed: &GraphProperties,
-) -> ValidationReport {
-    compare_fields(generation_time, replayed, false)
 }
 
 fn compare_fields(
@@ -433,23 +415,6 @@ mod tests {
         // triangle count as a mismatch.
         let full = compare_properties(&design.properties(), &streamed);
         assert!(full.failures().contains(&"triangles"));
-    }
-
-    #[test]
-    fn compare_measured_matches_itself_and_flags_differences() {
-        let design = KroneckerDesign::from_star_points(&[3, 5, 9], SelfLoop::Centre).unwrap();
-        let graph = design.realize(1_000_000).unwrap();
-        let histogram = kron_sparse::reduce::degree_distribution(&graph);
-        let streamed = measure_from_histogram(graph.nrows(), &histogram, 0);
-        let report = compare_measured(&streamed, &streamed);
-        assert!(report.is_exact_match());
-        assert!(!report.checks.iter().any(|c| c.field == "triangles"));
-
-        let mut off = streamed.clone();
-        off.edges += BigUint::one();
-        assert!(compare_measured(&streamed, &off)
-            .failures()
-            .contains(&"edges"));
     }
 
     #[test]

@@ -42,10 +42,10 @@
 //!    shard, counter, COO block, or any custom impl), so
 //!    generation *and* validation both run as bounded-memory streams at
 //!    scales whose edges never fit in memory.  Every run's
-//!    [`pipeline::RunReport`] holds its measured counts and per-worker
-//!    balance in one [`metrics::MetricsReport`], and everything else it
-//!    records — source kind, seeds, worker count, wall-clock seconds,
-//!    warnings — in one [`manifest::RunManifest`], written as
+//!    [`pipeline::RunReport`] holds its one measurement (counts, degree
+//!    histogram, balance) in a [`metrics::MetricsReport`], and everything
+//!    else it records — source kind, seeds, worker count, wall-clock
+//!    seconds, warnings — in one [`manifest::RunManifest`], written as
 //!    `manifest.json` next to file output.  The pre-pipeline entry points
 //!    (the materialising generator, the shard driver, the block writers)
 //!    were removed in PR 12; use [`pipeline::Pipeline`].

@@ -243,8 +243,6 @@ pub struct MetricsReport {
     /// Largest degree, of the endpoint
     /// [`degree_histogram`](Self::degree_histogram) counts.
     pub max_degree: u64,
-    /// Number of distinct non-zero degrees.
-    pub distinct_degrees: usize,
     /// Degree histogram (degree → vertex count), degree-zero vertices
     /// excluded — the support of the measured distribution.  A run whose
     /// source declares [`ColumnWindows`], fresh or resumed, counts column
@@ -272,7 +270,7 @@ impl MetricsReport {
             MetricRecord::new(edges, self.edges),
             MetricRecord::new(self_loops, self.self_loops),
             MetricRecord::new(max_degree, self.max_degree),
-            MetricRecord::new(distinct_degrees, self.distinct_degrees),
+            MetricRecord::new(distinct_degrees, self.degree_histogram.len()),
             // `{:?}` prints the shortest decimal that parses back to the
             // same f64, keeping manifest round trips exact.
             MetricRecord::new(balance, format!("{:?}", self.balance.max_over_mean)),
@@ -412,9 +410,10 @@ impl<'m> MetricsEngine<'m> {
         }
     }
 
-    /// Assemble the measured property sheet and the typed metrics report
-    /// once every worker has finished — or the broken stream-order promise
-    /// a windowed run found only now that every worker has reported.
+    /// Assemble the typed metrics report, and the measured property sheet
+    /// the run validates against and then drops, once every worker has
+    /// finished — or the broken stream-order promise a windowed run found
+    /// only now that every worker has reported.
     pub(crate) fn finalize(
         self,
         edges_per_worker: Vec<u64>,
@@ -443,7 +442,6 @@ impl<'m> MetricsEngine<'m> {
             edges,
             self_loops,
             max_degree,
-            distinct_degrees: degree_histogram.len(),
             degree_histogram,
             balance: BalanceReport::from_worker_counts(edges_per_worker),
             power_law: measured.power_law_fit(),
@@ -937,7 +935,7 @@ mod tests {
         assert_eq!(report.edges, 5);
         assert_eq!(report.self_loops, 2);
         assert_eq!(report.max_degree, 2);
-        assert_eq!(report.distinct_degrees, 2);
+        assert_eq!(report.degree_histogram.len(), 2);
         assert_eq!(report.degree_histogram.get(&1), Some(&3));
         assert_eq!(report.degree_histogram.get(&2), Some(&1));
         assert_eq!(report.degree_histogram.get(&0), None);
@@ -1025,7 +1023,6 @@ mod tests {
             edges: flat.edge_count(),
             self_loops: flat.self_loop_count(),
             max_degree: flat.max_row_degree(),
-            distinct_degrees: degree_histogram.len(),
             degree_histogram,
             balance: BalanceReport::from_worker_counts(vec![0; 3]),
             power_law: measured.power_law_fit(),

@@ -715,7 +715,6 @@ impl<S: EdgeSource> Pipeline<S> {
             outputs,
             split: source_run.split_plan(),
             predicted,
-            measured,
             metrics,
             validation,
             failures,
@@ -1046,15 +1045,13 @@ pub struct RunReport<O> {
     /// generation (`None` for sampling sources — R-MAT properties are
     /// measured-only, which is the paper's point).
     pub predicted: Option<GraphProperties>,
-    /// Properties measured from the merged streaming degree histograms
-    /// (triangles are never measured in streaming mode).
-    pub measured: GraphProperties,
-    /// The typed result sheet of the streaming-metrics engine: vertex and
-    /// edge counts, max degree, degree histogram, per-worker balance,
-    /// power-law fit, and any custom metric values.
+    /// The run's one measurement, typed: vertex, edge and self-loop counts,
+    /// max degree, degree histogram, per-worker balance, power-law fit, and
+    /// any custom metric values.
     pub metrics: MetricsReport,
     /// The streamed measured-equals-predicted comparison (the paper's
-    /// Figure 4), over every field the source predicts exactly.
+    /// Figure 4) of the `metrics` histogram, over every field the source
+    /// predicts exactly.
     pub validation: ValidationReport,
     /// Shards a quarantining run ([`Pipeline::quarantine_failures`]) gave up
     /// on after exhausting retries, in worker order.  Empty for complete
@@ -1117,7 +1114,7 @@ mod tests {
     use crate::manifest::{MANIFEST_FILE_NAME, PROGRESS_FILE_NAME};
     use crate::testing::TestDir;
     use kron_bignum::BigUint;
-    use kron_core::SelfLoop;
+    use kron_core::{DegreeDistribution, SelfLoop};
 
     fn pipeline(design: &KroneckerDesign, workers: usize) -> DesignPipeline<'_> {
         Pipeline::for_design(design)
@@ -1338,7 +1335,10 @@ mod tests {
             design.nnz_with_loops(),
             "raw product keeps every self-loop"
         );
-        assert_eq!(report.measured.self_loops, design.product_self_loops());
+        assert_eq!(
+            BigUint::from(report.metrics.self_loops),
+            design.product_self_loops()
+        );
         assert_eq!(report.manifest.self_loop_policy, "keep_raw");
         assert_eq!(report.manifest.source, "kronecker_raw");
         // The manifest's predicted count is the one the run validated
@@ -1399,18 +1399,16 @@ mod tests {
         assert_eq!(BigUint::from(metrics.vertices), design.vertices());
         assert_eq!(metrics.edges, report.edge_count());
         assert_eq!(metrics.self_loops, 0);
+        let predicted = design.properties();
         assert_eq!(
-            metrics.max_degree.to_string(),
-            report.measured.max_degree().to_string()
+            DegreeDistribution::from_histogram(&metrics.degree_histogram),
+            predicted.degree_distribution
         );
-        assert_eq!(metrics.distinct_degrees, report.measured.distinct_degrees());
+        assert_eq!(BigUint::from(metrics.max_degree), predicted.max_degree());
+        // A star product has no isolated vertex: the histogram covers them all.
         assert_eq!(
-            metrics.degree_histogram.values().sum::<u64>().to_string(),
-            report
-                .measured
-                .degree_distribution
-                .total_vertices()
-                .to_string()
+            metrics.degree_histogram.values().sum::<u64>(),
+            metrics.vertices
         );
         assert_eq!(
             metrics.balance.edges_per_worker,
@@ -1625,7 +1623,7 @@ mod tests {
                 .unwrap();
             assert_eq!(BigUint::from(report.edge_count()), design.edges());
             assert!(report.is_valid());
-            assert_eq!(report.measured.self_loops, BigUint::zero());
+            assert_eq!(report.metrics.self_loops, 0);
         }
     }
 
@@ -1656,7 +1654,6 @@ mod tests {
         assert_eq!(local.metrics, written.metrics);
         assert_eq!(shared.metrics, local.metrics);
         assert_eq!(retrying.metrics, local.metrics);
-        assert_eq!(shared.measured, local.measured);
         assert!(shared.is_valid());
         assert_eq!(
             [&local, &shared, &retrying].map(overrides),
@@ -1683,7 +1680,7 @@ mod tests {
             "permuted validation failed: {:?}",
             permuted.validation.failures()
         );
-        assert_eq!(permuted.measured, plain.measured);
+        assert_eq!(permuted.metrics, plain.metrics);
         assert_eq!(permuted.manifest.permutation_seed, Some(0xBEEF));
 
         // And the permuted edge set is exactly the plain edge set mapped

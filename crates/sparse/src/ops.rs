@@ -1,8 +1,7 @@
 //! Element-wise and matrix-product kernels.
 //!
 //! * element-wise multiply (`⊗`): graph intersection / masking;
-//! * SpGEMM (`A ⊕.⊗ B`): the matrix product used to build adjacency matrices
-//!   from incidence matrices and to count triangles;
+//! * SpGEMM (`A ⊕.⊗ B`): the matrix product used to count triangles;
 //! * `1ᵀ M 1`: the sum of every stored entry.
 
 use crate::coo::CooMatrix;

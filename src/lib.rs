@@ -81,7 +81,7 @@
 //! | metric | `MetricsReport` field |
 //! |---|---|
 //! | vertex / edge / self-loop counts | `vertices`, `edges`, `self_loops` |
-//! | degree histogram (both adaptive modes) | `degree_histogram`, `distinct_degrees` |
+//! | degree histogram (both adaptive modes) | `degree_histogram` |
 //! | max degree | `max_degree` |
 //! | per-worker balance | `balance` |
 //! | power-law slope fit + goodness vs fitted and ideal curves | `power_law` |
@@ -143,11 +143,11 @@
 //! The materialising generator, the shard driver, their config structs, the
 //! block writers, and `kron-rmat`'s whole-list sampler and permutation table
 //! were removed in PR 12; use [`Pipeline`] (every terminal above takes any
-//! [`EdgeSource`]).  A [`RunReport`] keeps the measured counts and
-//! per-worker balance in `metrics` ([`MetricsReport`]), the configuration,
-//! worker count, wall-clock `seconds` and warnings in `manifest`
-//! ([`RunManifest`]), and the predicted/measured comparison in
-//! `validation`.
+//! [`EdgeSource`]).  A [`RunReport`] keeps its one measured sheet — counts,
+//! degree histogram and per-worker balance — in `metrics`
+//! ([`MetricsReport`]), the configuration, worker count, wall-clock
+//! `seconds` and warnings in `manifest` ([`RunManifest`]), and the
+//! predicted/measured comparison in `validation`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,6 +5,8 @@
 //! `kron_chain`), the closed-form predictions, and brute-force measurement
 //! on the sparse substrate (kron-sparse).
 
+use std::collections::BTreeMap;
+
 use extreme_graphs::bignum::BigUint;
 use extreme_graphs::core::validate::{measure_properties, validate_design};
 use extreme_graphs::core::CoreError;
@@ -12,7 +14,9 @@ use extreme_graphs::sparse::reduce::degree_distribution as sparse_histogram;
 use extreme_graphs::sparse::select::{empty_vertices, has_duplicates, self_loop_count};
 use extreme_graphs::sparse::triangles::{count_triangles_coo, count_triangles_merge};
 use extreme_graphs::sparse::{CooMatrix, CsrMatrix, PlusTimes};
-use extreme_graphs::{DegreeDistribution, DesignPipeline, KroneckerDesign, Pipeline, SelfLoop};
+use extreme_graphs::{
+    Constituent, DegreeDistribution, DesignPipeline, KroneckerDesign, Pipeline, SelfLoop,
+};
 
 fn pipeline(design: &KroneckerDesign, workers: usize) -> DesignPipeline<'_> {
     Pipeline::for_design(design)
@@ -109,10 +113,44 @@ fn worker_count_is_an_implementation_detail() {
 fn distributed_measurement_equals_assembled_measurement() {
     let design = KroneckerDesign::from_star_points(&[4, 5, 9, 16], SelfLoop::Centre).unwrap();
     let report = pipeline(&design, 6).collect_coo().unwrap();
-    let from_stream = &report.measured.degree_distribution;
+    let from_stream = DegreeDistribution::from_histogram(&report.metrics.degree_histogram);
     let from_assembled = DegreeDistribution::from_histogram(&sparse_histogram(&report.assemble()));
-    assert_eq!(*from_stream, from_assembled);
-    assert_eq!(*from_stream, design.degree_distribution());
+    assert_eq!(from_stream, from_assembled);
+    assert_eq!(from_stream, design.degree_distribution());
+}
+
+#[test]
+fn a_design_with_an_isolated_vertex_validates() {
+    // An edge plus an isolated vertex: the product has 3 isolated vertices,
+    // which the prediction counts in `vertices` only, as the stream does.
+    let edge_and_vertex = CooMatrix::from_edges(3, 3, vec![(0, 1), (1, 0)]).unwrap();
+    let design = KroneckerDesign::new(vec![
+        Constituent::star(3, SelfLoop::None).unwrap(),
+        Constituent::from_matrix(edge_and_vertex, 1).unwrap(),
+    ])
+    .unwrap();
+    let report = Pipeline::for_design(&design).workers(1).count().unwrap();
+    assert_eq!(report.metrics.vertices, 12);
+    assert_eq!(report.metrics.edges, 12);
+    assert_eq!(
+        report.metrics.degree_histogram,
+        BTreeMap::from([(1, 6), (3, 2)])
+    );
+    assert!(
+        report.is_valid(),
+        "isolated-vertex validation failed: {:?}",
+        report.validation.failures()
+    );
+    assert!(report.manifest.exact_match);
+    // The materialising check matches every field too, and its structural
+    // inspection reports the isolated vertices.
+    let materialised = validate_design(&design, 1_000).unwrap();
+    assert!(
+        materialised.failures().is_empty(),
+        "{:?}",
+        materialised.failures()
+    );
+    assert_eq!(materialised.no_empty_vertices, Some(false));
 }
 
 #[test]

@@ -29,9 +29,9 @@ use extreme_graphs::sparse::reduce::degree_distribution;
 use extreme_graphs::sparse::triangles::count_triangles_coo;
 use extreme_graphs::sparse::{kron_coo, CooMatrix, DegreeAccumulator, PlusTimes, SparseError};
 use extreme_graphs::{
-    DesignPipeline, EdgeSource, GraphProperties, KroneckerDesign, KroneckerSource, MetricRecord,
-    Pipeline, RmatParams, RmatSource, RunReport, SelfLoop, SelfLoopPolicy, SourceDescriptor,
-    SourceRun,
+    DegreeDistribution, DesignPipeline, EdgeSource, GraphProperties, KroneckerDesign,
+    KroneckerSource, MetricRecord, Pipeline, RmatParams, RmatSource, RunReport, SelfLoop,
+    SelfLoopPolicy, SourceDescriptor, SourceRun,
 };
 
 const SELF_LOOPS: [SelfLoop; 3] = [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf];
@@ -57,7 +57,7 @@ fn assert_is_the_designed_graph(
     design: &KroneckerDesign,
     permutation_seed: Option<u64>,
     graph: &CooMatrix<u64>,
-    measured: &GraphProperties,
+    metrics: &MetricsReport,
     label: &str,
 ) {
     let realised = design.realize(10_000_000).unwrap();
@@ -72,7 +72,7 @@ fn assert_is_the_designed_graph(
     expected.sort_unstable();
     assert_eq!(sorted_pairs(graph), expected, "{label}: edges");
     assert_eq!(
-        measured.degree_distribution,
+        DegreeDistribution::from_histogram(&metrics.degree_histogram),
         design.degree_distribution(),
         "{label}: streamed degree distribution"
     );
@@ -111,7 +111,7 @@ fn pipeline_blocks_equal_the_realised_design() {
                     &design,
                     None,
                     &report.assemble(),
-                    &report.measured,
+                    &report.metrics,
                     &label,
                 );
 
@@ -145,11 +145,11 @@ fn pipeline_counts_equal_the_design_prediction() {
             assert_eq!(report.outputs, report.metrics.balance.edges_per_worker);
             assert_eq!(BigUint::from(report.edge_count()), design.edges());
             assert_eq!(report.predicted, Some(design.properties()));
-            assert_eq!(report.measured.vertices, design.vertices());
-            assert_eq!(report.measured.edges, design.edges());
-            assert_eq!(report.measured.self_loops, BigUint::zero());
+            assert_eq!(BigUint::from(report.metrics.vertices), design.vertices());
+            assert_eq!(BigUint::from(report.metrics.edges), design.edges());
+            assert_eq!(report.metrics.self_loops, 0);
             assert_eq!(
-                report.measured.degree_distribution,
+                DegreeDistribution::from_histogram(&report.metrics.degree_histogram),
                 design.degree_distribution()
             );
         }
@@ -167,7 +167,6 @@ const FORMATS: [Format; 2] = [Format::Tsv, Format::Compressed];
 /// What one file-writing run left behind.
 struct WrittenRun {
     graph: CooMatrix<u64>,
-    measured: GraphProperties,
     metrics: MetricsReport,
     manifest: RunManifest,
     shard_bytes: Vec<Vec<u8>>,
@@ -205,7 +204,6 @@ fn write_shards(
             .iter()
             .map(|file| std::fs::read(file).unwrap())
             .collect(),
-        measured: report.measured,
         metrics: report.metrics,
         manifest: report.manifest,
     }
@@ -238,7 +236,7 @@ fn determinism_matrix_pins_bytes_metrics_and_the_graph() {
                         &design,
                         permutation_seed,
                         &run.graph,
-                        &run.measured,
+                        &run.metrics,
                         &label,
                     );
                     // The chunk capacity never reaches the disk…
@@ -391,7 +389,6 @@ fn flat_vector(report: &RunReport<CooMatrix<u64>>) -> MetricsReport {
         edges: flat.edge_count(),
         self_loops: flat.self_loop_count(),
         max_degree: flat.max_row_degree(),
-        distinct_degrees: degree_histogram.len(),
         degree_histogram,
         balance: BalanceReport::from_worker_counts(edges_per_worker),
         power_law: measured.power_law_fit(),
@@ -582,18 +579,18 @@ mod random_designs {
             let permutation_seed = (permutation_seed > 0).then_some(permutation_seed);
             let pipeline = pipeline(&design, workers, chunk).split_index(1);
 
-            let (graph, measured, manifest) = match FORMATS.get(format_choice) {
+            let (graph, metrics, manifest) = match FORMATS.get(format_choice) {
                 Some(&format) => {
                     let run = write_shards(pipeline, permutation_seed, format);
-                    (run.graph, run.measured, run.manifest)
+                    (run.graph, run.metrics, run.manifest)
                 }
                 None => {
                     let report = permuted(pipeline, permutation_seed).collect_coo().unwrap();
                     prop_assert!(report.is_valid());
-                    (report.assemble(), report.measured, report.manifest)
+                    (report.assemble(), report.metrics, report.manifest)
                 }
             };
-            assert_is_the_designed_graph(&design, permutation_seed, &graph, &measured, "random");
+            assert_is_the_designed_graph(&design, permutation_seed, &graph, &metrics, "random");
 
             // And the manifest of any run round-trips through JSON.
             prop_assert_eq!(RunManifest::from_json(&manifest.to_json()).unwrap(), manifest);

@@ -65,16 +65,6 @@ fn replayed_metrics_are_bit_identical_across_formats() {
             replayed.metrics, generated.metrics,
             "{label} replay changed the metrics"
         );
-        // And the measured property sheets agree field by field.
-        let comparison = extreme_graphs::core::validate::compare_measured(
-            &generated.measured,
-            &replayed.measured,
-        );
-        assert!(
-            comparison.is_exact_match(),
-            "measured sheets differ: {:?}",
-            comparison.failures()
-        );
         // The replay manifest names its source and the same totals.
         assert_eq!(replayed.manifest.source, "replay");
         assert_eq!(replayed.manifest.total_edges, generated.edge_count());

@@ -152,13 +152,13 @@ fn permuted_kronecker_run_still_validates_streamed() {
             .unwrap();
 
         // Degree-preserving: the streamed validation still matches the
-        // exact prediction, and the measured sheet is unchanged.
+        // exact prediction, and the metrics report is unchanged.
         assert!(
             permuted.is_valid(),
             "permuted validation failed for {self_loop:?}: {:?}",
             permuted.validation.failures()
         );
-        assert_eq!(permuted.measured, plain.measured);
+        assert_eq!(permuted.metrics, plain.metrics);
         assert_eq!(permuted.edge_count(), plain.edge_count());
         assert_eq!(permuted.manifest.permutation_seed, Some(0xC0FFEE));
 

@@ -1,10 +1,9 @@
 //! Integration tests for the algebraic identities the paper relies on,
 //! checked across crate boundaries on realised graphs: the Kronecker
-//! mixed-product rule, incidence-matrix reconstruction, BFS connectivity of
-//! star products, and the equivalence of the independent triangle counters.
+//! mixed-product rule, BFS connectivity of star products, and the
+//! equivalence of the independent triangle counters.
 
 use extreme_graphs::bignum::BigUint;
-use extreme_graphs::core::incidence::{design_incidence, IncidencePair};
 use extreme_graphs::core::powerlaw::star_products_unique;
 use extreme_graphs::sparse::bfs::{bfs, connected_components};
 use extreme_graphs::sparse::ops::spgemm;
@@ -35,50 +34,6 @@ fn mixed_product_rule_on_star_adjacencies() {
     let bd = spgemm::<u64, PlusTimes>(&csr(&b), &csr(&d)).unwrap();
     let right = csr(&kron_coo::<u64, PlusTimes>(&ac.to_coo(), &bd.to_coo()).unwrap());
     assert_eq!(left, right);
-}
-
-#[test]
-fn incidence_product_reconstructs_every_design() {
-    for self_loop in [SelfLoop::None, SelfLoop::Centre, SelfLoop::Leaf] {
-        let design = KroneckerDesign::from_star_points(&[3, 5], self_loop).unwrap();
-        let pair = design_incidence(&design, 100_000).unwrap();
-        assert_eq!(BigUint::from(pair.edges()), design.nnz_with_loops());
-        let rebuilt = pair.to_adjacency().unwrap();
-        let raw = design.realize_raw(100_000).unwrap();
-        // Same pattern (values may differ because E_outᵀ·E_in counts parallel
-        // edge rows, which do not occur here).
-        let rebuilt_pattern: Vec<(u64, u64)> = {
-            let mut v: Vec<(u64, u64)> = rebuilt.iter().map(|(r, c, _)| (r, c)).collect();
-            v.sort_unstable();
-            v
-        };
-        let raw_pattern: Vec<(u64, u64)> = {
-            let mut v: Vec<(u64, u64)> = raw.iter().map(|(r, c, _)| (r, c)).collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(
-            rebuilt_pattern, raw_pattern,
-            "incidence mismatch for {self_loop:?}"
-        );
-    }
-}
-
-#[test]
-fn incidence_pair_kron_matches_design_incidence() {
-    let design = KroneckerDesign::from_star_points(&[4, 3], SelfLoop::Centre).unwrap();
-    let from_design = design_incidence(&design, 100_000).unwrap();
-    let stars: Vec<IncidencePair> = design
-        .constituents()
-        .iter()
-        .map(|c| IncidencePair::from_adjacency(&c.adjacency()))
-        .collect();
-    let manual = stars[0].kron(&stars[1]).unwrap();
-    assert_eq!(manual.edges(), from_design.edges());
-    assert_eq!(
-        manual.to_adjacency().unwrap().nnz(),
-        from_design.to_adjacency().unwrap().nnz()
-    );
 }
 
 #[test]
